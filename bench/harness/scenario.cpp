@@ -125,20 +125,6 @@ BenchReport RunScenario(const Scenario& scenario, bool quiet,
   return report;
 }
 
-int RunLegacyAlias(std::string_view name) {
-  const Scenario* scenario = ScenarioRegistry::Global().Find(name);
-  if (scenario == nullptr) {
-    std::fprintf(stderr, "rtmbench: unknown scenario '%.*s'\n",
-                 static_cast<int>(name.size()), name.data());
-    return 2;
-  }
-  const BenchReport report = RunScenario(*scenario, /*quiet=*/false);
-  for (const CheckResult& check : report.checks) {
-    if (check.fatal && !check.pass) return 1;
-  }
-  return 0;
-}
-
 // ---- shared helpers --------------------------------------------------------
 
 std::vector<std::string> SuiteNames() {

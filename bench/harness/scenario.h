@@ -104,11 +104,6 @@ class ScenarioRegistry {
                                       bool quiet = false,
                                       obs::ObsConfig obs = {});
 
-/// main() of a legacy bench-binary alias: runs the scenario with report
-/// output only (no JSON, no golden check); nonzero exit only when a
-/// fatal check failed — the pre-harness behavior of every bench binary.
-int RunLegacyAlias(std::string_view name);
-
 // ---- shared helpers for scenario declarations ------------------------------
 
 /// Names of all suite benchmarks, in Fig. 4 order.

@@ -1,33 +1,11 @@
 #include "cache/cache_policy.h"
 
-#include <algorithm>
-#include <cctype>
-#include <stdexcept>
-#include <utility>
-
-#include "core/registry_namespace.h"
-#include "core/strategy_registry.h"
-#include "util/strings.h"
+#include <memory>
+#include <string>
 
 namespace rtmp::cache {
 
 namespace {
-
-class FixedCachePolicy final : public CachePolicy {
- public:
-  FixedCachePolicy(CachePolicyInfo info, CacheConfig config)
-      : info_(std::move(info)), config_(std::move(config)) {}
-
-  [[nodiscard]] const CachePolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
-
-  [[nodiscard]] CacheConfig MakeConfig() const override { return config_; }
-
- private:
-  CachePolicyInfo info_;
-  CacheConfig config_;
-};
 
 /// The engine recipe every built-in wraps: online-fixed-dma-sr (256-
 /// access windows, re-seed weighed at every boundary via dma-sr). Kept
@@ -49,126 +27,19 @@ void RegisterCapacityFamily(CachePolicyRegistry& registry,
   config.capacity_ratio = static_cast<double>(percent) / 100.0;
   config.engine = BuiltinEngineRecipe();
   const std::string name = eviction + "-c" + std::to_string(percent);
-  registry.Register(
-      name, [info = CachePolicyInfo{
-                 name,
-                 eviction + " eviction over a resident set of " +
-                     std::to_string(percent) +
-                     "% of the working set, hits served by the "
-                     "online-fixed-dma-sr engine recipe",
-                 eviction, config.capacity_ratio},
-             config] { return MakeFixedCachePolicy(info, config); });
+  const CachePolicyInfo info{
+      name,
+      eviction + " eviction over a resident set of " +
+          std::to_string(percent) +
+          "% of the working set, hits served by the "
+          "online-fixed-dma-sr engine recipe",
+      eviction, config.capacity_ratio};
+  registry.Register(name, [info, config] {
+    return std::make_shared<const CachePolicy>(info, config);
+  });
 }
 
 }  // namespace
-
-std::shared_ptr<const CachePolicy> MakeFixedCachePolicy(CachePolicyInfo info,
-                                                        CacheConfig config) {
-  return std::make_shared<const FixedCachePolicy>(std::move(info),
-                                                  std::move(config));
-}
-
-CachePolicyRegistry& CachePolicyRegistry::Global() {
-  static CachePolicyRegistry* registry = [] {
-    // Leaked: outlives CachePolicyRegistrar uses in static destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new CachePolicyRegistry();
-    r->ClaimCellNamespace("cache policy");
-    RegisterBuiltinCachePolicies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void CachePolicyRegistry::Register(std::string name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("CachePolicyRegistry: null factory for '" +
-                                name + "'");
-  }
-  std::string key = util::ToLower(name);
-  // Cache-policy names share the experiment engine's strategy-name space
-  // (cells, CLI arguments, report keys): same charset, and no collision
-  // with a registered strategy.
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("CachePolicyRegistry: invalid name '" + name +
-                                "'");
-  }
-  if (core::StrategyRegistry::Global().Contains(key)) {
-    throw std::invalid_argument(
-        "CachePolicyRegistry: '" + key +
-        "' is already a registered placement strategy");
-  }
-  if (namespace_kind_ != nullptr) {
-    core::RegistryNamespace::Global().Claim(key, namespace_kind_);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("CachePolicyRegistry: duplicate policy '" +
-                                key + "'");
-  }
-  entries_.insert(it, {std::move(key), Entry{std::move(factory), nullptr}});
-}
-
-const CachePolicyRegistry::Entry* CachePolicyRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::shared_ptr<const CachePolicy> CachePolicyRegistry::Find(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    if (entry->instance) return entry->instance;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may consult the registries.
-  auto instance = factory();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = FindEntry(key);
-  if (entry == nullptr) return instance;
-  if (!entry->instance) entry->instance = std::move(instance);
-  return entry->instance;
-}
-
-std::optional<CachePolicyInfo> CachePolicyRegistry::Describe(
-    std::string_view name) const {
-  const auto policy = Find(name);
-  if (!policy) return std::nullopt;
-  return policy->Describe();
-}
-
-bool CachePolicyRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> CachePolicyRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
-  return names;
-}
-
-std::size_t CachePolicyRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
 
 void RegisterBuiltinCachePolicies(CachePolicyRegistry& registry) {
   for (const char* eviction :
@@ -177,11 +48,6 @@ void RegisterBuiltinCachePolicies(CachePolicyRegistry& registry) {
       RegisterCapacityFamily(registry, eviction, percent);
     }
   }
-}
-
-CachePolicyRegistrar::CachePolicyRegistrar(std::string name,
-                                           CachePolicyRegistry::Factory factory) {
-  CachePolicyRegistry::Global().Register(std::move(name), std::move(factory));
 }
 
 }  // namespace rtmp::cache

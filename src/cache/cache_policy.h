@@ -6,8 +6,8 @@
 // runs the resident set, what fraction of the working set fits on the
 // device, and which wrapped online engine serves the hits. Policies
 // enter the evaluation matrix by name exactly like strategies and
-// online policies do — sim::RunCell resolves a name it finds in neither
-// of those registries here, so `ExperimentOptions::extra_strategies`,
+// online policies do — sim::RunCell dispatches a cell name to whichever
+// cell registry owns it, so `ExperimentOptions::extra_strategies`,
 // `rtmbench` scenarios and `placement_explorer cache` all accept cache
 // policy names interchangeably.
 //
@@ -17,15 +17,11 @@
 // bench/harness/scenarios/fig_cache.cpp).
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 #include "cache/engine.h"
+#include "util/registry.h"
 
 namespace rtmp::cache {
 
@@ -41,83 +37,33 @@ struct CachePolicyInfo {
   double capacity_ratio = 1.0;
 };
 
-/// Abstract cache policy. Implementations must be stateless or
-/// internally synchronized: the experiment engine may call MakeConfig()
-/// from many threads concurrently on one instance.
-class CachePolicy {
+/// A named CacheConfig recipe under a fixed description. Immutable, so
+/// the experiment engine may share one instance across threads.
+class CachePolicy final {
  public:
-  virtual ~CachePolicy() = default;
+  CachePolicy(CachePolicyInfo info, CacheConfig config)
+      : info_(std::move(info)), config_(std::move(config)) {}
 
-  [[nodiscard]] virtual const CachePolicyInfo& Describe() const noexcept = 0;
+  [[nodiscard]] const CachePolicyInfo& Describe() const noexcept {
+    return info_;
+  }
 
   /// The cache configuration this policy stands for. Callers stamp the
   /// run-specific fields afterwards (capacity_slots via ResolveCapacity,
   /// strategy effort/seeds from the experiment).
-  [[nodiscard]] virtual CacheConfig MakeConfig() const = 0;
-};
-
-/// Name -> factory registry; same shape and thread-safety discipline as
-/// online::OnlinePolicyRegistry (lowercase keys, sorted flat vector,
-/// lazy cached instances, process-wide name arbitration).
-class CachePolicyRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const CachePolicy>()>;
-
-  CachePolicyRegistry() = default;
-  CachePolicyRegistry(const CachePolicyRegistry&) = delete;
-  CachePolicyRegistry& operator=(const CachePolicyRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in
-  /// policies (see RegisterBuiltinCachePolicies).
-  [[nodiscard]] static CachePolicyRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase). Throws
-  /// std::invalid_argument if the name is empty, contains characters
-  /// outside [a-z0-9._-], collides with a registered cache policy OR
-  /// with a registered placement strategy (the registries share the
-  /// experiment engine's name space; see core/registry_namespace.h for
-  /// the process-wide arbitration covering online and serve policies).
-  void Register(std::string name, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide cell-name space
-  /// (core/registry_namespace.h); Global() enables it ("cache policy"),
-  /// fresh test instances leave it off.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
-  }
-
-  /// The policy registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const CachePolicy> Find(
-      std::string_view name) const;
-
-  /// Metadata of the policy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<CachePolicyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] CacheConfig MakeConfig() const { return config_; }
 
  private:
-  struct Entry {
-    Factory factory;
-    /// Constructed on first lookup, under mutex_.
-    mutable std::shared_ptr<const CachePolicy> instance;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (a dozen policies) that a flat vector
-  // beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
+  CachePolicyInfo info_;
+  CacheConfig config_;
 };
+
+/// Name -> policy registry (util/registry.h).
+using CachePolicyRegistry = util::Registry<CachePolicy>;
+
+/// RAII self-registration into CachePolicyRegistry::Global(), for
+/// policies defined outside this library (see util::Registrar).
+using CachePolicyRegistrar = util::Registrar<CachePolicy>;
 
 /// Registers the built-in policies into `registry`:
 ///
@@ -132,17 +78,9 @@ class CachePolicyRegistry {
 /// tests use it to build fresh registries.
 void RegisterBuiltinCachePolicies(CachePolicyRegistry& registry);
 
-/// Convenience used by the built-ins and available to external code: a
-/// policy that returns a fixed CacheConfig under a fixed description.
-[[nodiscard]] std::shared_ptr<const CachePolicy> MakeFixedCachePolicy(
-    CachePolicyInfo info, CacheConfig config);
-
-/// RAII self-registration into the Global() registry, for policies
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct CachePolicyRegistrar {
-  CachePolicyRegistrar(std::string name, CachePolicyRegistry::Factory factory);
-};
+/// CachePolicyRegistry::Global()'s built-ins hook.
+inline void RegisterBuiltins(CachePolicyRegistry& registry) {
+  RegisterBuiltinCachePolicies(registry);
+}
 
 }  // namespace rtmp::cache

@@ -44,12 +44,12 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
         "CacheEngine: capacity_slots must be resolved (> 0); "
         "see ResolveCapacity");
   }
-  policy_ = EvictionPolicyRegistry::Global().Create(config_.eviction,
-                                                    config_.eviction_seed);
-  if (policy_ == nullptr) {
+  const auto kind = EvictionPolicyRegistry::Global().Find(config_.eviction);
+  if (kind == nullptr) {
     throw std::invalid_argument("CacheEngine: unknown eviction policy '" +
                                 config_.eviction + "'");
   }
+  policy_ = kind->Create(config_.eviction_seed);
   frames_.resize(config_.capacity_slots);
   frame_pending_.assign(frames_.size(), 0);
   last_offsets_.assign(device.total_dbcs(), -1);

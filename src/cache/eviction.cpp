@@ -1,14 +1,10 @@
 #include "cache/eviction.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
-#include <stdexcept>
-#include <utility>
+#include <memory>
 
-#include "core/registry_namespace.h"
 #include "util/rng.h"
-#include "util/strings.h"
 
 namespace rtmp::cache {
 
@@ -28,28 +24,13 @@ std::uint32_t LeastRecentlyUsed(std::span<const std::uint32_t> candidates,
 
 class LruPolicy final : public EvictionPolicy {
  public:
-  explicit LruPolicy(EvictionPolicyInfo info) : info_(std::move(info)) {}
-
-  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
-
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     return LeastRecentlyUsed(ctx.candidates, ctx.frames);
   }
-
- private:
-  EvictionPolicyInfo info_;
 };
 
 class LfuPolicy final : public EvictionPolicy {
  public:
-  explicit LfuPolicy(EvictionPolicyInfo info) : info_(std::move(info)) {}
-
-  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
-
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     std::uint32_t best = ctx.candidates.front();
     for (const std::uint32_t frame : ctx.candidates.subspan(1)) {
@@ -63,9 +44,6 @@ class LfuPolicy final : public EvictionPolicy {
     }
     return best;
   }
-
- private:
-  EvictionPolicyInfo info_;
 };
 
 /// zsim-style sampled LRU: O(K) per miss. Sampling is with replacement
@@ -75,12 +53,7 @@ class SampledLruPolicy final : public EvictionPolicy {
  public:
   static constexpr std::size_t kSample = 5;
 
-  SampledLruPolicy(EvictionPolicyInfo info, std::uint64_t seed)
-      : info_(std::move(info)), rng_(seed) {}
-
-  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
+  explicit SampledLruPolicy(std::uint64_t seed) : rng_(seed) {}
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     if (ctx.candidates.size() <= kSample) {
@@ -101,7 +74,6 @@ class SampledLruPolicy final : public EvictionPolicy {
   }
 
  private:
-  EvictionPolicyInfo info_;
   util::Rng rng_;
 };
 
@@ -114,13 +86,6 @@ class SampledLruPolicy final : public EvictionPolicy {
 class ShiftAwarePolicy final : public EvictionPolicy {
  public:
   static constexpr std::size_t kShortlist = 8;
-
-  explicit ShiftAwarePolicy(EvictionPolicyInfo info)
-      : info_(std::move(info)) {}
-
-  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     shortlist_.assign(ctx.candidates.begin(), ctx.candidates.end());
@@ -189,152 +154,34 @@ class ShiftAwarePolicy final : public EvictionPolicy {
     return score;
   }
 
-  EvictionPolicyInfo info_;
   std::vector<std::uint32_t> shortlist_;
 };
 
 }  // namespace
 
-EvictionPolicyRegistry& EvictionPolicyRegistry::Global() {
-  static EvictionPolicyRegistry* registry = [] {
-    // Leaked: outlives EvictionPolicyRegistrar uses in static
-    // destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new EvictionPolicyRegistry();
-    r->ClaimCellNamespace("cache eviction policy");
-    RegisterBuiltinEvictionPolicies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void EvictionPolicyRegistry::Register(EvictionPolicyInfo info,
-                                      Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("EvictionPolicyRegistry: null factory for '" +
-                                info.name + "'");
-  }
-  std::string key = util::ToLower(info.name);
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("EvictionPolicyRegistry: invalid name '" +
-                                info.name + "'");
-  }
-  if (namespace_kind_ != nullptr) {
-    core::RegistryNamespace::Global().Claim(key, namespace_kind_);
-  }
-  info.name = key;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("EvictionPolicyRegistry: duplicate policy '" +
-                                key + "'");
-  }
-  entries_.insert(
-      it, {std::move(key), Entry{std::move(info), std::move(factory)}});
-}
-
-const EvictionPolicyRegistry::Entry* EvictionPolicyRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::unique_ptr<EvictionPolicy> EvictionPolicyRegistry::Create(
-    std::string_view name, std::uint64_t seed) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may consult the registries.
-  return factory(seed);
-}
-
-std::optional<EvictionPolicyInfo> EvictionPolicyRegistry::Describe(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = FindEntry(key);
-  if (entry == nullptr) return std::nullopt;
-  return entry->info;
-}
-
-bool EvictionPolicyRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> EvictionPolicyRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
-  return names;
-}
-
-std::size_t EvictionPolicyRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 void RegisterBuiltinEvictionPolicies(EvictionPolicyRegistry& registry) {
-  registry.Register(
-      {"cache-lru", "evict the least recently used resident frame"},
-      [](std::uint64_t) {
-        return std::make_unique<LruPolicy>(EvictionPolicyInfo{
-            "cache-lru", "evict the least recently used resident frame"});
-      });
-  registry.Register(
-      {"cache-lfu",
+  const auto add = [&registry](const EvictionPolicyInfo& info,
+                               const EvictionKind::Maker& make) {
+    registry.Register(info.name, [info, make] {
+      return std::make_shared<const EvictionKind>(info, make);
+    });
+  };
+  add({"cache-lru", "evict the least recently used resident frame"},
+      [](std::uint64_t) { return std::make_unique<LruPolicy>(); });
+  add({"cache-lfu",
        "evict the least frequently used resident frame (recency breaks "
        "ties)"},
-      [](std::uint64_t) {
-        return std::make_unique<LfuPolicy>(EvictionPolicyInfo{
-            "cache-lfu",
-            "evict the least frequently used resident frame (recency breaks "
-            "ties)"});
-      });
-  registry.Register(
-      {"cache-sample",
+      [](std::uint64_t) { return std::make_unique<LfuPolicy>(); });
+  add({"cache-sample",
        "zsim-style sampled LRU: evict the least recently used of 5 "
        "randomly drawn frames"},
       [](std::uint64_t seed) {
-        return std::make_unique<SampledLruPolicy>(
-            EvictionPolicyInfo{
-                "cache-sample",
-                "zsim-style sampled LRU: evict the least recently used of 5 "
-                "randomly drawn frames"},
-            seed);
+        return std::make_unique<SampledLruPolicy>(seed);
       });
-  registry.Register(
-      {"cache-shift-aware",
+  add({"cache-shift-aware",
        "evict the cold frame whose slot is cheapest to sweep from the "
        "current port alignment, avoiding frames still needed this window"},
-      [](std::uint64_t) {
-        return std::make_unique<ShiftAwarePolicy>(EvictionPolicyInfo{
-            "cache-shift-aware",
-            "evict the cold frame whose slot is cheapest to sweep from the "
-            "current port alignment, avoiding frames still needed this "
-            "window"});
-      });
-}
-
-EvictionPolicyRegistrar::EvictionPolicyRegistrar(
-    EvictionPolicyInfo info, EvictionPolicyRegistry::Factory factory) {
-  EvictionPolicyRegistry::Global().Register(std::move(info),
-                                            std::move(factory));
+      [](std::uint64_t) { return std::make_unique<ShiftAwarePolicy>(); });
 }
 
 }  // namespace rtmp::cache

@@ -12,22 +12,20 @@
 // and traffic bookkeeping stays in the engine.
 //
 // Policies may be stateful (cache-sample keeps an RNG) but are used from
-// a single thread per engine; the registry hands out a fresh instance
-// per Create() call rather than caching, precisely so engines never
-// share policy state.
+// a single thread per engine; the registry caches only the policy's
+// EvictionKind, whose Create() hands out a fresh instance per call,
+// precisely so engines never share policy state.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 #include "core/placement.h"
+#include "util/registry.h"
 
 namespace rtmp::cache {
 
@@ -95,9 +93,6 @@ class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
 
-  [[nodiscard]] virtual const EvictionPolicyInfo& Describe()
-      const noexcept = 0;
-
   /// Picks the frame to evict. `ctx.candidates` is never empty; the
   /// engine validates the returned frame is among them and throws
   /// std::logic_error otherwise (a policy bug, not an input error).
@@ -105,71 +100,40 @@ class EvictionPolicy {
       const EvictionContext& ctx) = 0;
 };
 
-/// Name -> factory registry for eviction policies. Same shape and
-/// discipline as online::OnlinePolicyRegistry (lowercase keys, sorted
-/// flat vector, process-wide name arbitration via
-/// core::RegistryNamespace), with one deliberate difference: Create()
-/// builds a FRESH instance every call instead of caching — eviction
-/// policies are stateful per engine.
-class EvictionPolicyRegistry {
+/// A registered eviction policy: its description plus a maker of fresh
+/// instances. The registry caches the kind, never a policy — policies
+/// are stateful per engine, so every Create() builds a new one.
+class EvictionKind final {
  public:
   /// `seed` feeds randomized policies (cache-sample); deterministic
   /// policies ignore it.
-  using Factory =
+  using Maker =
       std::function<std::unique_ptr<EvictionPolicy>(std::uint64_t seed)>;
 
-  EvictionPolicyRegistry() = default;
-  EvictionPolicyRegistry(const EvictionPolicyRegistry&) = delete;
-  EvictionPolicyRegistry& operator=(const EvictionPolicyRegistry&) = delete;
+  EvictionKind(EvictionPolicyInfo info, Maker make)
+      : info_(std::move(info)), make_(std::move(make)) {}
 
-  /// The process-wide registry, pre-populated with the built-in policies
-  /// (see RegisterBuiltinEvictionPolicies).
-  [[nodiscard]] static EvictionPolicyRegistry& Global();
-
-  /// Registers `factory` under `info.name` (normalized to lowercase).
-  /// Throws std::invalid_argument on an empty or ill-charset name
-  /// (outside [a-z0-9._-]), a duplicate, or a null factory.
-  void Register(EvictionPolicyInfo info, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide registry-name
-  /// space (core/registry_namespace.h); Global() enables it ("cache
-  /// eviction policy"), fresh test instances leave it off.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
+  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept {
+    return info_;
   }
 
-  /// A fresh instance of the policy registered under `name`; nullptr if
-  /// unknown.
   [[nodiscard]] std::unique_ptr<EvictionPolicy> Create(
-      std::string_view name, std::uint64_t seed) const;
-
-  /// Metadata of the policy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<EvictionPolicyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
+      std::uint64_t seed) const {
+    return make_(seed);
+  }
 
  private:
-  struct Entry {
-    EvictionPolicyInfo info;
-    Factory factory;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (a handful of policies) that a flat
-  // vector beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
+  EvictionPolicyInfo info_;
+  Maker make_;
 };
+
+/// Name -> eviction kind registry (util/registry.h). Engines call
+/// `Global().Find(name)->Create(seed)`.
+using EvictionPolicyRegistry = util::Registry<EvictionKind>;
+
+/// RAII self-registration into EvictionPolicyRegistry::Global(), for
+/// policies defined outside this library (see util::Registrar).
+using EvictionPolicyRegistrar = util::Registrar<EvictionKind>;
 
 /// Registers the built-in policies into `registry`:
 ///
@@ -190,13 +154,9 @@ class EvictionPolicyRegistry {
 /// Global() calls this once; tests use it to build fresh registries.
 void RegisterBuiltinEvictionPolicies(EvictionPolicyRegistry& registry);
 
-/// RAII self-registration into the Global() registry, for policies
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct EvictionPolicyRegistrar {
-  EvictionPolicyRegistrar(EvictionPolicyInfo info,
-                          EvictionPolicyRegistry::Factory factory);
-};
+/// EvictionPolicyRegistry::Global()'s built-ins hook.
+inline void RegisterBuiltins(EvictionPolicyRegistry& registry) {
+  RegisterBuiltinEvictionPolicies(registry);
+}
 
 }  // namespace rtmp::cache

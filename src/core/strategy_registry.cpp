@@ -1,7 +1,5 @@
 #include "core/strategy_registry.h"
 
-#include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -12,8 +10,6 @@
 #include "core/inter_dma.h"
 #include "core/multi_dma.h"
 #include "core/random_walk.h"
-#include "core/registry_namespace.h"
-#include "util/strings.h"
 
 namespace rtmp::core {
 
@@ -159,116 +155,9 @@ PlacementResult RunTimed(const PlacementStrategy& strategy,
   return result;
 }
 
-StrategyRegistry& StrategyRegistry::Global() {
-  static StrategyRegistry* registry = [] {
-    // Leaked: outlives StrategyRegistrar uses in static destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new StrategyRegistry();
-    r->ClaimCellNamespace("strategy");
-    RegisterBuiltinStrategies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void StrategyRegistry::Register(std::string name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("StrategyRegistry: null factory for '" +
-                                name + "'");
-  }
-  std::string key = util::ToLower(name);
-  // Names appear in CLI arguments and in '|'-delimited ResultTable keys:
-  // restrict to a safe charset rather than blocklisting separators.
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("StrategyRegistry: invalid name '" + name +
-                                "'");
-  }
-  if (namespace_kind_ != nullptr) {
-    RegistryNamespace::Global().Claim(key, namespace_kind_);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("StrategyRegistry: duplicate strategy '" +
-                                key + "'");
-  }
-  entries_.insert(it, {std::move(key), Entry{std::move(factory), nullptr}});
-}
-
-const StrategyRegistry::Entry* StrategyRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::shared_ptr<const PlacementStrategy> StrategyRegistry::Find(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    if (entry->instance) return entry->instance;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may themselves consult the
-  // registry (e.g. delegate to another strategy) without deadlocking.
-  auto instance = factory();
-  if (!instance) {
-    throw std::logic_error("StrategyRegistry: factory for '" + key +
-                           "' returned null");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // Entries are never removed, so the entry is still present; another
-  // thread may have cached an instance first, in which case that one wins.
-  const Entry* entry = FindEntry(key);
-  if (!entry->instance) entry->instance = std::move(instance);
-  return entry->instance;
-}
-
-std::optional<StrategyInfo> StrategyRegistry::Describe(
-    std::string_view name) const {
-  const auto strategy = Find(name);
-  if (!strategy) return std::nullopt;
-  return strategy->Describe();
-}
-
-bool StrategyRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> StrategyRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;  // entries_ is kept sorted by key
-}
-
-std::size_t StrategyRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 void RegisterBuiltinStrategies(StrategyRegistry& registry) {
   RegisterConstructiveStrategies(registry);
   RegisterSearchStrategies(registry);
-}
-
-StrategyRegistrar::StrategyRegistrar(std::string name,
-                                     StrategyRegistry::Factory factory) {
-  StrategyRegistry::Global().Register(std::move(name), std::move(factory));
 }
 
 }  // namespace rtmp::core

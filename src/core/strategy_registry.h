@@ -14,17 +14,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/placement.h"
 #include "core/strategy.h"
 #include "trace/access_sequence.h"
+#include "util/registry.h"
 
 namespace rtmp::core {
 
@@ -95,91 +92,22 @@ class PlacementStrategy {
 [[nodiscard]] PlacementResult RunTimed(const PlacementStrategy& strategy,
                                        const PlacementRequest& request);
 
-/// Name -> factory registry. Lookups are case-insensitive (names are
-/// normalized to lowercase); construction is lazy and the instance is
-/// cached, so repeated Find() calls are cheap. All members are
-/// thread-safe.
-class StrategyRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const PlacementStrategy>()>;
+/// Name -> strategy registry (util/registry.h): case-insensitive lookups,
+/// lazily constructed cached instances, thread-safe throughout.
+using StrategyRegistry = util::Registry<PlacementStrategy>;
 
-  StrategyRegistry() = default;
-  StrategyRegistry(const StrategyRegistry&) = delete;
-  StrategyRegistry& operator=(const StrategyRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in
-  /// strategies (every InterPolicy x IntraHeuristic combination plus GA
-  /// and RW).
-  [[nodiscard]] static StrategyRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase). Throws
-  /// std::invalid_argument if the name is empty, contains whitespace, or
-  /// is already taken. Factories should be cheap: Describe() and any
-  /// metadata listing instantiate the strategy to read its StrategyInfo,
-  /// so defer heavy state to Run().
-  void Register(std::string name, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide cell-name space
-  /// (core/registry_namespace.h): every later Register() additionally
-  /// claims the name under `kind` and throws when another registry kind
-  /// holds it. Global() enables this ("strategy") before the built-ins;
-  /// fresh test instances leave it off, so re-registering built-in names
-  /// locally stays legal.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
-  }
-
-  /// The strategy registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const PlacementStrategy> Find(
-      std::string_view name) const;
-
-  /// Metadata of the strategy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<StrategyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    Factory factory;
-    /// Constructed on first lookup, under mutex_.
-    mutable std::shared_ptr<const PlacementStrategy> instance;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (tens of strategies) that a flat vector
-  // beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
-};
+/// RAII self-registration into StrategyRegistry::Global(), for
+/// strategies defined outside this library (see util::Registrar).
+using StrategyRegistrar = util::Registrar<PlacementStrategy>;
 
 /// Registers the built-in strategies into `registry`: every
 /// {afd, dma, dma2} x {none, ofu, chen, sr, ge} combination plus "ga" and
 /// "rw". Global() calls this once; tests use it to build fresh registries.
 void RegisterBuiltinStrategies(StrategyRegistry& registry);
 
-/// RAII self-registration into the Global() registry, for strategies
-/// defined outside this library:
-///
-///   static const rtmp::core::StrategyRegistrar kMine{"my-layout", [] {
-///     return std::make_shared<const MyLayoutStrategy>();
-///   }};
-///
-/// Caveat: when linking rtmplace statically, a translation unit that is
-/// never referenced is dropped by the linker along with its registrars —
-/// keep registrars in a TU that is otherwise linked in, or register
-/// explicitly at startup.
-struct StrategyRegistrar {
-  StrategyRegistrar(std::string name, StrategyRegistry::Factory factory);
-};
+/// StrategyRegistry::Global()'s built-ins hook.
+inline void RegisterBuiltins(StrategyRegistry& registry) {
+  RegisterBuiltinStrategies(registry);
+}
 
 }  // namespace rtmp::core

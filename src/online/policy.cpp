@@ -1,33 +1,18 @@
 #include "online/policy.h"
 
-#include <algorithm>
-#include <cctype>
-#include <stdexcept>
-#include <utility>
-
-#include "core/registry_namespace.h"
-#include "core/strategy_registry.h"
-#include "util/strings.h"
+#include <memory>
+#include <string>
 
 namespace rtmp::online {
 
 namespace {
 
-class FixedPolicy final : public OnlinePolicy {
- public:
-  FixedPolicy(OnlinePolicyInfo info, OnlineConfig config)
-      : info_(std::move(info)), config_(std::move(config)) {}
-
-  [[nodiscard]] const OnlinePolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
-
-  [[nodiscard]] OnlineConfig MakeConfig() const override { return config_; }
-
- private:
-  OnlinePolicyInfo info_;
-  OnlineConfig config_;
-};
+void Add(OnlinePolicyRegistry& registry, const OnlinePolicyInfo& info,
+         const OnlineConfig& config) {
+  registry.Register(info.name, [info, config] {
+    return std::make_shared<const OnlinePolicy>(info, config);
+  });
+}
 
 void RegisterFamily(OnlinePolicyRegistry& registry,
                     const std::string& reseed) {
@@ -36,14 +21,12 @@ void RegisterFamily(OnlinePolicyRegistry& registry,
     config.reseed_strategy = reseed;
     config.window_accesses = kWholeTraceWindow;
     config.detector.kind = DetectorKind::kNone;
-    registry.Register(
+    const OnlinePolicyInfo info{
         "online-static-" + reseed,
-        [info = OnlinePolicyInfo{
-             "online-static-" + reseed,
-             "one whole-trace window, no re-placement: the oracle wrapper, "
-             "bit-identical to " + reseed,
-             reseed, "none"},
-         config] { return MakeFixedPolicy(info, config); });
+        "one whole-trace window, no re-placement: the oracle wrapper, "
+        "bit-identical to " + reseed,
+        reseed, "none"};
+    Add(registry, info, config);
   }
   {
     OnlineConfig config;
@@ -51,14 +34,12 @@ void RegisterFamily(OnlinePolicyRegistry& registry,
     config.window_accesses = 256;
     config.detector.kind = DetectorKind::kFixedWindow;
     config.detector.period = 1;
-    registry.Register(
+    const OnlinePolicyInfo info{
         "online-fixed-" + reseed,
-        [info = OnlinePolicyInfo{
-             "online-fixed-" + reseed,
-             "256-access windows, re-seed weighed at every boundary "
-             "(period-1 epoch baseline) via " + reseed,
-             reseed, "fixed"},
-         config] { return MakeFixedPolicy(info, config); });
+        "256-access windows, re-seed weighed at every boundary "
+        "(period-1 epoch baseline) via " + reseed,
+        reseed, "fixed"};
+    Add(registry, info, config);
   }
   {
     OnlineConfig config;
@@ -68,14 +49,12 @@ void RegisterFamily(OnlinePolicyRegistry& registry,
     config.detector.threshold = 0.35;
     config.detector.alpha = 0.3;
     config.refine = true;
-    registry.Register(
+    const OnlinePolicyInfo info{
         "online-ewma-" + reseed,
-        [info = OnlinePolicyInfo{
-             "online-ewma-" + reseed,
-             "256-access windows, EWMA-drift phase detection + incremental "
-             "refinement, re-seeded via " + reseed,
-             reseed, "ewma"},
-         config] { return MakeFixedPolicy(info, config); });
+        "256-access windows, EWMA-drift phase detection + incremental "
+        "refinement, re-seeded via " + reseed,
+        reseed, "ewma"};
+    Add(registry, info, config);
   }
   {
     OnlineConfig config;
@@ -86,138 +65,20 @@ void RegisterFamily(OnlinePolicyRegistry& registry,
     config.detector.slack = 0.1;
     config.detector.alpha = 0.3;
     config.refine = true;
-    registry.Register(
+    const OnlinePolicyInfo info{
         "online-cusum-" + reseed,
-        [info = OnlinePolicyInfo{
-             "online-cusum-" + reseed,
-             "256-access windows, CUSUM change-point detection (slack 0.1, "
-             "threshold 0.6) + incremental refinement, re-seeded via " +
-                 reseed,
-             reseed, "cusum"},
-         config] { return MakeFixedPolicy(info, config); });
+        "256-access windows, CUSUM change-point detection (slack 0.1, "
+        "threshold 0.6) + incremental refinement, re-seeded via " + reseed,
+        reseed, "cusum"};
+    Add(registry, info, config);
   }
 }
 
 }  // namespace
 
-std::shared_ptr<const OnlinePolicy> MakeFixedPolicy(OnlinePolicyInfo info,
-                                                    OnlineConfig config) {
-  return std::make_shared<const FixedPolicy>(std::move(info),
-                                             std::move(config));
-}
-
-OnlinePolicyRegistry& OnlinePolicyRegistry::Global() {
-  static OnlinePolicyRegistry* registry = [] {
-    // Leaked: outlives OnlinePolicyRegistrar uses in static
-    // destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new OnlinePolicyRegistry();
-    r->ClaimCellNamespace("online policy");
-    RegisterBuiltinOnlinePolicies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void OnlinePolicyRegistry::Register(std::string name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("OnlinePolicyRegistry: null factory for '" +
-                                name + "'");
-  }
-  std::string key = util::ToLower(name);
-  // Policy names share the experiment engine's strategy-name space
-  // (cells, CLI arguments, report keys): same charset, and no collision
-  // with a registered strategy.
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("OnlinePolicyRegistry: invalid name '" +
-                                name + "'");
-  }
-  if (core::StrategyRegistry::Global().Contains(key)) {
-    throw std::invalid_argument(
-        "OnlinePolicyRegistry: '" + key +
-        "' is already a registered placement strategy");
-  }
-  if (namespace_kind_ != nullptr) {
-    core::RegistryNamespace::Global().Claim(key, namespace_kind_);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("OnlinePolicyRegistry: duplicate policy '" +
-                                key + "'");
-  }
-  entries_.insert(it, {std::move(key), Entry{std::move(factory), nullptr}});
-}
-
-const OnlinePolicyRegistry::Entry* OnlinePolicyRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::shared_ptr<const OnlinePolicy> OnlinePolicyRegistry::Find(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    if (entry->instance) return entry->instance;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may consult the registries.
-  auto instance = factory();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = FindEntry(key);
-  if (entry == nullptr) return instance;
-  if (!entry->instance) entry->instance = std::move(instance);
-  return entry->instance;
-}
-
-std::optional<OnlinePolicyInfo> OnlinePolicyRegistry::Describe(
-    std::string_view name) const {
-  const auto policy = Find(name);
-  if (!policy) return std::nullopt;
-  return policy->Describe();
-}
-
-bool OnlinePolicyRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> OnlinePolicyRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
-  return names;
-}
-
-std::size_t OnlinePolicyRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 void RegisterBuiltinOnlinePolicies(OnlinePolicyRegistry& registry) {
   RegisterFamily(registry, "dma-sr");
   RegisterFamily(registry, "afd-ofu");
-}
-
-OnlinePolicyRegistrar::OnlinePolicyRegistrar(
-    std::string name, OnlinePolicyRegistry::Factory factory) {
-  OnlinePolicyRegistry::Global().Register(std::move(name),
-                                          std::move(factory));
 }
 
 }  // namespace rtmp::online

@@ -6,21 +6,17 @@
 // strategy re-seeds the placement, which phase detector triggers
 // re-placement, how large the windows are, and whether migration is
 // charged. Policies enter the evaluation matrix by name exactly like
-// strategies do — sim::RunCell resolves a name it does not find in the
-// strategy registry here, so `ExperimentOptions::extra_strategies`,
+// strategies do — sim::RunCell dispatches a cell name to whichever cell
+// registry owns it, so `ExperimentOptions::extra_strategies`,
 // `rtmbench` scenarios and `placement_explorer online` all accept policy
 // names interchangeably with strategy names.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 #include "online/engine.h"
+#include "util/registry.h"
 
 namespace rtmp::online {
 
@@ -36,85 +32,34 @@ struct OnlinePolicyInfo {
   std::string detector;
 };
 
-/// Abstract online policy. Implementations must be stateless or
-/// internally synchronized: the experiment engine may call MakeConfig()
-/// from many threads concurrently on one instance.
-class OnlinePolicy {
+/// A named OnlineConfig recipe under a fixed description. Immutable, so
+/// the experiment engine may share one instance across threads.
+class OnlinePolicy final {
  public:
-  virtual ~OnlinePolicy() = default;
+  OnlinePolicy(OnlinePolicyInfo info, OnlineConfig config)
+      : info_(std::move(info)), config_(std::move(config)) {}
 
-  [[nodiscard]] virtual const OnlinePolicyInfo& Describe() const noexcept = 0;
+  [[nodiscard]] const OnlinePolicyInfo& Describe() const noexcept {
+    return info_;
+  }
 
   /// The engine configuration this policy stands for. Callers stamp the
   /// run-specific fields afterwards (strategy_options effort/seeds come
   /// from the experiment, not the policy).
-  [[nodiscard]] virtual OnlineConfig MakeConfig() const = 0;
-};
-
-/// Name -> factory registry. Lookups are case-insensitive (names are
-/// normalized to lowercase); construction is lazy and the instance is
-/// cached. All members are thread-safe. Deliberately the same shape as
-/// core::StrategyRegistry and workloads::WorkloadRegistry.
-class OnlinePolicyRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const OnlinePolicy>()>;
-
-  OnlinePolicyRegistry() = default;
-  OnlinePolicyRegistry(const OnlinePolicyRegistry&) = delete;
-  OnlinePolicyRegistry& operator=(const OnlinePolicyRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in
-  /// policies (see RegisterBuiltinOnlinePolicies).
-  [[nodiscard]] static OnlinePolicyRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase). Throws
-  /// std::invalid_argument if the name is empty, contains characters
-  /// outside [a-z0-9._-], collides with a registered policy OR with a
-  /// registered placement strategy (the registries share the experiment
-  /// engine's name space; see core/registry_namespace.h for the
-  /// process-wide arbitration covering serve policies too).
-  void Register(std::string name, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide cell-name space
-  /// (core/registry_namespace.h); same contract as
-  /// core::StrategyRegistry::ClaimCellNamespace — Global() enables it
-  /// ("online policy"), fresh test instances leave it off.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
-  }
-
-  /// The policy registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const OnlinePolicy> Find(
-      std::string_view name) const;
-
-  /// Metadata of the policy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<OnlinePolicyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] OnlineConfig MakeConfig() const { return config_; }
 
  private:
-  struct Entry {
-    Factory factory;
-    /// Constructed on first lookup, under mutex_.
-    mutable std::shared_ptr<const OnlinePolicy> instance;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (tens of policies) that a flat vector
-  // beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
+  OnlinePolicyInfo info_;
+  OnlineConfig config_;
 };
+
+/// Name -> policy registry (util/registry.h), the same template as
+/// core::StrategyRegistry and workloads::WorkloadRegistry.
+using OnlinePolicyRegistry = util::Registry<OnlinePolicy>;
+
+/// RAII self-registration into OnlinePolicyRegistry::Global(), for
+/// policies defined outside this library (see util::Registrar).
+using OnlinePolicyRegistrar = util::Registrar<OnlinePolicy>;
 
 /// Registers the built-in policies into `registry`:
 ///
@@ -132,18 +77,9 @@ class OnlinePolicyRegistry {
 /// build fresh registries.
 void RegisterBuiltinOnlinePolicies(OnlinePolicyRegistry& registry);
 
-/// Convenience used by the built-ins and available to external code: a
-/// policy that returns a fixed OnlineConfig under a fixed description.
-[[nodiscard]] std::shared_ptr<const OnlinePolicy> MakeFixedPolicy(
-    OnlinePolicyInfo info, OnlineConfig config);
-
-/// RAII self-registration into the Global() registry, for policies
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct OnlinePolicyRegistrar {
-  OnlinePolicyRegistrar(std::string name,
-                        OnlinePolicyRegistry::Factory factory);
-};
+/// OnlinePolicyRegistry::Global()'s built-ins hook.
+inline void RegisterBuiltins(OnlinePolicyRegistry& registry) {
+  RegisterBuiltinOnlinePolicies(registry);
+}
 
 }  // namespace rtmp::online

@@ -1,34 +1,14 @@
 #include "serve/serve_policy.h"
 
-#include <algorithm>
-#include <cctype>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "core/registry_namespace.h"
-#include "core/strategy_registry.h"
 #include "online/policy.h"
-#include "util/strings.h"
 
 namespace rtmp::serve {
 
 namespace {
-
-class FixedServePolicy final : public ServePolicy {
- public:
-  FixedServePolicy(ServePolicyInfo info, ServeConfig config)
-      : info_(std::move(info)), config_(std::move(config)) {}
-
-  [[nodiscard]] const ServePolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
-
-  [[nodiscard]] ServeConfig MakeConfig() const override { return config_; }
-
- private:
-  ServePolicyInfo info_;
-  ServeConfig config_;
-};
 
 /// Factory body shared by the built-ins: resolve the wrapped online
 /// policy lazily (at first Find), so registration order between the
@@ -47,7 +27,7 @@ ServePolicyRegistry::Factory BuiltinFactory(ServePolicyInfo info,
     config.num_shards = info.shards;
     config.budget = budget;
     config.engine = online->MakeConfig();
-    return MakeFixedServePolicy(info, config);
+    return std::make_shared<const ServePolicy>(info, config);
   };
 }
 
@@ -102,126 +82,8 @@ void RegisterFamily(ServePolicyRegistry& registry, const std::string& reseed) {
 
 }  // namespace
 
-std::shared_ptr<const ServePolicy> MakeFixedServePolicy(ServePolicyInfo info,
-                                                        ServeConfig config) {
-  return std::make_shared<const FixedServePolicy>(std::move(info),
-                                                  std::move(config));
-}
-
-ServePolicyRegistry& ServePolicyRegistry::Global() {
-  static ServePolicyRegistry* registry = [] {
-    // Leaked: outlives ServePolicyRegistrar uses in static
-    // destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new ServePolicyRegistry();
-    r->ClaimCellNamespace("serve policy");
-    RegisterBuiltinServePolicies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void ServePolicyRegistry::Register(std::string name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("ServePolicyRegistry: null factory for '" +
-                                name + "'");
-  }
-  std::string key = util::ToLower(name);
-  // Serve-policy names share the experiment engine's cell-name space
-  // (cells, CLI arguments, report keys): same charset, and no collision
-  // with a registered strategy or online policy.
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("ServePolicyRegistry: invalid name '" + name +
-                                "'");
-  }
-  if (core::StrategyRegistry::Global().Contains(key)) {
-    throw std::invalid_argument(
-        "ServePolicyRegistry: '" + key +
-        "' is already a registered placement strategy");
-  }
-  if (online::OnlinePolicyRegistry::Global().Contains(key)) {
-    throw std::invalid_argument("ServePolicyRegistry: '" + key +
-                                "' is already a registered online policy");
-  }
-  if (namespace_kind_ != nullptr) {
-    core::RegistryNamespace::Global().Claim(key, namespace_kind_);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("ServePolicyRegistry: duplicate policy '" +
-                                key + "'");
-  }
-  entries_.insert(it, {std::move(key), Entry{std::move(factory), nullptr}});
-}
-
-const ServePolicyRegistry::Entry* ServePolicyRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::shared_ptr<const ServePolicy> ServePolicyRegistry::Find(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    if (entry->instance) return entry->instance;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may consult the registries.
-  auto instance = factory();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = FindEntry(key);
-  if (entry == nullptr) return instance;
-  if (!entry->instance) entry->instance = std::move(instance);
-  return entry->instance;
-}
-
-std::optional<ServePolicyInfo> ServePolicyRegistry::Describe(
-    std::string_view name) const {
-  const auto policy = Find(name);
-  if (!policy) return std::nullopt;
-  return policy->Describe();
-}
-
-bool ServePolicyRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> ServePolicyRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
-  return names;
-}
-
-std::size_t ServePolicyRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 void RegisterBuiltinServePolicies(ServePolicyRegistry& registry) {
   RegisterFamily(registry, "dma-sr");
-}
-
-ServePolicyRegistrar::ServePolicyRegistrar(
-    std::string name, ServePolicyRegistry::Factory factory) {
-  ServePolicyRegistry::Global().Register(std::move(name), std::move(factory));
 }
 
 }  // namespace rtmp::serve

@@ -4,21 +4,17 @@
 //
 // A serve policy is a ServeConfig recipe: how many shards the device is
 // partitioned into, which online policy drives each shard's engine, and
-// how tight the global migration budget is. sim::RunCell resolves a name
-// that neither the strategy nor the online-policy registry knows here,
-// so serve policies enter RunMatrix grids, rtmbench scenarios and
-// placement_explorer exactly like any other cell name.
+// how tight the global migration budget is. sim::RunCell dispatches a
+// cell name to whichever cell registry owns it, so serve policies enter
+// RunMatrix grids, rtmbench scenarios and placement_explorer exactly like
+// any other cell name.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 #include "serve/service.h"
+#include "util/registry.h"
 
 namespace rtmp::serve {
 
@@ -36,84 +32,33 @@ struct ServePolicyInfo {
   std::string budget = "unlimited";
 };
 
-/// Abstract serve policy. Implementations must be stateless or
-/// internally synchronized: the experiment engine may call MakeConfig()
-/// from many threads concurrently on one instance.
-class ServePolicy {
+/// A named ServeConfig recipe under a fixed description. Immutable, so
+/// the experiment engine may share one instance across threads.
+class ServePolicy final {
  public:
-  virtual ~ServePolicy() = default;
+  ServePolicy(ServePolicyInfo info, ServeConfig config)
+      : info_(std::move(info)), config_(std::move(config)) {}
 
-  [[nodiscard]] virtual const ServePolicyInfo& Describe() const noexcept = 0;
+  [[nodiscard]] const ServePolicyInfo& Describe() const noexcept {
+    return info_;
+  }
 
   /// The service configuration this policy stands for. Callers stamp the
   /// run-specific engine fields afterwards (effort and seeds come from
   /// the experiment, not the policy).
-  [[nodiscard]] virtual ServeConfig MakeConfig() const = 0;
-};
-
-/// Name -> factory registry, deliberately the same shape as
-/// online::OnlinePolicyRegistry (lowercase keys, lazy cached instances,
-/// thread-safe throughout).
-class ServePolicyRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const ServePolicy>()>;
-
-  ServePolicyRegistry() = default;
-  ServePolicyRegistry(const ServePolicyRegistry&) = delete;
-  ServePolicyRegistry& operator=(const ServePolicyRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in policies
-  /// (see RegisterBuiltinServePolicies).
-  [[nodiscard]] static ServePolicyRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase). Throws
-  /// std::invalid_argument if the name is empty, contains characters
-  /// outside [a-z0-9._-], collides with a registered serve policy, a
-  /// registered placement strategy, or a registered online policy (all
-  /// three registries share the experiment cell-name space; see
-  /// core/registry_namespace.h).
-  void Register(std::string name, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide cell-name space
-  /// (core/registry_namespace.h); same contract as
-  /// core::StrategyRegistry::ClaimCellNamespace — Global() enables it
-  /// ("serve policy"), fresh test instances leave it off.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
-  }
-
-  /// The policy registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const ServePolicy> Find(
-      std::string_view name) const;
-
-  /// Metadata of the policy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<ServePolicyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] ServeConfig MakeConfig() const { return config_; }
 
  private:
-  struct Entry {
-    Factory factory;
-    /// Constructed on first lookup, under mutex_.
-    mutable std::shared_ptr<const ServePolicy> instance;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (tens of policies) that a flat vector
-  // beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
+  ServePolicyInfo info_;
+  ServeConfig config_;
 };
+
+/// Name -> policy registry (util/registry.h).
+using ServePolicyRegistry = util::Registry<ServePolicy>;
+
+/// RAII self-registration into ServePolicyRegistry::Global(), for
+/// policies defined outside this library (see util::Registrar).
+using ServePolicyRegistrar = util::Registrar<ServePolicy>;
 
 /// Registers the built-in policies into `registry`:
 ///
@@ -130,17 +75,9 @@ class ServePolicyRegistry {
 /// use it to build fresh registries.
 void RegisterBuiltinServePolicies(ServePolicyRegistry& registry);
 
-/// Convenience used by the built-ins and available to external code: a
-/// policy that returns a fixed ServeConfig under a fixed description.
-[[nodiscard]] std::shared_ptr<const ServePolicy> MakeFixedServePolicy(
-    ServePolicyInfo info, ServeConfig config);
-
-/// RAII self-registration into the Global() registry, for policies
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct ServePolicyRegistrar {
-  ServePolicyRegistrar(std::string name, ServePolicyRegistry::Factory factory);
-};
+/// ServePolicyRegistry::Global()'s built-ins hook.
+inline void RegisterBuiltins(ServePolicyRegistry& registry) {
+  RegisterBuiltinServePolicies(registry);
+}
 
 }  // namespace rtmp::serve

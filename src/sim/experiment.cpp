@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -185,45 +186,55 @@ RunResult RunResultFromJson(const util::JsonValue& value) {
   return result;
 }
 
-RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
-                  std::string_view strategy_name,
-                  const ExperimentOptions& options) {
-  const auto runner = core::StrategyRegistry::Global().Find(strategy_name);
-  const bool is_online =
-      online::OnlinePolicyRegistry::Global().Contains(strategy_name);
-  const bool is_serve =
-      serve::ServePolicyRegistry::Global().Contains(strategy_name);
-  const bool is_cache =
-      cache::CachePolicyRegistry::Global().Contains(strategy_name);
-  // The registries reject cross-registry collisions at registration
-  // (enforced process-wide by core::RegistryNamespace for the Global()
-  // instances), but a name registered AFTER its twin would silently
-  // shadow it here — refuse to guess which one the caller meant.
-  if ((runner != nullptr) + is_online + is_serve + is_cache > 1) {
+namespace {
+
+/// The registries whose names are experiment cells.
+enum class CellKind : std::uint8_t { kStrategy, kOnline, kServe, kCache };
+
+/// Which cell registry owns `name`. The registries are independent, so a
+/// name can land in two of them; dispatch is the only place where one
+/// would silently shadow the other, so it refuses to guess. Throws
+/// std::invalid_argument on zero owners and on more than one.
+CellKind ResolveCell(std::string_view name) {
+  const std::array<bool, 4> owners = {
+      core::StrategyRegistry::Global().Contains(name),
+      online::OnlinePolicyRegistry::Global().Contains(name),
+      serve::ServePolicyRegistry::Global().Contains(name),
+      cache::CachePolicyRegistry::Global().Contains(name)};
+  const auto count = std::count(owners.begin(), owners.end(), true);
+  if (count == 0) {
     throw std::invalid_argument(
-        "RunCell: '" + std::string(strategy_name) +
+        "'" + std::string(name) +
+        "' is neither a registered strategy, an online policy, a serve "
+        "policy, nor a cache policy");
+  }
+  if (count > 1) {
+    throw std::invalid_argument(
+        "'" + std::string(name) +
         "' is registered in more than one of the strategy, online-policy, "
         "serve-policy and cache-policy registries; re-register one under a "
         "distinct name");
   }
-  if (!runner) {
-    // Online, serve and cache policies share the strategy name space: a
-    // miss here is one of their cells when those registries know the
-    // name.
-    if (is_online) {
+  return static_cast<CellKind>(
+      std::find(owners.begin(), owners.end(), true) - owners.begin());
+}
+
+}  // namespace
+
+RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
+                  std::string_view strategy_name,
+                  const ExperimentOptions& options) {
+  switch (ResolveCell(strategy_name)) {
+    case CellKind::kOnline:
       return online::RunOnlineCell(benchmark, dbcs, strategy_name, options);
-    }
-    if (is_serve) {
+    case CellKind::kServe:
       return serve::RunServeCell(benchmark, dbcs, strategy_name, options);
-    }
-    if (is_cache) {
+    case CellKind::kCache:
       return cache::RunCacheCell(benchmark, dbcs, strategy_name, options);
-    }
-    throw std::invalid_argument(
-        "RunCell: '" + std::string(strategy_name) +
-        "' is neither a registered strategy, an online policy, a serve "
-        "policy, nor a cache policy");
+    case CellKind::kStrategy:
+      break;
   }
+  const auto runner = core::StrategyRegistry::Global().Find(strategy_name);
 
   RunResult run;
   run.benchmark = benchmark.name;
@@ -244,33 +255,18 @@ RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
 RunResult RunStreamedTraceCell(const std::string& path, unsigned dbcs,
                                std::string_view strategy_name,
                                const ExperimentOptions& options) {
-  const auto runner = core::StrategyRegistry::Global().Find(strategy_name);
-  const bool is_online =
-      online::OnlinePolicyRegistry::Global().Contains(strategy_name);
-  const bool is_serve =
-      serve::ServePolicyRegistry::Global().Contains(strategy_name);
-  const bool is_cache =
-      cache::CachePolicyRegistry::Global().Contains(strategy_name);
-  if ((runner != nullptr) + is_online + is_serve + is_cache > 1) {
-    throw std::invalid_argument(
-        "RunStreamedTraceCell: '" + std::string(strategy_name) +
-        "' is registered in more than one of the strategy, online-policy, "
-        "serve-policy and cache-policy registries; re-register one under a "
-        "distinct name");
-  }
-  if (is_serve) {
+  const CellKind kind = ResolveCell(strategy_name);
+  if (kind == CellKind::kServe) {
     // A serve cell arbitrates its tenants' sequences against each other,
     // so it needs the whole benchmark at once: materialize this one cell.
     const std::vector<std::string> spec{path};
     const auto suite = LoadWorkloads(spec, options);
     return serve::RunServeCell(suite.front(), dbcs, strategy_name, options);
   }
-  if (runner == nullptr && !is_online && !is_cache) {
-    throw std::invalid_argument(
-        "RunStreamedTraceCell: '" + std::string(strategy_name) +
-        "' is neither a registered strategy, an online policy, a serve "
-        "policy, nor a cache policy");
-  }
+  const auto runner =
+      kind == CellKind::kStrategy
+          ? core::StrategyRegistry::Global().Find(strategy_name)
+          : nullptr;
 
   RunResult run;
   run.benchmark = StreamedBenchmarkName(path);
@@ -279,11 +275,13 @@ RunResult RunStreamedTraceCell(const std::string& path, unsigned dbcs,
   if (runner) run.strategy = runner->Describe().spec;
 
   const auto online_policy =
-      is_online ? online::OnlinePolicyRegistry::Global().Find(strategy_name)
-                : nullptr;
+      kind == CellKind::kOnline
+          ? online::OnlinePolicyRegistry::Global().Find(strategy_name)
+          : nullptr;
   const auto cache_policy =
-      is_cache ? cache::CachePolicyRegistry::Global().Find(strategy_name)
-               : nullptr;
+      kind == CellKind::kCache
+          ? cache::CachePolicyRegistry::Global().Find(strategy_name)
+          : nullptr;
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {

@@ -167,14 +167,12 @@ struct ExperimentOptions {
     std::span<const std::string> workload_specs,
     const ExperimentOptions& options);
 
-/// Runs one benchmark / strategy / DBC-count cell. The name is resolved
-/// through StrategyRegistry::Global() first and, on a miss, through
-/// online::OnlinePolicyRegistry::Global(),
-/// serve::ServePolicyRegistry::Global() and then
-/// cache::CachePolicyRegistry::Global() (online, serve and cache
-/// policies are cells like any other — see online/online_cell.h,
-/// serve/serve_cell.h and cache/cache_cell.h); throws
-/// std::invalid_argument if no registry knows it.
+/// Runs one benchmark / strategy / DBC-count cell. The name is
+/// dispatched to whichever Global() cell registry owns it: strategies,
+/// online, serve or cache policies (the last three are cells like any
+/// other — see online/online_cell.h, serve/serve_cell.h and
+/// cache/cache_cell.h). Throws std::invalid_argument when no registry
+/// knows the name, or when more than one does.
 [[nodiscard]] RunResult RunCell(const offsetstone::Benchmark& benchmark,
                                 unsigned dbcs,
                                 std::string_view strategy_name,

@@ -113,7 +113,10 @@ std::optional<std::vector<std::string>> ParsePhasedSpec(
   std::size_t start = 0;
   for (std::size_t i = 0; i <= body.size(); ++i) {
     if (i < body.size() && body[i] == '(') {
-      ++depth;
+      // The outer phased( is level 1, so the body may open one fewer.
+      if (++depth >= kMaxPhasedDepth) {
+        throw std::invalid_argument("phased(): nesting too deep");
+      }
       continue;
     }
     if (i < body.size() && body[i] == ')') {

@@ -31,6 +31,7 @@
 // alongside the registry.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,11 +49,17 @@ namespace rtmp::workloads {
 [[nodiscard]] std::shared_ptr<const Workload> MakePhasedWorkload(
     std::vector<std::string> phases);
 
+/// Deepest phased(...) nesting a spec may have; the same cap as the JSON
+/// parser's. Generate() recurses once per level, so an uncapped spec
+/// could overflow the stack.
+inline constexpr std::size_t kMaxPhasedDepth = 64;
+
 /// Parses "phased(a,b,...)" into its phase specs (whitespace around
 /// commas trimmed; nested parentheses respected, so phases can be
 /// phased(...) themselves). Returns nullopt when `spec` is not a phased
 /// spec at all; throws std::invalid_argument on a malformed one
-/// (unbalanced parentheses, empty phase).
+/// (unbalanced parentheses, empty phase, or parentheses nested deeper
+/// than kMaxPhasedDepth levels, the outer phased(...) included).
 [[nodiscard]] std::optional<std::vector<std::string>> ParsePhasedSpec(
     std::string_view spec);
 

@@ -1,14 +1,11 @@
 #include "workloads/workload.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
 
 #include "trace/trace_stream.h"
-#include "util/strings.h"
 #include "workloads/phased.h"
 
 namespace rtmp::workloads {
@@ -19,105 +16,6 @@ void ValidateRequest(const WorkloadRequest& request) {
     throw std::invalid_argument(
         "WorkloadRequest: scale must be finite and in (0, 16]");
   }
-}
-
-WorkloadRegistry& WorkloadRegistry::Global() {
-  static WorkloadRegistry* registry = [] {
-    // Leaked: outlives WorkloadRegistrar uses in static destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new WorkloadRegistry();
-    RegisterBuiltinWorkloads(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void WorkloadRegistry::Register(std::string name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("WorkloadRegistry: null factory for '" +
-                                name + "'");
-  }
-  std::string key = util::ToLower(name);
-  // Names appear in CLI arguments and '|'-delimited ResultTable keys:
-  // restrict to a safe charset, like the strategy registry does.
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("WorkloadRegistry: invalid name '" + name +
-                                "'");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("WorkloadRegistry: duplicate workload '" +
-                                key + "'");
-  }
-  entries_.insert(it, {std::move(key), Entry{std::move(factory), nullptr}});
-}
-
-const WorkloadRegistry::Entry* WorkloadRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::shared_ptr<const Workload> WorkloadRegistry::Find(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    if (entry->instance) return entry->instance;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may consult the registry (e.g.
-  // compose workloads) without deadlocking.
-  auto instance = factory();
-  if (!instance) {
-    throw std::logic_error("WorkloadRegistry: factory for '" + key +
-                           "' returned null");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // Entries are never removed, so the entry is still present; another
-  // thread may have cached an instance first, in which case that one
-  // wins.
-  const Entry* entry = FindEntry(key);
-  if (!entry->instance) entry->instance = std::move(instance);
-  return entry->instance;
-}
-
-std::optional<WorkloadInfo> WorkloadRegistry::Describe(
-    std::string_view name) const {
-  const auto workload = Find(name);
-  if (!workload) return std::nullopt;
-  return workload->Describe();
-}
-
-bool WorkloadRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> WorkloadRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;  // entries_ is kept sorted by key
-}
-
-std::size_t WorkloadRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
 }
 
 namespace {
@@ -171,11 +69,6 @@ std::shared_ptr<const Workload> ResolveWorkload(std::string_view spec) {
     return MakeTraceFileWorkload(std::string(spec));
   }
   return nullptr;
-}
-
-WorkloadRegistrar::WorkloadRegistrar(std::string name,
-                                     WorkloadRegistry::Factory factory) {
-  WorkloadRegistry::Global().Register(std::move(name), std::move(factory));
 }
 
 }  // namespace rtmp::workloads

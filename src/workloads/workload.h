@@ -21,15 +21,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "offsetstone/suite.h"
+#include "util/registry.h"
 
 namespace rtmp::workloads {
 
@@ -77,61 +74,14 @@ class Workload {
 /// first so the documented parameter range is enforced uniformly.
 void ValidateRequest(const WorkloadRequest& request);
 
-/// Name -> factory registry. Lookups are case-insensitive (names are
-/// normalized to lowercase); construction is lazy and the instance is
-/// cached. All members are thread-safe. Deliberately the same shape as
+/// Name -> workload registry (util/registry.h), the same template as
 /// core::StrategyRegistry so the two sides of the evaluation matrix read
 /// the same.
-class WorkloadRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const Workload>()>;
+using WorkloadRegistry = util::Registry<Workload>;
 
-  WorkloadRegistry() = default;
-  WorkloadRegistry(const WorkloadRegistry&) = delete;
-  WorkloadRegistry& operator=(const WorkloadRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in
-  /// workloads (suite profiles + generator families + synthetics).
-  [[nodiscard]] static WorkloadRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase). Throws
-  /// std::invalid_argument if the name is empty, contains characters
-  /// outside [a-z0-9._-], or is already taken. Factories should be
-  /// cheap: listings instantiate the workload to read its WorkloadInfo,
-  /// so defer heavy state to Generate().
-  void Register(std::string name, Factory factory);
-
-  /// The workload registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const Workload> Find(
-      std::string_view name) const;
-
-  /// Metadata of the workload registered under `name`; nullopt if
-  /// unknown.
-  [[nodiscard]] std::optional<WorkloadInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    Factory factory;
-    /// Constructed on first lookup, under mutex_.
-    mutable std::shared_ptr<const Workload> instance;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (tens of workloads) that a flat vector
-  // beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-};
+/// RAII self-registration into WorkloadRegistry::Global(), for workloads
+/// defined outside this library (see util::Registrar).
+using WorkloadRegistrar = util::Registrar<Workload>;
 
 /// Registers the built-in workloads into `registry`: every OffsetStone
 /// suite profile under its benchmark name, the six trace::Generate*
@@ -139,6 +89,11 @@ class WorkloadRegistry {
 /// families of workloads/synthetic.h. Global() calls this once; tests
 /// use it to build fresh registries.
 void RegisterBuiltinWorkloads(WorkloadRegistry& registry);
+
+/// WorkloadRegistry::Global()'s built-ins hook.
+inline void RegisterBuiltins(WorkloadRegistry& registry) {
+  RegisterBuiltinWorkloads(registry);
+}
 
 /// A workload that loads an external trace file on every Generate()
 /// call: text format when the content starts like text, binary when the
@@ -153,13 +108,5 @@ void RegisterBuiltinWorkloads(WorkloadRegistry& registry);
 /// nullptr when it is none of the three.
 [[nodiscard]] std::shared_ptr<const Workload> ResolveWorkload(
     std::string_view spec);
-
-/// RAII self-registration into the Global() registry, for workloads
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct WorkloadRegistrar {
-  WorkloadRegistrar(std::string name, WorkloadRegistry::Factory factory);
-};
 
 }  // namespace rtmp::workloads

@@ -173,9 +173,14 @@ std::vector<cache::FrameInfo> OccupiedFrames(
   return frames;
 }
 
+/// A fresh instance of the built-in eviction policy `name`.
+std::unique_ptr<cache::EvictionPolicy> CreateEviction(const char* name,
+                                                      std::uint64_t seed) {
+  return cache::EvictionPolicyRegistry::Global().Find(name)->Create(seed);
+}
+
 TEST(EvictionPolicies, LruPicksLeastRecentlyUsed) {
-  const auto policy =
-      cache::EvictionPolicyRegistry::Global().Create("cache-lru", 0);
+  const auto policy = CreateEviction("cache-lru", 0);
   ASSERT_NE(policy, nullptr);
   const auto frames = OccupiedFrames({7, 3, 9, 5}, {1, 1, 1, 1});
   const std::vector<std::uint32_t> candidates = {0, 1, 2, 3};
@@ -188,8 +193,7 @@ TEST(EvictionPolicies, LruPicksLeastRecentlyUsed) {
 }
 
 TEST(EvictionPolicies, LfuPicksLeastFrequentThenOldest) {
-  const auto policy =
-      cache::EvictionPolicyRegistry::Global().Create("cache-lfu", 0);
+  const auto policy = CreateEviction("cache-lfu", 0);
   ASSERT_NE(policy, nullptr);
   const std::vector<std::uint32_t> candidates = {0, 1, 2, 3};
   const std::vector<std::uint64_t> pending(4, 0);
@@ -202,8 +206,7 @@ TEST(EvictionPolicies, LfuPicksLeastFrequentThenOldest) {
 }
 
 TEST(EvictionPolicies, SampledLruDegeneratesToLruOnSmallSets) {
-  const auto policy =
-      cache::EvictionPolicyRegistry::Global().Create("cache-sample", 42);
+  const auto policy = CreateEviction("cache-sample", 42);
   ASSERT_NE(policy, nullptr);
   // <= sample size: the policy must scan everything, no randomness.
   const auto frames = OccupiedFrames({7, 3, 9, 5}, {1, 1, 1, 1});
@@ -214,8 +217,7 @@ TEST(EvictionPolicies, SampledLruDegeneratesToLruOnSmallSets) {
 }
 
 TEST(EvictionPolicies, ShiftAwarePrefersVictimsWithoutPendingUses) {
-  const auto policy = cache::EvictionPolicyRegistry::Global().Create(
-      "cache-shift-aware", 0);
+  const auto policy = CreateEviction("cache-shift-aware", 0);
   ASSERT_NE(policy, nullptr);
   const auto frames = OccupiedFrames({3, 4, 5, 6}, {1, 1, 1, 1});
   const std::vector<std::uint32_t> candidates = {0, 1, 2, 3};
@@ -353,7 +355,7 @@ TEST(CacheRegistries, BuiltinsRegisteredAndValidated) {
     EXPECT_TRUE(evictions.Contains(name)) << name;
     EXPECT_TRUE(evictions.Describe(name).has_value()) << name;
   }
-  EXPECT_EQ(evictions.Create("no-such", 0), nullptr);
+  EXPECT_EQ(evictions.Find("no-such"), nullptr);
 
   auto& policies = cache::CachePolicyRegistry::Global();
   for (const std::string& eviction : EvictionPolicies()) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -7,8 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache_policy.h"
 #include "core/cost_model.h"
 #include "core/strategy_registry.h"
+#include "online/policy.h"
+#include "serve/serve_policy.h"
 #include "sim/experiment.h"
 #include "trace/trace_io.h"
 #include "util/rng.h"
@@ -400,6 +404,58 @@ TEST(Experiment, StreamedMatrixMatchesMaterializedMatrix) {
     ExpectCellsEqual(materialized[i], streamed[i],
                      materialized[i].benchmark + "/" +
                          materialized[i].strategy_name);
+  }
+}
+
+// "twin-cell" lives in two Global() cell registries at once. Nothing
+// rejects that at registration; dispatch must refuse to guess instead of
+// letting one kind shadow the other.
+const core::StrategyRegistrar kTwinStrategyRegistrar{"twin-cell", [] {
+  return core::StrategyRegistry::Global().Find("afd-ofu");
+}};
+const online::OnlinePolicyRegistrar kTwinOnlineRegistrar{"twin-cell", [] {
+  return std::make_shared<const online::OnlinePolicy>(
+      online::OnlinePolicyInfo{"twin-cell", "test twin", "dma-sr", "none"},
+      online::OnlineConfig{});
+}};
+
+TEST(Experiment, CellNamesInTwoRegistriesAreRejectedAtDispatch) {
+  const offsetstone::Benchmark b = TinyBenchmark("x", "abab");
+  const std::string trace = WriteStreamPinTrace();
+  EXPECT_THROW((void)RunCell(b, 2, "twin-cell", FastOptions()),
+               std::invalid_argument);
+  EXPECT_THROW((void)RunCell(b, 2, "TWIN-CELL", FastOptions()),
+               std::invalid_argument);
+  EXPECT_THROW((void)RunStreamedTraceCell(trace, 2, "twin-cell", FastOptions()),
+               std::invalid_argument);
+  // Unknown names are rejected by the same resolver.
+  EXPECT_THROW((void)RunCell(b, 2, "nope", FastOptions()),
+               std::invalid_argument);
+  EXPECT_THROW((void)RunStreamedTraceCell(trace, 2, "nope", FastOptions()),
+               std::invalid_argument);
+}
+
+TEST(Experiment, BuiltinCellNamesArePairwiseDisjoint) {
+  core::StrategyRegistry strategies;
+  core::RegisterBuiltinStrategies(strategies);
+  online::OnlinePolicyRegistry online_policies;
+  online::RegisterBuiltinOnlinePolicies(online_policies);
+  serve::ServePolicyRegistry serve_policies;
+  serve::RegisterBuiltinServePolicies(serve_policies);
+  cache::CachePolicyRegistry cache_policies;
+  cache::RegisterBuiltinCachePolicies(cache_policies);
+  const std::vector<std::vector<std::string>> kinds = {
+      strategies.Names(), online_policies.Names(), serve_policies.Names(),
+      cache_policies.Names()};
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_FALSE(kinds[i].empty()) << "kind " << i;
+    for (std::size_t j = i + 1; j < kinds.size(); ++j) {
+      std::vector<std::string> shared;
+      std::set_intersection(kinds[i].begin(), kinds[i].end(),
+                            kinds[j].begin(), kinds[j].end(),
+                            std::back_inserter(shared));
+      EXPECT_TRUE(shared.empty()) << "shared name: " << shared.front();
+    }
   }
 }
 

@@ -472,14 +472,13 @@ TEST(OnlinePolicyRegistry, BuiltinsAreRegisteredAndResolvable) {
 TEST(OnlinePolicyRegistry, RejectsCollisionsAndBadNames) {
   online::OnlinePolicyRegistry registry;
   const auto factory = [] {
-    return online::MakeFixedPolicy({"p", "test", "dma-sr", "none"}, {});
+    return std::make_shared<const online::OnlinePolicy>(
+        online::OnlinePolicyInfo{"p", "test", "dma-sr", "none"},
+        online::OnlineConfig{});
   };
   EXPECT_THROW(registry.Register("has space", factory),
                std::invalid_argument);
   EXPECT_THROW(registry.Register("", factory), std::invalid_argument);
-  // Strategy names are off limits: the two registries share the
-  // experiment engine's name space.
-  EXPECT_THROW(registry.Register("dma-sr", factory), std::invalid_argument);
   registry.Register("my-policy", factory);
   EXPECT_THROW(registry.Register("MY-POLICY", factory),
                std::invalid_argument);

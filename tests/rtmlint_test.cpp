@@ -611,18 +611,14 @@ TEST(RtmlintRegistryTest, DuplicateAndCrossCategoryNamesThrow) {
   const auto factory = [&registry]() -> std::shared_ptr<const Rule> {
     return registry.Find("naked-new");
   };
-  // Same name, same category: the duplicate-key check fires (the
-  // RegistryNamespace re-claim itself is a no-op, same as the
-  // experiment registries).
-  EXPECT_THROW(registry.Register("naked-new", "memory", factory),
+  // A taken name is a duplicate whatever category the newcomer's
+  // RuleInfo carries: rule names are unique across categories.
+  EXPECT_THROW(registry.Register("naked-new", factory),
                std::invalid_argument);
-  // Same name under a DIFFERENT category: RegistryNamespace collision
-  // semantics reject it before the key check.
-  EXPECT_THROW(registry.Register("naked-new", "determinism", factory),
+  EXPECT_THROW(registry.Register("Naked-New", factory),
                std::invalid_argument);
-  EXPECT_THROW(registry.Register("", "memory", factory),
-               std::invalid_argument);
-  EXPECT_THROW(registry.Register("bad name", "memory", factory),
+  EXPECT_THROW(registry.Register("", factory), std::invalid_argument);
+  EXPECT_THROW(registry.Register("bad name", factory),
                std::invalid_argument);
   EXPECT_EQ(registry.size(), 7u);
 }

@@ -685,47 +685,16 @@ TEST(ServePolicyRegistry, BuiltinsAreRegisteredAndResolvable) {
 TEST(ServePolicyRegistry, RejectsCollisionsAndBadNames) {
   serve::ServePolicyRegistry registry;
   const auto factory = [] {
-    return serve::MakeFixedServePolicy(
-        {"p", "test", "online-static-dma-sr", 1, "unlimited"}, {});
+    return std::make_shared<const serve::ServePolicy>(
+        serve::ServePolicyInfo{"p", "test", "online-static-dma-sr", 1,
+                               "unlimited"},
+        serve::ServeConfig{});
   };
   EXPECT_THROW(registry.Register("has space", factory),
                std::invalid_argument);
   EXPECT_THROW(registry.Register("", factory), std::invalid_argument);
-  // Strategy and online-policy names are off limits: the three
-  // registries share the experiment engine's cell-name space.
-  EXPECT_THROW(registry.Register("dma-sr", factory),
-               std::invalid_argument);
-  EXPECT_THROW(registry.Register("online-ewma-dma-sr", factory),
-               std::invalid_argument);
   registry.Register("my-serve-policy", factory);
   EXPECT_THROW(registry.Register("MY-SERVE-POLICY", factory),
-               std::invalid_argument);
-}
-
-TEST(ServePolicyRegistry, GlobalNamespaceArbitratesAcrossRegistries) {
-  // Force the serve builtins (and their namespace claims) to exist.
-  ASSERT_TRUE(serve::ServePolicyRegistry::Global().Contains(
-      "serve-1s-static-dma-sr"));
-  // An online policy cannot shadow a registered serve-policy name: the
-  // process-wide cell-name space (core/registry_namespace.h) rejects it
-  // even though the online registry itself has never seen the name.
-  const auto online_factory = [] {
-    return online::MakeFixedPolicy({"p", "test", "dma-sr", "none"}, {});
-  };
-  // The direct Register() call is exactly what must throw here.
-  // NOLINTNEXTLINE(rtmlint:registry-discipline): negative collision test.
-  EXPECT_THROW(online::OnlinePolicyRegistry::Global().Register(
-                   "serve-1s-static-dma-sr", online_factory),
-               std::invalid_argument);
-  // And the reverse direction through the serve registry's own check.
-  const auto serve_factory = [] {
-    return serve::MakeFixedServePolicy(
-        {"p", "test", "online-static-dma-sr", 1, "unlimited"}, {});
-  };
-  // The direct Register() call is exactly what must throw here.
-  // NOLINTNEXTLINE(rtmlint:registry-discipline): negative collision test.
-  EXPECT_THROW(serve::ServePolicyRegistry::Global().Register(
-                   "online-ewma-dma-sr", serve_factory),
                std::invalid_argument);
 }
 

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/csv.h"
+#include "util/registry.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -267,6 +275,77 @@ TEST(Strings, ToLowerAndStartsWith) {
   EXPECT_EQ(ToLower("DMA-SR"), "dma-sr");
   EXPECT_TRUE(StartsWith("dma-sr", "dma"));
   EXPECT_FALSE(StartsWith("dma", "dma-sr"));
+}
+
+// ----------------------------------------------------------- Registry ----
+
+struct Widget {
+  std::string label;
+  [[nodiscard]] const std::string& Describe() const noexcept { return label; }
+};
+
+Registry<Widget>::Factory MakeWidget(std::string label) {
+  return [label] { return std::make_shared<const Widget>(Widget{label}); };
+}
+
+TEST(Registry, FoldsCaseKeepsNamesSortedAndValidates) {
+  Registry<Widget> registry;
+  registry.Register("Zeta-2", MakeWidget("z"));
+  registry.Register("alpha_1.x", MakeWidget("a"));
+  EXPECT_EQ(registry.Names(),
+            (std::vector<std::string>{"alpha_1.x", "zeta-2"}));
+  EXPECT_TRUE(registry.Contains("ZETA-2"));
+  EXPECT_EQ(registry.Describe("Alpha_1.X"), std::optional<std::string>("a"));
+  EXPECT_EQ(registry.Describe("nope"), std::nullopt);
+  EXPECT_EQ(registry.Find("nope"), nullptr);
+  for (const char* bad : {"", "has space", "a|b", "a/b", "a(b)", "tab\t"}) {
+    EXPECT_THROW(registry.Register(bad, MakeWidget("x")),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW(registry.Register("ok", nullptr), std::invalid_argument);
+  EXPECT_THROW(registry.Register("zeta-2", MakeWidget("x")),
+               std::invalid_argument);
+  EXPECT_THROW(registry.Register("ZETA-2", MakeWidget("x")),
+               std::invalid_argument);
+  EXPECT_EQ(registry.size(), 2u);
+}
+
+TEST(Registry, NullInstancesAreAFactoryBug) {
+  Registry<Widget> registry;
+  registry.Register("broken", [] { return std::shared_ptr<const Widget>(); });
+  EXPECT_TRUE(registry.Contains("broken"));
+  EXPECT_THROW((void)registry.Find("broken"), std::logic_error);
+}
+
+TEST(Registry, ConcurrentFindsShareOneInstance) {
+  Registry<Widget> registry;
+  registry.Register("w", MakeWidget("w"));
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const Widget>> seen(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      seen[t] = registry.Find(t % 2 == 0 ? "w" : "W");
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_NE(seen.front(), nullptr);
+  for (const auto& widget : seen) EXPECT_EQ(widget.get(), seen.front().get());
+  EXPECT_EQ(registry.Find("w").get(), seen.front().get());
+}
+
+TEST(Registry, FactoriesMayReenterFindWithoutDeadlock) {
+  Registry<Widget> registry;
+  registry.Register("base", MakeWidget("base"));
+  registry.Register("alias", [&registry] { return registry.Find("base"); });
+  const auto alias = registry.Find("alias");
+  ASSERT_NE(alias, nullptr);
+  EXPECT_EQ(alias.get(), registry.Find("base").get());
+  EXPECT_EQ(registry.Describe("alias"), std::optional<std::string>("base"));
 }
 
 }  // namespace

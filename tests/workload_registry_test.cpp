@@ -237,6 +237,23 @@ TEST(PhasedCombinator, SupportsNestingAndRejectsMalformedSpecs) {
   EXPECT_THROW((void)unknown->Generate({}), std::invalid_argument);
 }
 
+TEST(PhasedCombinator, NestingIsCappedAtMaxDepth) {
+  const auto nest = [](std::size_t levels) {
+    std::string spec;
+    for (std::size_t i = 0; i < levels; ++i) spec += "phased(";
+    spec += "stencil";
+    spec.append(levels, ')');
+    return spec;
+  };
+  const auto deepest = ResolveWorkload(nest(kMaxPhasedDepth));
+  ASSERT_NE(deepest, nullptr);
+  EXPECT_FALSE(deepest->Generate({}).sequences.empty());
+  EXPECT_THROW((void)ResolveWorkload(nest(kMaxPhasedDepth + 1)),
+               std::invalid_argument);
+  // Rejected by one linear scan before any recursion, however deep.
+  EXPECT_THROW((void)ResolveWorkload(nest(100000)), std::invalid_argument);
+}
+
 TEST(SyntheticFamilies, StructuralShapesHold) {
   util::Rng rng(1);
   // The stencil writes exactly once per cell per step.

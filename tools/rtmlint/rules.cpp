@@ -1,6 +1,5 @@
 #include "rtmlint/rules.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -46,98 +45,6 @@ std::string SourceFile::LineText(int line) const {
   if (line < 1 || static_cast<std::size_t>(line) > lines.size()) return "";
   return std::string(
       util::Trim(lines[static_cast<std::size_t>(line) - 1]));
-}
-
-RuleRegistry& RuleRegistry::Global() {
-  // Intentionally leaked: rules registered from static initializers in
-  // other translation units must outlive every static destructor.
-  static RuleRegistry* registry = [] {
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new RuleRegistry();
-    RegisterBuiltinRules(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void RuleRegistry::Register(std::string name, std::string_view category,
-                            Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("RuleRegistry: null factory for '" + name +
-                                "'");
-  }
-  std::string key = util::ToLower(name);
-  if (key.empty() ||
-      key.find_first_of(" \t\r\n") != std::string::npos) {
-    throw std::invalid_argument("RuleRegistry: invalid rule name '" + name +
-                                "'");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // RegistryNamespace semantics first: a name claimed under a different
-  // category throws with the owning category in the message.
-  names_.Claim(key, category);
-  const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) {
-        return entry.first < k;
-      });
-  if (pos != entries_.end() && pos->first == key) {
-    throw std::invalid_argument("RuleRegistry: duplicate rule name '" +
-                                key + "'");
-  }
-  entries_.insert(pos, {std::move(key), Entry{std::move(factory), nullptr}});
-}
-
-const RuleRegistry::Entry* RuleRegistry::FindEntry(
-    const std::string& key) const {
-  const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) {
-        return entry.first < k;
-      });
-  if (pos == entries_.end() || pos->first != key) return nullptr;
-  return &pos->second;
-}
-
-std::shared_ptr<const Rule> RuleRegistry::Find(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = FindEntry(key);
-  if (entry == nullptr) return nullptr;
-  if (!entry->instance) entry->instance = entry->factory();
-  return entry->instance;
-}
-
-std::optional<RuleInfo> RuleRegistry::Describe(std::string_view name) const {
-  const auto rule = Find(name);
-  if (!rule) return std::nullopt;
-  return rule->Describe();
-}
-
-bool RuleRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> RuleRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
-  return names;  // entries_ is sorted by key
-}
-
-std::size_t RuleRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-RuleRegistrar::RuleRegistrar(std::string name, std::string_view category,
-                             RuleRegistry::Factory factory) {
-  RuleRegistry::Global().Register(std::move(name), category,
-                                  std::move(factory));
 }
 
 }  // namespace rtmp::rtmlint

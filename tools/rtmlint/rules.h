@@ -1,27 +1,18 @@
 // rtmlint's rule layer: findings, the Rule interface and the name-keyed
-// RuleRegistry.
-//
-// The registry mirrors core::StrategyRegistry (sorted flat vector,
-// lowercase-normalized keys, lazy construction, explicit
-// RegisterBuiltinRules for the Global() instance) and reuses
-// core::RegistryNamespace for collision arbitration: every rule name is
-// claimed under its category, so a rule name landing in two different
-// categories fails fast with the same semantics the experiment engine's
-// cell-name space has — second registrant throws, re-claim under the
-// same category is a no-op (the duplicate is then caught by the
-// registry's own key check).
+// RuleRegistry — the same util::Registry template as
+// core::StrategyRegistry (sorted flat vector, lowercase-normalized keys,
+// lazy construction, explicit RegisterBuiltinRules for the Global()
+// instance). Rule names are unique across categories: a second rule
+// under a taken name is a duplicate, whatever its category.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/registry_namespace.h"
 #include "rtmlint/lexer.h"
+#include "util/registry.h"
 
 namespace rtmp::rtmlint {
 
@@ -83,7 +74,7 @@ struct SourceFile {
 struct RuleInfo {
   /// Registry key: lowercase, unique ("determinism-rng", ...).
   std::string name;
-  /// Collision-arbitration kind ("determinism", "hygiene", ...).
+  /// Rule family for listings ("determinism", "hygiene", ...).
   std::string category;
   Severity severity = Severity::kError;
   /// One-line human-readable description for list-rules output.
@@ -105,54 +96,12 @@ class Rule {
                      std::vector<Finding>* out) const = 0;
 };
 
-/// Name -> factory registry for lint rules; see file comment. All
-/// members are thread-safe.
-class RuleRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const Rule>()>;
+/// Name -> rule registry (util/registry.h); see file comment.
+using RuleRegistry = util::Registry<Rule>;
 
-  RuleRegistry() = default;
-  RuleRegistry(const RuleRegistry&) = delete;
-  RuleRegistry& operator=(const RuleRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in rules.
-  [[nodiscard]] static RuleRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase),
-  /// claiming the name under `category`. Throws std::invalid_argument
-  /// if the name is empty, contains whitespace, is already registered,
-  /// or is claimed by a different category.
-  void Register(std::string name, std::string_view category,
-                Factory factory);
-
-  /// The rule registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const Rule> Find(
-      std::string_view name) const;
-
-  /// Metadata of the rule registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<RuleInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    Factory factory;
-    mutable std::shared_ptr<const Rule> instance;  ///< lazy, under mutex_
-  };
-
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  std::vector<std::pair<std::string, Entry>> entries_;  // sorted by key
-  /// Per-registry name arbitration (RegistryNamespace semantics).
-  core::RegistryNamespace names_;
-};
+/// RAII self-registration into RuleRegistry::Global(), for rules defined
+/// outside rtmlint itself (see util::Registrar).
+using RuleRegistrar = util::Registrar<Rule>;
 
 /// Registers the built-in rules into `registry`: determinism-rng,
 /// unordered-iteration, registry-discipline, naked-new, include-hygiene,
@@ -161,13 +110,9 @@ class RuleRegistry {
 /// Global() calls this once; tests use it to build fresh registries.
 void RegisterBuiltinRules(RuleRegistry& registry);
 
-/// RAII self-registration into the Global() registry, for rules defined
-/// outside rtmlint itself (mirrors core::StrategyRegistrar, including
-/// its static-library caveat: keep registrars in a TU that is otherwise
-/// linked in).
-struct RuleRegistrar {
-  RuleRegistrar(std::string name, std::string_view category,
-                RuleRegistry::Factory factory);
-};
+/// RuleRegistry::Global()'s built-ins hook.
+inline void RegisterBuiltins(RuleRegistry& registry) {
+  RegisterBuiltinRules(registry);
+}
 
 }  // namespace rtmp::rtmlint

@@ -272,13 +272,11 @@ class UnorderedIterationRule final : public Rule {
 
 // ---- registry-discipline ---------------------------------------------------
 //
-// The experiment engine's cell-name space (strategies, online policies,
-// serve policies) is arbitrated by core::RegistryNamespace, and names
-// enter it only through the *Registrar RAII types — a bare
-// SomeRegistry::Global().Register() call in application code bypasses
-// the collision story those types encode. Files that implement a
-// registrar (FooRegistrar::FooRegistrar) are exempt: they are the
-// mechanism itself.
+// Names enter the process-wide registries only through the *Registrar
+// RAII types (util::Registrar) — one audited registration path, so a
+// bare SomeRegistry::Global().Register() call in application code is a
+// finding. Files that implement a registrar (FooRegistrar::FooRegistrar)
+// are exempt: they are the mechanism itself.
 class RegistryDisciplineRule final : public Rule {
  public:
   const RuleInfo& Describe() const noexcept override {
@@ -310,10 +308,7 @@ class RegistryDisciplineRule final : public Rule {
            IsIdent(tokens[i + 4], "Claim"))) {
         Emit(file, Describe(), tokens[i].line,
              "direct Global()." + tokens[i + 4].text +
-                 "() call: claim names through the *Registrar RAII "
-                 "types (or core::RegistryNamespace inside a registry "
-                 "implementation) so cross-registry collisions fail "
-                 "fast",
+                 "() call: register names through the *Registrar RAII types",
              out);
       }
     }
@@ -532,12 +527,8 @@ class HotPathAllocRule final : public Rule {
 void RegisterBuiltinRules(RuleRegistry& registry) {
   const auto add = [&registry](auto make) {
     using RuleType = decltype(make());
-    auto instance = std::make_shared<const RuleType>();
-    const RuleInfo& info = instance->Describe();
-    registry.Register(info.name, info.category,
-                      [instance]() -> std::shared_ptr<const Rule> {
-                        return instance;
-                      });
+    const std::shared_ptr<const Rule> rule = std::make_shared<const RuleType>();
+    registry.Register(rule->Describe().name, [rule] { return rule; });
   };
   add([] { return DeterminismRngRule(); });
   add([] { return UnorderedIterationRule(); });
