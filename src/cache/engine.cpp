@@ -26,9 +26,10 @@ bool SlotSweepOrder(const core::Slot& a, const core::Slot& b) noexcept {
 std::size_t ResolveCapacity(const CacheConfig& config,
                             std::size_t num_variables) {
   if (config.capacity_slots != 0) return config.capacity_slots;
-  if (!std::isfinite(config.capacity_ratio) || config.capacity_ratio <= 0.0) {
+  if (!std::isfinite(config.capacity_ratio) || config.capacity_ratio <= 0.0 ||
+      config.capacity_ratio > 1.0) {
     throw std::invalid_argument(
-        "ResolveCapacity: capacity_ratio must be finite and > 0");
+        "ResolveCapacity: capacity_ratio must be in (0, 1]");
   }
   const double scaled =
       std::ceil(config.capacity_ratio * static_cast<double>(num_variables));
@@ -43,6 +44,15 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
     throw std::invalid_argument(
         "CacheEngine: capacity_slots must be resolved (> 0); "
         "see ResolveCapacity");
+  }
+  const auto bad_charge = [](double charge) {
+    return !std::isfinite(charge) || charge < 0.0;
+  };
+  const BackingStoreConfig& b = config_.backing;
+  if (bad_charge(b.fill_ns) || bad_charge(b.writeback_ns) ||
+      bad_charge(b.fill_pj) || bad_charge(b.writeback_pj)) {
+    throw std::invalid_argument(
+        "CacheEngine: backing-store charges must be finite and >= 0");
   }
   const auto kind = EvictionPolicyRegistry::Global().Find(config_.eviction);
   if (kind == nullptr) {

@@ -76,7 +76,8 @@ struct CacheConfig {
 
 /// config.capacity_slots if explicit, else ceil(capacity_ratio *
 /// num_variables), at least 1. Throws std::invalid_argument when the
-/// ratio is non-finite or <= 0 while it is being relied on.
+/// ratio is outside (0, 1] (a cache larger than the working set is
+/// over-provisioning, not a configuration) while it is being relied on.
 [[nodiscard]] std::size_t ResolveCapacity(const CacheConfig& config,
                                           std::size_t num_variables);
 
@@ -136,12 +137,12 @@ struct CacheResult {
 class CacheEngine {
  public:
   /// Requires a RESOLVED capacity (config.capacity_slots > 0; see
-  /// ResolveCapacity) and a registered eviction policy; throws
-  /// std::invalid_argument otherwise. The wrapped engine's variable
-  /// space is the frame pool, registered at the first window in id
-  /// order — each frame under its then-occupant's logical name (see
-  /// RegisterFramePool) — so frame ids and wrapped-engine variable ids
-  /// coincide.
+  /// ResolveCapacity), finite non-negative backing-store charges and a
+  /// registered eviction policy; throws std::invalid_argument otherwise.
+  /// The wrapped engine's variable space is the frame pool, registered
+  /// at the first window in id order — each frame under its
+  /// then-occupant's logical name (see RegisterFramePool) — so frame ids
+  /// and wrapped-engine variable ids coincide.
   CacheEngine(CacheConfig config, rtm::RtmConfig device);
 
   CacheEngine(const CacheEngine&) = delete;

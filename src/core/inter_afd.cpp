@@ -1,7 +1,6 @@
 #include "core/inter_afd.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace rtmp::core {
@@ -9,15 +8,26 @@ namespace rtmp::core {
 std::vector<VariableId> SortByFrequencyDescending(
     std::span<const trace::VariableStats> stats,
     const trace::AccessSequence& seq) {
-  std::vector<VariableId> order(stats.size());
-  std::iota(order.begin(), order.end(), 0);
+  if (stats.size() > seq.num_variables()) {
+    throw std::invalid_argument(
+        "SortByFrequencyDescending: stats cover unregistered variables");
+  }
+  // Walking ids in name order makes a stable sort on frequency alone
+  // break ties by name. Zero-frequency ids (most of a long session's
+  // variable space in an online window) never move, so only the accessed
+  // ones are sorted and the rest follow in name order.
+  std::vector<VariableId> order;
+  order.reserve(stats.size());
+  seq.ForEachIdByName([&](VariableId v) {
+    if (v < stats.size() && stats[v].frequency > 0) order.push_back(v);
+  });
   std::stable_sort(order.begin(), order.end(),
-                   [&stats, &seq](VariableId a, VariableId b) {
-                     if (stats[a].frequency != stats[b].frequency) {
-                       return stats[a].frequency > stats[b].frequency;
-                     }
-                     return seq.name_of(a) < seq.name_of(b);
+                   [&stats](VariableId a, VariableId b) {
+                     return stats[a].frequency > stats[b].frequency;
                    });
+  seq.ForEachIdByName([&](VariableId v) {
+    if (v < stats.size() && stats[v].frequency == 0) order.push_back(v);
+  });
   return order;
 }
 

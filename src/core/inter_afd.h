@@ -24,7 +24,9 @@ struct AfdOptions {
 /// Variables sorted by descending frequency; ties are broken by ascending
 /// variable NAME, as in the paper's Fig. 3 deal (alphabetical: DBC0 =
 /// {a,g,b,d,h}). Name order matters: real benchmark identifiers are
-/// uncorrelated with access time, unlike generator ids.
+/// uncorrelated with access time, unlike generator ids. `stats` covers
+/// ids [0, stats.size()) of `seq`; throws std::invalid_argument when it
+/// covers more variables than `seq` registers.
 [[nodiscard]] std::vector<VariableId> SortByFrequencyDescending(
     std::span<const trace::VariableStats> stats,
     const trace::AccessSequence& seq);

@@ -22,28 +22,31 @@ std::vector<VariableId> SelectDisjointVariables(
               return stats[a].first < stats[b].first;
             });
 
-  std::vector<bool> selected(stats.size(), false);
   std::vector<VariableId> disjoint;
   // tmin is the last occurrence of the most recently selected variable;
   // -1 admits the earliest candidate (the paper's 1-based pseudo-code uses
   // tmin = 0 for the same purpose).
   std::int64_t tmin = -1;
-  for (const VariableId v : by_first) {
+  for (std::size_t i = 0; i < by_first.size(); ++i) {
+    const VariableId v = by_first[i];
     const trace::VariableStats& sv = stats[v];
     if (static_cast<std::int64_t>(sv.first) <= tmin) continue;
     // Line 10: accept v only if its own accesses outweigh everything whose
     // lifespan nests strictly inside v's (those variables become expensive
     // neighbors if v monopolizes a disjoint slot). The sum ranges over the
-    // current Vndj, i.e. skips already-selected variables.
+    // current Vndj. A nested variable occurs (absent ones nest in nothing)
+    // and starts inside (F_v, L_v), so only the candidates after v in
+    // first-occurrence order that start before L_v can contribute — and
+    // none of those is selected yet, since selection follows that order.
     std::uint64_t nested = 0;
-    for (VariableId u = 0; u < stats.size(); ++u) {
-      if (u == v || selected[u]) continue;
+    for (std::size_t j = i + 1; j < by_first.size(); ++j) {
+      const VariableId u = by_first[j];
+      if (stats[u].first >= sv.last) break;
       if (trace::LifespanNestedWithin(stats[u], sv)) {
         nested += stats[u].frequency;
       }
     }
     if (sv.frequency > nested) {
-      selected[v] = true;
       disjoint.push_back(v);
       tmin = static_cast<std::int64_t>(sv.last);
     }

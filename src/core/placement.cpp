@@ -132,12 +132,14 @@ void Placement::Reorder(std::uint32_t dbc, std::vector<VariableId> order) {
   if (order.size() != list.size()) {
     throw std::invalid_argument("Placement: reorder size mismatch");
   }
-  auto sorted_old = list;
-  auto sorted_new = order;
-  std::sort(sorted_old.begin(), sorted_old.end());
-  std::sort(sorted_new.begin(), sorted_new.end());
-  if (sorted_old != sorted_new) {
-    throw std::invalid_argument("Placement: reorder is not a permutation");
+  // `order` is a permutation of the list iff every entry is a variable of
+  // this DBC and no old offset is claimed twice (the sizes match).
+  std::vector<bool> seen(list.size(), false);
+  for (const VariableId v : order) {
+    if (v >= slots_.size() || slots_[v].dbc != dbc || seen[slots_[v].offset]) {
+      throw std::invalid_argument("Placement: reorder is not a permutation");
+    }
+    seen[slots_[v].offset] = true;
   }
   list = std::move(order);
   ReindexFrom(dbc, 0);

@@ -29,45 +29,45 @@ MigrationPlan PlanMigration(const core::Placement& from,
     throw std::invalid_argument(
         "PlanMigration: placements cover different variable spaces");
   }
+  const auto placed_in_one = [] {
+    return std::invalid_argument(
+        "PlanMigration: variable placed in only one placement");
+  };
+  // Equal counts plus "every variable placed in `from` is placed in `to`"
+  // (checked during the walk) means both place the same variables.
+  if (from.placed_count() != to.placed_count()) throw placed_in_one();
+
+  // Reads sweep each source DBC in ascending old-offset order: walking
+  // `from`'s lists yields the moves already in (dbc, offset) order ...
   MigrationPlan plan;
-  for (trace::VariableId v = 0; v < from.num_variables(); ++v) {
-    const bool placed_from = from.IsPlaced(v);
-    if (placed_from != to.IsPlaced(v)) {
-      throw std::invalid_argument(
-          "PlanMigration: variable placed in only one placement");
+  std::vector<core::Slot> slots;
+  for (std::uint32_t d = 0; d < from.num_dbcs(); ++d) {
+    const std::vector<trace::VariableId>& list = from.dbc(d);
+    for (std::uint32_t offset = 0; offset < list.size(); ++offset) {
+      const trace::VariableId v = list[offset];
+      if (!to.IsPlaced(v)) throw placed_in_one();
+      const core::Slot old_slot{d, offset};
+      const core::Slot new_slot = to.SlotOf(v);
+      if (old_slot == new_slot) continue;
+      plan.moves.push_back({v, old_slot, new_slot});
+      slots.push_back(old_slot);
     }
-    if (!placed_from) continue;
-    const core::Slot old_slot = from.SlotOf(v);
-    const core::Slot new_slot = to.SlotOf(v);
-    if (old_slot == new_slot) continue;
-    plan.moves.push_back({v, old_slot, new_slot});
   }
   if (plan.moves.empty()) return plan;
-
-  // Reads sweep each source DBC in ascending old-offset order ...
-  std::sort(plan.moves.begin(), plan.moves.end(),
-            [](const MigrationMove& a, const MigrationMove& b) {
-              if (a.from.dbc != b.from.dbc) return a.from.dbc < b.from.dbc;
-              if (a.from.offset != b.from.offset) {
-                return a.from.offset < b.from.offset;
-              }
-              return a.variable < b.variable;
-            });
-  std::vector<core::Slot> slots;
-  slots.reserve(plan.moves.size());
-  for (const MigrationMove& move : plan.moves) slots.push_back(move.from);
   plan.requests.reserve(2 * plan.moves.size());
   plan.estimated_shifts +=
       AppendSweepRequests(slots, trace::AccessType::kRead, plan.requests);
 
-  // ... then the buffered words are written in target-DBC sweeps.
+  // ... then the buffered words are written in target-DBC sweeps, which
+  // walking `to`'s lists yields in (dbc, offset) order.
   slots.clear();
-  for (const MigrationMove& move : plan.moves) slots.push_back(move.to);
-  std::sort(slots.begin(), slots.end(),
-            [](const core::Slot& a, const core::Slot& b) {
-              if (a.dbc != b.dbc) return a.dbc < b.dbc;
-              return a.offset < b.offset;
-            });
+  for (std::uint32_t d = 0; d < to.num_dbcs(); ++d) {
+    const std::vector<trace::VariableId>& list = to.dbc(d);
+    for (std::uint32_t offset = 0; offset < list.size(); ++offset) {
+      const core::Slot new_slot{d, offset};
+      if (from.SlotOf(list[offset]) != new_slot) slots.push_back(new_slot);
+    }
+  }
   plan.estimated_shifts +=
       AppendSweepRequests(slots, trace::AccessType::kWrite, plan.requests);
   return plan;

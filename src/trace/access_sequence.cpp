@@ -1,8 +1,25 @@
 #include "trace/access_sequence.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace rtmp::trace {
+
+namespace {
+
+/// A name's first 8 bytes as a big-endian integer, zero-padded: for two
+/// names with different keys, the key order is the name order (bytes
+/// compare as unsigned char, as std::string does).
+std::uint64_t NamePrefixKey(const std::string& name) {
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < 8 && i < name.size(); ++i) {
+    key |= std::uint64_t{static_cast<unsigned char>(name[i])} << (56 - 8 * i);
+  }
+  return key;
+}
+
+}  // namespace
 
 AccessSequence AccessSequence::FromTokens(
     std::span<const std::string> tokens) {
@@ -34,9 +51,34 @@ AccessSequence AccessSequence::FromCompactString(std::string_view text) {
 }
 
 VariableId AccessSequence::AddVariable(std::string name) {
-  if (auto it = ids_.find(name); it != ids_.end()) return it->second;
   const auto id = static_cast<VariableId>(names_.size());
-  ids_.emplace(name, id);
+  const auto [it, inserted] = ids_.try_emplace(name, id);
+  if (!inserted) return it->second;
+  // Names are unique, so the id goes right after the ids whose names sort
+  // before `name`: into the first block whose last name sorts after it
+  // (else the last block). A block past twice the block size splits.
+  const std::uint64_t key = NamePrefixKey(name);
+  const auto before = [&](VariableId other) {
+    if (name_keys_[other] != key) return name_keys_[other] < key;
+    return names_[other] < name;
+  };
+  const auto block_before = [&](const std::vector<VariableId>& block) {
+    return before(block.back());
+  };
+  auto& blocks = name_blocks_;
+  auto block = std::partition_point(blocks.begin(), blocks.end(), block_before);
+  if (block == blocks.end()) {
+    if (blocks.empty()) blocks.emplace_back();
+    block = std::prev(blocks.end());
+  }
+  block->insert(std::partition_point(block->begin(), block->end(), before), id);
+  if (block->size() > 2 * kNameBlockSize) {
+    const auto half = static_cast<std::ptrdiff_t>(kNameBlockSize);
+    std::vector<VariableId> upper(block->begin() + half, block->end());
+    block->resize(kNameBlockSize);
+    blocks.insert(std::next(block), std::move(upper));
+  }
+  name_keys_.push_back(key);
   names_.push_back(std::move(name));
   return id;
 }

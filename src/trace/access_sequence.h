@@ -96,6 +96,18 @@ class AccessSequence {
     return names_;
   }
 
+  /// Calls `visit(id)` for every registered id in ascending name order.
+  /// AddVariable keeps this order (O(log V + kNameBlockSize) per new
+  /// name), so name-ordered tie-breaks (AFD's frequency deal) walk it
+  /// instead of sorting strings. Generator names are scrambled on
+  /// purpose, so this order is unrelated to id order.
+  template <typename Visit>
+  void ForEachIdByName(Visit&& visit) const {
+    for (const std::vector<VariableId>& block : name_blocks_) {
+      for (const VariableId v : block) visit(v);
+    }
+  }
+
   /// Number of write accesses (the rest are reads).
   [[nodiscard]] std::size_t CountWrites() const noexcept;
 
@@ -112,6 +124,14 @@ class AccessSequence {
   /// registration-ordered view; rtmlint's unordered-iteration rule
   /// keeps it that way.
   std::unordered_map<std::string, VariableId> ids_;
+  /// Ids in name order (see ForEachIdByName), cut into blocks of at
+  /// most 2 * kNameBlockSize so an insert moves a block, not all of V.
+  static constexpr std::size_t kNameBlockSize = 64;
+  std::vector<std::vector<VariableId>> name_blocks_;
+  /// Per id: the name's first 8 bytes, big-endian and zero-padded. Keys
+  /// order like the names wherever they differ, so the index insert
+  /// compares strings only on a key tie.
+  std::vector<std::uint64_t> name_keys_;
   std::vector<Access> accesses_;
 };
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -243,6 +244,14 @@ TEST(CacheValidation, RejectsBadConfigurations) {
   bad_ratio.capacity_ratio = 0.0;
   EXPECT_THROW((void)cache::ResolveCapacity(bad_ratio, 16),
                std::invalid_argument);
+  // A ratio above 1 would size the cache past the working set.
+  cache::CacheConfig over_provisioned;
+  over_provisioned.capacity_ratio = 1.5;
+  EXPECT_THROW((void)cache::ResolveCapacity(over_provisioned, 16),
+               std::invalid_argument);
+  cache::CacheConfig whole;
+  whole.capacity_ratio = 1.0;
+  EXPECT_EQ(cache::ResolveCapacity(whole, 16), 16u);
   cache::CacheConfig explicit_slots;
   explicit_slots.capacity_slots = 7;
   EXPECT_EQ(cache::ResolveCapacity(explicit_slots, 16), 7u);
@@ -262,6 +271,32 @@ TEST(CacheValidation, RejectsBadConfigurations) {
   const auto benchmark = workloads::ResolveWorkload("kv-churn")->Generate({});
   EXPECT_THROW((void)sim::RunCell(benchmark, 4, "cache-no-such", {}),
                std::invalid_argument);
+}
+
+void ExpectBackingRejected(const cache::BackingStoreConfig& backing) {
+  cache::CacheConfig config;
+  config.capacity_slots = 4;
+  config.backing = backing;
+  EXPECT_THROW(cache::CacheEngine(config, rtm::RtmConfig::Paper(4)),
+               std::invalid_argument);
+}
+
+// Every backing-store charge must be a finite, non-negative number: a
+// negative fill latency would silently shorten the cache cell's runtime.
+TEST(CacheValidation, RejectsNegativeOrNonFiniteBackingCharges) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-5.0, -1e-9, inf, -inf, nan}) {
+    SCOPED_TRACE(bad);
+    ExpectBackingRejected({.fill_ns = bad});
+    ExpectBackingRejected({.writeback_ns = bad});
+    ExpectBackingRejected({.fill_pj = bad});
+    ExpectBackingRejected({.writeback_pj = bad});
+  }
+  cache::CacheConfig free_backing;  // zero charges are a valid model
+  free_backing.capacity_slots = 4;
+  free_backing.backing = {0.0, 0.0, 0.0, 0.0};
+  EXPECT_NO_THROW(cache::CacheEngine(free_backing, rtm::RtmConfig::Paper(4)));
 }
 
 // Event recording classifies every access; the first `capacity` ids are

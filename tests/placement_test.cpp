@@ -111,6 +111,31 @@ TEST(Placement, ReorderRequiresPermutation) {
   EXPECT_THROW(p.Reorder(0, {0, 1, 1}), std::invalid_argument);
 }
 
+// Each rejected reorder must leave the placement untouched.
+TEST(Placement, ReorderRejectsEveryNonPermutation) {
+  Placement p = Placement::FromLists({{0, 1, 2}, {3, 4}}, 6);
+  const Placement before = p;
+  // Size mismatch, both ways.
+  EXPECT_THROW(p.Reorder(0, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, {0, 1, 2, 3}), std::invalid_argument);
+  // Duplicate id (right size, one member missing).
+  EXPECT_THROW(p.Reorder(0, {2, 2, 0}), std::invalid_argument);
+  // A variable placed in another DBC.
+  EXPECT_THROW(p.Reorder(0, {0, 1, 3}), std::invalid_argument);
+  // An unplaced variable and an out-of-range id.
+  EXPECT_THROW(p.Reorder(0, {0, 1, 5}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, {0, 1, 99}), std::invalid_argument);
+  // An out-of-range DBC.
+  EXPECT_THROW(p.Reorder(7, {0, 1, 2}), std::out_of_range);
+  EXPECT_EQ(p, before);
+  p.CheckInvariants();
+
+  p.Reorder(1, {4, 3});
+  EXPECT_EQ(p.SlotOf(4), (Slot{1, 0}));
+  EXPECT_EQ(p.SlotOf(3), (Slot{1, 1}));
+  p.CheckInvariants();
+}
+
 TEST(Placement, FromListsBuildsAndValidates) {
   const Placement p =
       Placement::FromLists({{2, 0}, {1}}, /*num_variables=*/3);

@@ -1,0 +1,367 @@
+// Equivalence pins for the re-seed hot path.
+//
+// The online engine re-runs the paper's DMA heuristic (Alg. 1) and plans a
+// migration on every phase change, over the whole session's variable
+// space. PlanMigration, SortByFrequencyDescending and
+// SelectDisjointVariables avoid sorting or scanning the idle part of that
+// space; each must still return exactly what the straightforward
+// sort-based formulation returns. The reference bodies below are those
+// formulations, kept verbatim as oracles, and every comparison runs on
+// randomised inputs that include zero-frequency variables and scrambled
+// MakeVariableName names (name order != id order).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
+#include "core/inter_afd.h"
+#include "core/inter_dma.h"
+#include "core/placement.h"
+#include "online/migration.h"
+#include "trace/access_sequence.h"
+#include "trace/generators.h"
+#include "trace/variable_stats.h"
+#include "util/rng.h"
+
+namespace rtmp {
+namespace {
+
+using online::AppendSweepRequests;
+using trace::VariableId;
+
+// ---- reference implementations -------------------------------------------
+
+online::MigrationPlan ReferencePlanMigration(const core::Placement& from,
+                                             const core::Placement& to) {
+  if (from.num_variables() != to.num_variables()) {
+    throw std::invalid_argument(
+        "PlanMigration: placements cover different variable spaces");
+  }
+  online::MigrationPlan plan;
+  for (VariableId v = 0; v < from.num_variables(); ++v) {
+    const bool placed_from = from.IsPlaced(v);
+    if (placed_from != to.IsPlaced(v)) {
+      throw std::invalid_argument(
+          "PlanMigration: variable placed in only one placement");
+    }
+    if (!placed_from) continue;
+    const core::Slot old_slot = from.SlotOf(v);
+    const core::Slot new_slot = to.SlotOf(v);
+    if (old_slot == new_slot) continue;
+    plan.moves.push_back({v, old_slot, new_slot});
+  }
+  if (plan.moves.empty()) return plan;
+  std::sort(plan.moves.begin(), plan.moves.end(),
+            [](const online::MigrationMove& a, const online::MigrationMove& b) {
+              if (a.from.dbc != b.from.dbc) return a.from.dbc < b.from.dbc;
+              if (a.from.offset != b.from.offset) {
+                return a.from.offset < b.from.offset;
+              }
+              return a.variable < b.variable;
+            });
+  std::vector<core::Slot> slots;
+  for (const online::MigrationMove& move : plan.moves) {
+    slots.push_back(move.from);
+  }
+  plan.estimated_shifts +=
+      AppendSweepRequests(slots, trace::AccessType::kRead, plan.requests);
+  slots.clear();
+  for (const online::MigrationMove& move : plan.moves) {
+    slots.push_back(move.to);
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const core::Slot& a, const core::Slot& b) {
+              if (a.dbc != b.dbc) return a.dbc < b.dbc;
+              return a.offset < b.offset;
+            });
+  plan.estimated_shifts +=
+      AppendSweepRequests(slots, trace::AccessType::kWrite, plan.requests);
+  return plan;
+}
+
+std::vector<VariableId> ReferenceSortByFrequencyDescending(
+    std::span<const trace::VariableStats> stats,
+    const trace::AccessSequence& seq) {
+  std::vector<VariableId> order(stats.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&stats, &seq](VariableId a, VariableId b) {
+                     if (stats[a].frequency != stats[b].frequency) {
+                       return stats[a].frequency > stats[b].frequency;
+                     }
+                     return seq.name_of(a) < seq.name_of(b);
+                   });
+  return order;
+}
+
+std::vector<VariableId> ReferenceSelectDisjointVariables(
+    const std::vector<trace::VariableStats>& stats) {
+  std::vector<VariableId> by_first;
+  for (VariableId v = 0; v < stats.size(); ++v) {
+    if (stats[v].first != trace::kNever) by_first.push_back(v);
+  }
+  std::sort(by_first.begin(), by_first.end(),
+            [&stats](VariableId a, VariableId b) {
+              return stats[a].first < stats[b].first;
+            });
+  std::vector<bool> selected(stats.size(), false);
+  std::vector<VariableId> disjoint;
+  std::int64_t tmin = -1;
+  for (const VariableId v : by_first) {
+    const trace::VariableStats& sv = stats[v];
+    if (static_cast<std::int64_t>(sv.first) <= tmin) continue;
+    std::uint64_t nested = 0;
+    for (VariableId u = 0; u < stats.size(); ++u) {
+      if (u == v || selected[u]) continue;
+      if (trace::LifespanNestedWithin(stats[u], sv)) {
+        nested += stats[u].frequency;
+      }
+    }
+    if (sv.frequency > nested) {
+      selected[v] = true;
+      disjoint.push_back(v);
+      tmin = static_cast<std::int64_t>(sv.last);
+    }
+  }
+  return disjoint;
+}
+
+// ---- randomised inputs ---------------------------------------------------
+
+/// `num_vars` variables with scrambled generator names, registered in a
+/// shuffled index order, of which only the first `active` ids are
+/// accessed: the rest model a session's idle variable space. Accesses
+/// come from a sliding window of live ids, so lifespans are short, often
+/// disjoint and sometimes nested — the structure DMA's selection reads.
+trace::AccessSequence RandomSession(std::size_t num_vars, std::size_t active,
+                                    std::size_t length, util::Rng& rng) {
+  std::vector<std::size_t> indexes(num_vars);
+  std::iota(indexes.begin(), indexes.end(), std::size_t{0});
+  rng.Shuffle(indexes);
+  trace::AccessSequence seq;
+  for (const std::size_t index : indexes) {
+    (void)seq.AddVariable(trace::MakeVariableName(index));
+  }
+  if (active == 0) return seq;
+  const std::size_t window = 1 + rng.NextBelow(4);
+  std::size_t base = 0;
+  for (std::size_t i = 0; i < length; ++i) {
+    if (rng.NextBool(0.2)) base = (base + 1) % active;
+    std::size_t v = (base + rng.NextBelow(window)) % active;
+    if (rng.NextBool(0.1)) v = rng.NextBelow(active);
+    trace::AccessType type = trace::AccessType::kRead;
+    if (rng.NextBool(0.3)) type = trace::AccessType::kWrite;
+    seq.Append(static_cast<VariableId>(v), type);
+  }
+  return seq;
+}
+
+/// A random placement of `placed` (a 0/1 mask over ids) into `num_dbcs`
+/// lists of at most `capacity` entries each.
+core::Placement RandomPlacement(const std::vector<bool>& placed,
+                                std::uint32_t num_dbcs, std::uint32_t capacity,
+                                util::Rng& rng) {
+  std::vector<VariableId> ids;
+  for (VariableId v = 0; v < placed.size(); ++v) {
+    if (placed[v]) ids.push_back(v);
+  }
+  rng.Shuffle(ids);
+  core::Placement p(placed.size(), num_dbcs, capacity);
+  for (const VariableId v : ids) {
+    auto d = static_cast<std::uint32_t>(rng.NextBelow(num_dbcs));
+    while (p.FreeIn(d) == 0) d = (d + 1) % num_dbcs;
+    p.Append(d, v);
+  }
+  return p;
+}
+
+/// `from` with a handful of GA-style edits: the "mostly unchanged"
+/// migrations a refinement pass produces.
+core::Placement Perturb(const core::Placement& from, util::Rng& rng) {
+  core::Placement to = from;
+  const std::size_t edits = rng.NextBelow(6);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const auto d = static_cast<std::uint32_t>(rng.NextBelow(to.num_dbcs()));
+    const std::size_t size = to.dbc(d).size();
+    if (size == 0) continue;
+    if (rng.NextBool(0.5)) {
+      to.Transpose(d, rng.NextBelow(size), rng.NextBelow(size));
+    } else {
+      const VariableId v = to.dbc(d)[rng.NextBelow(size)];
+      const auto target =
+          static_cast<std::uint32_t>(rng.NextBelow(to.num_dbcs()));
+      if (target == d || to.FreeIn(target) > 0) to.MoveToEnd(v, target);
+    }
+  }
+  return to;
+}
+
+void ExpectSamePlan(const online::MigrationPlan& got,
+                    const online::MigrationPlan& want) {
+  ASSERT_EQ(got.moves.size(), want.moves.size());
+  for (std::size_t i = 0; i < got.moves.size(); ++i) {
+    EXPECT_EQ(got.moves[i].variable, want.moves[i].variable) << i;
+    EXPECT_EQ(got.moves[i].from, want.moves[i].from) << i;
+    EXPECT_EQ(got.moves[i].to, want.moves[i].to) << i;
+  }
+  ASSERT_EQ(got.requests.size(), want.requests.size());
+  for (std::size_t i = 0; i < got.requests.size(); ++i) {
+    EXPECT_EQ(got.requests[i].arrival_ns, want.requests[i].arrival_ns) << i;
+    EXPECT_EQ(got.requests[i].dbc, want.requests[i].dbc) << i;
+    EXPECT_EQ(got.requests[i].domain, want.requests[i].domain) << i;
+    EXPECT_EQ(got.requests[i].type, want.requests[i].type) << i;
+  }
+  EXPECT_EQ(got.estimated_shifts, want.estimated_shifts);
+}
+
+// ---- PlanMigration -------------------------------------------------------
+
+TEST(ReseedEquivalence, PlanMigrationMatchesSortedReference) {
+  util::Rng rng(0x5EED0001);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.NextBelow(80);
+    const auto num_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(8));
+    std::uint32_t capacity = core::kUnboundedCapacity;
+    if (rng.NextBool(0.5)) {
+      const std::size_t fill = (n + num_dbcs - 1) / num_dbcs;
+      capacity = static_cast<std::uint32_t>(fill + rng.NextBelow(3));
+    }
+    std::vector<bool> placed(n);
+    for (std::size_t v = 0; v < n; ++v) placed[v] = !rng.NextBool(0.1);
+
+    const core::Placement from =
+        RandomPlacement(placed, num_dbcs, capacity, rng);
+    core::Placement to = Perturb(from, rng);
+    if (rng.NextBool(0.5)) {
+      to = RandomPlacement(placed, num_dbcs, capacity, rng);
+    }
+    SCOPED_TRACE(trial);
+    ExpectSamePlan(online::PlanMigration(from, to),
+                   ReferencePlanMigration(from, to));
+    EXPECT_TRUE(online::PlanMigration(from, from).empty());
+  }
+}
+
+TEST(ReseedEquivalence, PlanMigrationAcrossDifferentDbcCounts) {
+  // The walk covers each side's own DBC range; a placement over more DBCs
+  // than its counterpart still diffs like the reference.
+  util::Rng rng(0x5EED0002);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = 1 + rng.NextBelow(40);
+    const std::vector<bool> placed(n, true);
+    const auto from_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(4));
+    const auto to_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(8));
+    const core::Placement from =
+        RandomPlacement(placed, from_dbcs, core::kUnboundedCapacity, rng);
+    const core::Placement to =
+        RandomPlacement(placed, to_dbcs, core::kUnboundedCapacity, rng);
+    SCOPED_TRACE(trial);
+    ExpectSamePlan(online::PlanMigration(from, to),
+                   ReferencePlanMigration(from, to));
+  }
+}
+
+void ExpectBothReject(const core::Placement& from, const core::Placement& to) {
+  EXPECT_THROW((void)online::PlanMigration(from, to), std::invalid_argument);
+  EXPECT_THROW((void)ReferencePlanMigration(from, to), std::invalid_argument);
+}
+
+TEST(ReseedEquivalence, PlanMigrationRejectsWhatTheReferenceRejects) {
+  const core::Placement a = core::Placement::FromLists({{0, 1}}, 2);
+  const core::Placement b = core::Placement::FromLists({{0, 1, 2}}, 3);
+  ExpectBothReject(a, b);
+  // Placed in `from` only, in `to` only, and the same count of placed
+  // variables over different sets.
+  const core::Placement only0 = core::Placement::FromLists({{0}}, 2);
+  const core::Placement only1 = core::Placement::FromLists({{}, {1}}, 2);
+  ExpectBothReject(a, only0);
+  ExpectBothReject(only0, a);
+  ExpectBothReject(only0, only1);
+  ExpectBothReject(only1, only0);
+}
+
+// ---- SortByFrequencyDescending -------------------------------------------
+
+TEST(ReseedEquivalence, FrequencySortMatchesNameTieBreakReference) {
+  util::Rng rng(0x5EED0003);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.NextBelow(300);
+    const std::size_t active = rng.NextBelow(n + 1);
+    const trace::AccessSequence seq =
+        RandomSession(n, active, rng.NextBelow(400), rng);
+    const auto stats = trace::ComputeVariableStats(seq);
+    SCOPED_TRACE(trial);
+    EXPECT_EQ(core::SortByFrequencyDescending(stats, seq),
+              ReferenceSortByFrequencyDescending(stats, seq));
+    // A prefix of the stats orders just that prefix of the ids.
+    const std::size_t cut = rng.NextBelow(n + 1);
+    const auto prefix = std::span<const trace::VariableStats>(stats).first(cut);
+    EXPECT_EQ(core::SortByFrequencyDescending(prefix, seq),
+              ReferenceSortByFrequencyDescending(prefix, seq));
+  }
+}
+
+TEST(ReseedEquivalence, FrequencySortRejectsStatsBeyondTheSequence) {
+  const auto seq = trace::AccessSequence::FromCompactString("abca");
+  std::vector<trace::VariableStats> stats = trace::ComputeVariableStats(seq);
+  stats.emplace_back();
+  EXPECT_THROW((void)core::SortByFrequencyDescending(stats, seq),
+               std::invalid_argument);
+}
+
+// ---- SelectDisjointVariables ---------------------------------------------
+
+TEST(ReseedEquivalence, DisjointSelectionMatchesFullScanReference) {
+  util::Rng rng(0x5EED0004);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.NextBelow(300);
+    const std::size_t active = rng.NextBelow(n + 1);
+    const trace::AccessSequence seq =
+        RandomSession(n, active, rng.NextBelow(600), rng);
+    std::vector<trace::VariableStats> stats = trace::ComputeVariableStats(seq);
+    SCOPED_TRACE(trial);
+    EXPECT_EQ(core::SelectDisjointVariables(stats),
+              ReferenceSelectDisjointVariables(stats));
+    // Multi-set DMA masks claimed variables by blanking their stats.
+    for (auto& s : stats) {
+      if (rng.NextBool(0.3)) s = trace::VariableStats{};
+    }
+    EXPECT_EQ(core::SelectDisjointVariables(stats),
+              ReferenceSelectDisjointVariables(stats));
+  }
+}
+
+TEST(ReseedEquivalence, DisjointSelectionMatchesOnGeneratorStreams) {
+  util::Rng rng(0x5EED0005);
+  for (int trial = 0; trial < 40; ++trial) {
+    trace::AccessSequence seq;
+    if (trial % 2 == 0) {
+      trace::PhasedParams params;
+      params.num_phases = 2 + rng.NextBelow(6);
+      params.vars_per_phase = 2 + rng.NextBelow(10);
+      seq = trace::GeneratePhased(params, rng);
+    } else {
+      trace::SequentialParams params;
+      params.num_vars = 8 + rng.NextBelow(64);
+      params.length = 64 + rng.NextBelow(512);
+      seq = trace::GenerateSequential(params, rng);
+    }
+    // Idle variables: registered, never accessed.
+    for (std::size_t i = 0; i < rng.NextBelow(50); ++i) {
+      (void)seq.AddVariable(trace::MakeVariableName(10'000 + i));
+    }
+    const auto stats = trace::ComputeVariableStats(seq);
+    SCOPED_TRACE(trial);
+    EXPECT_EQ(core::SelectDisjointVariables(stats),
+              ReferenceSelectDisjointVariables(stats));
+    EXPECT_EQ(core::SortByFrequencyDescending(stats, seq),
+              ReferenceSortByFrequencyDescending(stats, seq));
+  }
+}
+
+}  // namespace
+}  // namespace rtmp

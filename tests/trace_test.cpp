@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/access_graph.h"
 #include "trace/access_sequence.h"
@@ -45,6 +48,82 @@ TEST(AccessSequence, AddVariableIsIdempotent) {
   const auto a2 = seq.AddVariable("a");
   EXPECT_EQ(a1, a2);
   EXPECT_EQ(seq.num_variables(), 1u);
+}
+
+std::vector<VariableId> IdsByName(const AccessSequence& seq) {
+  std::vector<VariableId> ids;
+  seq.ForEachIdByName([&ids](VariableId v) { ids.push_back(v); });
+  return ids;
+}
+
+std::vector<std::string> NamesByName(const AccessSequence& seq) {
+  std::vector<std::string> names;
+  for (const VariableId v : IdsByName(seq)) names.push_back(seq.name_of(v));
+  return names;
+}
+
+std::vector<std::string> SortedUnique(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
+}
+
+// ForEachIdByName is the name order name tie-breaks walk: kept sorted by
+// every AddVariable, whatever order names arrive in — including names
+// that share their first 8 bytes, prefixes of each other, an embedded
+// NUL and bytes above 0x7f (std::string compares bytes as unsigned char).
+TEST(AccessSequence, NameIndexStaysSortedUnderOutOfOrderRegistration) {
+  using namespace std::string_literals;
+  std::vector<std::string> names = {"m", "c", "x", "a", "q", "c", "b", "zz"};
+  names.insert(names.end(), {"abcdefgh2", "abcdefgh10", "abcdefgh", "ab"});
+  names.insert(names.end(), {"ab\0"s, "\xc3\xa9t\xc3\xa9", "Z", "abcdefgh"});
+  AccessSequence seq;
+  for (const std::string& name : names) (void)seq.AddVariable(name);
+  const std::vector<std::string> expected = SortedUnique(names);
+  ASSERT_EQ(seq.num_variables(), expected.size());  // re-registrations
+  EXPECT_EQ(NamesByName(seq), expected);
+  EXPECT_EQ(expected.front(), "Z");
+  EXPECT_EQ(expected.back(), "\xc3\xa9t\xc3\xa9");
+}
+
+// Enough names to fill and split many index blocks, arriving scrambled,
+// ascending and descending.
+TEST(AccessSequence, NameIndexIsSortedForEveryRegistrationOrder) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < 700; ++i) names.push_back(MakeVariableName(i));
+  const std::vector<std::string> sorted = SortedUnique(names);
+  const std::vector<std::string> descending(sorted.rbegin(), sorted.rend());
+  for (const auto& order : {names, sorted, descending}) {
+    AccessSequence seq;
+    for (const std::string& name : order) (void)seq.AddVariable(name);
+    (void)seq.AddVariable(order[17]);  // idempotent
+    ASSERT_EQ(seq.num_variables(), sorted.size());
+    EXPECT_EQ(NamesByName(seq), sorted);
+  }
+  // The scrambled prefixes decorrelate name order from id order.
+  AccessSequence scrambled;
+  for (const std::string& name : names) (void)scrambled.AddVariable(name);
+  const std::vector<VariableId> ids = IdsByName(scrambled);
+  EXPECT_FALSE(std::is_sorted(ids.begin(), ids.end()));
+}
+
+TEST(AccessSequence, NameIndexSurvivesCopyAndClearAccesses) {
+  AccessSequence seq = AccessSequence::FromCompactString("dbdacb");
+  const std::vector<VariableId> before = IdsByName(seq);
+  AccessSequence copy = seq;
+  EXPECT_EQ(IdsByName(copy), before);
+  seq.ClearAccesses();
+  EXPECT_TRUE(seq.empty());
+  EXPECT_EQ(IdsByName(seq), before);
+  // The copy's index is its own: registering there leaves `seq` alone.
+  (void)copy.AddVariable("aa");
+  EXPECT_EQ(IdsByName(seq), before);
+  EXPECT_EQ(NamesByName(copy),
+            (std::vector<std::string>{"a", "aa", "b", "c", "d"}));
+  // Registering into a cleared sequence keeps the index in step.
+  (void)seq.AddVariable("e");
+  EXPECT_EQ(NamesByName(seq),
+            (std::vector<std::string>{"a", "b", "c", "d", "e"}));
 }
 
 TEST(AccessSequence, AppendRejectsUnknownId) {
