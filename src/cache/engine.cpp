@@ -61,6 +61,10 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
   }
   policy_ = kind->Create(config_.eviction_seed);
   frames_.resize(config_.capacity_slots);
+  recency_prev_.assign(frames_.size(), kNoFrame);
+  recency_next_.assign(frames_.size(), kNoFrame);
+  all_frames_.resize(frames_.size());
+  for (std::uint32_t f = 0; f < all_frames_.size(); ++f) all_frames_[f] = f;
   frame_pending_.assign(frames_.size(), 0);
   last_offsets_.assign(device.total_dbcs(), -1);
   engine_.SetPreServeHook(
@@ -109,8 +113,37 @@ std::uint32_t CacheEngine::RegisterVariable(std::string_view name,
     frames_[id].occupant = id;
     frames_[id].owner = owner;
     ++owner_resident_[owner];
+    // last_use 0 and the largest id admitted so far: the end of the
+    // never-touched prefix, even when registration follows feeding.
+    LinkAfter(id, cold_tail_);
+    cold_tail_ = id;
   }
   return id;
+}
+
+void CacheEngine::LinkAfter(std::uint32_t frame, std::uint32_t after) {
+  const std::uint32_t next =
+      after == kNoFrame ? recency_head_ : recency_next_[after];
+  recency_prev_[frame] = after;
+  recency_next_[frame] = next;
+  (after == kNoFrame ? recency_head_ : recency_next_[after]) = frame;
+  (next == kNoFrame ? recency_tail_ : recency_prev_[next]) = frame;
+}
+
+void CacheEngine::Unlink(std::uint32_t frame) {
+  const std::uint32_t prev = recency_prev_[frame];
+  const std::uint32_t next = recency_next_[frame];
+  (prev == kNoFrame ? recency_head_ : recency_next_[prev]) = next;
+  (next == kNoFrame ? recency_tail_ : recency_prev_[next]) = prev;
+}
+
+void CacheEngine::Touch(std::uint32_t frame) {
+  // The never-touched frames are a prefix of the list, so losing its
+  // last frame hands the role to that frame's predecessor.
+  if (frame == cold_tail_) cold_tail_ = recency_prev_[frame];
+  if (frame == recency_tail_) return;
+  Unlink(frame);
+  LinkAfter(frame, recency_tail_);
 }
 
 void CacheEngine::SetOwnerQuota(std::uint32_t owner, std::size_t quota) {
@@ -132,15 +165,33 @@ void CacheEngine::Feed(std::uint32_t variable, trace::AccessType type) {
   if (variable >= names_.size()) {
     throw std::out_of_range("CacheEngine: unregistered variable id");
   }
-  window_.push_back({variable, type});
-  if (window_.size() >= config_.engine.window_accesses) ResolveWindow();
+  Append(variable, type);
 }
 
 void CacheEngine::Feed(std::span<const trace::Access> accesses,
                        std::uint32_t id_offset) {
-  for (const trace::Access& access : accesses) {
-    Feed(access.variable + id_offset, access.type);
+  if (accesses.empty()) return;
+  if (finished_) {
+    throw std::logic_error("CacheEngine: Feed after Finish");
   }
+  // Every shifted id is checked before anything is fed, as
+  // variable < names_.size() - id_offset: forming variable + id_offset
+  // could wrap onto a small registered id.
+  const std::size_t bound =
+      id_offset < names_.size() ? names_.size() - id_offset : 0;
+  for (const trace::Access& access : accesses) {
+    if (access.variable >= bound) {
+      throw std::out_of_range("CacheEngine: unregistered variable id");
+    }
+  }
+  for (const trace::Access& access : accesses) {
+    Append(access.variable + id_offset, access.type);
+  }
+}
+
+void CacheEngine::Append(std::uint32_t variable, trace::AccessType type) {
+  window_.push_back({variable, type});
+  if (window_.size() >= config_.engine.window_accesses) ResolveWindow();
 }
 
 void CacheEngine::FlushWindow() {
@@ -208,6 +259,7 @@ void CacheEngine::ResolveWindow() {
       if (m_hits_ != nullptr) ++*m_hits_;
       FrameInfo& info = frames_[frame];
       info.last_use = tick_;
+      Touch(frame);
       ++info.uses;
       if (access.type == trace::AccessType::kWrite) info.dirty = true;
       if (config_.record_events) {
@@ -241,27 +293,33 @@ std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
   const bool scoped = owner < owner_quota_.size() &&
                       owner_quota_[owner] != 0 &&
                       owner_resident_[owner] >= owner_quota_[owner];
-  candidates_scratch_.clear();
-  for (std::uint32_t f = 0; f < frames_.size(); ++f) {
-    if (frames_[f].occupant == kNoFrame) continue;
-    if (scoped && frames_[f].owner != owner) continue;
-    candidates_scratch_.push_back(f);
-  }
-  if (candidates_scratch_.empty()) {
-    throw std::logic_error("CacheEngine: miss with no eviction candidates");
+  std::span<const std::uint32_t> candidates = all_frames_;
+  if (scoped) {
+    candidates_scratch_.clear();
+    for (std::uint32_t f = 0; f < frames_.size(); ++f) {
+      if (frames_[f].occupant == kNoFrame) continue;
+      if (frames_[f].owner != owner) continue;
+      candidates_scratch_.push_back(f);
+    }
+    if (candidates_scratch_.empty()) {
+      throw std::logic_error("CacheEngine: miss with no eviction candidates");
+    }
+    candidates = candidates_scratch_;
   }
 
   EvictionContext ctx;
-  ctx.candidates = candidates_scratch_;
+  ctx.candidates = candidates;
   ctx.frames = frames_;
+  ctx.recency_head = recency_head_;
+  ctx.recency_next = recency_next_;
+  ctx.scope_owner = scoped ? owner : kAnyOwner;
   ctx.placement = engine_.placed() ? &engine_.placement() : nullptr;
   ctx.last_offsets = last_offsets_;
   ctx.pending_uses = frame_pending_;
   ctx.tick = tick_;
   const std::uint32_t victim = policy_->PickVictim(ctx);
-  if (victim >= frames_.size() ||
-      std::find(candidates_scratch_.begin(), candidates_scratch_.end(),
-                victim) == candidates_scratch_.end()) {
+  if (victim >= frames_.size() || frames_[victim].occupant == kNoFrame ||
+      (scoped && frames_[victim].owner != owner)) {
     throw std::logic_error(
         "CacheEngine: eviction policy picked a non-candidate frame");
   }
@@ -286,6 +344,7 @@ std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
   info.owner = owner;
   info.dirty = type == trace::AccessType::kWrite;
   info.last_use = tick_;
+  Touch(victim);
   info.uses = 1;
   info.admitted = tick_;
   if (config_.record_events) {

@@ -178,7 +178,9 @@ class CacheEngine {
   /// boundary the block crosses. Bit-identical to the per-access loop.
   /// `id_offset` is added to every access's variable id — how the serve
   /// layer remaps tenant-local ids into the shard's space (mirrors
-  /// online::OnlineEngine::Feed's offset parameter).
+  /// online::OnlineEngine::Feed's offset parameter). A shifted id that is
+  /// unregistered, or that overflows 32 bits, throws std::out_of_range
+  /// before any access of the block is fed.
   void Feed(std::span<const trace::Access> accesses,
             std::uint32_t id_offset = 0);
 
@@ -238,6 +240,14 @@ class CacheEngine {
   /// Handles one miss of `variable` (owned by its registered owner);
   /// returns the frame it was filled into.
   std::uint32_t ResolveMiss(std::uint32_t variable, trace::AccessType type);
+  /// Appends one access to the logical window (ids already validated),
+  /// resolving the window when it fills.
+  void Append(std::uint32_t variable, trace::AccessType type);
+  /// Recency list upkeep: links `frame` right after `after` (at the head
+  /// for kNoFrame) / unlinks it / moves a just-used frame to the tail.
+  void LinkAfter(std::uint32_t frame, std::uint32_t after);
+  void Unlink(std::uint32_t frame);
+  void Touch(std::uint32_t frame);
   /// Pre-serve hook body: executes the pending eviction/fill sweeps on
   /// the wrapped controller under the window's final placement.
   void ExecutePendingFills(const core::Placement& placement,
@@ -264,6 +274,20 @@ class CacheEngine {
 
   // Frame pool and per-owner residency.
   std::vector<FrameInfo> frames_;
+  /// Recency list over the occupied frames, ordered by (last_use, frame
+  /// id) ascending — an intrusive doubly linked list, kNoFrame-ended.
+  /// The key is unique: ticks rise strictly, and only never-touched
+  /// frames share last_use 0, which then orders them by id. A hit or a
+  /// fill moves its frame to the tail; a free admission joins after the
+  /// never-touched prefix, whose last frame is `cold_tail_`.
+  std::vector<std::uint32_t> recency_prev_;
+  std::vector<std::uint32_t> recency_next_;
+  std::uint32_t recency_head_ = kNoFrame;
+  std::uint32_t recency_tail_ = kNoFrame;
+  std::uint32_t cold_tail_ = kNoFrame;
+  /// [0, C): the unscoped candidate set. Every frame is occupied at a
+  /// miss (see eviction.h), so it never needs rebuilding.
+  std::vector<std::uint32_t> all_frames_;
   std::vector<std::size_t> owner_resident_;
   std::vector<std::size_t> owner_quota_;
 
@@ -282,7 +306,8 @@ class CacheEngine {
   /// window): each occurrence is one transfer.
   std::vector<std::uint32_t> pending_writeback_frames_;
   std::vector<std::uint32_t> pending_fill_frames_;
-  /// Victim-candidate and sweep scratch, reused across misses/windows.
+  /// Quota-scoped victim candidates and sweep scratch, reused across
+  /// misses/windows.
   std::vector<std::uint32_t> candidates_scratch_;
   std::vector<core::Slot> slot_scratch_;
   std::vector<rtm::TimedRequest> fill_requests_;

@@ -1,6 +1,5 @@
 #include "cache/eviction.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <memory>
 
@@ -22,10 +21,11 @@ std::uint32_t LeastRecentlyUsed(std::span<const std::uint32_t> candidates,
   return best;
 }
 
+/// The recency list's coldest in-scope frame: O(1) unscoped.
 class LruPolicy final : public EvictionPolicy {
  public:
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
-    return LeastRecentlyUsed(ctx.candidates, ctx.frames);
+    return ctx.NextInScope(ctx.recency_head);
   }
 };
 
@@ -78,41 +78,32 @@ class SampledLruPolicy final : public EvictionPolicy {
 };
 
 /// Placement-aware eviction: shortlist the 8 least recently used
-/// candidates, then pick the one that (a) will not be re-missed this
-/// window (no pending uses), (b) sits closest to where its DBC's port
-/// alignment already is — so the eviction read sweep adds the fewest
-/// shifts under the first-access-free convention — and (c) is coldest,
-/// in that lexicographic order.
+/// candidates (the head of the recency list), then pick the one that
+/// (a) will not be re-missed this window (no pending uses), (b) sits
+/// closest to where its DBC's port alignment already is — so the
+/// eviction read sweep adds the fewest shifts under the
+/// first-access-free convention — and (c) is coldest, in that
+/// lexicographic order.
 class ShiftAwarePolicy final : public EvictionPolicy {
  public:
   static constexpr std::size_t kShortlist = 8;
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
-    shortlist_.assign(ctx.candidates.begin(), ctx.candidates.end());
-    const auto lru_order = [&ctx](std::uint32_t a, std::uint32_t b) {
-      if (ctx.frames[a].last_use != ctx.frames[b].last_use) {
-        return ctx.frames[a].last_use < ctx.frames[b].last_use;
-      }
-      return a < b;
-    };
-    if (shortlist_.size() > kShortlist) {
-      std::partial_sort(shortlist_.begin(),
-                        shortlist_.begin() + kShortlist, shortlist_.end(),
-                        lru_order);
-      shortlist_.resize(kShortlist);
-    } else {
-      std::sort(shortlist_.begin(), shortlist_.end(), lru_order);
-    }
-
-    std::uint32_t best = shortlist_.front();
-    auto best_key = ScoreOf(best, ctx);
-    for (std::size_t i = 1; i < shortlist_.size(); ++i) {
-      const std::uint32_t frame = shortlist_[i];
-      const auto key = ScoreOf(frame, ctx);
-      if (key < best_key) {
+    // The shortlist is the first kShortlist in-scope frames of the
+    // recency list, visited coldest first. Score is a total order (the
+    // frame id is its last key), so the visiting order cannot change
+    // the pick.
+    std::uint32_t best = kNoFrame;
+    Score best_key;
+    std::uint32_t frame = ctx.NextInScope(ctx.recency_head);
+    for (std::size_t listed = 0; frame != kNoFrame;) {
+      const Score key = ScoreOf(frame, ctx);
+      if (best == kNoFrame || key < best_key) {
         best = frame;
         best_key = key;
       }
+      if (++listed == kShortlist) break;
+      frame = ctx.NextInScope(ctx.recency_next[frame]);
     }
     return best;
   }
@@ -153,8 +144,6 @@ class ShiftAwarePolicy final : public EvictionPolicy {
     }
     return score;
   }
-
-  std::vector<std::uint32_t> shortlist_;
 };
 
 }  // namespace

@@ -131,6 +131,17 @@ void OnlineEngine::Feed(std::span<const trace::Access> accesses,
   if (finished_) {
     throw std::logic_error("OnlineEngine: session already finished");
   }
+  // Every shifted id is checked before anything is fed, as
+  // variable < num_variables - id_offset: forming variable + id_offset
+  // could wrap onto a small registered id.
+  const std::size_t registered = window_seq_.num_variables();
+  const std::size_t bound =
+      id_offset < registered ? registered - id_offset : 0;
+  for (const trace::Access& access : accesses) {
+    if (access.variable >= bound) {
+      throw std::out_of_range("OnlineEngine: unregistered variable id");
+    }
+  }
   // Fill the window buffer a block at a time, processing each boundary
   // as it is crossed — the same boundaries the per-access loop would hit
   // (a window closes exactly when it reaches window_accesses).
@@ -140,9 +151,7 @@ void OnlineEngine::Feed(std::span<const trace::Access> accesses,
     if (window_seq_.empty() && accesses.size() - i >= limit &&
         DirectServeEligible()) {
       // Steady state: a whole window is already contiguous in the fed
-      // block — serve it in place, skipping the buffer copy. Id bounds
-      // are checked per access by ServeWindow's SlotOf (same
-      // out-of-range guarantee as the append loop below).
+      // block — serve it in place, skipping the buffer copy.
       ProcessWindowFromSpan(accesses.subspan(i, limit), id_offset);
       i += limit;
       continue;
@@ -150,11 +159,7 @@ void OnlineEngine::Feed(std::span<const trace::Access> accesses,
     const std::size_t take =
         std::min(limit - window_seq_.size(), accesses.size() - i);
     for (const trace::Access& access : accesses.subspan(i, take)) {
-      const trace::VariableId v = access.variable + id_offset;
-      if (v >= window_seq_.num_variables()) {
-        throw std::out_of_range("OnlineEngine: unregistered variable id");
-      }
-      window_seq_.Append(v, access.type);
+      window_seq_.Append(access.variable + id_offset, access.type);
     }
     i += take;
     if (window_seq_.size() >= limit) ProcessWindow();

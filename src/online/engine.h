@@ -209,7 +209,9 @@ class OnlineEngine {
   /// runs allocation-free (the request block and pricing scratch are
   /// reused across windows). `id_offset` is added to every variable id
   /// in the block (the serve layer's per-tenant base id); the shifted
-  /// ids must be pre-registered, std::out_of_range otherwise.
+  /// ids must be pre-registered. A shifted id that is unregistered, or
+  /// that overflows 32 bits, throws std::out_of_range before any access
+  /// of the block is fed.
   /// Bit-identical to the equivalent per-access Feed loop: windows break
   /// at the same boundaries and see the same accesses.
   void Feed(std::span<const trace::Access> accesses,

@@ -8,6 +8,7 @@
 // registry/validation error surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -147,19 +148,50 @@ TEST(CacheOracle, FullCapacityCellEqualsOnlineCell) {
   }
 }
 
-/// Builds an EvictionContext over hand-authored frames. `frames` and
-/// `candidates` must outlive the context.
-cache::EvictionContext MakeContext(
-    const std::vector<std::uint32_t>& candidates,
-    const std::vector<cache::FrameInfo>& frames,
-    const std::vector<std::uint64_t>& pending, std::uint64_t tick) {
-  cache::EvictionContext ctx;
-  ctx.candidates = candidates;
-  ctx.frames = frames;
-  ctx.placement = nullptr;
-  ctx.pending_uses = pending;
-  ctx.tick = tick;
-  return ctx;
+/// An EvictionContext over hand-authored frames whose recency view
+/// lists exactly `candidates` in (last_use, frame id) order — what the
+/// engine's list yields once out-of-scope frames are skipped. The view
+/// points into this object, so it is neither copied nor moved; `frames`,
+/// `candidates` and `pending` must outlive it.
+class RecencyContext : public cache::EvictionContext {
+ public:
+  RecencyContext(const std::vector<std::uint32_t>& candidates,
+                 const std::vector<cache::FrameInfo>& frames,
+                 const std::vector<std::uint64_t>& pending,
+                 std::uint64_t tick_now)
+      : next_(frames.size(), cache::kNoFrame) {
+    std::vector<std::uint32_t> order = candidates;
+    std::sort(order.begin(), order.end(),
+              [&frames](std::uint32_t a, std::uint32_t b) {
+                if (frames[a].last_use != frames[b].last_use) {
+                  return frames[a].last_use < frames[b].last_use;
+                }
+                return a < b;
+              });
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      next_[order[i]] = order[i + 1];
+    }
+    this->candidates = candidates;
+    this->frames = frames;
+    recency_head = order.empty() ? cache::kNoFrame : order.front();
+    recency_next = next_;
+    placement = nullptr;
+    pending_uses = pending;
+    tick = tick_now;
+  }
+  RecencyContext(const RecencyContext&) = delete;
+  RecencyContext& operator=(const RecencyContext&) = delete;
+
+ private:
+  std::vector<std::uint32_t> next_;
+};
+
+/// Builds the context above (returned by guaranteed copy elision).
+RecencyContext MakeContext(const std::vector<std::uint32_t>& candidates,
+                           const std::vector<cache::FrameInfo>& frames,
+                           const std::vector<std::uint64_t>& pending,
+                           std::uint64_t tick) {
+  return RecencyContext(candidates, frames, pending, tick);
 }
 
 std::vector<cache::FrameInfo> OccupiedFrames(
@@ -264,8 +296,12 @@ TEST(CacheValidation, RejectsBadConfigurations) {
   cache::CacheEngine engine(ok, device);
   EXPECT_THROW(engine.Feed(99, trace::AccessType::kRead), std::out_of_range);
   (void)engine.RegisterVariable("a");
+  // An offset id that wraps past 2^32 must not alias variable 0.
+  const std::vector<trace::Access> wraps = {
+      {0xFFFFFFFFu, trace::AccessType::kRead}};
+  EXPECT_THROW(engine.Feed(wraps, /*id_offset=*/1), std::out_of_range);
   engine.Feed(0, trace::AccessType::kRead);
-  (void)engine.Finish();
+  EXPECT_EQ(engine.Finish().cache.accesses, 1u);
   EXPECT_THROW((void)engine.Finish(), std::logic_error);
 
   const auto benchmark = workloads::ResolveWorkload("kv-churn")->Generate({});

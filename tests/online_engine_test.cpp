@@ -531,6 +531,32 @@ TEST(OnlineEngine, RejectsBadConfigsAndDoubleFinish) {
   EXPECT_THROW(engine.Feed("a", trace::AccessType::kRead), std::logic_error);
 }
 
+TEST(OnlineEngine, BatchedFeedRejectsOffsetIdsThatWrap) {
+  // 0xFFFFFFFF + 1 wraps to 0, a registered id: the offset feed must
+  // throw instead of serving it as variable 0 — on the buffered route
+  // (first window, nothing placed yet) and on the direct-serve route
+  // (placement settled, whole windows served in place).
+  const rtm::RtmConfig config = sim::CellConfig(4, 4);
+  online::OnlineConfig cfg = SingleWindowConfig("dma-sr", config);
+  cfg.window_accesses = 2;
+  online::OnlineEngine engine(cfg, config);
+  for (const char* name : {"a", "b", "c", "d"}) {
+    (void)engine.RegisterVariable(name);
+  }
+  const std::vector<trace::Access> wraps = {
+      {0, trace::AccessType::kRead}, {0xFFFFFFFFu, trace::AccessType::kRead}};
+  EXPECT_THROW(engine.Feed(wraps, /*id_offset=*/1), std::out_of_range);
+  const std::vector<trace::Access> ok = {{0, trace::AccessType::kRead},
+                                         {1, trace::AccessType::kRead}};
+  engine.Feed(ok, /*id_offset=*/2);
+  EXPECT_EQ(engine.Windows().size(), 1u);
+  EXPECT_THROW(engine.Feed(wraps, /*id_offset=*/1), std::out_of_range);
+  // An offset past the registered space rejects even id 0.
+  EXPECT_THROW(engine.Feed(ok, /*id_offset=*/9), std::out_of_range);
+  const online::OnlineResult result = engine.Finish();
+  EXPECT_EQ(result.reads, 2u);
+}
+
 TEST(OnlineEngine, RunsOverATraceStream) {
   // Round-trip a small registry workload through the text trace format
   // and serve it from the stream — one session per sequence.
