@@ -10,7 +10,6 @@ void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
   scenarios::RegisterFigOnline(registry);
   scenarios::RegisterFigCache(registry);
   scenarios::RegisterFigMultitenant(registry);
-  scenarios::RegisterThroughput(registry);
   scenarios::RegisterTable1DeviceParams(registry);
   scenarios::RegisterFig3Example(registry);
   scenarios::RegisterFig4Shifts(registry);

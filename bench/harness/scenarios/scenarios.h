@@ -14,7 +14,6 @@ void RegisterWorkloadsSmoke(ScenarioRegistry& registry);
 void RegisterFigOnline(ScenarioRegistry& registry);
 void RegisterFigCache(ScenarioRegistry& registry);
 void RegisterFigMultitenant(ScenarioRegistry& registry);
-void RegisterThroughput(ScenarioRegistry& registry);
 void RegisterFig3Example(ScenarioRegistry& registry);
 void RegisterFig4Shifts(ScenarioRegistry& registry);
 void RegisterFig5Energy(ScenarioRegistry& registry);

@@ -45,8 +45,9 @@ std::vector<std::string> RegisteredStrategyNames() {
 }
 
 void ScaleSearchEffort(StrategyOptions& options, double factor) {
-  if (factor <= 0.0) {
-    throw std::invalid_argument("ScaleSearchEffort: factor must be positive");
+  if (!std::isfinite(factor) || factor <= 0.0) {
+    throw std::invalid_argument(
+        "ScaleSearchEffort: factor must be positive and finite");
   }
   auto scale = [factor](std::size_t value) {
     return std::max<std::size_t>(

@@ -54,7 +54,8 @@ struct StrategyOptions {
 
 /// Uniformly scales the GA/RW search effort (1.0 = the paper's parameters:
 /// 200 generations, mu = lambda = 100, 60 000 RW iterations). Benches use
-/// a small factor by default so the full suite runs in minutes.
+/// a small factor by default so the full suite runs in minutes. Throws
+/// std::invalid_argument unless `factor` is positive and finite.
 void ScaleSearchEffort(StrategyOptions& options, double factor);
 
 /// Runs one strategy end to end and returns the placement. Shim over

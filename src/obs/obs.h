@@ -2,8 +2,7 @@
 // through every layer's config (OnlineConfig::obs, ServeConfig::obs,
 // ExperimentOptions::obs). Default-constructed = disabled: every
 // instrumentation site is guarded by a null check on the pointer it
-// needs, so the disabled path costs one predictable branch and the
-// `throughput` golden stays untouched.
+// needs, so the disabled path costs one predictable branch.
 //
 // pid/tid place events on trace rows: the sim layer assigns pid =
 // matrix-cell index (with a private recorder per cell, merged in grid

@@ -1,5 +1,5 @@
-// rtmlint: hot-path — the batched Feed/ServeWindow path carries the
-// throughput scenario's numbers; allocations here are advisory findings.
+// rtmlint: hot-path — the batched Feed/ServeWindow path carries
+// perfbench's online.feed rates; allocations here are advisory findings.
 #include "online/engine.h"
 
 #include <algorithm>

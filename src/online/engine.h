@@ -106,9 +106,8 @@ struct OnlineConfig {
   rtm::ControllerConfig controller{};
   /// Observability sinks (obs/obs.h). Default = disabled: every
   /// recording site is behind a null check, so the hot path is
-  /// untouched (the `throughput` golden pins this). Trace names and
-  /// metric references are resolved once at construction; per-window
-  /// recording is allocation-free.
+  /// untouched. Trace names and metric references are resolved once at
+  /// construction; per-window recording is allocation-free.
   obs::ObsConfig obs{};
   /// Strategy tuning handed to every re-seed run (effort, cost options,
   /// base seeds). Window 0 uses the seeds verbatim — the single-window

@@ -1,5 +1,6 @@
 // rtmlint: hot-path — ExecuteSpan is the per-request inner loop of every
-// window flush; allocations here are advisory findings (hot-path-alloc).
+// window flush and every sim::Simulate replay; allocations here are
+// advisory findings (hot-path-alloc).
 #include "rtm/controller.h"
 
 #include <algorithm>
@@ -68,14 +69,10 @@ void RtmController::ExecuteSpan(std::span<const TimedRequest> requests,
   double channel_free_ns = channel_free();
   double last_arrival_ns = last_arrival_ns_;
   ControllerStats stats = stats_;
-  std::uint64_t reads = reads_;
-  std::uint64_t writes = writes_;
   const auto flush = [&] {
     set_channel_free(channel_free_ns);
     last_arrival_ns_ = last_arrival_ns;
     stats_ = stats;
-    reads_ = reads;
-    writes_ = writes;
   };
   try {
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -146,8 +143,8 @@ void RtmController::ExecuteSpan(std::span<const TimedRequest> requests,
       stats.hidden_shift_ns += timing.hidden_shift_ns;
       stats.makespan_ns = std::max(stats.makespan_ns, timing.finish_ns);
       ++stats.requests;
-      if (is_write) ++writes;
-      else ++reads;
+      if (is_write) ++stats.writes;
+      else ++stats.reads;
       if (out != nullptr) out->push_back(timing);
     }
   } catch (...) {
@@ -161,8 +158,8 @@ void RtmController::ExecuteSpan(std::span<const TimedRequest> requests,
 
 EnergyBreakdown RtmController::Energy() const {
   ActivityCounts activity;
-  activity.reads = reads_;
-  activity.writes = writes_;
+  activity.reads = stats_.reads;
+  activity.writes = stats_.writes;
   activity.shifts = stats_.shifts;
   activity.runtime_ns = stats_.makespan_ns;
   return ComputeEnergy(config_.params, activity);
@@ -173,8 +170,6 @@ void RtmController::Reset() {
   dbc_free_ns_.assign(dbcs_.size(), 0.0);
   channel_free_ns_ = 0.0;
   last_arrival_ns_ = 0.0;
-  reads_ = 0;
-  writes_ = 0;
   stats_ = ControllerStats{};
 }
 
@@ -192,7 +187,7 @@ ControllerStats ReplaySequence(
     requests.push_back(TimedRequest{0.0, dbc, domain, access.type});
   }
   RtmController engine(config, controller);
-  (void)engine.Execute(requests);
+  engine.ExecuteBatch(requests);
   return engine.stats();
 }
 

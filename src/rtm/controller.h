@@ -1,11 +1,11 @@
-// Request-level RTM controller with timing.
-//
-// RtmDevice answers "how many shifts / how much energy"; this controller
-// answers "when": requests carry arrival times, the read/write channel is a
-// shared resource, and per-DBC shifting can optionally proceed in the
-// background (proactive port alignment, the technique of the paper's
-// related work [1], [12], [20], [21]: align the likely-next domain to the
-// port while the channel serves other DBCs).
+// Request-level RTM controller with timing: the repository's one device
+// model. It answers "how many shifts / how much energy" for every layer
+// (sim::Simulate replays through it in serial mode) and also "when":
+// requests carry arrival times, the read/write channel is a shared
+// resource, and per-DBC shifting can optionally proceed in the background
+// (proactive port alignment, the technique of the paper's related work
+// [1], [12], [20], [21]: align the likely-next domain to the port while
+// the channel serves other DBCs).
 //
 // Timing model, per request r on DBC d (in arrival order):
 //  * the controller learns r's target when the request `lookahead` places
@@ -98,7 +98,9 @@ struct RequestTiming {
 /// more than 100% channel utilization). Invariant either way:
 /// channel_busy_ns <= makespan_ns for back-to-back request streams.
 struct ControllerStats {
-  std::uint64_t requests = 0;
+  std::uint64_t requests = 0;  ///< reads + writes
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
   std::uint64_t shifts = 0;
   double makespan_ns = 0.0;       ///< finish time of the last request
   double channel_busy_ns = 0.0;   ///< time the shared channel was occupied
@@ -147,8 +149,6 @@ class RtmController {
   std::vector<double> dbc_free_ns_;
   double channel_free_ns_ = 0.0;
   double last_arrival_ns_ = 0.0;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
   ControllerStats stats_;
   /// access_start_ns of the last `lookahead` requests of the running
   /// batch (proactive mode): ExecuteBatch's replacement for indexing the

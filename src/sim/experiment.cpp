@@ -127,11 +127,15 @@ void RunMetrics::Accumulate(const SimulationResult& result) {
 }
 
 double SearchEffortFromEnv(double fallback) {
+  // 100x the paper's search is surely a typo; non-finite and huge values
+  // would otherwise overflow ScaleSearchEffort's rounding.
+  constexpr double kMaxEffort = 100.0;
   const char* raw = std::getenv("RTMPLACE_EFFORT");
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   const double value = std::strtod(raw, &end);
-  if (end == raw || value <= 0.0) return fallback;
+  // Written so that NaN fails the range test too.
+  if (end == raw || !(value > 0.0 && value <= kMaxEffort)) return fallback;
   return value;
 }
 

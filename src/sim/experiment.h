@@ -132,7 +132,8 @@ struct ExperimentOptions {
                                         std::size_t num_variables);
 
 /// Reads ExperimentOptions::search_effort from the RTMPLACE_EFFORT
-/// environment variable (falls back to `fallback` when unset/invalid).
+/// environment variable (falls back to `fallback` when unset, invalid,
+/// not positive, not finite or above 100).
 [[nodiscard]] double SearchEffortFromEnv(double fallback);
 
 /// Reads ExperimentOptions::num_threads from the RTMPLACE_THREADS

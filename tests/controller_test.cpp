@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "rtm/controller.h"
-#include "rtm/device.h"
+#include "rtm/dbc_state.h"
 #include "trace/access_sequence.h"
 
 namespace rtmp::rtm {
@@ -27,14 +27,57 @@ TEST(Controller, SerialModeMatchesDeviceRuntime) {
   RtmController controller(config, ControllerConfig{});
   (void)controller.Execute(requests);
 
-  RtmDevice device(config);
-  for (const auto& r : requests) device.Access(r.dbc, r.domain, r.type);
+  // Independent oracle: raw DBC state plus per-access latencies.
+  std::vector<DbcState> dbcs;
+  for (unsigned i = 0; i < config.total_dbcs(); ++i) {
+    dbcs.emplace_back(config.domains_per_dbc, config.EffectivePortOffsets(),
+                      /*start_at_zero=*/false);
+  }
+  std::uint64_t shifts = 0;
+  double runtime_ns = 0.0;
+  for (const auto& r : requests) {
+    const std::uint64_t s = dbcs[r.dbc].Access(r.domain);
+    shifts += s;
+    runtime_ns += static_cast<double>(s) * config.params.shift_latency_ns +
+                  config.params.read_latency_ns;
+  }
 
-  EXPECT_EQ(controller.stats().shifts, device.stats().shifts);
-  EXPECT_DOUBLE_EQ(controller.stats().makespan_ns, device.stats().runtime_ns);
-  EXPECT_DOUBLE_EQ(controller.stats().channel_busy_ns,
-                   device.stats().runtime_ns);
+  EXPECT_GT(shifts, 0u);
+  EXPECT_EQ(controller.stats().shifts, shifts);
+  EXPECT_DOUBLE_EQ(controller.stats().makespan_ns, runtime_ns);
+  EXPECT_DOUBLE_EQ(controller.stats().channel_busy_ns, runtime_ns);
   EXPECT_DOUBLE_EQ(controller.stats().hidden_shift_ns, 0.0);
+}
+
+TEST(Controller, AccumulatesStatsAndLatency) {
+  RtmController controller(RtmConfig::Paper(4), ControllerConfig{});
+  const auto timings =
+      controller.Execute({{0.0, 0, 10, trace::AccessType::kRead},
+                          {0.0, 0, 13, trace::AccessType::kWrite}});
+  EXPECT_EQ(timings[0].shifts, 0u);  // first access free in paper convention
+  EXPECT_DOUBLE_EQ(timings[0].finish_ns - timings[0].shift_start_ns, 0.84);
+  EXPECT_EQ(timings[1].shifts, 3u);
+  EXPECT_DOUBLE_EQ(timings[1].finish_ns - timings[1].shift_start_ns,
+                   3 * 0.92 + 1.14);
+  EXPECT_EQ(controller.stats().requests, 2u);
+  EXPECT_EQ(controller.stats().reads, 1u);
+  EXPECT_EQ(controller.stats().writes, 1u);
+  EXPECT_EQ(controller.stats().shifts, 3u);
+}
+
+TEST(Controller, DbcsAreIndependent) {
+  RtmController controller(RtmConfig::Paper(4), ControllerConfig{});
+  const auto timings = controller.Execute(BackToBack({{0, 100}, {1, 5}}));
+  EXPECT_EQ(timings[1].shifts, 0u);
+  // Returning to DBC 0's current position costs nothing.
+  EXPECT_EQ(controller.Execute(BackToBack({{0, 100}}))[0].shifts, 0u);
+}
+
+TEST(Controller, ZeroAlignmentConventionPaysFirstAccess) {
+  RtmConfig config = RtmConfig::Paper(2);
+  config.initial_alignment = InitialAlignment::kZero;
+  RtmController controller(config, ControllerConfig{});
+  EXPECT_EQ(controller.Execute(BackToBack({{0, 25}}))[0].shifts, 25u);
 }
 
 TEST(Controller, ProactiveAlignmentHidesShiftsBehindOtherDbcs) {
@@ -188,10 +231,12 @@ TEST(Controller, RejectsDecreasingArrivals) {
   EXPECT_THROW((void)controller.Execute(bad), std::invalid_argument);
 }
 
-TEST(Controller, RejectsBadDbc) {
+TEST(Controller, RejectsOutOfRangeCoordinates) {
   RtmController controller(RtmConfig::Paper(2), ControllerConfig{});
-  std::vector<TimedRequest> bad{{0.0, 9, 1, trace::AccessType::kRead}};
-  EXPECT_THROW((void)controller.Execute(bad), std::out_of_range);
+  EXPECT_THROW((void)controller.Execute(BackToBack({{2, 0}})),
+               std::out_of_range);
+  EXPECT_THROW((void)controller.Execute(BackToBack({{0, 512}})),
+               std::out_of_range);
 }
 
 TEST(Controller, EnergyUsesMakespanForLeakage) {
@@ -201,6 +246,8 @@ TEST(Controller, EnergyUsesMakespanForLeakage) {
   const EnergyBreakdown energy = controller.Energy();
   EXPECT_DOUBLE_EQ(energy.leakage_pj,
                    config.params.leakage_mw * controller.stats().makespan_ns);
+  EXPECT_DOUBLE_EQ(energy.read_write_pj, 3 * 2.26);
+  EXPECT_DOUBLE_EQ(energy.shift_pj, 190 * 2.18);
 }
 
 TEST(Controller, ResetRestoresCleanState) {
@@ -208,6 +255,10 @@ TEST(Controller, ResetRestoresCleanState) {
   (void)controller.Execute(BackToBack({{0, 100}, {0, 5}}));
   controller.Reset();
   EXPECT_EQ(controller.stats().requests, 0u);
+  EXPECT_EQ(controller.stats().reads, 0u);
+  EXPECT_EQ(controller.stats().shifts, 0u);
+  EXPECT_DOUBLE_EQ(controller.stats().makespan_ns, 0.0);
+  EXPECT_DOUBLE_EQ(controller.Energy().total_pj(), 0.0);
   const auto timings = controller.Execute(BackToBack({{0, 100}}));
   EXPECT_EQ(timings[0].shifts, 0u);  // first access free again
 }

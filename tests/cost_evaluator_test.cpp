@@ -6,8 +6,11 @@
 #include "core/cost_evaluator.h"
 #include "core/cost_model.h"
 #include "core/genetic.h"
+#include "core/inter_dma.h"
+#include "core/intra_heuristics.h"
 #include "core/placement.h"
 #include "core/strategy_registry.h"
+#include "offsetstone/suite.h"
 #include "rtm/config.h"
 #include "sim/simulator.h"
 #include "trace/access_sequence.h"
@@ -179,60 +182,86 @@ TEST(CostEvaluator, UndoRewindsWholeChains) {
   }
 }
 
+/// Trial scoring must return exactly the full ShiftCost of the mutated
+/// placement — the cost the Apply would produce — and must not disturb
+/// the bound state. Runs `steps` random mutations from `shadow`.
+void ExpectPeeksPredictApplies(const AccessSequence& seq,
+                               const CostOptions& options, Placement shadow,
+                               int steps, util::Rng& rng) {
+  const std::uint32_t q = shadow.num_dbcs();
+  CostEvaluator evaluator(seq, options);
+  evaluator.Bind(shadow);
+  for (int step = 0; step < steps; ++step) {
+    const std::uint64_t before = evaluator.Cost();
+    std::uint64_t peeked = 0;
+    switch (rng.NextBelow(3)) {
+      case 0: {
+        const auto v =
+            static_cast<VariableId>(rng.NextBelow(shadow.num_variables()));
+        const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
+        peeked = evaluator.PeekMove(v, d);
+        ASSERT_EQ(evaluator.Cost(), before);
+        ASSERT_EQ(evaluator.placement(), shadow);
+        ASSERT_EQ(evaluator.ApplyMove(v, d), peeked);
+        shadow.MoveToEnd(v, d);
+        break;
+      }
+      case 1: {
+        const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
+        const std::size_t size = shadow.dbc(d).size();
+        if (size < 2) continue;
+        const auto i = static_cast<std::size_t>(rng.NextBelow(size));
+        const auto j = static_cast<std::size_t>(rng.NextBelow(size));
+        peeked = evaluator.PeekTranspose(d, i, j);
+        ASSERT_EQ(evaluator.Cost(), before);
+        ASSERT_EQ(evaluator.ApplyTranspose(d, i, j), peeked);
+        shadow.Transpose(d, i, j);
+        break;
+      }
+      default: {
+        const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
+        std::vector<VariableId> order = shadow.dbc(d);
+        if (order.size() < 2) continue;
+        rng.Shuffle(order);
+        peeked = evaluator.PeekReorder(d, order);
+        ASSERT_EQ(evaluator.Cost(), before);
+        ASSERT_EQ(evaluator.ApplyReorder(d, order), peeked);
+        shadow.Reorder(d, order);
+        break;
+      }
+    }
+    ASSERT_EQ(peeked, ShiftCost(seq, shadow, options)) << "step " << step;
+    ASSERT_EQ(evaluator.Cost(), peeked);
+  }
+}
+
 TEST(CostEvaluator, PeeksPredictApplyExactly) {
-  // Trial scoring must return exactly the cost the Apply would produce,
-  // and must not disturb the bound state.
   util::Rng rng(0xFEED);
   for (int round = 0; round < 20; ++round) {
     const std::size_t n = 2 + rng.NextBelow(10);
     const auto seq = RandomSequence(n, 10 + rng.NextBelow(80), rng);
     const auto q = static_cast<std::uint32_t>(2 + rng.NextBelow(3));
     for (const CostOptions& options : OptionMatrix(16)) {
-      CostEvaluator evaluator(seq, options);
-      Placement shadow = RandomPlacement(n, q, 16, rng);
-      evaluator.Bind(shadow);
-      for (int step = 0; step < 10; ++step) {
-        const std::uint64_t before = evaluator.Cost();
-        std::uint64_t peeked = 0;
-        switch (rng.NextBelow(3)) {
-          case 0: {
-            const auto v =
-                static_cast<VariableId>(rng.NextBelow(shadow.num_variables()));
-            const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
-            peeked = evaluator.PeekMove(v, d);
-            ASSERT_EQ(evaluator.Cost(), before);
-            ASSERT_EQ(evaluator.placement(), shadow);
-            ASSERT_EQ(evaluator.ApplyMove(v, d), peeked);
-            shadow.MoveToEnd(v, d);
-            break;
-          }
-          case 1: {
-            const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
-            const std::size_t size = shadow.dbc(d).size();
-            if (size < 2) continue;
-            const auto i = static_cast<std::size_t>(rng.NextBelow(size));
-            const auto j = static_cast<std::size_t>(rng.NextBelow(size));
-            peeked = evaluator.PeekTranspose(d, i, j);
-            ASSERT_EQ(evaluator.Cost(), before);
-            ASSERT_EQ(evaluator.ApplyTranspose(d, i, j), peeked);
-            shadow.Transpose(d, i, j);
-            break;
-          }
-          default: {
-            const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
-            std::vector<VariableId> order = shadow.dbc(d);
-            if (order.size() < 2) continue;
-            rng.Shuffle(order);
-            peeked = evaluator.PeekReorder(d, order);
-            ASSERT_EQ(evaluator.Cost(), before);
-            ASSERT_EQ(evaluator.ApplyReorder(d, order), peeked);
-            shadow.Reorder(d, order);
-            break;
-          }
-        }
-        ASSERT_EQ(evaluator.Cost(), ShiftCost(seq, shadow, options));
-      }
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      ExpectPeeksPredictApplies(seq, options, RandomPlacement(n, q, 16, rng),
+                                10, rng);
     }
+  }
+  // Real OffsetStone-lite sequences: the largest of every benchmark, from
+  // the 8-DBC DMA-SR placement the GA would start mutating.
+  for (const auto& profile : offsetstone::SuiteProfiles()) {
+    const auto benchmark = offsetstone::Generate(profile, 0);
+    const AccessSequence* seq = &benchmark.sequences.front();
+    for (const auto& candidate : benchmark.sequences) {
+      if (candidate.size() > seq->size()) seq = &candidate;
+    }
+    if (seq->num_variables() < 2) continue;
+    SCOPED_TRACE(benchmark.name);
+    const Placement base =
+        DistributeDma(*seq, 8, kUnboundedCapacity,
+                      {IntraHeuristic::kShiftsReduce})
+            .placement;
+    ExpectPeeksPredictApplies(*seq, CostOptions{}, base, 40, rng);
   }
 }
 
@@ -268,7 +297,7 @@ TEST(CostEvaluator, ArenaRebindReusesWarmStorage) {
   // The edge arenas grow while the first Bind fills them, then go quiet:
   // rebinds of same-shaped placements clear-but-keep-capacity and refill
   // without a single reallocation (the arena_growths() invariant behind
-  // the mutation-scoring throughput numbers).
+  // the mutation-scoring rate).
   util::Rng rng(2026);
   const auto seq = RandomSequence(24, 4000, rng);
   CostEvaluator evaluator(seq, CostOptions{});

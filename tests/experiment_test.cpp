@@ -126,6 +126,11 @@ TEST(Experiment, SearchEffortFromEnvParsesAndFallsBack) {
   EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25);
   ::setenv("RTMPLACE_EFFORT", "-1", 1);
   EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25);
+  // Non-finite and absurd values would overflow the effort scaling.
+  for (const char* hostile : {"nan", "inf", "1e300"}) {
+    ::setenv("RTMPLACE_EFFORT", hostile, 1);
+    EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25) << hostile;
+  }
   ::unsetenv("RTMPLACE_EFFORT");
 }
 

@@ -97,37 +97,78 @@ TEST(OnlineOracle, SingleWindowIsBitIdenticalToStaticStrategy) {
       EXPECT_EQ(result.stats.shifts, simulated.stats.shifts);
       EXPECT_EQ(result.amortized_shifts, simulated.stats.shifts);
       EXPECT_EQ(result.reads + result.writes, simulated.stats.accesses());
-      // The controller sums (channel + shift) + access, the device
-      // channel + (shift + access): same terms, different association —
-      // FP-equal, not bit-equal.
-      EXPECT_NEAR(result.stats.makespan_ns, simulated.stats.runtime_ns,
-                  1e-9 * simulated.stats.runtime_ns);
-      EXPECT_NEAR(result.energy.total_pj(), simulated.energy.total_pj(),
-                  1e-9 * simulated.energy.total_pj());
+      // Simulate replays through the same serial controller: even the
+      // timing and energy doubles are bit-equal.
+      EXPECT_EQ(result.stats.makespan_ns, simulated.stats.runtime_ns);
+      EXPECT_EQ(result.energy.total_pj(), simulated.energy.total_pj());
     }
   }
+}
+
+/// The largest sequence of an OffsetStone-lite benchmark.
+trace::AccessSequence LargestSuiteSequence(const std::string& name) {
+  const auto profile = offsetstone::FindProfile(name);
+  EXPECT_TRUE(profile.has_value()) << name;
+  auto benchmark = offsetstone::Generate(*profile, 0);
+  auto largest = benchmark.sequences.begin();
+  for (auto it = benchmark.sequences.begin(); it != benchmark.sequences.end();
+       ++it) {
+    if (it->size() > largest->size()) largest = it;
+  }
+  return std::move(*largest);
 }
 
 TEST(OnlineOracle, WindowingAloneIsCostTransparent) {
   // Multiple windows but no detector and no refinement: the placement
   // never changes after window 0... but window 0 only sees a prefix, so
   // compare against the device replay of the SAME placement, which must
-  // match exactly (alignments carry across window boundaries).
-  const trace::AccessSequence seq = WorkloadSequence("stencil");
-  const rtm::RtmConfig config = sim::CellConfig(4, seq.num_variables());
-  online::OnlineConfig online_config = SingleWindowConfig("dma-sr", config);
-  online_config.window_accesses = 64;
+  // match exactly (alignments carry across window boundaries). Each
+  // window's fused analytic price must equal a plain core::ShiftCost over
+  // that window alone (first access free per window), and the windows
+  // must sum to placement_cost.
+  struct Case {
+    std::string name;
+    trace::AccessSequence seq;
+    unsigned dbcs;
+    std::size_t window;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"stencil", WorkloadSequence("stencil"), 4, 64});
+  for (const char* name : {"fft", "gzip", "jpeg"}) {
+    cases.push_back({name, LargestSuiteSequence(name), 8, 256});
+  }
+  for (const Case& c : cases) {
+    const rtm::RtmConfig config =
+        sim::CellConfig(c.dbcs, c.seq.num_variables());
+    online::OnlineConfig online_config = SingleWindowConfig("dma-sr", config);
+    online_config.window_accesses = c.window;
 
-  const online::OnlineResult result =
-      online::RunOnline(seq, online_config, config);
-  EXPECT_GT(result.windows.size(), 1u);
-  EXPECT_EQ(result.migrations, 0u);
+    const online::OnlineResult result =
+        online::RunOnline(c.seq, online_config, config);
+    EXPECT_GT(result.windows.size(), 1u) << c.name;
+    EXPECT_EQ(result.migrations, 0u) << c.name;
 
-  const sim::SimulationResult simulated =
-      sim::Simulate(seq, result.final_placement, config);
-  EXPECT_EQ(result.stats.shifts, simulated.stats.shifts);
-  EXPECT_NEAR(result.stats.makespan_ns, simulated.stats.runtime_ns,
-              1e-9 * simulated.stats.runtime_ns);
+    const sim::SimulationResult simulated =
+        sim::Simulate(c.seq, result.final_placement, config);
+    EXPECT_EQ(result.stats.shifts, simulated.stats.shifts) << c.name;
+    EXPECT_EQ(result.stats.makespan_ns, simulated.stats.runtime_ns) << c.name;
+
+    trace::AccessSequence window = c.seq;
+    std::uint64_t window_costs = 0;
+    for (std::size_t w = 0; w < result.windows.size(); ++w) {
+      const online::WindowRecord& record = result.windows[w];
+      window.ClearAccesses();
+      for (std::size_t i = 0; i < record.accesses; ++i) {
+        const trace::Access& access = c.seq.accesses()[record.begin + i];
+        window.Append(access.variable, access.type);
+      }
+      const std::uint64_t cost = core::ShiftCost(
+          window, result.final_placement, online_config.strategy_options.cost);
+      EXPECT_EQ(record.window_cost, cost) << c.name << " window " << w;
+      window_costs += cost;
+    }
+    EXPECT_EQ(result.placement_cost, window_costs) << c.name;
+  }
 }
 
 TEST(OnlineOracle, OnlineStaticCellMatchesStaticCellExactly) {
@@ -147,14 +188,9 @@ TEST(OnlineOracle, OnlineStaticCellMatchesStaticCellExactly) {
   EXPECT_EQ(online_cell.metrics.accesses, static_cell.metrics.accesses);
   EXPECT_EQ(online_cell.placement_cost, static_cell.placement_cost);
   EXPECT_EQ(online_cell.search_evaluations, static_cell.search_evaluations);
-  EXPECT_NEAR(online_cell.metrics.runtime_ns,
-              static_cell.metrics.runtime_ns,
-              1e-9 * static_cell.metrics.runtime_ns);
-  EXPECT_DOUBLE_EQ(online_cell.metrics.shift_pj,
-                   static_cell.metrics.shift_pj);
-  EXPECT_NEAR(online_cell.metrics.leakage_pj,
-              static_cell.metrics.leakage_pj,
-              1e-9 * static_cell.metrics.leakage_pj);
+  EXPECT_EQ(online_cell.metrics.runtime_ns, static_cell.metrics.runtime_ns);
+  EXPECT_EQ(online_cell.metrics.shift_pj, static_cell.metrics.shift_pj);
+  EXPECT_EQ(online_cell.metrics.leakage_pj, static_cell.metrics.leakage_pj);
   EXPECT_EQ(online_cell.strategy_name, "online-static-dma-sr");
 }
 

@@ -3,7 +3,6 @@
 #include "rtm/address_map.h"
 #include "rtm/config.h"
 #include "rtm/dbc_state.h"
-#include "rtm/device.h"
 #include "rtm/energy_model.h"
 
 namespace rtmp::rtm {
@@ -193,68 +192,6 @@ TEST(AddressMap, ComposeIsInverseOfDecompose) {
 TEST(AddressMap, RejectsOutOfRangeAddresses) {
   const AddressMap map(RtmConfig::Paper(2), InterleavePolicy::kBlock);
   EXPECT_THROW((void)map.Decompose(1024), std::out_of_range);
-}
-
-// ------------------------------------------------------------ device ----
-
-TEST(RtmDevice, AccumulatesStatsAndLatency) {
-  RtmConfig config = RtmConfig::Paper(4);
-  RtmDevice device(config);
-  const AccessResult first = device.Access(0, 10, trace::AccessType::kRead);
-  EXPECT_EQ(first.shifts, 0u);  // first access free in paper convention
-  EXPECT_DOUBLE_EQ(first.latency_ns, 0.84);
-  const AccessResult second = device.Access(0, 13, trace::AccessType::kWrite);
-  EXPECT_EQ(second.shifts, 3u);
-  EXPECT_DOUBLE_EQ(second.latency_ns, 3 * 0.92 + 1.14);
-  EXPECT_EQ(device.stats().reads, 1u);
-  EXPECT_EQ(device.stats().writes, 1u);
-  EXPECT_EQ(device.stats().shifts, 3u);
-  EXPECT_EQ(device.stats().per_dbc_shifts[0], 3u);
-}
-
-TEST(RtmDevice, DbcsAreIndependent) {
-  RtmDevice device(RtmConfig::Paper(4));
-  (void)device.Access(0, 100, trace::AccessType::kRead);
-  (void)device.Access(1, 5, trace::AccessType::kRead);
-  // Returning to DBC 0's current position costs nothing.
-  EXPECT_EQ(device.Access(0, 100, trace::AccessType::kRead).shifts, 0u);
-}
-
-TEST(RtmDevice, EnergyUsesAccumulatedRuntime) {
-  RtmDevice device(RtmConfig::Paper(2));
-  (void)device.Access(0, 0, trace::AccessType::kRead);
-  (void)device.Access(0, 10, trace::AccessType::kRead);
-  const EnergyBreakdown energy = device.Energy();
-  const RtmStats& stats = device.stats();
-  EXPECT_DOUBLE_EQ(energy.leakage_pj, 3.39 * stats.runtime_ns);
-  EXPECT_DOUBLE_EQ(energy.read_write_pj, 2 * 2.26);
-  EXPECT_DOUBLE_EQ(energy.shift_pj, 10 * 2.18);
-}
-
-TEST(RtmDevice, ResetClearsEverything) {
-  RtmDevice device(RtmConfig::Paper(2));
-  (void)device.Access(0, 50, trace::AccessType::kWrite);
-  device.Reset();
-  EXPECT_EQ(device.stats().accesses(), 0u);
-  EXPECT_EQ(device.stats().shifts, 0u);
-  EXPECT_DOUBLE_EQ(device.stats().runtime_ns, 0.0);
-  // First access free again after reset.
-  EXPECT_EQ(device.Access(0, 50, trace::AccessType::kRead).shifts, 0u);
-}
-
-TEST(RtmDevice, RejectsOutOfRangeCoordinates) {
-  RtmDevice device(RtmConfig::Paper(2));
-  EXPECT_THROW(device.Access(2, 0, trace::AccessType::kRead),
-               std::out_of_range);
-  EXPECT_THROW(device.Access(0, 512, trace::AccessType::kRead),
-               std::out_of_range);
-}
-
-TEST(RtmDevice, ZeroAlignmentConventionPaysFirstAccess) {
-  RtmConfig config = RtmConfig::Paper(2);
-  config.initial_alignment = InitialAlignment::kZero;
-  RtmDevice device(config);
-  EXPECT_EQ(device.Access(0, 25, trace::AccessType::kRead).shifts, 25u);
 }
 
 }  // namespace

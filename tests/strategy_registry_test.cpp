@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -175,6 +177,17 @@ TEST(StrategyRegistry, RunValidatesTheRequest) {
   zero_dbcs.sequence = &seq;
   zero_dbcs.num_dbcs = 0;
   EXPECT_THROW((void)strategy->Run(zero_dbcs), std::invalid_argument);
+}
+
+TEST(StrategyRegistry, ScaleSearchEffortRejectsBadFactors) {
+  // A non-finite factor used to round to a 2^63 generation count.
+  for (const double factor : {0.0, -1.0, std::nan(""),
+                              std::numeric_limits<double>::infinity()}) {
+    StrategyOptions options;
+    EXPECT_THROW(ScaleSearchEffort(options, factor), std::invalid_argument)
+        << factor;
+    EXPECT_EQ(options.ga.generations, StrategyOptions{}.ga.generations);
+  }
 }
 
 /// A user-defined strategy: everything into DBC 0 in first-use order.

@@ -445,8 +445,8 @@ class NolintJustificationRule final : public Rule {
 
 // ---- hot-path-alloc --------------------------------------------------------
 //
-// Files whose serving loops carry the throughput scenario's numbers opt
-// in with a comment whose trimmed text starts with `rtmlint: hot-path`.
+// Files whose serving loops carry perfbench's per-layer rates opt in
+// with a comment whose trimmed text starts with `rtmlint: hot-path`.
 // In a tagged file every allocation spelling — push_back/emplace_back
 // member calls, new expressions, make_unique/make_shared, the C
 // allocators — is flagged so per-access heap traffic cannot creep back
