@@ -58,9 +58,7 @@ Placement DistributeAfd(const trace::AccessSequence& seq,
     next_dbc = (next_dbc + 1) % num_dbcs;
   }
 
-  for (std::uint32_t d = 0; d < num_dbcs; ++d) {
-    ApplyIntra(options.intra, seq, placement, d);
-  }
+  ApplyIntra(options.intra, seq, placement, 0, num_dbcs);
   return placement;
 }
 

@@ -157,9 +157,7 @@ DmaResult DistributeDma(const trace::AccessSequence& seq,
   // Lines 22-23: intra-DBC optimization on the non-disjoint DBCs only.
   // With a single DBC the disjoint prefix must keep its order: skip.
   if (num_dbcs > 1 || disjoint.empty()) {
-    for (std::uint32_t d = k; d < num_dbcs; ++d) {
-      ApplyIntra(options.intra, seq, placement, d);
-    }
+    ApplyIntra(options.intra, seq, placement, k, num_dbcs);
   }
 
   DmaResult result{std::move(placement), std::move(disjoint), k};

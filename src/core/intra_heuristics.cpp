@@ -25,73 +25,133 @@ struct LocalProblem {
   [[nodiscard]] std::size_t size() const noexcept { return globals.size(); }
 };
 
-LocalProblem BuildLocal(std::span<const trace::Access> accesses,
-                        std::span<const VariableId> vars,
-                        std::size_t num_variables) {
-  std::vector<std::size_t> to_local(num_variables, kNoIndex);
-  std::vector<bool> in_subset(num_variables, false);
-  for (const VariableId v : vars) in_subset.at(v) = true;
+/// The local problems of several disjoint variable groups (one group per
+/// DBC) over one access stream, built from shared scratch: one V-sized
+/// group lookup and one V-sized local-id map serve every group, and each
+/// group's problem costs one filtered scan of the stream — no restricted
+/// copy, no per-group V-sized allocation and no per-group sort.
+class GroupedProblems {
+ public:
+  GroupedProblems(std::span<const trace::Access> accesses,
+                  std::size_t num_variables)
+      : accesses_(accesses),
+        group_of_(num_variables, kNoGroup),
+        to_local_(num_variables, kNoLocal) {}
 
-  LocalProblem local;
-  // Assign local ids by order of first access for determinism.
-  std::vector<trace::Access> restricted;
-  restricted.reserve(accesses.size());
-  for (const trace::Access& a : accesses) {
-    if (!in_subset[a.variable]) continue;
-    restricted.push_back(a);
-    if (to_local[a.variable] == kNoIndex) {
-      to_local[a.variable] = local.globals.size();
-      local.globals.push_back(a.variable);
+  /// Registers the next group. Throws std::invalid_argument on an id
+  /// outside the variable space or an id already in some group.
+  void AddGroup(std::span<const VariableId> vars) {
+    const auto group = static_cast<std::uint32_t>(count_.size());
+    for (const VariableId v : vars) {
+      if (v >= group_of_.size()) {
+        throw std::invalid_argument(
+            "intra heuristics: variable id outside the variable space");
+      }
+      if (group_of_[v] != kNoGroup) {
+        throw std::invalid_argument(
+            "intra heuristics: variable listed twice");
+      }
+      group_of_[v] = group;
+    }
+    count_.push_back(0);
+    globals_.emplace_back().reserve(vars.size());
+    unused_.emplace_back().reserve(vars.size());
+  }
+
+  /// One pass over the stream assigns every group's local ids in order of
+  /// first access; one sweep over ids collects every group's
+  /// never-accessed tail in ascending id order. Call once, after the
+  /// last AddGroup. Throws std::invalid_argument on an access id outside
+  /// the variable space.
+  void Index() {
+    for (const trace::Access& a : accesses_) {
+      if (a.variable >= group_of_.size()) {
+        throw std::invalid_argument(
+            "intra heuristics: access id outside the variable space");
+      }
+      const std::uint32_t group = group_of_[a.variable];
+      if (group == kNoGroup) continue;
+      ++count_[group];
+      if (to_local_[a.variable] == kNoLocal) {
+        to_local_[a.variable] =
+            static_cast<std::uint32_t>(globals_[group].size());
+        globals_[group].push_back(a.variable);
+      }
+    }
+    for (VariableId v = 0; v < group_of_.size(); ++v) {
+      const std::uint32_t group = group_of_[v];
+      if (group != kNoGroup && to_local_[v] == kNoLocal) {
+        unused_[group].push_back(v);
+      }
     }
   }
-  // Subset variables never accessed, ascending id.
-  std::vector<VariableId> unused(vars.begin(), vars.end());
-  std::sort(unused.begin(), unused.end());
-  for (const VariableId v : unused) {
-    if (to_local[v] == kNoIndex) local.unused.push_back(v);
+
+  /// Group `group`'s local problem: dense local ids, frequencies and a
+  /// deterministic adjacency from its accesses. Moves the group's id
+  /// lists out, so call at most once per group, after Index().
+  LocalProblem Build(std::uint32_t group) {
+    LocalProblem local;
+    local.globals = std::move(globals_[group]);
+    local.unused = std::move(unused_[group]);
+    const std::size_t n = local.globals.size();
+    local.frequency.assign(n, 0);
+    local.adjacency.assign(n, {});
+    // Packed (lo, hi) transition pairs, sorted then run-length counted:
+    // edge weights accumulate in key order, so adjacency construction is
+    // deterministic with no hash-ordered container in the path (the
+    // adjacency lists feed heuristic tie-breaks and, through them, the
+    // golden-checked reports).
+    transitions_.clear();
+    std::size_t remaining = count_[group];
+    std::size_t prev = kNoIndex;
+    for (const trace::Access& a : accesses_) {
+      if (remaining == 0) break;
+      if (group_of_[a.variable] != group) continue;
+      --remaining;
+      const std::size_t cur = to_local_[a.variable];
+      ++local.frequency[cur];
+      if (prev != kNoIndex && prev != cur) {
+        const std::uint64_t lo = std::min(prev, cur);
+        const std::uint64_t hi = std::max(prev, cur);
+        transitions_.push_back((lo << 32) | hi);
+      }
+      prev = cur;
+    }
+    std::sort(transitions_.begin(), transitions_.end());
+    for (std::size_t i = 0; i < transitions_.size();) {
+      const std::uint64_t key = transitions_[i];
+      std::size_t j = i;
+      while (j < transitions_.size() && transitions_[j] == key) ++j;
+      const std::uint64_t weight = j - i;
+      const auto u = static_cast<std::size_t>(key >> 32);
+      const auto v = static_cast<std::size_t>(key & 0xFFFFFFFFULL);
+      local.adjacency[u].push_back({static_cast<VariableId>(v), weight});
+      local.adjacency[v].push_back({static_cast<VariableId>(u), weight});
+      i = j;
+    }
+    for (auto& edges : local.adjacency) {
+      std::sort(edges.begin(), edges.end(),
+                [](const auto& a, const auto& b) {
+                  return a.neighbor < b.neighbor;
+                });
+    }
+    return local;
   }
 
-  const std::size_t n = local.globals.size();
-  local.frequency.assign(n, 0);
-  local.adjacency.assign(n, {});
-  // Packed (lo, hi) transition pairs, sorted then run-length counted:
-  // edge weights accumulate in key order, so adjacency construction is
-  // deterministic with no hash-ordered container in the path (the
-  // adjacency lists feed heuristic tie-breaks and, through them, the
-  // golden-checked reports).
-  std::vector<std::uint64_t> transitions;
-  transitions.reserve(restricted.size());
-  std::size_t prev = kNoIndex;
-  for (const trace::Access& a : restricted) {
-    const std::size_t cur = to_local[a.variable];
-    ++local.frequency[cur];
-    if (prev != kNoIndex && prev != cur) {
-      const std::uint64_t lo = std::min(prev, cur);
-      const std::uint64_t hi = std::max(prev, cur);
-      transitions.push_back((lo << 32) | hi);
-    }
-    prev = cur;
-  }
-  std::sort(transitions.begin(), transitions.end());
-  for (std::size_t i = 0; i < transitions.size();) {
-    const std::uint64_t key = transitions[i];
-    std::size_t j = i;
-    while (j < transitions.size() && transitions[j] == key) ++j;
-    const std::uint64_t weight = j - i;
-    const auto u = static_cast<std::size_t>(key >> 32);
-    const auto v = static_cast<std::size_t>(key & 0xFFFFFFFFULL);
-    local.adjacency[u].push_back({static_cast<VariableId>(v), weight});
-    local.adjacency[v].push_back({static_cast<VariableId>(u), weight});
-    i = j;
-  }
-  for (auto& edges : local.adjacency) {
-    std::sort(edges.begin(), edges.end(),
-              [](const auto& a, const auto& b) {
-                return a.neighbor < b.neighbor;
-              });
-  }
-  return local;
-}
+ private:
+  static constexpr std::uint32_t kNoGroup =
+      std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint32_t kNoLocal =
+      std::numeric_limits<std::uint32_t>::max();
+
+  std::span<const trace::Access> accesses_;
+  std::vector<std::uint32_t> group_of_;  // by global id
+  std::vector<std::uint32_t> to_local_;  // by global id, within its group
+  std::vector<std::size_t> count_;       // accesses per group
+  std::vector<std::vector<VariableId>> globals_;  // per group, first use
+  std::vector<std::vector<VariableId>> unused_;   // per group, ascending
+  std::vector<std::uint64_t> transitions_;  // reused across groups
+};
 
 std::vector<VariableId> FinishOrder(const LocalProblem& local,
                                     const std::vector<std::size_t>& sequence) {
@@ -389,6 +449,23 @@ std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
   return chain;
 }
 
+std::vector<VariableId> Order(IntraHeuristic heuristic,
+                              const LocalProblem& local) {
+  switch (heuristic) {
+    case IntraHeuristic::kOfu:
+      return OfuOrder(local);
+    case IntraHeuristic::kChen:
+      return FinishOrder(local, ChenChain(local));
+    case IntraHeuristic::kShiftsReduce:
+      return FinishOrder(local, ShiftsReduceChain(local));
+    case IntraHeuristic::kGreedyEdge:
+      return FinishOrder(local, GreedyEdgeChain(local));
+    case IntraHeuristic::kNone:
+      break;
+  }
+  throw std::invalid_argument("intra heuristics: unknown heuristic");
+}
+
 }  // namespace
 
 std::string_view ToString(IntraHeuristic heuristic) noexcept {
@@ -406,33 +483,37 @@ std::vector<VariableId> OrderVariables(IntraHeuristic heuristic,
                                        std::span<const trace::Access> accesses,
                                        std::span<const VariableId> vars,
                                        std::size_t num_variables) {
-  if (heuristic == IntraHeuristic::kNone) {
-    return {vars.begin(), vars.end()};
+  GroupedProblems problems(accesses, num_variables);
+  problems.AddGroup(vars);
+  problems.Index();
+  if (heuristic == IntraHeuristic::kNone) return {vars.begin(), vars.end()};
+  return Order(heuristic, problems.Build(0));
+}
+
+void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
+                Placement& placement, std::uint32_t first_dbc,
+                std::uint32_t end_dbc) {
+  if (first_dbc > end_dbc || end_dbc > placement.num_dbcs()) {
+    throw std::invalid_argument("ApplyIntra: DBC range out of bounds");
   }
-  const LocalProblem local = BuildLocal(accesses, vars, num_variables);
-  switch (heuristic) {
-    case IntraHeuristic::kOfu:
-      return OfuOrder(local);
-    case IntraHeuristic::kChen:
-      return FinishOrder(local, ChenChain(local));
-    case IntraHeuristic::kShiftsReduce:
-      return FinishOrder(local, ShiftsReduceChain(local));
-    case IntraHeuristic::kGreedyEdge:
-      return FinishOrder(local, GreedyEdgeChain(local));
-    case IntraHeuristic::kNone:
-      break;
+  if (heuristic == IntraHeuristic::kNone) return;
+  GroupedProblems problems(seq.accesses(), seq.num_variables());
+  std::vector<std::uint32_t> dbcs;  // by group
+  for (std::uint32_t d = first_dbc; d < end_dbc; ++d) {
+    if (placement.dbc(d).size() < 2) continue;
+    problems.AddGroup(placement.dbc(d));
+    dbcs.push_back(d);
   }
-  throw std::invalid_argument("OrderVariables: unknown heuristic");
+  if (dbcs.empty()) return;
+  problems.Index();
+  for (std::uint32_t group = 0; group < dbcs.size(); ++group) {
+    placement.Reorder(dbcs[group], Order(heuristic, problems.Build(group)));
+  }
 }
 
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
                 Placement& placement, std::uint32_t dbc) {
-  if (heuristic == IntraHeuristic::kNone) return;
-  const auto& vars = placement.dbc(dbc);
-  if (vars.size() < 2) return;
-  const std::vector<trace::Access> restricted = seq.Restrict(vars);
-  placement.Reorder(dbc, OrderVariables(heuristic, restricted, vars,
-                                        seq.num_variables()));
+  ApplyIntra(heuristic, seq, placement, dbc, dbc + 1);
 }
 
 }  // namespace rtmp::core

@@ -43,13 +43,34 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 /// Orders `vars` for one DBC given the DBC's restricted access list.
 /// `num_variables` is the size of the global variable space (ids in
 /// `accesses`/`vars` are global). Variables in `vars` that never appear in
-/// `accesses` are appended at the end in ascending id order.
+/// `accesses` are appended at the end in ascending id order. Throws
+/// std::invalid_argument when an id in `accesses` or `vars` is >=
+/// `num_variables`, or when `vars` lists an id twice.
 [[nodiscard]] std::vector<VariableId> OrderVariables(
     IntraHeuristic heuristic, std::span<const trace::Access> accesses,
     std::span<const VariableId> vars, std::size_t num_variables);
 
-/// Reorders DBC `dbc` of `placement` in place using `heuristic`, driven by
-/// the accesses of `seq` that fall into that DBC.
+/// Reorders DBCs [first_dbc, end_dbc) of `placement` in place using
+/// `heuristic`: each DBC with at least two variables gets the order
+/// OrderVariables returns for the accesses of `seq` that fall into it.
+/// DBCs outside the range, and DBCs with fewer than two variables, keep
+/// their order; kNone changes nothing.
+///
+/// Cost: O(V + |S| x D + sum over DBCs of the heuristic's own work) for
+/// V = seq.num_variables(), |S| = seq.size() and D the number of
+/// reordered DBCs. One V-sized DBC lookup and one V-sized local-id map
+/// are shared by every DBC, each DBC's never-accessed tail comes from one
+/// sweep over ids, and each DBC's accesses are read by a filtered scan of
+/// `seq` (no |S|-sized copy).
+///
+/// Throws std::invalid_argument when first_dbc > end_dbc, end_dbc >
+/// placement.num_dbcs(), or a reordered DBC holds an id >=
+/// seq.num_variables().
+void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
+                Placement& placement, std::uint32_t first_dbc,
+                std::uint32_t end_dbc);
+
+/// ApplyIntra over the single DBC `dbc`.
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
                 Placement& placement, std::uint32_t dbc);
 

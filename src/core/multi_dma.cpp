@@ -99,9 +99,7 @@ MultiDmaResult DistributeMultiDma(const trace::AccessSequence& seq,
       placement.Append(next, v);
       next = next + 1 >= num_dbcs ? first : next + 1;
     }
-    for (std::uint32_t d = first; d < num_dbcs; ++d) {
-      ApplyIntra(options.base.intra, seq, placement, d);
-    }
+    ApplyIntra(options.base.intra, seq, placement, first, num_dbcs);
   }
 
   MultiDmaResult result{std::move(placement), std::move(sets), k};

@@ -249,20 +249,22 @@ bool OnlineEngine::Refine(WindowRecord& record) {
   evaluator.Bind(placement_);
 
   // Hottest window variables first (frequency, then id, both
-  // deterministic).
-  std::vector<std::uint64_t> freq(window_seq_.num_variables(), 0);
-  for (const trace::Access& access : window_seq_.accesses()) {
-    ++freq[access.variable];
+  // deterministic). Only the window's accesses are counted; the touched
+  // scratch entries are zeroed again once the order is fixed.
+  std::vector<std::uint64_t>& freq = refine_freq_scratch_;
+  if (freq.size() < window_seq_.num_variables()) {
+    freq.resize(window_seq_.num_variables(), 0);
   }
   std::vector<trace::VariableId> hot;
-  for (trace::VariableId v = 0; v < freq.size(); ++v) {
-    if (freq[v] > 0) hot.push_back(v);
+  for (const trace::Access& access : window_seq_.accesses()) {
+    if (freq[access.variable]++ == 0) hot.push_back(access.variable);
   }
   std::sort(hot.begin(), hot.end(),
             [&freq](trace::VariableId a, trace::VariableId b) {
               if (freq[a] != freq[b]) return freq[a] > freq[b];
               return a < b;
             });
+  for (const trace::VariableId v : hot) freq[v] = 0;
   if (hot.size() > config_.refine_top_k) hot.resize(config_.refine_top_k);
 
   const std::uint64_t margin =

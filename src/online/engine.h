@@ -338,6 +338,10 @@ class OnlineEngine {
   /// Per-DBC last-offset scratch for the fused single-port window cost
   /// (the SinglePortCosts walk folded into the request-building pass).
   std::vector<std::int64_t> last_off_scratch_;
+  /// Refine's per-variable window frequencies, indexed by id. All zero
+  /// between calls: Refine counts only the window's accesses and resets
+  /// only the ids it touched.
+  std::vector<std::uint64_t> refine_freq_scratch_;
   /// Observability wiring, resolved once by SetUpObs(): interned trace
   /// names/arg keys and stable metric references, so the per-window
   /// recording sites are null-checked pointer writes.

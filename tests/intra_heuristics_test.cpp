@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/cost_model.h"
 #include "core/intra_heuristics.h"
@@ -220,6 +221,66 @@ TEST(IntraHeuristics, ApplyIntraSkipsTinyDbcs) {
   Placement p = Placement::FromLists({{0}, {1}}, 2);
   ApplyIntra(IntraHeuristic::kChen, seq, p, 0);  // no-op, must not throw
   p.CheckInvariants();
+}
+
+constexpr IntraHeuristic kAllHeuristics[] = {
+    IntraHeuristic::kNone, IntraHeuristic::kOfu, IntraHeuristic::kChen,
+    IntraHeuristic::kShiftsReduce, IntraHeuristic::kGreedyEdge};
+
+TEST(IntraHeuristics, OrderVariablesRejectsAccessIdsOutsideTheSpace) {
+  const std::vector<trace::Access> accesses{
+      {0, trace::AccessType::kRead}, {9'999'999, trace::AccessType::kRead}};
+  const std::vector<VariableId> vars{0, 1};
+  for (const IntraHeuristic h : kAllHeuristics) {
+    EXPECT_THROW((void)OrderVariables(h, accesses, vars, 2),
+                 std::invalid_argument)
+        << ToString(h);
+  }
+}
+
+TEST(IntraHeuristics, OrderVariablesRejectsBadVariableLists) {
+  const auto seq = AccessSequence::FromCompactString("abcab");
+  const std::vector<VariableId> duplicate{0, 1, 0};
+  const std::vector<VariableId> outside{0, 3};
+  for (const IntraHeuristic h : kAllHeuristics) {
+    EXPECT_THROW((void)OrderVariables(h, seq.accesses(), duplicate,
+                                      seq.num_variables()),
+                 std::invalid_argument)
+        << ToString(h);
+    EXPECT_THROW((void)OrderVariables(h, seq.accesses(), outside,
+                                      seq.num_variables()),
+                 std::invalid_argument)
+        << ToString(h);
+  }
+}
+
+TEST(IntraHeuristics, ApplyIntraRejectsIdsOutsideTheSequence) {
+  // The range form's counterpart of the checks above: a DBC that holds
+  // an id the sequence never registered.
+  const auto seq = AccessSequence::FromCompactString("abab");
+  for (const IntraHeuristic h : kAllHeuristics) {
+    if (h == IntraHeuristic::kNone) continue;
+    Placement p = Placement::FromLists({{1, 0}, {2, 3}}, 4);
+    EXPECT_THROW(ApplyIntra(h, seq, p, 0, 2), std::invalid_argument)
+        << ToString(h);
+  }
+}
+
+TEST(IntraHeuristics, ApplyIntraRangeOrdersEachDbcOfTheRange) {
+  // Eight variables a..h (ids 0..7), accessed d c f e c. DBC 0 is outside
+  // the range and keeps its order; DBCs 1 and 2 are ordered by first use,
+  // never-accessed variables last in ascending id order.
+  AccessSequence seq;
+  for (const char* name : {"a", "b", "c", "d", "e", "f", "g", "h"}) {
+    (void)seq.AddVariable(name);
+  }
+  for (const VariableId v : {3u, 2u, 5u, 4u, 2u}) seq.Append(v);
+  Placement p = Placement::FromLists({{1, 0}, {6, 4, 2, 7}, {5, 3}}, 8);
+  ApplyIntra(IntraHeuristic::kOfu, seq, p, 1, 3);
+  p.CheckInvariants();
+  EXPECT_EQ(p.dbc(0), (std::vector<VariableId>{1, 0}));
+  EXPECT_EQ(p.dbc(1), (std::vector<VariableId>{2, 4, 6, 7}));
+  EXPECT_EQ(p.dbc(2), (std::vector<VariableId>{3, 5}));
 }
 
 TEST(IntraHeuristics, ToStringNames) {

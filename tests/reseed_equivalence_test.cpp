@@ -4,14 +4,16 @@
 // migration on every phase change, over the whole session's variable
 // space. PlanMigration, SortByFrequencyDescending and
 // SelectDisjointVariables avoid sorting or scanning the idle part of that
-// space; each must still return exactly what the straightforward
-// sort-based formulation returns. The reference bodies below are those
-// formulations, kept verbatim as oracles, and every comparison runs on
-// randomised inputs that include zero-frequency variables and scrambled
-// MakeVariableName names (name order != id order).
+// space, and the range ApplyIntra orders a run of DBCs in one pass over
+// shared scratch; each must still return exactly what the straightforward
+// formulation returns. The reference bodies below are those formulations,
+// kept verbatim as oracles, and every comparison runs on randomised inputs
+// that include zero-frequency variables and scrambled MakeVariableName
+// names (name order != id order).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -20,6 +22,8 @@
 
 #include "core/inter_afd.h"
 #include "core/inter_dma.h"
+#include "core/intra_heuristics.h"
+#include "core/multi_dma.h"
 #include "core/placement.h"
 #include "online/migration.h"
 #include "trace/access_sequence.h"
@@ -128,6 +132,28 @@ std::vector<VariableId> ReferenceSelectDisjointVariables(
     }
   }
   return disjoint;
+}
+
+/// The per-DBC intra step the constructive strategies looped over before
+/// the range form: one Restrict and one OrderVariables per DBC.
+void ReferenceApplyIntra(core::IntraHeuristic heuristic,
+                         const trace::AccessSequence& seq,
+                         core::Placement& placement, std::uint32_t dbc) {
+  if (heuristic == core::IntraHeuristic::kNone) return;
+  const auto& vars = placement.dbc(dbc);
+  if (vars.size() < 2) return;
+  const std::vector<trace::Access> restricted = seq.Restrict(vars);
+  placement.Reorder(dbc, core::OrderVariables(heuristic, restricted, vars,
+                                              seq.num_variables()));
+}
+
+void ReferenceApplyIntraRange(core::IntraHeuristic heuristic,
+                              const trace::AccessSequence& seq,
+                              core::Placement& placement,
+                              std::uint32_t first_dbc, std::uint32_t end_dbc) {
+  for (std::uint32_t d = first_dbc; d < end_dbc; ++d) {
+    ReferenceApplyIntra(heuristic, seq, placement, d);
+  }
 }
 
 // ---- randomised inputs ---------------------------------------------------
@@ -361,6 +387,202 @@ TEST(ReseedEquivalence, DisjointSelectionMatchesOnGeneratorStreams) {
     EXPECT_EQ(core::SortByFrequencyDescending(stats, seq),
               ReferenceSortByFrequencyDescending(stats, seq));
   }
+}
+
+// ---- range ApplyIntra ----------------------------------------------------
+
+constexpr std::array<core::IntraHeuristic, 5> kIntraHeuristics = {
+    core::IntraHeuristic::kNone, core::IntraHeuristic::kOfu,
+    core::IntraHeuristic::kChen, core::IntraHeuristic::kShiftsReduce,
+    core::IntraHeuristic::kGreedyEdge};
+
+/// Per-DBC lists, so a mismatch prints readable ids.
+std::vector<std::vector<VariableId>> Lists(const core::Placement& p) {
+  std::vector<std::vector<VariableId>> lists;
+  for (std::uint32_t d = 0; d < p.num_dbcs(); ++d) lists.push_back(p.dbc(d));
+  return lists;
+}
+
+/// Property independent of any shared code path: every DBC in
+/// [first_dbc, end_dbc) with two or more variables lists its accessed
+/// variables first and its never-accessed ones last, in ascending id
+/// order.
+void ExpectAccessedThenUnusedAscending(const trace::AccessSequence& seq,
+                                       const core::Placement& placement,
+                                       std::uint32_t first_dbc,
+                                       std::uint32_t end_dbc) {
+  std::vector<bool> accessed(seq.num_variables(), false);
+  for (const trace::Access& a : seq.accesses()) accessed[a.variable] = true;
+  for (std::uint32_t d = first_dbc; d < end_dbc; ++d) {
+    const auto& list = placement.dbc(d);
+    if (list.size() < 2) continue;
+    std::size_t split = 0;
+    while (split < list.size() && accessed[list[split]]) ++split;
+    for (std::size_t i = split; i < list.size(); ++i) {
+      EXPECT_FALSE(accessed[list[i]]) << "dbc " << d << " offset " << i;
+      if (i > split) {
+        EXPECT_LT(list[i - 1], list[i]) << "dbc " << d;
+      }
+    }
+  }
+}
+
+/// Runs the range form and the per-DBC reference on copies of `placement`
+/// and expects identical results for every intra heuristic.
+void ExpectRangeMatchesReference(const trace::AccessSequence& seq,
+                                 const core::Placement& placement,
+                                 std::uint32_t first_dbc,
+                                 std::uint32_t end_dbc) {
+  for (const core::IntraHeuristic heuristic : kIntraHeuristics) {
+    SCOPED_TRACE(core::ToString(heuristic));
+    core::Placement got = placement;
+    core::Placement want = placement;
+    core::ApplyIntra(heuristic, seq, got, first_dbc, end_dbc);
+    ReferenceApplyIntraRange(heuristic, seq, want, first_dbc, end_dbc);
+    got.CheckInvariants();
+    EXPECT_EQ(Lists(got), Lists(want));
+    if (heuristic != core::IntraHeuristic::kNone) {
+      ExpectAccessedThenUnusedAscending(seq, got, first_dbc, end_dbc);
+    }
+  }
+}
+
+TEST(ReseedEquivalence, IntraRangeMatchesPerDbcReference) {
+  // Random sub-ranges leave DBCs outside [first, end) untouched; capacities
+  // run from unbounded to exactly full, and DBC counts up to twice the
+  // variable count leave DBCs with zero or one variable.
+  util::Rng rng(0x5EED0006);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.NextBelow(120);
+    const std::size_t active = rng.NextBelow(n + 1);
+    const trace::AccessSequence seq =
+        RandomSession(n, active, rng.NextBelow(500), rng);
+    const auto num_dbcs = static_cast<std::uint32_t>(
+        1 + rng.NextBelow(std::min<std::size_t>(2 * n, 16)));
+    std::uint32_t capacity = core::kUnboundedCapacity;
+    if (rng.NextBool(0.6)) {
+      const std::size_t fill = (n + num_dbcs - 1) / num_dbcs;
+      capacity = static_cast<std::uint32_t>(fill + rng.NextBelow(2));
+    }
+    std::vector<bool> placed(n);
+    for (std::size_t v = 0; v < n; ++v) placed[v] = !rng.NextBool(0.05);
+    const core::Placement placement =
+        RandomPlacement(placed, num_dbcs, capacity, rng);
+    const auto first =
+        static_cast<std::uint32_t>(rng.NextBelow(num_dbcs + 1));
+    const auto end = static_cast<std::uint32_t>(
+        first + rng.NextBelow(num_dbcs - first + 1));
+    SCOPED_TRACE(trial);
+    ExpectRangeMatchesReference(seq, placement, first, end);
+    ExpectRangeMatchesReference(seq, placement, 0, num_dbcs);
+  }
+}
+
+TEST(ReseedEquivalence, IntraRangeMatchesOnAdaptiveStreamWindows) {
+  // The online re-seed's shape: a 256-access window over 1,280 variables
+  // on 16 full DBCs of 80 slots, so nearly every variable is idle.
+  util::Rng rng(0x5EED0007);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t active = 8 + rng.NextBelow(120);
+    const trace::AccessSequence seq = RandomSession(1280, active, 256, rng);
+    const std::vector<bool> placed(1280, true);
+    const core::Placement placement = RandomPlacement(placed, 16, 80, rng);
+    SCOPED_TRACE(trial);
+    ExpectRangeMatchesReference(seq, placement, 0, 16);
+    ExpectRangeMatchesReference(seq, placement, 1 + trial % 15, 16);
+  }
+}
+
+TEST(ReseedEquivalence, StrategiesMatchPerDbcIntraReference) {
+  // AFD, DMA and multi-set DMA with each intra heuristic must equal their
+  // kNone placement followed by the per-DBC reference over the DBCs each
+  // strategy hands to the intra step.
+  util::Rng rng(0x5EED0008);
+  for (int trial = 0; trial < 120; ++trial) {
+    const bool adaptive_shape = trial % 10 == 0;
+    const std::size_t n = adaptive_shape ? 1280 : 1 + rng.NextBelow(150);
+    const std::size_t active =
+        adaptive_shape ? 8 + rng.NextBelow(120) : rng.NextBelow(n + 1);
+    const std::size_t length = adaptive_shape ? 256 : rng.NextBelow(600);
+    const trace::AccessSequence seq = RandomSession(n, active, length, rng);
+    const auto num_dbcs = static_cast<std::uint32_t>(
+        adaptive_shape ? 16 : 1 + rng.NextBelow(12));
+    auto capacity = static_cast<std::uint32_t>(
+        (n + num_dbcs - 1) / num_dbcs + rng.NextBelow(3));
+    if (!adaptive_shape && rng.NextBool(0.2)) {
+      capacity = core::kUnboundedCapacity;
+    }
+    const core::IntraHeuristic none = core::IntraHeuristic::kNone;
+    const core::Placement afd_none =
+        core::DistributeAfd(seq, num_dbcs, capacity, {none});
+    const core::DmaResult dma_none =
+        core::DistributeDma(seq, num_dbcs, capacity, {none});
+    core::MultiDmaOptions multi;
+    multi.base.intra = none;
+    const core::MultiDmaResult multi_none =
+        core::DistributeMultiDma(seq, num_dbcs, capacity, multi);
+    std::size_t claimed = 0;
+    for (const auto& set : multi_none.sets) claimed += set.size();
+    const std::uint32_t multi_first =
+        std::min(multi_none.disjoint_dbc_count, num_dbcs - 1);
+    SCOPED_TRACE(trial);
+    for (const core::IntraHeuristic heuristic : kIntraHeuristics) {
+      SCOPED_TRACE(core::ToString(heuristic));
+
+      core::Placement afd_want = afd_none;
+      ReferenceApplyIntraRange(heuristic, seq, afd_want, 0, num_dbcs);
+      const core::Placement afd_got =
+          core::DistributeAfd(seq, num_dbcs, capacity, {heuristic});
+      EXPECT_EQ(Lists(afd_got), Lists(afd_want));
+
+      core::Placement dma_want = dma_none.placement;
+      if (num_dbcs > 1 || dma_none.disjoint.empty()) {
+        ReferenceApplyIntraRange(heuristic, seq, dma_want,
+                                 dma_none.disjoint_dbc_count, num_dbcs);
+      }
+      const core::DmaResult dma_got =
+          core::DistributeDma(seq, num_dbcs, capacity, {heuristic});
+      EXPECT_EQ(Lists(dma_got.placement), Lists(dma_want));
+
+      core::Placement multi_want = multi_none.placement;
+      if (claimed < n) {
+        ReferenceApplyIntraRange(heuristic, seq, multi_want, multi_first,
+                                 num_dbcs);
+      }
+      multi.base.intra = heuristic;
+      const core::MultiDmaResult multi_got =
+          core::DistributeMultiDma(seq, num_dbcs, capacity, multi);
+      EXPECT_EQ(Lists(multi_got.placement), Lists(multi_want));
+    }
+  }
+}
+
+TEST(ReseedEquivalence, IntraRangeRejectsWhatTheReferenceRejects) {
+  // A DBC holding an id beyond the sequence's variable space: the
+  // reference throws from its bounds-checked lookup, the range form with
+  // std::invalid_argument; both leave no reordered DBC behind.
+  const auto seq = trace::AccessSequence::FromCompactString("abab");
+  const core::Placement wide = core::Placement::FromLists({{0, 1}, {3, 2}}, 4);
+  for (const core::IntraHeuristic heuristic : kIntraHeuristics) {
+    if (heuristic == core::IntraHeuristic::kNone) continue;
+    core::Placement got = wide;
+    core::Placement want = wide;
+    EXPECT_THROW(core::ApplyIntra(heuristic, seq, got, 0, 2),
+                 std::invalid_argument);
+    EXPECT_THROW(ReferenceApplyIntraRange(heuristic, seq, want, 1, 2),
+                 std::logic_error);
+    EXPECT_EQ(got, wide);
+  }
+  // DBC ranges outside the placement.
+  core::Placement p = core::Placement::FromLists({{0, 1}}, 2);
+  EXPECT_THROW(core::ApplyIntra(core::IntraHeuristic::kOfu, seq, p, 0, 2),
+               std::invalid_argument);
+  EXPECT_THROW(core::ApplyIntra(core::IntraHeuristic::kOfu, seq, p, 1, 0),
+               std::invalid_argument);
+  EXPECT_THROW(core::ApplyIntra(core::IntraHeuristic::kOfu, seq, p, 1),
+               std::invalid_argument);
+  EXPECT_THROW(ReferenceApplyIntra(core::IntraHeuristic::kOfu, seq, p, 1),
+               std::logic_error);
 }
 
 }  // namespace

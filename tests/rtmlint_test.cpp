@@ -431,6 +431,57 @@ TEST(RtmlintHotPathAllocTest, ArenaIdiomIsNotFlagged) {
   EXPECT_EQ(CountRule(findings, "hot-path-alloc"), 0);
 }
 
+TEST(RtmlintHotPathAllocTest, FiresOnSizedLocalVectors) {
+  const auto findings = Lint(
+      "src/demo.cpp",
+      "// rtmlint: hot-path\n"
+      "void Refine(const Seq& seq) {\n"
+      "  std::vector<std::uint64_t> freq(seq.num_variables(), 0);\n"
+      "  if (seq.empty()) {\n"
+      "    std::vector<std::vector<int>> lists(4);\n"
+      "  }\n"
+      "  const auto fill = [&](std::size_t n) {\n"
+      "    std::vector<bool> seen(n, false);\n"
+      "  };\n"
+      "}\n"
+      "Engine::Engine(Config c) : config_(c), slots_{} {\n"
+      "  std::vector<int> warm(config_.size());\n"
+      "}\n");
+  const auto alloc = NewFindings(findings, "hot-path-alloc");
+  ASSERT_EQ(alloc.size(), 4u);
+  EXPECT_EQ(alloc[0].line, 3);
+  EXPECT_NE(alloc[0].message.find("sized local std::vector"),
+            std::string::npos);
+  EXPECT_EQ(alloc[1].line, 5);
+  EXPECT_EQ(alloc[2].line, 8);
+  EXPECT_EQ(alloc[3].line, 12);
+}
+
+TEST(RtmlintHotPathAllocTest, DeclarationsAndUnsizedVectorsAreNotSizedLocals) {
+  // Functions returning vectors (namespace scope and class members),
+  // empty or brace-initialized locals, references to scratch and
+  // temporaries are not sized locals; neither is anything untagged.
+  const auto findings = Lint(
+      "src/demo.cpp",
+      "// rtmlint: hot-path\n"
+      "std::vector<int> Make(std::size_t n);\n"
+      "std::vector<int> Build(const Seq& seq, int k) {\n"
+      "  std::vector<int> empty;\n"
+      "  std::vector<int> most_vexing();\n"
+      "  std::vector<int> listed{1, 2};\n"
+      "  std::vector<int>& scratch = scratch_;\n"
+      "  return std::vector<int>(seq.size());\n"
+      "}\n"
+      "class Engine {\n"
+      "  std::vector<int> Hot(std::size_t top_k) const;\n"
+      "};\n");
+  EXPECT_EQ(CountRule(findings, "hot-path-alloc"), 0);
+  const auto untagged =
+      Lint("src/demo.cpp",
+           "void F(std::size_t n) { std::vector<int> freq(n, 0); }\n");
+  EXPECT_EQ(CountRule(untagged, "hot-path-alloc"), 0);
+}
+
 /// Reads a repo source file; RTMPLACE_SOURCE_DIR is stamped in by CMake.
 std::string ReadRepoFile(const std::string& relative) {
   const std::string path = std::string(RTMPLACE_SOURCE_DIR) + "/" + relative;

@@ -449,18 +449,20 @@ class NolintJustificationRule final : public Rule {
 // with a comment whose trimmed text starts with `rtmlint: hot-path`.
 // In a tagged file every allocation spelling — push_back/emplace_back
 // member calls, new expressions, make_unique/make_shared, the C
-// allocators — is flagged so per-access heap traffic cannot creep back
-// in unnoticed. Advisory (warning severity): findings print but never
-// fail the run, because amortized growth (arena doubling, reserve-then-
-// append) is legitimate and should stay visible rather than be
-// baselined or NOLINTed away.
+// allocators, and a sized local `std::vector<T> name(args)` inside a
+// function body (a fresh buffer per call, often V-sized) — is flagged
+// so per-access heap traffic cannot creep back in unnoticed. Advisory
+// (warning severity): findings print but never fail the run, because
+// amortized growth (arena doubling, reserve-then-append) is legitimate
+// and should stay visible rather than be baselined or NOLINTed away.
 class HotPathAllocRule final : public Rule {
  public:
   const RuleInfo& Describe() const noexcept override {
     static const RuleInfo info{
         "hot-path-alloc", "performance", Severity::kWarning,
-        "advisory: flags push_back/emplace_back/heap allocation in "
-        "files tagged with a `rtmlint: hot-path` comment"};
+        "advisory: flags push_back/emplace_back/heap allocation and "
+        "sized local vectors in files tagged with a `rtmlint: hot-path` "
+        "comment"};
     return info;
   }
 
@@ -472,9 +474,36 @@ class HotPathAllocRule final : public Rule {
     static constexpr std::array<std::string_view, 5> kAllocCalls = {
         "make_unique", "make_shared", "malloc", "calloc", "realloc"};
     const Tokens& tokens = file.lex.tokens;
+    // Brace stack: true for a function-body (or nested) scope, so a
+    // namespace-scope `std::vector<T> Make(int n);` declaration is not
+    // mistaken for a sized local.
+    std::vector<bool> body_scopes;
+    std::size_t body_depth = 0;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
       const Token& token = tokens[i];
+      if (IsPunct(token, "{")) {
+        const bool body =
+            body_depth > 0 || (i > 0 && OpensBody(tokens[i - 1]));
+        body_scopes.push_back(body);
+        if (body) ++body_depth;
+        continue;
+      }
+      if (IsPunct(token, "}")) {
+        if (!body_scopes.empty()) {
+          if (body_scopes.back()) --body_depth;
+          body_scopes.pop_back();
+        }
+        continue;
+      }
       if (token.kind != TokenKind::kIdentifier) continue;
+      if (body_depth > 0 && IsSizedLocalVector(tokens, i)) {
+        Emit(file, Describe(), token.line,
+             "sized local std::vector in a hot-path file: a fresh buffer "
+             "per call; reuse per-object scratch and reset what was "
+             "touched",
+             out);
+        continue;
+      }
       const bool prev_member =
           i > 0 && (IsPunct(tokens[i - 1], ".") ||
                     IsPunct(tokens[i - 1], "->"));
@@ -509,6 +538,31 @@ class HotPathAllocRule final : public Rule {
   }
 
  private:
+  /// True when a `{` after `prev` opens a function body: after a
+  /// parameter list or its qualifiers, or after a brace-initialized
+  /// member at the end of a constructor's initializer list.
+  [[nodiscard]] static bool OpensBody(const Token& prev) {
+    return IsPunct(prev, ")") || IsPunct(prev, "}") ||
+           IsIdent(prev, "const") || IsIdent(prev, "noexcept") ||
+           IsIdent(prev, "override") || IsIdent(prev, "mutable");
+  }
+
+  /// True at `std::vector<...> name(args)` with at least one argument,
+  /// `i` pointing at `std`.
+  [[nodiscard]] static bool IsSizedLocalVector(const Tokens& tokens,
+                                               std::size_t i) {
+    if (!IsIdent(tokens[i], "std") || i + 3 >= tokens.size() ||
+        !IsPunct(tokens[i + 1], "::") || !IsIdent(tokens[i + 2], "vector") ||
+        !IsPunct(tokens[i + 3], "<")) {
+      return false;
+    }
+    const std::size_t after = SkipAngles(tokens, i + 3);
+    return after != i + 3 && after + 2 < tokens.size() &&
+           tokens[after].kind == TokenKind::kIdentifier &&
+           IsPunct(tokens[after + 1], "(") &&
+           !IsPunct(tokens[after + 2], ")");
+  }
+
   /// True when any comment's trimmed text starts with the tag. Matching
   /// at the start keeps prose ABOUT the tag (like this rule's own doc
   /// comment) from opting a file in.
