@@ -7,6 +7,7 @@ void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
   // should show. The rest follow the paper's presentation order.
   scenarios::RegisterSmoke(registry);
   scenarios::RegisterWorkloadsSmoke(registry);
+  scenarios::RegisterSearchSmoke(registry);
   scenarios::RegisterFigOnline(registry);
   scenarios::RegisterFigCache(registry);
   scenarios::RegisterFigMultitenant(registry);

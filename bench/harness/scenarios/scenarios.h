@@ -11,6 +11,7 @@ namespace rtmp::benchtool::scenarios {
 
 void RegisterSmoke(ScenarioRegistry& registry);
 void RegisterWorkloadsSmoke(ScenarioRegistry& registry);
+void RegisterSearchSmoke(ScenarioRegistry& registry);
 void RegisterFigOnline(ScenarioRegistry& registry);
 void RegisterFigCache(ScenarioRegistry& registry);
 void RegisterFigMultitenant(ScenarioRegistry& registry);

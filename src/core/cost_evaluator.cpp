@@ -364,6 +364,19 @@ void CostEvaluator::RecomputeMultiPort() {
 
 // ---- binding ---------------------------------------------------------------
 
+inline std::uint64_t CostEvaluator::AccessShifts(std::int64_t& last,
+                                                 std::uint32_t offset) const {
+  std::uint64_t shifts = 0;
+  if (last == kNoAccess) {
+    if (first_pays_) shifts = PortDistance(offset, port_);
+  } else {
+    shifts = static_cast<std::uint64_t>(
+        std::llabs(static_cast<std::int64_t>(offset) - last));
+  }
+  last = static_cast<std::int64_t>(offset);
+  return shifts;
+}
+
 void CostEvaluator::RebuildAll(const Placement& placement, bool with_weights) {
   ValidateAgainstDomains(placement, options_);
   bound_ = false;  // basic guarantee: a throwing rebuild leaves us unbound
@@ -391,7 +404,6 @@ void CostEvaluator::RebuildAll(const Placement& placement, bool with_weights) {
     // DbcState replay path: bit-identical by construction.
     RecomputeMultiPort();
   } else {
-    constexpr std::int64_t kNoAccess = -1;
     last_off_scratch_.assign(dbcs_.size(), kNoAccess);
     std::vector<std::int64_t>& last_off = last_off_scratch_;
     for (std::uint32_t t = 0; t < var_of_.size(); ++t) {
@@ -399,8 +411,7 @@ void CostEvaluator::RebuildAll(const Placement& placement, bool with_weights) {
       const Slot slot = placement.SlotOf(v);  // throws if unplaced
       DbcData& data = dbcs_[slot.dbc];
       if (with_weights) {
-        // Thread the chain links; without weights they stay stale (the
-        // random walk's rebuild-per-candidate never reads them) and the
+        // Thread the chain links; without weights they stay stale and the
         // first chain consumer runs RebuildLinks.
         prev_[t] = data.tail;
         next_[t] = kNoPosition;
@@ -411,13 +422,7 @@ void CostEvaluator::RebuildAll(const Placement& placement, bool with_weights) {
           AddWeight(slot.dbc, var_of_[prev_[t]], v, +1);
         }
       }
-      if (last_off[slot.dbc] == kNoAccess) {
-        if (first_pays_) data.cost += PortDistance(slot.offset, port_);
-      } else {
-        data.cost += static_cast<std::uint64_t>(std::llabs(
-            static_cast<std::int64_t>(slot.offset) - last_off[slot.dbc]));
-      }
-      last_off[slot.dbc] = static_cast<std::int64_t>(slot.offset);
+      data.cost += AccessShifts(last_off[slot.dbc], slot.offset);
     }
   }
   links_valid_ = single_port_ && with_weights;
@@ -432,7 +437,6 @@ void CostEvaluator::RebuildAll(const Placement& placement, bool with_weights) {
 
 void CostEvaluator::Bind(const Placement& placement) {
   RebuildAll(placement, /*with_weights=*/true);
-  stale_streak_ = 0;
 }
 
 std::uint64_t CostEvaluator::Evaluate(const Placement& placement) {
@@ -440,16 +444,6 @@ std::uint64_t CostEvaluator::Evaluate(const Placement& placement) {
       mirror_.num_dbcs() != placement.num_dbcs() ||
       mirror_.num_variables() != placement.num_variables()) {
     RebuildAll(placement, /*with_weights=*/false);
-    stale_streak_ = 1;
-    return total_;
-  }
-  if (!weights_valid_ && stale_streak_ >= 2 && (stale_streak_ & 7) != 0) {
-    // A stream of unrelated candidates: skip the diff scan entirely.
-    // Every 8th call still falls through to the scan, so a stream that
-    // turns incremental (a GA settling down after its random initial
-    // population) escapes within a handful of evaluations.
-    RebuildAll(placement, /*with_weights=*/false);
-    ++stale_streak_;
     return total_;
   }
   ValidateAgainstDomains(placement, options_);
@@ -479,18 +473,15 @@ std::uint64_t CostEvaluator::Evaluate(const Placement& placement) {
     weight_log_.clear();
     return total_;
   }
-  // Large diffs (the random walk's unrelated candidates): one flat
-  // SinglePortCosts-style pass beats splicing, and skipping the weight
-  // rebuild keeps it exactly that pass. Small diffs with stale weights
-  // (first diff after such a pass): rebuild once, with weights, and
-  // return to the incremental path.
+  // Large diffs (unrelated candidates, such as a GA's random initial
+  // population): one flat SinglePortCosts-style pass beats splicing, and
+  // skipping the weight rebuild keeps it exactly that pass. Small diffs
+  // with stale weights (first diff after such a pass): rebuild once, with
+  // weights, and return to the incremental path.
   if (!weights_valid_ || moved_positions * 4 >= var_of_.size()) {
-    const bool with_weights = moved_positions * 4 < var_of_.size();
-    RebuildAll(placement, with_weights);
-    stale_streak_ = with_weights ? 0 : stale_streak_ + 1;
+    RebuildAll(placement, moved_positions * 4 < var_of_.size());
     return total_;
   }
-  stale_streak_ = 0;
   for (const VariableId v : moved) {
     SpliceOutAll(mirror_.SlotOf(v).dbc, v, /*save_links=*/false,
                  /*update_weights=*/true);
@@ -504,6 +495,35 @@ std::uint64_t CostEvaluator::Evaluate(const Placement& placement) {
   weight_log_.clear();
   AssertMatchesShiftCost();
   return total_;
+}
+
+std::uint64_t CostEvaluator::ScoreSlots(std::span<const Slot> slots,
+                                        std::span<const std::uint32_t> fill) {
+  if (!single_port_) {
+    throw std::logic_error("CostEvaluator::ScoreSlots: single-port only");
+  }
+  if (slots.size() < seq_->num_variables()) {
+    throw std::invalid_argument("CostEvaluator::ScoreSlots: missing slots");
+  }
+  if (options_.domains_per_dbc != 0) {
+    // ValidateAgainstDomains' depth check (the constructor already
+    // checked the ports against the depth).
+    for (const std::uint32_t depth : fill) {
+      if (depth > options_.domains_per_dbc) {
+        throw std::invalid_argument("cost model: placement deeper than DBC");
+      }
+    }
+  }
+  last_off_scratch_.assign(fill.size(), kNoAccess);
+  std::int64_t* const last_off = last_off_scratch_.data();
+  const Slot* const slot_of = slots.data();
+  std::uint64_t total = 0;
+  for (const VariableId v : var_of_) {
+    const Slot slot = slot_of[v];
+    assert(slot.dbc < fill.size());
+    total += AccessShifts(last_off[slot.dbc], slot.offset);
+  }
+  return total;
 }
 
 std::uint64_t CostEvaluator::Cost() const {

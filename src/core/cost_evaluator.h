@@ -1,10 +1,11 @@
 // Incremental shift-cost evaluation engine.
 //
 // ShiftCost (core/cost_model.h) replays the whole access sequence for every
-// candidate placement: O(|S|) per call. The search-based strategies (GA,
-// random walk) evaluate tens of thousands of candidates that differ from an
-// already-scored placement by one mutation, so almost all of that replay
-// work is redundant. Following the ShiftsReduce observation that the
+// candidate placement: O(|S|) per call. The GA evaluates tens of thousands
+// of candidates that differ from an already-scored placement by one
+// mutation, so almost all of that replay work is redundant. (The random
+// walk's candidates are unrelated draws; it scores them with ScoreSlots,
+// one flat O(|S|) walk each.) Following the ShiftsReduce observation that the
 // single-port cost decomposes into pairwise transition counts,
 //
 //   cost(DBC d) = sum over unordered pairs {u, v} placed in d of
@@ -90,6 +91,17 @@ class CostEvaluator {
   /// rebuild otherwise (never asymptotically worse than ShiftCost). Binds
   /// `placement` as a side effect and clears the undo stack.
   std::uint64_t Evaluate(const Placement& placement);
+
+  /// Single-port cost of a complete placement given in flat form:
+  /// `slots[v]` is variable v's (dbc, offset) and `fill[d]` the number of
+  /// variables in DBC d. One O(|S|) walk with no Placement and no
+  /// binding: the bound state is untouched. This is how the random walk
+  /// scores its unrelated candidates. Throws std::invalid_argument when
+  /// a DBC is deeper than options.domains_per_dbc (same message as
+  /// ShiftCost) or `slots` misses a variable of the sequence, and
+  /// std::logic_error on a multi-port evaluator (use Evaluate there).
+  [[nodiscard]] std::uint64_t ScoreSlots(std::span<const Slot> slots,
+                                         std::span<const std::uint32_t> fill);
 
   /// Total / per-DBC cost of the bound placement. O(1); throws
   /// std::logic_error when nothing is bound.
@@ -262,16 +274,24 @@ class CostEvaluator {
   static constexpr std::uint32_t kNoPosition =
       std::numeric_limits<std::uint32_t>::max();
 
+  static constexpr std::int64_t kNoAccess = -1;
+
   void RequireBound() const;
+  /// Single-port shifts of one access at `offset` in a DBC whose port
+  /// last faced `last` (kNoAccess before the DBC's first access); moves
+  /// `last` to `offset`. The per-access body of both single-port walks,
+  /// RebuildAll's and ScoreSlots'.
+  [[nodiscard]] std::uint64_t AccessShifts(std::int64_t& last,
+                                           std::uint32_t offset) const;
   /// Full rebuild from `placement`. `with_weights` also populates the
   /// transition edges; without, they are marked stale and rebuilt lazily by
   /// the first diff/edit that needs them (Evaluate's full-rebuild path
-  /// skips them so a stream of unrelated placements — the random walk —
-  /// costs exactly one SinglePortCosts-style pass each).
+  /// skips them so an unrelated placement — a GA's random initial
+  /// individual — costs exactly one SinglePortCosts-style pass).
   void RebuildAll(const Placement& placement, bool with_weights);
   /// Rebuilds the per-DBC position chains from the mirror: O(|S|). The
-  /// no-weights rebuild skips link maintenance (the random walk never
-  /// touches it), so the first chain consumer afterwards calls this.
+  /// no-weights rebuild skips link maintenance, so the first chain
+  /// consumer afterwards calls this.
   void RebuildLinks();
   /// Rebuilds every DBC's transition edges from its (valid) chains.
   /// Ensures the chains first; weights_valid_ implies links are valid.
@@ -350,12 +370,6 @@ class CostEvaluator {
   bool bound_ = false;
   bool links_valid_ = false;
   bool weights_valid_ = false;
-  /// Consecutive Evaluate calls that ended in a stale full rebuild. Two in
-  /// a row (a random-walk-style stream of unrelated candidates) make
-  /// Evaluate skip the O(#variables) diff scan and rebuild outright —
-  /// exactly a SinglePortCosts pass, never worse than ShiftCost. Any
-  /// weight-building path resets the streak.
-  std::uint32_t stale_streak_ = 0;
   Placement mirror_{0, 1};
   std::vector<DbcData> dbcs_;
   /// Doubly-linked chains threading the trace positions of each DBC's
@@ -375,7 +389,7 @@ class CostEvaluator {
   std::vector<std::uint32_t> offset_scratch_;
   /// Scratch pair-count matrix for RebuildDbcWeights' dense path.
   std::vector<std::uint32_t> matrix_scratch_;
-  /// Scratch last-offset-per-DBC table for RebuildAll's cost walk.
+  /// Scratch last-offset-per-DBC table for the single-port cost walks.
   std::vector<std::int64_t> last_off_scratch_;
   /// Backing-storage growth events across all edge arenas (telemetry for
   /// arena_growths()).

@@ -67,41 +67,68 @@ std::vector<VariableId> AppearanceOrder(const trace::AccessSequence& seq) {
   return seen;
 }
 
-Placement RandomPlacement(std::size_t num_variables, std::uint32_t num_dbcs,
-                          std::uint32_t capacity, util::Rng& rng) {
+Placement RandomDraw::Build() const {
+  Placement placement(slots.size(), static_cast<std::uint32_t>(fill.size()),
+                      capacity);
+  for (const VariableId v : order) placement.Append(slots[v].dbc, v);
+  return placement;
+}
+
+void DrawRandomSlots(std::size_t num_variables, std::uint32_t num_dbcs,
+                     std::uint32_t capacity, util::Rng& rng, RandomDraw& draw) {
+  // Every shape check runs before the first draw: NextBelow(0) is
+  // undefined, and the messages match the checks the built placement
+  // would make.
   if (capacity != kUnboundedCapacity &&
       static_cast<std::uint64_t>(num_dbcs) * capacity < num_variables) {
     throw std::invalid_argument("RandomPlacement: variables exceed capacity");
   }
-  std::vector<VariableId> vars(num_variables);
-  for (std::size_t i = 0; i < num_variables; ++i) {
-    vars[i] = static_cast<VariableId>(i);
+  if (num_dbcs == 0) {
+    throw std::invalid_argument("Placement: need at least one DBC");
   }
-  rng.Shuffle(vars);
-  Placement placement(num_variables, num_dbcs, capacity);
-  for (const VariableId v : vars) {
+  if (capacity == 0) {
+    throw std::invalid_argument("Placement: capacity must be positive");
+  }
+  draw.capacity = capacity;
+  draw.order.resize(num_variables);
+  for (std::size_t i = 0; i < num_variables; ++i) {
+    draw.order[i] = static_cast<VariableId>(i);
+  }
+  rng.Shuffle(draw.order);
+  draw.slots.resize(num_variables);
+  draw.fill.assign(num_dbcs, 0);
+  // fill[d] < capacity is Placement::FreeIn(d) > 0: an unbounded DBC
+  // never holds kUnboundedCapacity variables.
+  std::uint32_t* const fill = draw.fill.data();
+  for (const VariableId v : draw.order) {
     // Draw a DBC until a free one comes up; with pathological fill ratios
     // fall back to a scan for determinism of termination.
     std::uint32_t dbc = 0;
     bool found = false;
     for (int attempt = 0; attempt < 8; ++attempt) {
       dbc = static_cast<std::uint32_t>(rng.NextBelow(num_dbcs));
-      if (placement.FreeIn(dbc) > 0) {
+      if (fill[dbc] < capacity) {
         found = true;
         break;
       }
     }
     if (!found) {
       for (std::uint32_t d = 0; d < num_dbcs; ++d) {
-        if (placement.FreeIn(d) > 0) {
+        if (fill[d] < capacity) {
           dbc = d;
           break;
         }
       }
     }
-    placement.Append(dbc, v);
+    draw.slots[v] = Slot{dbc, fill[dbc]++};
   }
-  return placement;
+}
+
+Placement RandomPlacement(std::size_t num_variables, std::uint32_t num_dbcs,
+                          std::uint32_t capacity, util::Rng& rng) {
+  RandomDraw draw;
+  DrawRandomSlots(num_variables, num_dbcs, capacity, rng, draw);
+  return draw.Build();
 }
 
 void CrossoverSwapRange(Placement& left, Placement& right,

@@ -48,7 +48,29 @@ struct GaResult {
   std::size_t evaluations = 0;  ///< fitness evaluations performed
 };
 
-/// Uniformly random complete placement honoring per-DBC capacity.
+/// One uniformly random complete placement in flat form: reusable scratch
+/// that DrawRandomSlots overwrites on every draw, so a stream of draws
+/// allocates nothing once warm.
+struct RandomDraw {
+  std::vector<VariableId> order;    ///< variables in placement order
+  std::vector<Slot> slots;          ///< slots[v]: v's (dbc, offset)
+  std::vector<std::uint32_t> fill;  ///< fill[d]: variables drawn into d
+  std::uint32_t capacity = kUnboundedCapacity;
+
+  /// The drawn placement: `order` appended in draw order.
+  [[nodiscard]] Placement Build() const;
+};
+
+/// Draws the placement RandomPlacement returns into `draw`, consuming
+/// `rng` identically: one shuffle of the ids, then per variable up to 8
+/// uniform DBC draws until one has room, then a scan for the first DBC
+/// with room. Throws std::invalid_argument before any draw when there
+/// are no DBCs, capacity is zero or the variables exceed capacity.
+void DrawRandomSlots(std::size_t num_variables, std::uint32_t num_dbcs,
+                     std::uint32_t capacity, util::Rng& rng, RandomDraw& draw);
+
+/// Uniformly random complete placement honoring per-DBC capacity
+/// (DrawRandomSlots, built).
 [[nodiscard]] Placement RandomPlacement(std::size_t num_variables,
                                         std::uint32_t num_dbcs,
                                         std::uint32_t capacity,

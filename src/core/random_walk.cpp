@@ -1,6 +1,11 @@
+// rtmlint: hot-path — the per-candidate loop draws and scores tens of
+// thousands of placements per call; allocations here are advisory
+// findings (see hot-path-alloc).
 #include "core/random_walk.h"
 
 #include <algorithm>
+#include <cassert>
+#include <optional>
 #include <stdexcept>
 
 #include "core/cost_evaluator.h"
@@ -22,27 +27,46 @@ RwResult RunRandomWalk(const trace::AccessSequence& seq,
   }
   util::Rng rng(options.seed);
 
-  // Candidates are unrelated uniform draws, so the evaluator's diff path
-  // never pays off; it scores each through its full-rebuild pass (the same
-  // O(|S|) walk ShiftCost does — bit-identical costs) while keeping the
-  // walk on the same scoring interface as the GA.
+  // Candidates are unrelated uniform draws into one reused RandomDraw.
+  // Single-port candidates are scored flat (ScoreSlots: one O(|S|) walk
+  // over the drawn slots) and built into a Placement only when one
+  // becomes the new best, about H(iterations) times per run. Multi-port
+  // costs come from the DbcState replay, which needs a Placement: those
+  // candidates are built up front and scored through Evaluate.
   CostEvaluator evaluator(seq, options.cost);
-  Placement best = RandomPlacement(n, num_dbcs, capacity, rng);
-  std::uint64_t best_cost = evaluator.Evaluate(best);
+  const bool flat = evaluator.incremental();
+  RandomDraw draw;
+  std::optional<Placement> built;
+  auto draw_and_score = [&]() -> std::uint64_t {
+    DrawRandomSlots(n, num_dbcs, capacity, rng, draw);
+    if (!flat) {
+      built = draw.Build();
+      return evaluator.Evaluate(*built);
+    }
+    const std::uint64_t cost = evaluator.ScoreSlots(draw.slots, draw.fill);
+    assert(cost == ShiftCost(seq, draw.Build(), options.cost));
+    return cost;
+  };
+  auto take_candidate = [&]() {
+    return flat ? draw.Build() : *std::move(built);
+  };
 
+  const std::uint64_t first_cost = draw_and_score();
   const std::size_t stride = std::max<std::size_t>(options.iterations / 100, 1);
-  RwResult result{std::move(best), best_cost, {}, 1};
+  RwResult result{take_candidate(), first_cost, {}, 1};
+  // One sample every `stride` iterations, plus the final one.
+  result.history.resize((options.iterations - 1) / stride + 1);
+  std::size_t sample = 0;
   for (std::size_t i = 1; i < options.iterations; ++i) {
-    Placement candidate = RandomPlacement(n, num_dbcs, capacity, rng);
-    const std::uint64_t cost = evaluator.Evaluate(candidate);
+    const std::uint64_t cost = draw_and_score();
     ++result.evaluations;
     if (cost < result.best_cost) {
-      result.best = std::move(candidate);
+      result.best = take_candidate();
       result.best_cost = cost;
     }
-    if (i % stride == 0) result.history.push_back(result.best_cost);
+    if (i % stride == 0) result.history[sample++] = result.best_cost;
   }
-  result.history.push_back(result.best_cost);
+  result.history.back() = result.best_cost;
   return result;
 }
 

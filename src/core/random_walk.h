@@ -2,6 +2,12 @@
 // (random DBC assignment + random order inside every DBC) and keep the best.
 // The paper runs 60 000 iterations — the upper bound on individuals its GA
 // evaluates — to put the GA results in perspective.
+//
+// Under the paper's single-port cost model each candidate is drawn and
+// scored in flat form (DrawRandomSlots + CostEvaluator::ScoreSlots) and
+// built into a Placement only when it becomes the new best; multi-port
+// candidates are built and scored through CostEvaluator::Evaluate. Both
+// give the results of building and scoring every candidate.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +28,10 @@ struct RwOptions {
 struct RwResult {
   Placement best;
   std::uint64_t best_cost = 0;
-  /// Best cost after each iteration block of 1/100th of the run (at least
-  /// one sample); cheap convergence curve for reports.
+  /// Best cost after every stride-th iteration, stride =
+  /// max(iterations / 100, 1), plus a final sample: (iterations - 1) /
+  /// stride + 1 entries, so 150 iterations give 150 and 250 give 125.
+  /// Cheap convergence curve for reports.
   std::vector<std::uint64_t> history;
   /// Candidate placements actually scored (== RwOptions::iterations); the
   /// strategy registry reports this as the search effort used.

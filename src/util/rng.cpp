@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 
 namespace rtmp::util {
@@ -47,6 +48,7 @@ Rng::result_type Rng::operator()() noexcept {
 }
 
 std::uint64_t Rng::NextBelow(std::uint64_t bound) noexcept {
+  assert(bound > 0);  // (0 - 0) % 0 below is a division by zero
   // Lemire's nearly-divisionless bounded draw with rejection to stay
   // unbiased and platform-deterministic.
   const std::uint64_t threshold = (0 - bound) % bound;

@@ -126,6 +126,49 @@ TEST(CostEvaluator, EvaluateMatchesShiftCostOnRandomInputs) {
   }
 }
 
+TEST(CostEvaluator, ScoreSlotsMatchesShiftCostAndLeavesBindingAlone) {
+  util::Rng rng(0x5C0E);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n = 1 + rng.NextBelow(12);
+    const auto seq = RandomSequence(n, rng.NextBelow(80), rng);
+    const auto q = static_cast<std::uint32_t>(1 + rng.NextBelow(4));
+    for (const CostOptions& options : OptionMatrix(/*domains=*/16)) {
+      CostEvaluator evaluator(seq, options);
+      RandomDraw draw;
+      DrawRandomSlots(n, q, /*capacity=*/16, rng, draw);
+      if (!evaluator.incremental()) {
+        EXPECT_THROW((void)evaluator.ScoreSlots(draw.slots, draw.fill),
+                     std::logic_error);
+        continue;
+      }
+      const Placement bound = RandomPlacement(n, q, 16, rng);
+      const std::uint64_t bound_cost = evaluator.Evaluate(bound);
+      EXPECT_EQ(evaluator.ScoreSlots(draw.slots, draw.fill),
+                ShiftCost(seq, draw.Build(), options));
+      EXPECT_EQ(evaluator.Cost(), bound_cost);
+      EXPECT_EQ(evaluator.placement(), bound);
+    }
+  }
+}
+
+TEST(CostEvaluator, ScoreSlotsValidatesLikeShiftCost) {
+  const auto seq = AccessSequence::FromCompactString("abcab");
+  CostOptions options;
+  options.domains_per_dbc = 2;
+  CostEvaluator evaluator(seq, options);
+  const std::vector<Slot> deep = {{0, 0}, {0, 1}, {0, 2}};
+  const std::vector<std::uint32_t> deep_fill = {3};
+  EXPECT_THROW((void)evaluator.ScoreSlots(deep, deep_fill),
+               std::invalid_argument);
+  const std::vector<Slot> fits = {{0, 0}, {0, 1}, {1, 0}};
+  const std::vector<std::uint32_t> fits_fill = {2, 1};
+  EXPECT_EQ(evaluator.ScoreSlots(fits, fits_fill),
+            ShiftCost(seq, Placement::FromLists({{0, 1}, {2}}, 3), options));
+  const std::vector<Slot> missing = {{0, 0}, {0, 1}};
+  EXPECT_THROW((void)evaluator.ScoreSlots(missing, fits_fill),
+               std::invalid_argument);
+}
+
 TEST(CostEvaluator, PerDbcCostMatchesDecomposition) {
   util::Rng rng(42);
   const auto seq = RandomSequence(9, 70, rng);

@@ -59,6 +59,46 @@ TEST(RandomPlacementFn, ThrowsWhenImpossible) {
   EXPECT_THROW(RandomPlacement(9, 4, 2, rng), std::invalid_argument);
 }
 
+TEST(RandomPlacementFn, RejectsBadShapesBeforeDrawing) {
+  // Every shape a Placement rejects is rejected before the first draw (a
+  // draw over zero DBCs would divide by zero), with an exception.
+  util::Rng rng(5);
+  EXPECT_THROW(RandomPlacement(3, 0, kUnboundedCapacity, rng),
+               std::invalid_argument);
+  EXPECT_THROW(RandomPlacement(3, 0, 4, rng), std::invalid_argument);
+  EXPECT_THROW(RandomPlacement(0, 0, kUnboundedCapacity, rng),
+               std::invalid_argument);
+  EXPECT_THROW(RandomPlacement(0, 0, 4, rng), std::invalid_argument);
+  EXPECT_THROW(RandomPlacement(3, 2, 0, rng), std::invalid_argument);
+  EXPECT_THROW(RandomPlacement(0, 2, 0, rng), std::invalid_argument);
+  EXPECT_THROW(RandomPlacement(5, 2, 2, rng), std::invalid_argument);
+}
+
+TEST(RandomPlacementFn, NoVariablesGiveAnEmptyPlacement) {
+  util::Rng rng(5);
+  const Placement p = RandomPlacement(0, 3, 2, rng);
+  EXPECT_EQ(p.num_variables(), 0u);
+  EXPECT_EQ(p.num_dbcs(), 3u);
+  EXPECT_TRUE(p.IsComplete());
+  p.CheckInvariants();
+}
+
+TEST(RandomPlacementFn, BuildsTheDrawnSlots) {
+  util::Rng a(21);
+  util::Rng b(21);
+  RandomDraw draw;
+  DrawRandomSlots(40, 6, 7, a, draw);
+  const Placement p = RandomPlacement(40, 6, 7, b);
+  EXPECT_EQ(a(), b());  // same RNG consumption
+  EXPECT_EQ(draw.Build(), p);
+  for (trace::VariableId v = 0; v < 40; ++v) {
+    EXPECT_EQ(draw.slots[v], p.SlotOf(v));
+  }
+  for (std::uint32_t d = 0; d < 6; ++d) {
+    EXPECT_EQ(draw.fill[d], p.dbc(d).size());
+  }
+}
+
 TEST(Crossover, SwapsAssignmentsInsideRange) {
   const auto seq = AccessSequence::FromCompactString("abcd");
   const auto order = AppearanceOrder(seq);
@@ -239,6 +279,37 @@ TEST(RunGaFn, RejectsBadOptions) {
   EXPECT_THROW(RunGa(seq, 2, kUnboundedCapacity, options),
                std::invalid_argument);
   EXPECT_THROW(RunGa(seq, 2, 1, SmallGa()), std::invalid_argument);
+}
+
+TEST(RunGaFn, RejectsBadShapes) {
+  const auto seq = MediumTrace();  // 9 variables
+  for (const bool seeded : {true, false}) {
+    GaOptions options = SmallGa();
+    options.seed_with_heuristics = seeded;
+    EXPECT_THROW(RunGa(seq, 0, kUnboundedCapacity, options),
+                 std::invalid_argument);
+    EXPECT_THROW(RunGa(seq, 0, 16, options), std::invalid_argument);
+    EXPECT_THROW(RunGa(seq, 2, 0, options), std::invalid_argument);
+    EXPECT_THROW(RunGa(seq, 2, 4, options), std::invalid_argument);
+    options.cost.domains_per_dbc = 2;  // 9 variables never fit 2 x 2
+    EXPECT_THROW(RunGa(seq, 2, kUnboundedCapacity, options),
+                 std::invalid_argument);
+  }
+}
+
+TEST(RunGaFn, HandlesEmptySequence) {
+  const AccessSequence empty;
+  for (const bool seeded : {true, false}) {
+    GaOptions options = SmallGa();
+    options.seed_with_heuristics = seeded;
+    const GaResult result = RunGa(empty, 3, kUnboundedCapacity, options);
+    EXPECT_EQ(result.best_cost, 0u);
+    EXPECT_EQ(result.best.num_variables(), 0u);
+    EXPECT_EQ(result.history.size(), options.generations + 1);
+    EXPECT_THROW(RunGa(empty, 0, kUnboundedCapacity, options),
+                 std::invalid_argument);
+    EXPECT_THROW(RunGa(empty, 3, 0, options), std::invalid_argument);
+  }
 }
 
 TEST(RunGaFn, PinnedResultsUnchangedByEvaluatorRefactor) {
