@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 
@@ -514,11 +515,18 @@ std::uint64_t CostEvaluator::ScoreSlots(std::span<const Slot> slots,
       }
     }
   }
+  if (run_vars_.empty() && !var_of_.empty()) {
+    // First call: drop consecutive repeats. A repeat faces the offset its
+    // run start left in `last`, so it costs 0 and moves nothing.
+    std::unique_copy(var_of_.begin(), var_of_.end(),
+                     std::back_inserter(run_vars_));
+    run_vars_.shrink_to_fit();
+  }
   last_off_scratch_.assign(fill.size(), kNoAccess);
   std::int64_t* const last_off = last_off_scratch_.data();
   const Slot* const slot_of = slots.data();
   std::uint64_t total = 0;
-  for (const VariableId v : var_of_) {
+  for (const VariableId v : run_vars_) {
     const Slot slot = slot_of[v];
     assert(slot.dbc < fill.size());
     total += AccessShifts(last_off[slot.dbc], slot.offset);

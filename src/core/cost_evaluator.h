@@ -5,8 +5,9 @@
 // of candidates that differ from an already-scored placement by one
 // mutation, so almost all of that replay work is redundant. (The random
 // walk's candidates are unrelated draws; it scores them with ScoreSlots,
-// one flat O(|S|) walk each.) Following the ShiftsReduce observation that the
-// single-port cost decomposes into pairwise transition counts,
+// one flat walk each over the access runs: O(runs), not O(|S|), since a
+// repeated access costs nothing.) Following the ShiftsReduce observation
+// that the single-port cost decomposes into pairwise transition counts,
 //
 //   cost(DBC d) = sum over unordered pairs {u, v} placed in d of
 //                 w_d(u, v) * |offset(u) - offset(v)|   (+ first-access term)
@@ -94,12 +95,16 @@ class CostEvaluator {
 
   /// Single-port cost of a complete placement given in flat form:
   /// `slots[v]` is variable v's (dbc, offset) and `fill[d]` the number of
-  /// variables in DBC d. One O(|S|) walk with no Placement and no
-  /// binding: the bound state is untouched. This is how the random walk
-  /// scores its unrelated candidates. Throws std::invalid_argument when
-  /// a DBC is deeper than options.domains_per_dbc (same message as
-  /// ShiftCost) or `slots` misses a variable of the sequence, and
-  /// std::logic_error on a multi-port evaluator (use Evaluate there).
+  /// variables in DBC d. One walk over the access runs (maximal blocks
+  /// of one repeated variable): O(runs) <= O(|S|), with no Placement and
+  /// no binding, so the bound state is untouched. A repeat of the
+  /// previous access faces its port already and costs 0, so skipping it
+  /// is exact. The first call builds the run list (O(|S|), once). This
+  /// is how the random walk scores its unrelated candidates. Throws
+  /// std::invalid_argument when a DBC is deeper than
+  /// options.domains_per_dbc (same message as ShiftCost) or `slots`
+  /// misses a variable of the sequence, and std::logic_error on a
+  /// multi-port evaluator (use Evaluate there).
   [[nodiscard]] std::uint64_t ScoreSlots(std::span<const Slot> slots,
                                          std::span<const std::uint32_t> fill);
 
@@ -347,6 +352,10 @@ class CostEvaluator {
   bool first_pays_;
   std::int64_t port_ = 0;
   std::vector<VariableId> var_of_;  ///< trace position -> variable
+  /// var_of_ with consecutive repeats dropped: the access runs that
+  /// ScoreSlots walks. Built by the first ScoreSlots call, so evaluators
+  /// that never call it (GA, online windows) hold no copy.
+  std::vector<VariableId> run_vars_;
 
   /// Per-variable trace positions in CSR layout: variable v's positions
   /// are pos_data_[pos_begin_[v] .. pos_begin_[v + 1]) — one flat arena

@@ -28,7 +28,7 @@ RwResult RunRandomWalk(const trace::AccessSequence& seq,
   util::Rng rng(options.seed);
 
   // Candidates are unrelated uniform draws into one reused RandomDraw.
-  // Single-port candidates are scored flat (ScoreSlots: one O(|S|) walk
+  // Single-port candidates are scored flat (ScoreSlots: one O(runs) walk
   // over the drawn slots) and built into a Placement only when one
   // becomes the new best, about H(iterations) times per run. Multi-port
   // costs come from the DbcState replay, which needs a Placement: those

@@ -1,8 +1,6 @@
 #include "util/rng.h"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <cmath>
 
 namespace rtmp::util {
@@ -35,35 +33,14 @@ Rng::Rng(std::uint64_t seed) noexcept {
   }
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::NextBelow(std::uint64_t bound) noexcept {
-  assert(bound > 0);  // (0 - 0) % 0 below is a division by zero
-  // Lemire's nearly-divisionless bounded draw with rejection to stay
-  // unbiased and platform-deterministic.
-  const std::uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    const std::uint64_t x = (*this)();
-    const auto wide = static_cast<unsigned __int128>(x) * bound;
-    const auto low = static_cast<std::uint64_t>(wide);
-    if (low >= threshold) return static_cast<std::uint64_t>(wide >> 64);
-  }
-}
-
 std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) noexcept {
   const auto width =
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(NextBelow(width));
+  // [INT64_MIN, INT64_MAX] wraps the width to 0: every word is in range.
+  if (width == 0) return static_cast<std::int64_t>((*this)());
+  // Add in uint64: lo + draw can exceed INT64_MAX on the way to hi.
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   NextBelow(width));
 }
 
 double Rng::NextDouble() noexcept {

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -38,13 +40,23 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
 
-  /// Next raw 64-bit output.
+  /// Next raw 64-bit output. Inline (below) so the per-draw loops of
+  /// Shuffle and the random walk compile without a call.
   result_type operator()() noexcept;
 
   /// Uniform integer in [0, bound). bound must be > 0.
+  ///
+  /// Lemire's multiply-shift draw with rejection: the high word of
+  /// x * bound is the result unless the low word falls below
+  /// threshold = 2^64 mod bound, which would bias it. Since threshold <
+  /// bound, a low word >= bound is always accepted, and the 64-bit
+  /// division that computes threshold runs only when the low word is
+  /// below bound (probability bound / 2^64). Accepts and rejects exactly
+  /// the draws the always-divide form does, so the stream is unchanged.
   [[nodiscard]] std::uint64_t NextBelow(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
+  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi. The full
+  /// int64 range returns one raw draw (its width 2^64 has no uint64).
   [[nodiscard]] std::int64_t NextInRange(std::int64_t lo,
                                          std::int64_t hi) noexcept;
 
@@ -93,5 +105,31 @@ class Rng {
  private:
   std::array<std::uint64_t, 4> state_{};
 };
+
+inline Rng::result_type Rng::operator()() noexcept {
+  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = std::rotl(state_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::NextBelow(std::uint64_t bound) noexcept {
+  assert(bound > 0);  // (0 - 0) % 0 below is a division by zero
+  auto wide = static_cast<unsigned __int128>((*this)()) * bound;
+  auto low = static_cast<std::uint64_t>(wide);
+  if (low < bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (low < threshold) {
+      wide = static_cast<unsigned __int128>((*this)()) * bound;
+      low = static_cast<std::uint64_t>(wide);
+    }
+  }
+  return static_cast<std::uint64_t>(wide >> 64);
+}
 
 }  // namespace rtmp::util

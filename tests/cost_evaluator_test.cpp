@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/cost_evaluator.h"
@@ -167,6 +168,40 @@ TEST(CostEvaluator, ScoreSlotsValidatesLikeShiftCost) {
   const std::vector<Slot> missing = {{0, 0}, {0, 1}};
   EXPECT_THROW((void)evaluator.ScoreSlots(missing, fits_fill),
                std::invalid_argument);
+}
+
+TEST(CostEvaluator, ScoreSlotsOnRepeatHeavySequences) {
+  // ScoreSlots walks only the first access of each run of one variable;
+  // the skipped repeats must cost nothing under every alignment. "bbbaaa"
+  // and "ccaaabbb" open each DBC with a run.
+  for (const char* text : {"aaaa", "aabbaab", "a", "", "bbbaaa", "ccaaabbb",
+                           "aaabbbaaaccc"}) {
+    const auto seq = AccessSequence::FromCompactString(text);
+    const std::size_t n = seq.num_variables();
+    util::Rng rng(0x2E9EA7);
+    for (const CostOptions& options : OptionMatrix(/*domains=*/8)) {
+      CostEvaluator evaluator(seq, options);
+      if (!evaluator.incremental()) continue;
+      SCOPED_TRACE(std::string(text) + " zero=" +
+                   (options.initial_alignment == rtm::InitialAlignment::kZero
+                        ? "1"
+                        : "0"));
+      for (const std::uint32_t q : {1u, 2u, 3u}) {
+        const Placement bound = RandomPlacement(n, q, /*capacity=*/8, rng);
+        const std::uint64_t bound_cost = evaluator.Evaluate(bound);
+        for (int sample = 0; sample < 8; ++sample) {
+          RandomDraw draw;
+          DrawRandomSlots(n, q, /*capacity=*/8, rng, draw);
+          const std::uint64_t expected =
+              ShiftCost(seq, draw.Build(), options);
+          EXPECT_EQ(evaluator.ScoreSlots(draw.slots, draw.fill), expected);
+          EXPECT_EQ(evaluator.ScoreSlots(draw.slots, draw.fill), expected);
+        }
+        EXPECT_EQ(evaluator.Cost(), bound_cost);
+        EXPECT_EQ(evaluator.placement(), bound);
+      }
+    }
+  }
 }
 
 TEST(CostEvaluator, PerDbcCostMatchesDecomposition) {

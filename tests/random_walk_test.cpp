@@ -225,6 +225,55 @@ TEST(RandomWalkOracle, RunRandomWalkMatchesOldBodyOnSeededGrid) {
   EXPECT_GT(compared, 200);  // the grid is not mostly rejections
 }
 
+TEST(RandomWalkOracle, RunRandomWalkMatchesOldBodyOnRepeatHeavySequences) {
+  // ScoreSlots skips repeats of the previous access (60.6% of the
+  // OffsetStone suite's accesses); the old body scores every access.
+  util::Rng gen(0x4E9EA7);
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t n = 2 + gen.NextBelow(40);
+    AccessSequence seq;
+    for (std::size_t v = 0; v < n; ++v) {
+      std::string name = "v";
+      name += std::to_string(v);
+      seq.AddVariable(std::move(name));
+    }
+    std::size_t repeats = 0;
+    while (seq.size() < 20 * n) {
+      const auto v = static_cast<VariableId>(gen.NextBelow(n));
+      if (seq.size() > 0 && seq[seq.size() - 1].variable == v) ++repeats;
+      seq.Append(v);
+      // Runs of geometric length, mean 3.
+      for (std::uint64_t r = gen.NextGeometric(1.0 / 3, 12); r > 0; --r) {
+        seq.Append(v);
+        ++repeats;
+      }
+    }
+    ASSERT_GE(2 * repeats, seq.size());
+    for (const auto alignment : {rtm::InitialAlignment::kFirstAccess,
+                                 rtm::InitialAlignment::kZero}) {
+      GridCase c;
+      c.num_dbcs = static_cast<std::uint32_t>(1 + gen.NextBelow(8));
+      c.options.iterations = 300;
+      c.options.seed = gen();
+      c.options.cost.initial_alignment = alignment;
+      if (gen.NextBool(0.5)) {
+        c.options.cost.domains_per_dbc = static_cast<std::uint32_t>(n);
+        c.options.cost.port_offsets = {static_cast<std::uint32_t>(n / 2)};
+      }
+      c.seq = seq;
+      SCOPED_TRACE(Describe(c));
+      const RwResult old_r =
+          OldRunRandomWalk(c.seq, c.num_dbcs, kUnboundedCapacity, c.options);
+      const RwResult new_r =
+          RunRandomWalk(c.seq, c.num_dbcs, kUnboundedCapacity, c.options);
+      EXPECT_EQ(new_r.best, old_r.best);
+      EXPECT_EQ(new_r.best_cost, old_r.best_cost);
+      EXPECT_EQ(new_r.history, old_r.history);
+      EXPECT_EQ(new_r.evaluations, old_r.evaluations);
+    }
+  }
+}
+
 TEST(RandomWalkOracle, HistoryHoldsOneSamplePerStridePlusFinal) {
   const auto seq = AccessSequence::FromCompactString("abcdabcd");
   for (const std::size_t iterations : {1, 99, 100, 101, 150, 250}) {

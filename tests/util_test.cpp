@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -66,6 +68,129 @@ TEST(Rng, NextInRangeInclusive) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+TEST(Rng, NextInRangeFullWidthReturnsTheRawDraw) {
+  // hi - lo + 1 wraps to 0 over the whole int64 range.
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(37);
+  Rng raw(37);
+  std::set<std::int64_t> seen;
+  for (int i = 0; i < 100; ++i) {
+    const std::int64_t v = rng.NextInRange(kMin, kMax);
+    EXPECT_EQ(v, static_cast<std::int64_t>(raw()));
+    seen.insert(v);
+  }
+  EXPECT_GT(seen.size(), 90u);
+}
+
+TEST(Rng, NextInRangeWiderThanInt64MaxStaysInRange) {
+  // Half-open ranges wider than INT64_MAX: the offset from lo does not
+  // fit in an int64.
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(43);
+  bool saw_high = false;
+  bool saw_low = false;
+  for (int i = 0; i < 200; ++i) {
+    const std::int64_t high = rng.NextInRange(-5, kMax);
+    EXPECT_GE(high, -5);
+    saw_high |= high > kMax / 2;
+    const std::int64_t low = rng.NextInRange(kMin, 5);
+    EXPECT_LE(low, 5);
+    saw_low |= low < kMin / 2;
+  }
+  EXPECT_TRUE(saw_high);
+  EXPECT_TRUE(saw_low);
+}
+
+TEST(Rng, NextInRangeSinglePointReturnsItAndDrawsOnce) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(41);
+  Rng raw(41);
+  for (const std::int64_t point : {kMin, std::int64_t{-7}, std::int64_t{0},
+                                   std::int64_t{12}, kMax}) {
+    EXPECT_EQ(rng.NextInRange(point, point), point);
+    (void)raw();
+    EXPECT_EQ(rng(), raw());
+  }
+}
+
+// The NextBelow body that computed the rejection threshold with a 64-bit
+// division on every call. The production body divides only when the low
+// product word is below `bound`, and must accept and reject exactly the
+// same draws.
+std::uint64_t ReferenceNextBelow(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t x = rng();
+    const auto wide = static_cast<unsigned __int128>(x) * bound;
+    const auto low = static_cast<std::uint64_t>(wide);
+    if (low >= threshold) return static_cast<std::uint64_t>(wide >> 64);
+  }
+}
+
+template <typename T>
+void ReferenceShuffle(Rng& rng, std::vector<T>& items) {
+  if (items.size() < 2) return;
+  for (std::size_t i = items.size() - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(ReferenceNextBelow(rng, i + 1));
+    std::swap(items[i], items[j]);
+  }
+}
+
+/// Draws `draws` values below `bound` from twin generators and checks
+/// the results and the next raw word after each draw.
+void ExpectNextBelowMatchesReference(std::uint64_t seed, std::uint64_t bound,
+                                     int draws) {
+  SCOPED_TRACE(bound);
+  Rng fast(seed);
+  Rng reference(seed);
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(fast.NextBelow(bound), ReferenceNextBelow(reference, bound));
+    ASSERT_EQ(fast(), reference());
+  }
+}
+
+TEST(RngOracle, NextBelowMatchesReferenceOnEdgeBounds) {
+  constexpr std::uint64_t kTwo32 = 1ULL << 32;
+  constexpr std::uint64_t kTwo63 = 1ULL << 63;
+  // 2^63 + 1 rejects about half of all draws: the slow path runs often.
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, kTwo32 - 1,
+        kTwo32, kTwo32 + 1, kTwo63, kTwo63 + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    ExpectNextBelowMatchesReference(bound ^ 0xB0D, bound, 2000);
+  }
+}
+
+TEST(RngOracle, NextBelowMatchesReferenceOnSeededBounds) {
+  Rng bounds(0xB0B0);
+  for (int i = 0; i < 10000; ++i) {
+    // Alternate small bounds (the placement draws) with full 64-bit ones.
+    std::uint64_t bound =
+        i % 2 == 0 ? 1 + bounds.NextBelow(1000) : bounds();
+    if (bound == 0) bound = 1;
+    ExpectNextBelowMatchesReference(bounds(), bound, 4);
+  }
+}
+
+TEST(RngOracle, ShuffleMatchesReferenceShuffle) {
+  for (const std::size_t size : {0, 1, 2, 3, 17, 100, 1000}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      std::vector<std::size_t> fast(size);
+      for (std::size_t i = 0; i < size; ++i) fast[i] = i;
+      std::vector<std::size_t> reference = fast;
+      Rng fast_rng(seed * 7919);
+      Rng reference_rng(seed * 7919);
+      fast_rng.Shuffle(fast);
+      ReferenceShuffle(reference_rng, reference);
+      EXPECT_EQ(fast, reference);
+      EXPECT_EQ(fast_rng(), reference_rng());
+    }
+  }
 }
 
 TEST(Rng, NextDoubleInUnitInterval) {
