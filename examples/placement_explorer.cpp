@@ -22,9 +22,12 @@
 // tenant of one multi-tenant device; or a cache policy, the device a
 // bounded resident set with misses filled from a backing store — and
 // inspect the resulting layout and costs.
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "cache/cache_cell.h"
 #include "cache/cache_policy.h"
@@ -652,6 +655,20 @@ int CmdCache(const std::string& spec, const std::string& policy_name,
   return obs.Write();
 }
 
+/// Parses a `<dbcs>` argument: the whole text must be a decimal integer
+/// in [1, UINT_MAX]. Throws std::invalid_argument otherwise ("4x", "4.9",
+/// "-1" and out-of-range counts included), which main reports as exit 1.
+unsigned ParseDbcCount(std::string_view text) {
+  unsigned dbcs = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, dbcs);
+  if (ec != std::errc() || ptr != end || dbcs == 0) {
+    throw std::invalid_argument("DBC count '" + std::string(text) +
+                                "' is not a positive integer");
+  }
+  return dbcs;
+}
+
 /// Parses trailing `[--json <file>]` (and, when `trace_path` is
 /// non-null, `[--trace-out <file>]`); returns false (after printing the
 /// offender) on anything else.
@@ -683,38 +700,33 @@ int main(int argc, char** argv) {
       return CmdExport(argv[2], argv[3]);
     }
     if (argc >= 5 && std::string(argv[1]) == "place") {
-      return CmdPlace(argv[2], argv[3],
-                      static_cast<unsigned>(std::stoul(argv[4])));
+      return CmdPlace(argv[2], argv[3], ParseDbcCount(argv[4]));
     }
     if (argc >= 4 && std::string(argv[1]) == "compare") {
       std::string json_path;
       if (!ParseOutputFlags(argc, argv, 4, &json_path)) return Usage();
-      return CmdCompare(argv[2], static_cast<unsigned>(std::stoul(argv[3])),
-                        json_path);
+      return CmdCompare(argv[2], ParseDbcCount(argv[3]), json_path);
     }
     if (argc >= 5 && std::string(argv[1]) == "online") {
       ExplorerObs obs;
       if (!ParseOutputFlags(argc, argv, 5, &obs.json_path, &obs.trace_path)) {
         return Usage();
       }
-      return CmdOnline(argv[2], argv[3],
-                       static_cast<unsigned>(std::stoul(argv[4])), obs);
+      return CmdOnline(argv[2], argv[3], ParseDbcCount(argv[4]), obs);
     }
     if (argc >= 5 && std::string(argv[1]) == "serve") {
       ExplorerObs obs;
       if (!ParseOutputFlags(argc, argv, 5, &obs.json_path, &obs.trace_path)) {
         return Usage();
       }
-      return CmdServe(argv[2], argv[3],
-                      static_cast<unsigned>(std::stoul(argv[4])), obs);
+      return CmdServe(argv[2], argv[3], ParseDbcCount(argv[4]), obs);
     }
     if (argc >= 5 && std::string(argv[1]) == "cache") {
       ExplorerObs obs;
       if (!ParseOutputFlags(argc, argv, 5, &obs.json_path, &obs.trace_path)) {
         return Usage();
       }
-      return CmdCache(argv[2], argv[3],
-                      static_cast<unsigned>(std::stoul(argv[4])), obs);
+      return CmdCache(argv[2], argv[3], ParseDbcCount(argv[4]), obs);
     }
     if (argc >= 2 && std::string(argv[1]) == "strategies") {
       std::string json_path;

@@ -539,14 +539,6 @@ std::uint64_t CostEvaluator::Cost() const {
   return total_;
 }
 
-std::vector<std::uint64_t> CostEvaluator::PerDbcCost() const {
-  RequireBound();
-  std::vector<std::uint64_t> per_dbc;
-  per_dbc.reserve(dbcs_.size());
-  for (const DbcData& data : dbcs_) per_dbc.push_back(data.cost);
-  return per_dbc;
-}
-
 const Placement& CostEvaluator::placement() const {
   RequireBound();
   return mirror_;
@@ -598,71 +590,6 @@ std::uint64_t CostEvaluator::PeekByReplay(const Placement& candidate) const {
     total += c;
   }
   return total;
-}
-
-std::uint64_t CostEvaluator::PeekTranspose(std::uint32_t dbc, std::size_t i,
-                                           std::size_t j) {
-  RequireBound();
-  const auto& members = mirror_.dbc(dbc);  // validates dbc
-  if (i >= members.size() || j >= members.size()) {
-    throw std::out_of_range("Placement: transpose position out of range");
-  }
-  if (i == j) return total_;
-  if (!single_port_) {
-    Placement candidate = mirror_;
-    candidate.Transpose(dbc, i, j);
-    return PeekByReplay(candidate);
-  }
-  if (!weights_valid_) RebuildWeights();
-  for (std::uint32_t offset = 0; offset < members.size(); ++offset) {
-    offset_scratch_[members[offset]] = offset;
-  }
-  std::swap(offset_scratch_[members[i]], offset_scratch_[members[j]]);
-  const DbcData& data = dbcs_[dbc];
-  std::uint64_t new_cost = PriceDbcEdgesAll(data);
-  if (first_pays_ && data.head != kNoPosition) {
-    new_cost += PortDistance(offset_scratch_[var_of_[data.head]], port_);
-  }
-  return total_ - data.cost + new_cost;
-}
-
-std::uint64_t CostEvaluator::PeekReorder(
-    std::uint32_t dbc, const std::vector<VariableId>& order) {
-  RequireBound();
-  const auto& members = mirror_.dbc(dbc);  // validates dbc
-  if (order.size() != members.size()) {
-    throw std::invalid_argument("Placement: reorder size mismatch");
-  }
-  // Permutation check without sorting: every entry must live in this DBC
-  // and appear once (marks staged in offset_scratch_, overwritten below).
-  for (const VariableId v : order) {
-    if (v >= offset_scratch_.size() || !mirror_.IsPlaced(v) ||
-        mirror_.SlotOf(v).dbc != dbc) {
-      throw std::invalid_argument("Placement: reorder is not a permutation");
-    }
-    offset_scratch_[v] = kNoPosition;
-  }
-  for (const VariableId v : order) {
-    if (offset_scratch_[v] != kNoPosition) {
-      throw std::invalid_argument("Placement: reorder is not a permutation");
-    }
-    offset_scratch_[v] = 0;
-  }
-  if (!single_port_) {
-    Placement candidate = mirror_;
-    candidate.Reorder(dbc, order);
-    return PeekByReplay(candidate);
-  }
-  if (!weights_valid_) RebuildWeights();
-  for (std::uint32_t offset = 0; offset < order.size(); ++offset) {
-    offset_scratch_[order[offset]] = offset;
-  }
-  const DbcData& data = dbcs_[dbc];
-  std::uint64_t new_cost = PriceDbcEdgesAll(data);
-  if (first_pays_ && data.head != kNoPosition) {
-    new_cost += PortDistance(offset_scratch_[var_of_[data.head]], port_);
-  }
-  return total_ - data.cost + new_cost;
 }
 
 std::uint64_t CostEvaluator::PeekMove(VariableId v, std::uint32_t dbc) {
@@ -802,7 +729,6 @@ std::uint64_t CostEvaluator::ApplyMove(VariableId v, std::uint32_t dbc) {
   if (single_port_ && !weights_valid_) RebuildWeights();
   mirror_.MoveToEnd(v, dbc);  // validates target index and capacity
   UndoRecord rec;  // costs unchanged so far: the mirror edit is cost-free
-  rec.kind = UndoRecord::Kind::kMove;
   rec.v = v;
   rec.from_dbc = old.dbc;
   rec.from_offset = old.offset;
@@ -851,50 +777,6 @@ std::uint64_t CostEvaluator::ApplyMove(VariableId v, std::uint32_t dbc) {
   return total_;
 }
 
-std::uint64_t CostEvaluator::ApplyTranspose(std::uint32_t dbc, std::size_t i,
-                                            std::size_t j) {
-  RequireBound();
-  mirror_.Transpose(dbc, i, j);  // validates dbc, i, j
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kTranspose;
-  rec.dbc = dbc;
-  rec.i = i;
-  rec.j = j;
-  rec.from_cost = dbcs_[dbc].cost;
-  if (!single_port_) {
-    RecomputeMultiPort();
-  } else if (i != j) {
-    if (!weights_valid_) RebuildWeights();
-    RepriceDbc(dbc);
-  }
-  undo_.push_back(std::move(rec));
-  total_ = TotalFromDbcs();
-  AssertMatchesShiftCost();
-  return total_;
-}
-
-std::uint64_t CostEvaluator::ApplyReorder(std::uint32_t dbc,
-                                          std::vector<VariableId> order) {
-  RequireBound();
-  std::vector<VariableId> old_order = mirror_.dbc(dbc);  // validates dbc
-  mirror_.Reorder(dbc, std::move(order));  // validates the permutation
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kReorder;
-  rec.dbc = dbc;
-  rec.old_order = std::move(old_order);
-  rec.from_cost = dbcs_[dbc].cost;
-  if (!single_port_) {
-    RecomputeMultiPort();
-  } else {
-    if (!weights_valid_) RebuildWeights();
-    RepriceDbc(dbc);  // weights depend only on the partition, not the order
-  }
-  undo_.push_back(std::move(rec));
-  total_ = TotalFromDbcs();
-  AssertMatchesShiftCost();
-  return total_;
-}
-
 void CostEvaluator::Undo() {
   RequireBound();
   if (undo_.empty()) {
@@ -902,58 +784,43 @@ void CostEvaluator::Undo() {
   }
   UndoRecord rec = std::move(undo_.back());
   undo_.pop_back();
-  // The records carry the touched DBCs' pre-edit costs, so undo restores
+  // The record carries the touched DBCs' pre-edit costs, so undo restores
   // them directly: no re-pricing (and no multi-port replay) on this path.
-  switch (rec.kind) {
-    case UndoRecord::Kind::kTranspose: {
-      mirror_.Transpose(rec.dbc, rec.i, rec.j);
-      dbcs_[rec.dbc].cost = rec.from_cost;
-      break;
+  // v sits at the end of rec.dbc; return it to rec.from_dbc at
+  // rec.from_offset. LIFO undo guarantees the slot is free again.
+  // Bubbling v back avoids Reorder's permutation-check sorts.
+  mirror_.MoveToEnd(rec.v, rec.from_dbc);
+  for (std::size_t k = mirror_.dbc(rec.from_dbc).size() - 1;
+       k > rec.from_offset; --k) {
+    mirror_.Transpose(rec.from_dbc, k, k - 1);
+  }
+  if (single_port_ && rec.dbc != rec.from_dbc) {
+    UnlinkAll(dbcs_[rec.dbc], rec.v);
+    RelinkAll(dbcs_[rec.from_dbc], rec.v, rec.links_begin);
+    links_arena_.resize(rec.links_begin);
+    // Splice-mode DBCs: replay their weight-log slice backwards.
+    // Key-addressed, so edges the apply appended simply revert to
+    // tombstones (logged old weight 0) wherever they now live.
+    for (std::size_t i = weight_log_.size(); i-- > rec.log_begin;) {
+      const WeightEdit& edit = weight_log_[i];
+      DbcData& data = dbcs_[edit.dbc];
+      SetEdgeWeight(data, EdgeFor(data, edit.key), edit.old_weight);
     }
-    case UndoRecord::Kind::kReorder: {
-      mirror_.Reorder(rec.dbc, std::move(rec.old_order));
-      dbcs_[rec.dbc].cost = rec.from_cost;
-      break;
+    weight_log_.resize(rec.log_begin);
+    // Rebuild-mode DBCs: swap the snapshotted pre-edit state back in.
+    if (rec.from_rebuilt) {
+      dbcs_[rec.from_dbc].edges = std::move(rec.from_snap);
+      dbcs_[rec.from_dbc].edge_index = std::move(rec.from_index_snap);
+      dbcs_[rec.from_dbc].dead = rec.from_dead_snap;
     }
-    case UndoRecord::Kind::kMove: {
-      // v sits at the end of rec.dbc; return it to rec.from_dbc at
-      // rec.from_offset. LIFO undo guarantees the slot is free again.
-      // Bubbling v back avoids Reorder's permutation-check sorts.
-      mirror_.MoveToEnd(rec.v, rec.from_dbc);
-      for (std::size_t k = mirror_.dbc(rec.from_dbc).size() - 1;
-           k > rec.from_offset; --k) {
-        mirror_.Transpose(rec.from_dbc, k, k - 1);
-      }
-      if (single_port_ && rec.dbc != rec.from_dbc) {
-        UnlinkAll(dbcs_[rec.dbc], rec.v);
-        RelinkAll(dbcs_[rec.from_dbc], rec.v, rec.links_begin);
-        links_arena_.resize(rec.links_begin);
-        // Splice-mode DBCs: replay their weight-log slice backwards.
-        // Key-addressed, so edges the apply appended simply revert to
-        // tombstones (logged old weight 0) wherever they now live.
-        for (std::size_t i = weight_log_.size(); i-- > rec.log_begin;) {
-          const WeightEdit& edit = weight_log_[i];
-          DbcData& data = dbcs_[edit.dbc];
-          SetEdgeWeight(data, EdgeFor(data, edit.key), edit.old_weight);
-        }
-        weight_log_.resize(rec.log_begin);
-        // Rebuild-mode DBCs: swap the snapshotted pre-edit state back in.
-        if (rec.from_rebuilt) {
-          dbcs_[rec.from_dbc].edges = std::move(rec.from_snap);
-          dbcs_[rec.from_dbc].edge_index = std::move(rec.from_index_snap);
-          dbcs_[rec.from_dbc].dead = rec.from_dead_snap;
-        }
-        if (rec.to_rebuilt) {
-          dbcs_[rec.dbc].edges = std::move(rec.to_snap);
-          dbcs_[rec.dbc].edge_index = std::move(rec.to_index_snap);
-          dbcs_[rec.dbc].dead = rec.to_dead_snap;
-        }
-      }
-      dbcs_[rec.from_dbc].cost = rec.from_cost;
-      dbcs_[rec.dbc].cost = rec.to_cost;
-      break;
+    if (rec.to_rebuilt) {
+      dbcs_[rec.dbc].edges = std::move(rec.to_snap);
+      dbcs_[rec.dbc].edge_index = std::move(rec.to_index_snap);
+      dbcs_[rec.dbc].dead = rec.to_dead_snap;
     }
   }
+  dbcs_[rec.from_dbc].cost = rec.from_cost;
+  dbcs_[rec.dbc].cost = rec.to_cost;
   total_ = TotalFromDbcs();
   AssertMatchesShiftCost();
 }

@@ -15,17 +15,15 @@
 // where w_d(u, v) counts how often u and v are accessed consecutively in
 // the subsequence of S restricted to d's variables, this evaluator
 // maintains the per-DBC transition weights w_d for a bound placement and
-// keeps the cost up to date under placement edits:
+// keeps the cost up to date under moves and Evaluate's diffs:
 //
 //  * the weights depend only on the DBC *partition* (which DBC each
-//    variable lives in), never on the order inside a DBC — reordering a
-//    DBC re-prices the existing weights in O(distinct transitions of that
-//    DBC) instead of O(|S|);
+//    variable lives in), never on the order inside a DBC — when a move
+//    shifts the offsets inside a DBC, its existing weights are re-priced
+//    in O(distinct transitions of the DBC) instead of O(|S|);
 //  * moving one variable between DBCs splices its trace positions out of
 //    one restricted subsequence and into the other, touching only the
-//    weights of its former and new neighbors;
-//  * transposing two variables inside a DBC changes exactly two offsets —
-//    an O(degree) delta.
+//    weights of its former and new neighbors.
 //
 // Fast-path applicability: the decomposition above holds for the paper's
 // single-port cost model (CostOptions::port_offsets has one entry), where
@@ -37,13 +35,21 @@
 // bit-identical to ShiftCost by construction. Debug builds additionally
 // assert every Evaluate() against ShiftCost.
 //
-// Typical use (a GA mutation loop):
+// Typical use (the greedy move loop of online::Refine and TrimMigration):
 //
 //   CostEvaluator evaluator(seq, options.cost);
 //   evaluator.Bind(placement);                  // O(|S|), once
 //   const std::uint64_t before = evaluator.Cost();
-//   const std::uint64_t after = evaluator.ApplyTranspose(d, i, j);  // O(deg)
-//   if (after >= before) evaluator.Undo();      // reject the mutation
+//   std::uint32_t best = home;
+//   std::uint64_t best_cost = before;
+//   for (std::uint32_t d = 0; d < num_dbcs; ++d) {
+//     const std::uint64_t cost = evaluator.PeekMove(v, d);  // no edit
+//     if (cost < best_cost) { best = d; best_cost = cost; }
+//   }
+//   if (best != home) {
+//     const std::uint64_t after = evaluator.ApplyMove(v, best);
+//     if (after + margin >= before) evaluator.Undo();  // not worth it
+//   }
 //
 // Evaluate(p) scores an arbitrary placement by diffing it against the
 // currently bound one and rebinding: cheap when few variables changed
@@ -108,56 +114,45 @@ class CostEvaluator {
   [[nodiscard]] std::uint64_t ScoreSlots(std::span<const Slot> slots,
                                          std::span<const std::uint32_t> fill);
 
-  /// Total / per-DBC cost of the bound placement. O(1); throws
-  /// std::logic_error when nothing is bound.
+  /// Total cost of the bound placement. O(1); throws std::logic_error
+  /// when nothing is bound.
   [[nodiscard]] std::uint64_t Cost() const;
-  [[nodiscard]] std::vector<std::uint64_t> PerDbcCost() const;
 
-  /// The bound placement (kept in lock-step with the Apply edits).
+  /// The bound placement (kept in lock-step with ApplyMove and Undo).
   [[nodiscard]] const Placement& placement() const;
 
   // -- trial scoring ---------------------------------------------------------
-  // Read-only: the total cost the bound placement WOULD have after the
-  // corresponding edit, without performing it. This is the hot primitive
-  // of neighborhood search — score many candidate mutations, commit one
-  // (via Apply*) or none. Nothing to undo afterwards. Same validation as
-  // the Apply counterparts. Single-port costs: PeekTranspose and
-  // PeekReorder re-price one DBC's edges under hypothetical offsets,
-  // O(transitions + variables of the DBC); PeekMove additionally walks
-  // the insertion merge, O(E_from + n_from + freq(v) + |S_to|). The
-  // methods are non-const only because they share the evaluator's scratch
-  // buffers (and lazily rebuild stale weights); the bound placement and
-  // cost are never modified. Multi-port: O(|S|) replay of a scratch copy.
+  // Read-only: the total cost the bound placement WOULD have after
+  // ApplyMove(v, dbc), without performing it. This is the hot primitive
+  // of neighborhood search — score many candidate moves, commit one (via
+  // ApplyMove) or none. Nothing to undo afterwards. Same validation as
+  // ApplyMove. Single-port: re-prices the source DBC's edges under the
+  // gap-closed offsets and walks the insertion merge into the target,
+  // O(E_from + n_from + freq(v) + |S_to|). Non-const only because it
+  // shares the evaluator's scratch buffers (and lazily rebuilds stale
+  // weights); the bound placement and cost are never modified.
+  // Multi-port: O(|S|) replay of a scratch copy.
 
   [[nodiscard]] std::uint64_t PeekMove(VariableId v, std::uint32_t dbc);
-  [[nodiscard]] std::uint64_t PeekTranspose(std::uint32_t dbc, std::size_t i,
-                                            std::size_t j);
-  [[nodiscard]] std::uint64_t PeekReorder(
-      std::uint32_t dbc, const std::vector<VariableId>& order);
 
   // -- incremental edits ----------------------------------------------------
-  // Each mirrors the Placement mutation of the same name, updates the cost,
-  // pushes an undo record and returns the new total cost. Validation (range
+  // ApplyMove mirrors Placement::MoveToEnd, updates the cost, pushes an
+  // undo record and returns the new total cost. Validation (range
   // checks, capacity) is delegated to Placement and happens before any
-  // internal state changes. Single-port costs are re-priced per touched
-  // DBC over its dense transition-edge array: ApplyTranspose and
-  // ApplyReorder are O(transitions of the DBC); ApplyMove additionally
-  // splices v's occurrences out in O(freq(v)) and merges them into the
-  // target in O(|S_target| + freq(v)). Every bound is far below the O(|S|)
-  // trace replay; Undo restores the stored pre-edit costs and links, so it
-  // is O(freq(v)) for moves and O(1) + the mirror edit otherwise.
-  // Multi-port: Apply* is O(|S|) (full replay re-price), Undo is cheap.
+  // internal state changes. Single-port: splices v's occurrences out in
+  // O(freq(v)), merges them into the target in O(|S_target| + freq(v))
+  // and re-prices both DBCs over their dense transition-edge arrays —
+  // far below the O(|S|) trace replay. Undo restores the stored pre-edit
+  // costs and links in O(freq(v)). Multi-port: ApplyMove is O(|S|) (full
+  // replay re-price), Undo is cheap.
 
   std::uint64_t ApplyMove(VariableId v, std::uint32_t dbc);
-  std::uint64_t ApplyTranspose(std::uint32_t dbc, std::size_t i,
-                               std::size_t j);
-  std::uint64_t ApplyReorder(std::uint32_t dbc, std::vector<VariableId> order);
 
-  /// Reverts the most recent not-yet-undone Apply edit (LIFO). Throws
+  /// Reverts the most recent not-yet-undone ApplyMove (LIFO). Throws
   /// std::logic_error when the undo stack is empty.
   void Undo();
 
-  /// Apply edits that can still be undone. Bind/Evaluate reset this to 0.
+  /// Moves that can still be undone. Bind/Evaluate reset this to 0.
   [[nodiscard]] std::size_t undo_depth() const noexcept {
     return undo_.size();
   }
@@ -238,31 +233,29 @@ class CostEvaluator {
     std::uint64_t cost = 0;
   };
 
+  /// One ApplyMove(v, dbc) to revert: v came from (from_dbc, from_offset).
   struct UndoRecord {
-    enum class Kind { kMove, kTranspose, kReorder } kind;
-    VariableId v = 0;           // kMove
-    std::uint32_t from_dbc = 0; // kMove
-    std::uint32_t from_offset = 0;  // kMove
-    std::uint32_t dbc = 0;      // all
-    std::size_t i = 0, j = 0;   // kTranspose
-    std::vector<VariableId> old_order;  // kReorder
-    /// kMove: start of this record's slice of links_arena_ — v's
-    /// (prev, next) links in from_dbc before the splice-out, one pair per
-    /// occurrence; undo relinks from these in O(1) each.
+    VariableId v = 0;
+    std::uint32_t from_dbc = 0;
+    std::uint32_t from_offset = 0;
+    std::uint32_t dbc = 0;
+    /// Start of this record's slice of links_arena_ — v's (prev, next)
+    /// links in from_dbc before the splice-out, one pair per occurrence;
+    /// undo relinks from these in O(1) each.
     std::size_t links_begin = 0;
-    /// kMove: start of this record's slice of weight_log_; undo replays
-    /// the slice backwards.
+    /// Start of this record's slice of weight_log_; undo replays the
+    /// slice backwards.
     std::size_t log_begin = 0;
-    /// kMove: the corresponding DBC's transition edges were rebuilt
-    /// wholesale (high-frequency variable) instead of spliced+logged;
-    /// undo swaps the snapshotted pre-edit edge state back in.
+    /// The corresponding DBC's transition edges were rebuilt wholesale
+    /// (high-frequency variable) instead of spliced+logged; undo swaps
+    /// the snapshotted pre-edit edge state back in.
     bool from_rebuilt = false;
     bool to_rebuilt = false;
     EdgeArray from_snap, to_snap;
     EdgeIndex from_index_snap, to_index_snap;
     std::size_t from_dead_snap = 0, to_dead_snap = 0;
-    /// Pre-edit costs of the touched DBCs (kMove: from_dbc and dbc); undo
-    /// restores them instead of re-pricing (LIFO makes the values valid).
+    /// Pre-edit costs of from_dbc and dbc; undo restores them instead of
+    /// re-pricing (LIFO makes the values valid).
     std::uint64_t from_cost = 0;
     std::uint64_t to_cost = 0;
   };
@@ -389,7 +382,7 @@ class CostEvaluator {
   std::vector<UndoRecord> undo_;
   /// LIFO arenas backing the undo records (truncated in lock-step with
   /// undo_): saved links and the weight-edit log. log_weights_ arms the
-  /// logging inside Apply edits only.
+  /// logging inside ApplyMove only.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> links_arena_;
   std::vector<WeightEdit> weight_log_;
   bool log_weights_ = false;

@@ -6,20 +6,25 @@
 #include <limits>
 #include <stdexcept>
 
-#include "trace/access_graph.h"
-
 namespace rtmp::core {
 
 namespace {
 
 constexpr std::size_t kNoIndex = std::numeric_limits<std::size_t>::max();
 
+/// One weighted adjacency entry: `weight` counts how often the owner and
+/// `neighbor` are accessed consecutively (self pairs excluded).
+struct Edge {
+  VariableId neighbor = 0;
+  std::uint64_t weight = 0;
+};
+
 /// Local view of one DBC's subproblem: dense local ids for the subset,
 /// frequencies and an adjacency structure from the restricted accesses.
 struct LocalProblem {
   std::vector<VariableId> globals;              // local -> global id
   std::vector<std::uint64_t> frequency;         // by local id
-  std::vector<std::vector<trace::AccessGraph::Edge>> adjacency;  // local ids
+  std::vector<std::vector<Edge>> adjacency;     // local ids
   std::vector<VariableId> unused;               // subset vars never accessed
 
   [[nodiscard]] std::size_t size() const noexcept { return globals.size(); }
@@ -242,7 +247,7 @@ std::uint64_t EdgeWeightBetween(const LocalProblem& local, std::size_t u,
   const auto& edges = local.adjacency[u];
   const auto it = std::lower_bound(
       edges.begin(), edges.end(), v,
-      [](const trace::AccessGraph::Edge& e, std::size_t id) {
+      [](const Edge& e, std::size_t id) {
         return e.neighbor < id;
       });
   return it != edges.end() && it->neighbor == v ? it->weight : 0;

@@ -6,7 +6,6 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
-#include <istream>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -560,20 +559,6 @@ OnlineResult RunOnline(const trace::AccessSequence& seq,
   }
   engine.Feed(std::span<const trace::Access>(seq.accesses()));
   return engine.Finish();
-}
-
-std::vector<OnlineTraceResult> RunOnlineOverTrace(
-    std::istream& in, const OnlineConfig& config,
-    const rtm::RtmConfig& device,
-    const trace::TraceStreamOptions& stream_options) {
-  std::vector<OnlineTraceResult> results;
-  (void)trace::StreamTrace(
-      in,
-      [&](const std::string& name, trace::AccessSequence sequence) {
-        results.push_back({name, RunOnline(sequence, config, device)});
-      },
-      stream_options);
-  return results;
 }
 
 }  // namespace rtmp::online

@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,7 +51,6 @@
 #include "rtm/controller.h"
 #include "rtm/energy_model.h"
 #include "trace/access_sequence.h"
-#include "trace/trace_stream.h"
 
 namespace rtmp::obs {
 class Histogram;
@@ -367,17 +365,5 @@ class OnlineEngine {
 [[nodiscard]] OnlineResult RunOnline(const trace::AccessSequence& seq,
                                      const OnlineConfig& config,
                                      const rtm::RtmConfig& device);
-
-/// Streaming entry point: runs every sequence of a trace stream (text or
-/// binary, sniffed by magic — see trace/trace_stream.h) through its own
-/// session, holding one sequence in memory at a time.
-struct OnlineTraceResult {
-  std::string sequence_name;
-  OnlineResult result;
-};
-[[nodiscard]] std::vector<OnlineTraceResult> RunOnlineOverTrace(
-    std::istream& in, const OnlineConfig& config,
-    const rtm::RtmConfig& device,
-    const trace::TraceStreamOptions& stream_options = {});
 
 }  // namespace rtmp::online

@@ -57,14 +57,6 @@ std::string_view ToString(DetectorKind kind) {
   return "none";
 }
 
-std::optional<DetectorKind> ParseDetectorKind(std::string_view name) {
-  if (name == "none") return DetectorKind::kNone;
-  if (name == "fixed") return DetectorKind::kFixedWindow;
-  if (name == "ewma") return DetectorKind::kEwmaDrift;
-  if (name == "cusum") return DetectorKind::kCusum;
-  return std::nullopt;
-}
-
 PhaseDetector::PhaseDetector(PhaseDetectorConfig config) : config_(config) {
   if (config_.kind == DetectorKind::kFixedWindow && config_.period == 0) {
     throw std::invalid_argument("PhaseDetector: period must be >= 1");

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -71,8 +70,6 @@ enum class DetectorKind : std::uint8_t {
 
 /// "none", "fixed", "ewma", "cusum".
 [[nodiscard]] std::string_view ToString(DetectorKind kind);
-[[nodiscard]] std::optional<DetectorKind> ParseDetectorKind(
-    std::string_view name);
 
 struct PhaseDetectorConfig {
   DetectorKind kind = DetectorKind::kNone;

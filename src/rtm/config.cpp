@@ -26,12 +26,8 @@ std::vector<std::uint32_t> RtmConfig::EffectivePortOffsets() const {
 }
 
 void RtmConfig::Validate() const {
-  if (banks == 0 || subarrays_per_bank == 0 || dbcs_per_subarray == 0) {
-    throw std::invalid_argument(
-        "RtmConfig: bank/subarray/DBC counts must be positive");
-  }
-  if (tracks_per_dbc == 0) {
-    throw std::invalid_argument("RtmConfig: tracks_per_dbc must be positive");
+  if (dbcs == 0) {
+    throw std::invalid_argument("RtmConfig: DBC count must be positive");
   }
   if (domains_per_dbc == 0) {
     throw std::invalid_argument("RtmConfig: domains_per_dbc must be positive");
@@ -57,10 +53,7 @@ void RtmConfig::Validate() const {
 
 RtmConfig RtmConfig::Paper(unsigned dbcs) {
   RtmConfig config;
-  config.banks = 1;
-  config.subarrays_per_bank = 1;
-  config.dbcs_per_subarray = dbcs;
-  config.tracks_per_dbc = 32;
+  config.dbcs = dbcs;
   config.domains_per_dbc = destiny::PaperDomainsPerDbc(dbcs);
   config.ports_per_track = 1;
   config.initial_alignment = InitialAlignment::kFirstAccess;

@@ -1,5 +1,9 @@
-// RTM organization (cf. paper Fig. 2): banks -> subarrays -> DBCs, each DBC
-// being T nanotracks of K domains accessed through one or more ports.
+// RTM organization (cf. paper Fig. 2): a flat array of DBCs, each DBC
+// being a group of nanotracks of K domains accessed through one or more
+// ports. Shift counts depend only on the DBC count, the domains per DBC
+// and the ports, so no bank/subarray hierarchy is modelled; the word
+// width matters only to energy, which destiny::DeviceQuery folds into
+// `params`.
 #pragma once
 
 #include <cstdint>
@@ -18,51 +22,34 @@ namespace rtmp::rtm {
 enum class InitialAlignment : std::uint8_t { kFirstAccess, kZero };
 
 struct RtmConfig {
-  unsigned banks = 1;
-  unsigned subarrays_per_bank = 1;
-  unsigned dbcs_per_subarray = 4;
-  unsigned tracks_per_dbc = 32;    ///< word width T in bits
+  unsigned dbcs = 4;               ///< DBCs in the array
   unsigned domains_per_dbc = 256;  ///< K addressable words per DBC
   unsigned ports_per_track = 1;
   /// Port positions within [0, domains_per_dbc); empty derives evenly
   /// spaced offsets (single port at 0; two ports at K/4 and 3K/4, ...).
   std::vector<std::uint32_t> port_offsets;
-  /// Overhead domains on each track end so shifts never push data off the
-  /// wire; 0 derives the always-safe default (domains_per_dbc).
-  unsigned overhead_domains = 0;
   InitialAlignment initial_alignment = InitialAlignment::kFirstAccess;
   /// Circuit parameters (energies, latencies, leakage, area).
   destiny::DeviceParams params;
 
-  [[nodiscard]] unsigned total_dbcs() const noexcept {
-    return banks * subarrays_per_bank * dbcs_per_subarray;
-  }
+  [[nodiscard]] unsigned total_dbcs() const noexcept { return dbcs; }
 
   /// Total addressable words.
   [[nodiscard]] std::uint64_t word_capacity() const noexcept {
     return static_cast<std::uint64_t>(total_dbcs()) * domains_per_dbc;
   }
 
-  /// Capacity in bytes (tracks_per_dbc bits per word).
-  [[nodiscard]] std::uint64_t byte_capacity() const noexcept {
-    return word_capacity() * tracks_per_dbc / 8;
-  }
-
   /// Port offsets actually in effect (derived when port_offsets is empty).
   [[nodiscard]] std::vector<std::uint32_t> EffectivePortOffsets() const;
-
-  /// Overhead domains actually in effect.
-  [[nodiscard]] unsigned EffectiveOverhead() const noexcept {
-    return overhead_domains == 0 ? domains_per_dbc : overhead_domains;
-  }
 
   /// Throws std::invalid_argument when structurally inconsistent
   /// (zero-sized dimensions, ports out of range, duplicate ports).
   void Validate() const;
 
   /// The paper's evaluated configuration for `dbcs` in {2,4,8,16}:
-  /// 4 KiB, 32 tracks/DBC, 1024/dbcs domains per DBC, one port,
-  /// Table I circuit parameters, paper cost-model alignment.
+  /// 1024 words (4 KiB of 32-bit words) split into 1024/dbcs domains per
+  /// DBC, one port, Table I circuit parameters, paper cost-model
+  /// alignment.
   [[nodiscard]] static RtmConfig Paper(unsigned dbcs);
 };
 

@@ -14,12 +14,4 @@ EnergyBreakdown ComputeEnergy(const destiny::DeviceParams& params,
   return energy;
 }
 
-double ComputeRuntimeNs(const destiny::DeviceParams& params,
-                        std::uint64_t reads, std::uint64_t writes,
-                        std::uint64_t shifts) {
-  return static_cast<double>(reads) * params.read_latency_ns +
-         static_cast<double>(writes) * params.write_latency_ns +
-         static_cast<double>(shifts) * params.shift_latency_ns;
-}
-
 }  // namespace rtmp::rtm

@@ -32,12 +32,4 @@ struct EnergyBreakdown {
 [[nodiscard]] EnergyBreakdown ComputeEnergy(
     const destiny::DeviceParams& params, const ActivityCounts& activity);
 
-/// Runtime of the activity when requests are served back to back
-/// (trace-driven mode, as in RTSim): every access pays its read/write
-/// latency plus its shifts x shift latency.
-[[nodiscard]] double ComputeRuntimeNs(const destiny::DeviceParams& params,
-                                      std::uint64_t reads,
-                                      std::uint64_t writes,
-                                      std::uint64_t shifts);
-
 }  // namespace rtmp::rtm

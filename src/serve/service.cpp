@@ -27,12 +27,9 @@ rtm::RtmConfig ShardDeviceConfig(const rtm::RtmConfig& device,
                                  unsigned num_shards,
                                  std::size_t shard_vars) {
   rtm::RtmConfig shard = device;
-  shard.banks = 1;
-  shard.subarrays_per_bank = 1;
-  shard.dbcs_per_subarray = device.total_dbcs() / num_shards;
+  shard.dbcs = device.total_dbcs() / num_shards;
   if (shard_vars > shard.word_capacity()) {
-    const std::uint64_t per_dbc =
-        (shard_vars + shard.dbcs_per_subarray - 1) / shard.dbcs_per_subarray;
+    const std::uint64_t per_dbc = (shard_vars + shard.dbcs - 1) / shard.dbcs;
     shard.domains_per_dbc = static_cast<unsigned>(per_dbc);
   }
   shard.Validate();
@@ -124,14 +121,6 @@ const char* ToString(AssignmentPolicy policy) noexcept {
       return "affinity";
   }
   return "?";
-}
-
-AssignmentPolicy ParseAssignmentPolicy(std::string_view text) {
-  if (text == "round-robin") return AssignmentPolicy::kRoundRobin;
-  if (text == "least-loaded") return AssignmentPolicy::kLeastLoaded;
-  if (text == "affinity") return AssignmentPolicy::kAffinity;
-  throw std::invalid_argument("ParseAssignmentPolicy: unknown policy '" +
-                              std::string(text) + "'");
 }
 
 void MigrationBudget::RefillForWindow() noexcept {

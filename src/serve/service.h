@@ -72,9 +72,6 @@ enum class AssignmentPolicy : std::uint8_t {
 /// "round-robin", "least-loaded", "affinity".
 [[nodiscard]] const char* ToString(AssignmentPolicy policy) noexcept;
 
-/// Inverse of ToString; throws std::invalid_argument on unknown text.
-[[nodiscard]] AssignmentPolicy ParseAssignmentPolicy(std::string_view text);
-
 /// Global re-placement allowance shared by every shard.
 struct MigrationBudgetConfig {
   /// Migration shifts granted per served window; 0 = unlimited.

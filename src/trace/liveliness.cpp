@@ -1,7 +1,6 @@
 #include "trace/liveliness.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace rtmp::trace {
 
@@ -48,17 +47,6 @@ std::uint64_t CountDisjointPairs(std::span<const VariableStats> stats) {
     lasts.insert(std::upper_bound(lasts.begin(), lasts.end(), last), last);
   }
   return n * (n - 1) / 2 - overlapping;
-}
-
-std::vector<VariableId> SortByFirstOccurrence(
-    std::span<const VariableStats> stats) {
-  std::vector<VariableId> order(stats.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&stats](VariableId a, VariableId b) {
-                     return stats[a].first < stats[b].first;
-                   });
-  return order;
 }
 
 }  // namespace rtmp::trace

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "trace/access_sequence.h"
 #include "trace/variable_stats.h"
@@ -30,11 +29,6 @@ namespace rtmp::trace {
 /// via sorting by first occurrence. Variables absent from the sequence are
 /// ignored. Used by trace characterization reports.
 [[nodiscard]] std::uint64_t CountDisjointPairs(
-    std::span<const VariableStats> stats);
-
-/// Variables sorted by ascending first occurrence Fv (absent variables
-/// last, by id); the iteration order of Algorithm 1 line 5.
-[[nodiscard]] std::vector<VariableId> SortByFirstOccurrence(
     std::span<const VariableStats> stats);
 
 }  // namespace rtmp::trace

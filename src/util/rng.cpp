@@ -93,6 +93,4 @@ std::size_t Rng::NextZipf(std::size_t n, double s) noexcept {
   }
 }
 
-Rng Rng::Fork() noexcept { return Rng((*this)()); }
-
 }  // namespace rtmp::util

@@ -98,10 +98,6 @@ class Rng {
     return items[static_cast<std::size_t>(NextBelow(items.size()))];
   }
 
-  /// Forks a statistically independent child generator; the parent stream
-  /// advances by one draw.
-  [[nodiscard]] Rng Fork() noexcept;
-
  private:
   std::array<std::uint64_t, 4> state_{};
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <vector>
 
 namespace rtmp::util {
 
@@ -21,33 +20,6 @@ double GeoMean(std::span<const double> values, double floor) noexcept {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double StdDev(std::span<const double> values) noexcept {
-  if (values.size() < 2) return 0.0;
-  const double mu = Mean(values);
-  double acc = 0.0;
-  for (const double v : values) acc += (v - mu) * (v - mu);
-  return std::sqrt(acc / static_cast<double>(values.size()));
-}
-
-double Median(std::span<const double> values) {
-  if (values.empty()) return 0.0;
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t mid = sorted.size() / 2;
-  if (sorted.size() % 2 == 1) return sorted[mid];
-  return 0.5 * (sorted[mid - 1] + sorted[mid]);
-}
-
-double Min(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  return *std::min_element(values.begin(), values.end());
-}
-
-double Max(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  return *std::max_element(values.begin(), values.end());
-}
-
 double JainFairness(std::span<const double> values) noexcept {
   double sum = 0.0;
   double sum_sq = 0.0;
@@ -57,18 +29,6 @@ double JainFairness(std::span<const double> values) noexcept {
   }
   if (sum_sq <= 0.0) return 1.0;
   return (sum * sum) / (static_cast<double>(values.size()) * sum_sq);
-}
-
-Summary Summarize(std::span<const double> values) {
-  Summary s;
-  s.count = values.size();
-  s.mean = Mean(values);
-  s.geomean = GeoMean(values);
-  s.median = Median(values);
-  s.stddev = StdDev(values);
-  s.min = Min(values);
-  s.max = Max(values);
-  return s;
 }
 
 std::string FormatFixed(double value, int digits) {

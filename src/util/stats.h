@@ -3,7 +3,6 @@
 // means over benchmarks, arithmetic means over configurations).
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <string>
 
@@ -18,34 +17,11 @@ namespace rtmp::util {
 [[nodiscard]] double GeoMean(std::span<const double> values,
                              double floor = 1e-12) noexcept;
 
-/// Population standard deviation; 0 for fewer than two values.
-[[nodiscard]] double StdDev(std::span<const double> values) noexcept;
-
-/// Median (average of middle two for even sizes); 0 for an empty span.
-[[nodiscard]] double Median(std::span<const double> values);
-
-/// Minimum / maximum; 0 for an empty span.
-[[nodiscard]] double Min(std::span<const double> values) noexcept;
-[[nodiscard]] double Max(std::span<const double> values) noexcept;
-
 /// Jain's fairness index (sum x)^2 / (n * sum x^2) over non-negative
 /// samples: 1 when every x_i is equal, 1/n when one sample holds
 /// everything. 1 for empty or all-zero input (nothing is being divided
 /// unfairly). The serve layer scores per-tenant latencies with this.
 [[nodiscard]] double JainFairness(std::span<const double> values) noexcept;
-
-/// Five-number-style summary of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double geomean = 0.0;
-  double median = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-[[nodiscard]] Summary Summarize(std::span<const double> values);
 
 /// Formats a double with `digits` significant fraction digits, trimming to a
 /// compact human-readable string for report tables.

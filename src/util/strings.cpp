@@ -42,15 +42,6 @@ std::vector<std::string> Split(std::string_view text, char sep) {
   return fields;
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string ToLower(std::string_view text) {
   std::string out(text);
   for (char& c : out) {

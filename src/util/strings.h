@@ -17,10 +17,6 @@ namespace rtmp::util {
 /// Splits on a single separator character; empty fields are kept.
 [[nodiscard]] std::vector<std::string> Split(std::string_view text, char sep);
 
-/// Joins with a separator.
-[[nodiscard]] std::string Join(const std::vector<std::string>& parts,
-                               std::string_view sep);
-
 /// ASCII lower-casing.
 [[nodiscard]] std::string ToLower(std::string_view text);
 

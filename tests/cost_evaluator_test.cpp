@@ -59,54 +59,26 @@ std::vector<CostOptions> OptionMatrix(std::uint32_t domains) {
   return matrix;
 }
 
-/// One random structure-preserving placement edit, applied to BOTH the
-/// evaluator and a shadow placement kept with plain Placement calls.
+/// One random move of a variable to the end of a DBC with room (its own
+/// DBC included: a rotation to its end), applied to BOTH the evaluator and
+/// a shadow placement kept with plain Placement calls.
 void RandomEdit(CostEvaluator& evaluator, Placement& shadow, util::Rng& rng) {
   const std::uint32_t q = shadow.num_dbcs();
-  switch (rng.NextBelow(3)) {
-    case 0: {  // move a variable to the end of a DBC with room
-      const auto v =
-          static_cast<VariableId>(rng.NextBelow(shadow.num_variables()));
-      std::vector<std::uint32_t> targets;
-      const std::uint32_t limit =
-          evaluator.options().domains_per_dbc == 0
-              ? kUnboundedCapacity
-              : evaluator.options().domains_per_dbc;
-      for (std::uint32_t d = 0; d < q; ++d) {
-        const bool same = shadow.SlotOf(v).dbc == d;
-        if (same || (shadow.FreeIn(d) > 0 && shadow.dbc(d).size() < limit)) {
-          targets.push_back(d);
-        }
-      }
-      const std::uint32_t target = rng.Pick(targets);
-      evaluator.ApplyMove(v, target);
-      shadow.MoveToEnd(v, target);
-      return;
-    }
-    case 1: {  // transpose inside a non-trivial DBC
-      std::vector<std::uint32_t> candidates;
-      for (std::uint32_t d = 0; d < q; ++d) {
-        if (shadow.dbc(d).size() >= 2) candidates.push_back(d);
-      }
-      if (candidates.empty()) return;
-      const std::uint32_t d = rng.Pick(candidates);
-      const std::size_t size = shadow.dbc(d).size();
-      const auto i = static_cast<std::size_t>(rng.NextBelow(size));
-      const auto j = static_cast<std::size_t>(rng.NextBelow(size));
-      evaluator.ApplyTranspose(d, i, j);
-      shadow.Transpose(d, i, j);
-      return;
-    }
-    default: {  // shuffle one DBC wholesale
-      const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
-      std::vector<VariableId> order = shadow.dbc(d);
-      if (order.size() < 2) return;
-      rng.Shuffle(order);
-      evaluator.ApplyReorder(d, order);
-      shadow.Reorder(d, order);
-      return;
+  const auto v =
+      static_cast<VariableId>(rng.NextBelow(shadow.num_variables()));
+  std::vector<std::uint32_t> targets;
+  const std::uint32_t limit = evaluator.options().domains_per_dbc == 0
+                                  ? kUnboundedCapacity
+                                  : evaluator.options().domains_per_dbc;
+  for (std::uint32_t d = 0; d < q; ++d) {
+    const bool same = shadow.SlotOf(v).dbc == d;
+    if (same || (shadow.FreeIn(d) > 0 && shadow.dbc(d).size() < limit)) {
+      targets.push_back(d);
     }
   }
+  const std::uint32_t target = rng.Pick(targets);
+  evaluator.ApplyMove(v, target);
+  shadow.MoveToEnd(v, target);
 }
 
 TEST(CostEvaluator, EvaluateMatchesShiftCostOnRandomInputs) {
@@ -204,17 +176,6 @@ TEST(CostEvaluator, ScoreSlotsOnRepeatHeavySequences) {
   }
 }
 
-TEST(CostEvaluator, PerDbcCostMatchesDecomposition) {
-  util::Rng rng(42);
-  const auto seq = RandomSequence(9, 70, rng);
-  for (const CostOptions& options : OptionMatrix(16)) {
-    CostEvaluator evaluator(seq, options);
-    const Placement p = RandomPlacement(9, 3, 16, rng);
-    (void)evaluator.Evaluate(p);
-    EXPECT_EQ(evaluator.PerDbcCost(), PerDbcShiftCost(seq, p, options));
-  }
-}
-
 TEST(CostEvaluator, IncrementalChainsMatchShiftCost) {
   util::Rng rng(0xABCDEF);
   for (int round = 0; round < 25; ++round) {
@@ -260,9 +221,9 @@ TEST(CostEvaluator, UndoRewindsWholeChains) {
   }
 }
 
-/// Trial scoring must return exactly the full ShiftCost of the mutated
-/// placement — the cost the Apply would produce — and must not disturb
-/// the bound state. Runs `steps` random mutations from `shadow`.
+/// Trial scoring must return exactly the full ShiftCost of the moved
+/// placement — the cost ApplyMove would produce — and must not disturb
+/// the bound state. Runs `steps` random moves from `shadow`.
 void ExpectPeeksPredictApplies(const AccessSequence& seq,
                                const CostOptions& options, Placement shadow,
                                int steps, util::Rng& rng) {
@@ -271,43 +232,14 @@ void ExpectPeeksPredictApplies(const AccessSequence& seq,
   evaluator.Bind(shadow);
   for (int step = 0; step < steps; ++step) {
     const std::uint64_t before = evaluator.Cost();
-    std::uint64_t peeked = 0;
-    switch (rng.NextBelow(3)) {
-      case 0: {
-        const auto v =
-            static_cast<VariableId>(rng.NextBelow(shadow.num_variables()));
-        const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
-        peeked = evaluator.PeekMove(v, d);
-        ASSERT_EQ(evaluator.Cost(), before);
-        ASSERT_EQ(evaluator.placement(), shadow);
-        ASSERT_EQ(evaluator.ApplyMove(v, d), peeked);
-        shadow.MoveToEnd(v, d);
-        break;
-      }
-      case 1: {
-        const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
-        const std::size_t size = shadow.dbc(d).size();
-        if (size < 2) continue;
-        const auto i = static_cast<std::size_t>(rng.NextBelow(size));
-        const auto j = static_cast<std::size_t>(rng.NextBelow(size));
-        peeked = evaluator.PeekTranspose(d, i, j);
-        ASSERT_EQ(evaluator.Cost(), before);
-        ASSERT_EQ(evaluator.ApplyTranspose(d, i, j), peeked);
-        shadow.Transpose(d, i, j);
-        break;
-      }
-      default: {
-        const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
-        std::vector<VariableId> order = shadow.dbc(d);
-        if (order.size() < 2) continue;
-        rng.Shuffle(order);
-        peeked = evaluator.PeekReorder(d, order);
-        ASSERT_EQ(evaluator.Cost(), before);
-        ASSERT_EQ(evaluator.ApplyReorder(d, order), peeked);
-        shadow.Reorder(d, order);
-        break;
-      }
-    }
+    const auto v =
+        static_cast<VariableId>(rng.NextBelow(shadow.num_variables()));
+    const auto d = static_cast<std::uint32_t>(rng.NextBelow(q));
+    const std::uint64_t peeked = evaluator.PeekMove(v, d);
+    ASSERT_EQ(evaluator.Cost(), before);
+    ASSERT_EQ(evaluator.placement(), shadow);
+    ASSERT_EQ(evaluator.ApplyMove(v, d), peeked);
+    shadow.MoveToEnd(v, d);
     ASSERT_EQ(peeked, ShiftCost(seq, shadow, options)) << "step " << step;
     ASSERT_EQ(evaluator.Cost(), peeked);
   }
@@ -349,10 +281,6 @@ TEST(CostEvaluator, PeeksValidateLikeApplies) {
   evaluator.Bind(Placement::FromLists({{0, 1}, {2}}, 3, 2));
   EXPECT_THROW((void)evaluator.PeekMove(0, 7), std::invalid_argument);
   EXPECT_THROW((void)evaluator.PeekMove(2, 0), std::invalid_argument);  // full
-  EXPECT_THROW((void)evaluator.PeekTranspose(0, 0, 5), std::out_of_range);
-  EXPECT_THROW((void)evaluator.PeekReorder(0, {0}), std::invalid_argument);
-  EXPECT_THROW((void)evaluator.PeekReorder(0, {0, 0}), std::invalid_argument);
-  EXPECT_THROW((void)evaluator.PeekReorder(0, {0, 2}), std::invalid_argument);
 }
 
 TEST(CostEvaluator, EvaluateDiffPathTracksGradualMutation) {
@@ -463,17 +391,16 @@ TEST(CostEvaluator, HandlesPlacementsWithMoreVariablesThanTheSequence) {
   Placement p = Placement::FromLists({{0, 3, 1, 4}, {2}}, 5);
   evaluator.Bind(p);
   EXPECT_EQ(evaluator.Cost(), ShiftCost(seq, p));
-  EXPECT_EQ(evaluator.PeekTranspose(0, 0, 2),
-            evaluator.ApplyTranspose(0, 0, 2));
-  p.Transpose(0, 0, 2);
+  // Rotating an accessed variable to its own DBC's end.
+  EXPECT_EQ(evaluator.PeekMove(0, 0), evaluator.ApplyMove(0, 0));
+  p.MoveToEnd(0, 0);
   EXPECT_EQ(evaluator.Cost(), ShiftCost(seq, p));
   // Moving an unaccessed variable shifts the offsets of accessed ones.
   EXPECT_EQ(evaluator.PeekMove(3, 1), evaluator.ApplyMove(3, 1));
   p.MoveToEnd(3, 1);
   EXPECT_EQ(evaluator.Cost(), ShiftCost(seq, p));
-  std::vector<VariableId> order{4, 1, 0};
-  EXPECT_EQ(evaluator.PeekReorder(0, order), evaluator.ApplyReorder(0, order));
-  p.Reorder(0, order);
+  EXPECT_EQ(evaluator.PeekMove(4, 1), evaluator.ApplyMove(4, 1));
+  p.MoveToEnd(4, 1);
   EXPECT_EQ(evaluator.Cost(), ShiftCost(seq, p));
   evaluator.Undo();
   evaluator.Undo();
@@ -488,14 +415,52 @@ TEST(CostEvaluator, HandlesPlacementsWithMoreVariablesThanTheSequence) {
 TEST(CostEvaluator, ApplyReturnsTheNewTotal) {
   const auto seq = AccessSequence::FromCompactString("abcabcabc");
   CostEvaluator evaluator(seq, {});
-  Placement p = Placement::FromLists({{0, 1, 2}}, 3, 3);
+  const Placement original = Placement::FromLists({{0, 1, 2}}, 3, 3);
+  Placement p = original;
   evaluator.Bind(p);
-  const std::uint64_t swapped = evaluator.ApplyTranspose(0, 0, 2);
-  p.Transpose(0, 0, 2);
-  EXPECT_EQ(swapped, ShiftCost(seq, p));
+  const std::uint64_t rotated = evaluator.ApplyMove(0, 0);
+  p.MoveToEnd(0, 0);
+  EXPECT_EQ(rotated, ShiftCost(seq, p));
   evaluator.Undo();
-  p.Transpose(0, 0, 2);
-  EXPECT_EQ(evaluator.Cost(), ShiftCost(seq, p));
+  EXPECT_EQ(evaluator.placement(), original);
+  EXPECT_EQ(evaluator.Cost(), ShiftCost(seq, original));
+}
+
+TEST(CostEvaluator, UndoRestoresBothRebuiltDbcs) {
+  // "abacad" x 3: a has 9 of the 18 accesses. Moving a from {a, b} to
+  // {c, d} leaves a source chain of 3 and makes a target chain of 15;
+  // 3 * 9 exceeds both, so ApplyMove rebuilds both DBCs' edges wholesale
+  // (the snapshot path) instead of splicing them, and Undo must swap
+  // both snapshots back in.
+  const auto seq = AccessSequence::FromCompactString("abacadabacadabacad");
+  const Placement original = Placement::FromLists({{0, 1}, {2, 3}}, 4);
+  Placement moved = original;
+  moved.MoveToEnd(0, 1);
+  for (const auto alignment : {rtm::InitialAlignment::kFirstAccess,
+                               rtm::InitialAlignment::kZero}) {
+    CostOptions options;
+    options.initial_alignment = alignment;
+    CostEvaluator evaluator(seq, options);
+    evaluator.Bind(original);
+    const std::uint64_t expected = ShiftCost(seq, moved, options);
+    EXPECT_EQ(evaluator.PeekMove(0, 1), expected);
+    EXPECT_EQ(evaluator.ApplyMove(0, 1), expected);
+    EXPECT_EQ(evaluator.placement(), moved);
+    evaluator.Undo();
+    EXPECT_EQ(evaluator.Cost(), ShiftCost(seq, original, options));
+    EXPECT_EQ(evaluator.placement(), original);
+    // The restored edges must price exactly. Rotating a variable to its
+    // own DBC's end re-prices every edge of that DBC, so one rotation per
+    // variable reads both swapped-back snapshots in full.
+    EXPECT_EQ(evaluator.PeekMove(0, 1), expected);
+    for (VariableId v = 0; v < 4; ++v) {
+      const std::uint32_t home = original.SlotOf(v).dbc;
+      Placement rotated = original;
+      rotated.MoveToEnd(v, home);
+      EXPECT_EQ(evaluator.PeekMove(v, home), ShiftCost(seq, rotated, options))
+          << "variable " << v;
+    }
+  }
 }
 
 // ---- cross-engine pin over the workload registry ---------------------------

@@ -91,21 +91,5 @@ TEST(Liveliness, CountDisjointPairsMatchesBruteForce) {
   }
 }
 
-TEST(Liveliness, SortByFirstOccurrenceOrdersByF) {
-  // ids by first use: a=0,b=1,c=2 but we register differently.
-  AccessSequence seq;
-  seq.AddVariable("x");  // id 0, first used last
-  seq.AddVariable("y");  // id 1, first used first
-  seq.AddVariable("z");  // id 2, never used
-  seq.Append(1);
-  seq.Append(0);
-  const auto stats = ComputeVariableStats(seq);
-  const auto order = SortByFirstOccurrence(stats);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1u);
-  EXPECT_EQ(order[1], 0u);
-  EXPECT_EQ(order[2], 2u);  // absent variables sort last
-}
-
 }  // namespace
 }  // namespace rtmp::trace

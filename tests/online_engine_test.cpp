@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "rtm/controller.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
-#include "trace/trace_io.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -591,35 +589,6 @@ TEST(OnlineEngine, BatchedFeedRejectsOffsetIdsThatWrap) {
   EXPECT_THROW(engine.Feed(ok, /*id_offset=*/9), std::out_of_range);
   const online::OnlineResult result = engine.Finish();
   EXPECT_EQ(result.reads, 2u);
-}
-
-TEST(OnlineEngine, RunsOverATraceStream) {
-  // Round-trip a small registry workload through the text trace format
-  // and serve it from the stream — one session per sequence.
-  const auto workload = workloads::ResolveWorkload("stream-scan");
-  ASSERT_NE(workload, nullptr);
-  const auto benchmark = workload->Generate({});
-  trace::TraceFile file;
-  file.benchmark = benchmark.name;
-  for (std::size_t i = 0; i < benchmark.sequences.size(); ++i) {
-    file.sequence_names.push_back("seq" + std::to_string(i));
-    file.sequences.push_back(benchmark.sequences[i]);
-  }
-  std::stringstream stream;
-  trace::WriteTrace(stream, file);
-
-  const rtm::RtmConfig config = sim::CellConfig(4, 512);
-  online::OnlineConfig online_config = SingleWindowConfig("dma-sr", config);
-  online_config.window_accesses = 128;
-  const auto results =
-      online::RunOnlineOverTrace(stream, online_config, config);
-  ASSERT_EQ(results.size(), benchmark.sequences.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].sequence_name, "seq" + std::to_string(i));
-    EXPECT_EQ(results[i].result.reads + results[i].result.writes,
-              benchmark.sequences[i].size() +
-                  results[i].result.migration_accesses);
-  }
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ TEST_P(StrategyGrid, CostModelAgreesWithSimulator) {
                                         core::kUnboundedCapacity,
                                         FastOptions());
   rtm::RtmConfig config = rtm::RtmConfig::Paper(4);
-  config.dbcs_per_subarray = dbcs;
+  config.dbcs = dbcs;
   // Deep enough for the unbounded placement.
   config.domains_per_dbc =
       static_cast<unsigned>(seq.num_variables()) + 1;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "rtm/address_map.h"
 #include "rtm/config.h"
 #include "rtm/dbc_state.h"
 #include "rtm/energy_model.h"
@@ -15,8 +14,6 @@ TEST(RtmConfig, PaperConfigsAreConsistent) {
     const RtmConfig config = RtmConfig::Paper(dbcs);
     EXPECT_EQ(config.total_dbcs(), dbcs);
     EXPECT_EQ(config.word_capacity(), 1024u);          // iso-capacity
-    EXPECT_EQ(config.byte_capacity(), 4096u);          // 4 KiB
-    EXPECT_EQ(config.tracks_per_dbc, 32u);
     EXPECT_NO_THROW(config.Validate());
   }
 }
@@ -39,6 +36,10 @@ TEST(RtmConfig, MultiPortOffsetsAreEvenlySpread) {
 
 TEST(RtmConfig, ValidateRejectsBrokenConfigs) {
   RtmConfig config = RtmConfig::Paper(4);
+  config.dbcs = 0;
+  EXPECT_THROW(config.Validate(), std::invalid_argument);
+
+  config = RtmConfig::Paper(4);
   config.domains_per_dbc = 0;
   EXPECT_THROW(config.Validate(), std::invalid_argument);
 
@@ -55,11 +56,6 @@ TEST(RtmConfig, ValidateRejectsBrokenConfigs) {
   config = RtmConfig::Paper(4);
   config.ports_per_track = 0;
   EXPECT_THROW(config.Validate(), std::invalid_argument);
-}
-
-TEST(RtmConfig, OverheadDefaultsToDomainCount) {
-  const RtmConfig config = RtmConfig::Paper(8);
-  EXPECT_EQ(config.EffectiveOverhead(), config.domains_per_dbc);
 }
 
 // ----------------------------------------------------------- DbcState ----
@@ -146,52 +142,6 @@ TEST(EnergyModel, BreakdownSumsToTotal) {
   EXPECT_DOUBLE_EQ(e.total_pj(), e.leakage_pj + e.read_write_pj + e.shift_pj);
   EXPECT_DOUBLE_EQ(e.read_write_pj, 100 * 2.39 + 50 * 3.65);
   EXPECT_DOUBLE_EQ(e.shift_pj, 400 * 2.03);
-}
-
-TEST(EnergyModel, RuntimeAddsPerOperationLatencies) {
-  destiny::DeviceParams params = destiny::PaperTableOne(2);
-  const double runtime = ComputeRuntimeNs(params, 10, 5, 20);
-  EXPECT_DOUBLE_EQ(runtime, 10 * 0.81 + 5 * 1.08 + 20 * 0.99);
-}
-
-// --------------------------------------------------------- AddressMap ----
-
-TEST(AddressMap, BlockPolicyFillsDbcsSequentially) {
-  const RtmConfig config = RtmConfig::Paper(4);  // 4 DBCs x 256 domains
-  const AddressMap map(config, InterleavePolicy::kBlock);
-  const WordLocation w0 = map.Decompose(0);
-  EXPECT_EQ(w0.dbc, 0u);
-  EXPECT_EQ(w0.domain, 0u);
-  const WordLocation w300 = map.Decompose(300);
-  EXPECT_EQ(w300.dbc, 1u);
-  EXPECT_EQ(w300.domain, 44u);
-}
-
-TEST(AddressMap, InterleavePolicyRoundRobinsDbcs) {
-  const RtmConfig config = RtmConfig::Paper(4);
-  const AddressMap map(config, InterleavePolicy::kInterleave);
-  EXPECT_EQ(map.Decompose(0).dbc, 0u);
-  EXPECT_EQ(map.Decompose(1).dbc, 1u);
-  EXPECT_EQ(map.Decompose(4).dbc, 0u);
-  EXPECT_EQ(map.Decompose(4).domain, 1u);
-}
-
-TEST(AddressMap, ComposeIsInverseOfDecompose) {
-  RtmConfig config = RtmConfig::Paper(8);
-  config.banks = 2;
-  config.subarrays_per_bank = 2;
-  for (const auto policy :
-       {InterleavePolicy::kBlock, InterleavePolicy::kInterleave}) {
-    const AddressMap map(config, policy);
-    for (std::uint64_t addr = 0; addr < map.word_capacity(); addr += 97) {
-      EXPECT_EQ(map.Compose(map.Decompose(addr)), addr);
-    }
-  }
-}
-
-TEST(AddressMap, RejectsOutOfRangeAddresses) {
-  const AddressMap map(RtmConfig::Paper(2), InterleavePolicy::kBlock);
-  EXPECT_THROW((void)map.Decompose(1024), std::out_of_range);
 }
 
 }  // namespace

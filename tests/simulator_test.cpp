@@ -28,7 +28,7 @@ TEST(Simulator, MatchesCostModelUnderZeroAlignment) {
   const auto seq = AccessSequence::FromCompactString("dcba" "abcd");
   const Placement p = Placement::FromLists({{0, 1, 2, 3}}, 4);
   rtm::RtmConfig config = rtm::RtmConfig::Paper(2);
-  config.dbcs_per_subarray = 1;
+  config.dbcs = 1;
   config.initial_alignment = rtm::InitialAlignment::kZero;
   EXPECT_TRUE(SimulatorMatchesCostModel(seq, p, config));
 }
@@ -103,7 +103,7 @@ TEST(Simulator, MultiPortDeviceMatchesMultiPortCostModel) {
   const Placement p =
       Placement::FromLists({{0, 2, 3, 4, 5, 6, 7, 1}}, 8);
   rtm::RtmConfig config = rtm::RtmConfig::Paper(2);
-  config.dbcs_per_subarray = 1;
+  config.dbcs = 1;
   config.domains_per_dbc = 8;
   config.ports_per_track = 2;  // derived offsets: 2 and 6
   EXPECT_TRUE(SimulatorMatchesCostModel(seq, p, config));

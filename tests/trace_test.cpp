@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/access_graph.h"
 #include "trace/access_sequence.h"
 #include "trace/generators.h"
 #include "trace/trace_io.h"
@@ -202,46 +201,6 @@ TEST(VariableStats, NestingIsStrict) {
   EXPECT_TRUE(LifespanNestedWithin(stats[1], stats[0]));
   EXPECT_FALSE(LifespanNestedWithin(stats[0], stats[1]));
   EXPECT_FALSE(LifespanNestedWithin(stats[0], stats[0]));
-}
-
-// ------------------------------------------------------- AccessGraph ----
-
-TEST(AccessGraph, CountsConsecutivePairs) {
-  const auto seq = AccessSequence::FromCompactString("ababc");
-  const auto graph = AccessGraph::FromSequence(seq);
-  EXPECT_EQ(graph.Weight(0, 1), 3u);  // ab, ba, ab
-  EXPECT_EQ(graph.Weight(1, 2), 1u);  // bc
-  EXPECT_EQ(graph.Weight(0, 2), 0u);
-  EXPECT_EQ(graph.num_edges(), 2u);
-}
-
-TEST(AccessGraph, SelfPairsProduceNoEdges) {
-  const auto seq = AccessSequence::FromCompactString("aaa");
-  const auto graph = AccessGraph::FromSequence(seq);
-  EXPECT_EQ(graph.num_edges(), 0u);
-  EXPECT_EQ(graph.Frequency(0), 3u);
-}
-
-TEST(AccessGraph, WeightIsSymmetric) {
-  const auto seq = AccessSequence::FromCompactString("abcba");
-  const auto graph = AccessGraph::FromSequence(seq);
-  EXPECT_EQ(graph.Weight(0, 1), graph.Weight(1, 0));
-  EXPECT_EQ(graph.Weight(1, 2), graph.Weight(2, 1));
-}
-
-TEST(AccessGraph, VertexWeightSumsIncidentEdges) {
-  const auto seq = AccessSequence::FromCompactString("abcba");
-  const auto graph = AccessGraph::FromSequence(seq);
-  // b: ab, bc, cb, ba -> edges {a,b} weight 2, {b,c} weight 2.
-  EXPECT_EQ(graph.VertexWeight(1), 4u);
-}
-
-TEST(AccessGraph, EmptySequence) {
-  AccessSequence seq;
-  seq.AddVariable("a");
-  const auto graph = AccessGraph::FromSequence(seq);
-  EXPECT_EQ(graph.num_vertices(), 1u);
-  EXPECT_EQ(graph.num_edges(), 0u);
 }
 
 // ---------------------------------------------------------- TraceIo ----

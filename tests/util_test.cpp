@@ -265,12 +265,6 @@ TEST(Rng, ShufflePreservesMultiset) {
   EXPECT_EQ(v, sorted);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(99);
-  Rng child = a.Fork();
-  EXPECT_NE(a(), child());
-}
-
 TEST(Rng, HashStringIsStableAndDiscriminates) {
   EXPECT_EQ(HashString("gzip"), HashString("gzip"));
   EXPECT_NE(HashString("gzip"), HashString("gsm"));
@@ -288,35 +282,11 @@ TEST(Stats, MeanAndGeoMean) {
 TEST(Stats, EmptyInputsGiveZero) {
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
   EXPECT_DOUBLE_EQ(GeoMean({}), 0.0);
-  EXPECT_DOUBLE_EQ(StdDev({}), 0.0);
-  EXPECT_DOUBLE_EQ(Median({}), 0.0);
 }
 
 TEST(Stats, GeoMeanClampsNonPositive) {
   const double values[] = {0.0, 1.0};
   EXPECT_GT(GeoMean(values, 1e-3), 0.0);
-}
-
-TEST(Stats, MedianOddAndEven) {
-  const double odd[] = {5.0, 1.0, 3.0};
-  EXPECT_DOUBLE_EQ(Median(odd), 3.0);
-  const double even[] = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(Median(even), 2.5);
-}
-
-TEST(Stats, StdDevOfConstantIsZero) {
-  const double values[] = {2.0, 2.0, 2.0};
-  EXPECT_DOUBLE_EQ(StdDev(values), 0.0);
-}
-
-TEST(Stats, SummarizeIsConsistent) {
-  const double values[] = {1.0, 2.0, 3.0, 4.0};
-  const Summary s = Summarize(values);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.median, 2.5);
 }
 
 TEST(Stats, FormatFixedDigits) {
@@ -388,12 +358,6 @@ TEST(Strings, SplitWhitespace) {
 TEST(Strings, SplitKeepsEmptyFields) {
   const auto fields = Split("a,,b", ',');
   EXPECT_EQ(fields, (std::vector<std::string>{"a", "", "b"}));
-}
-
-TEST(Strings, JoinRoundTrips) {
-  const std::vector<std::string> parts{"x", "y", "z"};
-  EXPECT_EQ(Join(parts, "-"), "x-y-z");
-  EXPECT_EQ(Join({}, "-"), "");
 }
 
 TEST(Strings, ToLowerAndStartsWith) {
