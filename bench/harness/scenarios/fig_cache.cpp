@@ -159,16 +159,10 @@ void Run(ScenarioContext& ctx) {
       for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
         const auto& seq = benchmark.sequences[s];
         if (seq.num_variables() == 0) continue;
-        cache::CacheConfig config = policy->MakeConfig();
-        const std::size_t capacity =
-            cache::ResolveCapacity(config, seq.num_variables());
-        const rtm::RtmConfig device =
-            cache::DeviceForCapacity(dbcs, capacity);
-        config = cache::CellCacheConfig(*policy, device, options,
-                                        benchmark.name, s, dbcs);
-        config.capacity_slots = capacity;
         const cache::CacheResult result =
-            cache::RunCache(seq, config, device);
+            cache::RunCacheSequence(seq, s, dbcs, *policy, options,
+                                    benchmark.name)
+                .result;
         totals.accesses += result.cache.accesses;
         totals.hits += result.cache.hits;
         totals.misses += result.cache.misses;

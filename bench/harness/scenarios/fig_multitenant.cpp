@@ -127,27 +127,15 @@ void Run(ScenarioContext& ctx) {
   for (const std::size_t tenants : {1u, 4u, 16u}) {
     const offsetstone::Benchmark benchmark =
         MakeTenantBenchmark(tenants, options);
-    std::size_t total_vars = 0;
-    for (const auto& seq : benchmark.sequences) {
-      total_vars += seq.num_variables();
-    }
     for (const unsigned shards : {1u, 2u, 4u}) {
       for (const std::string budget : {"tight", "loose"}) {
         const std::string policy_name = "serve-" + std::to_string(shards) +
                                         "s-" + budget + "-ewma-dma-sr";
         const auto policy =
             serve::ServePolicyRegistry::Global().Find(policy_name);
-        const rtm::RtmConfig config =
-            sim::CellConfig(kGridDbcs, total_vars);
-        serve::PlacementService service(
-            serve::CellServeConfig(*policy, config, options, benchmark.name,
-                                   kGridDbcs),
-            config);
-        for (std::size_t i = 0; i < benchmark.sequences.size(); ++i) {
-          (void)service.OpenSession("t" + std::to_string(i),
-                                    benchmark.sequences[i]);
-        }
-        const serve::ServeResult result = service.Run();
+        const serve::ServeResult result =
+            serve::RunServeBenchmark(benchmark, kGridDbcs, *policy, options)
+                .result;
 
         fairness_in_range &=
             result.fairness > 0.0 && result.fairness <= 1.0 + 1e-12;

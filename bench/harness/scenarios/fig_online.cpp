@@ -130,12 +130,10 @@ void Run(ScenarioContext& ctx) {
     for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
       const auto& seq = benchmark.sequences[s];
       if (seq.num_variables() == 0) continue;
-      const rtm::RtmConfig config =
-          sim::CellConfig(4, seq.num_variables());
-      const online::OnlineConfig online_config = online::CellOnlineConfig(
-          *policy, config, options, benchmark.name, s, 4);
       const online::OnlineResult result =
-          online::RunOnline(seq, online_config, config);
+          online::RunOnlineSequence(seq, s, 4, *policy, options,
+                                    benchmark.name)
+              .result;
       migrations += result.migrations;
       migrated_vars += result.migrated_vars;
       migration_shifts += result.migration_shifts;

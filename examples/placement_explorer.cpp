@@ -425,9 +425,8 @@ int CmdOnline(const std::string& spec, const std::string& policy_name,
   }
   const auto benchmark = LoadBenchmark(spec);
   const auto& info = policy->Describe();
-  std::printf("online %s on %s, %u DBCs (re-seed %s, detector %s)\n\n",
-              info.name.c_str(), benchmark.name.c_str(), dbcs,
-              info.reseed_strategy.c_str(), info.detector.c_str());
+  std::printf("online %s on %s, %u DBCs (%s)\n\n", info.name.c_str(),
+              benchmark.name.c_str(), dbcs, info.summary.c_str());
 
   sim::ExperimentOptions options;
   options.search_effort = sim::SearchEffortFromEnv(0.1);
@@ -438,11 +437,10 @@ int CmdOnline(const std::string& spec, const std::string& policy_name,
   for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
     const auto& seq = benchmark.sequences[s];
     if (seq.num_variables() == 0) continue;
-    const rtm::RtmConfig config = sim::CellConfig(dbcs, seq.num_variables());
-    const online::OnlineConfig online_config = online::CellOnlineConfig(
-        *policy, config, options, benchmark.name, s, dbcs);
     const online::OnlineResult result =
-        online::RunOnline(seq, online_config, config);
+        online::RunOnlineSequence(seq, s, dbcs, *policy, options,
+                                  benchmark.name)
+            .result;
 
     std::printf("sequence %zu: %zu windows, %zu migrations (%zu vars), "
                 "%llu shifts = %llu service + %llu migration, %.1f ns\n",
@@ -492,32 +490,14 @@ int CmdServe(const std::string& spec, const std::string& policy_name,
   }
   const auto benchmark = LoadBenchmark(spec);
   const auto& info = policy->Describe();
-  std::printf(
-      "serve %s on %s, %u DBCs (%u shard(s), engine %s, budget %s)\n\n",
-      info.name.c_str(), benchmark.name.c_str(), dbcs, info.shards,
-      info.online_policy.c_str(), info.budget.c_str());
+  std::printf("serve %s on %s, %u DBCs (%s)\n\n", info.name.c_str(),
+              benchmark.name.c_str(), dbcs, info.summary.c_str());
 
   sim::ExperimentOptions options;
   options.search_effort = sim::SearchEffortFromEnv(0.1);
   options.obs = obs.Config();
-  std::size_t total_vars = 0;
-  for (const auto& seq : benchmark.sequences) {
-    total_vars += seq.num_variables();
-  }
-  if (total_vars == 0) {
-    std::fprintf(stderr, "workload has no variables to serve\n");
-    return 1;
-  }
-  const rtm::RtmConfig config = sim::CellConfig(dbcs, total_vars);
-  serve::PlacementService service(
-      serve::CellServeConfig(*policy, config, options, benchmark.name, dbcs),
-      config);
-  for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
-    if (benchmark.sequences[s].num_variables() == 0) continue;
-    (void)service.OpenSession("t" + std::to_string(s),
-                              benchmark.sequences[s]);
-  }
-  const serve::ServeResult result = service.Run();
+  const serve::ServeResult result =
+      serve::RunServeBenchmark(benchmark, dbcs, *policy, options).result;
 
   util::TextTable tenants;
   tenants.SetHeader({"tenant", "shard", "accesses", "windows", "shifts",
@@ -591,11 +571,8 @@ int CmdCache(const std::string& spec, const std::string& policy_name,
   }
   const auto benchmark = LoadBenchmark(spec);
   const auto& info = policy->Describe();
-  std::printf(
-      "cache %s on %s, %u DBCs (eviction %s, capacity %.0f%% of the "
-      "working set)\n\n",
-      info.name.c_str(), benchmark.name.c_str(), dbcs, info.eviction.c_str(),
-      100.0 * info.capacity_ratio);
+  std::printf("cache %s on %s, %u DBCs (%s)\n\n", info.name.c_str(),
+              benchmark.name.c_str(), dbcs, info.summary.c_str());
 
   sim::ExperimentOptions options;
   options.search_effort = sim::SearchEffortFromEnv(0.1);
@@ -607,11 +584,10 @@ int CmdCache(const std::string& spec, const std::string& policy_name,
     if (seq.num_variables() == 0) continue;
     const std::size_t capacity =
         cache::ResolveCapacity(policy->MakeConfig(), seq.num_variables());
-    const rtm::RtmConfig device = cache::DeviceForCapacity(dbcs, capacity);
-    cache::CacheConfig config = cache::CellCacheConfig(
-        *policy, device, options, benchmark.name, s, dbcs);
-    config.capacity_slots = capacity;
-    const cache::CacheResult result = cache::RunCache(seq, config, device);
+    const cache::CacheResult result =
+        cache::RunCacheSequence(seq, s, dbcs, *policy, options,
+                                benchmark.name)
+            .result;
 
     const cache::CacheStats& c = result.cache;
     const double hit_rate =

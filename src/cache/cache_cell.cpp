@@ -1,17 +1,8 @@
 #include "cache/cache_cell.h"
 
-#include <stdexcept>
-#include <string>
-
-#include "core/strategy.h"
-#include "util/rng.h"
-#include "util/strings.h"
+#include <cstdint>
 
 namespace rtmp::cache {
-
-rtm::RtmConfig DeviceForCapacity(unsigned dbcs, std::size_t capacity) {
-  return sim::CellConfig(dbcs, capacity);
-}
 
 sim::SimulationResult ToSimulationResult(const CacheResult& result,
                                          const rtm::RtmConfig& config) {
@@ -33,71 +24,21 @@ sim::SimulationResult ToSimulationResult(const CacheResult& result,
   return sim_result;
 }
 
-CacheConfig CellCacheConfig(const CachePolicy& policy,
-                            const rtm::RtmConfig& config,
-                            const sim::ExperimentOptions& options,
-                            std::string_view benchmark_name,
-                            std::size_t sequence_index, unsigned dbcs) {
-  CacheConfig cache = policy.MakeConfig();
-  cache.engine.strategy_options.cost.initial_alignment =
-      config.initial_alignment;
-  core::ScaleSearchEffort(cache.engine.strategy_options,
-                          options.search_effort);
-  // Same derivation as sim::RunCell and online::CellOnlineConfig: a
-  // c100 cell's window-0 re-seed draws the exact seed its uncached
-  // online twin draws.
-  const std::uint64_t seed =
-      util::HashString(benchmark_name) ^
-      (options.seed + sequence_index * 0x9E3779B9ULL + dbcs);
-  cache.engine.strategy_options.ga.seed = seed;
-  cache.engine.strategy_options.rw.seed = seed;
-  cache.eviction_seed = seed;
+sim::CellRun<CacheResult> RunCacheSequence(
+    const trace::AccessSequence& seq, std::size_t sequence_index,
+    unsigned dbcs, const CachePolicy& policy,
+    const sim::ExperimentOptions& options, std::string_view benchmark_name) {
+  CacheConfig config = policy.MakeConfig();
+  config.capacity_slots = ResolveCapacity(config, seq.num_variables());
+  const rtm::RtmConfig device = sim::CellConfig(dbcs, config.capacity_slots);
+  config.eviction_seed = sim::StampCellSearch(
+      config.engine.strategy_options, device, options, benchmark_name,
+      sequence_index, dbcs);
   // Observability rides along on the wrapped engine config; within a
   // cell, tid tells sequences apart.
-  cache.engine.obs = options.obs;
-  cache.engine.obs.tid = static_cast<std::uint32_t>(sequence_index);
-  return cache;
-}
-
-void AccumulateCacheSequence(const trace::AccessSequence& seq,
-                             std::size_t sequence_index, unsigned dbcs,
-                             const CachePolicy& policy,
-                             const sim::ExperimentOptions& options,
-                             std::string_view benchmark_name,
-                             sim::RunResult& run) {
-  if (seq.num_variables() == 0) return;
-  const std::size_t capacity =
-      ResolveCapacity(policy.MakeConfig(), seq.num_variables());
-  const rtm::RtmConfig config = DeviceForCapacity(dbcs, capacity);
-  CacheConfig cache = CellCacheConfig(policy, config, options, benchmark_name,
-                                      sequence_index, dbcs);
-  cache.capacity_slots = capacity;
-  const CacheResult result = RunCache(seq, cache, config);
-  run.placement_cost += result.online.placement_cost;
-  run.placement_wall_ms += result.online.placement_wall_ms;
-  run.search_evaluations += result.online.evaluations;
-  run.metrics.Accumulate(ToSimulationResult(result, config));
-}
-
-sim::RunResult RunCacheCell(const offsetstone::Benchmark& benchmark,
-                            unsigned dbcs, std::string_view policy_name,
-                            const sim::ExperimentOptions& options) {
-  const auto policy = CachePolicyRegistry::Global().Find(policy_name);
-  if (!policy) {
-    throw std::invalid_argument("RunCacheCell: unregistered cache policy '" +
-                                std::string(policy_name) + "'");
-  }
-
-  sim::RunResult run;
-  run.benchmark = benchmark.name;
-  run.dbcs = dbcs;
-  run.strategy_name = util::ToLower(policy_name);
-
-  for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
-    AccumulateCacheSequence(benchmark.sequences[s], s, dbcs, *policy, options,
-                            benchmark.name, run);
-  }
-  return run;
+  config.engine.obs = options.obs;
+  config.engine.obs.tid = static_cast<std::uint32_t>(sequence_index);
+  return {device, RunCache(seq, config, device)};
 }
 
 }  // namespace rtmp::cache

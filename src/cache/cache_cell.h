@@ -1,9 +1,8 @@
 // Cache cells of the evaluation matrix.
 //
-// RunCacheCell is the hybrid-memory counterpart of sim::RunCell and
-// online::RunOnlineCell: one (benchmark, dbc count, cache policy) cell,
-// every sequence served by its own CacheEngine session. The returned
-// sim::RunResult carries the controller's view — shifts, accesses,
+// A cache cell is one (benchmark, dbc count, cache policy) cell of
+// sim::RunCell: every sequence is served by its own CacheEngine session.
+// Its sim::RunResult carries the controller's view — shifts, accesses,
 // runtime and energy INCLUDE migration AND eviction/fill traffic plus
 // the backing store's latency/energy — so cache cells compare
 // apples-to-apples with static and online cells in the same report,
@@ -15,65 +14,42 @@
 // capacity-ratio-1.0 cell therefore gets the exact device its uncached
 // online twin gets, which is what makes the c100 oracle equality exact.
 //
-// sim::RunCell dispatches here for any strategy name that resolves in
-// the cache-policy registry.
+// RunCacheSequence is the one place a cache cell sequence is built and
+// run; sim::RunCell, the streamed trace path, fig_cache and
+// placement_explorer's `cache` subcommand all call it.
 #pragma once
 
+#include <cstddef>
 #include <string_view>
 
 #include "cache/cache_policy.h"
 #include "cache/engine.h"
-#include "offsetstone/suite.h"
 #include "sim/experiment.h"
+#include "trace/access_sequence.h"
 
 namespace rtmp::cache {
 
-/// Runs one cache cell. Throws std::invalid_argument when `policy_name`
-/// is not in CachePolicyRegistry::Global(). Seeding and effort follow
-/// sim::RunCell exactly (per-sequence seeds derived from benchmark name,
-/// sequence index and DBC count), so cache cells are deterministic and
-/// thread-placement independent — and a "cache-<e>-c100" cell is
-/// bit-identical to the "online-fixed-dma-sr" cell on every exact
+/// Runs sequence `sequence_index` of the (benchmark_name, dbcs, policy)
+/// cell: the resident capacity is resolved against the sequence's
+/// variable count, the device is sim::CellConfig(dbcs, capacity), and
+/// the config is the policy's recipe with sim::StampCellSearch applied
+/// to the wrapped engine (the same seed feeds randomized eviction) and
+/// the experiment's obs sinks (tid = sequence_index). `sequence_index`
+/// must count delivered sequences including empty ones, and `seq` must
+/// declare at least one variable. A "cache-<e>-c100" sequence is
+/// bit-identical to the "online-fixed-dma-sr" cell's on every exact
 /// counter.
-[[nodiscard]] sim::RunResult RunCacheCell(
-    const offsetstone::Benchmark& benchmark, unsigned dbcs,
-    std::string_view policy_name, const sim::ExperimentOptions& options);
+[[nodiscard]] sim::CellRun<CacheResult> RunCacheSequence(
+    const trace::AccessSequence& seq, std::size_t sequence_index,
+    unsigned dbcs, const CachePolicy& policy,
+    const sim::ExperimentOptions& options, std::string_view benchmark_name);
 
-/// Accumulates one sequence into `run` (the per-sequence body of
-/// RunCacheCell); exposed for the streaming trace-cell path, which
-/// delivers sequences one at a time instead of through a materialized
-/// benchmark. `sequence_index` must count DELIVERED sequences including
-/// empty ones — RunCacheCell's seed derivation does.
-void AccumulateCacheSequence(const trace::AccessSequence& seq,
-                             std::size_t sequence_index, unsigned dbcs,
-                             const CachePolicy& policy,
-                             const sim::ExperimentOptions& options,
-                             std::string_view benchmark_name,
-                             sim::RunResult& run);
-
-/// The cell's device: sized for `capacity` resident frames (not the
-/// variable count) via sim::CellConfig — the hybrid mode's device-sizing
-/// policy, shared by materialized and streamed cells.
-[[nodiscard]] rtm::RtmConfig DeviceForCapacity(unsigned dbcs,
-                                               std::size_t capacity);
-
-/// Aggregate of one CacheResult in sim terms (the piece RunCacheCell
-/// accumulates per sequence); exposed for scenarios that run the engine
-/// directly and want matching metrics. Writebacks count as device reads
-/// and fills as device writes (each transfer touches the device once on
-/// its way down/up); the backing store's busy time is a serial penalty
-/// on the runtime and its transfer energy lands in the read/write term.
+/// Aggregate of one CacheResult in sim terms: what a cache cell
+/// accumulates per sequence. Writebacks count as device reads and fills
+/// as device writes (each transfer touches the device once on its way
+/// down/up); the backing store's busy time is a serial penalty on the
+/// runtime and its transfer energy lands in the read/write term.
 [[nodiscard]] sim::SimulationResult ToSimulationResult(
     const CacheResult& result, const rtm::RtmConfig& config);
-
-/// The CacheConfig an experiment cell hands the engine: the policy's
-/// recipe with the experiment's cost options, search effort and seed
-/// stamped in (seed derivation identical to sim::RunCell's; the same
-/// seed feeds randomized eviction). capacity_slots is left for the
-/// caller to resolve against the sequence's variable count.
-[[nodiscard]] CacheConfig CellCacheConfig(
-    const CachePolicy& policy, const rtm::RtmConfig& config,
-    const sim::ExperimentOptions& options, std::string_view benchmark_name,
-    std::size_t sequence_index, unsigned dbcs);
 
 }  // namespace rtmp::cache

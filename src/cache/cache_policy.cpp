@@ -1,6 +1,5 @@
 #include "cache/cache_policy.h"
 
-#include <memory>
 #include <string>
 
 namespace rtmp::cache {
@@ -26,17 +25,14 @@ void RegisterCapacityFamily(CachePolicyRegistry& registry,
   config.eviction = eviction;
   config.capacity_ratio = static_cast<double>(percent) / 100.0;
   config.engine = BuiltinEngineRecipe();
-  const std::string name = eviction + "-c" + std::to_string(percent);
-  const CachePolicyInfo info{
-      name,
-      eviction + " eviction over a resident set of " +
-          std::to_string(percent) +
-          "% of the working set, hits served by the "
-          "online-fixed-dma-sr engine recipe",
-      eviction, config.capacity_ratio};
-  registry.Register(name, [info, config] {
-    return std::make_shared<const CachePolicy>(info, config);
-  });
+  util::RegisterRecipe(
+      registry,
+      {eviction + "-c" + std::to_string(percent),
+       eviction + " eviction over a resident set of " +
+           std::to_string(percent) +
+           "% of the working set, hits served by the "
+           "online-fixed-dma-sr engine recipe"},
+      config);
 }
 
 }  // namespace

@@ -2,14 +2,16 @@
 // cache configurations, mirroring the strategy / online-policy / serve-
 // policy registries.
 //
-// A cache policy is a named CacheConfig recipe: which eviction policy
-// runs the resident set, what fraction of the working set fits on the
-// device, and which wrapped online engine serves the hits. Policies
-// enter the evaluation matrix by name exactly like strategies and
-// online policies do — sim::RunCell dispatches a cell name to whichever
-// cell registry owns it, so `ExperimentOptions::extra_strategies`,
-// `rtmbench` scenarios and `placement_explorer cache` all accept cache
-// policy names interchangeably.
+// A cache policy is a util::Recipe<CacheConfig>: a name and summary plus
+// which eviction policy runs the resident set, what fraction of the
+// working set fits on the device, and which wrapped online engine serves
+// the hits. Policies enter the evaluation matrix by name exactly like
+// strategies and online policies do — sim::RunCell dispatches a cell
+// name to whichever cell registry owns it and runs each sequence through
+// cache::RunCacheSequence (cache/cache_cell.h), so
+// `ExperimentOptions::extra_strategies`, `rtmbench` scenarios and
+// `placement_explorer cache` all accept cache policy names
+// interchangeably.
 //
 // The built-ins wrap the SAME engine recipe as the online policy
 // "online-fixed-dma-sr"; a capacity-100% cache cell is therefore
@@ -17,46 +19,15 @@
 // bench/harness/scenarios/fig_cache.cpp).
 #pragma once
 
-#include <string>
-#include <utility>
-
 #include "cache/engine.h"
 #include "util/registry.h"
 
 namespace rtmp::cache {
 
-/// Self-description of a registered cache policy.
-struct CachePolicyInfo {
-  /// Registry key: lowercase, unique ("cache-lru-c50", ...).
-  std::string name;
-  /// One-line human-readable description for listings and docs.
-  std::string summary;
-  /// Eviction-policy registry name the policy runs (cache/eviction.h).
-  std::string eviction;
-  /// Resident-set fraction of the working set (CacheConfig ratio).
-  double capacity_ratio = 1.0;
-};
-
-/// A named CacheConfig recipe under a fixed description. Immutable, so
-/// the experiment engine may share one instance across threads.
-class CachePolicy final {
- public:
-  CachePolicy(CachePolicyInfo info, CacheConfig config)
-      : info_(std::move(info)), config_(std::move(config)) {}
-
-  [[nodiscard]] const CachePolicyInfo& Describe() const noexcept {
-    return info_;
-  }
-
-  /// The cache configuration this policy stands for. Callers stamp the
-  /// run-specific fields afterwards (capacity_slots via ResolveCapacity,
-  /// strategy effort/seeds from the experiment).
-  [[nodiscard]] CacheConfig MakeConfig() const { return config_; }
-
- private:
-  CachePolicyInfo info_;
-  CacheConfig config_;
-};
+/// A named CacheConfig recipe (util/registry.h); Describe() gives its
+/// name and summary, MakeConfig() the cache configuration (its
+/// capacity_slots is resolved per sequence by the cell).
+using CachePolicy = util::Recipe<CacheConfig>;
 
 /// Name -> policy registry (util/registry.h).
 using CachePolicyRegistry = util::Registry<CachePolicy>;

@@ -1,12 +1,6 @@
 #include "online/online_cell.h"
 
-#include <stdexcept>
-#include <string>
-
-#include "core/strategy.h"
-#include "online/policy.h"
-#include "util/rng.h"
-#include "util/strings.h"
+#include <cstdint>
 
 namespace rtmp::online {
 
@@ -22,63 +16,18 @@ sim::SimulationResult ToSimulationResult(const OnlineResult& result,
   return sim_result;
 }
 
-OnlineConfig CellOnlineConfig(const OnlinePolicy& policy,
-                              const rtm::RtmConfig& config,
-                              const sim::ExperimentOptions& options,
-                              std::string_view benchmark_name,
-                              std::size_t sequence_index, unsigned dbcs) {
-  OnlineConfig online = policy.MakeConfig();
-  online.strategy_options.cost.initial_alignment = config.initial_alignment;
-  core::ScaleSearchEffort(online.strategy_options, options.search_effort);
-  // Same derivation as sim::RunCell: the window-0 re-seed of an
-  // online-static policy draws the exact seed its static twin draws.
-  const std::uint64_t seed =
-      util::HashString(benchmark_name) ^
-      (options.seed + sequence_index * 0x9E3779B9ULL + dbcs);
-  online.strategy_options.ga.seed = seed;
-  online.strategy_options.rw.seed = seed;
+sim::CellRun<OnlineResult> RunOnlineSequence(
+    const trace::AccessSequence& seq, std::size_t sequence_index,
+    unsigned dbcs, const OnlinePolicy& policy,
+    const sim::ExperimentOptions& options, std::string_view benchmark_name) {
+  const rtm::RtmConfig device = sim::CellConfig(dbcs, seq.num_variables());
+  OnlineConfig config = policy.MakeConfig();
+  sim::StampCellSearch(config.strategy_options, device, options,
+                       benchmark_name, sequence_index, dbcs);
   // Observability rides along; within a cell, tid tells sequences apart.
-  online.obs = options.obs;
-  online.obs.tid = static_cast<std::uint32_t>(sequence_index);
-  return online;
-}
-
-void AccumulateOnlineSequence(const trace::AccessSequence& seq,
-                              std::size_t sequence_index, unsigned dbcs,
-                              const OnlinePolicy& policy,
-                              const sim::ExperimentOptions& options,
-                              std::string_view benchmark_name,
-                              sim::RunResult& run) {
-  if (seq.num_variables() == 0) return;
-  const rtm::RtmConfig config = sim::CellConfig(dbcs, seq.num_variables());
-  const OnlineConfig online = CellOnlineConfig(
-      policy, config, options, benchmark_name, sequence_index, dbcs);
-  const OnlineResult result = RunOnline(seq, online, config);
-  run.placement_cost += result.placement_cost;
-  run.placement_wall_ms += result.placement_wall_ms;
-  run.search_evaluations += result.evaluations;
-  run.metrics.Accumulate(ToSimulationResult(result, config));
-}
-
-sim::RunResult RunOnlineCell(const offsetstone::Benchmark& benchmark,
-                             unsigned dbcs, std::string_view policy_name,
-                             const sim::ExperimentOptions& options) {
-  const auto policy = OnlinePolicyRegistry::Global().Find(policy_name);
-  if (!policy) {
-    throw std::invalid_argument("RunOnlineCell: unregistered online policy '" +
-                                std::string(policy_name) + "'");
-  }
-
-  sim::RunResult run;
-  run.benchmark = benchmark.name;
-  run.dbcs = dbcs;
-  run.strategy_name = util::ToLower(policy_name);
-
-  for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
-    AccumulateOnlineSequence(benchmark.sequences[s], s, dbcs, *policy,
-                             options, benchmark.name, run);
-  }
-  return run;
+  config.obs = options.obs;
+  config.obs.tid = static_cast<std::uint32_t>(sequence_index);
+  return {device, RunOnline(seq, config, device)};
 }
 
 }  // namespace rtmp::online

@@ -1,18 +1,10 @@
 #include "online/policy.h"
 
-#include <memory>
 #include <string>
 
 namespace rtmp::online {
 
 namespace {
-
-void Add(OnlinePolicyRegistry& registry, const OnlinePolicyInfo& info,
-         const OnlineConfig& config) {
-  registry.Register(info.name, [info, config] {
-    return std::make_shared<const OnlinePolicy>(info, config);
-  });
-}
 
 void RegisterFamily(OnlinePolicyRegistry& registry,
                     const std::string& reseed) {
@@ -21,12 +13,11 @@ void RegisterFamily(OnlinePolicyRegistry& registry,
     config.reseed_strategy = reseed;
     config.window_accesses = kWholeTraceWindow;
     config.detector.kind = DetectorKind::kNone;
-    const OnlinePolicyInfo info{
+    const util::RecipeInfo info{
         "online-static-" + reseed,
         "one whole-trace window, no re-placement: the oracle wrapper, "
-        "bit-identical to " + reseed,
-        reseed, "none"};
-    Add(registry, info, config);
+        "bit-identical to " + reseed};
+    util::RegisterRecipe(registry, info, config);
   }
   {
     OnlineConfig config;
@@ -34,12 +25,11 @@ void RegisterFamily(OnlinePolicyRegistry& registry,
     config.window_accesses = 256;
     config.detector.kind = DetectorKind::kFixedWindow;
     config.detector.period = 1;
-    const OnlinePolicyInfo info{
+    const util::RecipeInfo info{
         "online-fixed-" + reseed,
         "256-access windows, re-seed weighed at every boundary "
-        "(period-1 epoch baseline) via " + reseed,
-        reseed, "fixed"};
-    Add(registry, info, config);
+        "(period-1 epoch baseline) via " + reseed};
+    util::RegisterRecipe(registry, info, config);
   }
   {
     OnlineConfig config;
@@ -49,12 +39,11 @@ void RegisterFamily(OnlinePolicyRegistry& registry,
     config.detector.threshold = 0.35;
     config.detector.alpha = 0.3;
     config.refine = true;
-    const OnlinePolicyInfo info{
+    const util::RecipeInfo info{
         "online-ewma-" + reseed,
         "256-access windows, EWMA-drift phase detection + incremental "
-        "refinement, re-seeded via " + reseed,
-        reseed, "ewma"};
-    Add(registry, info, config);
+        "refinement, re-seeded via " + reseed};
+    util::RegisterRecipe(registry, info, config);
   }
   {
     OnlineConfig config;
@@ -65,12 +54,11 @@ void RegisterFamily(OnlinePolicyRegistry& registry,
     config.detector.slack = 0.1;
     config.detector.alpha = 0.3;
     config.refine = true;
-    const OnlinePolicyInfo info{
+    const util::RecipeInfo info{
         "online-cusum-" + reseed,
         "256-access windows, CUSUM change-point detection (slack 0.1, "
-        "threshold 0.6) + incremental refinement, re-seeded via " + reseed,
-        reseed, "cusum"};
-    Add(registry, info, config);
+        "threshold 0.6) + incremental refinement, re-seeded via " + reseed};
+    util::RegisterRecipe(registry, info, config);
   }
 }
 

@@ -2,56 +2,26 @@
 // placement policies, mirroring the strategy registry (solution side)
 // and the workload registry (input side).
 //
-// An online policy is a named OnlineConfig recipe: which registry
-// strategy re-seeds the placement, which phase detector triggers
-// re-placement, how large the windows are, and whether migration is
-// charged. Policies enter the evaluation matrix by name exactly like
-// strategies do — sim::RunCell dispatches a cell name to whichever cell
-// registry owns it, so `ExperimentOptions::extra_strategies`,
-// `rtmbench` scenarios and `placement_explorer online` all accept policy
-// names interchangeably with strategy names.
+// An online policy is a util::Recipe<OnlineConfig>: a name and summary
+// plus which registry strategy re-seeds the placement, which phase
+// detector triggers re-placement, how large the windows are, and whether
+// migration is charged. Policies enter the evaluation matrix by name
+// exactly like strategies do — sim::RunCell dispatches a cell name to
+// whichever cell registry owns it and runs each sequence through
+// online::RunOnlineSequence (online/online_cell.h), so
+// `ExperimentOptions::extra_strategies`, `rtmbench` scenarios and
+// `placement_explorer online` all accept policy names interchangeably
+// with strategy names.
 #pragma once
-
-#include <string>
-#include <utility>
 
 #include "online/engine.h"
 #include "util/registry.h"
 
 namespace rtmp::online {
 
-/// Self-description of a registered online policy.
-struct OnlinePolicyInfo {
-  /// Registry key: lowercase, unique ("online-ewma-dma-sr", ...).
-  std::string name;
-  /// One-line human-readable description for listings and docs.
-  std::string summary;
-  /// Registry name of the re-seed strategy the policy wraps.
-  std::string reseed_strategy;
-  /// Detector family: "none", "fixed", "ewma" or "cusum".
-  std::string detector;
-};
-
-/// A named OnlineConfig recipe under a fixed description. Immutable, so
-/// the experiment engine may share one instance across threads.
-class OnlinePolicy final {
- public:
-  OnlinePolicy(OnlinePolicyInfo info, OnlineConfig config)
-      : info_(std::move(info)), config_(std::move(config)) {}
-
-  [[nodiscard]] const OnlinePolicyInfo& Describe() const noexcept {
-    return info_;
-  }
-
-  /// The engine configuration this policy stands for. Callers stamp the
-  /// run-specific fields afterwards (strategy_options effort/seeds come
-  /// from the experiment, not the policy).
-  [[nodiscard]] OnlineConfig MakeConfig() const { return config_; }
-
- private:
-  OnlinePolicyInfo info_;
-  OnlineConfig config_;
-};
+/// A named OnlineConfig recipe (util/registry.h); Describe() gives its
+/// name and summary, MakeConfig() the engine configuration.
+using OnlinePolicy = util::Recipe<OnlineConfig>;
 
 /// Name -> policy registry (util/registry.h), the same template as
 /// core::StrategyRegistry and workloads::WorkloadRegistry.

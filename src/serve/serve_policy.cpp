@@ -1,8 +1,9 @@
 #include "serve/serve_policy.h"
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "online/policy.h"
 
@@ -10,25 +11,26 @@ namespace rtmp::serve {
 
 namespace {
 
-/// Factory body shared by the built-ins: resolve the wrapped online
-/// policy lazily (at first Find), so registration order between the
-/// registries does not matter.
-ServePolicyRegistry::Factory BuiltinFactory(ServePolicyInfo info,
-                                            MigrationBudgetConfig budget) {
-  return [info = std::move(info), budget] {
-    const auto online =
-        online::OnlinePolicyRegistry::Global().Find(info.online_policy);
+/// Registers a built-in: `shards` shards of the online policy `engine`
+/// under `budget`. The online policy is resolved lazily (at first Find),
+/// so registration order between the registries does not matter.
+void Add(ServePolicyRegistry& registry, const util::RecipeInfo& info,
+         const std::string& engine, unsigned shards,
+         const MigrationBudgetConfig& budget) {
+  registry.Register(info.name, [info, engine, shards, budget] {
+    const auto online = online::OnlinePolicyRegistry::Global().Find(engine);
     if (!online) {
-      throw std::invalid_argument(
-          "ServePolicyRegistry: serve policy '" + info.name +
-          "' wraps unregistered online policy '" + info.online_policy + "'");
+      throw std::invalid_argument("ServePolicyRegistry: serve policy '" +
+                                  info.name +
+                                  "' wraps unregistered online policy '" +
+                                  engine + "'");
     }
     ServeConfig config;
-    config.num_shards = info.shards;
+    config.num_shards = shards;
     config.budget = budget;
     config.engine = online->MakeConfig();
     return std::make_shared<const ServePolicy>(info, config);
-  };
+  });
 }
 
 void RegisterFamily(ServePolicyRegistry& registry, const std::string& reseed) {
@@ -39,44 +41,28 @@ void RegisterFamily(ServePolicyRegistry& registry, const std::string& reseed) {
 
   for (const unsigned shards : {1u, 2u, 4u}) {
     const std::string n = std::to_string(shards) + "s";
-    registry.Register(
-        "serve-" + n + "-static-" + reseed,
-        BuiltinFactory(
-            ServePolicyInfo{
-                "serve-" + n + "-static-" + reseed,
-                n + " shard(s) of the online-static-" + reseed +
-                    " oracle engine, unlimited migration budget",
-                "online-static-" + reseed, shards, "unlimited"},
-            MigrationBudgetConfig{}));
-    registry.Register(
-        "serve-" + n + "-ewma-" + reseed,
-        BuiltinFactory(
-            ServePolicyInfo{
-                "serve-" + n + "-ewma-" + reseed,
-                n + " shard(s) of online-ewma-" + reseed +
-                    ", unlimited migration budget",
-                "online-ewma-" + reseed, shards, "unlimited"},
-            MigrationBudgetConfig{}));
-    registry.Register(
-        "serve-" + n + "-tight-ewma-" + reseed,
-        BuiltinFactory(
-            ServePolicyInfo{
-                "serve-" + n + "-tight-ewma-" + reseed,
-                n + " shard(s) of online-ewma-" + reseed +
-                    ", tight global budget (" + std::to_string(kTight) +
-                    " migration shifts/window)",
-                "online-ewma-" + reseed, shards, "tight"},
-            MigrationBudgetConfig{kTight, 4}));
-    registry.Register(
-        "serve-" + n + "-loose-ewma-" + reseed,
-        BuiltinFactory(
-            ServePolicyInfo{
-                "serve-" + n + "-loose-ewma-" + reseed,
-                n + " shard(s) of online-ewma-" + reseed +
-                    ", loose global budget (" + std::to_string(kLoose) +
-                    " migration shifts/window)",
-                "online-ewma-" + reseed, shards, "loose"},
-            MigrationBudgetConfig{kLoose, 4}));
+    Add(registry,
+        {"serve-" + n + "-static-" + reseed,
+         n + " shard(s) of the online-static-" + reseed +
+             " oracle engine, unlimited migration budget"},
+        "online-static-" + reseed, shards, MigrationBudgetConfig{});
+    Add(registry,
+        {"serve-" + n + "-ewma-" + reseed,
+         n + " shard(s) of online-ewma-" + reseed +
+             ", unlimited migration budget"},
+        "online-ewma-" + reseed, shards, MigrationBudgetConfig{});
+    Add(registry,
+        {"serve-" + n + "-tight-ewma-" + reseed,
+         n + " shard(s) of online-ewma-" + reseed +
+             ", tight global budget (" + std::to_string(kTight) +
+             " migration shifts/window)"},
+        "online-ewma-" + reseed, shards, MigrationBudgetConfig{kTight, 4});
+    Add(registry,
+        {"serve-" + n + "-loose-ewma-" + reseed,
+         n + " shard(s) of online-ewma-" + reseed +
+             ", loose global budget (" + std::to_string(kLoose) +
+             " migration shifts/window)"},
+        "online-ewma-" + reseed, shards, MigrationBudgetConfig{kLoose, 4});
   }
 }
 

@@ -8,11 +8,14 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "cache/cache_cell.h"
 #include "cache/cache_policy.h"
@@ -27,7 +30,6 @@
 #include "trace/trace_stream.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "workloads/phased.h"
 #include "workloads/workload.h"
 
 namespace rtmp::sim {
@@ -41,50 +43,6 @@ unsigned ResolveThreadCount(unsigned requested, std::size_t num_cells) {
   }
   return static_cast<unsigned>(
       std::min<std::size_t>(threads, std::max<std::size_t>(1, num_cells)));
-}
-
-/// The per-sequence body of a static-strategy cell, shared by RunCell's
-/// materialized loop and the streaming trace path. `sequence_index`
-/// counts delivered sequences including empty ones (the seed
-/// derivation does).
-void AccumulateStaticSequence(const trace::AccessSequence& seq,
-                              std::size_t sequence_index, unsigned dbcs,
-                              const core::PlacementStrategy& runner,
-                              const ExperimentOptions& options,
-                              std::string_view benchmark_name,
-                              RunResult& run) {
-  if (seq.num_variables() == 0) return;
-  const rtm::RtmConfig config = CellConfig(dbcs, seq.num_variables());
-
-  core::PlacementRequest request;
-  request.sequence = &seq;
-  request.num_dbcs = config.total_dbcs();
-  request.capacity = config.domains_per_dbc;
-  request.options.cost.initial_alignment = config.initial_alignment;
-  core::ScaleSearchEffort(request.options, options.search_effort);
-  // Distinct, reproducible seeds per (benchmark, sequence, dbcs) —
-  // independent of which worker thread runs the cell.
-  const std::uint64_t seed =
-      util::HashString(benchmark_name) ^
-      (options.seed + sequence_index * 0x9E3779B9ULL + dbcs);
-  request.options.ga.seed = seed;
-  request.options.rw.seed = seed;
-
-  const core::PlacementResult placed = core::RunTimed(runner, request);
-  run.placement_cost += placed.cost;
-  run.placement_wall_ms += placed.wall_ms;
-  run.search_evaluations += placed.evaluations;
-  run.metrics.Accumulate(Simulate(seq, placed.placement, config));
-}
-
-/// A workload spec the streaming matrix hands to RunStreamedTraceCell:
-/// an on-disk trace file that neither the workload registry nor the
-/// phased combinator claims (ResolveWorkload's exact precedence).
-bool IsStreamableTraceFile(const std::string& spec) {
-  if (workloads::WorkloadRegistry::Global().Contains(spec)) return false;
-  if (workloads::ParsePhasedSpec(spec)) return false;
-  std::error_code ec;
-  return std::filesystem::is_regular_file(std::filesystem::path(spec), ec);
 }
 
 /// The benchmark name a streamed trace cell reports: the file's declared
@@ -114,6 +72,21 @@ rtm::RtmConfig CellConfig(unsigned dbcs, std::size_t num_variables) {
     config.domains_per_dbc = per_dbc;
   }
   return config;
+}
+
+std::uint64_t StampCellSearch(core::StrategyOptions& strategy,
+                              const rtm::RtmConfig& device,
+                              const ExperimentOptions& options,
+                              std::string_view benchmark_name,
+                              std::size_t sequence_index, unsigned dbcs) {
+  strategy.cost.initial_alignment = device.initial_alignment;
+  core::ScaleSearchEffort(strategy, options.search_effort);
+  const std::uint64_t seed =
+      util::HashString(benchmark_name) ^
+      (options.seed + sequence_index * 0x9E3779B9ULL + dbcs);
+  strategy.ga.seed = seed;
+  strategy.rw.seed = seed;
+  return seed;
 }
 
 void RunMetrics::Accumulate(const SimulationResult& result) {
@@ -173,9 +146,17 @@ void WriteJson(util::JsonWriter& writer, const RunResult& result) {
 RunResult RunResultFromJson(const util::JsonValue& value) {
   RunResult result;
   result.benchmark = value.At("benchmark").AsString();
-  result.dbcs = static_cast<unsigned>(value.At("dbcs").AsUInt());
+  const std::uint64_t dbcs = value.At("dbcs").AsUInt();
+  if (dbcs == 0 || dbcs > std::numeric_limits<unsigned>::max()) {
+    throw std::runtime_error("RunResultFromJson: field 'dbcs' = " +
+                             std::to_string(dbcs) +
+                             " is not a DBC count in [1, " +
+                             std::to_string(
+                                 std::numeric_limits<unsigned>::max()) +
+                             "]");
+  }
+  result.dbcs = static_cast<unsigned>(dbcs);
   result.strategy_name = value.At("strategy").AsString();
-  result.strategy = core::ParseStrategy(result.strategy_name);
   result.metrics.shifts = value.At("shifts").AsUInt();
   result.metrics.accesses = value.At("accesses").AsUInt();
   result.metrics.runtime_ns = value.At("runtime_ns").AsDouble();
@@ -223,35 +204,108 @@ CellKind ResolveCell(std::string_view name) {
       std::find(owners.begin(), owners.end(), true) - owners.begin());
 }
 
+/// An empty cell under the normalized *requested* name (the registry
+/// key), not Describe().name: a delegating factory may self-describe
+/// differently, and the cell must stay reachable under the name the
+/// caller used.
+RunResult EmptyCell(std::string benchmark, unsigned dbcs,
+                    std::string_view name) {
+  RunResult run;
+  run.benchmark = std::move(benchmark);
+  run.dbcs = dbcs;
+  run.strategy_name = util::ToLower(name);
+  return run;
+}
+
+/// Adds one run's search tallies and device totals to its cell.
+void AddToCell(RunResult& run, std::uint64_t placement_cost,
+               double placement_wall_ms, std::size_t evaluations,
+               const SimulationResult& simulated) {
+  run.placement_cost += placement_cost;
+  run.placement_wall_ms += placement_wall_ms;
+  run.search_evaluations += evaluations;
+  run.metrics.Accumulate(simulated);
+}
+
+/// Runs one non-empty sequence of a cell. `index` counts delivered
+/// sequences, empty ones included, because the seed derivation does.
+using SequenceBody =
+    std::function<void(const trace::AccessSequence& seq, std::size_t index)>;
+
+/// The per-sequence body of a strategy, online or cache cell named
+/// `name`, accumulating into `run` (benchmark and dbcs already set). The
+/// one dispatch RunCell's loop and the streamed trace path share.
+SequenceBody CellSequenceBody(CellKind kind, std::string_view name,
+                              const ExperimentOptions& options,
+                              RunResult& run) {
+  if (kind == CellKind::kOnline) {
+    const auto policy = online::OnlinePolicyRegistry::Global().Find(name);
+    return [policy, &options, &run](const trace::AccessSequence& seq,
+                                    std::size_t index) {
+      const auto [device, result] = online::RunOnlineSequence(
+          seq, index, run.dbcs, *policy, options, run.benchmark);
+      AddToCell(run, result.placement_cost, result.placement_wall_ms,
+                result.evaluations,
+                online::ToSimulationResult(result, device));
+    };
+  }
+  if (kind == CellKind::kCache) {
+    const auto policy = cache::CachePolicyRegistry::Global().Find(name);
+    return [policy, &options, &run](const trace::AccessSequence& seq,
+                                    std::size_t index) {
+      const auto [device, result] = cache::RunCacheSequence(
+          seq, index, run.dbcs, *policy, options, run.benchmark);
+      AddToCell(run, result.online.placement_cost,
+                result.online.placement_wall_ms, result.online.evaluations,
+                cache::ToSimulationResult(result, device));
+    };
+  }
+  // A strategy cell; serve cells never get here, RunCell runs them whole.
+  const auto strategy = core::StrategyRegistry::Global().Find(name);
+  return [strategy, &options, &run](const trace::AccessSequence& seq,
+                                    std::size_t index) {
+    const rtm::RtmConfig device = CellConfig(run.dbcs, seq.num_variables());
+    core::PlacementRequest request;
+    request.sequence = &seq;
+    request.num_dbcs = device.total_dbcs();
+    request.capacity = device.domains_per_dbc;
+    StampCellSearch(request.options, device, options, run.benchmark, index,
+                    run.dbcs);
+    const core::PlacementResult placed = core::RunTimed(*strategy, request);
+    AddToCell(run, placed.cost, placed.wall_ms, placed.evaluations,
+              Simulate(seq, placed.placement, device));
+  };
+}
+
 }  // namespace
 
 RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
                   std::string_view strategy_name,
                   const ExperimentOptions& options) {
-  switch (ResolveCell(strategy_name)) {
-    case CellKind::kOnline:
-      return online::RunOnlineCell(benchmark, dbcs, strategy_name, options);
-    case CellKind::kServe:
-      return serve::RunServeCell(benchmark, dbcs, strategy_name, options);
-    case CellKind::kCache:
-      return cache::RunCacheCell(benchmark, dbcs, strategy_name, options);
-    case CellKind::kStrategy:
-      break;
+  const CellKind kind = ResolveCell(strategy_name);
+  RunResult run = EmptyCell(benchmark.name, dbcs, strategy_name);
+  if (kind == CellKind::kServe) {
+    // The sequences are tenants of one service: the cell runs them all at
+    // once, on one device.
+    const bool has_variables = std::any_of(
+        benchmark.sequences.begin(), benchmark.sequences.end(),
+        [](const trace::AccessSequence& seq) {
+          return seq.num_variables() != 0;
+        });
+    if (!has_variables) return run;
+    const auto policy =
+        serve::ServePolicyRegistry::Global().Find(strategy_name);
+    const auto [device, result] =
+        serve::RunServeBenchmark(benchmark, dbcs, *policy, options);
+    AddToCell(run, result.placement_cost, result.placement_wall_ms,
+              result.evaluations, serve::ToSimulationResult(result, device));
+    return run;
   }
-  const auto runner = core::StrategyRegistry::Global().Find(strategy_name);
-
-  RunResult run;
-  run.benchmark = benchmark.name;
-  run.dbcs = dbcs;
-  // Store the normalized *requested* name (the registry key), not
-  // Describe().name: a delegating factory may self-describe differently,
-  // and the cell must stay reachable under the name the caller used.
-  run.strategy_name = util::ToLower(strategy_name);
-  run.strategy = runner->Describe().spec;
-
+  const SequenceBody body = CellSequenceBody(kind, strategy_name, options, run);
   for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
-    AccumulateStaticSequence(benchmark.sequences[s], s, dbcs, *runner,
-                             options, benchmark.name, run);
+    if (benchmark.sequences[s].num_variables() != 0) {
+      body(benchmark.sequences[s], s);
+    }
   }
   return run;
 }
@@ -264,28 +318,11 @@ RunResult RunStreamedTraceCell(const std::string& path, unsigned dbcs,
     // A serve cell arbitrates its tenants' sequences against each other,
     // so it needs the whole benchmark at once: materialize this one cell.
     const std::vector<std::string> spec{path};
-    const auto suite = LoadWorkloads(spec, options);
-    return serve::RunServeCell(suite.front(), dbcs, strategy_name, options);
+    return RunCell(LoadWorkloads(spec, options).front(), dbcs, strategy_name,
+                   options);
   }
-  const auto runner =
-      kind == CellKind::kStrategy
-          ? core::StrategyRegistry::Global().Find(strategy_name)
-          : nullptr;
-
-  RunResult run;
-  run.benchmark = StreamedBenchmarkName(path);
-  run.dbcs = dbcs;
-  run.strategy_name = util::ToLower(strategy_name);
-  if (runner) run.strategy = runner->Describe().spec;
-
-  const auto online_policy =
-      kind == CellKind::kOnline
-          ? online::OnlinePolicyRegistry::Global().Find(strategy_name)
-          : nullptr;
-  const auto cache_policy =
-      kind == CellKind::kCache
-          ? cache::CachePolicyRegistry::Global().Find(strategy_name)
-          : nullptr;
+  RunResult run = EmptyCell(StreamedBenchmarkName(path), dbcs, strategy_name);
+  const SequenceBody body = CellSequenceBody(kind, strategy_name, options, run);
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -294,39 +331,15 @@ RunResult RunStreamedTraceCell(const std::string& path, unsigned dbcs,
   std::size_t index = 0;
   const trace::SequenceSink sink = [&](const std::string&,
                                        trace::AccessSequence seq) {
-    // `index` counts every delivered sequence (empty ones included),
-    // matching the materialized loop's seed derivation.
-    if (runner != nullptr) {
-      AccumulateStaticSequence(seq, index, dbcs, *runner, options,
-                               run.benchmark, run);
-    } else if (online_policy) {
-      online::AccumulateOnlineSequence(seq, index, dbcs, *online_policy,
-                                       options, run.benchmark, run);
-    } else {
-      cache::AccumulateCacheSequence(seq, index, dbcs, *cache_policy, options,
-                                     run.benchmark, run);
-    }
+    if (seq.num_variables() != 0) body(seq, index);
     ++index;
   };
   (void)trace::StreamTrace(in, sink);
   return run;
 }
 
-RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
-                  const core::StrategySpec& strategy,
-                  const ExperimentOptions& options) {
-  return RunCell(benchmark, dbcs, ToString(strategy), options);
-}
-
-namespace {
-
-/// Shared body of both RunMatrix overloads. `stream_paths` parallels
-/// `suite` (or is empty): a non-empty entry marks a stub benchmark whose
-/// cells run through RunStreamedTraceCell on that path instead of the
-/// materialized suite entry.
-std::vector<RunResult> RunMatrixImpl(
+std::vector<RunResult> RunMatrix(
     const std::vector<offsetstone::Benchmark>& suite,
-    const std::vector<std::string>& stream_paths,
     const ExperimentOptions& options) {
   // Enum-backed strategies first, then the name-only extras, matching the
   // documented grid order. Deduped on the normalized name: a repeated
@@ -411,15 +424,8 @@ std::vector<RunResult> RunMatrixImpl(
           cell_options.obs.pid = static_cast<std::uint32_t>(i);
           run_options = &cell_options;
         }
-        const bool streamed = cell.benchmark < stream_paths.size() &&
-                              !stream_paths[cell.benchmark].empty();
-        results[i] =
-            streamed ? RunStreamedTraceCell(stream_paths[cell.benchmark],
-                                            cell.dbcs,
-                                            strategy_names[cell.strategy],
-                                            *run_options)
-                     : RunCell(suite[cell.benchmark], cell.dbcs,
-                               strategy_names[cell.strategy], *run_options);
+        results[i] = RunCell(suite[cell.benchmark], cell.dbcs,
+                             strategy_names[cell.strategy], *run_options);
         if (options.progress) {
           const std::lock_guard<std::mutex> lock(mutex);
           options.progress(results[i], ++completed, cells.size());
@@ -488,14 +494,6 @@ std::vector<RunResult> RunMatrixImpl(
   return results;
 }
 
-}  // namespace
-
-std::vector<RunResult> RunMatrix(
-    const std::vector<offsetstone::Benchmark>& suite,
-    const ExperimentOptions& options) {
-  return RunMatrixImpl(suite, {}, options);
-}
-
 std::vector<offsetstone::Benchmark> LoadWorkloads(
     std::span<const std::string> specs, const ExperimentOptions& options) {
   workloads::WorkloadRequest request;
@@ -517,36 +515,7 @@ std::vector<offsetstone::Benchmark> LoadWorkloads(
 
 std::vector<RunResult> RunMatrix(std::span<const std::string> workload_specs,
                                  const ExperimentOptions& options) {
-  if (!options.stream_trace_files) {
-    return RunMatrix(LoadWorkloads(workload_specs, options), options);
-  }
-  // Streaming mode: trace-file specs become name-only stubs paired with
-  // their path; everything else materializes exactly as before.
-  workloads::WorkloadRequest request;
-  request.seed = options.workload_seed;
-  request.scale = options.workload_scale;
-  std::vector<offsetstone::Benchmark> suite;
-  std::vector<std::string> stream_paths;
-  suite.reserve(workload_specs.size());
-  stream_paths.reserve(workload_specs.size());
-  for (const std::string& spec : workload_specs) {
-    if (IsStreamableTraceFile(spec)) {
-      offsetstone::Benchmark stub;
-      stub.name = StreamedBenchmarkName(spec);
-      suite.push_back(std::move(stub));
-      stream_paths.push_back(spec);
-      continue;
-    }
-    const auto workload = workloads::ResolveWorkload(spec);
-    if (!workload) {
-      throw std::invalid_argument(
-          "RunMatrix: '" + spec +
-          "' is neither a registered workload nor a trace file");
-    }
-    suite.push_back(workload->Generate(request));
-    stream_paths.emplace_back();
-  }
-  return RunMatrixImpl(suite, stream_paths, options);
+  return RunMatrix(LoadWorkloads(workload_specs, options), options);
 }
 
 std::string ResultTable::Key(const std::string& benchmark, unsigned dbcs,

@@ -2,6 +2,15 @@
 // configurations and aggregates the metrics the paper's evaluation section
 // reports. Every bench binary is a thin wrapper around this module.
 //
+// A cell is one (benchmark, dbc count, name) triple. The name belongs to
+// one of four cell registries: placement strategies, online policies,
+// cache policies or serve policies. Every kind runs on CellConfig's
+// device and draws its search seed from StampCellSearch, so a policy
+// that degenerates to a strategy reproduces that strategy's cell
+// exactly. Each layer owns one runner (online::RunOnlineSequence,
+// cache::RunCacheSequence, serve::RunServeBenchmark) that the cells, the
+// figure scenarios and placement_explorer all share.
+//
 // RunMatrix fans the (benchmark x dbc count x strategy) grid across a
 // std::thread pool. Cells are independent and carry their own
 // deterministic seed (derived from benchmark name, sequence index and DBC
@@ -14,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -54,9 +62,6 @@ struct RunResult {
   unsigned dbcs = 0;
   /// Registry name of the strategy this cell ran (canonical lowercase).
   std::string strategy_name;
-  /// Enum spec when the strategy is an enum-backed built-in; nullopt for
-  /// cells from ExperimentOptions::extra_strategies without one.
-  std::optional<core::StrategySpec> strategy;
   RunMetrics metrics;
   /// Analytic shift cost reported by the strategy (sums over sequences);
   /// cross-checks metrics.shifts from the device simulation.
@@ -69,11 +74,10 @@ struct RunResult {
 
 /// Serializes one cell as a JSON object (the element type of the bench
 /// harness' "cells" array; see bench/harness/report.h for the schema).
-/// Emits `strategy` by registry name only — the enum spec is restored on
-/// the way back via core::ParseStrategy.
 void WriteJson(util::JsonWriter& writer, const RunResult& result);
 
-/// Inverse of WriteJson; throws std::runtime_error on schema mismatch.
+/// Inverse of WriteJson; throws std::runtime_error on schema mismatch,
+/// including a `dbcs` that is 0 or does not fit `unsigned`.
 [[nodiscard]] RunResult RunResultFromJson(const util::JsonValue& value);
 
 /// Called after each finished cell. `completed` counts finished cells so
@@ -106,14 +110,6 @@ struct ExperimentOptions {
   /// of `seed`, which drives the GA/RW search streams.
   std::uint64_t workload_seed = 0;
   double workload_scale = 1.0;
-  /// Stream trace-FILE specs of the workload-spec RunMatrix overload
-  /// through RunStreamedTraceCell instead of materializing them: each
-  /// cell re-reads the file holding one sequence in memory at a time.
-  /// Bit-identical to the materialized run (pinned by
-  /// tests/experiment_test.cpp); registered workloads and phased specs
-  /// always materialize. Off by default — materializing once and
-  /// sharing the benchmark across cells is faster for files that fit.
-  bool stream_trace_files = false;
   /// Observability sinks (obs/obs.h), forwarded into every cell's engine
   /// config. RunMatrix gives each cell a PRIVATE recorder/registry
   /// (pid = cell index) and merges them into these sinks in grid order
@@ -126,10 +122,31 @@ struct ExperimentOptions {
 /// Device configuration of one experiment cell: the paper's device for
 /// `dbcs`, with the DBC depth widened when a sequence has more variables
 /// than the 4 KiB part can hold (see the "Oversized sequences" note in
-/// README.md). Static and online cells share this so their numbers stay
-/// comparable.
+/// README.md). Every cell kind sizes its device here so their numbers
+/// stay comparable; cache cells pass the resident capacity, serve cells
+/// the tenants' summed variable count.
 [[nodiscard]] rtm::RtmConfig CellConfig(unsigned dbcs,
                                         std::size_t num_variables);
+
+/// Stamps the run-specific search fields of sequence `sequence_index` of
+/// a (benchmark, dbcs) cell into `strategy`: the device's initial
+/// alignment, options.search_effort (core::ScaleSearchEffort) and the
+/// GA/RW seed. The seed is reproducible per (benchmark, sequence, dbcs)
+/// and independent of which worker thread runs the cell. Every cell kind
+/// calls this; serve cells stamp sequence 0. Returns the seed.
+std::uint64_t StampCellSearch(core::StrategyOptions& strategy,
+                              const rtm::RtmConfig& device,
+                              const ExperimentOptions& options,
+                              std::string_view benchmark_name,
+                              std::size_t sequence_index, unsigned dbcs);
+
+/// What a layer's cell runner returns: the device it ran on (CellConfig)
+/// and the layer's own result.
+template <typename Result>
+struct CellRun {
+  rtm::RtmConfig device;
+  Result result;
+};
 
 /// Reads ExperimentOptions::search_effort from the RTMPLACE_EFFORT
 /// environment variable (falls back to `fallback` when unset, invalid,
@@ -141,11 +158,7 @@ struct ExperimentOptions {
 [[nodiscard]] unsigned ThreadCountFromEnv(unsigned fallback);
 
 /// Runs the full matrix over `suite` on a thread pool (see header
-/// comment). Sequences whose variable count exceeds the paper device's
-/// capacity run on an iso-DBC-count device with proportionally deeper
-/// DBCs (see ConfigFor in experiment.cpp and the "Oversized sequences"
-/// note in README.md); everything else uses rtm::RtmConfig::Paper(dbcs)
-/// exactly.
+/// comment), one RunCell per grid entry. Devices follow CellConfig.
 [[nodiscard]] std::vector<RunResult> RunMatrix(
     const std::vector<offsetstone::Benchmark>& suite,
     const ExperimentOptions& options);
@@ -160,10 +173,7 @@ struct ExperimentOptions {
 /// Workload-spec entry point:
 /// RunMatrix(LoadWorkloads(specs, options), options). This is how every
 /// registered workload (and any external trace file) enters the
-/// evaluation matrix by name. With options.stream_trace_files set,
-/// trace-FILE specs skip LoadWorkloads and run through
-/// RunStreamedTraceCell instead (same results, one in-memory sequence
-/// per worker at a time).
+/// evaluation matrix by name.
 [[nodiscard]] std::vector<RunResult> RunMatrix(
     std::span<const std::string> workload_specs,
     const ExperimentOptions& options);
@@ -172,8 +182,10 @@ struct ExperimentOptions {
 /// dispatched to whichever Global() cell registry owns it: strategies,
 /// online, serve or cache policies (the last three are cells like any
 /// other — see online/online_cell.h, serve/serve_cell.h and
-/// cache/cache_cell.h). Throws std::invalid_argument when no registry
-/// knows the name, or when more than one does.
+/// cache/cache_cell.h). Every non-empty sequence runs on its own device
+/// (a serve cell runs all of them as tenants of one service). Throws
+/// std::invalid_argument when no registry knows the name, or when more
+/// than one does.
 [[nodiscard]] RunResult RunCell(const offsetstone::Benchmark& benchmark,
                                 unsigned dbcs,
                                 std::string_view strategy_name,
@@ -196,12 +208,6 @@ struct ExperimentOptions {
                                              unsigned dbcs,
                                              std::string_view strategy_name,
                                              const ExperimentOptions& options);
-
-/// Enum-spec convenience overload; equivalent to passing ToString(spec).
-[[nodiscard]] RunResult RunCell(const offsetstone::Benchmark& benchmark,
-                                unsigned dbcs,
-                                const core::StrategySpec& strategy,
-                                const ExperimentOptions& options);
 
 /// Index into RunMatrix results: metrics keyed by (benchmark, dbcs,
 /// strategy name).

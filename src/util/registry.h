@@ -1,6 +1,8 @@
 // One name-keyed registry template for every lookup kind: placement
 // strategies, workloads, online / serve / cache policies, eviction
-// policies and rtmlint rules are all util::Registry<T> aliases.
+// policies and rtmlint rules are all util::Registry<T> aliases. The
+// three policy kinds share one entry type too: util::Recipe<Config>, a
+// named engine configuration.
 //
 // A registry maps a name to a factory. Names are normalized to lowercase
 // and restricted to [a-z0-9._-]: they appear in CLI arguments and in
@@ -163,6 +165,44 @@ class Registry {
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;
 };
+
+/// Self-description of a Recipe.
+struct RecipeInfo {
+  /// Registry key: lowercase, unique ("online-ewma-dma-sr", ...).
+  std::string name;
+  /// One-line human-readable description for listings and docs.
+  std::string summary;
+};
+
+/// A named Config under a fixed description: the entry type of the
+/// online, serve and cache policy registries. Immutable, so the
+/// experiment engine may share one instance across threads.
+template <typename Config>
+class Recipe final {
+ public:
+  Recipe(RecipeInfo info, Config config)
+      : info_(std::move(info)), config_(std::move(config)) {}
+
+  [[nodiscard]] const RecipeInfo& Describe() const noexcept { return info_; }
+
+  /// The configuration this recipe stands for. Cells stamp the
+  /// run-specific fields (device alignment, search effort, seeds)
+  /// afterwards; see sim::StampCellSearch.
+  [[nodiscard]] Config MakeConfig() const { return config_; }
+
+ private:
+  RecipeInfo info_;
+  Config config_;
+};
+
+/// Registers `config` under `info.name` as a Recipe<Config>.
+template <typename Config>
+void RegisterRecipe(Registry<Recipe<Config>>& registry, const RecipeInfo& info,
+                    const Config& config) {
+  registry.Register(info.name, [info, config] {
+    return std::make_shared<const Recipe<Config>>(info, config);
+  });
+}
 
 /// RAII self-registration into Registry<T>::Global(), for entries
 /// defined outside this library:

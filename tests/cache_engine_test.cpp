@@ -435,7 +435,8 @@ TEST(CacheRegistries, BuiltinsRegisteredAndValidated) {
       ASSERT_TRUE(policies.Contains(name)) << name;
       const auto info = policies.Describe(name);
       ASSERT_TRUE(info.has_value()) << name;
-      EXPECT_EQ(info->eviction, eviction) << name;
+      EXPECT_EQ(policies.Find(name)->MakeConfig().eviction, eviction)
+          << name;
     }
   }
   EXPECT_EQ(policies.Find("no-such"), nullptr);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_policy.h"
@@ -42,9 +43,7 @@ ExperimentOptions FastOptions() {
 TEST(Experiment, RunCellAccumulatesAllSequences) {
   offsetstone::Benchmark b = TinyBenchmark("two-seqs", "ababab");
   b.sequences.push_back(trace::AccessSequence::FromCompactString("cdcd"));
-  const RunResult result =
-      RunCell(b, 2, {core::InterPolicy::kAfd, core::IntraHeuristic::kOfu},
-              FastOptions());
+  const RunResult result = RunCell(b, 2, "afd-ofu", FastOptions());
   EXPECT_EQ(result.metrics.accesses, 6u + 4u);
   EXPECT_GT(result.metrics.runtime_ns, 0.0);
   EXPECT_GT(result.metrics.total_energy_pj(), 0.0);
@@ -171,7 +170,6 @@ TEST(Experiment, ParallelMatrixIsBitIdenticalToSerial) {
     EXPECT_EQ(serial[i].benchmark, parallel[i].benchmark);
     EXPECT_EQ(serial[i].dbcs, parallel[i].dbcs);
     EXPECT_EQ(serial[i].strategy_name, parallel[i].strategy_name);
-    EXPECT_EQ(serial[i].strategy, parallel[i].strategy);
     // ...and bit-identical metrics: per-cell seeds do not depend on the
     // execution schedule.
     EXPECT_EQ(serial[i].metrics.shifts, parallel[i].metrics.shifts);
@@ -260,7 +258,6 @@ TEST(Experiment, ExtraStrategiesReachTheMatrixByName) {
   for (const RunResult& r : results) {
     if (r.strategy_name != "rev-id") continue;
     saw_external = true;
-    EXPECT_FALSE(r.strategy.has_value());  // no enum backing
     EXPECT_EQ(r.metrics.accesses, 6u);
   }
   EXPECT_TRUE(saw_external);
@@ -301,9 +298,7 @@ TEST(Experiment, ProgressCallbackExceptionsPropagateFromWorkers) {
 TEST(Experiment, RunCellReportsPlacementCostAndWallTime) {
   const offsetstone::Benchmark b =
       TinyBenchmark("phased", "g" "ababab" "g" "cdcdcd" "g");
-  const RunResult result =
-      RunCell(b, 2, {core::InterPolicy::kDma, core::IntraHeuristic::kOfu},
-              FastOptions());
+  const RunResult result = RunCell(b, 2, "dma-ofu", FastOptions());
   // The analytic cost the strategy reports equals the simulator's count.
   EXPECT_EQ(result.placement_cost, result.metrics.shifts);
   EXPECT_GE(result.placement_wall_ms, 0.0);
@@ -314,7 +309,7 @@ TEST(Experiment, RunCellRejectsUnregisteredStrategies) {
   const offsetstone::Benchmark b = TinyBenchmark("x", "abab");
   core::StrategySpec bogus;
   bogus.inter = static_cast<core::InterPolicy>(250);
-  EXPECT_THROW((void)RunCell(b, 2, bogus, FastOptions()),
+  EXPECT_THROW((void)RunCell(b, 2, core::ToString(bogus), FastOptions()),
                std::invalid_argument);
 }
 
@@ -376,39 +371,14 @@ TEST(Experiment, StreamedTraceCellMatchesMaterialized) {
   EXPECT_EQ(suite[0].name, "streampin");
 
   // One strategy per dispatch family: classic placement, the online
-  // engine, and the capacity-constrained cache tier.
+  // engine (fixed and adaptive), the capacity-constrained cache tier, and
+  // a serve cell, which materializes the file.
   for (const std::string name :
-       {"dma-ofu", "online-fixed-dma-sr", "cache-shift-aware-c50"}) {
+       {"dma-ofu", "online-fixed-dma-sr", "online-ewma-dma-sr",
+        "cache-shift-aware-c50", "serve-2s-ewma-dma-sr"}) {
     const RunResult materialized = RunCell(suite[0], 4, name, options);
     const RunResult streamed = RunStreamedTraceCell(path, 4, name, options);
     ExpectCellsEqual(materialized, streamed, name);
-  }
-}
-
-TEST(Experiment, StreamedMatrixMatchesMaterializedMatrix) {
-  const std::string path = WriteStreamPinTrace();
-  ExperimentOptions options = FastOptions();
-  options.dbc_counts = {4};
-  options.extra_strategies = {"online-fixed-dma-sr", "cache-lru-c50",
-                              "cache-shift-aware-c25"};
-  // Mixed specs: a trace FILE (streamable) next to a registry workload
-  // (always materialized) — both paths must land in one coherent grid.
-  const std::vector<std::string> specs = {path, "pointer-chase"};
-
-  options.stream_trace_files = false;
-  const auto materialized = RunMatrix(specs, options);
-  options.stream_trace_files = true;
-  options.num_threads = 3;  // streaming must stay schedule-independent
-  const auto streamed = RunMatrix(specs, options);
-
-  ASSERT_EQ(materialized.size(), streamed.size());
-  ASSERT_EQ(materialized.size(),
-            specs.size() * (options.strategies.size() +
-                            options.extra_strategies.size()));
-  for (std::size_t i = 0; i < materialized.size(); ++i) {
-    ExpectCellsEqual(materialized[i], streamed[i],
-                     materialized[i].benchmark + "/" +
-                         materialized[i].strategy_name);
   }
 }
 
@@ -420,7 +390,7 @@ const core::StrategyRegistrar kTwinStrategyRegistrar{"twin-cell", [] {
 }};
 const online::OnlinePolicyRegistrar kTwinOnlineRegistrar{"twin-cell", [] {
   return std::make_shared<const online::OnlinePolicy>(
-      online::OnlinePolicyInfo{"twin-cell", "test twin", "dma-sr", "none"},
+      util::RecipeInfo{"twin-cell", "test twin"},
       online::OnlineConfig{});
 }};
 
@@ -462,6 +432,98 @@ TEST(Experiment, BuiltinCellNamesArePairwiseDisjoint) {
       EXPECT_TRUE(shared.empty()) << "shared name: " << shared.front();
     }
   }
+}
+
+// Cross-kind oracles over a strategy that READS its seed. The built-in
+// oracles all wrap dma-sr, which never draws a random number, so only a
+// random-walk recipe exposes a cell kind that stamps the wrong seed.
+online::OnlineConfig RwEngine(std::size_t window_accesses,
+                              online::DetectorKind detector) {
+  online::OnlineConfig config;
+  config.reseed_strategy = "rw";
+  config.window_accesses = window_accesses;
+  config.detector.kind = detector;
+  config.detector.period = 1;
+  return config;
+}
+
+const online::OnlinePolicyRegistrar kOnlineStaticRw{"online-static-rw", [] {
+  return std::make_shared<const online::OnlinePolicy>(
+      util::RecipeInfo{"online-static-rw", "test: one window of rw"},
+      RwEngine(online::kWholeTraceWindow, online::DetectorKind::kNone));
+}};
+const online::OnlinePolicyRegistrar kOnlineFixedRw{"online-fixed-rw", [] {
+  return std::make_shared<const online::OnlinePolicy>(
+      util::RecipeInfo{"online-fixed-rw", "test: rw re-seed every window"},
+      RwEngine(256, online::DetectorKind::kFixedWindow));
+}};
+const cache::CachePolicyRegistrar kCacheRw{"cache-lru-c100-rw", [] {
+  cache::CacheConfig config;
+  config.eviction = "cache-lru";
+  config.capacity_ratio = 1.0;
+  config.engine = RwEngine(256, online::DetectorKind::kFixedWindow);
+  return std::make_shared<const cache::CachePolicy>(
+      util::RecipeInfo{"cache-lru-c100-rw", "test: c100 over online-fixed-rw"},
+      config);
+}};
+const serve::ServePolicyRegistrar kServeRw{"serve-1s-static-rw", [] {
+  serve::ServeConfig config;
+  config.num_shards = 1;
+  config.engine =
+      RwEngine(online::kWholeTraceWindow, online::DetectorKind::kNone);
+  return std::make_shared<const serve::ServePolicy>(
+      util::RecipeInfo{"serve-1s-static-rw", "test: one shard of rw"},
+      config);
+}};
+
+/// Uniform random sequences, large enough that a short random walk's
+/// best placement depends on its seed.
+offsetstone::Benchmark RwPinBenchmark(std::size_t num_sequences) {
+  offsetstone::Benchmark b;
+  b.name = "rwpin";
+  util::Rng rng(0x5EED);
+  for (std::size_t s = 0; s < num_sequences; ++s) {
+    trace::AccessSequence seq;
+    for (std::size_t v = 0; v < 40; ++v) {
+      (void)seq.AddVariable(util::Concat({"v", std::to_string(v)}));
+    }
+    for (std::size_t i = 0; i < 600; ++i) {
+      seq.Append(static_cast<trace::VariableId>(rng.NextBelow(40)),
+                 rng.NextBool(0.3) ? trace::AccessType::kWrite
+                                   : trace::AccessType::kRead);
+    }
+    b.sequences.push_back(std::move(seq));
+  }
+  return b;
+}
+
+void ExpectCountersEqual(const RunResult& a, const RunResult& b) {
+  const std::string label = a.strategy_name + " vs " + b.strategy_name;
+  EXPECT_EQ(a.metrics.shifts, b.metrics.shifts) << label;
+  EXPECT_EQ(a.metrics.accesses, b.metrics.accesses) << label;
+  EXPECT_EQ(a.placement_cost, b.placement_cost) << label;
+  EXPECT_EQ(a.search_evaluations, b.search_evaluations) << label;
+}
+
+TEST(Experiment, SeededOraclesHoldAcrossCellKinds) {
+  const ExperimentOptions options = FastOptions();
+  const offsetstone::Benchmark three = RwPinBenchmark(3);
+  const RunResult rw = RunCell(three, 4, "rw", options);
+  // The pin is live: another experiment seed moves the rw cell.
+  ExperimentOptions reseeded = options;
+  ++reseeded.seed;
+  EXPECT_NE(RunCell(three, 4, "rw", reseeded).metrics.shifts,
+            rw.metrics.shifts);
+
+  // Every sequence index reaches the online stamp.
+  ExpectCountersEqual(RunCell(three, 4, "online-static-rw", options), rw);
+  // The cache stamp at full capacity: no miss, same engine seeds.
+  ExpectCountersEqual(RunCell(three, 4, "cache-lru-c100-rw", options),
+                      RunCell(three, 4, "online-fixed-rw", options));
+  // The serve stamp is sequence 0's.
+  const offsetstone::Benchmark one = RwPinBenchmark(1);
+  ExpectCountersEqual(RunCell(one, 4, "serve-1s-static-rw", options),
+                      RunCell(one, 4, "online-static-rw", options));
 }
 
 TEST(Experiment, DeterministicAcrossRuns) {

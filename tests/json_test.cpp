@@ -171,7 +171,6 @@ TEST(RunResultJsonTest, AllFieldsRoundTrip) {
   result.benchmark = "gsm \"quoted\"";
   result.dbcs = 8;
   result.strategy_name = "dma-sr";
-  result.strategy = core::ParseStrategy("dma-sr");
   result.metrics.shifts = 123456789012345ULL;
   result.metrics.accesses = 987654321ULL;
   result.metrics.runtime_ns = 1.25e6;
@@ -192,8 +191,6 @@ TEST(RunResultJsonTest, AllFieldsRoundTrip) {
   EXPECT_EQ(back.benchmark, result.benchmark);
   EXPECT_EQ(back.dbcs, result.dbcs);
   EXPECT_EQ(back.strategy_name, result.strategy_name);
-  ASSERT_TRUE(back.strategy.has_value());
-  EXPECT_EQ(*back.strategy, *result.strategy);
   EXPECT_EQ(back.metrics.shifts, result.metrics.shifts);
   EXPECT_EQ(back.metrics.accesses, result.metrics.accesses);
   // Doubles go through shortest-round-trip formatting: bit-exact.
@@ -210,6 +207,7 @@ TEST(RunResultJsonTest, AllFieldsRoundTrip) {
 TEST(RunResultJsonTest, UnregisteredStrategyNameParsesWithoutSpec) {
   sim::RunResult result;
   result.benchmark = "b";
+  result.dbcs = 4;
   result.strategy_name = "my-external-strategy";
   std::string out;
   util::JsonWriter writer(&out, 0);
@@ -217,7 +215,39 @@ TEST(RunResultJsonTest, UnregisteredStrategyNameParsesWithoutSpec) {
   const sim::RunResult back =
       sim::RunResultFromJson(util::JsonValue::Parse(out));
   EXPECT_EQ(back.strategy_name, "my-external-strategy");
-  EXPECT_FALSE(back.strategy.has_value());
+}
+
+TEST(RunResultJsonTest, RejectsDbcsOutsideUnsigned) {
+  sim::RunResult result;
+  result.benchmark = "b";
+  result.dbcs = 4;
+  result.strategy_name = "dma-sr";
+  std::string out;
+  util::JsonWriter writer(&out, 0);
+  WriteJson(writer, result);
+  ASSERT_EQ(sim::RunResultFromJson(util::JsonValue::Parse(out)).dbcs, 4u);
+
+  const std::string field = "\"dbcs\":4";
+  const std::size_t at = out.find(field);
+  ASSERT_NE(at, std::string::npos) << out;
+  // 2^32 + 4 would wrap to 4 in an unchecked cast; 0 DBCs is no device.
+  for (const char* dbcs : {"4294967300", "4294967296", "0"}) {
+    std::string value = "\"dbcs\":";
+    value += dbcs;
+    std::string bad = out;
+    bad.replace(at, field.size(), value);
+    try {
+      (void)sim::RunResultFromJson(util::JsonValue::Parse(bad));
+      ADD_FAILURE() << "accepted dbcs " << dbcs;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("dbcs"), std::string::npos)
+          << error.what();
+    }
+  }
+  std::string max = out;
+  max.replace(at, field.size(), "\"dbcs\":4294967295");
+  EXPECT_EQ(sim::RunResultFromJson(util::JsonValue::Parse(max)).dbcs,
+            4294967295u);
 }
 
 TEST(RunResultJsonTest, MissingFieldThrows) {

@@ -497,7 +497,7 @@ TEST(OnlinePolicyRegistry, BuiltinsAreRegisteredAndResolvable) {
     ASSERT_TRUE(info.has_value());
     EXPECT_EQ(info->name, name);
     EXPECT_TRUE(core::StrategyRegistry::Global().Contains(
-        info->reseed_strategy));
+        registry.Find(name)->MakeConfig().reseed_strategy));
   }
   // Case-insensitive, like the other registries.
   EXPECT_TRUE(registry.Contains("Online-EWMA-DMA-SR"));
@@ -507,7 +507,7 @@ TEST(OnlinePolicyRegistry, RejectsCollisionsAndBadNames) {
   online::OnlinePolicyRegistry registry;
   const auto factory = [] {
     return std::make_shared<const online::OnlinePolicy>(
-        online::OnlinePolicyInfo{"p", "test", "dma-sr", "none"},
+        util::RecipeInfo{"p", "test"},
         online::OnlineConfig{});
   };
   EXPECT_THROW(registry.Register("has space", factory),

@@ -53,17 +53,19 @@ std::vector<online::OnlineResult> RunAll(const std::string& workload_name,
   const auto policy =
       online::OnlinePolicyRegistry::Global().Find(policy_name);
   EXPECT_NE(policy, nullptr) << policy_name;
+  // The registered recipe with the controller mode under test.
+  online::OnlineConfig config = policy->MakeConfig();
+  config.controller.proactive_alignment = proactive;
+  const online::OnlinePolicy variant(policy->Describe(), config);
 
   sim::ExperimentOptions options;
   std::vector<online::OnlineResult> results;
   for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
     const auto& seq = benchmark.sequences[s];
     if (seq.num_variables() == 0) continue;
-    const rtm::RtmConfig config = sim::CellConfig(dbcs, seq.num_variables());
-    online::OnlineConfig online_config = online::CellOnlineConfig(
-        *policy, config, options, benchmark.name, s, dbcs);
-    online_config.controller.proactive_alignment = proactive;
-    results.push_back(online::RunOnline(seq, online_config, config));
+    results.push_back(online::RunOnlineSequence(seq, s, dbcs, variant,
+                                                options, benchmark.name)
+                          .result);
   }
   return results;
 }

@@ -130,9 +130,10 @@ TEST(CusumPolicies, AreRegisteredAndRunDeterministically) {
   auto& registry = online::OnlinePolicyRegistry::Global();
   for (const char* name : {"online-cusum-dma-sr", "online-cusum-afd-ofu"}) {
     ASSERT_TRUE(registry.Contains(name)) << name;
-    const auto info = registry.Describe(name);
-    ASSERT_TRUE(info.has_value());
-    EXPECT_EQ(info->detector, "cusum");
+    const auto policy = registry.Find(name);
+    ASSERT_NE(policy, nullptr);
+    EXPECT_EQ(policy->MakeConfig().detector.kind,
+              online::DetectorKind::kCusum);
   }
 
   const auto workload =

@@ -670,12 +670,14 @@ TEST(ServePolicyRegistry, BuiltinsAreRegisteredAndResolvable) {
     const auto info = registry.Describe(name);
     ASSERT_TRUE(info.has_value());
     EXPECT_EQ(info->name, name);
-    EXPECT_TRUE(online::OnlinePolicyRegistry::Global().Contains(
-        info->online_policy))
-        << name;
+    // Find() builds the recipe, and the factory throws when the wrapped
+    // online policy is unregistered: a non-null result resolved it.
     const auto policy = registry.Find(name);
     ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->MakeConfig().num_shards, info->shards);
+    // "serve-<N>s-...": N shards.
+    EXPECT_EQ(policy->MakeConfig().num_shards,
+              static_cast<unsigned>(name[6] - '0'))
+        << name;
   }
   // Case-insensitive, like the other registries.
   EXPECT_TRUE(registry.Contains("Serve-2S-EWMA-DMA-SR"));
@@ -685,8 +687,7 @@ TEST(ServePolicyRegistry, RejectsCollisionsAndBadNames) {
   serve::ServePolicyRegistry registry;
   const auto factory = [] {
     return std::make_shared<const serve::ServePolicy>(
-        serve::ServePolicyInfo{"p", "test", "online-static-dma-sr", 1,
-                               "unlimited"},
+        util::RecipeInfo{"p", "test"},
         serve::ServeConfig{});
   };
   EXPECT_THROW(registry.Register("has space", factory),
