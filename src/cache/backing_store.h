@@ -13,7 +13,7 @@
 // The model is deliberately flat (fixed per-word charges, no banking or
 // queueing): the reproduction's subject is the racetrack tier, and the
 // backing store only needs to be expensive enough that eviction-policy
-// quality shows up in the totals. The defaults approximate a DRAM-class
+// quality shows up in the totals. The charges approximate a DRAM-class
 // tier a few times slower than the device's word access.
 #pragma once
 
@@ -21,48 +21,30 @@
 
 namespace rtmp::cache {
 
-/// Per-word charges of the backing tier.
-struct BackingStoreConfig {
-  double fill_ns = 50.0;       ///< backing read latency per filled word
-  double writeback_ns = 50.0;  ///< backing write latency per written-back word
-  double fill_pj = 15.0;       ///< backing read energy per filled word
-  double writeback_pj = 15.0;  ///< backing write energy per written-back word
-};
+/// Backing read latency per filled word.
+inline constexpr double kBackingFillNs = 50.0;
+/// Backing write latency per written-back word.
+inline constexpr double kBackingWritebackNs = 50.0;
+/// Backing read energy per filled word.
+inline constexpr double kBackingFillPj = 15.0;
+/// Backing write energy per written-back word.
+inline constexpr double kBackingWritebackPj = 15.0;
 
-/// Accumulates the backing-store side of the cache traffic. Time and
-/// energy are derived from the counts on demand, so the accumulator
-/// stays two integers.
-class BackingStoreModel {
- public:
-  explicit BackingStoreModel(BackingStoreConfig config) noexcept
-      : config_(config) {}
+/// Transfer time the backing tier spends on `fills` fills and
+/// `writebacks` writebacks. Reported separately from the device makespan
+/// (the device timeline stays pure); cache cells fold it into their
+/// runtime as a serial penalty.
+[[nodiscard]] constexpr double BackingBusyNs(std::uint64_t fills,
+                                             std::uint64_t writebacks) {
+  return static_cast<double>(fills) * kBackingFillNs +
+         static_cast<double>(writebacks) * kBackingWritebackNs;
+}
 
-  void RecordFill() noexcept { ++fills_; }
-  void RecordWriteback() noexcept { ++writebacks_; }
-
-  [[nodiscard]] std::uint64_t fills() const noexcept { return fills_; }
-  [[nodiscard]] std::uint64_t writebacks() const noexcept {
-    return writebacks_;
-  }
-
-  /// Total transfer time spent in the backing tier. Reported separately
-  /// from the device makespan (the device timeline stays pure); cache
-  /// cells fold it into their runtime as a serial penalty.
-  [[nodiscard]] double busy_ns() const noexcept {
-    return static_cast<double>(fills_) * config_.fill_ns +
-           static_cast<double>(writebacks_) * config_.writeback_ns;
-  }
-
-  /// Total energy burned in the backing tier.
-  [[nodiscard]] double energy_pj() const noexcept {
-    return static_cast<double>(fills_) * config_.fill_pj +
-           static_cast<double>(writebacks_) * config_.writeback_pj;
-  }
-
- private:
-  BackingStoreConfig config_{};
-  std::uint64_t fills_ = 0;
-  std::uint64_t writebacks_ = 0;
-};
+/// Energy the backing tier burns on the same transfers.
+[[nodiscard]] constexpr double BackingEnergyPj(std::uint64_t fills,
+                                               std::uint64_t writebacks) {
+  return static_cast<double>(fills) * kBackingFillPj +
+         static_cast<double>(writebacks) * kBackingWritebackPj;
+}
 
 }  // namespace rtmp::cache

@@ -38,21 +38,11 @@ std::size_t ResolveCapacity(const CacheConfig& config,
 
 CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
     : config_(std::move(config)),
-      engine_(config_.engine, device),
-      backing_(config_.backing) {
+      engine_(config_.engine, device) {
   if (config_.capacity_slots == 0) {
     throw std::invalid_argument(
         "CacheEngine: capacity_slots must be resolved (> 0); "
         "see ResolveCapacity");
-  }
-  const auto bad_charge = [](double charge) {
-    return !std::isfinite(charge) || charge < 0.0;
-  };
-  const BackingStoreConfig& b = config_.backing;
-  if (bad_charge(b.fill_ns) || bad_charge(b.writeback_ns) ||
-      bad_charge(b.fill_pj) || bad_charge(b.writeback_pj)) {
-    throw std::invalid_argument(
-        "CacheEngine: backing-store charges must be finite and >= 0");
   }
   const auto kind = EvictionPolicyRegistry::Global().Find(config_.eviction);
   if (kind == nullptr) {
@@ -94,25 +84,17 @@ void CacheEngine::SetUpObs() {
   }
 }
 
-std::uint32_t CacheEngine::RegisterVariable(std::string_view name,
-                                            std::uint32_t owner) {
+std::uint32_t CacheEngine::RegisterVariable(std::string_view name) {
   const auto [it, inserted] =
       ids_.emplace(std::string(name), static_cast<std::uint32_t>(names_.size()));
   if (!inserted) return it->second;
   const std::uint32_t id = it->second;
   names_.emplace_back(name);
   frame_of_.push_back(kNoFrame);
-  owner_of_.push_back(owner);
-  if (owner >= owner_resident_.size()) {
-    owner_resident_.resize(owner + 1, 0);
-    owner_quota_.resize(owner + 1, 0);
-  }
   if (id < frames_.size()) {
     // Free admission: the initial resident set (see RegisterVariable doc).
     frame_of_[id] = id;
     frames_[id].occupant = id;
-    frames_[id].owner = owner;
-    ++owner_resident_[owner];
     // last_use 0 and the largest id admitted so far: the end of the
     // never-touched prefix, even when registration follows feeding.
     LinkAfter(id, cold_tail_);
@@ -144,14 +126,6 @@ void CacheEngine::Touch(std::uint32_t frame) {
   if (frame == recency_tail_) return;
   Unlink(frame);
   LinkAfter(frame, recency_tail_);
-}
-
-void CacheEngine::SetOwnerQuota(std::uint32_t owner, std::size_t quota) {
-  if (owner >= owner_resident_.size()) {
-    owner_resident_.resize(owner + 1, 0);
-    owner_quota_.resize(owner + 1, 0);
-  }
-  owner_quota_[owner] = quota;
 }
 
 void CacheEngine::Feed(std::string_view name, trace::AccessType type) {
@@ -289,37 +263,17 @@ void CacheEngine::ResolveWindow() {
 std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
                                        trace::AccessType type) {
   ++running_.misses;
-  const std::uint32_t owner = owner_of_[variable];
-  const bool scoped = owner < owner_quota_.size() &&
-                      owner_quota_[owner] != 0 &&
-                      owner_resident_[owner] >= owner_quota_[owner];
-  std::span<const std::uint32_t> candidates = all_frames_;
-  if (scoped) {
-    candidates_scratch_.clear();
-    for (std::uint32_t f = 0; f < frames_.size(); ++f) {
-      if (frames_[f].occupant == kNoFrame) continue;
-      if (frames_[f].owner != owner) continue;
-      candidates_scratch_.push_back(f);
-    }
-    if (candidates_scratch_.empty()) {
-      throw std::logic_error("CacheEngine: miss with no eviction candidates");
-    }
-    candidates = candidates_scratch_;
-  }
-
   EvictionContext ctx;
-  ctx.candidates = candidates;
+  ctx.candidates = all_frames_;
   ctx.frames = frames_;
   ctx.recency_head = recency_head_;
   ctx.recency_next = recency_next_;
-  ctx.scope_owner = scoped ? owner : kAnyOwner;
   ctx.placement = engine_.placed() ? &engine_.placement() : nullptr;
   ctx.last_offsets = last_offsets_;
   ctx.pending_uses = frame_pending_;
   ctx.tick = tick_;
   const std::uint32_t victim = policy_->PickVictim(ctx);
-  if (victim >= frames_.size() || frames_[victim].occupant == kNoFrame ||
-      (scoped && frames_[victim].owner != owner)) {
+  if (victim >= frames_.size() || frames_[victim].occupant == kNoFrame) {
     throw std::logic_error(
         "CacheEngine: eviction policy picked a non-candidate frame");
   }
@@ -329,19 +283,14 @@ std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
   const bool wrote_back = info.dirty;
   if (wrote_back) {
     ++running_.writebacks;
-    backing_.RecordWriteback();
     pending_writeback_frames_.push_back(victim);
   }
   ++running_.fills;
-  backing_.RecordFill();
   pending_fill_frames_.push_back(victim);
 
   frame_of_[evicted] = kNoFrame;
   frame_of_[variable] = victim;
-  --owner_resident_[info.owner];
-  ++owner_resident_[owner];
   info.occupant = variable;
-  info.owner = owner;
   info.dirty = type == trace::AccessType::kWrite;
   info.last_use = tick_;
   Touch(victim);
@@ -435,8 +384,8 @@ CacheResult CacheEngine::Finish() {
 
 CacheStats CacheEngine::stats() const {
   CacheStats out = running_;
-  out.backing_ns = backing_.busy_ns();
-  out.backing_pj = backing_.energy_pj();
+  out.backing_ns = BackingBusyNs(out.fills, out.writebacks);
+  out.backing_pj = BackingEnergyPj(out.fills, out.writebacks);
   return out;
 }
 

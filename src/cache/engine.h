@@ -61,7 +61,6 @@ struct CacheConfig {
   /// capacity_ratio. The engine constructor requires the RESOLVED value
   /// (> 0) — callers with a known variable count use ResolveCapacity.
   std::size_t capacity_slots = 0;
-  BackingStoreConfig backing{};
   /// The wrapped adaptive engine (window size, detector, re-seed
   /// strategy, controller mode, ...). The cache engine batches its
   /// misses per wrapped-engine window, so `engine.window_accesses` is
@@ -69,7 +68,7 @@ struct CacheConfig {
   online::OnlineConfig engine{};
   /// Seed for randomized eviction policies (cache-sample).
   std::uint64_t eviction_seed = 0;
-  /// Record a CacheEvent per access (tests and the explorer CLI; off in
+  /// Record a CacheEvent per access (differential tests; off in
   /// experiment runs — the stream is O(accesses)).
   bool record_events = false;
 };
@@ -104,8 +103,7 @@ struct CacheStats {
   double backing_pj = 0.0;
 };
 
-/// One classified access, for event-stream differential tests and the
-/// explorer CLI.
+/// One classified access, for event-stream differential tests.
 struct CacheEvent {
   enum class Kind : std::uint8_t { kHit, kMiss };
   /// 1-based engine tick of the access.
@@ -137,12 +135,12 @@ struct CacheResult {
 class CacheEngine {
  public:
   /// Requires a RESOLVED capacity (config.capacity_slots > 0; see
-  /// ResolveCapacity), finite non-negative backing-store charges and a
-  /// registered eviction policy; throws std::invalid_argument otherwise.
-  /// The wrapped engine's variable space is the frame pool, registered
-  /// at the first window in id order — each frame under its
-  /// then-occupant's logical name (see RegisterFramePool) — so frame ids
-  /// and wrapped-engine variable ids coincide.
+  /// ResolveCapacity) and a registered eviction policy; throws
+  /// std::invalid_argument otherwise. The wrapped engine's variable
+  /// space is the frame pool, registered at the first window in id
+  /// order — each frame under its then-occupant's logical name (see
+  /// RegisterFramePool) — so frame ids and wrapped-engine variable ids
+  /// coincide.
   CacheEngine(CacheConfig config, rtm::RtmConfig device);
 
   CacheEngine(const CacheEngine&) = delete;
@@ -151,19 +149,8 @@ class CacheEngine {
   /// Registers a logical variable (idempotent per name; returns its id).
   /// The first `capacity()` registered variables are admitted to frames
   /// immediately and for free — the initial resident set, mirroring the
-  /// uncached mode's "everything starts on-device" assumption. `owner`
-  /// tags the variable's tenant for quota-scoped eviction (serve layer);
-  /// single-tenant callers leave it 0. Re-registering an existing name
-  /// returns the existing id and ignores `owner`.
-  std::uint32_t RegisterVariable(std::string_view name,
-                                 std::uint32_t owner = 0);
-
-  /// Caps `owner`'s resident frames at `quota` (0 = unlimited). While an
-  /// owner is at or over its quota, its misses evict among its OWN
-  /// frames only; under quota they evict device-wide. Quotas only
-  /// constrain misses — the free admissions at registration are exempt
-  /// (the serve layer sizes shards so initial admissions respect them).
-  void SetOwnerQuota(std::uint32_t owner, std::size_t quota);
+  /// uncached mode's "everything starts on-device" assumption.
+  std::uint32_t RegisterVariable(std::string_view name);
 
   /// Appends one access, registering `name` on first appearance.
   void Feed(std::string_view name, trace::AccessType type);
@@ -237,8 +224,8 @@ class CacheEngine {
   /// (victim selection, directory update, pending sweep bookkeeping) and
   /// hands the frame-mapped block to the wrapped engine.
   void ResolveWindow();
-  /// Handles one miss of `variable` (owned by its registered owner);
-  /// returns the frame it was filled into.
+  /// Handles one miss of `variable`; returns the frame it was filled
+  /// into.
   std::uint32_t ResolveMiss(std::uint32_t variable, trace::AccessType type);
   /// Appends one access to the logical window (ids already validated),
   /// resolving the window when it fills.
@@ -260,7 +247,6 @@ class CacheEngine {
   CacheConfig config_;
   online::OnlineEngine engine_;
   std::unique_ptr<EvictionPolicy> policy_;
-  BackingStoreModel backing_;
 
   // Logical variable table. `ids_` is lookup-only (find/emplace, never
   // iterated): hash order must not leak into anything observable;
@@ -269,10 +255,8 @@ class CacheEngine {
   std::unordered_map<std::string, std::uint32_t> ids_;
   /// variable -> resident frame, kNoFrame while evicted/never admitted.
   std::vector<std::uint32_t> frame_of_;
-  /// variable -> owning tenant.
-  std::vector<std::uint32_t> owner_of_;
 
-  // Frame pool and per-owner residency.
+  // Frame pool.
   std::vector<FrameInfo> frames_;
   /// Recency list over the occupied frames, ordered by (last_use, frame
   /// id) ascending — an intrusive doubly linked list, kNoFrame-ended.
@@ -285,11 +269,9 @@ class CacheEngine {
   std::uint32_t recency_head_ = kNoFrame;
   std::uint32_t recency_tail_ = kNoFrame;
   std::uint32_t cold_tail_ = kNoFrame;
-  /// [0, C): the unscoped candidate set. Every frame is occupied at a
-  /// miss (see eviction.h), so it never needs rebuilding.
+  /// [0, C): the candidate set. Every frame is occupied at a miss (see
+  /// eviction.h), so it never needs rebuilding.
   std::vector<std::uint32_t> all_frames_;
-  std::vector<std::size_t> owner_resident_;
-  std::vector<std::size_t> owner_quota_;
 
   // Current logical window.
   std::vector<trace::Access> window_;
@@ -306,9 +288,7 @@ class CacheEngine {
   /// window): each occurrence is one transfer.
   std::vector<std::uint32_t> pending_writeback_frames_;
   std::vector<std::uint32_t> pending_fill_frames_;
-  /// Quota-scoped victim candidates and sweep scratch, reused across
-  /// misses/windows.
-  std::vector<std::uint32_t> candidates_scratch_;
+  /// Sweep scratch, reused across windows.
   std::vector<core::Slot> slot_scratch_;
   std::vector<rtm::TimedRequest> fill_requests_;
 

@@ -21,11 +21,11 @@ std::uint32_t LeastRecentlyUsed(std::span<const std::uint32_t> candidates,
   return best;
 }
 
-/// The recency list's coldest in-scope frame: O(1) unscoped.
+/// The recency list's coldest frame: O(1).
 class LruPolicy final : public EvictionPolicy {
  public:
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
-    return ctx.NextInScope(ctx.recency_head);
+    return ctx.recency_head;
   }
 };
 
@@ -89,13 +89,12 @@ class ShiftAwarePolicy final : public EvictionPolicy {
   static constexpr std::size_t kShortlist = 8;
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
-    // The shortlist is the first kShortlist in-scope frames of the
-    // recency list, visited coldest first. Score is a total order (the
-    // frame id is its last key), so the visiting order cannot change
-    // the pick.
+    // The shortlist is the first kShortlist frames of the recency list,
+    // visited coldest first. Score is a total order (the frame id is its
+    // last key), so the visiting order cannot change the pick.
     std::uint32_t best = kNoFrame;
     Score best_key;
-    std::uint32_t frame = ctx.NextInScope(ctx.recency_head);
+    std::uint32_t frame = ctx.recency_head;
     for (std::size_t listed = 0; frame != kNoFrame;) {
       const Score key = ScoreOf(frame, ctx);
       if (best == kNoFrame || key < best_key) {
@@ -103,7 +102,7 @@ class ShiftAwarePolicy final : public EvictionPolicy {
         best_key = key;
       }
       if (++listed == kShortlist) break;
-      frame = ctx.NextInScope(ctx.recency_next[frame]);
+      frame = ctx.recency_next[frame];
     }
     return best;
   }

@@ -6,7 +6,7 @@
 // frame, the engine asks a policy to pick a victim among the candidate
 // frames, writes the victim back if dirty, and fills the newcomer into
 // the freed frame. Policies are pure victim-selectors: they see frame
-// bookkeeping (recency, frequency, dirtiness, owner), the wrapped
+// bookkeeping (recency, frequency, dirtiness), the wrapped
 // engine's current placement, and a summary of the rest of the window
 // (pending uses per frame), and return one frame index. All residency
 // and traffic bookkeeping stays in the engine.
@@ -14,18 +14,15 @@
 // Every frame is occupied at a miss: a miss needs more registered
 // variables than frames, the first C registrations fill all C frames,
 // and an eviction refills the frame it frees. The engine therefore hands
-// unscoped misses the fixed candidate set [0, C) without rebuilding it,
-// and keeps the occupied frames on a recency list (EvictionContext) so
+// every miss the fixed candidate set [0, C) without rebuilding it, and
+// keeps the occupied frames on a recency list (EvictionContext) so
 // recency-driven policies read the coldest frames without a scan.
-// Per-miss cost of the built-in policies, C frames, k shortlist:
+// Per-miss cost of the built-in policies, C frames:
 //
-//   cache-lru          O(1) unscoped; O(frames walked) under a quota;
-//   cache-shift-aware  O(k) unscoped (k = 8); O(frames walked) under a
-//                      quota;
+//   cache-lru          O(1) (the head of the recency list);
+//   cache-shift-aware  O(k) (a shortlist of k = 8 frames);
 //   cache-sample       O(K) (K = 5 draws);
 //   cache-lfu          O(C) (a linear minimum over the candidates).
-//
-// Quota-scoped misses also pay the engine's O(C) candidate build.
 //
 // Policies may be stateful (cache-sample keeps an RNG) but are used from
 // a single thread per engine; the registry caches only the policy's
@@ -49,10 +46,6 @@ namespace rtmp::cache {
 /// engine and the policies.
 inline constexpr std::uint32_t kNoFrame = static_cast<std::uint32_t>(-1);
 
-/// EvictionContext::scope_owner of an unscoped miss: every frame is a
-/// candidate, whoever owns it.
-inline constexpr std::uint32_t kAnyOwner = static_cast<std::uint32_t>(-1);
-
 /// Per-frame bookkeeping the engine maintains and policies read.
 struct FrameInfo {
   /// Logical variable currently resident in this frame; kNoFrame while
@@ -68,31 +61,24 @@ struct FrameInfo {
   std::uint64_t uses = 0;
   /// Tick at which the current occupant was admitted.
   std::uint64_t admitted = 0;
-  /// Owning tenant index (serve composition); 0 in single-tenant use.
-  std::uint32_t owner = 0;
 };
 
 /// Everything a policy may consult when picking a victim. Spans point
 /// into engine-owned storage and are valid only for the duration of the
 /// PickVictim call.
 struct EvictionContext {
-  /// Frame indices the victim must come from (never empty), ascending.
-  /// Usually all frames; under per-tenant quotas, the over-quota
-  /// tenant's frames.
+  /// Frame indices the victim must come from (never empty), ascending;
+  /// the engine passes every frame.
   std::span<const std::uint32_t> candidates;
   /// Bookkeeping for ALL frames, indexed by frame id.
   std::span<const FrameInfo> frames;
   /// Recency view: a singly walkable list of frames starting at
   /// `recency_head`, each frame's successor in `recency_next[frame]`,
-  /// kNoFrame-terminated. Contract: walking it and skipping frames
-  /// outside the scope (InScope) visits exactly `candidates`, ordered by
-  /// (last_use, frame id) ascending — the coldest in-scope frame first.
-  /// The engine keeps every occupied frame on the list; a hand-built
-  /// context may list just its candidates.
+  /// kNoFrame-terminated. Contract: walking it visits exactly
+  /// `candidates`, ordered by (last_use, frame id) ascending — the
+  /// coldest frame first.
   std::uint32_t recency_head = kNoFrame;
   std::span<const std::uint32_t> recency_next;
-  /// Owner the victim must belong to under a quota, kAnyOwner otherwise.
-  std::uint32_t scope_owner = kAnyOwner;
   /// The wrapped engine's live placement of frames onto the device, or
   /// nullptr before the first window has been placed. Frame f's slot is
   /// placement->SlotOf(f) when placement->IsPlaced(f).
@@ -108,20 +94,6 @@ struct EvictionContext {
   std::span<const std::uint64_t> pending_uses;
   /// Engine tick of the access that triggered the miss.
   std::uint64_t tick = 0;
-
-  /// `frame` may be evicted under this miss's scope.
-  [[nodiscard]] bool InScope(std::uint32_t frame) const noexcept {
-    return scope_owner == kAnyOwner || frames[frame].owner == scope_owner;
-  }
-
-  /// The first in-scope frame at or after `frame` in recency order
-  /// (kNoFrame past the end). Walk the candidates coldest-first with
-  ///   for (f = NextInScope(recency_head); f != kNoFrame;
-  ///        f = NextInScope(recency_next[f]))
-  [[nodiscard]] std::uint32_t NextInScope(std::uint32_t frame) const noexcept {
-    while (frame != kNoFrame && !InScope(frame)) frame = recency_next[frame];
-    return frame;
-  }
 };
 
 /// Self-description of a registered eviction policy.
@@ -140,8 +112,8 @@ class EvictionPolicy {
   virtual ~EvictionPolicy() = default;
 
   /// Picks the frame to evict. `ctx.candidates` is never empty; the
-  /// engine validates the returned frame is among them (in range,
-  /// occupied, in scope — O(1)) and throws std::logic_error otherwise (a
+  /// engine validates the returned frame is among them (in range and
+  /// occupied — O(1)) and throws std::logic_error otherwise (a
   /// policy bug, not an input error).
   [[nodiscard]] virtual std::uint32_t PickVictim(
       const EvictionContext& ctx) = 0;
@@ -184,8 +156,8 @@ using EvictionPolicyRegistrar = util::Registrar<EvictionKind>;
 
 /// Registers the built-in policies into `registry`:
 ///
-///   cache-lru          evict the least recently used frame (the first
-///                      in-scope frame of the recency list);
+///   cache-lru          evict the least recently used frame (the head
+///                      of the recency list);
 ///   cache-lfu          evict the least frequently used frame (recency,
 ///                      then id, break ties);
 ///   cache-sample       zsim-style sampled LRU: draw K=5 candidate
@@ -193,7 +165,7 @@ using EvictionPolicyRegistrar = util::Registrar<EvictionKind>;
 ///                      least recently used of the sample — O(K) per
 ///                      miss regardless of capacity;
 ///   cache-shift-aware  rank an LRU-ordered shortlist (the first 8
-///                      in-scope frames of the recency list) by a
+///                      frames of the recency list) by a
 ///                      placement-aware score: prefer victims with no
 ///                      pending uses this window, then the victim whose
 ///                      slot is closest to its DBC's last serviced

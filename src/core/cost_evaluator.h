@@ -35,7 +35,7 @@
 // bit-identical to ShiftCost by construction. Debug builds additionally
 // assert every Evaluate() against ShiftCost.
 //
-// Typical use (the greedy move loop of online::Refine and TrimMigration):
+// Typical use (the greedy move loop of online::OnlineEngine::Refine):
 //
 //   CostEvaluator evaluator(seq, options.cost);
 //   evaluator.Bind(placement);                  // O(|S|), once

@@ -13,6 +13,13 @@ namespace rtmp::core {
 
 namespace {
 
+/// Fixed selection and variation rates: tournament-4 selection, a pair
+/// undergoes crossover with probability 0.9, and each offspring mutates
+/// with probability 0.5.
+constexpr std::size_t kTournamentSize = 4;
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationRate = 0.5;
+
 struct Individual {
   Placement placement;
   std::uint64_t cost = 0;
@@ -39,10 +46,9 @@ void MoveWithRepair(Placement& placement, VariableId v, std::uint32_t target) {
   placement.MoveToEnd(v, target);
 }
 
-std::size_t Tournament(const std::vector<Individual>& pool,
-                       std::size_t tournament_size, util::Rng& rng) {
+std::size_t Tournament(const std::vector<Individual>& pool, util::Rng& rng) {
   std::size_t best = static_cast<std::size_t>(rng.NextBelow(pool.size()));
-  for (std::size_t i = 1; i < tournament_size; ++i) {
+  for (std::size_t i = 1; i < kTournamentSize; ++i) {
     const auto c = static_cast<std::size_t>(rng.NextBelow(pool.size()));
     if (pool[c].cost < pool[best].cost) best = c;
   }
@@ -199,9 +205,6 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
   if (options.mu == 0 || options.lambda == 0) {
     throw std::invalid_argument("RunGa: mu and lambda must be positive");
   }
-  if (options.tournament_size == 0) {
-    throw std::invalid_argument("RunGa: tournament size must be positive");
-  }
   const std::size_t n = seq.num_variables();
   if (capacity != kUnboundedCapacity &&
       static_cast<std::uint64_t>(num_dbcs) * capacity < n) {
@@ -262,20 +265,18 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
     std::vector<Individual> offspring;
     offspring.reserve(options.lambda);
     while (offspring.size() < options.lambda) {
-      Individual a =
-          population[Tournament(population, options.tournament_size, rng)];
-      Individual b =
-          population[Tournament(population, options.tournament_size, rng)];
-      if (n >= 2 && rng.NextBool(options.crossover_rate)) {
+      Individual a = population[Tournament(population, rng)];
+      Individual b = population[Tournament(population, rng)];
+      if (n >= 2 && rng.NextBool(kCrossoverRate)) {
         auto f = static_cast<std::size_t>(rng.NextBelow(n));
         auto l = static_cast<std::size_t>(rng.NextBelow(n));
         if (f > l) std::swap(f, l);
         CrossoverSwapRange(a.placement, b.placement, order, f, l);
       }
-      if (rng.NextBool(options.mutation_rate)) {
+      if (rng.NextBool(kMutationRate)) {
         Mutate(a.placement, options, rng);
       }
-      if (rng.NextBool(options.mutation_rate)) {
+      if (rng.NextBool(kMutationRate)) {
         Mutate(b.placement, options, rng);
       }
       a.cost = evaluate(a.placement);
@@ -298,7 +299,7 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
     chosen.reserve(options.mu);
     chosen.push_back(best_of(pool));
     while (chosen.size() < options.mu) {
-      chosen.push_back(Tournament(pool, options.tournament_size, rng));
+      chosen.push_back(Tournament(pool, rng));
     }
     std::vector<std::uint32_t> uses(pool.size(), 0);
     for (const std::size_t i : chosen) ++uses[i];

@@ -9,7 +9,9 @@
 // DBC's end, transpose two variables inside a DBC, randomly permute every
 // DBC — with the destructive third skewed down 10:3 relative to the others.
 // Following the paper's conclusions, the initial population is seeded with
-// the heuristic placements (AFD/DMA x OFU/Chen/SR) unless disabled.
+// the heuristic placements (AFD/DMA x OFU/Chen/SR) unless disabled. The
+// tournament size (4), crossover probability (0.9 per pair) and mutation
+// probability (0.5 per offspring) are fixed constants in genetic.cpp.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +28,6 @@ struct GaOptions {
   std::size_t mu = 100;          ///< parents kept per generation
   std::size_t lambda = 100;      ///< offspring per generation
   std::size_t generations = 200;
-  std::size_t tournament_size = 4;
-  double crossover_rate = 0.9;   ///< probability a pair undergoes crossover
-  double mutation_rate = 0.5;    ///< probability an offspring mutates
   /// Relative weights of the three mutations (move, transpose, permute);
   /// the paper skews the destructive permutation down "in a ratio of 10:3".
   double move_weight = 10.0;

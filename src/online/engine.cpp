@@ -35,11 +35,6 @@ OnlineEngine::OnlineEngine(OnlineConfig config, rtm::RtmConfig device)
   if (config_.window_accesses == 0) {
     throw std::invalid_argument("OnlineEngine: window_accesses must be >= 1");
   }
-  if (!std::isfinite(config_.migration_fraction) ||
-      config_.migration_fraction < 0.0 || config_.migration_fraction > 1.0) {
-    throw std::invalid_argument(
-        "OnlineEngine: migration_fraction must be in [0, 1]");
-  }
   if (!core::StrategyRegistry::Global().Contains(config_.reseed_strategy)) {
     throw std::invalid_argument(
         "OnlineEngine: unregistered re-seed strategy '" +
@@ -264,12 +259,10 @@ bool OnlineEngine::Refine(WindowRecord& record) {
               return a < b;
             });
   for (const trace::VariableId v : hot) freq[v] = 0;
-  if (hot.size() > config_.refine_top_k) hot.resize(config_.refine_top_k);
+  if (hot.size() > kRefineTopK) hot.resize(kRefineTopK);
 
   const std::uint64_t margin =
-      config_.charge_migration
-          ? EstimatedSingleMoveShifts(device_config_.domains_per_dbc)
-          : 0;
+      EstimatedSingleMoveShifts(device_config_.domains_per_dbc);
   bool committed = false;
   for (const trace::VariableId v : hot) {
     const std::uint32_t home = evaluator.placement().SlotOf(v).dbc;
@@ -315,27 +308,24 @@ bool OnlineEngine::Refine(WindowRecord& record) {
 void OnlineEngine::ChargeMigration(const MigrationPlan& plan,
                                    WindowRecord& record) {
   if (plan.empty()) return;
-  if (config_.charge_migration) {
-    const std::uint64_t shifts_before = controller_.stats().shifts;
-    const double makespan_before = controller_.stats().makespan_ns;
-    (void)controller_.Execute(plan.requests);
-    const std::uint64_t shifts =
-        controller_.stats().shifts - shifts_before;
-    record.migration_shifts += shifts;
-    result_.migration_shifts += shifts;
-    result_.migration_accesses += plan.requests.size();
-    // One read at the old slot, one write at the new, per moved variable.
-    result_.reads += plan.moves.size();
-    result_.writes += plan.moves.size();
-    if (obs_.trace != nullptr) {
-      const std::array<obs::TraceRecorder::Arg, 2> args{
-          obs::TraceRecorder::Arg{key_moved_, false, plan.moves.size()},
-          obs::TraceRecorder::Arg{key_shifts_, false, shifts}};
-      obs_.trace->Complete(trace_migration_, obs_.pid, obs_.tid,
-                           makespan_before,
-                           controller_.stats().makespan_ns - makespan_before,
-                           args);
-    }
+  const std::uint64_t shifts_before = controller_.stats().shifts;
+  const double makespan_before = controller_.stats().makespan_ns;
+  (void)controller_.Execute(plan.requests);
+  const std::uint64_t shifts = controller_.stats().shifts - shifts_before;
+  record.migration_shifts += shifts;
+  result_.migration_shifts += shifts;
+  result_.migration_accesses += plan.requests.size();
+  // One read at the old slot, one write at the new, per moved variable.
+  result_.reads += plan.moves.size();
+  result_.writes += plan.moves.size();
+  if (obs_.trace != nullptr) {
+    const std::array<obs::TraceRecorder::Arg, 2> args{
+        obs::TraceRecorder::Arg{key_moved_, false, plan.moves.size()},
+        obs::TraceRecorder::Arg{key_shifts_, false, shifts}};
+    obs_.trace->Complete(trace_migration_, obs_.pid, obs_.tid,
+                         makespan_before,
+                         controller_.stats().makespan_ns - makespan_before,
+                         args);
   }
   record.replaced = true;
   record.migrated_vars += plan.moves.size();
@@ -463,20 +453,7 @@ void OnlineEngine::ProcessWindow() {
                             controller_.stats().makespan_ns, args);
       }
       core::Placement candidate = Reseed();
-      MigrationPlan plan;
-      if (config_.migration_fraction < 1.0 ||
-          config_.migration_min_benefit > 0) {
-        // Partial migration: realize only the highest-value moves of the
-        // diff; candidate and plan become the trimmed pair.
-        TrimmedMigration trimmed = TrimMigration(
-            placement_, candidate, window_seq_, config_.strategy_options.cost,
-            config_.migration_fraction, config_.migration_min_benefit);
-        result_.evaluations += trimmed.evaluations;
-        candidate = std::move(trimmed.placement);
-        plan = std::move(trimmed.plan);
-      } else {
-        plan = PlanMigration(placement_, candidate);
-      }
+      const MigrationPlan plan = PlanMigration(placement_, candidate);
       if (!plan.empty()) {
         bool accept = config_.always_accept_reseed;
         if (!accept) {
@@ -487,9 +464,7 @@ void OnlineEngine::ProcessWindow() {
           const std::uint64_t cost_keep = evaluator.Evaluate(placement_);
           const std::uint64_t cost_candidate = evaluator.Evaluate(candidate);
           result_.evaluations += 2;
-          const std::uint64_t charge =
-              config_.charge_migration ? plan.estimated_shifts : 0;
-          accept = cost_candidate + charge < cost_keep;
+          accept = cost_candidate + plan.estimated_shifts < cost_keep;
         }
         if (accept && config_.migration_gate &&
             !config_.migration_gate(plan.estimated_shifts)) {

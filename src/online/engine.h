@@ -18,10 +18,10 @@
 //     analytic window cost plus the migration estimate beats the current
 //     placement's window cost (migration-aware accept rule).
 //  3. Without a phase change the engine can still refine incrementally:
-//     a bounded greedy pass over the window's hottest variables, scored
-//     with core::CostEvaluator's PeekMove and committed/rolled back with
-//     ApplyMove/Undo, each move charged against a conservative per-move
-//     migration estimate.
+//     a bounded greedy pass over the window's kRefineTopK hottest
+//     variables, scored with core::CostEvaluator's PeekMove and
+//     committed/rolled back with ApplyMove/Undo, each move charged
+//     against a conservative per-move migration estimate.
 //  4. Every accepted layout change is realized by a MigrationPlanner
 //     traffic plan (online/migration.h) executed on the engine's live
 //     rtm::RtmController — the reported shifts, latency and energy
@@ -60,6 +60,9 @@ namespace rtmp::online {
 
 struct MigrationPlan;  // online/migration.h
 
+/// Hottest window variables the refinement pass may try to move.
+inline constexpr std::size_t kRefineTopK = 8;
+
 /// Sentinel for "one window covering the whole trace".
 inline constexpr std::size_t kWholeTraceWindow =
     static_cast<std::size_t>(-1);
@@ -70,29 +73,12 @@ struct OnlineConfig {
   /// Accesses per window; kWholeTraceWindow = a single window.
   std::size_t window_accesses = 256;
   PhaseDetectorConfig detector{};
-  /// Charge migration traffic through the controller (read old slot,
-  /// write new slot per moved variable) and weigh it in the accept rule.
-  /// Off = migrations are free and accepted on window cost alone — an
-  /// upper-bound oracle, not a deployable configuration.
-  bool charge_migration = true;
   /// Skip the accept rule and adopt every re-seed candidate. Used by the
   /// decomposition tests (placements become pure per-window strategy
   /// outputs) and by oracle studies.
   bool always_accept_reseed = false;
   /// Incremental refinement between phase changes (see header comment).
   bool refine = false;
-  /// Hottest window variables the refinement pass may try to move.
-  std::size_t refine_top_k = 8;
-  /// Fraction of a re-seed migration's moves to realize, highest peek
-  /// benefit first (online/migration.h TrimMigration); 1.0 realizes the
-  /// full diff, 0.0 never migrates on re-seed. With a trim active the
-  /// accept rule weighs the TRIMMED candidate and plan. Must be finite
-  /// and in [0, 1] (std::invalid_argument otherwise).
-  double migration_fraction = 1.0;
-  /// Minimum realized window-cost saving each kept move of a trimmed
-  /// migration must clear (0 = any strict improvement). Only consulted
-  /// when a trim is active (fraction < 1 or min_benefit > 0).
-  std::uint64_t migration_min_benefit = 0;
   /// External admission gate for migration traffic (the serve layer's
   /// shared MigrationBudget): called with the plan's estimated shifts
   /// right before a migration would be charged; returning false denies

@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "core/cost_model.h"
 #include "core/placement.h"
 #include "rtm/controller.h"
 #include "trace/access_sequence.h"
@@ -73,43 +72,11 @@ std::uint64_t AppendSweepRequests(std::span<const core::Slot> slots,
 
 /// Analytic per-move charge used by the engine's incremental-refinement
 /// accept rule: moving one variable in isolation costs about one read
-/// plus one write at an average alignment distance (~K/3 each, rounded
-/// up, at least 2). Deliberately conservative — a refinement move must
-/// promise more window savings than this to be worth committing.
+/// plus one write at an average alignment distance of floor(K/3) each
+/// (2 * floor(K/3), at least 2). Deliberately conservative — a
+/// refinement move must promise more window savings than this to be
+/// worth committing.
 [[nodiscard]] std::uint64_t EstimatedSingleMoveShifts(
     std::uint32_t domains_per_dbc);
-
-/// A partial migration: the realized subset of a placement diff.
-struct TrimmedMigration {
-  /// `from` with only the kept moves applied — the placement the engine
-  /// adopts instead of the full candidate.
-  core::Placement placement{0, 1};
-  /// PlanMigration(from, placement): the traffic realizing the subset.
-  /// The subset is over MOVES, not requests: removing a variable from a
-  /// DBC compacts the list behind it (offsets are implied by order), so
-  /// the plan may relocate bystanders of the source DBC too — it prices
-  /// them like any other move, and TrimMigration falls back to the full
-  /// plan whenever the subset would not actually be cheaper.
-  MigrationPlan plan;
-  /// CostEvaluator peeks/applies consumed (accounting parity with the
-  /// engine's refinement pass).
-  std::size_t evaluations = 0;
-};
-
-/// Trims the `from` -> `to` migration to its highest-value moves. The
-/// full plan's moves are ranked by their stand-alone peek benefit on
-/// `window` (core::CostEvaluator::PeekMove against `from`), then applied
-/// greedily — re-scored at commit time, earlier commits change later
-/// moves' value — until ceil(fraction * moves) are kept; every kept move
-/// must improve the window cost by at least max(1, min_benefit) shifts.
-/// fraction 1.0 with min_benefit 0 returns the untrimmed plan verbatim;
-/// fraction 0.0 keeps nothing (the "never migrate on re-seed" knob).
-/// Guarantees plan.estimated_shifts <= PlanMigration(from, to)'s (see
-/// TrimmedMigration::plan). Throws std::invalid_argument on a fraction
-/// outside [0, 1] or mismatched variable spaces.
-[[nodiscard]] TrimmedMigration TrimMigration(
-    const core::Placement& from, const core::Placement& to,
-    const trace::AccessSequence& window, const core::CostOptions& cost,
-    double fraction, std::uint64_t min_benefit);
 
 }  // namespace rtmp::online

@@ -35,7 +35,7 @@ void Add(ServePolicyRegistry& registry, const util::RecipeInfo& info,
 
 void RegisterFamily(ServePolicyRegistry& registry, const std::string& reseed) {
   // Budget tiers in migration shifts per served window (0 = unlimited);
-  // burst allowance stays at the MigrationBudgetConfig default.
+  // the burst allowance is kBurstWindows windows.
   constexpr std::uint64_t kTight = 256;
   constexpr std::uint64_t kLoose = 16384;
 
@@ -56,13 +56,13 @@ void RegisterFamily(ServePolicyRegistry& registry, const std::string& reseed) {
          n + " shard(s) of online-ewma-" + reseed +
              ", tight global budget (" + std::to_string(kTight) +
              " migration shifts/window)"},
-        "online-ewma-" + reseed, shards, MigrationBudgetConfig{kTight, 4});
+        "online-ewma-" + reseed, shards, MigrationBudgetConfig{kTight});
     Add(registry,
         {"serve-" + n + "-loose-ewma-" + reseed,
          n + " shard(s) of online-ewma-" + reseed +
              ", loose global budget (" + std::to_string(kLoose) +
              " migration shifts/window)"},
-        "online-ewma-" + reseed, shards, MigrationBudgetConfig{kLoose, 4});
+        "online-ewma-" + reseed, shards, MigrationBudgetConfig{kLoose});
   }
 }
 

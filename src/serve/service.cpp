@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "obs/trace_recorder.h"
-#include "util/rng.h"
 #include "util/stats.h"
 
 namespace rtmp::serve {
@@ -67,8 +66,8 @@ void AddCacheStats(cache::CacheStats& into, const cache::CacheStats& d) {
 }  // namespace
 
 std::uint32_t PlacementService::ShardEngine::RegisterVariable(
-    std::string_view name, std::uint32_t owner) {
-  if (cache != nullptr) return cache->RegisterVariable(name, owner);
+    std::string_view name) {
+  if (cache != nullptr) return cache->RegisterVariable(name);
   return online->RegisterVariable(name);
 }
 
@@ -111,24 +110,10 @@ cache::CacheStats PlacementService::ShardEngine::CacheStatsNow() const {
   return cache != nullptr ? cache->stats() : cache::CacheStats{};
 }
 
-const char* ToString(AssignmentPolicy policy) noexcept {
-  switch (policy) {
-    case AssignmentPolicy::kRoundRobin:
-      return "round-robin";
-    case AssignmentPolicy::kLeastLoaded:
-      return "least-loaded";
-    case AssignmentPolicy::kAffinity:
-      return "affinity";
-  }
-  return "?";
-}
-
 void MigrationBudget::RefillForWindow() noexcept {
   if (unlimited()) return;
   granted_ += config_.shifts_per_window;
-  const std::uint64_t ceiling =
-      config_.shifts_per_window * std::max<std::uint64_t>(
-                                      config_.burst_windows, 1);
+  const std::uint64_t ceiling = config_.shifts_per_window * kBurstWindows;
   balance_ = std::min(balance_ + config_.shifts_per_window, ceiling);
 }
 
@@ -144,19 +129,10 @@ bool MigrationBudget::TryConsume(std::uint64_t shifts) noexcept {
 }
 
 ChannelArbiter::ChannelArbiter(
-    std::vector<std::vector<std::size_t>> tenants_per_shard,
-    std::vector<unsigned> weights) {
-  if (weights.size() != tenants_per_shard.size()) {
-    throw std::invalid_argument(
-        "ChannelArbiter: one weight per shard required");
-  }
+    std::vector<std::vector<std::size_t>> tenants_per_shard) {
   shards_.reserve(tenants_per_shard.size());
-  for (std::size_t s = 0; s < tenants_per_shard.size(); ++s) {
-    if (weights[s] == 0) {
-      throw std::invalid_argument("ChannelArbiter: shard weights must be >= 1");
-    }
-    shards_.push_back(ShardQueue{std::move(tenants_per_shard[s]), 0,
-                                 weights[s]});
+  for (std::vector<std::size_t>& tenants : tenants_per_shard) {
+    shards_.push_back(ShardQueue{std::move(tenants), 0});
   }
 }
 
@@ -164,17 +140,10 @@ std::size_t ChannelArbiter::NextTurn() {
   if (shards_.empty()) return kDone;
   for (std::size_t probed = 0; probed < shards_.size(); ++probed) {
     ShardQueue& queue = shards_[shard_cursor_];
-    if (queue.tenants.empty()) {
-      shard_cursor_ = (shard_cursor_ + 1) % shards_.size();
-      turns_in_shard_ = 0;
-      continue;
-    }
+    shard_cursor_ = (shard_cursor_ + 1) % shards_.size();
+    if (queue.tenants.empty()) continue;
     const std::size_t session = queue.tenants[queue.cursor];
     queue.cursor = (queue.cursor + 1) % queue.tenants.size();
-    if (++turns_in_shard_ >= queue.weight) {
-      shard_cursor_ = (shard_cursor_ + 1) % shards_.size();
-      turns_in_shard_ = 0;
-    }
     return session;
   }
   return kDone;
@@ -195,25 +164,13 @@ void ChannelArbiter::Retire(std::size_t shard, std::size_t session) {
 PlacementService::PlacementService(ServeConfig config, rtm::RtmConfig device)
     : config_(std::move(config)),
       device_(std::move(device)),
-      budget_(config_.budget),
-      shard_load_(config_.num_shards, 0) {
+      budget_(config_.budget) {
   if (config_.num_shards == 0) {
     throw std::invalid_argument("PlacementService: num_shards must be >= 1");
   }
   if (device_.total_dbcs() % config_.num_shards != 0) {
     throw std::invalid_argument(
         "PlacementService: num_shards must divide the device's DBC count");
-  }
-  if (!config_.shard_weights.empty() &&
-      config_.shard_weights.size() != config_.num_shards) {
-    throw std::invalid_argument(
-        "PlacementService: shard_weights must be empty or one per shard");
-  }
-  for (const unsigned w : config_.shard_weights) {
-    if (w == 0) {
-      throw std::invalid_argument(
-          "PlacementService: shard weights must be >= 1");
-    }
   }
   obs_ = config_.obs;
   if (obs_.trace != nullptr) {
@@ -227,31 +184,6 @@ PlacementService::PlacementService(ServeConfig config, rtm::RtmConfig device)
     m_turns_ = &obs_.metrics->Counter("serve/turns");
     m_budget_denials_ = &obs_.metrics->Counter("serve/budget_denials");
   }
-}
-
-std::size_t PlacementService::AssignShard(
-    std::string_view name, const trace::AccessSequence& sequence) {
-  const std::size_t shards = config_.num_shards;
-  std::size_t shard = 0;
-  switch (config_.assignment) {
-    case AssignmentPolicy::kRoundRobin:
-      shard = sessions_.size() % shards;
-      break;
-    case AssignmentPolicy::kLeastLoaded: {
-      for (std::size_t s = 1; s < shards; ++s) {
-        if (shard_load_[s] < shard_load_[shard]) shard = s;
-      }
-      break;
-    }
-    case AssignmentPolicy::kAffinity:
-      shard = util::HashString(name) % shards;
-      break;
-  }
-  // Transition weight of the admitted stream (cost-bearing transitions).
-  shard_load_[shard] += sequence.empty()
-                            ? 0
-                            : static_cast<std::uint64_t>(sequence.size() - 1);
-  return shard;
 }
 
 std::size_t PlacementService::OpenSession(
@@ -269,7 +201,7 @@ std::size_t PlacementService::OpenSession(
     }
   }
   Session session;
-  session.shard = AssignShard(tenant_name, sequence);
+  session.shard = sessions_.size() % config_.num_shards;
   session.name = std::move(tenant_name);
   session.sequence = &sequence;
   sessions_.push_back(std::move(session));
@@ -409,7 +341,6 @@ ServeResult PlacementService::Run() {
       cache::CacheConfig cc;
       cc.eviction = config_.cache.eviction;
       cc.capacity_ratio = config_.cache.capacity_ratio;
-      cc.backing = config_.cache.backing;
       cc.eviction_seed = online::WindowSeed(config_.cache.eviction_seed, s);
       cc.engine = std::move(engine_config);
       cc.capacity_slots = cache::ResolveCapacity(cc, shard_vars[s]);
@@ -428,8 +359,6 @@ ServeResult PlacementService::Run() {
   // Pre-register every tenant's variable space shard-major in admission
   // order, names prefixed "<tenant>/": ids stay dense per shard, and a
   // single tenant's ids coincide with its sequence's (oracle property).
-  // In cache mode the tenant is the variable's cache OWNER (session
-  // index), so quota-scoped eviction can tell frames apart by tenant.
   ServeResult result;
   result.tenants.resize(sessions_.size());
   for (std::size_t s = 0; s < shards; ++s) {
@@ -439,20 +368,14 @@ ServeResult PlacementService::Run() {
       session.base_id =
           static_cast<trace::VariableId>(engines[s].variables_seen());
       for (trace::VariableId v = 0; v < seq.num_variables(); ++v) {
-        (void)engines[s].RegisterVariable(session.name + "/" + seq.name_of(v),
-                                          static_cast<std::uint32_t>(i));
+        (void)engines[s].RegisterVariable(session.name + "/" +
+                                          seq.name_of(v));
       }
       result.tenants[i].name = session.name;
       result.tenants[i].shard = s;
       if (obs_.trace != nullptr) {
         session.trace_name = obs_.trace->Intern(session.name);
       }
-    }
-  }
-  if (cache_mode && config_.cache.tenant_quota_slots != 0) {
-    for (std::size_t i = 0; i < sessions_.size(); ++i) {
-      engines[sessions_[i].shard].cache->SetOwnerQuota(
-          static_cast<std::uint32_t>(i), config_.cache.tenant_quota_slots);
     }
   }
 
@@ -464,9 +387,7 @@ ServeResult PlacementService::Run() {
       if (!sessions_[i].sequence->empty()) active[s].push_back(i);
     }
   }
-  std::vector<unsigned> weights = config_.shard_weights;
-  if (weights.empty()) weights.assign(shards, 1);
-  ChannelArbiter arbiter(std::move(active), std::move(weights));
+  ChannelArbiter arbiter(std::move(active));
 
   for (std::size_t turn = arbiter.NextTurn(); turn != ChannelArbiter::kDone;
        turn = arbiter.NextTurn()) {

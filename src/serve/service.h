@@ -9,18 +9,19 @@
 //  * the read/write channel — every shard controller books occupancy on
 //    one rtm::SharedChannel, so one tenant's traffic delays another's;
 //  * the migration budget — a global MigrationBudget meters re-placement
-//    shifts across ALL shards (per-window refill with a bounded burst
-//    allowance), plugged into each engine's migration_gate;
-//  * the arbiter — a deterministic weighted-round-robin ChannelArbiter
-//    decides which tenant's next window batch is issued, one engine
-//    window per turn.
+//    shifts across ALL shards (per-window refill with a burst allowance
+//    of kBurstWindows windows), plugged into each engine's
+//    migration_gate;
+//  * the arbiter — a deterministic round-robin ChannelArbiter decides
+//    which tenant's next window batch is issued, one engine window per
+//    turn and one turn per shard before it moves on.
 //
-// Tenants are assigned to shards by a pluggable AssignmentPolicy
-// (round-robin, least-loaded by transition weight, or name-affinity
-// hashing). Per-tenant accounting (TenantStats) attributes every window's
-// accesses, shifts, exposed latency, energy and budget denials to the
-// tenant whose turn produced them; the per-tenant sums reproduce the
-// device totals exactly on integer counters (and to rounding on energy).
+// Tenants are assigned to shards round-robin in admission order (the
+// i-th admitted tenant goes to shard i mod num_shards). Per-tenant
+// accounting (TenantStats) attributes every window's accesses, shifts,
+// exposed latency, energy and budget denials to the tenant whose turn
+// produced them; the per-tenant sums reproduce the device totals exactly
+// on integer counters (and to rounding on energy).
 //
 // Oracle property (pinned by tests/serve_service_test.cpp): one tenant on
 // one shard with an unlimited budget is bit-identical to a bare
@@ -29,13 +30,12 @@
 //
 // Hybrid-memory mode (ServeCacheConfig): each shard's engine can be a
 // cache::CacheEngine instead — the shard device holds a bounded resident
-// set and misses fill from the modeled backing store. Tenants become
-// cache OWNERS (owner id = session index) so a per-tenant resident quota
-// scopes a hot tenant's evictions to its own frames once it is at quota.
+// set and misses fill from the modeled backing store. Tenants of one
+// shard share its resident set: a miss may evict any tenant's frame.
 // Per-tenant CacheStats are attributed turn-by-turn exactly like shifts.
 // Cache oracle (also pinned by tests/serve_service_test.cpp): cache mode
-// at capacity_ratio 1.0 with no quotas is bit-identical to the plain
-// service on every counter.
+// at capacity_ratio 1.0 is bit-identical to the plain service on every
+// counter.
 #pragma once
 
 #include <cstdint>
@@ -56,30 +56,15 @@
 
 namespace rtmp::serve {
 
-/// How tenants are mapped onto shards at admission time.
-enum class AssignmentPolicy : std::uint8_t {
-  /// i-th admitted tenant goes to shard i mod num_shards.
-  kRoundRobin,
-  /// Shard with the least accumulated transition weight (sequence length
-  /// minus one, the number of cost-bearing transitions); lowest index on
-  /// ties. Balances load when tenants differ wildly in traffic.
-  kLeastLoaded,
-  /// util::HashString(tenant name) mod num_shards: a tenant re-admitted
-  /// under the same name always lands on the same shard.
-  kAffinity,
-};
-
-/// "round-robin", "least-loaded", "affinity".
-[[nodiscard]] const char* ToString(AssignmentPolicy policy) noexcept;
+/// Unused migration allowance accumulates up to shifts_per_window *
+/// kBurstWindows, so a quiet stretch can bankroll one large re-placement
+/// without unmetering steady-state traffic.
+inline constexpr std::uint64_t kBurstWindows = 4;
 
 /// Global re-placement allowance shared by every shard.
 struct MigrationBudgetConfig {
   /// Migration shifts granted per served window; 0 = unlimited.
   std::uint64_t shifts_per_window = 0;
-  /// Unused allowance accumulates up to shifts_per_window *
-  /// burst_windows, so a quiet stretch can bankroll one large
-  /// re-placement without unmetering steady-state traffic.
-  std::uint64_t burst_windows = 4;
 };
 
 /// Token-bucket meter over migration shifts (see MigrationBudgetConfig).
@@ -115,22 +100,20 @@ class MigrationBudget {
   std::uint64_t spent_ = 0;
 };
 
-/// Deterministic weighted-round-robin interleaving of per-shard tenant
-/// queues on the shared channel. One turn = one engine window of one
-/// tenant. A shard with weight w serves w consecutive turns (round-robin
-/// over its active tenants) before the arbiter moves on; exhausted
-/// tenants are retired and skipped.
+/// Deterministic round-robin interleaving of per-shard tenant queues on
+/// the shared channel. One turn = one engine window of one tenant. Each
+/// shard serves one turn (round-robin over its active tenants) before
+/// the arbiter moves on to the next shard; exhausted tenants are retired
+/// and skipped.
 class ChannelArbiter {
  public:
   /// Sentinel session index for "every tenant is retired".
   static constexpr std::size_t kDone = static_cast<std::size_t>(-1);
 
   /// `tenants_per_shard[s]` lists the session indices assigned to shard
-  /// s in admission order; `weights` must have one entry (>= 1) per
-  /// shard. Throws std::invalid_argument on a size mismatch or a zero
-  /// weight.
-  ChannelArbiter(std::vector<std::vector<std::size_t>> tenants_per_shard,
-                 std::vector<unsigned> weights);
+  /// s in admission order.
+  explicit ChannelArbiter(
+      std::vector<std::vector<std::size_t>> tenants_per_shard);
 
   /// The session index whose window batch goes next; kDone when every
   /// tenant has been retired. Advances the arbiter state.
@@ -143,12 +126,10 @@ class ChannelArbiter {
   struct ShardQueue {
     std::vector<std::size_t> tenants;
     std::size_t cursor = 0;  ///< next tenant within the shard
-    unsigned weight = 1;
   };
 
   std::vector<ShardQueue> shards_;
-  std::size_t shard_cursor_ = 0;    ///< shard currently holding the channel
-  unsigned turns_in_shard_ = 0;     ///< turns served in the current hold
+  std::size_t shard_cursor_ = 0;  ///< shard whose turn is next
 };
 
 /// Cache-tier settings of the service (see header comment). With
@@ -162,10 +143,6 @@ struct ServeCacheConfig {
   std::string eviction = "cache-lru";
   /// Shard resident-set size as a fraction of the shard's variables.
   double capacity_ratio = 1.0;
-  /// Per-tenant resident-frame cap (cache::CacheEngine::SetOwnerQuota);
-  /// 0 = unlimited. Applied to every tenant alike.
-  std::size_t tenant_quota_slots = 0;
-  cache::BackingStoreConfig backing{};
   /// Base seed for randomized eviction policies; shard s uses
   /// online::WindowSeed(eviction_seed, s) so shards draw independent
   /// streams deterministically.
@@ -175,10 +152,6 @@ struct ServeCacheConfig {
 struct ServeConfig {
   /// Equal DBC partitions of the device; must divide total_dbcs().
   unsigned num_shards = 1;
-  AssignmentPolicy assignment = AssignmentPolicy::kRoundRobin;
-  /// Arbiter weight per shard (consecutive turns before moving on);
-  /// empty = weight 1 everywhere, otherwise one entry (>= 1) per shard.
-  std::vector<unsigned> shard_weights;
   MigrationBudgetConfig budget{};
   /// Per-shard engine recipe. The service overrides
   /// controller.shared_channel (all shards share one channel), composes
@@ -232,8 +205,7 @@ struct TenantStats {
   rtm::EnergyBreakdown energy{};
   /// Cache-tier counters across the tenant's turns (zeros when the
   /// cache tier is disabled). A miss is charged to the tenant whose
-  /// turn triggered it, even when the quota let it evict another
-  /// tenant's frame.
+  /// turn triggered it, even when it evicted another tenant's frame.
   cache::CacheStats cache{};
 
   [[nodiscard]] double mean_window_latency_ns() const noexcept {
@@ -297,15 +269,14 @@ struct ServeResult {
 class PlacementService {
  public:
   /// Validates the configuration: num_shards must be >= 1 and divide the
-  /// device's DBC count, shard_weights empty or one nonzero entry per
-  /// shard (the engine recipe validates itself when the shards are
-  /// built). Throws std::invalid_argument.
+  /// device's DBC count (the engine recipe validates itself when the
+  /// shards are built). Throws std::invalid_argument.
   PlacementService(ServeConfig config, rtm::RtmConfig device);
 
-  /// Admits a tenant and assigns its shard per the assignment policy.
-  /// Returns the session index (admission order). Throws
-  /// std::invalid_argument on an empty or duplicate name, std::logic_error
-  /// after Run().
+  /// Admits a tenant and assigns its shard round-robin (session i goes
+  /// to shard i mod num_shards). Returns the session index (admission
+  /// order). Throws std::invalid_argument on an empty or duplicate name,
+  /// std::logic_error after Run().
   std::size_t OpenSession(std::string tenant_name,
                           const trace::AccessSequence& sequence);
 
@@ -337,8 +308,7 @@ class PlacementService {
     std::unique_ptr<online::OnlineEngine> online;
     std::unique_ptr<cache::CacheEngine> cache;
 
-    std::uint32_t RegisterVariable(std::string_view name,
-                                   std::uint32_t owner);
+    std::uint32_t RegisterVariable(std::string_view name);
     [[nodiscard]] std::size_t variables_seen() const noexcept;
     void Feed(std::span<const trace::Access> block, std::uint32_t base_id);
     void FlushWindow();
@@ -350,8 +320,6 @@ class PlacementService {
     [[nodiscard]] cache::CacheStats CacheStatsNow() const;
   };
 
-  [[nodiscard]] std::size_t AssignShard(std::string_view name,
-                                        const trace::AccessSequence& sequence);
   /// Feeds one window batch of `session` and attributes the outcome.
   void ServeTurn(Session& session, ShardEngine& engine, TenantStats& stats);
 
@@ -360,8 +328,6 @@ class PlacementService {
   MigrationBudget budget_;
   rtm::SharedChannel channel_;
   std::vector<Session> sessions_;
-  /// Accumulated transition weight per shard (kLeastLoaded bookkeeping).
-  std::vector<std::uint64_t> shard_load_;
   bool finished_ = false;
   /// Device-level latency histogram, fed once per turn (always on).
   obs::Histogram latency_hist_{};

@@ -107,8 +107,11 @@ double SearchEffortFromEnv(double fallback) {
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   const double value = std::strtod(raw, &end);
-  // Written so that NaN fails the range test too.
-  if (end == raw || !(value > 0.0 && value <= kMaxEffort)) return fallback;
+  // The whole string must be the number ("0.5x" is invalid); written so
+  // that NaN fails the range test too.
+  if (end == raw || *end != '\0' || !(value > 0.0 && value <= kMaxEffort)) {
+    return fallback;
+  }
   return value;
 }
 
@@ -120,7 +123,10 @@ unsigned ThreadCountFromEnv(unsigned fallback) {
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   const long value = std::strtol(raw, &end, 10);
-  if (end == raw || value <= 0 || value > kMaxThreads) return fallback;
+  // The whole string must be the number ("4x" is invalid).
+  if (end == raw || *end != '\0' || value <= 0 || value > kMaxThreads) {
+    return fallback;
+  }
   return static_cast<unsigned>(value);
 }
 

@@ -149,12 +149,14 @@ struct CellRun {
 };
 
 /// Reads ExperimentOptions::search_effort from the RTMPLACE_EFFORT
-/// environment variable (falls back to `fallback` when unset, invalid,
+/// environment variable (falls back to `fallback` when unset, invalid —
+/// anything but a number with nothing after it, e.g. "0.5x" or "1 " —
 /// not positive, not finite or above 100).
 [[nodiscard]] double SearchEffortFromEnv(double fallback);
 
 /// Reads ExperimentOptions::num_threads from the RTMPLACE_THREADS
-/// environment variable (falls back to `fallback` when unset/invalid).
+/// environment variable (falls back to `fallback` when unset or invalid:
+/// anything but one whole integer in [1, 1024], e.g. "4x" or "1 ").
 [[nodiscard]] unsigned ThreadCountFromEnv(unsigned fallback);
 
 /// Runs the full matrix over `suite` on a thread pool (see header

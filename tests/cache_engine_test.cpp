@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -309,32 +308,6 @@ TEST(CacheValidation, RejectsBadConfigurations) {
                std::invalid_argument);
 }
 
-void ExpectBackingRejected(const cache::BackingStoreConfig& backing) {
-  cache::CacheConfig config;
-  config.capacity_slots = 4;
-  config.backing = backing;
-  EXPECT_THROW(cache::CacheEngine(config, rtm::RtmConfig::Paper(4)),
-               std::invalid_argument);
-}
-
-// Every backing-store charge must be a finite, non-negative number: a
-// negative fill latency would silently shorten the cache cell's runtime.
-TEST(CacheValidation, RejectsNegativeOrNonFiniteBackingCharges) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const double bad : {-5.0, -1e-9, inf, -inf, nan}) {
-    SCOPED_TRACE(bad);
-    ExpectBackingRejected({.fill_ns = bad});
-    ExpectBackingRejected({.writeback_ns = bad});
-    ExpectBackingRejected({.fill_pj = bad});
-    ExpectBackingRejected({.writeback_pj = bad});
-  }
-  cache::CacheConfig free_backing;  // zero charges are a valid model
-  free_backing.capacity_slots = 4;
-  free_backing.backing = {0.0, 0.0, 0.0, 0.0};
-  EXPECT_NO_THROW(cache::CacheEngine(free_backing, rtm::RtmConfig::Paper(4)));
-}
-
 // Event recording classifies every access; the first `capacity` ids are
 // admitted for free, so a small trace over them never misses.
 TEST(CacheEvents, ClassifyHitsAndMisses) {
@@ -376,48 +349,6 @@ TEST(CacheEvents, ClassifyHitsAndMisses) {
   EXPECT_TRUE(result.events[3].wrote_back);
 }
 
-// Quota scoping: a tenant at its resident quota evicts among its OWN
-// frames only, leaving other owners' residents untouched.
-TEST(CacheEvents, OwnerQuotaScopesEvictionToTheOwnersFrames) {
-  const rtm::RtmConfig device = rtm::RtmConfig::Paper(4);
-  cache::CacheConfig config;
-  config.capacity_slots = 4;
-  config.eviction = "cache-lru";
-  config.record_events = true;
-  config.engine.reseed_strategy = "dma-sr";
-  config.engine.window_accesses = online::kWholeTraceWindow;
-  config.engine.detector.kind = online::DetectorKind::kNone;
-
-  const auto run = [&](std::size_t quota) -> std::uint32_t {
-    cache::CacheEngine engine(config, device);
-    EXPECT_EQ(engine.RegisterVariable("a0", /*owner=*/0), 0u);
-    EXPECT_EQ(engine.RegisterVariable("a1", /*owner=*/0), 1u);
-    EXPECT_EQ(engine.RegisterVariable("b0", /*owner=*/1), 2u);
-    EXPECT_EQ(engine.RegisterVariable("b1", /*owner=*/1), 3u);
-    EXPECT_EQ(engine.RegisterVariable("a2", /*owner=*/0), 4u);  // over capacity
-    if (quota != 0) {
-      engine.SetOwnerQuota(0, quota);
-      engine.SetOwnerQuota(1, quota);
-    }
-    // Touch owner 0's residents so they are the most recently used...
-    engine.Feed(0u, trace::AccessType::kRead);
-    engine.Feed(1u, trace::AccessType::kRead);
-    // ...then miss on a2: unscoped LRU would pick owner 1's untouched
-    // b0 (frame 2); at quota, owner 0 must cannibalize its own a0.
-    engine.Feed(4u, trace::AccessType::kRead);
-    const cache::CacheResult result = engine.Finish();
-    EXPECT_EQ(result.cache.misses, 1u);
-    if (result.events.size() != 3) {
-      ADD_FAILURE() << "expected 3 events, got " << result.events.size();
-      return cache::kNoFrame;
-    }
-    EXPECT_EQ(result.events[2].kind, cache::CacheEvent::Kind::kMiss);
-    return result.events[2].evicted;
-  };
-
-  EXPECT_EQ(run(/*quota=*/0), 2u);  // unscoped: b0, the true LRU victim
-  EXPECT_EQ(run(/*quota=*/2), 0u);  // scoped: a0, owner 0's own LRU
-}
 
 // The registry exposes the built-ins and arbitration catches collisions.
 TEST(CacheRegistries, BuiltinsRegisteredAndValidated) {

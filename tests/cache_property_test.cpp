@@ -103,11 +103,11 @@ TEST(CacheConservation, HoldsForEveryPolicyAndCapacity) {
           // frames are pre-registered, so there are none).
           EXPECT_EQ(c.fill_accesses, c.fills + c.writebacks) << label;
           // Backing-store terms follow the transfer counts linearly.
-          const cache::BackingStoreConfig backing;
           EXPECT_DOUBLE_EQ(
               c.backing_ns,
-              static_cast<double>(c.fills) * backing.fill_ns +
-                  static_cast<double>(c.writebacks) * backing.writeback_ns)
+              static_cast<double>(c.fills) * cache::kBackingFillNs +
+                  static_cast<double>(c.writebacks) *
+                      cache::kBackingWritebackNs)
               << label;
 
           // The decomposition invariant: every controller shift is

@@ -10,13 +10,13 @@
 //
 // Two levels are checked:
 //  * policy level — the built-in policies against the references on
-//    random frame tables, unscoped and owner-scoped;
+//    random frame tables;
 //  * engine level — a checker policy, registered like any external
 //    policy, runs inside real CacheEngine sessions (random capacity and
-//    window, late registration, 1-3 owners, random quotas). At every
-//    miss it checks that the recency walk yields exactly the candidates
-//    in (last_use, frame id) order and that the built-in policies agree
-//    with the references on the engine's live context.
+//    window, late registration). At every miss it checks that the
+//    recency walk yields exactly the candidates in (last_use, frame id)
+//    order and that the built-in policies agree with the references on
+//    the engine's live context.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,8 +133,8 @@ std::vector<std::uint32_t> SortedByRecency(
 /// The frames the context's recency walk visits, in order.
 std::vector<std::uint32_t> RecencyWalk(const EvictionContext& ctx) {
   std::vector<std::uint32_t> walk;
-  for (std::uint32_t f = ctx.NextInScope(ctx.recency_head); f != kNoFrame;
-       f = ctx.NextInScope(ctx.recency_next[f])) {
+  for (std::uint32_t f = ctx.recency_head; f != kNoFrame;
+       f = ctx.recency_next[f]) {
     walk.push_back(f);
     if (walk.size() > ctx.frames.size()) break;  // cycle guard
   }
@@ -151,11 +151,8 @@ TEST(EvictionEquivalence, RecencyWalkMatchesReferencesOnRandomFrameTables) {
   util::Rng rng(0x5EC0);
   const auto lru = Builtin("cache-lru");
   const auto shift_aware = Builtin("cache-shift-aware");
-  std::size_t scoped_checks = 0;
   for (int round = 0; round < 400; ++round) {
     const auto capacity = static_cast<std::uint32_t>(1 + rng.NextBelow(40));
-    const std::uint32_t owners =
-        1 + static_cast<std::uint32_t>(rng.NextBelow(3));
     // A narrow last_use range forces ties, which the frame id breaks.
     const std::uint64_t span = 1 + rng.NextBelow(2 * capacity);
     std::vector<FrameInfo> frames(capacity);
@@ -163,7 +160,6 @@ TEST(EvictionEquivalence, RecencyWalkMatchesReferencesOnRandomFrameTables) {
     for (std::uint32_t f = 0; f < capacity; ++f) {
       frames[f].occupant = f;
       frames[f].last_use = rng.NextBelow(span);
-      frames[f].owner = static_cast<std::uint32_t>(rng.NextBelow(owners));
       pending[f] = rng.NextBool(0.5) ? 0 : rng.NextBelow(4);
     }
     // Random placement of the frames over 1-4 DBCs, some left unplaced.
@@ -205,24 +201,7 @@ TEST(EvictionEquivalence, RecencyWalkMatchesReferencesOnRandomFrameTables) {
         << "round " << round;
     EXPECT_EQ(shift_aware->PickVictim(ctx), ReferenceShiftAware(ctx))
         << "round " << round;
-
-    const auto owner = static_cast<std::uint32_t>(rng.NextBelow(owners));
-    std::vector<std::uint32_t> scoped;
-    for (std::uint32_t f = 0; f < capacity; ++f) {
-      if (frames[f].owner == owner) scoped.push_back(f);
-    }
-    if (scoped.empty()) continue;
-    ctx.candidates = scoped;
-    ctx.scope_owner = owner;
-    EXPECT_EQ(RecencyWalk(ctx), SortedByRecency(scoped, frames))
-        << "round " << round;
-    EXPECT_EQ(lru->PickVictim(ctx), ReferenceLru(scoped, frames))
-        << "round " << round;
-    EXPECT_EQ(shift_aware->PickVictim(ctx), ReferenceShiftAware(ctx))
-        << "round " << round;
-    ++scoped_checks;
   }
-  EXPECT_GT(scoped_checks, 300u);
 }
 
 // ---- engine level ----------------------------------------------------------
@@ -230,7 +209,6 @@ TEST(EvictionEquivalence, RecencyWalkMatchesReferencesOnRandomFrameTables) {
 /// What the checker policy saw, summed over every miss of a test.
 struct CheckerTally {
   std::uint64_t misses = 0;
-  std::uint64_t scoped_misses = 0;
   std::uint64_t walk_mismatches = 0;
   std::uint64_t lru_mismatches = 0;
   std::uint64_t shift_aware_mismatches = 0;
@@ -254,7 +232,6 @@ class RecencyCheckerPolicy final : public cache::EvictionPolicy {
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     CheckerTally& tally = Tally();
     ++tally.misses;
-    if (ctx.scope_owner != cache::kAnyOwner) ++tally.scoped_misses;
     if (RecencyWalk(ctx) != SortedByRecency(ctx.candidates, ctx.frames)) {
       ++tally.walk_mismatches;
     }
@@ -297,12 +274,10 @@ const cache::EvictionPolicyRegistrar kShiftAwareChecker{"check-shift-aware",
 
 /// One random session: registers a random prefix of the variables up
 /// front and the rest while feeding (late ids below the capacity are
-/// admitted for free after ticks have started), under 1-3 owners with
-/// random quotas.
+/// admitted for free after ticks have started).
 void RunRandomSession(util::Rng& rng, const std::string& eviction) {
   const std::size_t capacity = 1 + rng.NextBelow(24);
   const std::size_t variables = capacity + 1 + rng.NextBelow(2 * capacity + 4);
-  const auto owners = static_cast<std::uint32_t>(1 + rng.NextBelow(3));
 
   cache::CacheConfig config;
   config.eviction = eviction;
@@ -318,17 +293,11 @@ void RunRandomSession(util::Rng& rng, const std::string& eviction) {
   const auto dbcs = static_cast<unsigned>(2u << rng.NextBelow(3));
   cache::CacheEngine engine(config, sim::CellConfig(dbcs, capacity));
 
-  for (std::uint32_t owner = 0; owner < owners; ++owner) {
-    if (rng.NextBool(0.5)) {
-      engine.SetOwnerQuota(owner, 1 + rng.NextBelow(capacity));
-    }
-  }
   std::size_t registered = 0;
   const auto register_next = [&] {
     std::string name = "v";
     name += std::to_string(registered);
-    (void)engine.RegisterVariable(
-        name, static_cast<std::uint32_t>(rng.NextBelow(owners)));
+    (void)engine.RegisterVariable(name);
     ++registered;
   };
   const std::size_t upfront = rng.NextBelow(variables + 1);
@@ -363,9 +332,8 @@ TEST(EvictionEquivalence, EngineRecencyListMatchesSortedCandidatesAtEveryMiss) {
   EXPECT_EQ(tally.walk_mismatches, 0u);
   EXPECT_EQ(tally.lru_mismatches, 0u);
   EXPECT_EQ(tally.shift_aware_mismatches, 0u);
-  // The sessions must actually exercise both miss flavours.
+  // The sessions must actually exercise the miss path.
   EXPECT_GT(tally.misses, 10000u);
-  EXPECT_GT(tally.scoped_misses, 1000u);
 }
 
 }  // namespace

@@ -130,6 +130,11 @@ TEST(Experiment, SearchEffortFromEnvParsesAndFallsBack) {
     ::setenv("RTMPLACE_EFFORT", hostile, 1);
     EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25) << hostile;
   }
+  // A number followed by anything else is invalid as a whole.
+  for (const char* trailing : {"0.5x", "1 "}) {
+    ::setenv("RTMPLACE_EFFORT", trailing, 1);
+    EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25) << trailing;
+  }
   ::unsetenv("RTMPLACE_EFFORT");
 }
 
@@ -147,6 +152,11 @@ TEST(Experiment, ThreadCountFromEnvParsesAndFallsBack) {
   // Out-of-range values must fall back, not wrap in the unsigned cast.
   ::setenv("RTMPLACE_THREADS", "4294967298", 1);
   EXPECT_EQ(ThreadCountFromEnv(3u), 3u);
+  // A number followed by anything else is invalid as a whole.
+  for (const char* trailing : {"4x", "1 "}) {
+    ::setenv("RTMPLACE_THREADS", trailing, 1);
+    EXPECT_EQ(ThreadCountFromEnv(3u), 3u) << trailing;
+  }
   ::unsetenv("RTMPLACE_THREADS");
 }
 

@@ -274,10 +274,6 @@ TEST(RunGaFn, RejectsBadOptions) {
   options.mu = 0;
   EXPECT_THROW(RunGa(seq, 2, kUnboundedCapacity, options),
                std::invalid_argument);
-  options = SmallGa();
-  options.tournament_size = 0;
-  EXPECT_THROW(RunGa(seq, 2, kUnboundedCapacity, options),
-               std::invalid_argument);
   EXPECT_THROW(RunGa(seq, 2, 1, SmallGa()), std::invalid_argument);
 }
 

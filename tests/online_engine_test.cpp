@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -516,6 +517,92 @@ TEST(OnlinePolicyRegistry, RejectsCollisionsAndBadNames) {
   registry.Register("my-policy", factory);
   EXPECT_THROW(registry.Register("MY-POLICY", factory),
                std::invalid_argument);
+}
+
+// ---- refinement margin ---------------------------------------------------
+
+TEST(MigrationPlanner, SingleMoveEstimateIsTwiceTheFlooredThirdOfK) {
+  EXPECT_EQ(online::EstimatedSingleMoveShifts(256), 170u);
+  EXPECT_EQ(online::EstimatedSingleMoveShifts(64), 42u);
+  EXPECT_EQ(online::EstimatedSingleMoveShifts(4), 2u);
+}
+
+/// Packs every variable into DBC 0 in id order: a fixed window-0 layout
+/// for the refinement-margin test.
+class PackFirstDbcStrategy final : public core::PlacementStrategy {
+ public:
+  const core::StrategyInfo& Describe() const noexcept override {
+    static const core::StrategyInfo info{
+        "pack-dbc0", "every variable in DBC 0, id order (test strategy)",
+        /*search_based=*/false, /*spec=*/{}};
+    return info;
+  }
+
+  core::PlacementResult Run(
+      const core::PlacementRequest& request) const override {
+    const trace::AccessSequence& seq = *request.sequence;
+    core::PlacementResult result;
+    result.placement = core::Placement(seq.num_variables(), request.num_dbcs,
+                                       request.capacity);
+    for (trace::VariableId v = 0; v < seq.num_variables(); ++v) {
+      result.placement.Append(0, v);
+    }
+    if (request.compute_cost) {
+      result.cost =
+          core::ShiftCost(seq, result.placement, request.options.cost);
+    }
+    return result;
+  }
+};
+
+const core::StrategyRegistrar kPackFirstDbcRegistrar{"pack-dbc0", [] {
+  return std::make_shared<const PackFirstDbcStrategy>();
+}};
+
+// Refine commits a move only when its realised window saving exceeds
+// EstimatedSingleMoveShifts(K). With K = 8 the margin is 4. Window 0
+// places a and b side by side in DBC 0, so each a<->b transition of
+// window 1 costs one shift, and moving either one to the empty DBC 1
+// saves exactly one shift per transition: 4 transitions sit at the
+// margin (undone), 5 clear it (committed).
+TEST(OnlineEngine, RefineCommitsOnlyMovesThatBeatThePerMoveMargin) {
+  rtm::RtmConfig device;
+  device.dbcs = 2;
+  device.domains_per_dbc = 8;
+  ASSERT_EQ(online::EstimatedSingleMoveShifts(device.domains_per_dbc), 4u);
+
+  online::OnlineConfig config;
+  config.reseed_strategy = "pack-dbc0";
+  config.detector.kind = online::DetectorKind::kNone;
+  config.refine = true;
+  config.strategy_options.cost.initial_alignment =
+      rtm::InitialAlignment::kFirstAccess;
+  // Two windows of transitions + 1 alternating accesses each.
+  const auto run = [&config, &device](std::size_t transitions) {
+    std::string compact;
+    for (std::size_t i = 0; i < 2 * (transitions + 1); ++i) {
+      compact += i % 2 == 0 ? 'a' : 'b';
+    }
+    config.window_accesses = transitions + 1;
+    return online::RunOnline(trace::AccessSequence::FromCompactString(compact),
+                             config, device);
+  };
+
+  const online::OnlineResult at_margin = run(4);
+  ASSERT_EQ(at_margin.windows.size(), 2u);
+  EXPECT_FALSE(at_margin.windows[1].replaced);
+  EXPECT_EQ(at_margin.windows[1].window_cost, 4u);  // served unrefined
+  EXPECT_EQ(at_margin.migrations, 0u);
+  EXPECT_EQ(at_margin.migration_shifts, 0u);
+
+  const online::OnlineResult above = run(5);
+  ASSERT_EQ(above.windows.size(), 2u);
+  EXPECT_TRUE(above.windows[1].replaced);
+  EXPECT_EQ(above.windows[1].window_cost, 0u);
+  // a moves to DBC 1 and b slides down to offset 0 behind it.
+  EXPECT_EQ(above.windows[1].migrated_vars, 2u);
+  EXPECT_EQ(above.migrations, 1u);
+  EXPECT_EQ(above.final_placement.SlotOf(0).dbc, 1u);
 }
 
 // ---- engine edge cases ---------------------------------------------------

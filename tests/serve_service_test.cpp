@@ -25,7 +25,6 @@
 #include "serve/service.h"
 #include "sim/experiment.h"
 #include "trace/access_sequence.h"
-#include "util/rng.h"
 #include "util/stats.h"
 #include "workloads/workload.h"
 
@@ -239,11 +238,11 @@ TEST(ServeConservation, AccesslessTenantHoldsSlotsButNoChannelTime) {
 
 // ---- hybrid-memory mode: cache tier under the service --------------------
 
-TEST(ServeCacheOracle, FullCapacityNoQuotaIsBitIdenticalToPlainService) {
-  // At capacity ratio 1.0 with no quotas every shard's cache admits its
-  // whole variable population for free, so the wrapped engines see the
-  // exact id streams and window boundaries of plain mode — the service
-  // with the cache tier enabled must be bit-identical, not merely close.
+TEST(ServeCacheOracle, FullCapacityIsBitIdenticalToPlainService) {
+  // At capacity ratio 1.0 every shard's cache admits its whole variable
+  // population for free, so the wrapped engines see the exact id streams
+  // and window boundaries of plain mode — the service with the cache
+  // tier enabled must be bit-identical, not merely close.
   const std::vector<std::string> workloads = {"gemm-tiled", "kv-churn",
                                               "stencil", "stream-scan"};
   std::vector<trace::AccessSequence> sequences;
@@ -264,7 +263,6 @@ TEST(ServeCacheOracle, FullCapacityNoQuotaIsBitIdenticalToPlainService) {
   cache_config.cache.enabled = true;
   cache_config.cache.eviction = "cache-shift-aware";
   cache_config.cache.capacity_ratio = 1.0;
-  cache_config.cache.tenant_quota_slots = 0;
 
   serve::PlacementService plain(plain_config, config);
   serve::PlacementService cached(cache_config, config);
@@ -330,7 +328,7 @@ TEST(ServeCacheOracle, FullCapacityNoQuotaIsBitIdenticalToPlainService) {
   EXPECT_EQ(b.cache.fill_shifts, 0u);
 }
 
-TEST(ServeCacheQuota, ScopedEvictionsConserveAndSumAcrossTenants) {
+TEST(ServeCacheConservation, SharedEvictionsConserveAndSumAcrossTenants) {
   const std::vector<std::string> workloads = {"gemm-tiled", "kv-churn",
                                               "stream-scan"};
   std::vector<trace::AccessSequence> sequences;
@@ -348,7 +346,6 @@ TEST(ServeCacheQuota, ScopedEvictionsConserveAndSumAcrossTenants) {
   serve_config.cache.enabled = true;
   serve_config.cache.eviction = "cache-lru";
   serve_config.cache.capacity_ratio = 0.5;
-  serve_config.cache.tenant_quota_slots = 8;
 
   serve::PlacementService service(serve_config, config);
   for (std::size_t i = 0; i < sequences.size(); ++i) {
@@ -400,8 +397,7 @@ TEST(ServeCacheQuota, ScopedEvictionsConserveAndSumAcrossTenants) {
 // ---- migration budget ----------------------------------------------------
 
 TEST(MigrationBudget, TokenBucketRefillsConsumesAndCaps) {
-  serve::MigrationBudget budget({/*shifts_per_window=*/10,
-                                 /*burst_windows=*/2});
+  serve::MigrationBudget budget({/*shifts_per_window=*/10});
   EXPECT_FALSE(budget.unlimited());
   EXPECT_FALSE(budget.TryConsume(1));  // nothing granted yet
   budget.RefillForWindow();
@@ -409,21 +405,20 @@ TEST(MigrationBudget, TokenBucketRefillsConsumesAndCaps) {
   EXPECT_TRUE(budget.TryConsume(4));
   EXPECT_EQ(budget.spent(), 4u);
   EXPECT_EQ(budget.balance(), 6u);
-  budget.RefillForWindow();
-  budget.RefillForWindow();
-  budget.RefillForWindow();
-  EXPECT_EQ(budget.granted(), 40u);
-  EXPECT_EQ(budget.balance(), 20u);  // capped at shifts_per_window * burst
-  EXPECT_FALSE(budget.TryConsume(25));
-  EXPECT_TRUE(budget.TryConsume(20));
-  EXPECT_EQ(budget.spent(), 24u);
+  for (int i = 0; i < 4; ++i) budget.RefillForWindow();
+  EXPECT_EQ(budget.granted(), 50u);
+  // Capped at shifts_per_window * kBurstWindows (4 windows).
+  EXPECT_EQ(serve::kBurstWindows, 4u);
+  EXPECT_EQ(budget.balance(), 40u);
+  EXPECT_FALSE(budget.TryConsume(45));
+  EXPECT_TRUE(budget.TryConsume(40));
+  EXPECT_EQ(budget.spent(), 44u);
   EXPECT_EQ(budget.balance(), 0u);
   EXPECT_LE(budget.spent(), budget.granted());
 }
 
 TEST(MigrationBudget, UnlimitedAdmitsEverythingAndTracksSpending) {
-  serve::MigrationBudget budget({/*shifts_per_window=*/0,
-                                 /*burst_windows=*/4});
+  serve::MigrationBudget budget({/*shifts_per_window=*/0});
   EXPECT_TRUE(budget.unlimited());
   budget.RefillForWindow();
   EXPECT_EQ(budget.granted(), 0u);
@@ -443,7 +438,7 @@ TEST(ServeBudget, TightBudgetDeniesButNeverOverspends) {
   serve_config.engine.detector.period = 1;  // re-seed every window
   serve_config.engine.window_accesses = 64;
 
-  serve_config.budget = {/*shifts_per_window=*/1, /*burst_windows=*/1};
+  serve_config.budget = {/*shifts_per_window=*/1};
   serve::PlacementService tight(serve_config, config);
   (void)tight.OpenSession("a", a);
   (void)tight.OpenSession("b", b);
@@ -501,28 +496,23 @@ TEST(ServeDeterminism, MatrixCellsAreThreadCountInvariant) {
 
 // ---- channel arbiter -----------------------------------------------------
 
-TEST(ChannelArbiter, WeightedRoundRobinInterleavesDeterministically) {
-  serve::ChannelArbiter arbiter({{0, 1}, {2}}, {2, 1});
+TEST(ChannelArbiter, RoundRobinInterleavesDeterministically) {
+  serve::ChannelArbiter arbiter({{0, 1}, {2}});
   std::vector<std::size_t> turns;
   for (int i = 0; i < 6; ++i) {
     turns.push_back(arbiter.NextTurn());
   }
-  EXPECT_EQ(turns, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
+  // One turn per shard, round-robin over each shard's tenants.
+  EXPECT_EQ(turns, (std::vector<std::size_t>{0, 2, 1, 2, 0, 2}));
 
-  arbiter.Retire(0, 0);
-  EXPECT_EQ(arbiter.NextTurn(), 1u);
-  EXPECT_EQ(arbiter.NextTurn(), 1u);  // weight 2: two consecutive turns
-  EXPECT_EQ(arbiter.NextTurn(), 2u);
-  arbiter.Retire(1, 2);
   arbiter.Retire(0, 1);
+  EXPECT_EQ(arbiter.NextTurn(), 0u);
+  EXPECT_EQ(arbiter.NextTurn(), 2u);
+  EXPECT_EQ(arbiter.NextTurn(), 0u);
+  arbiter.Retire(1, 2);
+  EXPECT_EQ(arbiter.NextTurn(), 0u);  // an empty shard is skipped
+  arbiter.Retire(0, 0);
   EXPECT_EQ(arbiter.NextTurn(), serve::ChannelArbiter::kDone);
-}
-
-TEST(ChannelArbiter, RejectsBadWeights) {
-  EXPECT_THROW(serve::ChannelArbiter({{0}}, {}), std::invalid_argument);
-  EXPECT_THROW(serve::ChannelArbiter({{0}}, {0u}), std::invalid_argument);
-  EXPECT_THROW(serve::ChannelArbiter({{0}, {1}}, {1u}),
-               std::invalid_argument);
 }
 
 // ---- tenant assignment ---------------------------------------------------
@@ -535,7 +525,6 @@ TEST(TenantAssignment, RoundRobinCyclesTheShards) {
   const rtm::RtmConfig config = sim::CellConfig(8, 16);
   serve::ServeConfig serve_config;
   serve_config.num_shards = 2;
-  serve_config.assignment = serve::AssignmentPolicy::kRoundRobin;
   serve_config.engine.reseed_strategy = "dma-sr";
   serve_config.engine.window_accesses = online::kWholeTraceWindow;
   serve::PlacementService service(serve_config, config);
@@ -552,64 +541,6 @@ TEST(TenantAssignment, RoundRobinCyclesTheShards) {
   }
 }
 
-TEST(TenantAssignment, LeastLoadedBalancesTransitionWeight) {
-  const rtm::RtmConfig config = sim::CellConfig(8, 16);
-  serve::ServeConfig serve_config;
-  serve_config.num_shards = 2;
-  serve_config.assignment = serve::AssignmentPolicy::kLeastLoaded;
-  serve_config.engine.reseed_strategy = "dma-sr";
-  serve_config.engine.window_accesses = online::kWholeTraceWindow;
-  serve::PlacementService service(serve_config, config);
-  // Transition weights 9, 1, 1, 7, 3: heavy first tenant pins shard 0,
-  // the next three fill shard 1 until it matches, ties go to shard 0.
-  const std::vector<trace::AccessSequence> seqs = {
-      CompactSequence("ababababab"), CompactSequence("cd"),
-      CompactSequence("ef"), CompactSequence("ghghghgh"),
-      CompactSequence("ijij")};
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    (void)service.OpenSession("t" + std::to_string(i), seqs[i]);
-  }
-  const serve::ServeResult result = service.Run();
-  ASSERT_EQ(result.tenants.size(), 5u);
-  const std::vector<std::size_t> expected = {0, 1, 1, 1, 0};
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(result.tenants[i].shard, expected[i]) << i;
-  }
-}
-
-TEST(TenantAssignment, AffinityHashesTheTenantName) {
-  const rtm::RtmConfig config = sim::CellConfig(8, 16);
-  serve::ServeConfig serve_config;
-  serve_config.num_shards = 4;
-  serve_config.assignment = serve::AssignmentPolicy::kAffinity;
-  serve_config.engine.reseed_strategy = "dma-sr";
-  serve_config.engine.window_accesses = online::kWholeTraceWindow;
-  serve::PlacementService service(serve_config, config);
-  const std::vector<std::string> names = {"alpha", "beta", "gamma",
-                                          "delta"};
-  std::vector<trace::AccessSequence> seqs;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    seqs.push_back(CompactSequence("abab"));
-  }
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    (void)service.OpenSession(names[i], seqs[i]);
-  }
-  const serve::ServeResult result = service.Run();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(result.tenants[i].shard, util::HashString(names[i]) % 4)
-        << names[i];
-  }
-}
-
-TEST(TenantAssignment, PolicyNames) {
-  EXPECT_STREQ(serve::ToString(serve::AssignmentPolicy::kRoundRobin),
-               "round-robin");
-  EXPECT_STREQ(serve::ToString(serve::AssignmentPolicy::kLeastLoaded),
-               "least-loaded");
-  EXPECT_STREQ(serve::ToString(serve::AssignmentPolicy::kAffinity),
-               "affinity");
-}
-
 // ---- service validation --------------------------------------------------
 
 TEST(PlacementService, RejectsBadConfigsAndSessionMisuse) {
@@ -623,20 +554,6 @@ TEST(PlacementService, RejectsBadConfigsAndSessionMisuse) {
   {
     serve::ServeConfig bad;
     bad.num_shards = 3;  // does not divide 8 DBCs
-    EXPECT_THROW(serve::PlacementService(bad, config),
-                 std::invalid_argument);
-  }
-  {
-    serve::ServeConfig bad;
-    bad.num_shards = 2;
-    bad.shard_weights = {1};  // one weight for two shards
-    EXPECT_THROW(serve::PlacementService(bad, config),
-                 std::invalid_argument);
-  }
-  {
-    serve::ServeConfig bad;
-    bad.num_shards = 2;
-    bad.shard_weights = {1, 0};
     EXPECT_THROW(serve::PlacementService(bad, config),
                  std::invalid_argument);
   }
