@@ -1,7 +1,6 @@
 #include "cache/engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -14,6 +13,8 @@
 namespace rtmp::cache {
 
 namespace {
+
+using TraceArg = obs::TraceRecorder::Arg;
 
 /// (dbc, offset) sweep order for AppendSweepRequests.
 bool SlotSweepOrder(const core::Slot& a, const core::Slot& b) noexcept {
@@ -61,27 +62,6 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
       [this](const core::Placement& placement, rtm::RtmController& controller) {
         ExecutePendingFills(placement, controller);
       });
-  SetUpObs();
-}
-
-void CacheEngine::SetUpObs() {
-  obs_ = config_.engine.obs;
-  if (obs_.trace != nullptr) {
-    trace_miss_ = obs_.trace->Intern("cache-miss");
-    trace_fill_sweep_ = obs_.trace->Intern("fill-sweep");
-    key_variable_ = obs_.trace->Intern("variable");
-    key_evicted_ = obs_.trace->Intern("evicted");
-    key_wrote_back_ = obs_.trace->Intern("wrote_back");
-    key_requests_ = obs_.trace->Intern("requests");
-    key_shifts_ = obs_.trace->Intern("shifts");
-  }
-  if (obs_.metrics != nullptr) {
-    m_hits_ = &obs_.metrics->Counter("cache/hits");
-    m_misses_ = &obs_.metrics->Counter("cache/misses");
-    m_fills_ = &obs_.metrics->Counter("cache/fills");
-    m_writebacks_ = &obs_.metrics->Counter("cache/writebacks");
-    m_fill_shifts_ = &obs_.metrics->Counter("cache/fill_shifts");
-  }
 }
 
 std::uint32_t CacheEngine::RegisterVariable(std::string_view name) {
@@ -230,7 +210,6 @@ void CacheEngine::ResolveWindow() {
     std::uint32_t frame = frame_of_[variable];
     if (frame != kNoFrame) {
       ++running_.hits;
-      if (m_hits_ != nullptr) ++*m_hits_;
       FrameInfo& info = frames_[frame];
       info.last_use = tick_;
       Touch(frame);
@@ -301,20 +280,15 @@ std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
         {tick_, variable, victim, CacheEvent::Kind::kMiss, evicted,
          wrote_back});
   }
-  if (obs_.trace != nullptr) {
-    const std::array<obs::TraceRecorder::Arg, 3> args{
-        obs::TraceRecorder::Arg{key_variable_, false, variable},
-        obs::TraceRecorder::Arg{key_evicted_, false, evicted},
-        obs::TraceRecorder::Arg{key_wrote_back_, false,
-                                wrote_back ? std::uint64_t{1}
-                                           : std::uint64_t{0}}};
-    obs_.trace->Instant(trace_miss_, obs_.pid, obs_.tid,
-                        engine_.DeviceStats().makespan_ns, args);
-  }
-  if (obs_.metrics != nullptr) {
-    ++*m_misses_;
-    ++*m_fills_;
-    if (wrote_back) ++*m_writebacks_;
+  const obs::ObsConfig& sinks = config_.engine.obs;
+  if (sinks.trace != nullptr) {
+    const TraceArg args[] = {
+        {"variable", false, variable},
+        {"evicted", false, evicted},
+        {"wrote_back", false, wrote_back ? 1u : 0u},
+    };
+    sinks.trace->Instant("cache-miss", sinks.pid, sinks.tid,
+                         engine_.DeviceStats().makespan_ns, args);
   }
   return victim;
 }
@@ -354,16 +328,16 @@ void CacheEngine::ExecutePendingFills(const core::Placement& placement,
   const std::uint64_t sweep_shifts = controller.stats().shifts - before;
   running_.fill_shifts += sweep_shifts;
   running_.fill_accesses += fill_requests_.size();
-  if (obs_.trace != nullptr) {
-    const std::array<obs::TraceRecorder::Arg, 2> args{
-        obs::TraceRecorder::Arg{key_requests_, false, fill_requests_.size()},
-        obs::TraceRecorder::Arg{key_shifts_, false, sweep_shifts}};
-    obs_.trace->Complete(trace_fill_sweep_, obs_.pid, obs_.tid,
-                         makespan_before,
-                         controller.stats().makespan_ns - makespan_before,
-                         args);
+  const obs::ObsConfig& sinks = config_.engine.obs;
+  if (sinks.trace != nullptr) {
+    const TraceArg args[] = {
+        {"requests", false, fill_requests_.size()},
+        {"shifts", false, sweep_shifts},
+    };
+    const double span_ns = controller.stats().makespan_ns - makespan_before;
+    sinks.trace->Complete("fill-sweep", sinks.pid, sinks.tid, makespan_before,
+                          span_ns, args);
   }
-  if (m_fill_shifts_ != nullptr) *m_fill_shifts_ += sweep_shifts;
 }
 
 CacheResult CacheEngine::Finish() {
@@ -379,6 +353,13 @@ CacheResult CacheEngine::Finish() {
   result.cache = stats();
   result.events = std::move(events_);
   finished_ = true;
+  if (obs::MetricsRegistry* metrics = config_.engine.obs.metrics) {
+    metrics->Counter("cache/hits") += result.cache.hits;
+    metrics->Counter("cache/misses") += result.cache.misses;
+    metrics->Counter("cache/fills") += result.cache.fills;
+    metrics->Counter("cache/writebacks") += result.cache.writebacks;
+    metrics->Counter("cache/fill_shifts") += result.cache.fill_shifts;
+  }
   return result;
 }
 

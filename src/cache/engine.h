@@ -178,7 +178,9 @@ class CacheEngine {
   void FlushWindow();
 
   /// Flushes the trailing partial window and returns the combined
-  /// result. The engine cannot be fed afterwards.
+  /// result, publishing the cache/* counters (and, through the wrapped
+  /// engine, online/*) into config.engine.obs.metrics. The engine cannot
+  /// be fed afterwards.
   [[nodiscard]] CacheResult Finish();
 
   /// Cache counters so far (backing-store terms folded in live).
@@ -239,10 +241,6 @@ class CacheEngine {
   /// the wrapped controller under the window's final placement.
   void ExecutePendingFills(const core::Placement& placement,
                            rtm::RtmController& controller);
-  /// Interns trace names and resolves metric references (constructor).
-  /// The cache tier rides on the wrapped engine's sinks
-  /// (CacheConfig::engine.obs) — no separate wiring.
-  void SetUpObs();
 
   CacheConfig config_;
   online::OnlineEngine engine_;
@@ -297,21 +295,6 @@ class CacheEngine {
   CacheStats running_{};
   bool frames_registered_ = false;
   bool finished_ = false;
-
-  /// Observability wiring resolved by SetUpObs() (see SetUpObs doc).
-  obs::ObsConfig obs_{};
-  std::uint32_t trace_miss_ = 0;
-  std::uint32_t trace_fill_sweep_ = 0;
-  std::uint32_t key_variable_ = 0;
-  std::uint32_t key_evicted_ = 0;
-  std::uint32_t key_wrote_back_ = 0;
-  std::uint32_t key_requests_ = 0;
-  std::uint32_t key_shifts_ = 0;
-  std::uint64_t* m_hits_ = nullptr;
-  std::uint64_t* m_misses_ = nullptr;
-  std::uint64_t* m_fills_ = nullptr;
-  std::uint64_t* m_writebacks_ = nullptr;
-  std::uint64_t* m_fill_shifts_ = nullptr;
 };
 
 /// Convenience: pre-registers the sequence's whole variable space in id

@@ -1,5 +1,5 @@
-// rtmlint: hot-path — metric recording runs inside the window-service
-// loops; Record()/counter increments must stay allocation-free.
+// rtmlint: hot-path — Histogram::Record runs once per serve turn (the
+// always-on per-tenant latency histograms) and must stay allocation-free.
 //
 // Deterministic metrics: named counters, gauges and fixed-layout
 // log2-bucketed histograms. Everything here is a pure function of the
@@ -8,10 +8,10 @@
 // (the sim layer gives each matrix cell a private registry and merges
 // them in grid order; see sim/experiment.cpp).
 //
-// Name/lookup calls (Counter/Gauge/Hist) may allocate and belong at
-// setup time: they return references with stable addresses (std::map
-// node stability), so engines resolve their metrics once at
-// construction and the hot path is a pointer increment.
+// Name/lookup calls (Counter/Gauge/Hist) may allocate, so nothing calls
+// them per access: each engine publishes its counters once, from its
+// finished result (OnlineEngine::Finish, CacheEngine::Finish,
+// PlacementService::Run), and keeps no metric state while it runs.
 #pragma once
 
 #include <array>
@@ -80,8 +80,7 @@ class Histogram {
 /// Named counters, gauges and histograms. Storage is std::map — sorted
 /// iteration makes the JSON snapshot order deterministic and keeps node
 /// addresses stable, so the references returned by Counter()/Gauge()/
-/// Hist() stay valid for the registry's lifetime (engines cache them at
-/// construction; the hot path never touches the map).
+/// Hist() stay valid for the registry's lifetime.
 class MetricsRegistry {
  public:
   /// Resolve-or-create. Metric names follow "<layer>/<metric>"

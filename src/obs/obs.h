@@ -1,8 +1,13 @@
 // Observability wiring: one struct of non-owning pointers threaded
 // through every layer's config (OnlineConfig::obs, ServeConfig::obs,
-// ExperimentOptions::obs). Default-constructed = disabled: every
-// instrumentation site is guarded by a null check on the pointer it
-// needs, so the disabled path costs one predictable branch.
+// ExperimentOptions::obs). Default-constructed = disabled.
+//
+// The engines keep no observability state of their own. Trace events
+// are recorded where they happen, behind a null check on `trace`, with
+// literal names (obs/trace_recorder.h). Counters and the window-latency
+// histogram are published into `metrics` once per run, from the
+// finished result: OnlineEngine::Finish (online/*), CacheEngine::Finish
+// (cache/*) and PlacementService::Run (serve/*).
 //
 // pid/tid place events on trace rows: the sim layer assigns pid =
 // matrix-cell index (with a private recorder per cell, merged in grid

@@ -37,7 +37,7 @@ void TraceRecorder::Append(const Event& event,
   ++size_;
 }
 
-void TraceRecorder::Complete(std::uint32_t name, std::uint32_t pid,
+void TraceRecorder::Complete(TraceName name, std::uint32_t pid,
                              std::uint32_t tid, double ts_ns, double dur_ns,
                              std::span<const Arg> args) noexcept {
   Event event;
@@ -50,7 +50,7 @@ void TraceRecorder::Complete(std::uint32_t name, std::uint32_t pid,
   Append(event, args);
 }
 
-void TraceRecorder::Instant(std::uint32_t name, std::uint32_t pid,
+void TraceRecorder::Instant(TraceName name, std::uint32_t pid,
                             std::uint32_t tid, double ts_ns,
                             std::span<const Arg> args) noexcept {
   Event event;
@@ -73,27 +73,16 @@ void TraceRecorder::SetThreadName(std::uint32_t pid, std::uint32_t tid,
 
 void TraceRecorder::Merge(const TraceRecorder& other) {
   Reserve(size_ + other.size_);
-  // Remap the other recorder's interned indices into this table once.
-  std::vector<std::uint32_t> remap;
-  remap.resize(other.strings_.size());
-  for (std::size_t i = 0; i < other.strings_.size(); ++i) {
-    remap[i] = Intern(other.strings_[i]);
-  }
-  const auto remap_arg = [&remap](Arg arg) {
-    if (arg.is_string) arg.value = remap[static_cast<std::size_t>(arg.value)];
-    return arg;
-  };
   for (std::size_t i = 0; i < other.size_; ++i) {
-    const Event& src = other.events_[i];
-    Event& slot = events_[size_];
-    slot = src;
-    slot.name = remap[src.name];
-    for (std::size_t a = 0; a < src.num_args; ++a) {
-      Arg arg = remap_arg(src.args[a]);
-      arg.key = remap[arg.key];
-      slot.args[a] = arg;
+    Event& slot = events_[size_++];
+    slot = other.events_[i];
+    // Names and keys are literals; string values index `other`'s table.
+    for (std::size_t a = 0; a < slot.num_args; ++a) {
+      Arg& arg = slot.args[a];
+      if (!arg.is_string) continue;
+      const auto index = static_cast<std::size_t>(arg.value);
+      arg.value = Intern(other.strings_[index]);
     }
-    ++size_;
   }
   dropped_ += other.dropped_;
   for (const auto& [pid, name] : other.process_names_) {
@@ -114,7 +103,7 @@ double ToMicros(double ns) { return ns / 1000.0; }
 void TraceRecorder::WriteEvent(util::JsonWriter& writer,
                                const Event& event) const {
   writer.BeginObject();
-  writer.Member("name", strings_[event.name]);
+  writer.Member("name", event.name.c_str());
   writer.Member("ph", event.phase == Phase::kComplete ? "X" : "i");
   writer.Member("ts", ToMicros(event.ts_ns));
   if (event.phase == Phase::kComplete) {
@@ -129,7 +118,7 @@ void TraceRecorder::WriteEvent(util::JsonWriter& writer,
     writer.BeginObject();
     for (std::size_t a = 0; a < event.num_args; ++a) {
       const Arg& arg = event.args[a];
-      writer.Key(strings_[arg.key]);
+      writer.Key(arg.key.c_str());
       if (arg.is_string) {
         writer.String(strings_[static_cast<std::size_t>(arg.value)]);
       } else {

@@ -9,10 +9,11 @@
 // trace-event format ({"traceEvents": [...]}, ts/dur in microseconds)
 // and opens directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
-// Strings (event names, arg keys, string arg values) are interned at
-// setup time via Intern(); the per-event record stores fixed-width
-// indices only. pid/tid are free-form rows: the sim layer uses
-// pid = matrix cell, the serve layer tid = shard.
+// Event names and arg keys are string literals (TraceName), stored by
+// pointer; only runtime string arg values (tenant names) are interned,
+// at setup time via Intern(). The per-event record is fixed-width.
+// pid/tid are free-form rows: the sim layer uses pid = matrix cell, the
+// serve layer tid = shard.
 #pragma once
 
 #include <array>
@@ -30,12 +31,27 @@ class JsonWriter;
 
 namespace rtmp::obs {
 
+/// An event name or arg key. The consteval constructor admits only
+/// constant strings — in practice literals — so the recorder can keep the
+/// pointer without copying or interning it.
+class TraceName {
+ public:
+  constexpr TraceName() noexcept = default;
+  /// Implicit, so call sites pass the literal itself.
+  consteval TraceName(const char* text) noexcept : text_(text) {}
+
+  [[nodiscard]] const char* c_str() const noexcept { return text_; }
+
+ private:
+  const char* text_ = "";
+};
+
 class TraceRecorder {
  public:
-  /// One event argument: `key` is an interned index; the value is either
-  /// an interned string index (is_string) or a raw unsigned number.
+  /// One event argument: the value is either an interned string index
+  /// (is_string; see Intern) or a raw unsigned number.
   struct Arg {
-    std::uint32_t key = 0;
+    TraceName key;
     bool is_string = false;
     std::uint64_t value = 0;
   };
@@ -52,16 +68,17 @@ class TraceRecorder {
   /// (counted in dropped_events()) rather than reallocating mid-run.
   void Reserve(std::size_t capacity);
 
-  /// Interns `text`, returning its stable index. Setup-time only.
+  /// Interns a runtime string arg value, returning its stable index.
+  /// Setup-time only.
   [[nodiscard]] std::uint32_t Intern(std::string_view text);
 
   /// Complete span ("ph":"X"): [ts_ns, ts_ns + dur_ns] of simulated time.
-  void Complete(std::uint32_t name, std::uint32_t pid, std::uint32_t tid,
+  void Complete(TraceName name, std::uint32_t pid, std::uint32_t tid,
                 double ts_ns, double dur_ns,
                 std::span<const Arg> args = {}) noexcept;
 
   /// Instant event ("ph":"i", thread scope).
-  void Instant(std::uint32_t name, std::uint32_t pid, std::uint32_t tid,
+  void Instant(TraceName name, std::uint32_t pid, std::uint32_t tid,
                double ts_ns, std::span<const Arg> args = {}) noexcept;
 
   /// Row labels, emitted as "M" metadata events. Setup-time only.
@@ -69,10 +86,10 @@ class TraceRecorder {
   void SetThreadName(std::uint32_t pid, std::uint32_t tid,
                      std::string_view name);
 
-  /// Appends another recorder's events (re-interning its strings) and
-  /// row labels, preserving their order. The sim layer merges per-cell
-  /// recorders in grid order, making the combined trace independent of
-  /// worker scheduling.
+  /// Appends another recorder's events (re-interning its string arg
+  /// values) and row labels, preserving their order. The sim layer
+  /// merges per-cell recorders in grid order, making the combined trace
+  /// independent of worker scheduling.
   void Merge(const TraceRecorder& other);
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -90,7 +107,7 @@ class TraceRecorder {
   enum class Phase : std::uint8_t { kComplete, kInstant };
 
   struct Event {
-    std::uint32_t name = 0;
+    TraceName name;
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
     double ts_ns = 0.0;
@@ -110,51 +127,6 @@ class TraceRecorder {
   std::map<std::string, std::uint32_t, std::less<>> intern_;
   std::map<std::uint32_t, std::string> process_names_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> thread_names_;
-};
-
-/// RAII span over a live simulated clock: reads `*now_ns` at
-/// construction and emits a Complete event covering [begin, now] at
-/// destruction. `now_ns` must outlive the scope (engines point it at
-/// their controller's stats().makespan_ns, whose address is stable).
-/// A null recorder makes the scope a no-op.
-class SpanScope {
- public:
-  SpanScope(TraceRecorder* recorder, std::uint32_t name, std::uint32_t pid,
-            std::uint32_t tid, const double* now_ns) noexcept
-      : recorder_(recorder),
-        now_ns_(now_ns),
-        name_(name),
-        pid_(pid),
-        tid_(tid),
-        begin_ns_(recorder != nullptr ? *now_ns : 0.0) {}
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  /// Attaches an argument (ignored past kMaxArgs or with no recorder).
-  void AddArg(const TraceRecorder::Arg& arg) noexcept {
-    if (recorder_ == nullptr || num_args_ >= TraceRecorder::kMaxArgs) return;
-    args_[num_args_] = arg;
-    ++num_args_;
-  }
-
-  ~SpanScope() {
-    if (recorder_ == nullptr) return;
-    const double end_ns = *now_ns_;
-    recorder_->Complete(name_, pid_, tid_, begin_ns_, end_ns - begin_ns_,
-                        std::span<const TraceRecorder::Arg>(
-                            args_.data(), num_args_));
-  }
-
- private:
-  TraceRecorder* recorder_;
-  const double* now_ns_;
-  std::uint32_t name_;
-  std::uint32_t pid_;
-  std::uint32_t tid_;
-  double begin_ns_;
-  std::size_t num_args_ = 0;
-  std::array<TraceRecorder::Arg, TraceRecorder::kMaxArgs> args_{};
 };
 
 }  // namespace rtmp::obs

@@ -3,7 +3,6 @@
 #include "online/engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <span>
@@ -19,6 +18,30 @@
 #include "util/rng.h"
 
 namespace rtmp::online {
+
+namespace {
+
+using TraceArg = obs::TraceRecorder::Arg;
+
+/// The online/* counters and window-latency histogram of one finished
+/// run, added into `metrics`.
+void PublishMetrics(const OnlineResult& result,
+                    obs::MetricsRegistry& metrics) {
+  std::uint64_t phase_changes = 0;
+  obs::Histogram& latency = metrics.Hist("online/window_latency_ns");
+  for (const WindowRecord& record : result.windows) {
+    if (record.phase_change) ++phase_changes;
+    latency.Record(static_cast<std::uint64_t>(std::llround(record.latency_ns)));
+  }
+  metrics.Counter("online/windows") += result.windows.size();
+  metrics.Counter("online/phase_changes") += phase_changes;
+  metrics.Counter("online/migrations") += result.migrations;
+  metrics.Counter("online/budget_denials") += result.budget_denials;
+  metrics.Counter("online/service_shifts") += result.service_shifts;
+  metrics.Counter("online/migration_shifts") += result.migration_shifts;
+}
+
+}  // namespace
 
 std::uint64_t WindowSeed(std::uint64_t base, std::size_t window) {
   if (window == 0) return base;
@@ -40,62 +63,29 @@ OnlineEngine::OnlineEngine(OnlineConfig config, rtm::RtmConfig device)
         "OnlineEngine: unregistered re-seed strategy '" +
         config_.reseed_strategy + "'");
   }
-  SetUpObs();
 }
 
-void OnlineEngine::SetUpObs() {
-  obs_ = config_.obs;
-  if (obs_.trace != nullptr) {
-    trace_window_ = obs_.trace->Intern("window");
-    trace_migration_ = obs_.trace->Intern("migration");
-    trace_phase_change_ = obs_.trace->Intern("phase-change");
-    trace_budget_denied_ = obs_.trace->Intern("budget-denied");
-    key_window_ = obs_.trace->Intern("window_index");
-    key_accesses_ = obs_.trace->Intern("accesses");
-    key_shifts_ = obs_.trace->Intern("shifts");
-    key_moved_ = obs_.trace->Intern("moved_vars");
-  }
-  if (obs_.metrics != nullptr) {
-    m_windows_ = &obs_.metrics->Counter("online/windows");
-    m_phase_changes_ = &obs_.metrics->Counter("online/phase_changes");
-    m_migrations_ = &obs_.metrics->Counter("online/migrations");
-    m_budget_denials_ = &obs_.metrics->Counter("online/budget_denials");
-    m_service_shifts_ = &obs_.metrics->Counter("online/service_shifts");
-    m_migration_shifts_ = &obs_.metrics->Counter("online/migration_shifts");
-    latency_hist_ = &obs_.metrics->Hist("online/window_latency_ns");
-  }
+void OnlineEngine::TraceWindow(const WindowRecord& record, double begin_ns) {
+  obs::TraceRecorder* trace = config_.obs.trace;
+  if (trace == nullptr) return;
+  const TraceArg args[] = {
+      {"window_index", false, windows_processed_},
+      {"accesses", false, record.accesses},
+      {"shifts", false, record.service_shifts},
+  };
+  trace->Complete("window", config_.obs.pid, config_.obs.tid, begin_ns,
+                  record.latency_ns, args);
 }
 
-void OnlineEngine::RecordWindowObs(const WindowRecord& record,
-                                   double begin_ns) {
-  if (obs_.trace != nullptr) {
-    const std::array<obs::TraceRecorder::Arg, 3> args{
-        obs::TraceRecorder::Arg{
-            key_window_, false,
-            static_cast<std::uint64_t>(windows_processed_)},
-        obs::TraceRecorder::Arg{key_accesses_, false, record.accesses},
-        obs::TraceRecorder::Arg{key_shifts_, false, record.service_shifts}};
-    obs_.trace->Complete(trace_window_, obs_.pid, obs_.tid, begin_ns,
-                         record.latency_ns, args);
-  }
-  if (obs_.metrics != nullptr) {
-    ++*m_windows_;
-    *m_service_shifts_ += record.service_shifts;
-    *m_migration_shifts_ += record.migration_shifts;
-    if (record.phase_change) ++*m_phase_changes_;
-    latency_hist_->Record(
-        static_cast<std::uint64_t>(std::llround(record.latency_ns)));
-  }
-}
-
-void OnlineEngine::RecordBudgetDenialObs(std::uint64_t estimated_shifts) {
-  if (obs_.trace != nullptr) {
-    const std::array<obs::TraceRecorder::Arg, 1> args{
-        obs::TraceRecorder::Arg{key_shifts_, false, estimated_shifts}};
-    obs_.trace->Instant(trace_budget_denied_, obs_.pid, obs_.tid,
-                        controller_.stats().makespan_ns, args);
-  }
-  if (m_budget_denials_ != nullptr) ++*m_budget_denials_;
+void OnlineEngine::DenyMigration(WindowRecord& record,
+                                 std::uint64_t estimated_shifts) {
+  record.budget_denied = true;
+  ++result_.budget_denials;
+  obs::TraceRecorder* trace = config_.obs.trace;
+  if (trace == nullptr) return;
+  const TraceArg args[] = {{"shifts", false, estimated_shifts}};
+  trace->Instant("budget-denied", config_.obs.pid, config_.obs.tid,
+                 controller_.stats().makespan_ns, args);
 }
 
 trace::VariableId OnlineEngine::RegisterVariable(std::string_view name) {
@@ -154,26 +144,6 @@ void OnlineEngine::Feed(std::span<const trace::Access> accesses,
         std::min(limit - window_seq_.size(), accesses.size() - i);
     for (const trace::Access& access : accesses.subspan(i, take)) {
       window_seq_.Append(access.variable + id_offset, access.type);
-    }
-    i += take;
-    if (window_seq_.size() >= limit) ProcessWindow();
-  }
-}
-
-void OnlineEngine::Feed(std::span<const trace::VariableId> variables) {
-  if (finished_) {
-    throw std::logic_error("OnlineEngine: session already finished");
-  }
-  const std::size_t limit = config_.window_accesses;
-  std::size_t i = 0;
-  while (i < variables.size()) {
-    const std::size_t take =
-        std::min(limit - window_seq_.size(), variables.size() - i);
-    for (const trace::VariableId v : variables.subspan(i, take)) {
-      if (v >= window_seq_.num_variables()) {
-        throw std::out_of_range("OnlineEngine: unregistered variable id");
-      }
-      window_seq_.Append(v, trace::AccessType::kRead);
     }
     i += take;
     if (window_seq_.size() >= limit) ProcessWindow();
@@ -295,9 +265,7 @@ bool OnlineEngine::Refine(WindowRecord& record) {
       PlanMigration(placement_, evaluator.placement());
   if (config_.migration_gate &&
       !config_.migration_gate(plan.estimated_shifts)) {
-    record.budget_denied = true;
-    ++result_.budget_denials;
-    RecordBudgetDenialObs(plan.estimated_shifts);
+    DenyMigration(record, plan.estimated_shifts);
     return false;
   }
   ChargeMigration(plan, record);
@@ -318,20 +286,19 @@ void OnlineEngine::ChargeMigration(const MigrationPlan& plan,
   // One read at the old slot, one write at the new, per moved variable.
   result_.reads += plan.moves.size();
   result_.writes += plan.moves.size();
-  if (obs_.trace != nullptr) {
-    const std::array<obs::TraceRecorder::Arg, 2> args{
-        obs::TraceRecorder::Arg{key_moved_, false, plan.moves.size()},
-        obs::TraceRecorder::Arg{key_shifts_, false, shifts}};
-    obs_.trace->Complete(trace_migration_, obs_.pid, obs_.tid,
-                         makespan_before,
-                         controller_.stats().makespan_ns - makespan_before,
-                         args);
+  if (obs::TraceRecorder* trace = config_.obs.trace) {
+    const TraceArg args[] = {
+        {"moved_vars", false, plan.moves.size()},
+        {"shifts", false, shifts},
+    };
+    const double span_ns = controller_.stats().makespan_ns - makespan_before;
+    trace->Complete("migration", config_.obs.pid, config_.obs.tid,
+                    makespan_before, span_ns, args);
   }
   record.replaced = true;
   record.migrated_vars += plan.moves.size();
   ++result_.migrations;
   result_.migrated_vars += plan.moves.size();
-  if (m_migrations_ != nullptr) ++*m_migrations_;
 }
 
 void OnlineEngine::ServeWindow(WindowRecord& record,
@@ -413,7 +380,7 @@ void OnlineEngine::ProcessWindowFromSpan(std::span<const trace::Access> block,
   if (pre_serve_hook_) pre_serve_hook_(placement_, controller_);
   ServeWindow(record, block, id_offset);
   record.latency_ns = controller_.stats().makespan_ns - makespan_before;
-  if (obs_.enabled()) RecordWindowObs(record, makespan_before);
+  TraceWindow(record, makespan_before);
   result_.windows.push_back(record);
   served_accesses_ += block.size();
   ++windows_processed_;
@@ -444,13 +411,10 @@ void OnlineEngine::ProcessWindow() {
     record.phase_change = verdict.phase_change;
     record.drift = verdict.drift;
     if (verdict.phase_change) {
-      if (obs_.trace != nullptr) {
-        const std::array<obs::TraceRecorder::Arg, 1> args{
-            obs::TraceRecorder::Arg{
-                key_window_, false,
-                static_cast<std::uint64_t>(windows_processed_)}};
-        obs_.trace->Instant(trace_phase_change_, obs_.pid, obs_.tid,
-                            controller_.stats().makespan_ns, args);
+      if (obs::TraceRecorder* trace = config_.obs.trace) {
+        const TraceArg args[] = {{"window_index", false, windows_processed_}};
+        trace->Instant("phase-change", config_.obs.pid, config_.obs.tid,
+                       controller_.stats().makespan_ns, args);
       }
       core::Placement candidate = Reseed();
       const MigrationPlan plan = PlanMigration(placement_, candidate);
@@ -468,9 +432,7 @@ void OnlineEngine::ProcessWindow() {
         }
         if (accept && config_.migration_gate &&
             !config_.migration_gate(plan.estimated_shifts)) {
-          record.budget_denied = true;
-          ++result_.budget_denials;
-          RecordBudgetDenialObs(plan.estimated_shifts);
+          DenyMigration(record, plan.estimated_shifts);
           accept = false;
         }
         if (accept) {
@@ -491,7 +453,7 @@ void OnlineEngine::ProcessWindow() {
   // request-building pass and books it into result_.placement_cost.
   ServeWindow(record, window_seq_.accesses(), 0);
   record.latency_ns = controller_.stats().makespan_ns - makespan_before;
-  if (obs_.enabled()) RecordWindowObs(record, makespan_before);
+  TraceWindow(record, makespan_before);
   result_.windows.push_back(record);
   served_accesses_ += window_seq_.size();
   window_seq_.ClearAccesses();
@@ -519,6 +481,9 @@ OnlineResult OnlineEngine::Finish() {
   result_.amortized_shifts =
       result_.service_shifts + result_.migration_shifts;
   result_.final_placement = placement_;
+  if (config_.obs.metrics != nullptr) {
+    PublishMetrics(result_, *config_.obs.metrics);
+  }
   return std::move(result_);
 }
 

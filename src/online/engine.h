@@ -52,10 +52,6 @@
 #include "rtm/energy_model.h"
 #include "trace/access_sequence.h"
 
-namespace rtmp::obs {
-class Histogram;
-}  // namespace rtmp::obs
-
 namespace rtmp::online {
 
 struct MigrationPlan;  // online/migration.h
@@ -88,10 +84,10 @@ struct OnlineConfig {
   std::function<bool(std::uint64_t)> migration_gate;
   /// Controller timing mode for service and migration traffic.
   rtm::ControllerConfig controller{};
-  /// Observability sinks (obs/obs.h). Default = disabled: every
-  /// recording site is behind a null check, so the hot path is
-  /// untouched. Trace names and metric references are resolved once at
-  /// construction; per-window recording is allocation-free.
+  /// Observability sinks (obs/obs.h). Default = disabled. Window,
+  /// migration, phase-change and budget-denied events are traced as they
+  /// happen; the online/* counters and the window-latency histogram are
+  /// published from the result at Finish().
   obs::ObsConfig obs{};
   /// Strategy tuning handed to every re-seed run (effort, cost options,
   /// base seeds). Window 0 uses the seeds verbatim — the single-window
@@ -200,9 +196,6 @@ class OnlineEngine {
   void Feed(std::span<const trace::Access> accesses,
             trace::VariableId id_offset = 0);
 
-  /// Batched all-reads feed over raw variable ids (pre-registered).
-  void Feed(std::span<const trace::VariableId> variables);
-
   /// Forces a window boundary now: the buffered partial window is
   /// decided and served as if it had filled up; no-op on an empty
   /// buffer. The serve layer closes every arbitration turn with this, so
@@ -236,10 +229,11 @@ class OnlineEngine {
   }
   [[nodiscard]] bool placed() const noexcept { return placed_; }
 
-  /// Flushes the trailing partial window and returns the run's result.
-  /// A session that never saw an access still runs the re-seed strategy
-  /// once over the (possibly empty) variable space, mirroring the static
-  /// path. The engine cannot be fed afterwards.
+  /// Flushes the trailing partial window and returns the run's result,
+  /// publishing its online/* counters into config.obs.metrics. A session
+  /// that never saw an access still runs the re-seed strategy once over
+  /// the (possibly empty) variable space, mirroring the static path. The
+  /// engine cannot be fed afterwards.
   [[nodiscard]] OnlineResult Finish();
 
   [[nodiscard]] std::size_t variables_seen() const noexcept {
@@ -293,12 +287,11 @@ class OnlineEngine {
   void ServeWindow(WindowRecord& record,
                    std::span<const trace::Access> accesses,
                    trace::VariableId id_offset);
-  /// Interns trace names and resolves metric references (constructor).
-  void SetUpObs();
-  /// Emits the window span + per-window metrics (both window paths).
-  void RecordWindowObs(const WindowRecord& record, double begin_ns);
-  /// Emits the budget-denied instant + counter (both denial sites).
-  void RecordBudgetDenialObs(std::uint64_t estimated_shifts);
+  /// Traces the window span (both window paths).
+  void TraceWindow(const WindowRecord& record, double begin_ns);
+  /// Books a migration the gate denied into `record` and the result, and
+  /// traces it (both denial sites).
+  void DenyMigration(WindowRecord& record, std::uint64_t estimated_shifts);
 
   OnlineConfig config_;
   rtm::RtmConfig device_config_;
@@ -326,25 +319,6 @@ class OnlineEngine {
   /// between calls: Refine counts only the window's accesses and resets
   /// only the ids it touched.
   std::vector<std::uint64_t> refine_freq_scratch_;
-  /// Observability wiring, resolved once by SetUpObs(): interned trace
-  /// names/arg keys and stable metric references, so the per-window
-  /// recording sites are null-checked pointer writes.
-  obs::ObsConfig obs_{};
-  std::uint32_t trace_window_ = 0;
-  std::uint32_t trace_migration_ = 0;
-  std::uint32_t trace_phase_change_ = 0;
-  std::uint32_t trace_budget_denied_ = 0;
-  std::uint32_t key_window_ = 0;
-  std::uint32_t key_accesses_ = 0;
-  std::uint32_t key_shifts_ = 0;
-  std::uint32_t key_moved_ = 0;
-  std::uint64_t* m_windows_ = nullptr;
-  std::uint64_t* m_phase_changes_ = nullptr;
-  std::uint64_t* m_migrations_ = nullptr;
-  std::uint64_t* m_budget_denials_ = nullptr;
-  std::uint64_t* m_service_shifts_ = nullptr;
-  std::uint64_t* m_migration_shifts_ = nullptr;
-  obs::Histogram* latency_hist_ = nullptr;
 };
 
 /// Convenience: feeds a whole sequence through one session.

@@ -1,7 +1,6 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -172,18 +171,6 @@ PlacementService::PlacementService(ServeConfig config, rtm::RtmConfig device)
     throw std::invalid_argument(
         "PlacementService: num_shards must divide the device's DBC count");
   }
-  obs_ = config_.obs;
-  if (obs_.trace != nullptr) {
-    trace_turn_ = obs_.trace->Intern("turn");
-    trace_budget_denied_ = obs_.trace->Intern("budget-denied");
-    key_tenant_ = obs_.trace->Intern("tenant");
-    key_accesses_ = obs_.trace->Intern("accesses");
-    key_shifts_ = obs_.trace->Intern("shifts");
-  }
-  if (obs_.metrics != nullptr) {
-    m_turns_ = &obs_.metrics->Counter("serve/turns");
-    m_budget_denials_ = &obs_.metrics->Counter("serve/budget_denials");
-  }
 }
 
 std::size_t PlacementService::OpenSession(
@@ -261,25 +248,21 @@ void PlacementService::ServeTurn(Session& session, ShardEngine& engine,
   stats.latency_hist.Record(latency_sample);
   latency_hist_.Record(latency_sample);
 
-  if (obs_.trace != nullptr) {
+  if (obs::TraceRecorder* trace = config_.obs.trace) {
+    const std::uint32_t pid = config_.obs.pid;
     const auto tid = static_cast<std::uint32_t>(session.shard);
     const double makespan_after = engine.DeviceStats().makespan_ns;
-    const std::array<obs::TraceRecorder::Arg, 3> args{
-        obs::TraceRecorder::Arg{key_tenant_, true, session.trace_name},
-        obs::TraceRecorder::Arg{key_accesses_, false, quantum},
-        obs::TraceRecorder::Arg{key_shifts_, false, record.service_shifts}};
-    obs_.trace->Complete(trace_turn_, obs_.pid, tid, makespan_before,
-                         makespan_after - makespan_before, args);
+    const obs::TraceRecorder::Arg args[] = {
+        {"tenant", true, session.trace_name},
+        {"accesses", false, quantum},
+        {"shifts", false, record.service_shifts},
+    };
+    trace->Complete("turn", pid, tid, makespan_before,
+                    makespan_after - makespan_before, args);
     if (record.budget_denied) {
-      const std::array<obs::TraceRecorder::Arg, 1> denied{
-          obs::TraceRecorder::Arg{key_tenant_, true, session.trace_name}};
-      obs_.trace->Instant(trace_budget_denied_, obs_.pid, tid, makespan_after,
-                          denied);
+      const obs::TraceRecorder::Arg denied[] = {args[0]};
+      trace->Instant("budget-denied", pid, tid, makespan_after, denied);
     }
-  }
-  if (m_turns_ != nullptr) ++*m_turns_;
-  if (record.budget_denied && m_budget_denials_ != nullptr) {
-    ++*m_budget_denials_;
   }
 
   const rtm::EnergyBreakdown energy_after = engine.DeviceEnergy();
@@ -323,9 +306,9 @@ ServeResult PlacementService::Run() {
     // Shard engines inherit the service's sinks on their own trace row.
     engine_config.obs = config_.obs;
     engine_config.obs.tid = static_cast<std::uint32_t>(s);
-    if (obs_.trace != nullptr) {
-      obs_.trace->SetThreadName(obs_.pid, static_cast<std::uint32_t>(s),
-                                "shard " + std::to_string(s));
+    if (obs::TraceRecorder* trace = engine_config.obs.trace) {
+      trace->SetThreadName(engine_config.obs.pid, engine_config.obs.tid,
+                           "shard " + std::to_string(s));
     }
     engine_config.strategy_options.ga.seed =
         online::WindowSeed(recipe.strategy_options.ga.seed, s);
@@ -373,8 +356,8 @@ ServeResult PlacementService::Run() {
       }
       result.tenants[i].name = session.name;
       result.tenants[i].shard = s;
-      if (obs_.trace != nullptr) {
-        session.trace_name = obs_.trace->Intern(session.name);
+      if (config_.obs.trace != nullptr) {
+        session.trace_name = config_.obs.trace->Intern(session.name);
       }
     }
   }
@@ -440,6 +423,14 @@ ServeResult PlacementService::Run() {
   result.budget_granted = budget_.granted();
   result.budget_spent = budget_.spent();
   result.latency_hist = latency_hist_;
+  if (obs::MetricsRegistry* metrics = config_.obs.metrics) {
+    std::uint64_t& turns = metrics->Counter("serve/turns");
+    std::uint64_t& denials = metrics->Counter("serve/budget_denials");
+    for (const TenantStats& tenant : result.tenants) {
+      turns += tenant.windows;
+      denials += tenant.budget_denials;
+    }
+  }
 
   std::vector<double> mean_latencies;
   for (const TenantStats& tenant : result.tenants) {

@@ -164,9 +164,11 @@ struct ServeConfig {
   ServeCacheConfig cache{};
   /// Observability sinks (obs/obs.h), forwarded into every shard engine
   /// with tid = shard index; the service adds per-turn spans with tenant
-  /// attribution and budget-denial instants. Default = disabled. The
-  /// per-tenant latency histograms below are ALWAYS on — one integer
-  /// Record per turn — so quantiles are available without wiring.
+  /// attribution and budget-denial instants, and Run() publishes
+  /// serve/turns and serve/budget_denials from the tenant stats.
+  /// Default = disabled. The per-tenant latency histograms below are
+  /// ALWAYS on — one integer Record per turn — so quantiles are
+  /// available without wiring.
   obs::ObsConfig obs{};
 };
 
@@ -281,7 +283,8 @@ class PlacementService {
                           const trace::AccessSequence& sequence);
 
   /// Serves every admitted tenant to completion and returns the
-  /// aggregate result. One-shot: throws std::logic_error on reuse.
+  /// aggregate result (publishing serve/* counters into
+  /// config.obs.metrics). One-shot: throws std::logic_error on reuse.
   [[nodiscard]] ServeResult Run();
 
   [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
@@ -331,15 +334,6 @@ class PlacementService {
   bool finished_ = false;
   /// Device-level latency histogram, fed once per turn (always on).
   obs::Histogram latency_hist_{};
-  /// Observability wiring resolved at construction (see ServeConfig::obs).
-  obs::ObsConfig obs_{};
-  std::uint32_t trace_turn_ = 0;
-  std::uint32_t trace_budget_denied_ = 0;
-  std::uint32_t key_tenant_ = 0;
-  std::uint32_t key_accesses_ = 0;
-  std::uint32_t key_shifts_ = 0;
-  std::uint64_t* m_turns_ = nullptr;
-  std::uint64_t* m_budget_denials_ = nullptr;
 };
 
 }  // namespace rtmp::serve

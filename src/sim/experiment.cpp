@@ -464,18 +464,7 @@ std::vector<RunResult> RunMatrix(
     // synthetic tid 0; the cell's own engine events sit next to it under
     // the same pid.
     obs::TraceRecorder* trace = options.obs.trace;
-    std::uint32_t trace_cell = 0;
-    std::uint32_t key_shifts = 0;
-    std::uint32_t key_accesses = 0;
-    if (trace != nullptr) {
-      trace_cell = trace->Intern("cell");
-      key_shifts = trace->Intern("shifts");
-      key_accesses = trace->Intern("accesses");
-    }
-    std::uint64_t* cells_counter =
-        options.obs.metrics != nullptr
-            ? &options.obs.metrics->Counter("sim/cells")
-            : nullptr;
+    obs::MetricsRegistry* metrics = options.obs.metrics;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const RunResult& run = results[i];
       if (trace != nullptr) {
@@ -483,19 +472,18 @@ std::vector<RunResult> RunMatrix(
         trace->SetProcessName(pid, run.benchmark + "/" +
                                        std::to_string(run.dbcs) + "dbc/" +
                                        run.strategy_name);
-        const std::array<obs::TraceRecorder::Arg, 2> args{
-            obs::TraceRecorder::Arg{key_shifts, false, run.metrics.shifts},
-            obs::TraceRecorder::Arg{key_accesses, false,
-                                    run.metrics.accesses}};
-        trace->Complete(trace_cell, pid, 0, 0.0, run.metrics.runtime_ns,
-                        args);
+        const obs::TraceRecorder::Arg args[] = {
+            {"shifts", false, run.metrics.shifts},
+            {"accesses", false, run.metrics.accesses},
+        };
+        trace->Complete("cell", pid, 0, 0.0, run.metrics.runtime_ns, args);
         if (cell_obs[i].trace != nullptr) trace->Merge(*cell_obs[i].trace);
       }
-      if (options.obs.metrics != nullptr && cell_obs[i].metrics != nullptr) {
-        options.obs.metrics->Merge(*cell_obs[i].metrics);
+      if (metrics != nullptr && cell_obs[i].metrics != nullptr) {
+        metrics->Merge(*cell_obs[i].metrics);
       }
-      if (cells_counter != nullptr) ++*cells_counter;
     }
+    if (metrics != nullptr) metrics->Counter("sim/cells") += cells.size();
   }
   return results;
 }

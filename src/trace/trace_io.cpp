@@ -1,5 +1,7 @@
 #include "trace/trace_io.h"
 
+#include <algorithm>
+#include <cctype>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -34,9 +36,20 @@ namespace {
 /// directive or a comment instead of an access. The writer must never
 /// break a line right before such a token.
 bool MisparsesAtLineStart(const std::string& token) {
-  return token == "benchmark" || token == "sequence" || token == "total" ||
-         (!token.empty() && token.front() == '#');
+  return token == "benchmark" || token == "sequence" || token == "vars" ||
+         token == "total" || (!token.empty() && token.front() == '#');
 }
+
+/// True when `name` does not read back as one access token: the reader
+/// splits on whitespace and takes a trailing '!' as the write mark.
+bool NotOneToken(const std::string& name) {
+  return name.empty() || name.back() == '!' ||
+         std::any_of(name.begin(), name.end(), [](char c) {
+           return std::isspace(static_cast<unsigned char>(c)) != 0;
+         });
+}
+
+constexpr std::size_t kPerLine = 16;
 
 }  // namespace
 
@@ -52,7 +65,18 @@ void WriteTrace(std::ostream& out, const TraceFile& trace) {
     out << '\n';
     const AccessSequence& seq = trace.sequences[i];
     total_accesses += seq.size();
-    constexpr std::size_t kPerLine = 16;
+    // The variable table in id order, so the reader rebuilds the same ids
+    // and keeps variables that are never accessed.
+    for (VariableId v = 0; v < seq.num_variables(); ++v) {
+      if (NotOneToken(seq.name_of(v))) {
+        throw std::runtime_error(
+            "trace: variable name '" + seq.name_of(v) +
+            "' is empty, holds whitespace or ends in '!'; this trace is not "
+            "representable in the text format (use WriteBinaryTrace)");
+      }
+      out << (v % kPerLine == 0 ? "vars " : " ") << seq.name_of(v);
+      if ((v + 1) % kPerLine == 0 || v + 1 == seq.num_variables()) out << '\n';
+    }
     std::size_t on_line = 0;
     for (std::size_t j = 0; j < seq.size(); ++j) {
       const std::string& name = seq.name_of(seq[j].variable);

@@ -5,6 +5,7 @@
 //   # comment                          -- ignored
 //   benchmark <name>                   -- optional benchmark name
 //   sequence [<name>]                  -- starts a new access sequence
+//   vars <name> ...                    -- optional: the variable table
 //   a b a c! b ...                     -- accesses; '!' suffix marks a write
 //   total <sequences> <accesses>       -- optional footer (truncation guard)
 //
@@ -12,9 +13,15 @@
 // `sequence` directive or end of file. This mirrors the shape of OffsetStone
 // inputs (one file per benchmark, many access sequences per file).
 //
-// WriteTrace always emits the `total` footer; readers validate it when
-// present (and must be the last directive). For large external traces and
-// the compact binary format, see trace/trace_stream.h — the streaming
+// `vars` lines declare the sequence's variables in id order, including
+// ones never accessed; they are legal only before the sequence's first
+// access, and a repeated name is an error. Without them, ids follow first
+// appearance, which keeps files written before `vars` readable.
+//
+// WriteTrace emits the `vars` table after every `sequence` line and
+// always emits the `total` footer; readers validate the footer when
+// present (and it must be the last directive). For large external traces
+// and the compact binary format, see trace/trace_stream.h — the streaming
 // layer both readers here are built on.
 #pragma once
 
@@ -40,8 +47,9 @@ struct TraceFile {
 /// Parses a trace from a string (convenience for tests).
 [[nodiscard]] TraceFile ReadTraceFromString(const std::string& text);
 
-/// Serializes a trace; ReadTrace(WriteTrace(t)) round-trips names, access
-/// order and access types.
+/// Serializes a trace; ReadTrace(WriteTrace(t)) round-trips variable ids
+/// and names (zero-access variables included), access order and access
+/// types — the same TraceFile the binary format gives back.
 void WriteTrace(std::ostream& out, const TraceFile& trace);
 
 /// Serializes to a string (convenience for tests).

@@ -211,6 +211,21 @@ TraceSummary StreamTextTrace(std::istream& in, const SequenceSink& sink,
       current_name = tokens.size() == 2 ? tokens[1] : "";
       continue;
     }
+    if (tokens.front() == "vars") {
+      if (!in_sequence || !current.empty()) {
+        throw std::runtime_error(
+            "trace: 'vars' must follow 'sequence', before any access");
+      }
+      for (std::size_t t = 1; t < tokens.size(); ++t) {
+        const std::size_t declared = current.num_variables();
+        (void)current.AddVariable(tokens[t]);
+        if (current.num_variables() == declared) {
+          throw std::runtime_error("trace: duplicate variable '" + tokens[t] +
+                                   "' in 'vars'");
+        }
+      }
+      continue;
+    }
     if (tokens.front() == "total") {
       if (tokens.size() != 3) {
         throw std::runtime_error(

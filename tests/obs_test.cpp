@@ -1,23 +1,32 @@
 // Observability layer: histogram bucket layout and quantiles against a
 // sorted-vector oracle, Merge algebra, metrics-registry snapshots, the
 // trace recorder's arena/drop behavior, Chrome trace-format pinning via
-// util::JsonValue::Parse, and the determinism contract — bucket-exact
-// registry and trace equality across reruns and worker-thread counts.
+// util::JsonValue::Parse, the determinism contract — bucket-exact
+// registry and trace equality across reruns and worker-thread counts,
+// pinned to tests/data/obs_matrix_{metrics,trace}.json — and
+// conservation: each published counter equals the result field it is
+// derived from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "cache/cache_policy.h"
+#include "cache/engine.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace_recorder.h"
 #include "offsetstone/suite.h"
+#include "online/engine.h"
+#include "online/policy.h"
+#include "serve/serve_cell.h"
+#include "serve/serve_policy.h"
 #include "serve/service.h"
 #include "sim/experiment.h"
 #include "trace/access_sequence.h"
@@ -168,10 +177,9 @@ TEST(ObsMetricsRegistry, SnapshotParsesAndCarriesQuantiles) {
 
 TEST(ObsTraceRecorder, DropsBeyondCapacityAndReportsIt) {
   obs::TraceRecorder trace(/*capacity=*/2);
-  const std::uint32_t name = trace.Intern("span");
-  trace.Complete(name, 0, 0, 0.0, 10.0, {});
-  trace.Instant(name, 0, 0, 5.0, {});
-  trace.Complete(name, 0, 0, 20.0, 10.0, {});  // arena full -> dropped
+  trace.Complete("span", 0, 0, 0.0, 10.0, {});
+  trace.Instant("span", 0, 0, 5.0, {});
+  trace.Complete("span", 0, 0, 20.0, 10.0, {});  // arena full -> dropped
   EXPECT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace.dropped_events(), 1u);
   const util::JsonValue json = util::JsonValue::Parse(trace.ToJson());
@@ -179,26 +187,29 @@ TEST(ObsTraceRecorder, DropsBeyondCapacityAndReportsIt) {
   EXPECT_EQ(json.At("traceEvents").Items().size(), 2u);
 }
 
-TEST(ObsTraceRecorder, MergeRemapsInternedStrings) {
+TEST(ObsTraceRecorder, MergeRemapsInternedStringValues) {
   obs::TraceRecorder a;
   obs::TraceRecorder b;
-  // Interning in a different order forces a nontrivial remap.
-  (void)a.Intern("alpha");
-  const std::uint32_t a_span = a.Intern("span");
-  const std::uint32_t b_span = b.Intern("span");
-  const std::uint32_t b_key = b.Intern("tenant");
+  // Interning in a different order forces a nontrivial remap of the
+  // string arg values; names and keys are literals and copy as they are.
+  const std::uint32_t a_value = a.Intern("t1");
   const std::uint32_t b_value = b.Intern("t0");
-  EXPECT_NE(a_span, b_span);
-  a.Complete(a_span, 0, 0, 0.0, 1.0, {});
-  const std::array<obs::TraceRecorder::Arg, 1> args{
-      obs::TraceRecorder::Arg{b_key, true, b_value}};
-  b.Instant(b_span, 1, 2, 3.0, args);
+  EXPECT_EQ(a_value, b_value);
+  const obs::TraceRecorder::Arg a_args[] = {{"tenant", true, a_value}};
+  a.Complete("span", 0, 0, 0.0, 1.0, a_args);
+  const obs::TraceRecorder::Arg b_args[] = {
+      {"tenant", true, b_value},
+      {"shifts", false, 7},
+  };
+  b.Instant("span", 1, 2, 3.0, b_args);
   a.Merge(b);
   const util::JsonValue json = util::JsonValue::Parse(a.ToJson());
   const auto& events = json.At("traceEvents").Items();
   ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].At("args").At("tenant").AsString(), "t1");
   EXPECT_EQ(events[1].At("name").AsString(), "span");
   EXPECT_EQ(events[1].At("args").At("tenant").AsString(), "t0");
+  EXPECT_EQ(events[1].At("args").At("shifts").AsUInt(), 7u);
 }
 
 // ---- serve: per-tenant latency histograms ----------------------------------
@@ -315,6 +326,13 @@ struct ObsSnapshot {
   std::string trace;
 };
 
+std::string ReadDataFile(const std::string& name) {
+  std::ifstream in(std::string(RTMPLACE_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 ObsSnapshot RunObsMatrix(unsigned num_threads) {
   const std::vector<offsetstone::Benchmark> suite = {
       TinyBenchmark("one", "ababcdcdefefabab"),
@@ -339,6 +357,121 @@ TEST(ObsDeterminism, SnapshotsAreByteIdenticalAcrossRerunsAndThreads) {
   EXPECT_EQ(serial.trace, serial_again.trace);
   EXPECT_EQ(serial.metrics, parallel.metrics);
   EXPECT_EQ(serial.trace, parallel.trace);
+  // Pinned bytes: how the engines publish counters and name events is
+  // free to change, the snapshot and trace text are not.
+  EXPECT_EQ(serial.metrics + "\n", ReadDataFile("obs_matrix_metrics.json"));
+  EXPECT_EQ(serial.trace + "\n", ReadDataFile("obs_matrix_trace.json"));
+}
+
+// ---- conservation: published counters are the result fields ----------------
+
+std::uint64_t PublishedCounter(const obs::MetricsRegistry& metrics,
+                               const char* name) {
+  // Through the snapshot, so a counter that was never published fails
+  // instead of reading as a fresh zero.
+  return util::JsonValue::Parse(metrics.ToJson())
+      .At("counters")
+      .At(name)
+      .AsUInt();
+}
+
+/// Expects the online/* counters and histogram that `metrics` holds for
+/// exactly the runs in `results`.
+void ExpectOnlineCountersMatch(
+    const obs::MetricsRegistry& metrics,
+    const std::vector<online::OnlineResult>& results) {
+  std::uint64_t windows = 0, phase_changes = 0, migrations = 0;
+  std::uint64_t denials = 0, service = 0, migration = 0;
+  obs::Histogram latency;
+  for (const online::OnlineResult& result : results) {
+    windows += result.windows.size();
+    for (const online::WindowRecord& record : result.windows) {
+      if (record.phase_change) ++phase_changes;
+      latency.Record(
+          static_cast<std::uint64_t>(std::llround(record.latency_ns)));
+    }
+    migrations += result.migrations;
+    denials += result.budget_denials;
+    service += result.service_shifts;
+    migration += result.migration_shifts;
+  }
+  EXPECT_EQ(PublishedCounter(metrics, "online/windows"), windows);
+  EXPECT_EQ(PublishedCounter(metrics, "online/phase_changes"), phase_changes);
+  EXPECT_EQ(PublishedCounter(metrics, "online/migrations"), migrations);
+  EXPECT_EQ(PublishedCounter(metrics, "online/budget_denials"), denials);
+  EXPECT_EQ(PublishedCounter(metrics, "online/service_shifts"), service);
+  EXPECT_EQ(PublishedCounter(metrics, "online/migration_shifts"), migration);
+  obs::MetricsRegistry copy;
+  copy.Merge(metrics);
+  EXPECT_TRUE(copy.Hist("online/window_latency_ns") == latency);
+}
+
+TEST(ObsConservation, PublishedCountersEqualTheResultFields) {
+  {
+    const trace::AccessSequence seq =
+        WorkloadSequence("phased(gemm-tiled,stream-scan)");
+    const rtm::RtmConfig device = sim::CellConfig(4, seq.num_variables());
+    online::OnlineConfig config =
+        online::OnlinePolicyRegistry::Global()
+            .Find("online-ewma-dma-sr")
+            ->MakeConfig();
+    obs::MetricsRegistry metrics;
+    config.obs.metrics = &metrics;
+    const online::OnlineResult result =
+        online::RunOnline(seq, config, device);
+    EXPECT_GT(result.migrations, 0u);
+    ExpectOnlineCountersMatch(metrics, {result});
+  }
+  {
+    const trace::AccessSequence seq = WorkloadSequence("kv-churn");
+    const rtm::RtmConfig device = sim::CellConfig(4, seq.num_variables());
+    cache::CacheConfig config = cache::CachePolicyRegistry::Global()
+                                    .Find("cache-shift-aware-c50")
+                                    ->MakeConfig();
+    obs::MetricsRegistry metrics;
+    config.engine.obs.metrics = &metrics;
+    const cache::CacheResult result = cache::RunCache(seq, config, device);
+    EXPECT_GT(result.cache.misses, 0u);
+    EXPECT_EQ(PublishedCounter(metrics, "cache/hits"), result.cache.hits);
+    EXPECT_EQ(PublishedCounter(metrics, "cache/misses"), result.cache.misses);
+    EXPECT_EQ(PublishedCounter(metrics, "cache/fills"), result.cache.fills);
+    EXPECT_EQ(PublishedCounter(metrics, "cache/writebacks"),
+              result.cache.writebacks);
+    EXPECT_EQ(PublishedCounter(metrics, "cache/fill_shifts"),
+              result.cache.fill_shifts);
+    ExpectOnlineCountersMatch(metrics, {result.online});
+  }
+  {
+    // One tenant per gemm-tiled sequence on 2 shards; the tight budget
+    // denies at least one re-placement.
+    const auto workload = workloads::ResolveWorkload("gemm-tiled");
+    ASSERT_NE(workload, nullptr);
+    const offsetstone::Benchmark benchmark = workload->Generate({});
+    const auto policy = serve::ServePolicyRegistry::Global().Find(
+        "serve-2s-tight-ewma-dma-sr");
+    ASSERT_NE(policy, nullptr);
+    ASSERT_EQ(policy->MakeConfig().num_shards, 2u);
+    obs::MetricsRegistry metrics;
+    sim::ExperimentOptions options;
+    options.obs.metrics = &metrics;
+    const serve::ServeResult result =
+        serve::RunServeBenchmark(benchmark, 8, *policy, options).result;
+    EXPECT_GT(result.budget_denials, 0u);
+    std::uint64_t turns = 0;
+    std::uint64_t denials = 0;
+    for (const serve::TenantStats& tenant : result.tenants) {
+      turns += tenant.windows;
+      denials += tenant.budget_denials;
+    }
+    EXPECT_EQ(denials, result.budget_denials);
+    EXPECT_EQ(PublishedCounter(metrics, "serve/turns"), turns);
+    EXPECT_EQ(PublishedCounter(metrics, "serve/budget_denials"), denials);
+    std::vector<online::OnlineResult> shards;
+    for (const serve::ShardStats& shard : result.shards) {
+      shards.push_back(shard.result);
+    }
+    ExpectOnlineCountersMatch(metrics, shards);
+  }
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 // binary too, which is what gives "never a crash" teeth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/generators.h"
@@ -20,19 +22,8 @@
 namespace rtmp::trace {
 namespace {
 
-/// Semantic equality: the text format serializes accesses by name, so
-/// unaccessed variables (and id numbering) are not preserved — compare
-/// what the format promises: access order, names and types.
-void ExpectSameAccesses(const AccessSequence& a, const AccessSequence& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.name_of(a[i].variable), b.name_of(b[i].variable)) << i;
-    EXPECT_EQ(a[i].type, b[i].type) << i;
-  }
-}
-
-/// Full equality: the binary format additionally preserves the variable
-/// table (every name, in id order), so unaccessed variables survive.
+/// Full equality: both formats preserve the variable table (every name,
+/// in id order, unaccessed variables included) and the accesses by id.
 void ExpectIdentical(const AccessSequence& a, const AccessSequence& b) {
   EXPECT_EQ(a.variable_names(), b.variable_names());
   EXPECT_EQ(a.accesses(), b.accesses());
@@ -74,8 +65,9 @@ TEST(TraceStream, TextRoundTripOnRandomTraces) {
         ReadTraceFromString(WriteTraceToString(original));
     EXPECT_EQ(parsed.benchmark, original.benchmark);
     ASSERT_EQ(parsed.sequences.size(), original.sequences.size());
+    EXPECT_EQ(parsed.sequence_names, original.sequence_names);
     for (std::size_t s = 0; s < parsed.sequences.size(); ++s) {
-      ExpectSameAccesses(original.sequences[s], parsed.sequences[s]);
+      ExpectIdentical(original.sequences[s], parsed.sequences[s]);
     }
   }
 }
@@ -129,7 +121,7 @@ TEST(TraceStream, StreamingSinkSeesSequencesInOrderWithoutMaterializing) {
   EXPECT_EQ(summary.sequences, original.sequences.size());
   ASSERT_EQ(sequences.size(), original.sequences.size());
   for (std::size_t s = 0; s < sequences.size(); ++s) {
-    ExpectSameAccesses(original.sequences[s], sequences[s]);
+    ExpectIdentical(original.sequences[s], sequences[s]);
   }
 }
 
@@ -247,26 +239,28 @@ TEST(TraceStream, BinaryHeaderValidation) {
 }
 
 TEST(TraceStream, ReservedVariableNamesRoundTripViaLinePacking) {
-  // Variables named like directives ("total", "sequence") or comments
-  // ("#x") are legal mid-line; the writer must never break a line right
-  // before one. Enough accesses to cross several wrap points.
+  // Variables named like directives ("total", "sequence", "vars") or
+  // comments ("#x") are legal mid-line; the writer must never break a
+  // line right before one. Enough accesses to cross several wrap points.
   TraceFile file;
   file.sequence_names.push_back("s");
   AccessSequence seq;
   const VariableId a = seq.AddVariable("a");
   const VariableId total = seq.AddVariable("total");
   const VariableId sequence = seq.AddVariable("sequence");
+  const VariableId vars = seq.AddVariable("vars");
   const VariableId comment = seq.AddVariable("#x");
   seq.Append(a);
   for (int i = 0; i < 40; ++i) {
     seq.Append(total, i % 2 == 0 ? AccessType::kWrite : AccessType::kRead);
     seq.Append(sequence);
+    seq.Append(vars);
     seq.Append(comment);
   }
   file.sequences.push_back(std::move(seq));
   const TraceFile parsed = ReadTraceFromString(WriteTraceToString(file));
   ASSERT_EQ(parsed.sequences.size(), 1u);
-  ExpectSameAccesses(file.sequences[0], parsed.sequences[0]);
+  ExpectIdentical(file.sequences[0], parsed.sequences[0]);
   // A sequence whose FIRST access collides has no line to extend into:
   // the writer must refuse rather than emit an unreadable file.
   TraceFile bad;
@@ -279,6 +273,118 @@ TEST(TraceStream, ReservedVariableNamesRoundTripViaLinePacking) {
   const TraceFile via_binary = FromBinary(ToBinary(bad));
   ASSERT_EQ(via_binary.sequences.size(), 1u);
   EXPECT_EQ(via_binary.sequences[0].name_of(0), "total");
+  // Names that are not one access token would read back as other
+  // variables ("x!" as a write to "x"), so the writer refuses them too,
+  // accessed or not.
+  for (const char* name : {"x!", "p q", ""}) {
+    TraceFile untokenizable;
+    untokenizable.sequence_names.push_back("s");
+    AccessSequence unaccessed;
+    (void)unaccessed.AddVariable("a");
+    (void)unaccessed.AddVariable(name);
+    unaccessed.Append(0);
+    untokenizable.sequences.push_back(std::move(unaccessed));
+    EXPECT_THROW((void)WriteTraceToString(untokenizable), std::runtime_error)
+        << "'" << name << "'";
+    const TraceFile binary = FromBinary(ToBinary(untokenizable));
+    ExpectIdentical(untokenizable.sequences[0], binary.sequences[0]);
+  }
+}
+
+/// Three sequences whose variables are registered in reverse or shuffled
+/// order against first access, each with 1-3 variables never accessed:
+/// the shape on which text ids used to follow first appearance while
+/// binary kept the declared table.
+TraceFile RegistrationOrderTrace(util::Rng& rng, bool reversed) {
+  TraceFile file;
+  file.benchmark = reversed ? "reversed" : "shuffled";
+  for (std::size_t s = 0; s < 3; ++s) {
+    file.sequence_names.emplace_back("s");
+    file.sequence_names.back() += std::to_string(s);
+    const std::size_t n = 4 + rng.NextBelow(40);
+    std::vector<std::string> names;
+    for (std::size_t v = 0; v < n; ++v) {
+      names.emplace_back("v");
+      names.back() += std::to_string(v);
+    }
+    std::vector<std::string> order = names;
+    if (reversed) {
+      std::reverse(order.begin(), order.end());
+    } else {
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.NextBelow(i)]);
+      }
+    }
+    AccessSequence seq;
+    for (const std::string& name : order) (void)seq.AddVariable(name);
+    const std::size_t accessed = n - 1 - rng.NextBelow(3);
+    const std::size_t length = 1 + rng.NextBelow(200);
+    for (std::size_t i = 0; i < length; ++i) {
+      const std::size_t pick = i < accessed ? i : rng.NextBelow(accessed);
+      seq.Append(seq.AddVariable(names[pick]),
+                 rng.NextBool(0.3) ? AccessType::kWrite : AccessType::kRead);
+    }
+    file.sequences.push_back(std::move(seq));
+  }
+  return file;
+}
+
+TEST(TraceStream, TextBinaryAndMemoryAgreeForAnyRegistrationOrder) {
+  util::Rng rng(0x0DE5);
+  for (const bool reversed : {true, false}) {
+    for (int round = 0; round < 10; ++round) {
+      const TraceFile original = RegistrationOrderTrace(rng, reversed);
+      const TraceFile text = ReadTraceFromString(WriteTraceToString(original));
+      const TraceFile binary = FromBinary(ToBinary(original));
+      for (const TraceFile* parsed : {&text, &binary}) {
+        EXPECT_EQ(parsed->benchmark, original.benchmark);
+        EXPECT_EQ(parsed->sequence_names, original.sequence_names);
+        ASSERT_EQ(parsed->sequences.size(), original.sequences.size());
+        for (std::size_t s = 0; s < original.sequences.size(); ++s) {
+          ExpectIdentical(original.sequences[s], parsed->sequences[s]);
+        }
+      }
+    }
+  }
+}
+
+TEST(TraceStream, VarsDirectiveFixesIdsAndKeepsUnaccessedVariables) {
+  // Declared c, b, a, z; z is never accessed.
+  TraceFile file;
+  file.sequence_names.push_back("s");
+  AccessSequence seq;
+  for (const char* name : {"c", "b", "a", "z"}) (void)seq.AddVariable(name);
+  seq.Append(2);
+  seq.Append(1);
+  seq.Append(0, AccessType::kWrite);
+  seq.Append(2);
+  file.sequences.push_back(std::move(seq));
+  const std::string text = WriteTraceToString(file);
+  EXPECT_NE(text.find("sequence s\nvars c b a z\na b c! a\n"),
+            std::string::npos)
+      << text;
+  const TraceFile parsed = ReadTraceFromString(text);
+  ASSERT_EQ(parsed.sequences.size(), 1u);
+  EXPECT_EQ(parsed.sequences[0].num_variables(), 4u);
+  EXPECT_EQ(parsed.sequences[0].name_of(0), "c");
+  ExpectIdentical(file.sequences[0], parsed.sequences[0]);
+
+  // The table may span several lines; an undeclared name is appended.
+  const TraceFile split =
+      ReadTraceFromString("sequence s\nvars c b\nvars a\nd a b\n");
+  EXPECT_EQ(split.sequences[0].variable_names(),
+            (std::vector<std::string>{"c", "b", "a", "d"}));
+  // Without `vars`, ids follow first appearance, as before the directive.
+  const TraceFile legacy = ReadTraceFromString("sequence s\nb a b\n");
+  EXPECT_EQ(legacy.sequences[0].variable_names(),
+            (std::vector<std::string>{"b", "a"}));
+
+  // Only after `sequence` and before its first access; no duplicates.
+  for (const char* bad :
+       {"vars a\nsequence s\na\n", "sequence s\na\nvars a\n",
+        "sequence s\nvars a b a\n", "sequence s\nvars a\nvars a\n"}) {
+    EXPECT_THROW((void)ReadTraceFromString(bad), std::runtime_error) << bad;
+  }
 }
 
 TEST(TraceStream, SniffDispatchesBothFormats) {
