@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "online/migration.h"
+#include "util/strings.h"
 
 namespace rtmp::cache {
 
@@ -65,8 +66,8 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
 }
 
 std::uint32_t CacheEngine::RegisterVariable(std::string_view name) {
-  const auto [it, inserted] =
-      ids_.emplace(std::string(name), static_cast<std::uint32_t>(names_.size()));
+  const auto [it, inserted] = ids_.emplace(
+      std::string(name), static_cast<std::uint32_t>(names_.size()));
   if (!inserted) return it->second;
   const std::uint32_t id = it->second;
   names_.emplace_back(name);
@@ -170,8 +171,9 @@ void CacheEngine::RegisterFramePool() {
   // dedupe hit here would silently fuse two frames).
   for (std::size_t f = 0; f < frames_.size(); ++f) {
     const std::uint32_t occupant = frames_[f].occupant;
-    std::string name = occupant != kNoFrame ? names_[occupant]
-                                            : "f" + std::to_string(f);
+    std::string name = occupant != kNoFrame
+                           ? names_[occupant]
+                           : util::Concat({"f", std::to_string(f)});
     std::uint32_t id = engine_.RegisterVariable(name);
     while (id != f) {
       name += "'";

@@ -32,9 +32,12 @@ struct LocalProblem {
 
 /// The local problems of several disjoint variable groups (one group per
 /// DBC) over one access stream, built from shared scratch: one V-sized
-/// group lookup and one V-sized local-id map serve every group, and each
-/// group's problem costs one filtered scan of the stream — no restricted
-/// copy, no per-group V-sized allocation and no per-group sort.
+/// group lookup and one V-sized local-id map serve every group. Index()
+/// reads the stream once for every group's first-use order; the first
+/// Build() reads it once more to bucket every group's accesses (as local
+/// ids) into one |S|-sized buffer, so each group's problem then costs only
+/// its own accesses — no per-group scan of the stream, no restricted copy
+/// and no per-group V-sized allocation.
 class GroupedProblems {
  public:
   GroupedProblems(std::span<const trace::Access> accesses,
@@ -91,10 +94,22 @@ class GroupedProblems {
     }
   }
 
+  /// Group `group`'s order of first use: its accessed variables in order
+  /// of first access, then its never-accessed ones in ascending id order
+  /// (the whole kOfu answer, with no adjacency). Moves the group's id
+  /// lists out, so call at most once per group, after Index(), and not
+  /// together with Build(group).
+  std::vector<VariableId> FirstUseOrder(std::uint32_t group) {
+    std::vector<VariableId> order = std::move(globals_[group]);
+    order.insert(order.end(), unused_[group].begin(), unused_[group].end());
+    return order;
+  }
+
   /// Group `group`'s local problem: dense local ids, frequencies and a
   /// deterministic adjacency from its accesses. Moves the group's id
   /// lists out, so call at most once per group, after Index().
   LocalProblem Build(std::uint32_t group) {
+    if (offset_.empty()) Bucket();
     LocalProblem local;
     local.globals = std::move(globals_[group]);
     local.unused = std::move(unused_[group]);
@@ -107,13 +122,9 @@ class GroupedProblems {
     // adjacency lists feed heuristic tie-breaks and, through them, the
     // golden-checked reports).
     transitions_.clear();
-    std::size_t remaining = count_[group];
     std::size_t prev = kNoIndex;
-    for (const trace::Access& a : accesses_) {
-      if (remaining == 0) break;
-      if (group_of_[a.variable] != group) continue;
-      --remaining;
-      const std::size_t cur = to_local_[a.variable];
+    for (std::size_t i = offset_[group]; i < offset_[group + 1]; ++i) {
+      const std::size_t cur = locals_[i];
       ++local.frequency[cur];
       if (prev != kNoIndex && prev != cur) {
         const std::uint64_t lo = std::min(prev, cur);
@@ -123,6 +134,10 @@ class GroupedProblems {
       prev = cur;
     }
     std::sort(transitions_.begin(), transitions_.end());
+    // Keys ascend by (lo, hi), so every list fills in ascending neighbor
+    // order with no sort of its own: x first meets the keys (lo, x),
+    // lo < x, by ascending lo, then the keys (x, hi), hi > x, by
+    // ascending hi. EdgeWeightBetween's binary search relies on it.
     for (std::size_t i = 0; i < transitions_.size();) {
       const std::uint64_t key = transitions_[i];
       std::size_t j = i;
@@ -134,12 +149,6 @@ class GroupedProblems {
       local.adjacency[v].push_back({static_cast<VariableId>(u), weight});
       i = j;
     }
-    for (auto& edges : local.adjacency) {
-      std::sort(edges.begin(), edges.end(),
-                [](const auto& a, const auto& b) {
-                  return a.neighbor < b.neighbor;
-                });
-    }
     return local;
   }
 
@@ -149,12 +158,30 @@ class GroupedProblems {
   static constexpr std::uint32_t kNoLocal =
       std::numeric_limits<std::uint32_t>::max();
 
+  /// One more pass over the stream: every group's accesses, as local ids
+  /// in stream order, land in the group's slice of `locals_`, slices laid
+  /// out by group at the offsets that `count_` gives.
+  void Bucket() {
+    offset_.assign(count_.size() + 1, 0);
+    for (std::size_t g = 0; g < count_.size(); ++g) {
+      offset_[g + 1] = offset_[g] + count_[g];
+    }
+    std::vector<std::size_t> next(offset_.begin(), offset_.end() - 1);
+    locals_.resize(offset_.back());
+    for (const trace::Access& a : accesses_) {
+      const std::uint32_t group = group_of_[a.variable];
+      if (group != kNoGroup) locals_[next[group]++] = to_local_[a.variable];
+    }
+  }
+
   std::span<const trace::Access> accesses_;
   std::vector<std::uint32_t> group_of_;  // by global id
   std::vector<std::uint32_t> to_local_;  // by global id, within its group
   std::vector<std::size_t> count_;       // accesses per group
   std::vector<std::vector<VariableId>> globals_;  // per group, first use
   std::vector<std::vector<VariableId>> unused_;   // per group, ascending
+  std::vector<std::size_t> offset_;     // group -> its slice of locals_
+  std::vector<std::uint32_t> locals_;   // accesses as local ids, by group
   std::vector<std::uint64_t> transitions_;  // reused across groups
 };
 
@@ -165,13 +192,6 @@ std::vector<VariableId> FinishOrder(const LocalProblem& local,
   for (const std::size_t l : sequence) order.push_back(local.globals[l]);
   order.insert(order.end(), local.unused.begin(), local.unused.end());
   return order;
-}
-
-std::vector<VariableId> OfuOrder(const LocalProblem& local) {
-  // Local ids were assigned in first-access order already.
-  std::vector<std::size_t> sequence(local.size());
-  for (std::size_t i = 0; i < sequence.size(); ++i) sequence[i] = i;
-  return FinishOrder(local, sequence);
 }
 
 /// Seed vertex for the greedy heuristics: highest frequency, tie broken by
@@ -243,7 +263,7 @@ std::vector<std::size_t> GrowChain(const LocalProblem& local,
 
 std::uint64_t EdgeWeightBetween(const LocalProblem& local, std::size_t u,
                                 std::size_t v) {
-  // Adjacency lists are sorted by neighbor id (BuildLocal).
+  // Adjacency lists are sorted by neighbor id (GroupedProblems::Build).
   const auto& edges = local.adjacency[u];
   const auto it = std::lower_bound(
       edges.begin(), edges.end(), v,
@@ -367,41 +387,39 @@ std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
   // decrements the front coordinate, a back push increments the back one.
   // Contributions are summed in ascending distance order — exactly the
   // order the former whole-chain scan added them — so the floating-point
-  // scores, and therefore the chains, are bit-identical.
+  // scores, and therefore the chains, are bit-identical. Coordinates are
+  // distinct, the front distance is coord - front_coord and the back
+  // distance back_coord - coord, so one sort by coordinate gives the
+  // front order and, read backwards, the back order.
   std::vector<std::int64_t> coord(local.size(), 0);
   std::vector<char> in_chain(local.size(), 0);
   std::int64_t front_coord = 0;
   std::int64_t back_coord = 0;
   struct Term {
-    std::int64_t distance;
+    std::int64_t coord;
     std::uint64_t weight;
   };
-  std::vector<Term> front_terms;
-  std::vector<Term> back_terms;
-  const auto discounted_sum = [](std::vector<Term>& terms) {
-    std::sort(terms.begin(), terms.end(),
-              [](const Term& a, const Term& b) {
-                return a.distance < b.distance;  // distances are distinct
-              });
-    double score = 0.0;
-    for (const Term& t : terms) {
-      score += static_cast<double>(t.weight) /
-               static_cast<double>(t.distance + 1);
-    }
-    return score;
-  };
+  std::vector<Term> terms;  // the candidate's placed neighbors
   auto chain = GrowChain(local, [&](std::size_t v,
                                     const std::deque<std::size_t>& order) {
     in_chain[order.front()] = 1;  // adopts the seed on the first call
-    front_terms.clear();
-    back_terms.clear();
+    terms.clear();
     for (const auto& e : local.adjacency[v]) {
-      if (!in_chain[e.neighbor]) continue;
-      front_terms.push_back({coord[e.neighbor] - front_coord, e.weight});
-      back_terms.push_back({back_coord - coord[e.neighbor], e.weight});
+      if (in_chain[e.neighbor]) terms.push_back({coord[e.neighbor], e.weight});
     }
-    const bool to_front =
-        discounted_sum(front_terms) > discounted_sum(back_terms);
+    std::sort(terms.begin(), terms.end(),
+              [](const Term& a, const Term& b) { return a.coord < b.coord; });
+    double front_score = 0.0;
+    for (const Term& t : terms) {
+      front_score += static_cast<double>(t.weight) /
+                     static_cast<double>(t.coord - front_coord + 1);
+    }
+    double back_score = 0.0;
+    for (auto t = terms.rbegin(); t != terms.rend(); ++t) {
+      back_score += static_cast<double>(t->weight) /
+                    static_cast<double>(back_coord - t->coord + 1);
+    }
+    const bool to_front = front_score > back_score;
     coord[v] = to_front ? --front_coord : ++back_coord;
     in_chain[v] = 1;
     return to_front;
@@ -455,16 +473,19 @@ std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
 }
 
 std::vector<VariableId> Order(IntraHeuristic heuristic,
-                              const LocalProblem& local) {
+                              GroupedProblems& problems,
+                              std::uint32_t group) {
+  // OFU's order is the first-use order Index() already holds.
+  if (heuristic == IntraHeuristic::kOfu) return problems.FirstUseOrder(group);
+  const LocalProblem local = problems.Build(group);
   switch (heuristic) {
-    case IntraHeuristic::kOfu:
-      return OfuOrder(local);
     case IntraHeuristic::kChen:
       return FinishOrder(local, ChenChain(local));
     case IntraHeuristic::kShiftsReduce:
       return FinishOrder(local, ShiftsReduceChain(local));
     case IntraHeuristic::kGreedyEdge:
       return FinishOrder(local, GreedyEdgeChain(local));
+    case IntraHeuristic::kOfu:
     case IntraHeuristic::kNone:
       break;
   }
@@ -492,7 +513,7 @@ std::vector<VariableId> OrderVariables(IntraHeuristic heuristic,
   problems.AddGroup(vars);
   problems.Index();
   if (heuristic == IntraHeuristic::kNone) return {vars.begin(), vars.end()};
-  return Order(heuristic, problems.Build(0));
+  return Order(heuristic, problems, 0);
 }
 
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
@@ -512,7 +533,7 @@ void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
   if (dbcs.empty()) return;
   problems.Index();
   for (std::uint32_t group = 0; group < dbcs.size(); ++group) {
-    placement.Reorder(dbcs[group], Order(heuristic, problems.Build(group)));
+    placement.Reorder(dbcs[group], Order(heuristic, problems, group));
   }
 }
 

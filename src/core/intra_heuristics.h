@@ -56,12 +56,16 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 /// DBCs outside the range, and DBCs with fewer than two variables, keep
 /// their order; kNone changes nothing.
 ///
-/// Cost: O(V + |S| x D + sum over DBCs of the heuristic's own work) for
-/// V = seq.num_variables(), |S| = seq.size() and D the number of
+/// Cost: O(V + |S| + sum over DBCs of the heuristic's own work) for
+/// V = seq.num_variables() and |S| = seq.size(), whatever the number of
 /// reordered DBCs. One V-sized DBC lookup and one V-sized local-id map
-/// are shared by every DBC, each DBC's never-accessed tail comes from one
-/// sweep over ids, and each DBC's accesses are read by a filtered scan of
-/// `seq` (no |S|-sized copy).
+/// are shared by every DBC, and each DBC's never-accessed tail comes from
+/// one sweep over ids. kOfu reads the whole order off one scan of `seq`
+/// (first use per DBC) and builds no adjacency; the other heuristics add
+/// one more scan that buckets every DBC's accesses into a single
+/// |S|-sized buffer of 32-bit local ids, from which each DBC's
+/// frequencies and (sorted, run-length counted) transition edges are
+/// built; that sort counts as the heuristic's own work.
 ///
 /// Throws std::invalid_argument when first_dbc > end_dbc, end_dbc >
 /// placement.num_dbcs(), or a reordered DBC holds an id >=

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "util/strings.h"
+
 namespace rtmp::serve {
 
 sim::SimulationResult ToSimulationResult(const ServeResult& result,
@@ -42,7 +44,7 @@ sim::CellRun<ServeResult> RunServeBenchmark(
   for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
     const trace::AccessSequence& seq = benchmark.sequences[s];
     if (seq.num_variables() == 0) continue;
-    (void)service.OpenSession("t" + std::to_string(s), seq);
+    (void)service.OpenSession(util::Concat({"t", std::to_string(s)}), seq);
   }
   return {device, service.Run()};
 }

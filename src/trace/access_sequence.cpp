@@ -28,17 +28,19 @@ AccessSequence AccessSequence::FromTokens(
   return seq;
 }
 
-void AccessSequence::AppendToken(std::string token) {
+void AccessSequence::AppendToken(std::string_view token) {
   if (token.empty()) return;
   AccessType type = AccessType::kRead;
   if (token.back() == '!') {
     type = AccessType::kWrite;
-    token.pop_back();
+    token.remove_suffix(1);
     if (token.empty()) {
       throw std::invalid_argument("trace token '!' has no variable name");
     }
   }
-  Append(AddVariable(std::move(token)), type);
+  const auto it = ids_.find(token);
+  Append(it != ids_.end() ? it->second : AddVariable(std::string(token)),
+         type);
 }
 
 AccessSequence AccessSequence::FromCompactString(std::string_view text) {
@@ -85,7 +87,7 @@ VariableId AccessSequence::AddVariable(std::string name) {
 
 std::optional<VariableId> AccessSequence::FindVariable(
     std::string_view name) const {
-  if (auto it = ids_.find(std::string(name)); it != ids_.end()) {
+  if (const auto it = ids_.find(name); it != ids_.end()) {
     return it->second;
   }
   return std::nullopt;

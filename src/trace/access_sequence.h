@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -57,6 +58,10 @@ class AccessSequence {
   /// Appends one access. The variable must have been registered.
   void Append(VariableId variable, AccessType type = AccessType::kRead);
 
+  /// Makes room for `count` accesses in total, so a reader that knows the
+  /// length up front allocates once instead of once per growth step.
+  void ReserveAccesses(std::size_t count) { accesses_.reserve(count); }
+
   /// Drops all accesses, keeping the registered variables. The online
   /// engine reuses one sequence as its rolling window buffer this way —
   /// names accumulate across windows, accesses do not.
@@ -66,8 +71,9 @@ class AccessSequence {
   /// optional trailing '!' write marker ("acc!") — registering the name
   /// on first appearance. Throws std::invalid_argument on a bare "!".
   /// The one token grammar shared by FromTokens and the streaming trace
-  /// reader (trace/trace_stream.h).
-  void AppendToken(std::string token);
+  /// reader (trace/trace_stream.h). Allocates only for a name's first
+  /// appearance.
+  void AppendToken(std::string_view token);
 
   /// Number of registered variables (the paper's |V|). Variables with zero
   /// accesses are allowed (they still need a placement slot).
@@ -118,12 +124,26 @@ class AccessSequence {
       std::span<const VariableId> subset) const;
 
  private:
+  /// Transparent string hash: `ids_` answers std::string_view lookups
+  /// without building a std::string. std::hash gives std::string and
+  /// std::string_view the same value for the same characters. Not
+  /// noexcept on purpose: libstdc++ then keeps each node's hash, as it
+  /// does for std::hash<std::string>, so neither a rehash nor a bucket
+  /// walk hashes a stored name again.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
   /// Lookup-only (find/emplace, never iterated): hash order must not
   /// leak into anything observable. `names_` is the deterministic,
   /// registration-ordered view; rtmlint's unordered-iteration rule
   /// keeps it that way.
-  std::unordered_map<std::string, VariableId> ids_;
+  std::unordered_map<std::string, VariableId, NameHash, std::equal_to<>>
+      ids_;
   /// Ids in name order (see ForEachIdByName), cut into blocks of at
   /// most 2 * kNameBlockSize so an insert moves a block, not all of V.
   static constexpr std::size_t kNameBlockSize = 64;

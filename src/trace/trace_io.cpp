@@ -96,9 +96,10 @@ void WriteTrace(std::ostream& out, const TraceFile& trace) {
       if (seq[j].type == AccessType::kWrite) out << '!';
       ++on_line;
       const bool last = j + 1 == seq.size();
-      const bool wrap = on_line >= kPerLine &&
-                        !(j + 1 < seq.size() &&
-                          MisparsesAtLineStart(seq.name_of(seq[j + 1].variable)));
+      const bool wrap =
+          on_line >= kPerLine &&
+          !(j + 1 < seq.size() &&
+            MisparsesAtLineStart(seq.name_of(seq[j + 1].variable)));
       if (last || wrap) {
         out << '\n';
         on_line = 0;

@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "util/strings.h"
@@ -21,6 +22,11 @@ constexpr std::uint32_t kWriteBit = 0x80000000u;
 /// Access words decoded per chunk; bounds the reader's working memory no
 /// matter how long a sequence is on disk.
 constexpr std::size_t kAccessChunkWords = 16384;
+/// Most accesses reserved up front from a binary sequence's declared
+/// count (8 MiB of Access): an honest sequence up to this length is
+/// allocated once, and a corrupt count claims no more before its words
+/// are read. Longer sequences grow from here.
+constexpr std::uint64_t kMaxReservedAccesses = 1u << 20;
 
 [[noreturn]] void Fail(const std::string& what) {
   throw std::runtime_error("binary trace: " + what);
@@ -178,9 +184,11 @@ TraceSummary StreamTextTrace(std::istream& in, const SequenceSink& sink,
   bool saw_total = false;
   std::uint64_t declared_sequences = 0;
   std::uint64_t declared_accesses = 0;
+  std::size_t last_length = 0;  // accesses of the last finished sequence
 
   const auto flush = [&] {
     if (!in_sequence) return;
+    last_length = current.size();
     summary.accesses += current.size();
     ++summary.sequences;
     sink(current_name, std::move(current));
@@ -188,10 +196,10 @@ TraceSummary StreamTextTrace(std::istream& in, const SequenceSink& sink,
   };
 
   std::string line;
+  std::vector<std::string_view> tokens;  // views into `line`
   while (std::getline(in, line)) {
-    const std::string_view trimmed = util::Trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    const auto tokens = util::SplitWhitespace(trimmed);
+    util::SplitWhitespace(line, tokens);
+    if (tokens.empty() || tokens.front().front() == '#') continue;
     if (saw_total) {
       throw std::runtime_error("trace: content after the 'total' footer");
     }
@@ -209,6 +217,11 @@ TraceSummary StreamTextTrace(std::istream& in, const SequenceSink& sink,
       flush();
       in_sequence = true;
       current_name = tokens.size() == 2 ? tokens[1] : "";
+      // A text sequence declares no length. The sequences of one file
+      // tend to be alike, so the last one's length is the guess: a right
+      // guess allocates once, not once per growth step, and it is never
+      // more than the reader already held.
+      current.ReserveAccesses(last_length);
       continue;
     }
     if (tokens.front() == "vars") {
@@ -218,10 +231,10 @@ TraceSummary StreamTextTrace(std::istream& in, const SequenceSink& sink,
       }
       for (std::size_t t = 1; t < tokens.size(); ++t) {
         const std::size_t declared = current.num_variables();
-        (void)current.AddVariable(tokens[t]);
+        (void)current.AddVariable(std::string(tokens[t]));
         if (current.num_variables() == declared) {
-          throw std::runtime_error("trace: duplicate variable '" + tokens[t] +
-                                   "' in 'vars'");
+          throw std::runtime_error(util::Concat(
+              {"trace: duplicate variable '", tokens[t], "' in 'vars'"}));
         }
       }
       continue;
@@ -240,7 +253,7 @@ TraceSummary StreamTextTrace(std::istream& in, const SequenceSink& sink,
       throw std::runtime_error(
           "trace: access tokens before any 'sequence' directive");
     }
-    for (const std::string& token : tokens) {
+    for (const std::string_view token : tokens) {
       try {
         current.AppendToken(token);
       } catch (const std::invalid_argument& error) {
@@ -303,6 +316,8 @@ TraceSummary StreamBinaryTrace(std::istream& in, const SequenceSink& sink) {
     }
     const std::uint64_t num_accesses = reader.U64();
     if (num_accesses > kMaxTraceAccesses) Fail("access count overflow");
+    seq.ReserveAccesses(static_cast<std::size_t>(
+        std::min(num_accesses, kMaxReservedAccesses)));
     // Chunked decode: at most kAccessChunkWords words in memory at once.
     std::uint64_t remaining = num_accesses;
     while (remaining > 0) {
@@ -381,15 +396,15 @@ std::string PeekTraceBenchmark(std::istream& in) {
     }
   }
   std::string line;
+  std::vector<std::string_view> tokens;  // views into `line`
   while (std::getline(in, line)) {
-    const std::string_view trimmed = util::Trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    const auto tokens = util::SplitWhitespace(trimmed);
+    util::SplitWhitespace(line, tokens);
+    if (tokens.empty() || tokens.front().front() == '#') continue;
     if (tokens.front() == "benchmark") {
       if (tokens.size() != 2) {
         throw std::runtime_error("trace: 'benchmark' needs exactly one name");
       }
-      return tokens[1];
+      return std::string(tokens[1]);
     }
     // Anything else means the head holds no benchmark declaration.
     break;

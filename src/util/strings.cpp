@@ -4,30 +4,24 @@
 
 namespace rtmp::util {
 
-namespace {
-bool IsSpace(char c) noexcept {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
-}  // namespace
-
 std::string_view Trim(std::string_view text) noexcept {
   std::size_t begin = 0;
   std::size_t end = text.size();
-  while (begin < end && IsSpace(text[begin])) ++begin;
-  while (end > begin && IsSpace(text[end - 1])) --end;
+  while (begin < end && IsAsciiSpace(text[begin])) ++begin;
+  while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view text) {
-  std::vector<std::string> tokens;
+void SplitWhitespace(std::string_view text,
+                     std::vector<std::string_view>& tokens) {
+  tokens.clear();
   std::size_t i = 0;
   while (i < text.size()) {
-    while (i < text.size() && IsSpace(text[i])) ++i;
-    std::size_t start = i;
-    while (i < text.size() && !IsSpace(text[i])) ++i;
-    if (i > start) tokens.emplace_back(text.substr(start, i - start));
+    while (i < text.size() && IsAsciiSpace(text[i])) ++i;
+    const std::size_t start = i;
+    while (i < text.size() && !IsAsciiSpace(text[i])) ++i;
+    if (i > start) tokens.push_back(text.substr(start, i - start));
   }
-  return tokens;
 }
 
 std::vector<std::string> Split(std::string_view text, char sep) {

@@ -8,11 +8,21 @@
 
 namespace rtmp::util {
 
+/// ASCII whitespace: exactly the bytes std::isspace accepts in the "C"
+/// locale (space, \t, \n, \v, \f and \r), with no locale lookup.
+[[nodiscard]] constexpr bool IsAsciiSpace(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /// Removes leading/trailing ASCII whitespace.
 [[nodiscard]] std::string_view Trim(std::string_view text) noexcept;
 
-/// Splits on any amount of ASCII whitespace; no empty tokens are produced.
-[[nodiscard]] std::vector<std::string> SplitWhitespace(std::string_view text);
+/// Replaces `tokens` with the pieces of `text` between runs of ASCII
+/// whitespace; no empty tokens are produced. The views point into `text`,
+/// and reusing one `tokens` buffer across calls allocates nothing once it
+/// has grown.
+void SplitWhitespace(std::string_view text,
+                     std::vector<std::string_view>& tokens);
 
 /// Splits on a single separator character; empty fields are kept.
 [[nodiscard]] std::vector<std::string> Split(std::string_view text, char sep);

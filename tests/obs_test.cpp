@@ -301,7 +301,9 @@ TEST(ObsMatrix, TraceIsValidChromeFormatWithSpansFromAllLayers) {
       EXPECT_NE(event.Find("ts"), nullptr);
       EXPECT_NE(event.Find("dur"), nullptr);
     }
-    if (ph == "i") EXPECT_EQ(event.At("s").AsString(), "t");
+    if (ph == "i") {
+      EXPECT_EQ(event.At("s").AsString(), "t");
+    }
     names.insert(event.At("name").AsString());
   }
   // Spans from all four instrumented layers: the matrix ("cell"), the

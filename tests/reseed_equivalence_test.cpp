@@ -4,12 +4,12 @@
 // migration on every phase change, over the whole session's variable
 // space. PlanMigration, SortByFrequencyDescending and
 // SelectDisjointVariables avoid sorting or scanning the idle part of that
-// space, and the range ApplyIntra orders a run of DBCs in one pass over
-// shared scratch; each must still return exactly what the straightforward
-// formulation returns. The reference bodies below are those formulations,
-// kept verbatim as oracles, and every comparison runs on randomised inputs
-// that include zero-frequency variables and scrambled MakeVariableName
-// names (name order != id order).
+// space, and the range ApplyIntra orders a run of DBCs from one scan of
+// the stream over shared scratch; each must still return exactly what the
+// straightforward formulation returns. The reference bodies below are
+// those formulations, kept verbatim as oracles, and every comparison runs
+// on randomised inputs that include zero-frequency variables and scrambled
+// MakeVariableName names (name order != id order).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -490,6 +490,30 @@ TEST(ReseedEquivalence, IntraRangeMatchesOnAdaptiveStreamWindows) {
     SCOPED_TRACE(trial);
     ExpectRangeMatchesReference(seq, placement, 0, 16);
     ExpectRangeMatchesReference(seq, placement, 1 + trial % 15, 16);
+  }
+}
+
+TEST(ReseedEquivalence, IntraRangeMatchesOnTraceReplayStreams) {
+  // The static path's shape: one long Markov stream over more than 1,100
+  // variables on 16 full DBCs, so every DBC holds a dense slice of the
+  // stream and the single scan shares the stream across 16 groups.
+  util::Rng rng(0x5EED0009);
+  for (const std::size_t n : {std::size_t{1120}, std::size_t{1216}}) {
+    trace::MarkovParams params;
+    params.num_vars = n;
+    params.length = 20'000;
+    params.locality_window = 8;
+    const trace::AccessSequence seq = trace::GenerateMarkov(params, rng);
+    const std::vector<bool> placed(n, true);
+    const auto capacity = static_cast<std::uint32_t>(n / 16);
+    const core::Placement placement =
+        RandomPlacement(placed, 16, capacity, rng);
+    for (std::uint32_t d = 0; d < 16; ++d) {
+      ASSERT_EQ(placement.FreeIn(d), 0u) << d;
+    }
+    SCOPED_TRACE(n);
+    ExpectRangeMatchesReference(seq, placement, 0, 16);
+    ExpectRangeMatchesReference(seq, placement, 3, 16);
   }
 }
 

@@ -26,6 +26,7 @@
 #include "sim/experiment.h"
 #include "trace/access_sequence.h"
 #include "util/stats.h"
+#include "util/strings.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -532,7 +533,8 @@ TEST(TenantAssignment, RoundRobinCyclesTheShards) {
       CompactSequence("abab"), CompactSequence("cdcd"),
       CompactSequence("efef"), CompactSequence("ghgh")};
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    (void)service.OpenSession("t" + std::to_string(i), seqs[i]);
+    (void)service.OpenSession(util::Concat({"t", std::to_string(i)}),
+                              seqs[i]);
   }
   const serve::ServeResult result = service.Run();
   ASSERT_EQ(result.tenants.size(), 4u);

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "trace/trace_io.h"
 #include "trace/trace_stream.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace rtmp::trace {
 namespace {
@@ -92,7 +95,9 @@ TEST(TraceStream, BinaryRoundTripCrossesChunkBoundaries) {
   file.benchmark = "big";
   file.sequence_names.push_back("s");
   AccessSequence seq;
-  for (std::size_t v = 0; v < 7; ++v) seq.AddVariable("v" + std::to_string(v));
+  for (std::size_t v = 0; v < 7; ++v) {
+    seq.AddVariable(util::Concat({"v", std::to_string(v)}));
+  }
   for (std::size_t i = 0; i < 40000; ++i) {
     seq.Append(static_cast<VariableId>(i % 7),
                i % 3 == 0 ? AccessType::kWrite : AccessType::kRead);
@@ -236,6 +241,25 @@ TEST(TraceStream, BinaryHeaderValidation) {
   EXPECT_THROW((void)FromBinary(bad_count), std::runtime_error);
   // Empty input.
   EXPECT_THROW((void)FromBinary(""), std::runtime_error);
+}
+
+TEST(TraceStream, HugeDeclaredAccessCountFailsAsTruncation) {
+  // The reader reserves room for a sequence's declared access count, but
+  // only up to a cap: a count far beyond the file (here 2^39 accesses,
+  // 4 TiB of Access, still under kMaxTraceAccesses) must fail as a
+  // truncated file, not as an allocation failure.
+  TraceFile file;
+  file.benchmark = "b";
+  file.sequence_names.push_back("s");
+  file.sequences.push_back(AccessSequence::FromCompactString("abba"));
+  std::string blob = ToBinary(file);
+  // magic, version, flags; benchmark "b"; sequence count; name "s";
+  // variable count; names "a" and "b"; then the u64 access count.
+  const std::size_t count_offset = 12 + (4 + 1) + 4 + (4 + 1) + 4 + 2 * (4 + 1);
+  ASSERT_EQ(blob[count_offset], '\x04');
+  blob[count_offset] = '\0';
+  blob[count_offset + 4] = '\x80';
+  EXPECT_THROW((void)FromBinary(blob), std::runtime_error);
 }
 
 TEST(TraceStream, ReservedVariableNamesRoundTripViaLinePacking) {
@@ -385,6 +409,85 @@ TEST(TraceStream, VarsDirectiveFixesIdsAndKeepsUnaccessedVariables) {
         "sequence s\nvars a b a\n", "sequence s\nvars a\nvars a\n"}) {
     EXPECT_THROW((void)ReadTraceFromString(bad), std::runtime_error) << bad;
   }
+}
+
+TEST(TraceStream, AnyAsciiWhitespaceParsesLikeTheCanonicalForm) {
+  // Tabs, CRLF line ends, \v, \f and runs of spaces separate tokens
+  // exactly like the single spaces and LF line ends of the canonical form
+  // (the bytes std::isspace accepts in the "C" locale).
+  const std::string canonical =
+      "# comment\n"
+      "benchmark ws\n"
+      "sequence first\n"
+      "vars b a z\n"
+      "a b! a\n"
+      "b a!\n"
+      "sequence\n"
+      "x y x!\n"
+      "total 2 8\n";
+  const std::string spaced =
+      "\t # comment\r\n"
+      "\r\n"
+      "benchmark\t\tws\r\n"
+      "  sequence \f first\v\r\n"
+      "vars\tb\va\fz\r\n"
+      "\ta    b!\t \ta\r\n"
+      "\v\f\r\n"
+      "b\r\n"
+      "\fa!\n"
+      "sequence   \r\n"
+      "x\vy\fx! \r\n"
+      "total\t2\v8\r\n";
+  const TraceFile want = ReadTraceFromString(canonical);
+  const TraceFile got = ReadTraceFromString(spaced);
+  EXPECT_EQ(got.benchmark, "ws");
+  EXPECT_EQ(got.benchmark, want.benchmark);
+  EXPECT_EQ(got.sequence_names,
+            (std::vector<std::string>{"first", ""}));
+  EXPECT_EQ(got.sequence_names, want.sequence_names);
+  ASSERT_EQ(got.sequences.size(), 2u);
+  ASSERT_EQ(want.sequences.size(), 2u);
+  EXPECT_EQ(got.sequences[0].variable_names(),
+            (std::vector<std::string>{"b", "a", "z"}));
+  EXPECT_EQ(got.sequences[0].CountWrites(), 2u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    ExpectIdentical(got.sequences[s], want.sequences[s]);
+  }
+  std::istringstream in(spaced);
+  EXPECT_EQ(PeekTraceBenchmark(in), "ws");
+}
+
+TEST(TraceStream, LoneWriteMarkerKeepsItsRuntimeError) {
+  for (const char* bad : {"sequence s\na ! b\n", "sequence s\n\t!\r\n"}) {
+    try {
+      (void)ReadTraceFromString(bad);
+      ADD_FAILURE() << "no throw for " << bad;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(),
+                   "trace: trace token '!' has no variable name");
+    }
+  }
+}
+
+TEST(TraceStream, FindVariableTakesAnyStringView) {
+  AccessSequence seq;
+  seq.AppendToken("alpha");
+  seq.AppendToken(std::string_view("beta!"));
+  // Views that are not NUL-terminated at the name's end.
+  const std::string_view text = "alphabeta";
+  EXPECT_EQ(seq.FindVariable(text.substr(0, 5)), VariableId{0});
+  EXPECT_EQ(seq.FindVariable(text.substr(5)), VariableId{1});
+  EXPECT_EQ(seq.FindVariable(text.substr(0, 4)), std::nullopt);
+  EXPECT_EQ(seq.FindVariable(text), std::nullopt);
+  EXPECT_EQ(seq.FindVariable(""), std::nullopt);
+  EXPECT_EQ(seq.FindVariable("beta!"), std::nullopt);
+  // A repeated name reuses its id; only a new name registers.
+  seq.AppendToken(text.substr(5));
+  EXPECT_EQ(seq.num_variables(), 2u);
+  EXPECT_EQ(seq.accesses(),
+            (std::vector<Access>{{0, AccessType::kRead},
+                                 {1, AccessType::kWrite},
+                                 {1, AccessType::kRead}}));
 }
 
 TEST(TraceStream, SniffDispatchesBothFormats) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -350,9 +352,17 @@ TEST(Strings, Trim) {
 }
 
 TEST(Strings, SplitWhitespace) {
-  const auto tokens = SplitWhitespace("  a  b\tc\nd ");
-  EXPECT_EQ(tokens, (std::vector<std::string>{"a", "b", "c", "d"}));
-  EXPECT_TRUE(SplitWhitespace("   ").empty());
+  std::vector<std::string_view> tokens;
+  SplitWhitespace("  a  b\tc\nd\v\fe\r", tokens);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"a", "b", "c", "d", "e"}));
+  SplitWhitespace("   ", tokens);  // clears what the last call left
+  EXPECT_TRUE(tokens.empty());
+}
+
+TEST(Strings, AsciiSpaceMatchesIsspaceInTheCLocale) {
+  for (int c = 0; c < 256; ++c) {
+    EXPECT_EQ(IsAsciiSpace(static_cast<char>(c)), std::isspace(c) != 0) << c;
+  }
 }
 
 TEST(Strings, SplitKeepsEmptyFields) {
