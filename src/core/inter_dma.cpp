@@ -1,10 +1,12 @@
 #include "core/inter_dma.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "core/inter_afd.h"
-#include "trace/liveliness.h"
 
 namespace rtmp::core {
 
@@ -21,34 +23,47 @@ std::vector<VariableId> SelectDisjointVariables(
             [&stats](VariableId a, VariableId b) {
               return stats[a].first < stats[b].first;
             });
+  const std::size_t m = by_first.size();
+  const auto first = [&](std::size_t i) { return stats[by_first[i]].first; };
+  const auto last = [&](std::size_t i) { return stats[by_first[i]].last; };
+
+  // Line 10's nested frequency of every candidate, in one sweep. A variable
+  // nests strictly inside v iff it starts after F_v and ends before L_v, so
+  // walking the candidates by descending first occurrence, a Fenwick tree
+  // over last-occurrence ranks that holds the frequencies of the candidates
+  // already walked sums exactly v's nested set below v's rank. The sum
+  // ranges over the current Vndj, which is all of it: nested variables
+  // start after v, and selection follows first-occurrence order. Exact
+  // because positions are distinct: no two variables share a first or a
+  // last occurrence.
+  std::vector<std::size_t> by_last(m);  // candidate indices
+  std::iota(by_last.begin(), by_last.end(), std::size_t{0});
+  std::sort(by_last.begin(), by_last.end(),
+            [&](std::size_t a, std::size_t b) { return last(a) < last(b); });
+  std::vector<std::size_t> rank(m);  // 1-based Fenwick index
+  for (std::size_t r = 0; r < m; ++r) rank[by_last[r]] = r + 1;
+  std::vector<std::uint64_t> tree(m + 1, 0);
+  std::vector<std::uint64_t> nested(m, 0);
+  for (std::size_t i = m; i-- > 0;) {
+    for (std::size_t x = rank[i] - 1; x > 0; x &= x - 1) nested[i] += tree[x];
+    for (std::size_t x = rank[i]; x <= m; x += x & (~x + 1)) {
+      tree[x] += stats[by_first[i]].frequency;
+    }
+  }
 
   std::vector<VariableId> disjoint;
   // tmin is the last occurrence of the most recently selected variable;
   // -1 admits the earliest candidate (the paper's 1-based pseudo-code uses
   // tmin = 0 for the same purpose).
   std::int64_t tmin = -1;
-  for (std::size_t i = 0; i < by_first.size(); ++i) {
-    const VariableId v = by_first[i];
-    const trace::VariableStats& sv = stats[v];
-    if (static_cast<std::int64_t>(sv.first) <= tmin) continue;
-    // Line 10: accept v only if its own accesses outweigh everything whose
-    // lifespan nests strictly inside v's (those variables become expensive
-    // neighbors if v monopolizes a disjoint slot). The sum ranges over the
-    // current Vndj. A nested variable occurs (absent ones nest in nothing)
-    // and starts inside (F_v, L_v), so only the candidates after v in
-    // first-occurrence order that start before L_v can contribute — and
-    // none of those is selected yet, since selection follows that order.
-    std::uint64_t nested = 0;
-    for (std::size_t j = i + 1; j < by_first.size(); ++j) {
-      const VariableId u = by_first[j];
-      if (stats[u].first >= sv.last) break;
-      if (trace::LifespanNestedWithin(stats[u], sv)) {
-        nested += stats[u].frequency;
-      }
-    }
-    if (sv.frequency > nested) {
-      disjoint.push_back(v);
-      tmin = static_cast<std::int64_t>(sv.last);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (static_cast<std::int64_t>(first(i)) <= tmin) continue;
+    // Accept v only if its own accesses outweigh everything whose lifespan
+    // nests strictly inside v's (those variables become expensive
+    // neighbors if v monopolizes a disjoint slot).
+    if (stats[by_first[i]].frequency > nested[i]) {
+      disjoint.push_back(by_first[i]);
+      tmin = static_cast<std::int64_t>(last(i));
     }
   }
   return disjoint;
@@ -119,38 +134,38 @@ DmaResult DistributeDma(const trace::AccessSequence& seq,
   }
 
   // Lines 18-21: remaining variables round-robin over DBCs [K, q) in
-  // descending frequency order (ties by ascending id, as in AFD).
+  // descending frequency order (ties by ascending id, as in AFD), skipping
+  // DBCs that are full. Once all of [K, q) is full, the rest spill
+  // round-robin into the free tail slots of the disjoint DBCs [0, K) (their
+  // ordered prefix stays intact); total capacity >= |V| guarantees room.
   std::vector<VariableId> leftovers;
   leftovers.reserve(leftover_count);
   for (const VariableId v : SortByFrequencyDescending(stats, seq)) {
     if (!is_disjoint[v]) leftovers.push_back(v);
   }
-  if (!leftovers.empty()) {
-    if (k >= num_dbcs) {
-      // Only possible when every variable was classified disjoint yet some
-      // zero-frequency stragglers remain; fall back to the last DBC.
-      k = num_dbcs - 1;
+  if (!leftovers.empty() && k >= num_dbcs) {
+    // Only possible when every variable was classified disjoint yet some
+    // zero-frequency stragglers remain; fall back to the last DBC.
+    k = num_dbcs - 1;
+  }
+  std::size_t dealt = 0;
+  std::vector<std::uint32_t> open;  // DBCs of the current ring with room
+  for (const auto& [ring_begin, ring_end] :
+       {std::pair{k, num_dbcs}, std::pair{0u, k}}) {
+    open.clear();
+    for (std::uint32_t d = ring_begin; d < ring_end; ++d) {
+      if (placement.FreeIn(d) > 0) open.push_back(d);
     }
-    std::uint32_t next = k;
-    for (const VariableId v : leftovers) {
-      std::uint32_t attempts = 0;
-      while (placement.FreeIn(next) == 0) {
-        next = next + 1 >= num_dbcs ? k : next + 1;
-        if (++attempts > num_dbcs) break;
+    // `at` walks `open` cyclically; a DBC that fills up leaves the ring.
+    std::size_t at = 0;
+    while (dealt < leftovers.size() && !open.empty()) {
+      if (at == open.size()) at = 0;
+      placement.Append(open[at], leftovers[dealt++]);
+      if (placement.FreeIn(open[at]) == 0) {
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(at));
+      } else {
+        ++at;
       }
-      if (placement.FreeIn(next) == 0) {
-        // The non-disjoint DBCs are full: spill into the free tail slots of
-        // the disjoint DBCs (their ordered prefix stays intact). Total
-        // capacity >= |V| guarantees a slot exists.
-        for (std::uint32_t d = 0; d < num_dbcs; ++d) {
-          if (placement.FreeIn(d) > 0) {
-            next = d;
-            break;
-          }
-        }
-      }
-      placement.Append(next, v);
-      next = next + 1 >= num_dbcs ? k : next + 1;
     }
   }
 

@@ -31,7 +31,11 @@ struct DmaOptions {
 
 /// Algorithm 1 lines 5-12: the greedy disjoint-set selection. Returns the
 /// selected variables in ascending first-occurrence order. Variables that
-/// never appear in the sequence are never selected.
+/// never appear in the sequence are never selected. O(m log m) for m
+/// variables that occur: two sorts of the candidates and one Fenwick-tree
+/// sweep give every candidate's nested frequency (line 10). Expects the
+/// stats of one sequence (or some of them blanked to absent), so that no
+/// two variables share a first or a last occurrence.
 [[nodiscard]] std::vector<VariableId> SelectDisjointVariables(
     std::span<const trace::VariableStats> stats);
 

@@ -19,15 +19,29 @@ struct Edge {
   std::uint64_t weight = 0;
 };
 
+/// A placed neighbor in ShiftsReduceChain's scoring: its chain coordinate
+/// and the weight of its edge to the vertex that owns the window.
+struct PlacedNeighbor {
+  std::int64_t coord = 0;
+  std::uint64_t weight = 0;
+};
+
 /// Local view of one DBC's subproblem: dense local ids for the subset,
-/// frequencies and an adjacency structure from the restricted accesses.
+/// frequencies and a CSR adjacency structure from the restricted accesses.
 struct LocalProblem {
-  std::vector<VariableId> globals;              // local -> global id
-  std::vector<std::uint64_t> frequency;         // by local id
-  std::vector<std::vector<Edge>> adjacency;     // local ids
-  std::vector<VariableId> unused;               // subset vars never accessed
+  std::vector<VariableId> globals;       // local -> global id
+  std::vector<std::uint64_t> frequency;  // by local id
+  std::vector<std::size_t> edge_begin;   // CSR offsets by local id, n + 1
+  std::vector<Edge> edges;               // every adjacency list, flat
+  std::vector<VariableId> unused;        // subset vars never accessed
 
   [[nodiscard]] std::size_t size() const noexcept { return globals.size(); }
+
+  /// u's edges, in ascending neighbor order.
+  [[nodiscard]] std::span<const Edge> adjacency(std::size_t u) const {
+    return std::span<const Edge>(edges).subspan(
+        edge_begin[u], edge_begin[u + 1] - edge_begin[u]);
+  }
 };
 
 /// The local problems of several disjoint variable groups (one group per
@@ -107,20 +121,22 @@ class GroupedProblems {
 
   /// Group `group`'s local problem: dense local ids, frequencies and a
   /// deterministic adjacency from its accesses. Moves the group's id
-  /// lists out, so call at most once per group, after Index().
-  LocalProblem Build(std::uint32_t group) {
+  /// lists out, so call at most once per group, after Index(). The
+  /// returned problem is overwritten by the next Build; its buffers, like
+  /// every scratch buffer here, keep their capacity across groups.
+  const LocalProblem& Build(std::uint32_t group) {
     if (offset_.empty()) Bucket();
-    LocalProblem local;
+    LocalProblem& local = local_;
     local.globals = std::move(globals_[group]);
     local.unused = std::move(unused_[group]);
     const std::size_t n = local.globals.size();
     local.frequency.assign(n, 0);
-    local.adjacency.assign(n, {});
-    // Packed (lo, hi) transition pairs, sorted then run-length counted:
-    // edge weights accumulate in key order, so adjacency construction is
-    // deterministic with no hash-ordered container in the path (the
-    // adjacency lists feed heuristic tie-breaks and, through them, the
-    // golden-checked reports).
+    // Packed (lo, hi) transition pairs, put in ascending order by two
+    // stable counting passes (by hi, then by lo; both are local ids < n)
+    // and run-length counted: edge weights accumulate in key order, so
+    // adjacency construction is deterministic with no hash-ordered
+    // container in the path (the adjacency lists feed heuristic
+    // tie-breaks and, through them, the golden-checked reports).
     transitions_.clear();
     std::size_t prev = kNoIndex;
     for (std::size_t i = offset_[group]; i < offset_[group + 1]; ++i) {
@@ -133,24 +149,45 @@ class GroupedProblems {
       }
       prev = cur;
     }
-    std::sort(transitions_.begin(), transitions_.end());
-    // Keys ascend by (lo, hi), so every list fills in ascending neighbor
-    // order with no sort of its own: x first meets the keys (lo, x),
-    // lo < x, by ascending lo, then the keys (x, hi), hi > x, by
-    // ascending hi. EdgeWeightBetween's binary search relies on it.
+    sorted_.resize(transitions_.size());
+    CountingPass(transitions_, sorted_, n, 0);
+    CountingPass(sorted_, transitions_, n, 32);
+    // Run-length count in place: the distinct keys move to the front of
+    // transitions_, their weights to weights_, and each distinct key adds
+    // one edge to both endpoints' lists.
+    local.edge_begin.assign(n + 1, 0);
+    weights_.clear();
+    std::size_t distinct = 0;
     for (std::size_t i = 0; i < transitions_.size();) {
       const std::uint64_t key = transitions_[i];
       std::size_t j = i;
       while (j < transitions_.size() && transitions_[j] == key) ++j;
-      const std::uint64_t weight = j - i;
-      const auto u = static_cast<std::size_t>(key >> 32);
-      const auto v = static_cast<std::size_t>(key & 0xFFFFFFFFULL);
-      local.adjacency[u].push_back({static_cast<VariableId>(v), weight});
-      local.adjacency[v].push_back({static_cast<VariableId>(u), weight});
+      transitions_[distinct++] = key;
+      weights_.push_back(j - i);
+      ++local.edge_begin[(key >> 32) + 1];
+      ++local.edge_begin[(key & 0xFFFFFFFFULL) + 1];
       i = j;
+    }
+    for (std::size_t u = 0; u < n; ++u) {
+      local.edge_begin[u + 1] += local.edge_begin[u];
+    }
+    // Keys ascend by (lo, hi), so every list fills in ascending neighbor
+    // order with no sort of its own: x first meets the keys (lo, x),
+    // lo < x, by ascending lo, then the keys (x, hi), hi > x, by
+    // ascending hi. EdgeWeightBetween's binary search relies on it.
+    cursor_.assign(local.edge_begin.begin(), local.edge_begin.end() - 1);
+    local.edges.resize(local.edge_begin[n]);
+    for (std::size_t i = 0; i < distinct; ++i) {
+      const auto u = static_cast<std::size_t>(transitions_[i] >> 32);
+      const auto v = static_cast<std::size_t>(transitions_[i] & 0xFFFFFFFFULL);
+      local.edges[cursor_[u]++] = {static_cast<VariableId>(v), weights_[i]};
+      local.edges[cursor_[v]++] = {static_cast<VariableId>(u), weights_[i]};
     }
     return local;
   }
+
+  /// ShiftsReduceChain's window buffer, reused across groups.
+  std::vector<PlacedNeighbor>& windows() noexcept { return windows_; }
 
  private:
   static constexpr std::uint32_t kNoGroup =
@@ -174,6 +211,21 @@ class GroupedProblems {
     }
   }
 
+  /// One stable counting pass: `out` receives `in` ordered by the local
+  /// id in bits [shift, shift + 32) of each key (ids < n).
+  void CountingPass(const std::vector<std::uint64_t>& in,
+                    std::vector<std::uint64_t>& out, std::size_t n,
+                    unsigned shift) {
+    bucket_.assign(n + 1, 0);
+    for (const std::uint64_t key : in) {
+      ++bucket_[((key >> shift) & 0xFFFFFFFFULL) + 1];
+    }
+    for (std::size_t b = 0; b < n; ++b) bucket_[b + 1] += bucket_[b];
+    for (const std::uint64_t key : in) {
+      out[bucket_[(key >> shift) & 0xFFFFFFFFULL]++] = key;
+    }
+  }
+
   std::span<const trace::Access> accesses_;
   std::vector<std::uint32_t> group_of_;  // by global id
   std::vector<std::uint32_t> to_local_;  // by global id, within its group
@@ -182,7 +234,14 @@ class GroupedProblems {
   std::vector<std::vector<VariableId>> unused_;   // per group, ascending
   std::vector<std::size_t> offset_;     // group -> its slice of locals_
   std::vector<std::uint32_t> locals_;   // accesses as local ids, by group
-  std::vector<std::uint64_t> transitions_;  // reused across groups
+  // Reused across groups:
+  LocalProblem local_;
+  std::vector<std::uint64_t> transitions_;  // keys, then distinct keys
+  std::vector<std::uint64_t> sorted_;       // keys by hi
+  std::vector<std::size_t> bucket_;         // counting-pass offsets
+  std::vector<std::uint64_t> weights_;      // by distinct key
+  std::vector<std::size_t> cursor_;         // CSR fill positions
+  std::vector<PlacedNeighbor> windows_;     // ShiftsReduceChain's
 };
 
 std::vector<VariableId> FinishOrder(const LocalProblem& local,
@@ -228,7 +287,7 @@ std::vector<std::size_t> GrowChain(const LocalProblem& local,
   std::deque<std::size_t> order;
   auto place = [&](std::size_t v) {
     placed[v] = true;
-    for (const auto& e : local.adjacency[v]) {
+    for (const Edge& e : local.adjacency(v)) {
       if (!placed[e.neighbor]) gain[e.neighbor] += e.weight;
     }
   };
@@ -264,7 +323,7 @@ std::vector<std::size_t> GrowChain(const LocalProblem& local,
 std::uint64_t EdgeWeightBetween(const LocalProblem& local, std::size_t u,
                                 std::size_t v) {
   // Adjacency lists are sorted by neighbor id (GroupedProblems::Build).
-  const auto& edges = local.adjacency[u];
+  const std::span<const Edge> edges = local.adjacency(u);
   const auto it = std::lower_bound(
       edges.begin(), edges.end(), v,
       [](const Edge& e, std::size_t id) {
@@ -298,7 +357,7 @@ std::vector<std::size_t> GreedyEdgeChain(const LocalProblem& local) {
   };
   std::vector<WeightedEdge> edges;
   for (std::size_t u = 0; u < n; ++u) {
-    for (const auto& e : local.adjacency[u]) {
+    for (const Edge& e : local.adjacency(u)) {
       if (u < e.neighbor) edges.push_back({u, e.neighbor, e.weight});
     }
   }
@@ -375,59 +434,69 @@ std::vector<std::size_t> GreedyEdgeChain(const LocalProblem& local) {
   return chain;
 }
 
-std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
+std::vector<std::size_t> ShiftsReduceChain(
+    const LocalProblem& local, std::vector<PlacedNeighbor>& windows) {
   // Distance-discounted attachment: an edge to a variable i positions from
   // an end would cost (i+1) shifts per traversal if we append at that end.
   //
   // Scored over the candidate's placed NEIGHBORS (the transition weights),
-  // not by scanning the whole chain per candidate: O(deg log deg) instead
-  // of O(|chain|) per decision — the same pairwise-transition idea the
-  // CostEvaluator (core/cost_evaluator.h) builds on. Virtual coordinates
-  // track each placed vertex's position: the seed sits at 0, a front push
-  // decrements the front coordinate, a back push increments the back one.
-  // Contributions are summed in ascending distance order — exactly the
-  // order the former whole-chain scan added them — so the floating-point
-  // scores, and therefore the chains, are bit-identical. Coordinates are
-  // distinct, the front distance is coord - front_coord and the back
-  // distance back_coord - coord, so one sort by coordinate gives the
-  // front order and, read backwards, the back order.
-  std::vector<std::int64_t> coord(local.size(), 0);
-  std::vector<char> in_chain(local.size(), 0);
+  // not by scanning the whole chain per candidate: O(deg) per decision —
+  // the same pairwise-transition idea the CostEvaluator
+  // (core/cost_evaluator.h) builds on. Virtual coordinates track each
+  // placed vertex's position: the seed sits at 0, a front push decrements
+  // the front coordinate, a back push increments the back one. The front
+  // distance is coord - front_coord and the back distance
+  // back_coord - coord, so a candidate's placed neighbors in ascending
+  // coordinate order give the front terms and, read backwards, the back
+  // terms — each sum in ascending distance order, exactly the order the
+  // former whole-chain scan added them, so the floating-point scores, and
+  // therefore the chains, are bit-identical.
+  //
+  // Every vertex u keeps those neighbors already in coordinate order: a
+  // window of 2 x deg(u) slots in one flat buffer, filled from its middle.
+  // Placing v at the front prepends (coord, weight) to each neighbor's
+  // window and placing it at the back appends, so no candidate needs a
+  // sort. Each neighbor of u is placed once, so neither side of the window
+  // outgrows deg(u) slots. (Windows of vertices already placed fill up
+  // too, unread.)
+  const std::size_t n = local.size();
+  windows.resize(2 * local.edges.size());
+  std::vector<std::size_t> head(n);  // u's window is [head[u], tail[u])
+  std::vector<std::size_t> tail(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    head[u] = tail[u] = local.edge_begin[u] + local.edge_begin[u + 1];
+  }
+  const auto enter = [&](std::size_t v, std::int64_t coord, bool front) {
+    for (const Edge& e : local.adjacency(v)) {
+      if (front) {
+        windows[--head[e.neighbor]] = {coord, e.weight};
+      } else {
+        windows[tail[e.neighbor]++] = {coord, e.weight};
+      }
+    }
+  };
   std::int64_t front_coord = 0;
   std::int64_t back_coord = 0;
-  struct Term {
-    std::int64_t coord;
-    std::uint64_t weight;
-  };
-  std::vector<Term> terms;  // the candidate's placed neighbors
   auto chain = GrowChain(local, [&](std::size_t v,
                                     const std::deque<std::size_t>& order) {
-    in_chain[order.front()] = 1;  // adopts the seed on the first call
-    terms.clear();
-    for (const auto& e : local.adjacency[v]) {
-      if (in_chain[e.neighbor]) terms.push_back({coord[e.neighbor], e.weight});
-    }
-    std::sort(terms.begin(), terms.end(),
-              [](const Term& a, const Term& b) { return a.coord < b.coord; });
+    if (order.size() == 1) enter(order.front(), 0, false);  // the seed
     double front_score = 0.0;
-    for (const Term& t : terms) {
-      front_score += static_cast<double>(t.weight) /
-                     static_cast<double>(t.coord - front_coord + 1);
+    for (std::size_t i = head[v]; i < tail[v]; ++i) {
+      front_score += static_cast<double>(windows[i].weight) /
+                     static_cast<double>(windows[i].coord - front_coord + 1);
     }
     double back_score = 0.0;
-    for (auto t = terms.rbegin(); t != terms.rend(); ++t) {
-      back_score += static_cast<double>(t->weight) /
-                    static_cast<double>(back_coord - t->coord + 1);
+    for (std::size_t i = tail[v]; i > head[v]; --i) {
+      back_score += static_cast<double>(windows[i - 1].weight) /
+                    static_cast<double>(back_coord - windows[i - 1].coord + 1);
     }
     const bool to_front = front_score > back_score;
-    coord[v] = to_front ? --front_coord : ++back_coord;
-    in_chain[v] = 1;
+    enter(v, to_front ? --front_coord : ++back_coord, to_front);
     return to_front;
   });
 
   // Local refinement: adjacent transpositions on the exact edge-sum
   // objective until a fixed point (bounded pass count for safety).
-  const std::size_t n = chain.size();
   if (n < 2) return chain;
   std::vector<std::int64_t> pos(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -439,14 +508,14 @@ std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
     const std::size_t u = chain[p];
     const std::size_t w = chain[p + 1];
     std::int64_t delta = 0;
-    for (const auto& e : local.adjacency[u]) {
+    for (const Edge& e : local.adjacency(u)) {
       if (e.neighbor == w) continue;
       const std::int64_t x = pos[e.neighbor];
       const auto wt = static_cast<std::int64_t>(e.weight);
       delta += wt * (std::llabs(static_cast<std::int64_t>(p + 1) - x) -
                      std::llabs(static_cast<std::int64_t>(p) - x));
     }
-    for (const auto& e : local.adjacency[w]) {
+    for (const Edge& e : local.adjacency(w)) {
       if (e.neighbor == u) continue;
       const std::int64_t x = pos[e.neighbor];
       const auto wt = static_cast<std::int64_t>(e.weight);
@@ -477,12 +546,12 @@ std::vector<VariableId> Order(IntraHeuristic heuristic,
                               std::uint32_t group) {
   // OFU's order is the first-use order Index() already holds.
   if (heuristic == IntraHeuristic::kOfu) return problems.FirstUseOrder(group);
-  const LocalProblem local = problems.Build(group);
+  const LocalProblem& local = problems.Build(group);
   switch (heuristic) {
     case IntraHeuristic::kChen:
       return FinishOrder(local, ChenChain(local));
     case IntraHeuristic::kShiftsReduce:
-      return FinishOrder(local, ShiftsReduceChain(local));
+      return FinishOrder(local, ShiftsReduceChain(local, problems.windows()));
     case IntraHeuristic::kGreedyEdge:
       return FinishOrder(local, GreedyEdgeChain(local));
     case IntraHeuristic::kOfu:

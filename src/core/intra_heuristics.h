@@ -63,9 +63,15 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 /// one sweep over ids. kOfu reads the whole order off one scan of `seq`
 /// (first use per DBC) and builds no adjacency; the other heuristics add
 /// one more scan that buckets every DBC's accesses into a single
-/// |S|-sized buffer of 32-bit local ids, from which each DBC's
-/// frequencies and (sorted, run-length counted) transition edges are
-/// built; that sort counts as the heuristic's own work.
+/// |S|-sized buffer of 32-bit local ids. From it, each DBC of n accessed
+/// variables and |S_d| accesses builds its frequencies and its
+/// transition edges (a compressed adjacency, every list in ascending
+/// neighbor order) in O(n + |S_d|): two stable counting passes order the
+/// transitions, with no comparison sort. The scratch buffers are shared
+/// by every DBC. The heuristic's own work is its chain growth: O(n^2 + E)
+/// for kChen and kShiftsReduce (E = distinct transition pairs; the
+/// ShiftsReduce scores need no sort) plus ShiftsReduce's bounded
+/// refinement passes, and O(E log E) for kGreedyEdge's edge sort.
 ///
 /// Throws std::invalid_argument when first_dbc > end_dbc, end_dbc >
 /// placement.num_dbcs(), or a reordered DBC holds an id >=

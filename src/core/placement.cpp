@@ -133,13 +133,16 @@ void Placement::Reorder(std::uint32_t dbc, std::vector<VariableId> order) {
     throw std::invalid_argument("Placement: reorder size mismatch");
   }
   // `order` is a permutation of the list iff every entry is a variable of
-  // this DBC and no old offset is claimed twice (the sizes match).
-  std::vector<bool> seen(list.size(), false);
-  for (const VariableId v : order) {
-    if (v >= slots_.size() || slots_[v].dbc != dbc || seen[slots_[v].offset]) {
+  // this DBC and none repeats (the sizes match). Each entry is marked seen
+  // by unplacing its slot, so a repeat fails the DBC test; on failure the
+  // marks are undone and the placement is unchanged.
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const VariableId v = order[i];
+    if (v >= slots_.size() || slots_[v].dbc != dbc) {
+      for (std::size_t j = 0; j < i; ++j) slots_[order[j]].dbc = dbc;
       throw std::invalid_argument("Placement: reorder is not a permutation");
     }
-    seen[slots_[v].offset] = true;
+    slots_[v].dbc = kUnplacedDbc;
   }
   list = std::move(order);
   ReindexFrom(dbc, 0);

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "core/cost_model.h"
 #include "core/inter_afd.h"
 #include "core/inter_dma.h"
 #include "trace/access_sequence.h"
 #include "trace/liveliness.h"
 #include "trace/variable_stats.h"
+#include "util/rng.h"
 
 namespace rtmp::core {
 namespace {
@@ -86,6 +93,111 @@ TEST(DmaSelection, IgnoresAbsentVariables) {
   EXPECT_EQ(disjoint, (std::vector<trace::VariableId>{1}));
 }
 
+// ---- SelectDisjointVariables against the quadratic scan --------------------
+
+/// Algorithm 1 lines 5-12 as the direct O(m^2) scan: for each candidate in
+/// first-occurrence order, sum the frequencies of the later-starting
+/// candidates whose lifespans nest strictly inside its own.
+std::vector<VariableId> QuadraticSelectDisjointVariables(
+    const std::vector<trace::VariableStats>& stats) {
+  std::vector<VariableId> by_first;
+  for (VariableId v = 0; v < stats.size(); ++v) {
+    if (stats[v].first != trace::kNever) by_first.push_back(v);
+  }
+  std::sort(by_first.begin(), by_first.end(),
+            [&stats](VariableId a, VariableId b) {
+              return stats[a].first < stats[b].first;
+            });
+  std::vector<VariableId> disjoint;
+  std::int64_t tmin = -1;
+  for (std::size_t i = 0; i < by_first.size(); ++i) {
+    const trace::VariableStats& sv = stats[by_first[i]];
+    if (static_cast<std::int64_t>(sv.first) <= tmin) continue;
+    std::uint64_t nested = 0;
+    for (std::size_t j = i + 1; j < by_first.size(); ++j) {
+      const trace::VariableStats& su = stats[by_first[j]];
+      if (su.first >= sv.last) break;
+      if (trace::LifespanNestedWithin(su, sv)) nested += su.frequency;
+    }
+    if (sv.frequency > nested) {
+      disjoint.push_back(by_first[i]);
+      tmin = static_cast<std::int64_t>(sv.last);
+    }
+  }
+  return disjoint;
+}
+
+/// Stats of `m` variables whose first and last occurrences are distinct
+/// positions (as in any real sequence); each variable is absent with
+/// probability `absent`, accessed once (first == last) with probability
+/// 1/4, and otherwise has a random frequency in [2, 40].
+std::vector<trace::VariableStats> RandomStats(std::size_t m, double absent,
+                                              util::Rng& rng) {
+  std::vector<std::size_t> positions(2 * m);
+  std::iota(positions.begin(), positions.end(), std::size_t{0});
+  rng.Shuffle(positions);
+  std::vector<trace::VariableStats> stats(m);
+  for (std::size_t v = 0; v < m; ++v) {
+    if (rng.NextBool(absent)) continue;
+    const std::size_t a = positions[2 * v];
+    const std::size_t b = positions[2 * v + 1];
+    if (rng.NextBool(0.25)) {
+      stats[v] = {1, a, a};
+    } else {
+      stats[v] = {2 + rng.NextBelow(39), std::min(a, b), std::max(a, b)};
+    }
+  }
+  return stats;
+}
+
+TEST(DmaSelection, MatchesTheQuadraticScanOnRandomStats) {
+  util::Rng rng(0xD15C0);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t m = rng.NextBelow(200);
+    const double absent = trial % 3 == 0 ? 0.0 : 0.3;
+    const auto stats = RandomStats(m, absent, rng);
+    SCOPED_TRACE(trial);
+    EXPECT_EQ(SelectDisjointVariables(stats),
+              QuadraticSelectDisjointVariables(stats));
+  }
+}
+
+TEST(DmaSelection, MatchesTheQuadraticScanOnEdgeLayouts) {
+  using Stats = std::vector<trace::VariableStats>;
+  const std::size_t m = 50;
+  // Fully nested: v's lifespan [v, 2m - 1 - v] holds every later one.
+  // Equal shells (only the innermost wins), doubling shells (the outermost
+  // outweighs all it holds) and random ones.
+  util::Rng rng(0xD15C1);
+  for (int variant = 0; variant < 3; ++variant) {
+    Stats nested(m);
+    for (std::size_t v = 0; v < m; ++v) {
+      const std::uint64_t frequency =
+          variant == 0   ? 1
+          : variant == 1 ? std::uint64_t{1} << (m - v)
+                         : 1 + rng.NextBelow(100);
+      nested[v] = {frequency, v, 2 * m - 1 - v};
+    }
+    EXPECT_EQ(SelectDisjointVariables(nested),
+              QuadraticSelectDisjointVariables(nested));
+    std::reverse(nested.begin(), nested.end());  // ids against positions
+    EXPECT_EQ(SelectDisjointVariables(nested),
+              QuadraticSelectDisjointVariables(nested));
+  }
+  // Fully disjoint, back to back: every candidate is selected.
+  Stats chain(m);
+  for (std::size_t v = 0; v < m; ++v) chain[v] = {2, 2 * v, 2 * v + 1};
+  EXPECT_EQ(SelectDisjointVariables(chain).size(), m);
+  EXPECT_EQ(SelectDisjointVariables(chain),
+            QuadraticSelectDisjointVariables(chain));
+  // One candidate among absent variables, and no candidate at all.
+  Stats one(m);
+  one[17] = {3, 4, 9};
+  EXPECT_EQ(SelectDisjointVariables(one), (std::vector<VariableId>{17}));
+  EXPECT_TRUE(SelectDisjointVariables(Stats(m)).empty());
+  EXPECT_TRUE(SelectDisjointVariables(Stats{}).empty());
+}
+
 TEST(DmaDistribute, DisjointSetKeepsAccessOrderInLeadDbc) {
   const auto seq = AccessSequence::FromCompactString("bb" "aa" "cc");
   const auto result = DistributeDma(seq, 2, kUnboundedCapacity, {});
@@ -143,6 +255,29 @@ TEST(DmaDistribute, TrimsDisjointSetWhenDbcsAreScarce) {
   EXPECT_TRUE(result.placement.IsComplete());
   EXPECT_LE(result.disjoint_dbc_count, 1u);
   (void)seq;
+}
+
+TEST(DmaDistribute, LeftoversSpillRoundRobinIntoDisjointDbcs) {
+  // a..f are back to back and disjoint; g..t each span all of them, so
+  // their nested traffic outweighs their own and they stay leftovers.
+  // 4 DBCs of capacity 5: Vdj takes K = 2 DBCs (a c e | b d f), g..t
+  // (equal frequency, so by name) fill DBCs 2 and 3 round-robin, and the
+  // last four spill round-robin into the disjoint DBCs' free tails,
+  // starting at DBC 0.
+  const auto seq = AccessSequence::FromCompactString(
+      "ghijklmnopqrst" "aabbccddeeff" "ghijklmnopqrst");
+  const auto result = DistributeDma(seq, 4, 5, {IntraHeuristic::kNone});
+  result.placement.CheckInvariants();
+  ASSERT_EQ(result.disjoint_dbc_count, 2u);
+  const std::vector<std::string> expected = {"aceqs", "bdfrt", "gikmo",
+                                             "hjlnp"};
+  for (std::uint32_t d = 0; d < 4; ++d) {
+    std::string names;
+    for (const VariableId v : result.placement.dbc(d)) {
+      names += seq.name_of(v);
+    }
+    EXPECT_EQ(names, expected[d]) << "DBC " << d;
+  }
 }
 
 TEST(DmaDistribute, LeftoversAreFrequencySorted) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -265,12 +266,48 @@ offsetstone::Benchmark TinyBenchmark(const char* name, const char* text) {
   return b;
 }
 
+/// 288 accesses in twelve 24-access phases, each drawing from one of four
+/// overlapping 8-variable sets: enough drift for the busy serve cell below.
+offsetstone::Benchmark PhasedBenchmark() {
+  const char* const sets[] = {"abcdefgh", "ijklmnop", "abcdijkl",
+                              "qrstuvwx"};
+  std::string text;
+  util::Rng rng(5);
+  for (int round = 0; round < 3; ++round) {
+    for (const char* set : sets) {
+      for (int i = 0; i < 24; ++i) text += set[rng.NextBelow(8)];
+    }
+  }
+  return TinyBenchmark("phased", text.c_str());
+}
+
+/// One shard of online-ewma-dma-sr on 32-access windows under a budget of
+/// one migration shift per window, with a cache tier at ratio 0.5: on
+/// PhasedBenchmark it detects phase changes, migrates, is denied
+/// re-placements and pays fill shifts, so the pinned snapshot covers the
+/// migration, phase-change and budget-denied events and their counters.
+const serve::ServePolicyRegistrar kBusyServe{"obs-busy-serve", [] {
+  serve::ServeConfig config;
+  config.engine = online::OnlinePolicyRegistry::Global()
+                      .Find("online-ewma-dma-sr")
+                      ->MakeConfig();
+  config.engine.window_accesses = 32;
+  config.budget.shifts_per_window = 1;
+  config.cache.enabled = true;
+  config.cache.capacity_ratio = 0.5;
+  return std::make_shared<const serve::ServePolicy>(
+      util::RecipeInfo{"obs-busy-serve",
+                       "test: busy serve cell with a cache tier"},
+      config);
+}};
+
 sim::ExperimentOptions ObsMatrixOptions() {
   sim::ExperimentOptions options;
   options.dbc_counts = {4};
   options.strategies.clear();
   options.extra_strategies = {"dma-sr", "online-ewma-dma-sr",
-                              "serve-1s-ewma-dma-sr", "cache-lru-c50"};
+                              "serve-1s-ewma-dma-sr", "cache-lru-c50",
+                              "obs-busy-serve"};
   options.search_effort = 0.01;
   return options;
 }
@@ -284,7 +321,7 @@ TEST(ObsMatrix, TraceIsValidChromeFormatWithSpansFromAllLayers) {
   options.obs.trace = &trace;
   options.obs.metrics = &metrics;
   const auto results = sim::RunMatrix(suite, options);
-  ASSERT_EQ(results.size(), 4u);
+  ASSERT_EQ(results.size(), 5u);
 
   const util::JsonValue json = util::JsonValue::Parse(trace.ToJson());
   const auto& events = json.At("traceEvents").Items();
@@ -315,7 +352,7 @@ TEST(ObsMatrix, TraceIsValidChromeFormatWithSpansFromAllLayers) {
   EXPECT_TRUE(names.count("cache-miss") || names.count("fill-sweep"))
       << "cache layer missing";
 
-  EXPECT_EQ(metrics.Counter("sim/cells"), 4u);
+  EXPECT_EQ(metrics.Counter("sim/cells"), 5u);
   EXPECT_GT(metrics.Counter("online/windows"), 0u);
   EXPECT_GT(metrics.Counter("serve/turns"), 0u);
   EXPECT_GT(metrics.Hist("online/window_latency_ns").total(), 0u);
@@ -338,7 +375,7 @@ std::string ReadDataFile(const std::string& name) {
 ObsSnapshot RunObsMatrix(unsigned num_threads) {
   const std::vector<offsetstone::Benchmark> suite = {
       TinyBenchmark("one", "ababcdcdefefabab"),
-      TinyBenchmark("two", "aabbccddaabbccdd")};
+      TinyBenchmark("two", "aabbccddaabbccdd"), PhasedBenchmark()};
   sim::ExperimentOptions options = ObsMatrixOptions();
   options.num_threads = num_threads;
   obs::TraceRecorder trace;
@@ -363,6 +400,18 @@ TEST(ObsDeterminism, SnapshotsAreByteIdenticalAcrossRerunsAndThreads) {
   // free to change, the snapshot and trace text are not.
   EXPECT_EQ(serial.metrics + "\n", ReadDataFile("obs_matrix_metrics.json"));
   EXPECT_EQ(serial.trace + "\n", ReadDataFile("obs_matrix_trace.json"));
+  // The pin covers every event kind and every online/cache counter.
+  const util::JsonValue counters =
+      util::JsonValue::Parse(serial.metrics).At("counters");
+  for (const char* name :
+       {"online/migrations", "online/phase_changes", "online/budget_denials",
+        "cache/fill_shifts"}) {
+    EXPECT_GT(counters.At(name).AsUInt(), 0u) << name;
+  }
+  for (const char* name : {"\"migration\"", "\"phase-change\"",
+                           "\"budget-denied\""}) {
+    EXPECT_NE(serial.trace.find(name), std::string::npos) << name;
+  }
 }
 
 // ---- conservation: published counters are the result fields ----------------

@@ -127,6 +127,13 @@ TEST(Placement, ReorderRejectsEveryNonPermutation) {
   EXPECT_THROW(p.Reorder(0, {0, 1, 99}), std::invalid_argument);
   // An out-of-range DBC.
   EXPECT_THROW(p.Reorder(7, {0, 1, 2}), std::out_of_range);
+  // A repeat found after other entries were checked.
+  try {
+    p.Reorder(0, {1, 0, 1});
+    ADD_FAILURE() << "a repeated id was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "Placement: reorder is not a permutation");
+  }
   EXPECT_EQ(p, before);
   p.CheckInvariants();
 

@@ -4,12 +4,17 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/strategy.h"
 #include "core/strategy_registry.h"
 #include "trace/access_sequence.h"
+#include "trace/generators.h"
+#include "util/rng.h"
 
 namespace rtmp::core {
 namespace {
@@ -255,6 +260,128 @@ TEST(StrategyRegistry, ExternalStrategiesPlugInByName) {
   EXPECT_TRUE(result.placement.IsComplete());
   result.placement.CheckInvariants();
   EXPECT_TRUE(result.placement.dbc(1).empty());
+}
+
+// ---- pinned costs of every constructive strategy ---------------------------
+
+/// ShiftCost of the 15 constructive strategies (registry order) on three
+/// long GenerateMarkov streams x {unbounded, tight} capacity x {1, 4, 16}
+/// DBCs, one row per (stream, capacity, DBC count) in that nesting order.
+/// Recorded from the sort-based intra step and quadratic disjoint-set scan,
+/// so every faster path must reproduce them exactly. No golden covers
+/// afd-ge, dma-ge, afd-chen, afd-sr or the dma2-* strategies; tight
+/// capacity (ceil(|V| / DBCs) slots per DBC) drives DMA's Vdj trim and its
+/// spill into the disjoint DBCs.
+constexpr std::uint64_t kPinnedShiftCosts[][15] = {
+    {102571, 136547, 133299, 230025, 93349, 102571, 136547, 133299, 230025,
+     93349, 102571, 136547, 133299, 230025, 93349},
+    {40289, 39927, 50133, 62540, 39857, 46254, 48250, 61922, 75715, 46226,
+     40289, 39927, 50133, 62540, 39857},
+    {10552, 10552, 12733, 12598, 10542, 11333, 11333, 13642, 13448, 11216,
+     10552, 10552, 12733, 12598, 10542},
+    {102571, 136547, 133299, 230025, 93349, 102571, 136547, 133299, 230025,
+     93349, 102571, 136547, 133299, 230025, 93349},
+    {40289, 39927, 50133, 62540, 39857, 43261, 43951, 53911, 65589, 43253,
+     40289, 39927, 50133, 62540, 39857},
+    {10552, 10552, 12733, 12598, 10542, 11019, 11019, 13024, 12742, 10940,
+     10552, 10552, 12733, 12598, 10542},
+    {177821, 344098, 421455, 1218117, 162468, 177821, 344098, 421455, 1218117,
+     162468, 177821, 344098, 421455, 1218117, 162468},
+    {111163, 105585, 162967, 323429, 95283, 126832, 125504, 194602, 427738,
+     111896, 111163, 105585, 162967, 323429, 95283},
+    {40700, 43243, 58608, 75699, 37598, 44222, 46123, 61697, 82454, 40099,
+     40700, 43243, 58608, 75699, 37598},
+    {177821, 344098, 421455, 1218117, 162468, 177821, 344098, 421455, 1218117,
+     162468, 177821, 344098, 421455, 1218117, 162468},
+    {111163, 105585, 162967, 323429, 95283, 124275, 119933, 180354, 350061,
+     111048, 111163, 105585, 162967, 323429, 95283},
+    {40700, 43243, 58608, 75699, 37598, 43680, 46252, 60625, 80397, 39856,
+     40700, 43243, 58608, 75699, 37598},
+    {3069827, 4620560, 4421868, 7257801, 2334727, 3069827, 4620560, 4421868,
+     7257801, 2334727, 3069827, 4620560, 4421868, 7257801, 2334727},
+    {1422339, 1727869, 1702530, 2347350, 975608, 1628150, 1845919, 1942771,
+     2710866, 1129571, 1422339, 1727869, 1702530, 2347350, 975608},
+    {428338, 486916, 525766, 673132, 297803, 411182, 477007, 515059, 645821,
+     294143, 428338, 486916, 525766, 673132, 297803},
+    {3069827, 4620560, 4421868, 7257801, 2334727, 3069827, 4620560, 4421868,
+     7257801, 2334727, 3069827, 4620560, 4421868, 7257801, 2334727},
+    {1422339, 1727869, 1702530, 2347350, 975608, 1583267, 1789077, 1894768,
+     2623899, 1123468, 1422339, 1727869, 1702530, 2347350, 975608},
+    {428338, 486916, 525766, 673132, 297803, 461681, 542979, 582295, 742834,
+     334911, 428338, 486916, 525766, 673132, 297803},
+};
+
+TEST(StrategyRegistry, ConstructiveShiftCostsArePinned) {
+  auto& registry = StrategyRegistry::Global();
+  std::vector<std::string> names;
+  for (const std::string& name : registry.Names()) {
+    const auto info = registry.Describe(name);
+    if (info->spec && !info->search_based) names.push_back(name);
+  }
+  ASSERT_EQ(names.size(), 15u);
+
+  std::vector<AccessSequence> streams;
+  {
+    trace::MarkovParams params;
+    params.num_vars = 64;
+    params.length = 20'000;
+    util::Rng rng(11);
+    streams.push_back(trace::GenerateMarkov(params, rng));
+  }
+  {
+    trace::MarkovParams params;
+    params.num_vars = 400;
+    params.length = 30'000;
+    params.self_loop_prob = 0.4;
+    util::Rng rng(12);
+    streams.push_back(trace::GenerateMarkov(params, rng));
+  }
+  {
+    // Most of the 2,000 variables are touched only a few times, so their
+    // lifespans are short and Vdj is large.
+    trace::MarkovParams params;
+    params.num_vars = 2'000;
+    params.length = 40'000;
+    params.locality_window = 16;
+    util::Rng rng(13);
+    streams.push_back(trace::GenerateMarkov(params, rng));
+  }
+
+  std::vector<std::vector<std::uint64_t>> rows;
+  for (const AccessSequence& seq : streams) {
+    for (const bool tight : {false, true}) {
+      for (const std::uint32_t dbcs : {1u, 4u, 16u}) {
+        const auto n = static_cast<std::uint32_t>(seq.num_variables());
+        const std::uint32_t capacity =
+            tight ? (n + dbcs - 1) / dbcs : kUnboundedCapacity;
+        std::vector<std::uint64_t>& row = rows.emplace_back();
+        for (const std::string& name : names) {
+          const PlacementResult result =
+              registry.Find(name)->Run({&seq, dbcs, capacity, {}});
+          result.placement.CheckInvariants();
+          EXPECT_TRUE(result.placement.IsComplete()) << name;
+          row.push_back(result.cost);
+        }
+      }
+    }
+  }
+
+  bool same = std::size(kPinnedShiftCosts) == rows.size();
+  for (std::size_t r = 0; same && r < rows.size(); ++r) {
+    same = std::equal(rows[r].begin(), rows[r].end(), kPinnedShiftCosts[r]);
+  }
+  if (!same) {
+    std::ostringstream table;
+    for (const auto& row : rows) {
+      table << "    {";
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        table << (i ? ", " : "") << row[i];
+      }
+      table << "},\n";
+    }
+    ADD_FAILURE() << "constructive shift costs moved; measured rows:\n"
+                  << table.str();
+  }
 }
 
 }  // namespace
