@@ -47,7 +47,10 @@ bool IsWallMetric(std::string_view name) {
 }  // namespace
 
 MetricPolicy PolicyFor(std::string_view metric) {
-  if (IsWallMetric(metric)) return {kWallRelTol};
+  if (IsWallMetric(metric)) {
+    const bool seconds = metric.ends_with("_s");
+    return {kWallRelTol, seconds ? kWallFloorMs / 1e3 : kWallFloorMs};
+  }
   if (metric == "shifts" || metric == "accesses" ||
       metric == "placement_cost" || metric == "search_evaluations") {
     return {0.0};  // deterministic counters: exact
@@ -62,6 +65,7 @@ bool WithinTolerance(double golden, double current,
   // non-finite value (stored as null) still matches its golden.
   if (std::isnan(golden) && std::isnan(current)) return true;
   if (std::isnan(golden) || std::isnan(current)) return false;
+  if (std::fabs(golden) < policy.floor) return true;
   if (policy.rel_tol <= 0.0) return false;
   if (policy.rel_tol >= 1.0) {
     // Ratio bound (wall-clock metrics). A sub-resolution timing on

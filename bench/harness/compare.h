@@ -5,7 +5,8 @@
 // cost-model regression. Simulated times/energies are doubles derived
 // deterministically from those counters, so they only get FP-level
 // headroom. Wall-clock metrics are machine-dependent: they never fail a
-// comparison short of a pathological (1000x) regression.
+// comparison short of a pathological (1000x) regression, and a wall
+// field whose golden is below kWallFloorMs is not compared at all.
 #pragma once
 
 #include <cstdio>
@@ -24,6 +25,9 @@ namespace rtmp::benchtool {
 /// max-normalized relative difference saturates at 1).
 struct MetricPolicy {
   double rel_tol = 0.0;
+  /// A golden whose magnitude is below this is not compared (any current
+  /// value passes); 0 compares every value.
+  double floor = 0.0;
 };
 
 /// FP headroom for metrics that are deterministic functions of exact
@@ -31,6 +35,15 @@ struct MetricPolicy {
 inline constexpr double kFpRelTol = 1e-6;
 /// Wall-clock metrics: only a 1000x drift fails.
 inline constexpr double kWallRelTol = 1e3;
+/// Wall-clock goldens below 1 ms are not compared. A host stall is not a
+/// regression: a descheduled or swapped-out process, or a sanitizer build
+/// beside other jobs, loses tens to hundreds of milliseconds in one go
+/// (an ASan run moved a 0.076 ms cell to 130 ms). From 1 ms up, the 1000x
+/// bound leaves a full second of such stall; below it, a stall shorter
+/// than a second would fail a correct run, so the ratio carries no
+/// signal there. In the scale of the field's name: 1 for `*_ms`, 1e-3
+/// for `*_s`.
+inline constexpr double kWallFloorMs = 1.0;
 
 /// Policy for a cell-metric or scalar name (see header comment).
 [[nodiscard]] MetricPolicy PolicyFor(std::string_view metric);

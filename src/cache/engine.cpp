@@ -186,14 +186,24 @@ void CacheEngine::ResolveWindow() {
   if (window_.empty()) return;
   RegisterFramePool();
 
-  remaining_uses_.assign(names_.size(), 0);
+  // Between windows both upkeep arrays are all zero, so only the
+  // window's own variables and their frames are set here: O(window), not
+  // O(V + C). Every count raised below is decremented once per access of
+  // the loop that follows, so it ends at zero; and a frame's entry is
+  // last written by its final occupant's last access of the window
+  // (nothing is left of it then), or not at all when that occupant is
+  // idle this window. A throw mid-window restores the zeros.
+  if (remaining_uses_.size() < names_.size()) {
+    remaining_uses_.resize(names_.size(), 0);
+  }
   for (const trace::Access& access : window_) {
     ++remaining_uses_[access.variable];
   }
-  for (std::size_t f = 0; f < frames_.size(); ++f) {
-    frame_pending_[f] = frames_[f].occupant == kNoFrame
-                            ? 0
-                            : remaining_uses_[frames_[f].occupant];
+  for (const trace::Access& access : window_) {
+    const std::uint32_t frame = frame_of_[access.variable];
+    if (frame != kNoFrame) {
+      frame_pending_[frame] = remaining_uses_[access.variable];
+    }
   }
   std::fill(last_offsets_.begin(), last_offsets_.end(), -1);
   // Victim ranking peeks the placement that served the PREVIOUS window —
@@ -205,6 +215,25 @@ void CacheEngine::ResolveWindow() {
       engine_.placed() ? &engine_.placement() : nullptr;
 
   frame_block_.clear();
+  try {
+    ResolveAccesses(placement);
+  } catch (...) {
+    for (const trace::Access& access : window_) {
+      remaining_uses_[access.variable] = 0;
+    }
+    std::fill(frame_pending_.begin(), frame_pending_.end(), 0);
+    throw;
+  }
+  window_.clear();
+
+  engine_.Feed(std::span<const trace::Access>(frame_block_));
+  // A full frame_block_ was already decided and served inside Feed; a
+  // partial one is forced out here so the wrapped window boundaries
+  // stay 1:1 with logical windows (and the pre-serve hook runs).
+  engine_.FlushWindow();
+}
+
+void CacheEngine::ResolveAccesses(const core::Placement* placement) {
   for (const trace::Access& access : window_) {
     ++tick_;
     ++running_.accesses;
@@ -232,13 +261,6 @@ void CacheEngine::ResolveWindow() {
       last_offsets_[slot.dbc] = static_cast<std::int64_t>(slot.offset);
     }
   }
-  window_.clear();
-
-  engine_.Feed(std::span<const trace::Access>(frame_block_));
-  // A full frame_block_ was already decided and served inside Feed; a
-  // partial one is forced out here so the wrapped window boundaries
-  // stay 1:1 with logical windows (and the pre-serve hook runs).
-  engine_.FlushWindow();
 }
 
 std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,

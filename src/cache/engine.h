@@ -226,6 +226,10 @@ class CacheEngine {
   /// (victim selection, directory update, pending sweep bookkeeping) and
   /// hands the frame-mapped block to the wrapped engine.
   void ResolveWindow();
+  /// ResolveWindow's pass over the buffered accesses: hits, misses and
+  /// the frame-mapped block. `placement` served the previous window
+  /// (null before the first).
+  void ResolveAccesses(const core::Placement* placement);
   /// Handles one miss of `variable`; returns the frame it was filled
   /// into.
   std::uint32_t ResolveMiss(std::uint32_t variable, trace::AccessType type);
@@ -276,8 +280,11 @@ class CacheEngine {
   /// Frame-mapped image of `window_`, fed to the wrapped engine.
   std::vector<trace::Access> frame_block_;
   /// variable -> accesses of it left in the window being resolved.
+  /// All zero between windows (see ResolveWindow); grown as names are
+  /// registered.
   std::vector<std::uint64_t> remaining_uses_;
   /// frame -> remaining window uses of its occupant (EvictionContext).
+  /// All zero between windows.
   std::vector<std::uint64_t> frame_pending_;
   /// Per-DBC offset of the window's latest routed access (-1 untouched).
   std::vector<std::int64_t> last_offsets_;

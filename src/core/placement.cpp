@@ -31,12 +31,9 @@ Placement Placement::FromLists(std::vector<std::vector<VariableId>> lists,
   return p;
 }
 
-Slot Placement::SlotOf(VariableId v) const {
-  const Slot slot = slots_.at(v);
-  if (slot.dbc == kUnplacedDbc) {
-    throw std::logic_error("Placement: variable is unplaced");
-  }
-  return slot;
+void Placement::ThrowBadSlot(VariableId v) const {
+  (void)slots_.at(v);  // the library's own out_of_range, as before
+  throw std::logic_error("Placement: variable is unplaced");
 }
 
 std::uint32_t Placement::FreeIn(std::uint32_t i) const {

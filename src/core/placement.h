@@ -59,12 +59,18 @@ class Placement {
     return lists_.at(i);
   }
 
+  /// Throws std::out_of_range for an id outside the variable space.
   [[nodiscard]] bool IsPlaced(VariableId v) const {
-    return slots_.at(v).dbc != kUnplacedDbc;
+    if (v >= slots_.size()) ThrowBadSlot(v);
+    return slots_[v].dbc != kUnplacedDbc;
   }
 
-  /// Location of a placed variable; throws std::logic_error if unplaced.
-  [[nodiscard]] Slot SlotOf(VariableId v) const;
+  /// Location of a placed variable; throws std::logic_error if unplaced
+  /// and std::out_of_range for an id outside the variable space.
+  [[nodiscard]] Slot SlotOf(VariableId v) const {
+    if (v >= slots_.size() || slots_[v].dbc == kUnplacedDbc) ThrowBadSlot(v);
+    return slots_[v];
+  }
 
   /// True when every variable is placed.
   [[nodiscard]] bool IsComplete() const noexcept {
@@ -113,6 +119,9 @@ class Placement {
       std::numeric_limits<std::uint32_t>::max();
 
   void ReindexFrom(std::uint32_t dbc, std::size_t start_offset);
+  /// The cold path of IsPlaced and SlotOf: throws std::out_of_range when
+  /// `v` is outside the variable space, else std::logic_error (unplaced).
+  [[noreturn]] void ThrowBadSlot(VariableId v) const;
 
   std::vector<std::vector<VariableId>> lists_;
   std::vector<Slot> slots_;  // slots_[v].dbc == kUnplacedDbc if unplaced

@@ -278,7 +278,7 @@ void OnlineEngine::ChargeMigration(const MigrationPlan& plan,
   if (plan.empty()) return;
   const std::uint64_t shifts_before = controller_.stats().shifts;
   const double makespan_before = controller_.stats().makespan_ns;
-  (void)controller_.Execute(plan.requests);
+  controller_.ExecuteBatch(plan.requests);
   const std::uint64_t shifts = controller_.stats().shifts - shifts_before;
   record.migration_shifts += shifts;
   result_.migration_shifts += shifts;
@@ -397,11 +397,11 @@ void OnlineEngine::ProcessWindow() {
   // entirely (the static/oracle configuration), so the service hot path
   // skips the per-window transition summarization; Observe still runs to
   // keep the observed-window counter moving.
-  const bool summarize = config_.detector.kind != DetectorKind::kNone;
-  const TransitionSummary summary =
-      summarize ? SummarizeTransitions(window_seq_.accesses())
-                : TransitionSummary{};
-  const PhaseDetector::Verdict verdict = detector_.Observe(summary);
+  if (config_.detector.kind != DetectorKind::kNone) {
+    SummarizeTransitions(window_seq_.accesses(), window_seq_.num_variables(),
+                         summary_scratch_, summary_);
+  }
+  const PhaseDetector::Verdict verdict = detector_.Observe(summary_);
 
   if (!placed_) {
     placement_ = Reseed();
@@ -422,11 +422,14 @@ void OnlineEngine::ProcessWindow() {
         bool accept = config_.always_accept_reseed;
         if (!accept) {
           // Migration-aware accept: the candidate must recoup its own
-          // traffic within the window that triggered it.
-          core::CostEvaluator evaluator(window_seq_,
-                                        config_.strategy_options.cost);
-          const std::uint64_t cost_keep = evaluator.Evaluate(placement_);
-          const std::uint64_t cost_candidate = evaluator.Evaluate(candidate);
+          // traffic within the window that triggered it. Two plain walks
+          // over the window price both placements; an incremental
+          // evaluator's O(V + S) setup would not pay off for two scores.
+          const core::CostOptions& cost = config_.strategy_options.cost;
+          const std::uint64_t cost_keep =
+              core::ShiftCost(window_seq_, placement_, cost);
+          const std::uint64_t cost_candidate =
+              core::ShiftCost(window_seq_, candidate, cost);
           result_.evaluations += 2;
           accept = cost_candidate + plan.estimated_shifts < cost_keep;
         }

@@ -319,6 +319,10 @@ class OnlineEngine {
   /// between calls: Refine counts only the window's accesses and resets
   /// only the ids it touched.
   std::vector<std::uint64_t> refine_freq_scratch_;
+  /// The window's transition summary and its counting-pass buffers,
+  /// rebuilt in place every window the detector reads.
+  TransitionSummary summary_;
+  TransitionScratch summary_scratch_;
 };
 
 /// Convenience: feeds a whole sequence through one session.

@@ -33,10 +33,18 @@ MigrationPlan PlanMigration(const core::Placement& from,
   // (checked during the walk) means both place the same variables.
   if (from.placed_count() != to.placed_count()) throw placed_in_one();
 
+  // Every list is sized once, for the worst case that every placed
+  // variable moves. Each walk writes its next entry unconditionally and
+  // steps past it only when the variable moved: whether one moved
+  // follows the two placements, not a pattern a branch predictor could
+  // learn.
+  const std::size_t placed = from.placed_count();
+  MigrationPlan plan;
+  plan.moves.resize(placed);
+  std::vector<core::Slot> slots(placed);
   // Reads sweep each source DBC in ascending old-offset order: walking
   // `from`'s lists yields the moves already in (dbc, offset) order ...
-  MigrationPlan plan;
-  std::vector<core::Slot> slots;
+  std::size_t moved = 0;
   for (std::uint32_t d = 0; d < from.num_dbcs(); ++d) {
     const std::vector<trace::VariableId>& list = from.dbc(d);
     for (std::uint32_t offset = 0; offset < list.size(); ++offset) {
@@ -44,28 +52,31 @@ MigrationPlan PlanMigration(const core::Placement& from,
       if (!to.IsPlaced(v)) throw placed_in_one();
       const core::Slot old_slot{d, offset};
       const core::Slot new_slot = to.SlotOf(v);
-      if (old_slot == new_slot) continue;
-      plan.moves.push_back({v, old_slot, new_slot});
-      slots.push_back(old_slot);
+      plan.moves[moved] = {v, old_slot, new_slot};
+      slots[moved] = old_slot;
+      moved += old_slot == new_slot ? 0 : 1;
     }
   }
-  if (plan.moves.empty()) return plan;
-  plan.requests.reserve(2 * plan.moves.size());
-  plan.estimated_shifts +=
-      AppendSweepRequests(slots, trace::AccessType::kRead, plan.requests);
+  plan.moves.resize(moved);
+  if (moved == 0) return plan;
+  plan.requests.reserve(2 * moved);
+  plan.estimated_shifts += AppendSweepRequests(
+      std::span(slots).first(moved), trace::AccessType::kRead, plan.requests);
 
   // ... then the buffered words are written in target-DBC sweeps, which
   // walking `to`'s lists yields in (dbc, offset) order.
-  slots.clear();
+  std::size_t written = 0;
   for (std::uint32_t d = 0; d < to.num_dbcs(); ++d) {
     const std::vector<trace::VariableId>& list = to.dbc(d);
     for (std::uint32_t offset = 0; offset < list.size(); ++offset) {
       const core::Slot new_slot{d, offset};
-      if (from.SlotOf(list[offset]) != new_slot) slots.push_back(new_slot);
+      slots[written] = new_slot;
+      written += from.SlotOf(list[offset]) == new_slot ? 0 : 1;
     }
   }
   plan.estimated_shifts +=
-      AppendSweepRequests(slots, trace::AccessType::kWrite, plan.requests);
+      AppendSweepRequests(std::span(slots).first(written),
+                          trace::AccessType::kWrite, plan.requests);
   return plan;
 }
 

@@ -22,24 +22,76 @@ constexpr double kModelFloor = 1e-9;
 
 }  // namespace
 
+void SummarizeTransitions(std::span<const trace::Access> window,
+                          std::size_t num_ids, TransitionScratch& scratch,
+                          TransitionSummary& out) {
+  out.weights.clear();
+  out.total = 0;
+  for (const trace::Access& access : window) {
+    if (access.variable >= num_ids) {
+      throw std::out_of_range("SummarizeTransitions: id out of range");
+    }
+  }
+  if (window.size() < 2) return;
+  std::vector<std::uint64_t>& keys = scratch.keys;
+  std::vector<std::uint64_t>& sorted = scratch.sorted;
+  std::vector<std::size_t>& count = scratch.count;
+  keys.resize(window.size() - 1);
+  sorted.resize(keys.size());
+  for (std::size_t i = 1; i < window.size(); ++i) {
+    keys[i - 1] = PackPair(window[i - 1].variable, window[i].variable);
+  }
+  // Two stable counting passes (LSD order): by the larger id (low word),
+  // then by the smaller id (high word), leave the keys in ascending
+  // numeric order — what std::sort produced, without its comparisons.
+  const auto counting_pass = [&count, num_ids](
+                                 const std::vector<std::uint64_t>& from,
+                                 std::vector<std::uint64_t>& to, int shift) {
+    count.assign(num_ids + 1, 0);
+    for (const std::uint64_t key : from) {
+      ++count[((key >> shift) & 0xFFFFFFFFULL) + 1];
+    }
+    for (std::size_t b = 1; b < count.size(); ++b) count[b] += count[b - 1];
+    for (const std::uint64_t key : from) {
+      to[count[(key >> shift) & 0xFFFFFFFFULL]++] = key;
+    }
+  };
+  counting_pass(keys, sorted, 0);
+  counting_pass(sorted, keys, 32);
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t j = i;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    out.weights.emplace_back(keys[i], j - i);
+    i = j;
+  }
+  out.total = keys.size();
+}
+
 TransitionSummary SummarizeTransitions(
     std::span<const trace::Access> window) {
   TransitionSummary summary;
   if (window.size() < 2) return summary;
-  std::vector<std::uint64_t> keys;
-  keys.reserve(window.size() - 1);
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    keys.push_back(PackPair(window[i - 1].variable, window[i].variable));
+  // Rank the distinct ids (ascending, so ranks order like ids), summarize
+  // the ranked window over one bucket per rank, then map each key's ranks
+  // back to their ids.
+  std::vector<trace::VariableId> ids;
+  ids.reserve(window.size());
+  for (const trace::Access& access : window) ids.push_back(access.variable);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<trace::Access> ranked;
+  ranked.reserve(window.size());
+  for (const trace::Access& access : window) {
+    const auto rank = static_cast<trace::VariableId>(
+        std::lower_bound(ids.begin(), ids.end(), access.variable) -
+        ids.begin());
+    ranked.push_back({rank, access.type});
   }
-  std::sort(keys.begin(), keys.end());
-  summary.weights.reserve(keys.size());
-  for (std::size_t i = 0; i < keys.size();) {
-    std::size_t j = i;
-    while (j < keys.size() && keys[j] == keys[i]) ++j;
-    summary.weights.emplace_back(keys[i], j - i);
-    i = j;
+  TransitionScratch scratch;
+  SummarizeTransitions(ranked, ids.size(), scratch, summary);
+  for (auto& [key, weight] : summary.weights) {
+    key = PackPair(ids[key >> 32], ids[key & 0xFFFFFFFFULL]);
   }
-  summary.total = keys.size();
   return summary;
 }
 
@@ -107,8 +159,8 @@ PhaseDetector::Verdict PhaseDetector::Observe(
   // (fewer than two accesses) carries no signal and leaves the model
   // untouched.
   if (window.empty()) return verdict;
-  std::vector<std::pair<std::uint64_t, double>> current;
-  current.reserve(window.weights.size());
+  std::vector<std::pair<std::uint64_t, double>>& current = current_;
+  current.clear();
   const double inv_total = 1.0 / static_cast<double>(window.total);
   for (const auto& [key, weight] : window.weights) {
     current.emplace_back(key, static_cast<double>(weight) * inv_total);
@@ -117,7 +169,7 @@ PhaseDetector::Verdict PhaseDetector::Observe(
   if (model_.empty()) {
     // First informative window (or a fully pruned model): seed, don't
     // compare — there is nothing meaningful to drift from.
-    model_ = std::move(current);
+    model_.swap(current);
     return verdict;
   }
 
@@ -154,14 +206,14 @@ PhaseDetector::Verdict PhaseDetector::Observe(
   if (verdict.phase_change) {
     // Restart the model (and statistic) from the new phase: a single
     // long drift must not re-trigger on every subsequent window.
-    model_ = std::move(current);
+    model_.swap(current);
     cusum_ = 0.0;
     return verdict;
   }
 
   // m = (1 - alpha) m + alpha p over the merged key set.
-  std::vector<std::pair<std::uint64_t, double>> updated;
-  updated.reserve(model_.size() + current.size());
+  std::vector<std::pair<std::uint64_t, double>>& updated = updated_;
+  updated.clear();
   const double keep = 1.0 - config_.alpha;
   i = 0;
   j = 0;
@@ -185,7 +237,7 @@ PhaseDetector::Verdict PhaseDetector::Observe(
     }
     if (value > kModelFloor) updated.emplace_back(key, value);
   }
-  model_ = std::move(updated);
+  model_.swap(updated);
   return verdict;
 }
 

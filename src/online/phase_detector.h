@@ -56,8 +56,27 @@ struct TransitionSummary {
   [[nodiscard]] bool empty() const noexcept { return total == 0; }
 };
 
+/// Buffers SummarizeTransitions reuses from one window to the next.
+struct TransitionScratch {
+  std::vector<std::size_t> count;  ///< counting-pass buckets
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> sorted;
+};
+
 /// Builds the transition summary of one window (consecutive pairs over
-/// the whole window, regardless of DBC assignment).
+/// the whole window, regardless of DBC assignment) into `out`, reusing
+/// `out`'s and `scratch`'s storage. Every id of the window must be below
+/// `num_ids` (throws std::out_of_range otherwise). The keys are ordered
+/// by two stable counting passes, first by the pair's larger id, then by
+/// its smaller one, each over num_ids + 1 buckets, so the work and memory
+/// are O(window + num_ids).
+void SummarizeTransitions(std::span<const trace::Access> window,
+                          std::size_t num_ids, TransitionScratch& scratch,
+                          TransitionSummary& out);
+
+/// The same summary for a window of arbitrary ids (up to UINT32_MAX):
+/// the window's distinct ids are ranked first, so the counting passes
+/// take buckets for those ranks only, never for the raw id values.
 [[nodiscard]] TransitionSummary SummarizeTransitions(
     std::span<const trace::Access> window);
 
@@ -119,6 +138,10 @@ class PhaseDetector {
   PhaseDetectorConfig config_;
   /// kEwmaDrift / kCusum: normalized model distribution, sorted by key.
   std::vector<std::pair<std::uint64_t, double>> model_;
+  /// Observe's buffers for the normalized window and the updated model,
+  /// swapped with model_ instead of reallocated every window.
+  std::vector<std::pair<std::uint64_t, double>> current_;
+  std::vector<std::pair<std::uint64_t, double>> updated_;
   /// kCusum: the accumulated statistic S.
   double cusum_ = 0.0;
   std::size_t observed_ = 0;

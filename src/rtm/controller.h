@@ -139,12 +139,27 @@ class RtmController {
   [[nodiscard]] double channel_free() const noexcept;
   void set_channel_free(double when_ns) noexcept;
   /// Shared body of Execute/ExecuteBatch; appends timings to `out` when
-  /// non-null.
+  /// non-null. Dispatches to one RunSpan instantiation.
   void ExecuteSpan(std::span<const TimedRequest> requests,
                    std::vector<RequestTiming>* out);
+  /// The request loop, specialised on the mode, on whether timings are
+  /// recorded and on the DBC model (single port: the flat arrays below;
+  /// several ports: DbcState).
+  template <bool kProactive, bool kRecord, bool kSinglePort>
+  void RunSpan(std::span<const TimedRequest> requests,
+               std::vector<RequestTiming>* out);
 
   RtmConfig config_;
   ControllerConfig controller_;
+  /// Single-port devices (the paper's model): each DBC's alignment
+  /// (domain minus port offset of the domain last at the port) and
+  /// whether its first access is still free (kFirstAccess until the DBC
+  /// is first accessed). One subtraction prices an access, so no
+  /// DbcState is kept.
+  std::vector<std::int64_t> alignment_;
+  std::vector<std::uint8_t> first_free_;
+  std::int64_t port_offset_ = 0;
+  /// Multi-port devices: one DbcState per DBC (empty under one port).
   std::vector<DbcState> dbcs_;
   std::vector<double> dbc_free_ns_;
   double channel_free_ns_ = 0.0;

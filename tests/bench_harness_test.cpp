@@ -1,6 +1,7 @@
 // bench/harness: report round-trips, golden-comparison tolerance logic
 // (exact counters fail on any drift, wall-clock drift passes within its
-// loose bound), and the scenario registry.
+// loose bound and is not compared below its floor), and the scenario
+// registry.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -63,6 +64,17 @@ TEST(MetricPolicyTest, DerivedDoublesGetFpHeadroom) {
 TEST(MetricPolicyTest, WallClockMetricsAreLoose) {
   EXPECT_EQ(PolicyFor("placement_wall_ms").rel_tol, kWallRelTol);
   EXPECT_EQ(PolicyFor("wall_s").rel_tol, kWallRelTol);
+  // The floor is 1 ms in the scale of the field's name.
+  EXPECT_EQ(PolicyFor("placement_wall_ms").floor, kWallFloorMs);
+  EXPECT_EQ(PolicyFor("wall_s").floor, kWallFloorMs / 1e3);
+}
+
+TEST(MetricPolicyTest, OnlyWallClockMetricsHaveAFloor) {
+  for (const char* name : {"shifts", "accesses", "placement_cost",
+                           "search_evaluations", "runtime_ns", "shift_pj",
+                           "unit/improvement"}) {
+    EXPECT_EQ(PolicyFor(name).floor, 0.0) << name;
+  }
 }
 
 TEST(WithinToleranceTest, ExactPolicy) {
@@ -129,6 +141,43 @@ TEST(CompareReportsTest, PathologicalWallTimeRegressionFails) {
   const BenchReport golden = MakeReport();
   BenchReport current = MakeReport();
   current.cells[0].placement_wall_ms *= 5000.0;
+  EXPECT_FALSE(CompareReports(golden, current).pass);
+}
+
+TEST(CompareReportsTest, StalledSubMillisecondWallTimePasses) {
+  // A host stall moved a 0.076 ms cell to 130 ms (1,700x): below the
+  // floor the wall field is not compared.
+  BenchReport golden = MakeReport();
+  golden.cells[0].placement_wall_ms = 0.076;
+  BenchReport current = golden;
+  current.cells[0].placement_wall_ms = 130.0;
+  const Comparison comparison = CompareReports(golden, current);
+  EXPECT_TRUE(comparison.pass);
+  ASSERT_EQ(comparison.diffs.size(), 1u);
+  EXPECT_TRUE(comparison.diffs[0].ok);
+  EXPECT_TRUE(WithinTolerance(0.5e-3, 10.0, PolicyFor("wall_s")));
+}
+
+TEST(CompareReportsTest, WallTimeAtTheFloorIsStillBounded) {
+  BenchReport golden = MakeReport();
+  golden.cells[0].placement_wall_ms = kWallFloorMs;
+  BenchReport current = golden;
+  current.cells[0].placement_wall_ms = kWallFloorMs * kWallRelTol * 1.5;
+  EXPECT_FALSE(CompareReports(golden, current).pass);
+  EXPECT_FALSE(WithinTolerance(2e-3, 3.0, PolicyFor("wall_s")));
+}
+
+TEST(CompareReportsTest, SmallNonWallValuesStayExact) {
+  // The floor is for wall fields only: a tiny counter or derived double
+  // keeps its exact or FP-level tolerance.
+  BenchReport golden = MakeReport();
+  golden.cells[0].metrics.runtime_ns = 0.5;
+  golden.cells[0].metrics.shifts = 0;
+  BenchReport current = golden;
+  current.cells[0].metrics.runtime_ns = 0.51;
+  EXPECT_FALSE(CompareReports(golden, current).pass);
+  current = golden;
+  current.cells[0].metrics.shifts = 1;
   EXPECT_FALSE(CompareReports(golden, current).pass);
 }
 

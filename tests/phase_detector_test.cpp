@@ -11,7 +11,11 @@
 // (single-window drift is bounded by 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "online/engine.h"
@@ -19,6 +23,7 @@
 #include "online/policy.h"
 #include "sim/experiment.h"
 #include "trace/access_sequence.h"
+#include "util/rng.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -149,6 +154,114 @@ TEST(CusumPolicies, AreRegisteredAndRunDeterministically) {
   EXPECT_EQ(first.placement_cost, second.placement_cost);
   EXPECT_DOUBLE_EQ(first.metrics.runtime_ns, second.metrics.runtime_ns);
   EXPECT_GT(first.metrics.shifts, 0u);
+}
+
+// ---- SummarizeTransitions against the comparison-sort form ---------------
+
+/// The std::sort body SummarizeTransitions had before its counting
+/// passes: the reference every form must reproduce exactly.
+online::TransitionSummary SortReference(
+    std::span<const trace::Access> window) {
+  online::TransitionSummary summary;
+  if (window.size() < 2) return summary;
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 1; i < window.size(); ++i) {
+    const std::uint64_t lo =
+        std::min(window[i - 1].variable, window[i].variable);
+    const std::uint64_t hi =
+        std::max(window[i - 1].variable, window[i].variable);
+    keys.push_back((lo << 32) | hi);
+  }
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t j = i;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    summary.weights.emplace_back(keys[i], j - i);
+    i = j;
+  }
+  summary.total = keys.size();
+  return summary;
+}
+
+void ExpectSameSummary(const online::TransitionSummary& expected,
+                       const online::TransitionSummary& actual) {
+  EXPECT_EQ(actual.total, expected.total);
+  EXPECT_EQ(actual.weights, expected.weights);
+}
+
+std::vector<trace::Access> RandomWindow(util::Rng& rng, std::size_t size,
+                                        std::uint64_t num_ids) {
+  std::vector<trace::Access> window;
+  for (std::size_t i = 0; i < size; ++i) {
+    window.push_back({static_cast<trace::VariableId>(rng.NextBelow(num_ids)),
+                      rng.NextBelow(2) == 0 ? trace::AccessType::kRead
+                                            : trace::AccessType::kWrite});
+  }
+  return window;
+}
+
+TEST(SummarizeTransitions, RandomWindowsMatchTheSortReference) {
+  util::Rng rng(29);
+  // One scratch and one summary across every window, as the engine
+  // reuses them.
+  online::TransitionScratch scratch;
+  online::TransitionSummary reused;
+  for (int round = 0; round < 300; ++round) {
+    const std::uint64_t num_ids = 1 + rng.NextBelow(round % 3 == 0 ? 4 : 1500);
+    const std::size_t size = rng.NextBelow(300);
+    const std::vector<trace::Access> window = RandomWindow(rng, size, num_ids);
+    const online::TransitionSummary expected = SortReference(window);
+    ExpectSameSummary(expected, online::SummarizeTransitions(window));
+    online::SummarizeTransitions(window, num_ids, scratch, reused);
+    ExpectSameSummary(expected, reused);
+    // The counting passes take one bucket per id below the bound.
+    if (size >= 2) {
+      EXPECT_EQ(scratch.count.size(), num_ids + 1);
+    }
+  }
+}
+
+TEST(SummarizeTransitions, HandlesIdsNearTheTopOfTheRange) {
+  constexpr trace::VariableId kTop = std::numeric_limits<std::uint32_t>::max();
+  util::Rng rng(30);
+  const trace::VariableId ids[] = {kTop, kTop - 1, kTop - 7, 0, 1, 1u << 31};
+  for (int round = 0; round < 50; ++round) {
+    std::vector<trace::Access> window;
+    const std::size_t size = 1 + rng.NextBelow(64);
+    for (std::size_t i = 0; i < size; ++i) {
+      window.push_back({ids[rng.NextBelow(std::size(ids))]});
+    }
+    // Raw ids near 2^32 must not size the buckets: the convenience form
+    // ranks them first (a bucket per raw id would need 32 GiB).
+    ExpectSameSummary(SortReference(window),
+                      online::SummarizeTransitions(window));
+  }
+  // The bounded form rejects an id at or past its bound.
+  online::TransitionScratch scratch;
+  online::TransitionSummary summary;
+  const std::vector<trace::Access> window = {{3}, {kTop}};
+  EXPECT_THROW(online::SummarizeTransitions(window, 8, scratch, summary),
+               std::out_of_range);
+  const std::vector<trace::Access> single = {{8}};
+  EXPECT_THROW(online::SummarizeTransitions(single, 8, scratch, summary),
+               std::out_of_range);
+}
+
+TEST(SummarizeTransitions, WindowsOfZeroOneAndTwoAccesses) {
+  online::TransitionScratch scratch;
+  online::TransitionSummary summary;
+  const std::vector<trace::Access> window = {{5}, {2}};
+  for (std::size_t size = 0; size <= 2; ++size) {
+    const std::span<const trace::Access> prefix(window.data(), size);
+    const online::TransitionSummary expected = SortReference(prefix);
+    ExpectSameSummary(expected, online::SummarizeTransitions(prefix));
+    online::SummarizeTransitions(prefix, 6, scratch, summary);
+    ExpectSameSummary(expected, summary);
+    EXPECT_EQ(summary.empty(), size < 2);
+  }
+  ASSERT_EQ(summary.weights.size(), 1u);
+  EXPECT_EQ(summary.weights[0].first, (std::uint64_t{2} << 32) | 5);
+  EXPECT_EQ(summary.weights[0].second, 1u);
 }
 
 }  // namespace

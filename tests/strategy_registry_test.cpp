@@ -265,10 +265,12 @@ TEST(StrategyRegistry, ExternalStrategiesPlugInByName) {
 // ---- pinned costs of every constructive strategy ---------------------------
 
 /// ShiftCost of the 15 constructive strategies (registry order) on three
-/// long GenerateMarkov streams x {unbounded, tight} capacity x {1, 4, 16}
-/// DBCs, one row per (stream, capacity, DBC count) in that nesting order.
-/// Recorded from the sort-based intra step and quadratic disjoint-set scan,
-/// so every faster path must reproduce them exactly. No golden covers
+/// long GenerateMarkov streams and one stream of six disjoint phases x
+/// {unbounded, tight} capacity x {1, 4, 16} DBCs, one row per (stream,
+/// capacity, DBC count) in that nesting order. The Markov rows were
+/// recorded from the sort-based intra step and quadratic disjoint-set
+/// scan, so every faster path must reproduce them exactly; the last six
+/// rows are the only ones where dma2 keeps disjoint sets. No golden covers
 /// afd-ge, dma-ge, afd-chen, afd-sr or the dma2-* strategies; tight
 /// capacity (ceil(|V| / DBCs) slots per DBC) drives DMA's Vdj trim and its
 /// spill into the disjoint DBCs.
@@ -309,6 +311,18 @@ constexpr std::uint64_t kPinnedShiftCosts[][15] = {
      2623899, 1123468, 1422339, 1727869, 1702530, 2347350, 975608},
     {428338, 486916, 525766, 673132, 297803, 461681, 542979, 582295, 742834,
      334911, 428338, 486916, 525766, 673132, 297803},
+    {36858, 36086, 241211, 38858, 36061, 36858, 36086, 241211, 38858, 36061,
+     36858, 36086, 241211, 38858, 36061},
+    {10312, 10328, 35083, 10537, 10304, 10264, 10199, 42470, 10679, 10199,
+     11300, 11111, 50280, 11594, 11244},
+    {1252, 1252, 1262, 1253, 1252, 2675, 2675, 2728, 2676, 2675, 40, 40, 40, 40,
+     40},
+    {36858, 36086, 241211, 38858, 36061, 36858, 36086, 241211, 38858, 36061,
+     36858, 36086, 241211, 38858, 36061},
+    {10312, 10328, 35083, 10537, 10304, 18310, 18254, 42760, 18653, 18246,
+     24621, 24619, 35611, 24655, 24615},
+    {1252, 1252, 1262, 1253, 1252, 3027, 3027, 4342, 3081, 3027, 1230, 1230,
+     2120, 1231, 1230},
 };
 
 TEST(StrategyRegistry, ConstructiveShiftCostsArePinned) {
@@ -346,6 +360,31 @@ TEST(StrategyRegistry, ConstructiveShiftCostsArePinned) {
     util::Rng rng(13);
     streams.push_back(trace::GenerateMarkov(params, rng));
   }
+  {
+    // Six phases over disjoint sets of eight variables each: variables of
+    // different phases never overlap in lifespan, so multi-DMA finds
+    // disjoint sets that carry real traffic (the Markov streams above
+    // give it none, and dma2 returns exactly the afd cost on them).
+    constexpr std::size_t kPhases = 6;
+    constexpr std::size_t kPhaseVars = 8;
+    AccessSequence& seq = streams.emplace_back();
+    for (std::size_t v = 0; v < kPhases * kPhaseVars; ++v) {
+      (void)seq.AddVariable(trace::MakeVariableName(v));
+    }
+    util::Rng rng(14);
+    for (std::size_t phase = 0; phase < kPhases; ++phase) {
+      trace::MarkovParams params;
+      params.num_vars = kPhaseVars;
+      params.length = 3'000;
+      const AccessSequence local = trace::GenerateMarkov(params, rng);
+      for (const trace::Access& access : local.accesses()) {
+        seq.Append(static_cast<VariableId>(phase * kPhaseVars +
+                                           access.variable % kPhaseVars),
+                   access.type);
+      }
+    }
+  }
+  constexpr std::size_t kDisjointStream = 3;
 
   std::vector<std::vector<std::uint64_t>> rows;
   for (const AccessSequence& seq : streams) {
@@ -365,6 +404,19 @@ TEST(StrategyRegistry, ConstructiveShiftCostsArePinned) {
       }
     }
   }
+
+  // On the disjoint-phase stream some dma2 cell must differ from its afd
+  // cell (columns 10-14 are dma2-*, 0-4 the afd-* with the same intra
+  // step), or the pin says nothing about multi-DMA's set placement.
+  ASSERT_EQ(names[0], "afd-chen");
+  ASSERT_EQ(names[10], "dma2-chen");
+  bool dma2_differs = false;
+  for (std::size_t r = 6 * kDisjointStream; r < rows.size(); ++r) {
+    for (std::size_t c = 0; c < 5; ++c) {
+      dma2_differs = dma2_differs || rows[r][10 + c] != rows[r][c];
+    }
+  }
+  EXPECT_TRUE(dma2_differs);
 
   bool same = std::size(kPinnedShiftCosts) == rows.size();
   for (std::size_t r = 0; same && r < rows.size(); ++r) {
