@@ -1,7 +1,9 @@
 #include "core/cost_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 
 #include "rtm/dbc_state.h"
@@ -10,15 +12,17 @@ namespace rtmp::core {
 
 namespace {
 
+constexpr std::int64_t kNoAccess = -1;
+
 /// Fast path: one port. The port's own offset cancels out of every
 /// inter-access distance; it only matters for a paid first access, where the
-/// cost is the distance from the port (alignment 0) to the variable.
-std::vector<std::uint64_t> SinglePortCosts(const trace::AccessSequence& seq,
-                                           const Placement& placement,
-                                           const CostOptions& options) {
-  constexpr std::int64_t kNoAccess = -1;
-  std::vector<std::uint64_t> per_dbc(placement.num_dbcs(), 0);
-  std::vector<std::int64_t> last(placement.num_dbcs(), kNoAccess);
+/// cost is the distance from the port (alignment 0) to the variable. Calls
+/// `add(dbc, shifts)` per access; `last` holds one entry per DBC, all
+/// kNoAccess on entry.
+template <typename Add>
+void SinglePortWalk(const trace::AccessSequence& seq,
+                    const Placement& placement, const CostOptions& options,
+                    std::span<std::int64_t> last, Add&& add) {
   const std::int64_t port =
       options.port_offsets.empty() ? 0 : options.port_offsets.front();
   const bool first_pays =
@@ -27,13 +31,12 @@ std::vector<std::uint64_t> SinglePortCosts(const trace::AccessSequence& seq,
     const Slot slot = placement.SlotOf(access.variable);
     const auto pos = static_cast<std::int64_t>(slot.offset);
     if (last[slot.dbc] == kNoAccess) {
-      if (first_pays) per_dbc[slot.dbc] += std::llabs(pos - port);
+      if (first_pays) add(slot.dbc, std::llabs(pos - port));
     } else {
-      per_dbc[slot.dbc] += std::llabs(pos - last[slot.dbc]);
+      add(slot.dbc, std::llabs(pos - last[slot.dbc]));
     }
     last[slot.dbc] = pos;
   }
-  return per_dbc;
 }
 
 /// General path: delegate per-DBC alignment tracking to the device model so
@@ -97,19 +100,44 @@ std::vector<std::uint64_t> PerDbcShiftCost(const trace::AccessSequence& seq,
     throw std::invalid_argument("CostOptions: need at least one port");
   }
   ValidateAgainstDomains(placement, options);
-  if (options.port_offsets.size() == 1) {
-    return SinglePortCosts(seq, placement, options);
+  if (options.port_offsets.size() != 1) {
+    return MultiPortCosts(seq, placement, options);
   }
-  return MultiPortCosts(seq, placement, options);
+  std::vector<std::uint64_t> per_dbc(placement.num_dbcs(), 0);
+  std::vector<std::int64_t> last(placement.num_dbcs(), kNoAccess);
+  SinglePortWalk(seq, placement, options, last,
+                 [&per_dbc](std::uint32_t dbc, std::uint64_t shifts) {
+                   per_dbc[dbc] += shifts;
+                 });
+  return per_dbc;
 }
 
 std::uint64_t ShiftCost(const trace::AccessSequence& seq,
                         const Placement& placement,
                         const CostOptions& options) {
   std::uint64_t total = 0;
-  for (const std::uint64_t c : PerDbcShiftCost(seq, placement, options)) {
-    total += c;
+  if (options.port_offsets.size() != 1) {
+    for (const std::uint64_t c : PerDbcShiftCost(seq, placement, options)) {
+      total += c;
+    }
+    return total;
   }
+  ValidateAgainstDomains(placement, options);
+  // The total needs only each DBC's last offset, kept on the stack for up
+  // to kStackDbcs DBCs: pricing a placement allocates nothing.
+  constexpr std::size_t kStackDbcs = 64;
+  std::array<std::int64_t, kStackDbcs> stack{};
+  std::vector<std::int64_t> heap;
+  std::span<std::int64_t> last(stack.data(), placement.num_dbcs());
+  if (placement.num_dbcs() > kStackDbcs) {
+    heap.resize(placement.num_dbcs());
+    last = heap;
+  }
+  std::fill(last.begin(), last.end(), kNoAccess);
+  SinglePortWalk(seq, placement, options, last,
+                 [&total](std::uint32_t, std::uint64_t shifts) {
+                   total += shifts;
+                 });
   return total;
 }
 

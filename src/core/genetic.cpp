@@ -193,7 +193,7 @@ void Mutate(Placement& placement, const GaOptions& options, util::Rng& rng) {
         if (placement.dbc(d).size() < 2) continue;
         std::vector<VariableId> order = placement.dbc(d);
         rng.Shuffle(order);
-        placement.Reorder(d, std::move(order));
+        placement.Reorder(d, order);
       }
       return;
     }

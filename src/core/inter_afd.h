@@ -15,6 +15,8 @@
 
 namespace rtmp::core {
 
+struct PlacementWorkspace;  // core/placement_workspace.h
+
 struct AfdOptions {
   /// Intra-DBC policy applied per DBC after distribution. kNone keeps the
   /// round-robin insertion order (the layout of the paper's Fig. 3c).
@@ -31,11 +33,26 @@ struct AfdOptions {
     std::span<const trace::VariableStats> stats,
     const trace::AccessSequence& seq);
 
+/// The same order, written into `workspace.order` and returned as a view
+/// of it (valid until the workspace's next use). One walk over the name
+/// order, a sort of the accessed ids only and no allocation once the
+/// workspace is warm.
+std::span<const VariableId> SortByFrequencyDescending(
+    std::span<const trace::VariableStats> stats,
+    const trace::AccessSequence& seq, PlacementWorkspace& workspace);
+
 /// Runs AFD. Throws std::invalid_argument if the variables cannot fit
 /// (num_dbcs * capacity < |V|).
 [[nodiscard]] Placement DistributeAfd(const trace::AccessSequence& seq,
                                       std::uint32_t num_dbcs,
                                       std::uint32_t capacity,
                                       const AfdOptions& options = {});
+
+/// The same, with every scratch buffer taken from `workspace`.
+[[nodiscard]] Placement DistributeAfd(const trace::AccessSequence& seq,
+                                      std::uint32_t num_dbcs,
+                                      std::uint32_t capacity,
+                                      const AfdOptions& options,
+                                      PlacementWorkspace& workspace);
 
 }  // namespace rtmp::core

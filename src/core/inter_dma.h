@@ -22,6 +22,8 @@
 
 namespace rtmp::core {
 
+struct PlacementWorkspace;  // core/placement_workspace.h
+
 struct DmaOptions {
   /// Intra-DBC policy for the NON-disjoint DBCs (Algorithm 1 lines 22-23).
   /// Disjoint DBCs always keep access order. kOfu gives the paper's
@@ -38,6 +40,14 @@ struct DmaOptions {
 /// two variables share a first or a last occurrence.
 [[nodiscard]] std::vector<VariableId> SelectDisjointVariables(
     std::span<const trace::VariableStats> stats);
+
+/// The same selection, written into `workspace.disjoint` and returned as
+/// a view of it; the candidate, rank, Fenwick and nested-frequency arrays
+/// come from the workspace too. `stats` must not be workspace storage
+/// other than `workspace.stats`.
+std::span<const VariableId> SelectDisjointVariables(
+    std::span<const trace::VariableStats> stats,
+    PlacementWorkspace& workspace);
 
 struct DmaResult {
   Placement placement;
@@ -62,9 +72,30 @@ struct DmaResult {
 ///    the remaining variables spill into the free tail slots of the
 ///    disjoint DBCs (the disjoint prefix keeps its access order; the
 ///    <= |Vdj|-1 shift bound then no longer applies to those DBCs).
+///
+/// Cost: O(V + |S| + m log m) for V variables, |S| accesses and m
+/// accessed variables, plus the intra heuristic's own work on the
+/// accessed variables (see ApplyIntra). The stats pass lists the accessed
+/// variables in first-occurrence order, so the selection never scans the
+/// idle ids. A never-accessed variable costs one walk in name order (the
+/// frequency order and the deal) and, in the DBCs the intra step
+/// reorders, one pass over ascending ids that appends it after the
+/// accessed ones, where ApplyIntra's ascending-id tail puts it: it is
+/// never sorted, reordered or moved.
 [[nodiscard]] DmaResult DistributeDma(const trace::AccessSequence& seq,
                                       std::uint32_t num_dbcs,
                                       std::uint32_t capacity,
                                       const DmaOptions& options = {});
+
+/// The same placement, with every scratch buffer taken from `workspace`:
+/// after a call of the same shape, the returned Placement's own buffers
+/// are the only allocations. Vdj (after any capacity trim) is left in
+/// `workspace.disjoint`. This is the form the strategy registry runs
+/// when a PlacementRequest carries a workspace (the online re-seed).
+[[nodiscard]] Placement DistributeDma(const trace::AccessSequence& seq,
+                                      std::uint32_t num_dbcs,
+                                      std::uint32_t capacity,
+                                      const DmaOptions& options,
+                                      PlacementWorkspace& workspace);
 
 }  // namespace rtmp::core

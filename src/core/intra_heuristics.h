@@ -36,6 +36,8 @@
 
 namespace rtmp::core {
 
+struct PlacementWorkspace;  // core/placement_workspace.h
+
 enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 
 [[nodiscard]] std::string_view ToString(IntraHeuristic heuristic) noexcept;
@@ -56,22 +58,22 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 /// DBCs outside the range, and DBCs with fewer than two variables, keep
 /// their order; kNone changes nothing.
 ///
-/// Cost: O(V + |S| + sum over DBCs of the heuristic's own work) for
-/// V = seq.num_variables() and |S| = seq.size(), whatever the number of
-/// reordered DBCs. One V-sized DBC lookup and one V-sized local-id map
-/// are shared by every DBC, and each DBC's never-accessed tail comes from
-/// one sweep over ids. kOfu reads the whole order off one scan of `seq`
-/// (first use per DBC) and builds no adjacency; the other heuristics add
-/// one more scan that buckets every DBC's accesses into a single
-/// |S|-sized buffer of 32-bit local ids. From it, each DBC of n accessed
-/// variables and |S_d| accesses builds its frequencies and its
-/// transition edges (a compressed adjacency, every list in ascending
-/// neighbor order) in O(n + |S_d|): two stable counting passes order the
-/// transitions, with no comparison sort. The scratch buffers are shared
-/// by every DBC. The heuristic's own work is its chain growth: O(n^2 + E)
-/// for kChen and kShiftsReduce (E = distinct transition pairs; the
-/// ShiftsReduce scores need no sort) plus ShiftsReduce's bounded
-/// refinement passes, and O(E log E) for kGreedyEdge's edge sort.
+/// Cost: O(V + |S| + sum over DBCs of the heuristic's own work) for V =
+/// seq.num_variables() and |S| = seq.size(), whatever the number of reordered
+/// DBCs. One DBC lookup and one local-id map by global id are shared by every
+/// DBC and hold entries only for the reordered DBCs' variables; each DBC's
+/// never-accessed tail comes from one sweep over ids, skipped when every
+/// variable of the range is accessed. kOfu reads the whole order off one scan
+/// of `seq` (first use per DBC) and builds no adjacency; the other heuristics
+/// add one more scan that buckets every DBC's accesses into a single |S|-sized
+/// buffer of 32-bit local ids. From it, each DBC of n accessed variables and
+/// |S_d| accesses builds its frequencies and its transition edges (a compressed
+/// adjacency, every list in ascending neighbor order) in O(n + |S_d|): two
+/// stable counting passes order the transitions, with no comparison sort. The
+/// scratch buffers are shared by every DBC. The heuristic's own work is its
+/// chain growth: O(n^2 + E) for kChen and kShiftsReduce (E = distinct
+/// transition pairs; the ShiftsReduce scores need no sort) plus ShiftsReduce's
+/// bounded refinement passes, and O(E log E) for kGreedyEdge's edge sort.
 ///
 /// Throws std::invalid_argument when first_dbc > end_dbc, end_dbc >
 /// placement.num_dbcs(), or a reordered DBC holds an id >=
@@ -79,6 +81,14 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
                 Placement& placement, std::uint32_t first_dbc,
                 std::uint32_t end_dbc);
+
+/// The same, with every scratch buffer taken from `workspace`: once the
+/// workspace has grown to the call's size, kNone, kOfu, kChen and
+/// kShiftsReduce allocate nothing (kGreedyEdge still builds its edge
+/// list and path fragments).
+void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
+                Placement& placement, std::uint32_t first_dbc,
+                std::uint32_t end_dbc, PlacementWorkspace& workspace);
 
 /// ApplyIntra over the single DBC `dbc`.
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,

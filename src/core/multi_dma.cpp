@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/inter_afd.h"
+#include "core/placement_workspace.h"
 #include "trace/variable_stats.h"
 
 namespace rtmp::core {
@@ -12,13 +13,23 @@ MultiDmaResult DistributeMultiDma(const trace::AccessSequence& seq,
                                   std::uint32_t num_dbcs,
                                   std::uint32_t capacity,
                                   const MultiDmaOptions& options) {
+  PlacementWorkspace workspace;
+  return DistributeMultiDma(seq, num_dbcs, capacity, options, workspace);
+}
+
+MultiDmaResult DistributeMultiDma(const trace::AccessSequence& seq,
+                                  std::uint32_t num_dbcs,
+                                  std::uint32_t capacity,
+                                  const MultiDmaOptions& options,
+                                  PlacementWorkspace& workspace) {
   const std::size_t n = seq.num_variables();
   if (capacity != kUnboundedCapacity &&
       static_cast<std::uint64_t>(num_dbcs) * capacity < n) {
     throw std::invalid_argument(
         "DistributeMultiDma: variables exceed capacity");
   }
-  const auto stats = trace::ComputeVariableStats(seq);
+  trace::ComputeVariableStats(seq, workspace.stats, workspace.first_use);
+  const std::vector<trace::VariableStats>& stats = workspace.stats;
 
   // Iteratively extract disjoint sets from the not-yet-claimed variables.
   // Masked variables are hidden from the selection by zeroing their stats
@@ -34,7 +45,9 @@ MultiDmaResult DistributeMultiDma(const trace::AccessSequence& seq,
                                     hard_cap);
   std::size_t claimed_count = 0;
   while (sets.size() < set_budget && claimed_count < n) {
-    std::vector<VariableId> set = SelectDisjointVariables(masked);
+    const std::span<const VariableId> selected =
+        SelectDisjointVariables(masked, workspace);
+    std::vector<VariableId> set(selected.begin(), selected.end());
     if (set.empty()) break;
     // Capacity: one DBC per set; trim overflow (lowest frequency first).
     if (capacity != kUnboundedCapacity && set.size() > capacity) {
@@ -75,7 +88,7 @@ MultiDmaResult DistributeMultiDma(const trace::AccessSequence& seq,
   // Remaining variables: frequency deal over the remaining DBCs (AFD rule).
   const auto k = static_cast<std::uint32_t>(sets.size());
   std::vector<VariableId> leftovers;
-  for (const VariableId v : SortByFrequencyDescending(stats, seq)) {
+  for (const VariableId v : SortByFrequencyDescending(stats, seq, workspace)) {
     if (!claimed[v]) leftovers.push_back(v);
   }
   if (!leftovers.empty()) {
@@ -99,7 +112,8 @@ MultiDmaResult DistributeMultiDma(const trace::AccessSequence& seq,
       placement.Append(next, v);
       next = next + 1 >= num_dbcs ? first : next + 1;
     }
-    ApplyIntra(options.base.intra, seq, placement, first, num_dbcs);
+    ApplyIntra(options.base.intra, seq, placement, first, num_dbcs,
+               workspace);
   }
 
   MultiDmaResult result{std::move(placement), std::move(sets), k};

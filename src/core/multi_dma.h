@@ -38,4 +38,12 @@ struct MultiDmaResult {
     const trace::AccessSequence& seq, std::uint32_t num_dbcs,
     std::uint32_t capacity, const MultiDmaOptions& options = {});
 
+/// The same, with the stats, the frequency order and the intra step's
+/// scratch taken from `workspace` (the extracted sets are still built
+/// afresh).
+[[nodiscard]] MultiDmaResult DistributeMultiDma(
+    const trace::AccessSequence& seq, std::uint32_t num_dbcs,
+    std::uint32_t capacity, const MultiDmaOptions& options,
+    PlacementWorkspace& workspace);
+
 }  // namespace rtmp::core

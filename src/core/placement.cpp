@@ -16,6 +16,8 @@ Placement::Placement(std::size_t num_variables, std::uint32_t num_dbcs,
   if (capacity == 0) {
     throw std::invalid_argument("Placement: capacity must be positive");
   }
+  const std::size_t room = std::min<std::size_t>(capacity, num_variables);
+  for (std::vector<VariableId>& list : lists_) list.reserve(room);
 }
 
 Placement Placement::FromLists(std::vector<std::vector<VariableId>> lists,
@@ -36,10 +38,20 @@ void Placement::ThrowBadSlot(VariableId v) const {
   throw std::logic_error("Placement: variable is unplaced");
 }
 
-std::uint32_t Placement::FreeIn(std::uint32_t i) const {
-  const auto used = static_cast<std::uint32_t>(lists_.at(i).size());
-  if (capacity_ == kUnboundedCapacity) return kUnboundedCapacity;
-  return capacity_ - used;
+void Placement::ThrowBadDbc(std::uint32_t dbc) const {
+  (void)lists_.at(dbc);  // the library's own out_of_range, as before
+  throw std::out_of_range("Placement: DBC index out of range");
+}
+
+void Placement::ThrowBadAppend(std::uint32_t dbc, VariableId v) const {
+  if (v >= slots_.size()) {
+    throw std::invalid_argument("Placement: variable id out of range");
+  }
+  if (slots_[v].dbc != kUnplacedDbc) {
+    throw std::invalid_argument("Placement: variable already placed");
+  }
+  (void)lists_.at(dbc);  // std::out_of_range for a DBC outside the range
+  throw std::invalid_argument("Placement: DBC is full");
 }
 
 void Placement::CheckInvariants() const {
@@ -72,22 +84,6 @@ void Placement::CheckInvariants() const {
       throw std::logic_error("Placement invariant: stale slot entry");
     }
   }
-}
-
-void Placement::Append(std::uint32_t dbc, VariableId v) {
-  if (v >= slots_.size()) {
-    throw std::invalid_argument("Placement: variable id out of range");
-  }
-  if (slots_[v].dbc != kUnplacedDbc) {
-    throw std::invalid_argument("Placement: variable already placed");
-  }
-  auto& list = lists_.at(dbc);
-  if (capacity_ != kUnboundedCapacity && list.size() >= capacity_) {
-    throw std::invalid_argument("Placement: DBC is full");
-  }
-  slots_[v] = Slot{dbc, static_cast<std::uint32_t>(list.size())};
-  list.push_back(v);
-  ++placed_count_;
 }
 
 void Placement::Remove(VariableId v) {
@@ -124,7 +120,8 @@ void Placement::Transpose(std::uint32_t dbc, std::size_t i, std::size_t j) {
   slots_[list[j]].offset = static_cast<std::uint32_t>(j);
 }
 
-void Placement::Reorder(std::uint32_t dbc, std::vector<VariableId> order) {
+void Placement::Reorder(std::uint32_t dbc,
+                        std::span<const VariableId> order) {
   auto& list = lists_.at(dbc);
   if (order.size() != list.size()) {
     throw std::invalid_argument("Placement: reorder size mismatch");
@@ -141,7 +138,7 @@ void Placement::Reorder(std::uint32_t dbc, std::vector<VariableId> order) {
     }
     slots_[v].dbc = kUnplacedDbc;
   }
-  list = std::move(order);
+  list.assign(order.begin(), order.end());
   ReindexFrom(dbc, 0);
 }
 

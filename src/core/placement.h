@@ -34,7 +34,8 @@ inline constexpr std::uint32_t kUnboundedCapacity =
 class Placement {
  public:
   /// An empty placement of `num_variables` variables over `num_dbcs` DBCs,
-  /// each holding at most `capacity` variables.
+  /// each holding at most `capacity` variables. Each DBC list reserves
+  /// min(capacity, num_variables) entries, so filling it never regrows.
   Placement(std::size_t num_variables, std::uint32_t num_dbcs,
             std::uint32_t capacity = kUnboundedCapacity);
 
@@ -82,7 +83,12 @@ class Placement {
   }
 
   /// Number of free slots in DBC i (kUnboundedCapacity when unlimited).
-  [[nodiscard]] std::uint32_t FreeIn(std::uint32_t i) const;
+  /// Throws std::out_of_range for i >= num_dbcs().
+  [[nodiscard]] std::uint32_t FreeIn(std::uint32_t i) const {
+    if (i >= lists_.size()) ThrowBadDbc(i);
+    if (capacity_ == kUnboundedCapacity) return kUnboundedCapacity;
+    return capacity_ - static_cast<std::uint32_t>(lists_[i].size());
+  }
 
   /// Cross-checks internal index against the lists; throws std::logic_error
   /// on any inconsistency. Intended for tests and debug assertions.
@@ -90,9 +96,20 @@ class Placement {
 
   // -- mutation (used by heuristics and GA operators) ----------------------
 
-  /// Appends an unplaced variable to DBC `dbc`. Throws if already placed or
-  /// the DBC is full.
-  void Append(std::uint32_t dbc, VariableId v);
+  /// Appends an unplaced variable to DBC `dbc`. Throws
+  /// std::invalid_argument if `v` is out of range, already placed or the
+  /// DBC is full, and std::out_of_range for dbc >= num_dbcs().
+  void Append(std::uint32_t dbc, VariableId v) {
+    if (v >= slots_.size() || slots_[v].dbc != kUnplacedDbc ||
+        dbc >= lists_.size() ||
+        (capacity_ != kUnboundedCapacity && lists_[dbc].size() >= capacity_)) {
+      ThrowBadAppend(dbc, v);
+    }
+    std::vector<VariableId>& list = lists_[dbc];
+    slots_[v] = Slot{dbc, static_cast<std::uint32_t>(list.size())};
+    list.push_back(v);
+    ++placed_count_;
+  }
 
   /// Removes a placed variable (closing its gap). Throws if unplaced.
   void Remove(VariableId v);
@@ -105,10 +122,11 @@ class Placement {
   /// "transpose" mutation).
   void Transpose(std::uint32_t dbc, std::size_t i, std::size_t j);
 
-  /// Replaces DBC `dbc`'s order; `order` must be a permutation of the
-  /// current content (the GA "permute" mutation applies this with a random
-  /// permutation).
-  void Reorder(std::uint32_t dbc, std::vector<VariableId> order);
+  /// Replaces DBC `dbc`'s order with a copy of `order`, which must be a
+  /// permutation of the current content and must not view the DBC's own
+  /// list (the GA "permute" mutation applies this with a random
+  /// permutation). Copies into the list's own storage: no allocation.
+  void Reorder(std::uint32_t dbc, std::span<const VariableId> order);
 
   friend bool operator==(const Placement& a, const Placement& b) {
     return a.capacity_ == b.capacity_ && a.lists_ == b.lists_;
@@ -122,6 +140,11 @@ class Placement {
   /// The cold path of IsPlaced and SlotOf: throws std::out_of_range when
   /// `v` is outside the variable space, else std::logic_error (unplaced).
   [[noreturn]] void ThrowBadSlot(VariableId v) const;
+  /// The cold path of FreeIn: the library's std::out_of_range.
+  [[noreturn]] void ThrowBadDbc(std::uint32_t dbc) const;
+  /// The cold path of Append: throws what the first failing check names,
+  /// in the order the checks are documented.
+  [[noreturn]] void ThrowBadAppend(std::uint32_t dbc, VariableId v) const;
 
   std::vector<std::vector<VariableId>> lists_;
   std::vector<Slot> slots_;  // slots_[v].dbc == kUnplacedDbc if unplaced

@@ -1,6 +1,7 @@
 #include "core/strategy_registry.h"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "core/inter_afd.h"
 #include "core/inter_dma.h"
 #include "core/multi_dma.h"
+#include "core/placement_workspace.h"
 #include "core/random_walk.h"
 
 namespace rtmp::core {
@@ -37,59 +39,62 @@ class BuiltinStrategy final : public PlacementStrategy {
   [[nodiscard]] PlacementResult Run(
       const PlacementRequest& request) const override {
     ValidateRequest(request);
-    PlacementResult result;
     const StrategySpec& spec = *info_.spec;
     const trace::AccessSequence& seq = *request.sequence;
-    switch (spec.inter) {
-      case InterPolicy::kAfd:
-        result.placement =
-            DistributeAfd(seq, request.num_dbcs, request.capacity,
-                          {spec.intra});
-        break;
-      case InterPolicy::kDma:
-        result.placement =
-            DistributeDma(seq, request.num_dbcs, request.capacity,
-                          {spec.intra})
-                .placement;
-        break;
-      case InterPolicy::kDmaMulti:
-        result.placement =
-            DistributeMultiDma(seq, request.num_dbcs, request.capacity,
-                               {{spec.intra}})
-                .placement;
-        break;
-      case InterPolicy::kGa: {
-        GaOptions ga = request.options.ga;
-        ga.cost = request.options.cost;
-        GaResult ga_result = RunGa(seq, request.num_dbcs, request.capacity, ga);
-        result.placement = std::move(ga_result.best);
-        result.cost = ga_result.best_cost;
-        result.evaluations = ga_result.evaluations;
-        break;
-      }
-      case InterPolicy::kRandomWalk: {
-        RwOptions rw = request.options.rw;
-        rw.cost = request.options.cost;
-        RwResult rw_result =
-            RunRandomWalk(seq, request.num_dbcs, request.capacity, rw);
-        result.placement = std::move(rw_result.best);
-        result.cost = rw_result.best_cost;
-        result.evaluations = rw_result.evaluations;
-        break;
-      }
+    // The search strategies evaluate their best candidate under
+    // request.options.cost as part of the search.
+    if (spec.inter == InterPolicy::kGa) {
+      GaOptions ga = request.options.ga;
+      ga.cost = request.options.cost;
+      GaResult ga_result = RunGa(seq, request.num_dbcs, request.capacity, ga);
+      return {std::move(ga_result.best), ga_result.best_cost, 0.0,
+              ga_result.evaluations};
     }
-
-    // The search strategies already evaluated their best candidate under
-    // request.options.cost; only the constructive heuristics need the
-    // explicit cost pass, and only when the caller wants it.
-    if (request.compute_cost && spec.inter != InterPolicy::kGa &&
-        spec.inter != InterPolicy::kRandomWalk) {
+    if (spec.inter == InterPolicy::kRandomWalk) {
+      RwOptions rw = request.options.rw;
+      rw.cost = request.options.cost;
+      RwResult rw_result =
+          RunRandomWalk(seq, request.num_dbcs, request.capacity, rw);
+      return {std::move(rw_result.best), rw_result.best_cost, 0.0,
+              rw_result.evaluations};
+    }
+    // The constructive heuristics need the explicit cost pass, and only
+    // when the caller wants it.
+    PlacementResult result{Construct(spec, request)};
+    if (request.compute_cost) {
       result.cost = ShiftCost(seq, result.placement, request.options.cost);
     }
     return result;
   }
 
  private:
+  /// The constructive placement, built in the request's workspace or in
+  /// a fresh one.
+  [[nodiscard]] static Placement Construct(const StrategySpec& spec,
+                                           const PlacementRequest& request) {
+    std::optional<PlacementWorkspace> local;
+    PlacementWorkspace& workspace = request.workspace != nullptr
+                                        ? *request.workspace
+                                        : local.emplace();
+    const trace::AccessSequence& seq = *request.sequence;
+    switch (spec.inter) {
+      case InterPolicy::kAfd:
+        return DistributeAfd(seq, request.num_dbcs, request.capacity,
+                             {spec.intra}, workspace);
+      case InterPolicy::kDma:
+        return DistributeDma(seq, request.num_dbcs, request.capacity,
+                             {spec.intra}, workspace);
+      case InterPolicy::kDmaMulti:
+        return DistributeMultiDma(seq, request.num_dbcs, request.capacity,
+                                  {{spec.intra}}, workspace)
+            .placement;
+      case InterPolicy::kGa:
+      case InterPolicy::kRandomWalk:
+        break;
+    }
+    throw std::logic_error("BuiltinStrategy: not a constructive strategy");
+  }
+
   StrategyInfo info_;
 };
 

@@ -25,6 +25,8 @@
 
 namespace rtmp::core {
 
+struct PlacementWorkspace;  // core/placement_workspace.h
+
 /// Everything a strategy needs to produce a placement. The sequence is
 /// borrowed: it must outlive the Run() call.
 struct PlacementRequest {
@@ -37,6 +39,14 @@ struct PlacementRequest {
   /// need the placement. Search strategies report their cost either way
   /// (it falls out of the search).
   bool compute_cost = true;
+  /// Scratch for the constructive strategies (AFD, DMA, multi-DMA and
+  /// their intra step), borrowed for the Run() call. A caller that places
+  /// repeatedly — the online engine's re-seed — passes the same
+  /// workspace every time, so a warm call allocates only the returned
+  /// placement. Null means a fresh workspace per call. A workspace must
+  /// not be shared by concurrent calls; search strategies ignore it.
+  /// Results never depend on it.
+  PlacementWorkspace* workspace = nullptr;
 };
 
 /// A placement plus the bookkeeping the experiment engine reports.

@@ -58,11 +58,19 @@ OnlineEngine::OnlineEngine(OnlineConfig config, rtm::RtmConfig device)
   if (config_.window_accesses == 0) {
     throw std::invalid_argument("OnlineEngine: window_accesses must be >= 1");
   }
-  if (!core::StrategyRegistry::Global().Contains(config_.reseed_strategy)) {
+  reseed_strategy_ =
+      core::StrategyRegistry::Global().Find(config_.reseed_strategy);
+  if (reseed_strategy_ == nullptr) {
     throw std::invalid_argument(
         "OnlineEngine: unregistered re-seed strategy '" +
         config_.reseed_strategy + "'");
   }
+  reseed_request_.num_dbcs = device_config_.total_dbcs();
+  reseed_request_.capacity = device_config_.domains_per_dbc;
+  reseed_request_.options = config_.strategy_options;
+  // The engine prices windows itself (record.window_cost); skip the
+  // constructive strategies' analytic pass.
+  reseed_request_.compute_cost = false;
 }
 
 void OnlineEngine::TraceWindow(const WindowRecord& record, double begin_ns) {
@@ -185,13 +193,12 @@ void OnlineEngine::PlaceNewVariables() {
 }
 
 core::Placement OnlineEngine::Reseed() {
-  const auto strategy =
-      core::StrategyRegistry::Global().Find(config_.reseed_strategy);
-  core::PlacementRequest request;
+  core::PlacementRequest& request = reseed_request_;
+  // Set per call: the engine may have moved since the last re-seed. The
+  // first placement runs in a passing workspace, so a session that never
+  // re-seeds again (a static policy) keeps no scratch alive.
   request.sequence = &window_seq_;
-  request.num_dbcs = device_config_.total_dbcs();
-  request.capacity = device_config_.domains_per_dbc;
-  request.options = config_.strategy_options;
+  request.workspace = placed_ ? &workspace_ : nullptr;
   // Each stream derives from ITS configured base seed — window 0 uses
   // both verbatim, so the single-window oracle holds even when a caller
   // configures ga.seed != rw.seed.
@@ -199,10 +206,7 @@ core::Placement OnlineEngine::Reseed() {
       WindowSeed(config_.strategy_options.ga.seed, windows_processed_);
   request.options.rw.seed =
       WindowSeed(config_.strategy_options.rw.seed, windows_processed_);
-  // The engine prices windows itself (record.window_cost); skip the
-  // constructive strategies' analytic pass.
-  request.compute_cost = false;
-  core::PlacementResult placed = core::RunTimed(*strategy, request);
+  core::PlacementResult placed = core::RunTimed(*reseed_strategy_, request);
   result_.placement_wall_ms += placed.wall_ms;
   result_.evaluations += placed.evaluations;
   return std::move(placed.placement);
@@ -261,14 +265,13 @@ bool OnlineEngine::Refine(WindowRecord& record) {
   }
   if (!committed) return false;
 
-  const MigrationPlan plan =
-      PlanMigration(placement_, evaluator.placement());
+  PlanMigration(placement_, evaluator.placement(), plan_);
   if (config_.migration_gate &&
-      !config_.migration_gate(plan.estimated_shifts)) {
-    DenyMigration(record, plan.estimated_shifts);
+      !config_.migration_gate(plan_.estimated_shifts)) {
+    DenyMigration(record, plan_.estimated_shifts);
     return false;
   }
-  ChargeMigration(plan, record);
+  ChargeMigration(plan_, record);
   placement_ = evaluator.placement();
   return true;
 }
@@ -303,16 +306,19 @@ void OnlineEngine::ChargeMigration(const MigrationPlan& plan,
 
 void OnlineEngine::ServeWindow(WindowRecord& record,
                                std::span<const trace::Access> accesses,
-                               trace::VariableId id_offset) {
+                               trace::VariableId id_offset,
+                               std::optional<std::uint64_t> known_cost) {
   // One pass over the window: map each access to its slot once, build
   // the batched request block in reused scratch, count reads/writes,
   // and — single port — accumulate the analytic window cost inline
-  // (exactly the SinglePortCosts walk of core::ShiftCost, which
-  // previously cost a second full replay of the window). Multi-port
-  // pricing does not decompose per access; it falls back to ShiftCost
-  // over the window buffer (the direct span path requires fused mode).
+  // (exactly the single-port walk of core::ShiftCost, which previously
+  // cost a second full replay of the window). Multi-port pricing does
+  // not decompose per access; it falls back to ShiftCost over the
+  // window buffer (the direct span path requires fused mode). A window
+  // whose cost the caller already knows is not priced again.
   const core::CostOptions& cost = config_.strategy_options.cost;
-  const bool fused = cost.port_offsets.size() == 1;
+  const bool fused =
+      !known_cost.has_value() && cost.port_offsets.size() == 1;
   std::uint64_t window_cost = 0;
   constexpr std::int64_t kNoAccess = -1;
   std::int64_t port = 0;
@@ -350,10 +356,14 @@ void OnlineEngine::ServeWindow(WindowRecord& record,
   }
   result_.reads += reads;
   result_.writes += writes;
-  record.window_cost =
-      fused ? window_cost
-            : core::ShiftCost(window_seq_, placement_,
-                              config_.strategy_options.cost);
+  if (known_cost.has_value()) {
+    record.window_cost = *known_cost;
+  } else {
+    record.window_cost =
+        fused ? window_cost
+              : core::ShiftCost(window_seq_, placement_,
+                                config_.strategy_options.cost);
+  }
   result_.placement_cost += record.window_cost;
   const std::uint64_t shifts_before = controller_.stats().shifts;
   controller_.ExecuteBatch(request_scratch_);
@@ -403,6 +413,9 @@ void OnlineEngine::ProcessWindow() {
   }
   const PhaseDetector::Verdict verdict = detector_.Observe(summary_);
 
+  // Set when a refused re-seed already priced the window under the
+  // placement that will serve it.
+  std::optional<std::uint64_t> window_cost;
   if (!placed_) {
     placement_ = Reseed();
     placed_ = true;
@@ -417,8 +430,11 @@ void OnlineEngine::ProcessWindow() {
                        controller_.stats().makespan_ns, args);
       }
       core::Placement candidate = Reseed();
-      const MigrationPlan plan = PlanMigration(placement_, candidate);
-      if (!plan.empty()) {
+      // Decide on the estimate; the plan is built only for a migration
+      // that will be charged.
+      const MigrationEstimate estimate =
+          EstimateMigration(placement_, candidate);
+      if (estimate.moved > 0) {
         bool accept = config_.always_accept_reseed;
         if (!accept) {
           // Migration-aware accept: the candidate must recoup its own
@@ -431,16 +447,19 @@ void OnlineEngine::ProcessWindow() {
           const std::uint64_t cost_candidate =
               core::ShiftCost(window_seq_, candidate, cost);
           result_.evaluations += 2;
-          accept = cost_candidate + plan.estimated_shifts < cost_keep;
+          accept = cost_candidate + estimate.estimated_shifts < cost_keep;
+          window_cost = cost_keep;
         }
         if (accept && config_.migration_gate &&
-            !config_.migration_gate(plan.estimated_shifts)) {
-          DenyMigration(record, plan.estimated_shifts);
+            !config_.migration_gate(estimate.estimated_shifts)) {
+          DenyMigration(record, estimate.estimated_shifts);
           accept = false;
         }
         if (accept) {
-          ChargeMigration(plan, record);
+          PlanMigration(placement_, candidate, plan_);
+          ChargeMigration(plan_, record);
           placement_ = std::move(candidate);
+          window_cost.reset();
         }
       }
     } else if (config_.refine) {
@@ -453,8 +472,9 @@ void OnlineEngine::ProcessWindow() {
   if (pre_serve_hook_) pre_serve_hook_(placement_, controller_);
 
   // ServeWindow prices the window (record.window_cost) fused into its
-  // request-building pass and books it into result_.placement_cost.
-  ServeWindow(record, window_seq_.accesses(), 0);
+  // request-building pass, unless a refused re-seed already did, and
+  // books it into result_.placement_cost.
+  ServeWindow(record, window_seq_.accesses(), 0, window_cost);
   record.latency_ns = controller_.stats().makespan_ns - makespan_before;
   TraceWindow(record, makespan_before);
   result_.windows.push_back(record);

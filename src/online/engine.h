@@ -39,13 +39,18 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/placement.h"
+#include "core/placement_workspace.h"
 #include "core/strategy.h"
+#include "core/strategy_registry.h"
 #include "obs/obs.h"
+#include "online/migration.h"
 #include "online/phase_detector.h"
 #include "rtm/config.h"
 #include "rtm/controller.h"
@@ -53,8 +58,6 @@
 #include "trace/access_sequence.h"
 
 namespace rtmp::online {
-
-struct MigrationPlan;  // online/migration.h
 
 /// Hottest window variables the refinement pass may try to move.
 inline constexpr std::size_t kRefineTopK = 8;
@@ -273,7 +276,8 @@ class OnlineEngine {
   /// placement of a variable is not migration — nothing moves.
   void PlaceNewVariables();
   /// Runs the re-seed strategy over the current window with the
-  /// per-window seed; accumulates wall time and evaluations.
+  /// per-window seed, in the engine's workspace; accumulates wall time
+  /// and evaluations.
   [[nodiscard]] core::Placement Reseed();
   /// Bounded greedy refinement of `placement_` (see header comment);
   /// returns true when any move was committed.
@@ -283,10 +287,13 @@ class OnlineEngine {
   void ChargeMigration(const MigrationPlan& plan, WindowRecord& record);
   /// Issues `accesses` (shifted by `id_offset`) under `placement_` and
   /// prices them into `record`. The buffered path passes the window
-  /// buffer with offset 0; the direct path passes the fed span.
+  /// buffer with offset 0; the direct path passes the fed span. A caller
+  /// that already priced the window under `placement_` (a refused
+  /// re-seed) passes it as `known_cost`, and the walk only issues.
   void ServeWindow(WindowRecord& record,
                    std::span<const trace::Access> accesses,
-                   trace::VariableId id_offset);
+                   trace::VariableId id_offset,
+                   std::optional<std::uint64_t> known_cost = std::nullopt);
   /// Traces the window span (both window paths).
   void TraceWindow(const WindowRecord& record, double begin_ns);
   /// Books a migration the gate denied into `record` and the result, and
@@ -323,6 +330,17 @@ class OnlineEngine {
   /// rebuilt in place every window the detector reads.
   TransitionSummary summary_;
   TransitionScratch summary_scratch_;
+  /// The re-seed strategy, resolved once, and its request: options are
+  /// copied once; each re-seed sets the pointers and the window seeds.
+  std::shared_ptr<const core::PlacementStrategy> reseed_strategy_;
+  core::PlacementRequest reseed_request_;
+  /// Scratch of every phase-change re-seed: once it has grown to the
+  /// largest re-seed seen, a re-seed allocates only the candidate
+  /// placement it returns.
+  core::PlacementWorkspace workspace_;
+  /// The plan of the migration being charged, rebuilt in place: only an
+  /// accepted, granted re-seed (or a committed refinement) is planned.
+  MigrationPlan plan_;
 };
 
 /// Convenience: feeds a whole sequence through one session.

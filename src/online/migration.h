@@ -12,6 +12,11 @@
 // analytic shift estimate the engine's accept decision can weigh against
 // the projected window savings before committing.
 //
+// The accept decision needs only how many variables move and the
+// estimate, so EstimateMigration makes the same two sweep walks without
+// materializing anything; PlanMigration builds the moves and requests,
+// into a caller-owned plan, only for a migration that will run.
+//
 // The estimate prices each per-DBC sweep with the paper's
 // first-access-free convention (distance between consecutive sorted
 // offsets); the true charge additionally depends on where each track
@@ -55,13 +60,21 @@ struct MigrationPlan {
 /// Appends one ascending-offset sweep per DBC over `slots` to `requests`
 /// — one request of `type` per slot, arrivals 0 — and returns the
 /// sweep's first-access-free shift estimate. `slots` must already be
-/// sorted by (dbc, offset). This is the ordering building block
-/// PlanMigration's read and write phases are made of; it is public so
-/// the cache tier (cache/engine.h) plans its evict+fill traffic as the
-/// same kind of sweeps a migration buffer would issue.
+/// sorted by (dbc, offset). These are the sweeps PlanMigration's read
+/// and write phases issue; the cache tier (cache/engine.h) plans its
+/// evict+fill traffic as the same kind of sweeps a migration buffer
+/// would issue.
 std::uint64_t AppendSweepRequests(std::span<const core::Slot> slots,
                                   trace::AccessType type,
                                   std::vector<rtm::TimedRequest>& requests);
+
+/// What a migration from `from` to `to` would cost, without its plan.
+struct MigrationEstimate {
+  /// Variables whose slot differs: PlanMigration's moves.size().
+  std::size_t moved = 0;
+  /// PlanMigration's estimated_shifts.
+  std::uint64_t estimated_shifts = 0;
+};
 
 /// Diffs `to` against `from` and plans the realizing traffic. The two
 /// placements must cover the same variable space; a variable placed in
@@ -69,6 +82,19 @@ std::uint64_t AppendSweepRequests(std::span<const core::Slot> slots,
 /// both sides in lock-step). Unmoved variables produce no traffic.
 [[nodiscard]] MigrationPlan PlanMigration(const core::Placement& from,
                                           const core::Placement& to);
+
+/// The same plan written into `plan`, whose buffers are reused: a caller
+/// that keeps one plan allocates only when a migration outgrows every
+/// earlier one. On a throw `plan` holds unspecified contents.
+void PlanMigration(const core::Placement& from, const core::Placement& to,
+                   MigrationPlan& plan);
+
+/// PlanMigration's (moves.size(), estimated_shifts) from the same two
+/// walks over both placements' lists, with no allocation; throws what
+/// PlanMigration throws. The online engine decides on this and plans
+/// only a migration it will charge.
+[[nodiscard]] MigrationEstimate EstimateMigration(const core::Placement& from,
+                                                  const core::Placement& to);
 
 /// Analytic per-move charge used by the engine's incremental-refinement
 /// accept rule: moving one variable in isolation costs about one read

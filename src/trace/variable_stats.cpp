@@ -3,14 +3,30 @@
 namespace rtmp::trace {
 
 std::vector<VariableStats> ComputeVariableStats(const AccessSequence& seq) {
-  std::vector<VariableStats> stats(seq.num_variables());
+  std::vector<VariableStats> stats;
+  std::vector<VariableId> first_use;
+  ComputeVariableStats(seq, stats, first_use);
+  return stats;
+}
+
+void ComputeVariableStats(const AccessSequence& seq,
+                          std::vector<VariableStats>& stats,
+                          std::vector<VariableId>& first_use) {
+  for (const VariableId v : first_use) stats[v] = VariableStats{};
+  first_use.clear();
+  stats.resize(seq.num_variables());
   for (std::size_t i = 0; i < seq.size(); ++i) {
-    VariableStats& s = stats[seq[i].variable];
+    const VariableId v = seq[i].variable;
+    VariableStats& s = stats[v];
+    if (s.first == kNever) {
+      // Listed before the entry changes, so a throw leaves the pair in
+      // the state the next call expects.
+      first_use.push_back(v);
+      s.first = i;
+    }
     ++s.frequency;
-    if (s.first == kNever) s.first = i;
     s.last = i;
   }
-  return stats;
 }
 
 bool LifespansDisjoint(const VariableStats& a,

@@ -32,6 +32,17 @@ struct VariableStats {
 [[nodiscard]] std::vector<VariableStats> ComputeVariableStats(
     const AccessSequence& seq);
 
+/// The same stats, written into reused storage. On entry `stats` must
+/// hold default entries except at the ids listed in `first_use`: the
+/// state this function leaves (two empty vectors qualify). Only those
+/// entries are reset, so a call costs O(|S|) plus the accessed variables,
+/// not O(V), once `stats` has grown to seq.num_variables() (its size on
+/// return). On return `first_use` lists the accessed variables in order
+/// of first occurrence.
+void ComputeVariableStats(const AccessSequence& seq,
+                          std::vector<VariableStats>& stats,
+                          std::vector<VariableId>& first_use);
+
 /// Two variables have disjoint lifespans iff one's last occurrence precedes
 /// the other's first (§III-B). Absent variables are disjoint from everything.
 [[nodiscard]] bool LifespansDisjoint(const VariableStats& a,

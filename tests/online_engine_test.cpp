@@ -405,6 +405,61 @@ TEST(OnlineEngine, BatchedFeedMatchesPerAccessFeedUnderMigrations) {
   }
 }
 
+TEST(OnlineEngine, RefusedReseedServesAtTheKeptPlacementsPrice) {
+  // A refused re-seed has already priced its window under the kept
+  // placement, and the service walk takes that price instead of pricing
+  // the window again. Every window's cost must still be ShiftCost of the
+  // window under the placement that served it, refused windows included,
+  // and placement_cost their sum.
+  const trace::AccessSequence seq =
+      WorkloadSequence("phased(gemm-tiled,stream-scan)", 1);
+  const rtm::RtmConfig device = sim::CellConfig(4, seq.num_variables());
+  constexpr std::size_t kWindow = 64;
+  for (const rtm::InitialAlignment alignment :
+       {rtm::InitialAlignment::kFirstAccess, rtm::InitialAlignment::kZero}) {
+    online::OnlineConfig config = online::OnlinePolicyRegistry::Global()
+                                      .Find("online-fixed-dma-sr")
+                                      ->MakeConfig();
+    config.window_accesses = kWindow;
+    config.strategy_options.cost.initial_alignment = alignment;
+    online::OnlineEngine engine(config, device);
+    trace::AccessSequence window;
+    for (trace::VariableId v = 0; v < seq.num_variables(); ++v) {
+      (void)engine.RegisterVariable(seq.name_of(v));
+      (void)window.AddVariable(seq.name_of(v));
+    }
+    std::size_t refused = 0;
+    std::uint64_t total = 0;
+    for (std::size_t begin = 0; begin + kWindow <= seq.size();
+         begin += kWindow) {
+      const core::Placement before =
+          engine.placed() ? engine.placement() : core::Placement(0, 1);
+      const std::span<const trace::Access> accesses =
+          std::span<const trace::Access>(seq.accesses())
+              .subspan(begin, kWindow);
+      engine.Feed(accesses);
+      window.ClearAccesses();
+      for (const trace::Access& access : accesses) {
+        window.Append(access.variable, access.type);
+      }
+      const online::WindowRecord& record = engine.Windows().back();
+      EXPECT_EQ(record.window_cost,
+                core::ShiftCost(window, engine.placement(),
+                                config.strategy_options.cost))
+          << "window at " << begin;
+      if (record.phase_change && !record.replaced) {
+        ++refused;
+        EXPECT_EQ(engine.placement(), before) << "window at " << begin;
+      }
+      total += record.window_cost;
+    }
+    const online::OnlineResult result = engine.Finish();
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(result.migrations, 0u);
+    EXPECT_EQ(result.placement_cost, total);
+  }
+}
+
 // ---- detector behaviour --------------------------------------------------
 
 TEST(PhaseDetector, FixedWindowFiresOnItsPeriod) {

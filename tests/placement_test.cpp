@@ -5,6 +5,8 @@
 namespace rtmp::core {
 namespace {
 
+using Ids = std::vector<VariableId>;
+
 TEST(Placement, StartsEmpty) {
   const Placement p(5, 2);
   EXPECT_EQ(p.num_variables(), 5u);
@@ -68,7 +70,7 @@ TEST(Placement, MoveToEndWithinSameDbcMovesToBack) {
   Placement p(3, 1);
   for (VariableId v = 0; v < 3; ++v) p.Append(0, v);
   p.MoveToEnd(0, 0);
-  EXPECT_EQ(p.dbc(0), (std::vector<VariableId>{1, 2, 0}));
+  EXPECT_EQ(p.dbc(0), (Ids{1, 2, 0}));
   p.CheckInvariants();
 }
 
@@ -86,7 +88,7 @@ TEST(Placement, MoveToEndIntoFullDbcThrowsAndLeavesStateIntact) {
   EXPECT_THROW(q.MoveToEnd(0, 1), std::logic_error);
   // Moving within a full DBC is always legal (v frees its own slot).
   p.MoveToEnd(0, 0);
-  EXPECT_EQ(p.dbc(0), (std::vector<VariableId>{1, 0}));
+  EXPECT_EQ(p.dbc(0), (Ids{1, 0}));
   p.CheckInvariants();
 }
 
@@ -94,7 +96,7 @@ TEST(Placement, TransposeSwapsAndReindexes) {
   Placement p(4, 1);
   for (VariableId v = 0; v < 4; ++v) p.Append(0, v);
   p.Transpose(0, 1, 3);
-  EXPECT_EQ(p.dbc(0), (std::vector<VariableId>{0, 3, 2, 1}));
+  EXPECT_EQ(p.dbc(0), (Ids{0, 3, 2, 1}));
   EXPECT_EQ(p.SlotOf(3).offset, 1u);
   EXPECT_EQ(p.SlotOf(1).offset, 3u);
   p.CheckInvariants();
@@ -104,11 +106,11 @@ TEST(Placement, TransposeSwapsAndReindexes) {
 TEST(Placement, ReorderRequiresPermutation) {
   Placement p(3, 1);
   for (VariableId v = 0; v < 3; ++v) p.Append(0, v);
-  p.Reorder(0, {2, 0, 1});
+  p.Reorder(0, Ids{2, 0, 1});
   EXPECT_EQ(p.SlotOf(2).offset, 0u);
   p.CheckInvariants();
-  EXPECT_THROW(p.Reorder(0, {0, 1}), std::invalid_argument);
-  EXPECT_THROW(p.Reorder(0, {0, 1, 1}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, Ids{0, 1}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, Ids{0, 1, 1}), std::invalid_argument);
 }
 
 // Each rejected reorder must leave the placement untouched.
@@ -116,20 +118,20 @@ TEST(Placement, ReorderRejectsEveryNonPermutation) {
   Placement p = Placement::FromLists({{0, 1, 2}, {3, 4}}, 6);
   const Placement before = p;
   // Size mismatch, both ways.
-  EXPECT_THROW(p.Reorder(0, {0, 1}), std::invalid_argument);
-  EXPECT_THROW(p.Reorder(0, {0, 1, 2, 3}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, Ids{0, 1}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, Ids{0, 1, 2, 3}), std::invalid_argument);
   // Duplicate id (right size, one member missing).
-  EXPECT_THROW(p.Reorder(0, {2, 2, 0}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, Ids{2, 2, 0}), std::invalid_argument);
   // A variable placed in another DBC.
-  EXPECT_THROW(p.Reorder(0, {0, 1, 3}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, Ids{0, 1, 3}), std::invalid_argument);
   // An unplaced variable and an out-of-range id.
-  EXPECT_THROW(p.Reorder(0, {0, 1, 5}), std::invalid_argument);
-  EXPECT_THROW(p.Reorder(0, {0, 1, 99}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, Ids{0, 1, 5}), std::invalid_argument);
+  EXPECT_THROW(p.Reorder(0, Ids{0, 1, 99}), std::invalid_argument);
   // An out-of-range DBC.
-  EXPECT_THROW(p.Reorder(7, {0, 1, 2}), std::out_of_range);
+  EXPECT_THROW(p.Reorder(7, Ids{0, 1, 2}), std::out_of_range);
   // A repeat found after other entries were checked.
   try {
-    p.Reorder(0, {1, 0, 1});
+    p.Reorder(0, Ids{1, 0, 1});
     ADD_FAILURE() << "a repeated id was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "Placement: reorder is not a permutation");
@@ -137,7 +139,7 @@ TEST(Placement, ReorderRejectsEveryNonPermutation) {
   EXPECT_EQ(p, before);
   p.CheckInvariants();
 
-  p.Reorder(1, {4, 3});
+  p.Reorder(1, Ids{4, 3});
   EXPECT_EQ(p.SlotOf(4), (Slot{1, 0}));
   EXPECT_EQ(p.SlotOf(3), (Slot{1, 1}));
   p.CheckInvariants();

@@ -18,6 +18,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/inter_afd.h"
@@ -25,6 +26,9 @@
 #include "core/intra_heuristics.h"
 #include "core/multi_dma.h"
 #include "core/placement.h"
+#include "core/placement_workspace.h"
+#include "core/strategy.h"
+#include "core/strategy_registry.h"
 #include "online/migration.h"
 #include "trace/access_sequence.h"
 #include "trace/generators.h"
@@ -607,6 +611,136 @@ TEST(ReseedEquivalence, IntraRangeRejectsWhatTheReferenceRejects) {
                std::invalid_argument);
   EXPECT_THROW(ReferenceApplyIntra(core::IntraHeuristic::kOfu, seq, p, 1),
                std::logic_error);
+}
+
+// ---- reused workspace ----------------------------------------------------
+
+/// The registered strategies that build their placement constructively
+/// (everything but the searches): the ones a workspace serves.
+std::vector<std::string> ConstructiveStrategies() {
+  std::vector<std::string> names;
+  for (const std::string& name : core::RegisteredStrategyNames()) {
+    const auto strategy = core::StrategyRegistry::Global().Find(name);
+    if (!strategy->Describe().search_based) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(ReseedEquivalence, ReusedWorkspaceMatchesFreshCalls) {
+  // One workspace serves all 15 constructive strategies, and the
+  // workspace forms of the building blocks, over a seeded series of
+  // sequences whose variable space, length and DBC count grow and shrink
+  // from one call to the next, with idle variables, scrambled names and
+  // both tight and unbounded capacity. Every result must equal a fresh
+  // call's: nothing a call leaves in the workspace may leak into the
+  // next.
+  const std::vector<std::string> names = ConstructiveStrategies();
+  ASSERT_EQ(names.size(), 15u);
+  constexpr std::array<std::uint32_t, 5> kDbcCounts = {1, 2, 3, 5, 16};
+  core::PlacementWorkspace workspace;
+  util::Rng rng(0x5EED000A);
+  for (int trial = 0; trial < 90; ++trial) {
+    SCOPED_TRACE(trial);
+    const bool adaptive_shape = trial % 6 == 0;
+    const std::size_t n = adaptive_shape ? 1280 : rng.NextBelow(220);
+    const std::size_t active =
+        adaptive_shape ? 8 + rng.NextBelow(80) : rng.NextBelow(n + 1);
+    const std::size_t length =
+        adaptive_shape ? 256 : rng.NextBelow(active == 0 ? 1 : 700);
+    const trace::AccessSequence seq = RandomSession(n, active, length, rng);
+    const std::uint32_t num_dbcs =
+        adaptive_shape ? 16 : kDbcCounts[rng.NextBelow(kDbcCounts.size())];
+    auto capacity = static_cast<std::uint32_t>(
+        std::max<std::size_t>(1, (n + num_dbcs - 1) / num_dbcs) +
+        rng.NextBelow(3));
+    if (rng.NextBool(0.25)) capacity = core::kUnboundedCapacity;
+
+    for (const std::string& name : names) {
+      SCOPED_TRACE(name);
+      const auto strategy = core::StrategyRegistry::Global().Find(name);
+      core::PlacementRequest fresh;
+      fresh.sequence = &seq;
+      fresh.num_dbcs = num_dbcs;
+      fresh.capacity = capacity;
+      core::PlacementRequest reused = fresh;
+      reused.workspace = &workspace;
+      const core::PlacementResult want = strategy->Run(fresh);
+      const core::PlacementResult got = strategy->Run(reused);
+      got.placement.CheckInvariants();
+      EXPECT_EQ(Lists(got.placement), Lists(want.placement));
+      EXPECT_EQ(got.cost, want.cost);
+    }
+
+    const std::vector<trace::VariableStats> stats =
+        trace::ComputeVariableStats(seq);
+    trace::ComputeVariableStats(seq, workspace.stats, workspace.first_use);
+    EXPECT_EQ(workspace.stats, stats);
+    const std::span<const VariableId> disjoint =
+        core::SelectDisjointVariables(stats, workspace);
+    EXPECT_EQ(std::vector<VariableId>(disjoint.begin(), disjoint.end()),
+              core::SelectDisjointVariables(stats));
+    const std::span<const VariableId> order =
+        core::SortByFrequencyDescending(stats, seq, workspace);
+    EXPECT_EQ(std::vector<VariableId>(order.begin(), order.end()),
+              core::SortByFrequencyDescending(stats, seq));
+    const core::Placement dealt = core::DistributeAfd(
+        seq, num_dbcs, capacity, {core::IntraHeuristic::kNone});
+    for (const core::IntraHeuristic heuristic : kIntraHeuristics) {
+      core::Placement got = dealt;
+      core::Placement want = dealt;
+      core::ApplyIntra(heuristic, seq, got, 0, num_dbcs, workspace);
+      core::ApplyIntra(heuristic, seq, want, 0, num_dbcs);
+      EXPECT_EQ(Lists(got), Lists(want)) << core::ToString(heuristic);
+    }
+  }
+}
+
+TEST(ReseedEquivalence, EstimateMatchesPlanAndReusedPlansMatchFreshOnes) {
+  // EstimateMigration decides on the plan's (moves, estimated shifts)
+  // without building it; a plan rebuilt in place must equal a fresh one
+  // whatever the previous plan held.
+  util::Rng rng(0x5EED000B);
+  online::MigrationPlan reused;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t n = rng.NextBelow(300);
+    std::vector<bool> placed(n);
+    for (std::size_t v = 0; v < n; ++v) placed[v] = rng.NextBool(0.85);
+    const auto from_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(16));
+    auto to_dbcs = from_dbcs;
+    if (rng.NextBool(0.2)) {
+      to_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(16));
+    }
+    const auto roomy = [&](std::uint32_t dbcs) {
+      return rng.NextBool(0.3) ? core::kUnboundedCapacity
+                               : static_cast<std::uint32_t>(
+                                     n / dbcs + 1 + rng.NextBelow(4));
+    };
+    const core::Placement from = RandomPlacement(placed, from_dbcs,
+                                                 roomy(from_dbcs), rng);
+    const core::Placement to =
+        to_dbcs == from_dbcs && rng.NextBool(0.5)
+            ? Perturb(from, rng)
+            : RandomPlacement(placed, to_dbcs, roomy(to_dbcs), rng);
+    const online::MigrationPlan plan = online::PlanMigration(from, to);
+    const online::MigrationEstimate estimate =
+        online::EstimateMigration(from, to);
+    EXPECT_EQ(estimate.moved, plan.moves.size());
+    EXPECT_EQ(estimate.estimated_shifts, plan.estimated_shifts);
+    online::PlanMigration(from, to, reused);
+    ExpectSamePlan(reused, plan);
+    ExpectSamePlan(plan, ReferencePlanMigration(from, to));
+  }
+  // The estimate rejects exactly what the plan rejects.
+  const core::Placement a = core::Placement::FromLists({{0, 1}}, 2);
+  const core::Placement b = core::Placement::FromLists({{0, 1, 2}}, 3);
+  const core::Placement only0 = core::Placement::FromLists({{0}}, 2);
+  const core::Placement only1 = core::Placement::FromLists({{}, {1}}, 2);
+  EXPECT_THROW((void)online::EstimateMigration(a, b), std::invalid_argument);
+  EXPECT_THROW((void)online::EstimateMigration(only0, only1),
+               std::invalid_argument);
+  EXPECT_THROW((void)online::EstimateMigration(only0, a),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -512,6 +512,27 @@ TEST(RtmlintObsHotFilesTest, ObsFilesAreTaggedAndAllocationFree) {
   }
 }
 
+TEST(RtmlintReseedHotFilesTest, ReseedFilesAreTaggedAndAllocationFree) {
+  // The online re-seed's scratch (core/placement_workspace.*) and the
+  // migration estimate and plan run on every phase change: each file
+  // opts into hot-path-alloc and keeps zero findings by resizing up
+  // front and writing by index.
+  RuleRegistry registry;
+  RegisterBuiltinRules(registry);
+  for (const char* relative :
+       {"src/core/placement_workspace.h", "src/core/placement_workspace.cpp",
+        "src/online/migration.cpp"}) {
+    const std::string content = ReadRepoFile(relative);
+    EXPECT_NE(content.find("rtmlint: hot-path"), std::string::npos)
+        << relative << " lost its hot-path tag";
+    const SourceFile file = SourceFile::FromString(relative, content);
+    const std::vector<std::string> rules = {"hot-path-alloc"};
+    const auto findings = LintSource(file, registry, rules);
+    EXPECT_EQ(CountRule(findings, "hot-path-alloc"), 0)
+        << relative << " allocates on the hot path";
+  }
+}
+
 TEST(RtmlintHotPathAllocTest, AdvisoryFindingsDoNotFailTheRun) {
   RuleRegistry registry;
   RegisterBuiltinRules(registry);
