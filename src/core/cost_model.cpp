@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <span>
 #include <stdexcept>
 
 #include "rtm/dbc_state.h"
@@ -12,31 +10,38 @@ namespace rtmp::core {
 
 namespace {
 
-constexpr std::int64_t kNoAccess = -1;
-
-/// Fast path: one port. The port's own offset cancels out of every
-/// inter-access distance; it only matters for a paid first access, where the
-/// cost is the distance from the port (alignment 0) to the variable. Calls
-/// `add(dbc, shifts)` per access; `last` holds one entry per DBC, all
-/// kNoAccess on entry.
-template <typename Add>
-void SinglePortWalk(const trace::AccessSequence& seq,
-                    const Placement& placement, const CostOptions& options,
-                    std::span<std::int64_t> last, Add&& add) {
-  const std::int64_t port =
-      options.port_offsets.empty() ? 0 : options.port_offsets.front();
-  const bool first_pays =
-      options.initial_alignment == rtm::InitialAlignment::kZero;
-  for (const trace::Access& access : seq.accesses()) {
-    const Slot slot = placement.SlotOf(access.variable);
-    const auto pos = static_cast<std::int64_t>(slot.offset);
-    if (last[slot.dbc] == kNoAccess) {
-      if (first_pays) add(slot.dbc, std::llabs(pos - port));
+/// Each DBC's last offset for one walk, on the stack for up to 64 DBCs:
+/// pricing a placement allocates nothing.
+class LastOffsets {
+ public:
+  explicit LastOffsets(std::size_t num_dbcs) {
+    if (num_dbcs > stack_.size()) {
+      heap_.resize(num_dbcs);
+      view_ = heap_;
     } else {
-      add(slot.dbc, std::llabs(pos - last[slot.dbc]));
+      view_ = std::span<std::int64_t>(stack_.data(), num_dbcs);
     }
-    last[slot.dbc] = pos;
+    std::fill(view_.begin(), view_.end(), kNoAccess);
   }
+  LastOffsets(const LastOffsets&) = delete;
+  LastOffsets& operator=(const LastOffsets&) = delete;
+
+  [[nodiscard]] std::span<std::int64_t> span() const noexcept {
+    return view_;
+  }
+
+ private:
+  std::array<std::int64_t, 64> stack_;
+  std::vector<std::int64_t> heap_;
+  std::span<std::int64_t> view_;
+};
+
+/// The cold path of ShiftCostOfSlots' slot read.
+[[noreturn]] void ThrowBadSlot(bool missing) {
+  if (missing) {
+    throw std::invalid_argument("ShiftCostOfSlots: missing slots");
+  }
+  throw std::logic_error("Placement: variable is unplaced");
 }
 
 /// General path: delegate per-DBC alignment tracking to the device model so
@@ -75,6 +80,13 @@ std::vector<std::uint64_t> MultiPortCosts(const trace::AccessSequence& seq,
   return per_dbc;
 }
 
+/// Reads an access's slot from a Placement (throws if unplaced).
+auto PlacementSlots(const Placement& placement) {
+  return [&placement](const trace::Access& access) {
+    return placement.SlotOf(access.variable);
+  };
+}
+
 }  // namespace
 
 void ValidateAgainstDomains(const Placement& placement,
@@ -105,7 +117,8 @@ std::vector<std::uint64_t> PerDbcShiftCost(const trace::AccessSequence& seq,
   }
   std::vector<std::uint64_t> per_dbc(placement.num_dbcs(), 0);
   std::vector<std::int64_t> last(placement.num_dbcs(), kNoAccess);
-  SinglePortWalk(seq, placement, options, last,
+  SinglePortWalk(seq.accesses(), PlacementSlots(placement),
+                 SinglePortStep(options), last,
                  [&per_dbc](std::uint32_t dbc, std::uint64_t shifts) {
                    per_dbc[dbc] += shifts;
                  });
@@ -123,47 +136,60 @@ std::uint64_t ShiftCost(const trace::AccessSequence& seq,
     return total;
   }
   ValidateAgainstDomains(placement, options);
-  // The total needs only each DBC's last offset, kept on the stack for up
-  // to kStackDbcs DBCs: pricing a placement allocates nothing.
-  constexpr std::size_t kStackDbcs = 64;
-  std::array<std::int64_t, kStackDbcs> stack{};
-  std::vector<std::int64_t> heap;
-  std::span<std::int64_t> last(stack.data(), placement.num_dbcs());
-  if (placement.num_dbcs() > kStackDbcs) {
-    heap.resize(placement.num_dbcs());
-    last = heap;
-  }
-  std::fill(last.begin(), last.end(), kNoAccess);
-  SinglePortWalk(seq, placement, options, last,
+  const LastOffsets last(placement.num_dbcs());
+  SinglePortWalk(seq.accesses(), PlacementSlots(placement),
+                 SinglePortStep(options), last.span(),
                  [&total](std::uint32_t, std::uint64_t shifts) {
                    total += shifts;
                  });
   return total;
 }
 
-std::uint64_t WalkCost(std::span<const trace::Access> accesses,
-                       std::span<const VariableId> order,
-                       std::size_t num_variables, bool first_access_pays) {
-  constexpr std::int64_t kUnknown = -1;
-  std::vector<std::int64_t> pos(num_variables, kUnknown);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    pos[order[i]] = static_cast<std::int64_t>(i);
-  }
-  std::uint64_t cost = 0;
-  std::int64_t last = kUnknown;
+void AccessRuns(std::span<const trace::Access> accesses,
+                std::vector<VariableId>& runs) {
+  runs.clear();
   for (const trace::Access& access : accesses) {
-    const std::int64_t p = pos[access.variable];
-    if (p == kUnknown) {
-      throw std::logic_error("WalkCost: accessed variable not in order");
+    if (runs.empty() || runs.back() != access.variable) {
+      runs.push_back(access.variable);
     }
-    if (last == kUnknown) {
-      if (first_access_pays) cost += static_cast<std::uint64_t>(p);
-    } else {
-      cost += static_cast<std::uint64_t>(std::llabs(p - last));
-    }
-    last = p;
   }
-  return cost;
+}
+
+std::uint64_t ShiftCostOfSlots(std::span<const VariableId> runs,
+                               std::span<const Slot> slots,
+                               std::span<const std::uint32_t> fill,
+                               const CostOptions& options) {
+  if (options.port_offsets.empty()) {
+    throw std::invalid_argument("CostOptions: need at least one port");
+  }
+  if (options.port_offsets.size() != 1) {
+    throw std::logic_error("ShiftCostOfSlots: single-port only");
+  }
+  if (const std::uint32_t domains = options.domains_per_dbc; domains != 0) {
+    // ValidateAgainstDomains over the flat form.
+    for (const std::uint32_t depth : fill) {
+      if (depth > domains) {
+        throw std::invalid_argument("cost model: placement deeper than DBC");
+      }
+    }
+    if (options.port_offsets.front() >= domains) {
+      throw std::invalid_argument("cost model: port offset out of range");
+    }
+  }
+  const std::size_t num_dbcs = fill.size();
+  const LastOffsets last(num_dbcs);
+  std::uint64_t total = 0;
+  SinglePortWalk(
+      runs,
+      [slots, num_dbcs](VariableId v) {
+        if (v >= slots.size()) ThrowBadSlot(/*missing=*/true);
+        const Slot slot = slots[v];
+        if (slot.dbc >= num_dbcs) ThrowBadSlot(/*missing=*/false);
+        return slot;
+      },
+      SinglePortStep(options), last.span(),
+      [&total](std::uint32_t, std::uint64_t shifts) { total += shifts; });
+  return total;
 }
 
 }  // namespace rtmp::core

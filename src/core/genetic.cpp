@@ -4,7 +4,6 @@
 #include <iterator>
 #include <stdexcept>
 
-#include "core/cost_evaluator.h"
 #include "core/inter_afd.h"
 #include "core/inter_dma.h"
 #include "trace/variable_stats.h"
@@ -215,15 +214,20 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
   const std::vector<VariableId> order = AppearanceOrder(seq);
   GaResult result{Placement(n, num_dbcs, capacity), 0, {}, 0};
 
-  // Fitness runs on the incremental evaluator: consecutive candidates
-  // mostly share their DBC partition, so scoring one costs a diff plus a
-  // re-price of the touched DBCs instead of an O(|S|) trace replay (the
-  // evaluator falls back to that replay for large diffs and multi-port
-  // configurations, so results are bit-identical to ShiftCost either way).
-  CostEvaluator evaluator(seq, options.cost);
-  auto evaluate = [&](const Placement& p) {
+  // Fitness is the shift cost. Under one port it is one walk over the
+  // sequence's access runs reading the individual's slot table; several
+  // ports need ShiftCost's DbcState replay.
+  const bool flat = options.cost.port_offsets.size() == 1;
+  std::vector<VariableId> runs;
+  if (flat) AccessRuns(seq.accesses(), runs);
+  std::vector<std::uint32_t> fill(num_dbcs);
+  auto evaluate = [&](const Placement& p) -> std::uint64_t {
     ++result.evaluations;
-    return evaluator.Evaluate(p);
+    if (!flat) return ShiftCost(seq, p, options.cost);
+    for (std::uint32_t d = 0; d < num_dbcs; ++d) {
+      fill[d] = static_cast<std::uint32_t>(p.dbc(d).size());
+    }
+    return ShiftCostOfSlots(runs, p.slots(), fill, options.cost);
   };
 
   // -- initial population ---------------------------------------------------
@@ -261,12 +265,24 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
   result.history.push_back(population[best_of(population)].cost);
 
   // -- generations ----------------------------------------------------------
+  // A child that crossover and mutation left equal to the parent it was
+  // copied from keeps that parent's cost (a function of the same
+  // placement); it still counts as an evaluation.
+  auto rescore = [&](Individual& child, std::size_t parent) {
+    if (child.placement == population[parent].placement) {
+      ++result.evaluations;
+    } else {
+      child.cost = evaluate(child.placement);
+    }
+  };
   for (std::size_t gen = 0; gen < options.generations; ++gen) {
     std::vector<Individual> offspring;
     offspring.reserve(options.lambda);
     while (offspring.size() < options.lambda) {
-      Individual a = population[Tournament(population, rng)];
-      Individual b = population[Tournament(population, rng)];
+      const std::size_t parent_a = Tournament(population, rng);
+      Individual a = population[parent_a];
+      const std::size_t parent_b = Tournament(population, rng);
+      Individual b = population[parent_b];
       if (n >= 2 && rng.NextBool(kCrossoverRate)) {
         auto f = static_cast<std::size_t>(rng.NextBelow(n));
         auto l = static_cast<std::size_t>(rng.NextBelow(n));
@@ -279,10 +295,10 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
       if (rng.NextBool(kMutationRate)) {
         Mutate(b.placement, options, rng);
       }
-      a.cost = evaluate(a.placement);
+      rescore(a, parent_a);
       offspring.push_back(std::move(a));
       if (offspring.size() < options.lambda) {
-        b.cost = evaluate(b.placement);
+        rescore(b, parent_b);
         offspring.push_back(std::move(b));
       }
     }

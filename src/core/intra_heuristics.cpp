@@ -226,9 +226,9 @@ std::span<std::size_t> ShiftsReduceChain(const LocalProblem& local,
   // an end would cost (i+1) shifts per traversal if we append at that end.
   //
   // Scored over the candidate's placed NEIGHBORS (the transition weights),
-  // not by scanning the whole chain per candidate: O(deg) per decision —
-  // the same pairwise-transition idea the CostEvaluator
-  // (core/cost_evaluator.h) builds on. Virtual coordinates track each
+  // not by scanning the whole chain per candidate: O(deg) per decision,
+  // since a DBC's single-port cost is its pairwise transition counts times
+  // the pairs' offset distances. Virtual coordinates track each
   // placed vertex's position: the seed sits at 0, a front push decrements
   // the front coordinate, a back push increments the back one. The front
   // distance is coord - front_coord and the back distance

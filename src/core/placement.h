@@ -73,6 +73,12 @@ class Placement {
     return slots_[v];
   }
 
+  /// Every variable's slot, indexed by id; an unplaced variable's DBC is
+  /// at least num_dbcs(). This is the flat form ShiftCostOfSlots reads.
+  [[nodiscard]] std::span<const Slot> slots() const noexcept {
+    return slots_;
+  }
+
   /// True when every variable is placed.
   [[nodiscard]] bool IsComplete() const noexcept {
     return placed_count_ == slots_.size();

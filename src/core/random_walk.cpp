@@ -8,7 +8,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/cost_evaluator.h"
 #include "core/genetic.h"
 #include "util/rng.h"
 
@@ -28,22 +27,25 @@ RwResult RunRandomWalk(const trace::AccessSequence& seq,
   util::Rng rng(options.seed);
 
   // Candidates are unrelated uniform draws into one reused RandomDraw.
-  // Single-port candidates are scored flat (ScoreSlots: one O(runs) walk
-  // over the drawn slots) and built into a Placement only when one
-  // becomes the new best, about H(iterations) times per run. Multi-port
-  // costs come from the DbcState replay, which needs a Placement: those
-  // candidates are built up front and scored through Evaluate.
-  CostEvaluator evaluator(seq, options.cost);
-  const bool flat = evaluator.incremental();
+  // Single-port candidates are scored flat (ShiftCostOfSlots: one walk
+  // over the access runs, reading the drawn slots) and built into a
+  // Placement only when one becomes the new best, about H(iterations)
+  // times per run. Multi-port costs come from the DbcState replay, which
+  // needs a Placement: those candidates are built up front and scored
+  // through ShiftCost.
+  const bool flat = options.cost.port_offsets.size() == 1;
+  std::vector<VariableId> runs;
+  if (flat) AccessRuns(seq.accesses(), runs);
   RandomDraw draw;
   std::optional<Placement> built;
   auto draw_and_score = [&]() -> std::uint64_t {
     DrawRandomSlots(n, num_dbcs, capacity, rng, draw);
     if (!flat) {
       built = draw.Build();
-      return evaluator.Evaluate(*built);
+      return ShiftCost(seq, *built, options.cost);
     }
-    const std::uint64_t cost = evaluator.ScoreSlots(draw.slots, draw.fill);
+    const std::uint64_t cost =
+        ShiftCostOfSlots(runs, draw.slots, draw.fill, options.cost);
     assert(cost == ShiftCost(seq, draw.Build(), options.cost));
     return cost;
   };

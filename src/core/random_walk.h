@@ -4,14 +4,13 @@
 // evaluates — to put the GA results in perspective.
 //
 // Under the paper's single-port cost model each candidate is drawn and
-// scored in flat form (DrawRandomSlots + CostEvaluator::ScoreSlots) and
-// built into a Placement only when it becomes the new best; multi-port
-// candidates are built and scored through CostEvaluator::Evaluate. Both
-// give the results of building and scoring every candidate. A flat
-// candidate costs its RNG draws (one shuffle plus about one inline
-// NextBelow per variable) and one walk over the sequence's access runs,
-// which skips the repeats of the previous access (about 60% of the
-// OffsetStone suite's accesses).
+// scored in flat form (DrawRandomSlots + ShiftCostOfSlots) and built into
+// a Placement only when it becomes the new best; multi-port candidates are
+// built and scored through ShiftCost. Both give the results of building
+// and scoring every candidate. A flat candidate costs its RNG draws (one
+// shuffle plus about one inline NextBelow per variable) and one walk over
+// the sequence's access runs, which skips the repeats of the previous
+// access (about 60% of the OffsetStone suite's accesses).
 #pragma once
 
 #include <cstdint>

@@ -4,12 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "core/cost_evaluator.h"
 #include "core/cost_model.h"
 #include "core/strategy_registry.h"
 #include "obs/metrics.h"
@@ -213,9 +211,6 @@ core::Placement OnlineEngine::Reseed() {
 }
 
 bool OnlineEngine::Refine(WindowRecord& record) {
-  core::CostEvaluator evaluator(window_seq_, config_.strategy_options.cost);
-  evaluator.Bind(placement_);
-
   // Hottest window variables first (frequency, then id, both
   // deterministic). Only the window's accesses are counted; the touched
   // scratch entries are zeroed again once the order is fixed.
@@ -223,10 +218,13 @@ bool OnlineEngine::Refine(WindowRecord& record) {
   if (freq.size() < window_seq_.num_variables()) {
     freq.resize(window_seq_.num_variables(), 0);
   }
-  std::vector<trace::VariableId> hot;
+  std::vector<trace::VariableId>& hot = refine_hot_;
+  hot.resize(window_seq_.size());
+  std::size_t distinct = 0;
   for (const trace::Access& access : window_seq_.accesses()) {
-    if (freq[access.variable]++ == 0) hot.push_back(access.variable);
+    if (freq[access.variable]++ == 0) hot[distinct++] = access.variable;
   }
+  hot.resize(distinct);
   std::sort(hot.begin(), hot.end(),
             [&freq](trace::VariableId a, trace::VariableId b) {
               if (freq[a] != freq[b]) return freq[a] > freq[b];
@@ -235,44 +233,88 @@ bool OnlineEngine::Refine(WindowRecord& record) {
   for (const trace::VariableId v : hot) freq[v] = 0;
   if (hot.size() > kRefineTopK) hot.resize(kRefineTopK);
 
+  // Greedy moves of the hot variables, each to the end of the DBC that
+  // prices the window lowest. Under one port a move is priced from a slot
+  // table: v's home DBC closes its gap once, and each target d gives v the
+  // slot {d, fill[d]}. Several ports price a scratch copy after the move.
+  const core::CostOptions& cost = config_.strategy_options.cost;
+  const bool flat = cost.port_offsets.size() == 1;
+  refined_ = placement_;
+  std::vector<core::Slot>& slots = refine_slots_;
+  std::vector<std::uint32_t>& fill = refine_fill_;
+  std::uint64_t current = 0;
+  if (flat) {
+    core::AccessRuns(window_seq_.accesses(), refine_runs_);
+    slots.assign(placement_.slots().begin(), placement_.slots().end());
+    fill.resize(placement_.num_dbcs());
+    for (std::uint32_t d = 0; d < placement_.num_dbcs(); ++d) {
+      fill[d] = static_cast<std::uint32_t>(placement_.dbc(d).size());
+    }
+    current = core::ShiftCostOfSlots(refine_runs_, slots, fill, cost);
+  } else {
+    current = core::ShiftCost(window_seq_, placement_, cost);
+  }
+  auto price_move = [&](trace::VariableId v, std::uint32_t d) {
+    if (!flat) {
+      refine_scratch_ = refined_;
+      refine_scratch_.MoveToEnd(v, d);
+      return core::ShiftCost(window_seq_, refine_scratch_, cost);
+    }
+    slots[v] = core::Slot{d, fill[d]++};
+    const std::uint64_t priced =
+        core::ShiftCostOfSlots(refine_runs_, slots, fill, cost);
+    --fill[d];
+    return priced;
+  };
+
   const std::uint64_t margin =
       EstimatedSingleMoveShifts(device_config_.domains_per_dbc);
   bool committed = false;
   for (const trace::VariableId v : hot) {
-    const std::uint32_t home = evaluator.placement().SlotOf(v).dbc;
-    std::uint32_t best_dbc = home;
-    std::uint64_t best_cost = evaluator.Cost();
-    for (std::uint32_t d = 0; d < placement_.num_dbcs(); ++d) {
-      if (d == home || evaluator.placement().FreeIn(d) == 0) continue;
-      const std::uint64_t cost = evaluator.PeekMove(v, d);
+    const core::Slot home = refined_.SlotOf(v);
+    const std::vector<trace::VariableId>& members = refined_.dbc(home.dbc);
+    if (flat) {
+      for (std::size_t i = home.offset + 1; i < members.size(); ++i) {
+        --slots[members[i]].offset;
+      }
+      --fill[home.dbc];
+    }
+    std::uint32_t best_dbc = home.dbc;
+    std::uint64_t best_cost = current;
+    for (std::uint32_t d = 0; d < refined_.num_dbcs(); ++d) {
+      if (d == home.dbc || refined_.FreeIn(d) == 0) continue;
+      const std::uint64_t priced = price_move(v, d);
       ++result_.evaluations;
-      if (cost < best_cost) {
-        best_cost = cost;
+      if (priced < best_cost) {
+        best_cost = priced;
         best_dbc = d;
       }
     }
-    if (best_dbc == home) continue;
-    // Commit, then roll back unless the realized saving clears the
-    // per-move migration charge — the peek picked the target, the
-    // apply/undo pair makes the accept decision on the actual delta.
-    const std::uint64_t before = evaluator.Cost();
-    const std::uint64_t after = evaluator.ApplyMove(v, best_dbc);
-    if (after >= before || before - after <= margin) {
-      evaluator.Undo();
-      continue;
+    // Commit only a move whose window saving clears the per-move
+    // migration charge.
+    if (best_dbc != home.dbc && current - best_cost > margin) {
+      if (flat) slots[v] = core::Slot{best_dbc, fill[best_dbc]++};
+      refined_.MoveToEnd(v, best_dbc);
+      current = best_cost;
+      committed = true;
+    } else if (flat) {
+      slots[v] = home;
+      for (std::size_t i = home.offset + 1; i < members.size(); ++i) {
+        ++slots[members[i]].offset;
+      }
+      ++fill[home.dbc];
     }
-    committed = true;
   }
   if (!committed) return false;
 
-  PlanMigration(placement_, evaluator.placement(), plan_);
+  PlanMigration(placement_, refined_, plan_);
   if (config_.migration_gate &&
       !config_.migration_gate(plan_.estimated_shifts)) {
     DenyMigration(record, plan_.estimated_shifts);
     return false;
   }
   ChargeMigration(plan_, record);
-  placement_ = evaluator.placement();
+  std::swap(placement_, refined_);
   return true;
 }
 
@@ -310,24 +352,20 @@ void OnlineEngine::ServeWindow(WindowRecord& record,
                                std::optional<std::uint64_t> known_cost) {
   // One pass over the window: map each access to its slot once, build
   // the batched request block in reused scratch, count reads/writes,
-  // and — single port — accumulate the analytic window cost inline
-  // (exactly the single-port walk of core::ShiftCost, which previously
-  // cost a second full replay of the window). Multi-port pricing does
-  // not decompose per access; it falls back to ShiftCost over the
-  // window buffer (the direct span path requires fused mode). A window
-  // whose cost the caller already knows is not priced again.
+  // and — single port — accumulate the analytic window cost inline with
+  // core::SinglePortStep, the step of ShiftCost's walk, instead of a
+  // second replay of the window. Multi-port pricing does not decompose
+  // per access; it falls back to ShiftCost over the window buffer (the
+  // direct span path requires fused mode). A window whose cost the
+  // caller already knows is not priced again.
   const core::CostOptions& cost = config_.strategy_options.cost;
   const bool fused =
       !known_cost.has_value() && cost.port_offsets.size() == 1;
   std::uint64_t window_cost = 0;
-  constexpr std::int64_t kNoAccess = -1;
-  std::int64_t port = 0;
-  bool first_pays = false;
+  const core::SinglePortStep step(cost);
   if (fused) {
     core::ValidateAgainstDomains(placement_, cost);
-    last_off_scratch_.assign(placement_.num_dbcs(), kNoAccess);
-    port = static_cast<std::int64_t>(cost.port_offsets.front());
-    first_pays = cost.initial_alignment == rtm::InitialAlignment::kZero;
+    last_off_scratch_.assign(placement_.num_dbcs(), core::kNoAccess);
   }
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -341,18 +379,7 @@ void OnlineEngine::ServeWindow(WindowRecord& record,
     } else {
       ++reads;
     }
-    if (fused) {
-      const auto pos = static_cast<std::int64_t>(slot.offset);
-      std::int64_t& last = last_off_scratch_[slot.dbc];
-      if (last == kNoAccess) {
-        if (first_pays) {
-          window_cost += static_cast<std::uint64_t>(std::llabs(pos - port));
-        }
-      } else {
-        window_cost += static_cast<std::uint64_t>(std::llabs(pos - last));
-      }
-      last = pos;
-    }
+    if (fused) window_cost += step(last_off_scratch_[slot.dbc], slot.offset);
   }
   result_.reads += reads;
   result_.writes += writes;
@@ -439,8 +466,7 @@ void OnlineEngine::ProcessWindow() {
         if (!accept) {
           // Migration-aware accept: the candidate must recoup its own
           // traffic within the window that triggered it. Two plain walks
-          // over the window price both placements; an incremental
-          // evaluator's O(V + S) setup would not pay off for two scores.
+          // over the window price both placements.
           const core::CostOptions& cost = config_.strategy_options.cost;
           const std::uint64_t cost_keep =
               core::ShiftCost(window_seq_, placement_, cost);

@@ -19,9 +19,11 @@
 //     placement's window cost (migration-aware accept rule).
 //  3. Without a phase change the engine can still refine incrementally:
 //     a bounded greedy pass over the window's kRefineTopK hottest
-//     variables, scored with core::CostEvaluator's PeekMove and
-//     committed/rolled back with ApplyMove/Undo, each move charged
-//     against a conservative per-move migration estimate.
+//     variables. Each candidate move is priced with one walk over the
+//     window (core::ShiftCostOfSlots over a slot table, or ShiftCost of
+//     a moved scratch copy under several ports), and the best one is
+//     committed only when its saving beats a conservative per-move
+//     migration estimate.
 //  4. Every accepted layout change is realized by a MigrationPlanner
 //     traffic plan (online/migration.h) executed on the engine's live
 //     rtm::RtmController — the reported shifts, latency and energy
@@ -326,6 +328,16 @@ class OnlineEngine {
   /// between calls: Refine counts only the window's accesses and resets
   /// only the ids it touched.
   std::vector<std::uint64_t> refine_freq_scratch_;
+  /// Refine's other scratch, reused across calls: the hot variables, the
+  /// window's access runs, the slot table and per-DBC fill it prices
+  /// single-port moves from, the placement with the committed moves, and
+  /// the moved copy a multi-port move is priced on.
+  std::vector<trace::VariableId> refine_hot_;
+  std::vector<trace::VariableId> refine_runs_;
+  std::vector<core::Slot> refine_slots_;
+  std::vector<std::uint32_t> refine_fill_;
+  core::Placement refined_{0, 1};
+  core::Placement refine_scratch_{0, 1};
   /// The window's transition summary and its counting-pass buffers,
   /// rebuilt in place every window the detector reads.
   TransitionSummary summary_;

@@ -5,10 +5,11 @@
 // workload has entered a new phase — i.e. whether paying for a
 // re-placement (migration traffic) is worth considering at all. The
 // signal is the window's transition-weight distribution: how often each
-// unordered variable pair is accessed consecutively. That is exactly the
-// quantity the single-port shift cost decomposes into (see
-// core/cost_evaluator.h), but summarized globally (placement-independent),
-// so the detector needs no knowledge of the current layout.
+// unordered variable pair is accessed consecutively. The single-port
+// shift cost of a DBC is these weights times the pairs' offset distances
+// (the decomposition ShiftsReduce builds on), but here they are summarized
+// globally (placement-independent), so the detector needs no knowledge of
+// the current layout.
 //
 // Three detector families are provided:
 //

@@ -38,7 +38,7 @@ using OnlinePolicyRegistrar = util::Registrar<OnlinePolicy>;
 ///   online-fixed-<s>    256-access windows, re-seed considered every
 ///                       window boundary (period-1 epoch baseline);
 ///   online-ewma-<s>     256-access windows, EWMA-drift detection plus
-///                       CostEvaluator refinement between phases;
+///                       greedy refinement between phases;
 ///   online-cusum-<s>    256-access windows, CUSUM change-point detection
 ///                       (integrates slow drifts a single-window EWMA
 ///                       test misses) plus refinement;

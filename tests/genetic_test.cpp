@@ -309,10 +309,9 @@ TEST(RunGaFn, HandlesEmptySequence) {
 }
 
 TEST(RunGaFn, PinnedResultsUnchangedByEvaluatorRefactor) {
-  // Golden values captured from the pre-CostEvaluator implementation
-  // (ShiftCost replay per candidate, copy-based elitist selection). The
-  // evaluator-backed GA must reproduce them bit-exactly: same RNG stream,
-  // same costs, same elite.
+  // Golden values captured from the first implementation (ShiftCost
+  // replay per candidate, copy-based elitist selection). The GA must
+  // reproduce them bit-exactly: same RNG stream, same costs, same elite.
   const auto seq = MediumTrace();
   const GaResult four = RunGa(seq, 4, kUnboundedCapacity, SmallGa());
   EXPECT_EQ(four.best_cost, 5u);

@@ -23,7 +23,7 @@ std::vector<VariableId> AllVars(const AccessSequence& seq) {
 
 std::uint64_t CostOf(const AccessSequence& seq,
                      const std::vector<VariableId>& order) {
-  return WalkCost(seq.accesses(), order, seq.num_variables());
+  return ShiftCost(seq, Placement::FromLists({order}, seq.num_variables()));
 }
 
 bool IsPermutationOf(const std::vector<VariableId>& order,

@@ -11,6 +11,7 @@
 //    driven through a fresh controller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "core/cost_model.h"
+#include "core/genetic.h"
 #include "core/strategy_registry.h"
 #include "offsetstone/suite.h"
 #include "online/engine.h"
@@ -28,6 +30,7 @@
 #include "rtm/controller.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -658,6 +661,162 @@ TEST(OnlineEngine, RefineCommitsOnlyMovesThatBeatThePerMoveMargin) {
   EXPECT_EQ(above.windows[1].migrated_vars, 2u);
   EXPECT_EQ(above.migrations, 1u);
   EXPECT_EQ(above.final_placement.SlotOf(0).dbc, 1u);
+}
+
+/// A uniformly random window-0 layout drawn from request.options.rw.seed
+/// (test strategy): the refinement grid starts from placements that mix
+/// hot and cold variables in every DBC.
+class SeededRandomStrategy final : public core::PlacementStrategy {
+ public:
+  const core::StrategyInfo& Describe() const noexcept override {
+    static const core::StrategyInfo info{
+        "seeded-random", "uniformly random layout from the rw seed (test)",
+        /*search_based=*/false, /*spec=*/{}};
+    return info;
+  }
+
+  core::PlacementResult Run(
+      const core::PlacementRequest& request) const override {
+    util::Rng rng(request.options.rw.seed);
+    core::PlacementResult result;
+    result.placement =
+        core::RandomPlacement(request.sequence->num_variables(),
+                              request.num_dbcs, request.capacity, rng);
+    return result;
+  }
+};
+
+const core::StrategyRegistrar kSeededRandomRegistrar{"seeded-random", [] {
+  return std::make_shared<const SeededRandomStrategy>();
+}};
+
+/// Refine spelled out: the window's kRefineTopK hottest variables
+/// (frequency, then id), each tried at the end of every other DBC with
+/// room by copying the placement, applying MoveToEnd and pricing the
+/// window with ShiftCost; the cheapest move is kept when it saves more
+/// than `margin`. Adds one to `evaluations` per priced move.
+core::Placement ReplayGreedy(const trace::AccessSequence& window,
+                             core::Placement placement,
+                             const core::CostOptions& cost,
+                             std::uint64_t margin, std::size_t& evaluations) {
+  std::vector<std::uint64_t> freq(window.num_variables(), 0);
+  std::vector<trace::VariableId> hot;
+  for (const trace::Access& access : window.accesses()) {
+    if (freq[access.variable]++ == 0) hot.push_back(access.variable);
+  }
+  std::sort(hot.begin(), hot.end(),
+            [&freq](trace::VariableId a, trace::VariableId b) {
+              if (freq[a] != freq[b]) return freq[a] > freq[b];
+              return a < b;
+            });
+  if (hot.size() > online::kRefineTopK) hot.resize(online::kRefineTopK);
+  std::uint64_t current = core::ShiftCost(window, placement, cost);
+  for (const trace::VariableId v : hot) {
+    const std::uint32_t home = placement.SlotOf(v).dbc;
+    std::uint32_t best = home;
+    std::uint64_t best_cost = current;
+    for (std::uint32_t d = 0; d < placement.num_dbcs(); ++d) {
+      if (d == home || placement.FreeIn(d) == 0) continue;
+      core::Placement moved = placement;
+      moved.MoveToEnd(v, d);
+      const std::uint64_t priced = core::ShiftCost(window, moved, cost);
+      ++evaluations;
+      if (priced < best_cost) {
+        best = d;
+        best_cost = priced;
+      }
+    }
+    if (best != home && current - best_cost > margin) {
+      placement.MoveToEnd(v, best);
+      current = best_cost;
+    }
+  }
+  return placement;
+}
+
+// Over seeded windows, Refine's placement after every window and its
+// total evaluation count equal the replay greedy's, for one and two ports,
+// both initial alignments and tight capacities (a few free slots).
+TEST(OnlineEngine, RefineMatchesAReplayGreedy) {
+  util::Rng gen(0x2EF1E);
+  std::size_t migrations = 0;
+  for (int round = 0; round < 64; ++round) {
+    const bool dual = round % 2 == 1;
+    const bool zero = (round / 2) % 2 == 1;
+    const auto q = static_cast<unsigned>(2 + gen.NextBelow(4));
+    const auto domains = static_cast<unsigned>(4 + gen.NextBelow(6));
+    static constexpr std::size_t kSlack[] = {1, 2, 3, 6};
+    const std::size_t n = q * domains - kSlack[gen.NextBelow(4)];
+    const std::size_t window_size = 12 + gen.NextBelow(40);
+    constexpr std::size_t kWindows = 6;
+
+    rtm::RtmConfig device;
+    device.dbcs = q;
+    device.domains_per_dbc = domains;
+    device.initial_alignment = zero ? rtm::InitialAlignment::kZero
+                                    : rtm::InitialAlignment::kFirstAccess;
+    online::OnlineConfig config;
+    config.reseed_strategy = "seeded-random";
+    config.detector.kind = online::DetectorKind::kNone;
+    config.refine = true;
+    config.window_accesses = window_size;
+    core::CostOptions& cost = config.strategy_options.cost;
+    cost.initial_alignment = device.initial_alignment;
+    cost.domains_per_dbc = domains;
+    if (dual) {
+      device.ports_per_track = 2;
+      device.port_offsets = {0, domains - 1};
+      cost.port_offsets = device.port_offsets;
+    }
+    const std::uint64_t margin =
+        online::EstimatedSingleMoveShifts(device.domains_per_dbc);
+
+    // Each window draws three quarters of its accesses from a small hot
+    // set, so repeated transitions make some moves pay.
+    std::vector<std::string> names;
+    for (std::size_t v = 0; v < n; ++v) {
+      std::string name = "v";
+      name += std::to_string(v);
+      names.push_back(std::move(name));
+    }
+    online::OnlineEngine engine(config, device);
+    for (const std::string& name : names) (void)engine.RegisterVariable(name);
+    core::Placement expected{0, 1};
+    std::size_t expected_evaluations = 0;
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      trace::AccessSequence window;
+      for (const std::string& name : names) window.AddVariable(name);
+      std::vector<trace::VariableId> hot_set;
+      for (int i = 0; i < 4; ++i) {
+        hot_set.push_back(static_cast<trace::VariableId>(gen.NextBelow(n)));
+      }
+      while (window.size() < window_size) {
+        window.Append(gen.NextBool(0.75)
+                          ? hot_set[gen.NextBelow(hot_set.size())]
+                          : static_cast<trace::VariableId>(gen.NextBelow(n)));
+      }
+      engine.Feed(std::span<const trace::Access>(window.accesses()));
+      if (w == 0) {
+        util::Rng rng(config.strategy_options.rw.seed);
+        expected = core::RandomPlacement(n, q, domains, rng);
+        expected_evaluations += 1;  // the re-seed strategy's own count
+      } else {
+        expected = ReplayGreedy(window, std::move(expected), cost, margin,
+                                expected_evaluations);
+      }
+      SCOPED_TRACE(testing::Message()
+                   << "round " << round << " window " << w << " q=" << q
+                   << " K=" << domains << " n=" << n << " dual=" << dual
+                   << " zero=" << zero);
+      ASSERT_EQ(engine.placement(), expected);
+      ASSERT_EQ(engine.Windows().back().window_cost,
+                core::ShiftCost(window, expected, cost));
+    }
+    const online::OnlineResult result = engine.Finish();
+    EXPECT_EQ(result.evaluations, expected_evaluations) << "round " << round;
+    migrations += result.migrations;
+  }
+  EXPECT_GT(migrations, 20u);  // the grid commits moves, not only refusals
 }
 
 // ---- engine edge cases ---------------------------------------------------

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cost_evaluator.h"
 #include "core/cost_model.h"
 #include "core/genetic.h"
 #include "core/random_walk.h"
@@ -22,7 +21,7 @@ using trace::AccessSequence;
 // ---- reference oracles -----------------------------------------------------
 // The bodies RandomPlacement and RunRandomWalk had before candidates were
 // drawn and scored in flat form: every draw builds a Placement through
-// checked Append calls and every candidate is scored through Evaluate.
+// checked Append calls and every candidate is scored through ShiftCost.
 // The production walk must reproduce them bit-for-bit: the same best
 // placement, cost, history and evaluation count, and the same RNG
 // consumption.
@@ -78,15 +77,14 @@ RwResult OldRunRandomWalk(const trace::AccessSequence& seq,
   }
   util::Rng rng(options.seed);
 
-  CostEvaluator evaluator(seq, options.cost);
   Placement best = OldRandomPlacement(n, num_dbcs, capacity, rng);
-  std::uint64_t best_cost = evaluator.Evaluate(best);
+  std::uint64_t best_cost = ShiftCost(seq, best, options.cost);
 
   const std::size_t stride = std::max<std::size_t>(options.iterations / 100, 1);
   RwResult result{std::move(best), best_cost, {}, 1};
   for (std::size_t i = 1; i < options.iterations; ++i) {
     Placement candidate = OldRandomPlacement(n, num_dbcs, capacity, rng);
-    const std::uint64_t cost = evaluator.Evaluate(candidate);
+    const std::uint64_t cost = ShiftCost(seq, candidate, options.cost);
     ++result.evaluations;
     if (cost < result.best_cost) {
       result.best = std::move(candidate);
@@ -226,7 +224,7 @@ TEST(RandomWalkOracle, RunRandomWalkMatchesOldBodyOnSeededGrid) {
 }
 
 TEST(RandomWalkOracle, RunRandomWalkMatchesOldBodyOnRepeatHeavySequences) {
-  // ScoreSlots skips repeats of the previous access (60.6% of the
+  // The flat walk skips repeats of the previous access (60.6% of the
   // OffsetStone suite's accesses); the old body scores every access.
   util::Rng gen(0x4E9EA7);
   for (int round = 0; round < 12; ++round) {
@@ -386,8 +384,8 @@ TEST(RandomWalk, ReportsEvaluationsPerformed) {
 }
 
 TEST(RandomWalk, PinnedResultUnchangedByEvaluatorRefactor) {
-  // Golden values captured from the pre-CostEvaluator ShiftCost-replay
-  // implementation; the refactored walk must reproduce them bit-exactly.
+  // Golden values captured from the first, ShiftCost-replay
+  // implementation; every later walk must reproduce them bit-exactly.
   const auto seq = AccessSequence::FromCompactString(
       "gabababgcdcdcdgefefefghihihig");
   RwOptions options;
