@@ -109,23 +109,8 @@ void CacheEngine::Touch(std::uint32_t frame) {
   LinkAfter(frame, recency_tail_);
 }
 
-void CacheEngine::Feed(std::string_view name, trace::AccessType type) {
-  Feed(RegisterVariable(name), type);
-}
-
-void CacheEngine::Feed(std::uint32_t variable, trace::AccessType type) {
-  if (finished_) {
-    throw std::logic_error("CacheEngine: Feed after Finish");
-  }
-  if (variable >= names_.size()) {
-    throw std::out_of_range("CacheEngine: unregistered variable id");
-  }
-  Append(variable, type);
-}
-
 void CacheEngine::Feed(std::span<const trace::Access> accesses,
                        std::uint32_t id_offset) {
-  if (accesses.empty()) return;
   if (finished_) {
     throw std::logic_error("CacheEngine: Feed after Finish");
   }
@@ -298,7 +283,6 @@ std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
   info.last_use = tick_;
   Touch(victim);
   info.uses = 1;
-  info.admitted = tick_;
   if (config_.record_events) {
     events_.push_back(
         {tick_, variable, victim, CacheEvent::Kind::kMiss, evicted,

@@ -152,22 +152,16 @@ class CacheEngine {
   /// uncached mode's "everything starts on-device" assumption.
   std::uint32_t RegisterVariable(std::string_view name);
 
-  /// Appends one access, registering `name` on first appearance.
-  void Feed(std::string_view name, trace::AccessType type);
-
-  /// Appends one access to a previously registered variable
-  /// (std::out_of_range otherwise). A full logical window is resolved
-  /// (classified, evicted/filled, handed to the wrapped engine) before
-  /// the call returns.
-  void Feed(std::uint32_t variable, trace::AccessType type);
-
-  /// Batched feed over pre-registered ids; resolves every window
-  /// boundary the block crosses. Bit-identical to the per-access loop.
-  /// `id_offset` is added to every access's variable id — how the serve
-  /// layer remaps tenant-local ids into the shard's space (mirrors
-  /// online::OnlineEngine::Feed's offset parameter). A shifted id that is
-  /// unregistered, or that overflows 32 bits, throws std::out_of_range
-  /// before any access of the block is fed.
+  /// Appends a block of accesses to registered ids; every full logical
+  /// window the block completes is resolved (classified, evicted/filled,
+  /// handed to the wrapped engine) before the call returns. How a stream
+  /// is cut into blocks changes nothing. `id_offset` is added to every
+  /// access's variable id — how the serve layer remaps tenant-local ids
+  /// into the shard's space (mirrors online::OnlineEngine::Feed's offset
+  /// parameter). A shifted id that is unregistered, or that overflows 32
+  /// bits, throws std::out_of_range before any access of the block is
+  /// fed; any call after Finish() throws std::logic_error, an empty block
+  /// included.
   void Feed(std::span<const trace::Access> accesses,
             std::uint32_t id_offset = 0);
 

@@ -59,8 +59,6 @@ struct FrameInfo {
   std::uint64_t last_use = 0;
   /// Total accesses the occupant has received while resident.
   std::uint64_t uses = 0;
-  /// Tick at which the current occupant was admitted.
-  std::uint64_t admitted = 0;
 };
 
 /// Everything a policy may consult when picking a victim. Spans point

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <stdexcept>
-
-#include "rtm/dbc_state.h"
+#include <string>
 
 namespace rtmp::core {
 
@@ -44,38 +44,44 @@ class LastOffsets {
   throw std::logic_error("Placement: variable is unplaced");
 }
 
-/// General path: delegate per-DBC alignment tracking to the device model so
-/// the analytic cost and the simulator can never diverge.
+/// Several ports, priced analytically (the device has one port). All
+/// tracks of a DBC shift in lock-step, so one alignment a per DBC holds
+/// its state: offset x faces the port at offset o iff a == x - o. Each
+/// access takes the cheapest port, the lower port index on ties; before
+/// a DBC's first access under kFirstAccess every port is free, so port 0
+/// is taken.
 std::vector<std::uint64_t> MultiPortCosts(const trace::AccessSequence& seq,
                                           const Placement& placement,
                                           const CostOptions& options) {
-  std::uint32_t domains = options.domains_per_dbc;
-  if (domains == 0) {
-    // Derive a bound: offsets are dense, so the longest list suffices.
-    std::uint32_t longest = 1;
-    for (std::uint32_t d = 0; d < placement.num_dbcs(); ++d) {
-      longest = std::max(
-          longest, static_cast<std::uint32_t>(placement.dbc(d).size()));
-    }
-    if (placement.capacity() != kUnboundedCapacity) {
-      longest = std::max(longest, placement.capacity());
-    }
-    for (const std::uint32_t port : options.port_offsets) {
-      longest = std::max(longest, port + 1);
-    }
-    domains = longest;
-  }
+  const std::vector<std::uint32_t>& ports = options.port_offsets;
   const bool start_at_zero =
       options.initial_alignment == rtm::InitialAlignment::kZero;
-  std::vector<rtm::DbcState> states;
-  states.reserve(placement.num_dbcs());
-  for (std::uint32_t d = 0; d < placement.num_dbcs(); ++d) {
-    states.emplace_back(domains, options.port_offsets, start_at_zero);
-  }
+  std::vector<std::int64_t> alignment(placement.num_dbcs(), 0);
+  std::vector<std::uint8_t> aligned(placement.num_dbcs(),
+                                    start_at_zero ? 1 : 0);
   std::vector<std::uint64_t> per_dbc(placement.num_dbcs(), 0);
   for (const trace::Access& access : seq.accesses()) {
     const Slot slot = placement.SlotOf(access.variable);
-    per_dbc[slot.dbc] += states[slot.dbc].Access(slot.offset);
+    const auto pos = static_cast<std::int64_t>(slot.offset);
+    std::int64_t& current = alignment[slot.dbc];
+    if (aligned[slot.dbc] == 0) {
+      aligned[slot.dbc] = 1;
+      current = pos - ports.front();
+      continue;
+    }
+    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+    std::int64_t best_alignment = current;
+    for (const std::uint32_t port : ports) {
+      const std::int64_t target = pos - port;
+      const auto shifts =
+          static_cast<std::uint64_t>(std::llabs(current - target));
+      if (shifts < best) {
+        best = shifts;
+        best_alignment = target;
+      }
+    }
+    per_dbc[slot.dbc] += best;
+    current = best_alignment;
   }
   return per_dbc;
 }
@@ -88,6 +94,13 @@ auto PlacementSlots(const Placement& placement) {
 }
 
 }  // namespace
+
+void RequireSinglePort(const CostOptions& options, const char* who) {
+  if (options.port_offsets.size() != 1) {
+    throw std::invalid_argument(std::string(who) +
+                                ": one port per track only");
+  }
+}
 
 void ValidateAgainstDomains(const Placement& placement,
                             const CostOptions& options) {

@@ -2,10 +2,11 @@
 // controller executes to serve an access sequence under a given placement.
 //
 // The cost between two consecutive same-DBC accesses u, v is the distance
-// between their offsets (single port), or the cheapest port alignment
-// (multi-port). Accesses to other DBCs in between do not disturb a DBC's
-// alignment, so the total decomposes into independent per-DBC walks — the
-// identity the paper's Fig. 3 example uses (39 = 24 + 15).
+// between their offsets (single port, the device's model), or the cheapest
+// port alignment (multi-port, priced here analytically only). Accesses to
+// other DBCs in between do not disturb a DBC's alignment, so the total
+// decomposes into independent per-DBC walks — the identity the paper's
+// Fig. 3 example uses (39 = 24 + 15).
 //
 // Every single-port price in the library is one walk: SinglePortWalk runs
 // SinglePortStep once per access and keeps each DBC's last offset. ShiftCost
@@ -32,15 +33,21 @@ struct CostOptions {
   rtm::InitialAlignment initial_alignment =
       rtm::InitialAlignment::kFirstAccess;
   /// Port offsets inside a DBC. One entry = the paper's single-port model
-  /// (shift cost |pos(u) - pos(v)| regardless of the port's own offset).
+  /// (shift cost |pos(u) - pos(v)| regardless of the port's own offset),
+  /// the only model the device (rtm::RtmController), the searches and the
+  /// online engine accept. Several entries are priced by ShiftCost and
+  /// PerDbcShiftCost alone: each access takes its cheapest port.
   std::vector<std::uint32_t> port_offsets{0};
   /// Domains per DBC. When set, placements deeper than a DBC and ports
   /// outside it are rejected (std::invalid_argument), mirroring
-  /// sim::Simulate; it also bounds port offsets in multi-port mode.
-  /// 0 skips validation and derives the multi-port bound from the
-  /// placement's capacity or content.
+  /// sim::Simulate. 0 skips validation.
   std::uint32_t domains_per_dbc = 0;
 };
+
+/// Throws std::invalid_argument unless `options` has exactly one port:
+/// the device, the searches and the online engine model one port per
+/// track. `who` names the caller in the message.
+void RequireSinglePort(const CostOptions& options, const char* who);
 
 /// Validates `placement` against `options`: when options.domains_per_dbc is
 /// set, every DBC must hold at most that many variables and every port

@@ -201,6 +201,7 @@ void Mutate(Placement& placement, const GaOptions& options, util::Rng& rng) {
 
 GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
                std::uint32_t capacity, const GaOptions& options) {
+  RequireSinglePort(options.cost, "RunGa");
   if (options.mu == 0 || options.lambda == 0) {
     throw std::invalid_argument("RunGa: mu and lambda must be positive");
   }
@@ -214,16 +215,13 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
   const std::vector<VariableId> order = AppearanceOrder(seq);
   GaResult result{Placement(n, num_dbcs, capacity), 0, {}, 0};
 
-  // Fitness is the shift cost. Under one port it is one walk over the
-  // sequence's access runs reading the individual's slot table; several
-  // ports need ShiftCost's DbcState replay.
-  const bool flat = options.cost.port_offsets.size() == 1;
+  // Fitness is the shift cost: one walk over the sequence's access runs
+  // reading the individual's slot table.
   std::vector<VariableId> runs;
-  if (flat) AccessRuns(seq.accesses(), runs);
+  AccessRuns(seq.accesses(), runs);
   std::vector<std::uint32_t> fill(num_dbcs);
   auto evaluate = [&](const Placement& p) -> std::uint64_t {
     ++result.evaluations;
-    if (!flat) return ShiftCost(seq, p, options.cost);
     for (std::uint32_t d = 0; d < num_dbcs; ++d) {
       fill[d] = static_cast<std::uint32_t>(p.dbc(d).size());
     }

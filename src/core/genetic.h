@@ -88,8 +88,8 @@ void CrossoverSwapRange(Placement& left, Placement& right,
 /// Applies one randomly chosen mutation (weights from `options`).
 void Mutate(Placement& placement, const GaOptions& options, util::Rng& rng);
 
-/// Runs the GA. Throws std::invalid_argument on zero mu/lambda or
-/// insufficient capacity.
+/// Runs the GA. Throws std::invalid_argument on zero mu/lambda,
+/// insufficient capacity or options.cost without exactly one port.
 [[nodiscard]] GaResult RunGa(const trace::AccessSequence& seq,
                              std::uint32_t num_dbcs, std::uint32_t capacity,
                              const GaOptions& options = {});

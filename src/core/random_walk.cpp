@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <stdexcept>
 
 #include "core/genetic.h"
@@ -16,6 +15,7 @@ namespace rtmp::core {
 RwResult RunRandomWalk(const trace::AccessSequence& seq,
                        std::uint32_t num_dbcs, std::uint32_t capacity,
                        const RwOptions& options) {
+  RequireSinglePort(options.cost, "RunRandomWalk");
   if (options.iterations == 0) {
     throw std::invalid_argument("RunRandomWalk: need at least one iteration");
   }
@@ -26,36 +26,24 @@ RwResult RunRandomWalk(const trace::AccessSequence& seq,
   }
   util::Rng rng(options.seed);
 
-  // Candidates are unrelated uniform draws into one reused RandomDraw.
-  // Single-port candidates are scored flat (ShiftCostOfSlots: one walk
-  // over the access runs, reading the drawn slots) and built into a
-  // Placement only when one becomes the new best, about H(iterations)
-  // times per run. Multi-port costs come from the DbcState replay, which
-  // needs a Placement: those candidates are built up front and scored
-  // through ShiftCost.
-  const bool flat = options.cost.port_offsets.size() == 1;
+  // Candidates are unrelated uniform draws into one reused RandomDraw,
+  // scored flat (ShiftCostOfSlots: one walk over the access runs, reading
+  // the drawn slots) and built into a Placement only when one becomes the
+  // new best, about H(iterations) times per run.
   std::vector<VariableId> runs;
-  if (flat) AccessRuns(seq.accesses(), runs);
+  AccessRuns(seq.accesses(), runs);
   RandomDraw draw;
-  std::optional<Placement> built;
   auto draw_and_score = [&]() -> std::uint64_t {
     DrawRandomSlots(n, num_dbcs, capacity, rng, draw);
-    if (!flat) {
-      built = draw.Build();
-      return ShiftCost(seq, *built, options.cost);
-    }
     const std::uint64_t cost =
         ShiftCostOfSlots(runs, draw.slots, draw.fill, options.cost);
     assert(cost == ShiftCost(seq, draw.Build(), options.cost));
     return cost;
   };
-  auto take_candidate = [&]() {
-    return flat ? draw.Build() : *std::move(built);
-  };
 
   const std::uint64_t first_cost = draw_and_score();
   const std::size_t stride = std::max<std::size_t>(options.iterations / 100, 1);
-  RwResult result{take_candidate(), first_cost, {}, 1};
+  RwResult result{draw.Build(), first_cost, {}, 1};
   // One sample every `stride` iterations, plus the final one.
   result.history.resize((options.iterations - 1) / stride + 1);
   std::size_t sample = 0;
@@ -63,7 +51,7 @@ RwResult RunRandomWalk(const trace::AccessSequence& seq,
     const std::uint64_t cost = draw_and_score();
     ++result.evaluations;
     if (cost < result.best_cost) {
-      result.best = take_candidate();
+      result.best = draw.Build();
       result.best_cost = cost;
     }
     if (i % stride == 0) result.history[sample++] = result.best_cost;

@@ -53,6 +53,7 @@ OnlineEngine::OnlineEngine(OnlineConfig config, rtm::RtmConfig device)
       device_config_(std::move(device)),
       controller_(device_config_, config_.controller),
       detector_(config_.detector) {
+  core::RequireSinglePort(config_.strategy_options.cost, "OnlineEngine");
   if (config_.window_accesses == 0) {
     throw std::invalid_argument("OnlineEngine: window_accesses must be >= 1");
   }
@@ -101,21 +102,6 @@ trace::VariableId OnlineEngine::RegisterVariable(std::string_view name) {
   return window_seq_.AddVariable(std::string(name));
 }
 
-void OnlineEngine::Feed(std::string_view name, trace::AccessType type) {
-  Feed(RegisterVariable(name), type);
-}
-
-void OnlineEngine::Feed(trace::VariableId variable, trace::AccessType type) {
-  if (finished_) {
-    throw std::logic_error("OnlineEngine: session already finished");
-  }
-  if (variable >= window_seq_.num_variables()) {
-    throw std::out_of_range("OnlineEngine: unregistered variable id");
-  }
-  window_seq_.Append(variable, type);
-  if (window_seq_.size() >= config_.window_accesses) ProcessWindow();
-}
-
 void OnlineEngine::Feed(std::span<const trace::Access> accesses,
                         trace::VariableId id_offset) {
   if (finished_) {
@@ -133,7 +119,7 @@ void OnlineEngine::Feed(std::span<const trace::Access> accesses,
     }
   }
   // Fill the window buffer a block at a time, processing each boundary
-  // as it is crossed — the same boundaries the per-access loop would hit
+  // as it is crossed — the same boundaries one access per call would hit
   // (a window closes exactly when it reaches window_accesses).
   const std::size_t limit = config_.window_accesses;
   std::size_t i = 0;
@@ -234,32 +220,22 @@ bool OnlineEngine::Refine(WindowRecord& record) {
   if (hot.size() > kRefineTopK) hot.resize(kRefineTopK);
 
   // Greedy moves of the hot variables, each to the end of the DBC that
-  // prices the window lowest. Under one port a move is priced from a slot
-  // table: v's home DBC closes its gap once, and each target d gives v the
-  // slot {d, fill[d]}. Several ports price a scratch copy after the move.
+  // prices the window lowest. A move is priced from a slot table: v's
+  // home DBC closes its gap once, and each target d gives v the slot
+  // {d, fill[d]}.
   const core::CostOptions& cost = config_.strategy_options.cost;
-  const bool flat = cost.port_offsets.size() == 1;
   refined_ = placement_;
   std::vector<core::Slot>& slots = refine_slots_;
   std::vector<std::uint32_t>& fill = refine_fill_;
-  std::uint64_t current = 0;
-  if (flat) {
-    core::AccessRuns(window_seq_.accesses(), refine_runs_);
-    slots.assign(placement_.slots().begin(), placement_.slots().end());
-    fill.resize(placement_.num_dbcs());
-    for (std::uint32_t d = 0; d < placement_.num_dbcs(); ++d) {
-      fill[d] = static_cast<std::uint32_t>(placement_.dbc(d).size());
-    }
-    current = core::ShiftCostOfSlots(refine_runs_, slots, fill, cost);
-  } else {
-    current = core::ShiftCost(window_seq_, placement_, cost);
+  core::AccessRuns(window_seq_.accesses(), refine_runs_);
+  slots.assign(placement_.slots().begin(), placement_.slots().end());
+  fill.resize(placement_.num_dbcs());
+  for (std::uint32_t d = 0; d < placement_.num_dbcs(); ++d) {
+    fill[d] = static_cast<std::uint32_t>(placement_.dbc(d).size());
   }
+  std::uint64_t current =
+      core::ShiftCostOfSlots(refine_runs_, slots, fill, cost);
   auto price_move = [&](trace::VariableId v, std::uint32_t d) {
-    if (!flat) {
-      refine_scratch_ = refined_;
-      refine_scratch_.MoveToEnd(v, d);
-      return core::ShiftCost(window_seq_, refine_scratch_, cost);
-    }
     slots[v] = core::Slot{d, fill[d]++};
     const std::uint64_t priced =
         core::ShiftCostOfSlots(refine_runs_, slots, fill, cost);
@@ -273,12 +249,10 @@ bool OnlineEngine::Refine(WindowRecord& record) {
   for (const trace::VariableId v : hot) {
     const core::Slot home = refined_.SlotOf(v);
     const std::vector<trace::VariableId>& members = refined_.dbc(home.dbc);
-    if (flat) {
-      for (std::size_t i = home.offset + 1; i < members.size(); ++i) {
-        --slots[members[i]].offset;
-      }
-      --fill[home.dbc];
+    for (std::size_t i = home.offset + 1; i < members.size(); ++i) {
+      --slots[members[i]].offset;
     }
+    --fill[home.dbc];
     std::uint32_t best_dbc = home.dbc;
     std::uint64_t best_cost = current;
     for (std::uint32_t d = 0; d < refined_.num_dbcs(); ++d) {
@@ -293,11 +267,11 @@ bool OnlineEngine::Refine(WindowRecord& record) {
     // Commit only a move whose window saving clears the per-move
     // migration charge.
     if (best_dbc != home.dbc && current - best_cost > margin) {
-      if (flat) slots[v] = core::Slot{best_dbc, fill[best_dbc]++};
+      slots[v] = core::Slot{best_dbc, fill[best_dbc]++};
       refined_.MoveToEnd(v, best_dbc);
       current = best_cost;
       committed = true;
-    } else if (flat) {
+    } else {
       slots[v] = home;
       for (std::size_t i = home.offset + 1; i < members.size(); ++i) {
         ++slots[members[i]].offset;
@@ -352,15 +326,12 @@ void OnlineEngine::ServeWindow(WindowRecord& record,
                                std::optional<std::uint64_t> known_cost) {
   // One pass over the window: map each access to its slot once, build
   // the batched request block in reused scratch, count reads/writes,
-  // and — single port — accumulate the analytic window cost inline with
+  // and accumulate the analytic window cost inline with
   // core::SinglePortStep, the step of ShiftCost's walk, instead of a
-  // second replay of the window. Multi-port pricing does not decompose
-  // per access; it falls back to ShiftCost over the window buffer (the
-  // direct span path requires fused mode). A window whose cost the
-  // caller already knows is not priced again.
+  // second replay of the window. A window whose cost the caller already
+  // knows is not priced again.
   const core::CostOptions& cost = config_.strategy_options.cost;
-  const bool fused =
-      !known_cost.has_value() && cost.port_offsets.size() == 1;
+  const bool fused = !known_cost.has_value();
   std::uint64_t window_cost = 0;
   const core::SinglePortStep step(cost);
   if (fused) {
@@ -383,14 +354,7 @@ void OnlineEngine::ServeWindow(WindowRecord& record,
   }
   result_.reads += reads;
   result_.writes += writes;
-  if (known_cost.has_value()) {
-    record.window_cost = *known_cost;
-  } else {
-    record.window_cost =
-        fused ? window_cost
-              : core::ShiftCost(window_seq_, placement_,
-                                config_.strategy_options.cost);
-  }
+  record.window_cost = fused ? window_cost : *known_cost;
   result_.placement_cost += record.window_cost;
   const std::uint64_t shifts_before = controller_.stats().shifts;
   controller_.ExecuteBatch(request_scratch_);
@@ -401,8 +365,7 @@ void OnlineEngine::ServeWindow(WindowRecord& record,
 bool OnlineEngine::DirectServeEligible() const noexcept {
   return placed_ && !config_.refine &&
          config_.detector.kind == DetectorKind::kNone &&
-         placement_.num_variables() == window_seq_.num_variables() &&
-         config_.strategy_options.cost.port_offsets.size() == 1;
+         placement_.num_variables() == window_seq_.num_variables();
 }
 
 void OnlineEngine::ProcessWindowFromSpan(std::span<const trace::Access> block,

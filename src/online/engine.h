@@ -20,9 +20,8 @@
 //  3. Without a phase change the engine can still refine incrementally:
 //     a bounded greedy pass over the window's kRefineTopK hottest
 //     variables. Each candidate move is priced with one walk over the
-//     window (core::ShiftCostOfSlots over a slot table, or ShiftCost of
-//     a moved scratch copy under several ports), and the best one is
-//     committed only when its saving beats a conservative per-move
+//     window (core::ShiftCostOfSlots over a slot table), and the best one
+//     is committed only when its saving beats a conservative per-move
 //     migration estimate.
 //  4. Every accepted layout change is realized by a MigrationPlanner
 //     traffic plan (online/migration.h) executed on the engine's live
@@ -160,44 +159,37 @@ struct OnlineResult {
   core::Placement final_placement{0, 1};
 };
 
-/// One streaming session: feed accesses (registering variable names on
-/// first appearance), then Finish(). Holds one window plus the placement
-/// and device state — never the whole trace.
+/// One streaming session: register variables, feed blocks of accesses to
+/// them, then Finish(). Holds one window plus the placement and device
+/// state — never the whole trace.
 class OnlineEngine {
  public:
   /// Validates the configuration: the re-seed strategy must be
-  /// registered and window_accesses non-zero (the device configuration
+  /// registered, window_accesses non-zero and the cost options must have
+  /// exactly one port, as the device does (the device configuration
   /// validates itself through the controller). Throws
   /// std::invalid_argument.
   OnlineEngine(OnlineConfig config, rtm::RtmConfig device);
 
   /// Registers a variable without accessing it (returns its id; idempotent
-  /// per name). Feed() registers on the fly; this exists so a caller that
-  /// knows the variable space up front — RunOnline does, for bit-equality
-  /// with the static strategies on sequences that declare zero-access
-  /// variables — can pre-populate it in id order.
+  /// per name). Ids are dense in registration order; a caller that knows
+  /// the variable space up front — RunOnline does, for bit-equality with
+  /// the static strategies on sequences that declare zero-access
+  /// variables — registers it in id order before the first Feed.
   trace::VariableId RegisterVariable(std::string_view name);
 
-  /// Appends one access, registering `name` on first appearance. A full
-  /// window is processed (decide + serve) before the call returns.
-  void Feed(std::string_view name, trace::AccessType type);
-
-  /// Allocation-free overload for callers with a pre-registered space
-  /// (RunOnline's hot loop): `variable` must be a previously returned
-  /// id, std::out_of_range otherwise.
-  void Feed(trace::VariableId variable, trace::AccessType type);
-
-  /// Batched feed: appends a whole block of accesses, deciding and
-  /// serving every window boundary the block crosses in place — one call
-  /// per quantum instead of one per access, and the window service path
-  /// runs allocation-free (the request block and pricing scratch are
-  /// reused across windows). `id_offset` is added to every variable id
-  /// in the block (the serve layer's per-tenant base id); the shifted
-  /// ids must be pre-registered. A shifted id that is unregistered, or
-  /// that overflows 32 bits, throws std::out_of_range before any access
-  /// of the block is fed.
-  /// Bit-identical to the equivalent per-access Feed loop: windows break
-  /// at the same boundaries and see the same accesses.
+  /// Appends a block of accesses, deciding and serving every window
+  /// boundary the block crosses in place — one call per quantum, and the
+  /// window service path runs allocation-free (the request block and
+  /// pricing scratch are reused across windows). `id_offset` is added to
+  /// every variable id in the block (the serve layer's per-tenant base
+  /// id); the shifted ids must be registered. A shifted id that is
+  /// unregistered, or that overflows 32 bits, throws std::out_of_range
+  /// before any access of the block is fed; any call after Finish()
+  /// throws std::logic_error, an empty block included.
+  /// How a stream is cut into blocks changes nothing: windows break at
+  /// the same boundaries and see the same accesses whether it is fed one
+  /// access per call or whole.
   void Feed(std::span<const trace::Access> accesses,
             trace::VariableId id_offset = 0);
 
@@ -268,7 +260,7 @@ class OnlineEngine {
   /// fast path of the batched Feed (no buffer copy, no second pass).
   /// Only taken when it is bit-identical to the buffered path: placement
   /// settled (no re-seed, no refinement, no unplaced variables), detector
-  /// kNone, single-port fused pricing.
+  /// kNone.
   void ProcessWindowFromSpan(std::span<const trace::Access> block,
                              trace::VariableId id_offset);
   /// Whether ProcessWindowFromSpan may serve the next full window.
@@ -321,8 +313,8 @@ class OnlineEngine {
   /// Reusable window-service request block: built once per window,
   /// capacity survives across windows (no per-window allocation).
   std::vector<rtm::TimedRequest> request_scratch_;
-  /// Per-DBC last-offset scratch for the fused single-port window cost
-  /// (the SinglePortCosts walk folded into the request-building pass).
+  /// Per-DBC last-offset scratch for the fused window cost (the
+  /// SinglePortWalk folded into the request-building pass).
   std::vector<std::int64_t> last_off_scratch_;
   /// Refine's per-variable window frequencies, indexed by id. All zero
   /// between calls: Refine counts only the window's accesses and resets
@@ -330,14 +322,12 @@ class OnlineEngine {
   std::vector<std::uint64_t> refine_freq_scratch_;
   /// Refine's other scratch, reused across calls: the hot variables, the
   /// window's access runs, the slot table and per-DBC fill it prices
-  /// single-port moves from, the placement with the committed moves, and
-  /// the moved copy a multi-port move is priced on.
+  /// moves from, and the placement with the committed moves.
   std::vector<trace::VariableId> refine_hot_;
   std::vector<trace::VariableId> refine_runs_;
   std::vector<core::Slot> refine_slots_;
   std::vector<std::uint32_t> refine_fill_;
   core::Placement refined_{0, 1};
-  core::Placement refine_scratch_{0, 1};
   /// The window's transition summary and its counting-pass buffers,
   /// rebuilt in place every window the detector reads.
   TransitionSummary summary_;

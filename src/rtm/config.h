@@ -1,13 +1,13 @@
 // RTM organization (cf. paper Fig. 2): a flat array of DBCs, each DBC
-// being a group of nanotracks of K domains accessed through one or more
-// ports. Shift counts depend only on the DBC count, the domains per DBC
-// and the ports, so no bank/subarray hierarchy is modelled; the word
-// width matters only to energy, which destiny::DeviceQuery folds into
-// `params`.
+// being a group of nanotracks of K domains accessed through one port at
+// domain offset 0, as in the paper's evaluation. Shift counts depend only
+// on the DBC count and the domains per DBC, so no bank/subarray hierarchy
+// is modelled; the word width matters only to energy, which
+// destiny::DeviceQuery folds into `params`. Several ports per track are
+// priced analytically only (core::CostOptions::port_offsets).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "destiny/device_model.h"
 
@@ -24,10 +24,6 @@ enum class InitialAlignment : std::uint8_t { kFirstAccess, kZero };
 struct RtmConfig {
   unsigned dbcs = 4;               ///< DBCs in the array
   unsigned domains_per_dbc = 256;  ///< K addressable words per DBC
-  unsigned ports_per_track = 1;
-  /// Port positions within [0, domains_per_dbc); empty derives evenly
-  /// spaced offsets (single port at 0; two ports at K/4 and 3K/4, ...).
-  std::vector<std::uint32_t> port_offsets;
   InitialAlignment initial_alignment = InitialAlignment::kFirstAccess;
   /// Circuit parameters (energies, latencies, leakage, area).
   destiny::DeviceParams params;
@@ -39,11 +35,7 @@ struct RtmConfig {
     return static_cast<std::uint64_t>(total_dbcs()) * domains_per_dbc;
   }
 
-  /// Port offsets actually in effect (derived when port_offsets is empty).
-  [[nodiscard]] std::vector<std::uint32_t> EffectivePortOffsets() const;
-
-  /// Throws std::invalid_argument when structurally inconsistent
-  /// (zero-sized dimensions, ports out of range, duplicate ports).
+  /// Throws std::invalid_argument on a zero-sized dimension.
   void Validate() const;
 
   /// The paper's evaluated configuration for `dbcs` in {2,4,8,16}:

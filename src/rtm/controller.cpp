@@ -33,20 +33,11 @@ inline double BranchFreeMax(double a, double b) {
 RtmController::RtmController(RtmConfig config, ControllerConfig controller)
     : config_(std::move(config)), controller_(controller) {
   config_.Validate();
-  const auto offsets = config_.EffectivePortOffsets();
   const bool start_at_zero =
       config_.initial_alignment == InitialAlignment::kZero;
   const unsigned num_dbcs = config_.total_dbcs();
-  if (offsets.size() == 1) {
-    port_offset_ = static_cast<std::int64_t>(offsets.front());
-    alignment_.assign(num_dbcs, 0);
-    first_free_.assign(num_dbcs, start_at_zero ? 0 : 1);
-  } else {
-    dbcs_.reserve(num_dbcs);
-    for (unsigned i = 0; i < num_dbcs; ++i) {
-      dbcs_.emplace_back(config_.domains_per_dbc, offsets, start_at_zero);
-    }
-  }
+  alignment_.assign(num_dbcs, 0);
+  first_free_.assign(num_dbcs, start_at_zero ? 0 : 1);
   dbc_free_ns_.assign(num_dbcs, 0.0);
 }
 
@@ -78,25 +69,20 @@ void RtmController::ExecuteBatch(std::span<const TimedRequest> requests) {
 
 void RtmController::ExecuteSpan(std::span<const TimedRequest> requests,
                                 std::vector<RequestTiming>* out) {
-  const bool single_port = dbcs_.empty();
   if (controller_.proactive_alignment) {
     if (out != nullptr) {
-      single_port ? RunSpan<true, true, true>(requests, out)
-                  : RunSpan<true, true, false>(requests, out);
+      RunSpan<true, true>(requests, out);
     } else {
-      single_port ? RunSpan<true, false, true>(requests, out)
-                  : RunSpan<true, false, false>(requests, out);
+      RunSpan<true, false>(requests, out);
     }
   } else if (out != nullptr) {
-    single_port ? RunSpan<false, true, true>(requests, out)
-                : RunSpan<false, true, false>(requests, out);
+    RunSpan<false, true>(requests, out);
   } else {
-    single_port ? RunSpan<false, false, true>(requests, out)
-                : RunSpan<false, false, false>(requests, out);
+    RunSpan<false, false>(requests, out);
   }
 }
 
-template <bool kProactive, bool kRecord, bool kSinglePort>
+template <bool kProactive, bool kRecord>
 void RtmController::RunSpan(std::span<const TimedRequest> requests,
                             std::vector<RequestTiming>* out) {
   const unsigned lookahead = controller_.lookahead;
@@ -124,7 +110,6 @@ void RtmController::RunSpan(std::span<const TimedRequest> requests,
                                        config_.params.write_latency_ns};
   const std::size_t num_dbcs = dbc_free_ns_.size();
   const std::uint32_t num_domains = config_.domains_per_dbc;
-  const std::int64_t port_offset = port_offset_;
   std::int64_t* const alignment = alignment_.data();
   std::uint8_t* const first_free = first_free_.data();
   double* const dbc_free_ns = dbc_free_ns_.data();
@@ -158,7 +143,6 @@ void RtmController::RunSpan(std::span<const TimedRequest> requests,
       fault = Fault::kDbc;
       break;
     }
-    // DbcState's own check, made here so that Access below cannot throw.
     if (request.domain >= num_domains) {
       fault = Fault::kDomain;
       break;
@@ -168,19 +152,13 @@ void RtmController::RunSpan(std::span<const TimedRequest> requests,
     // and converts to double exactly as the unsigned value would,
     // without the unsigned conversion's extra branch.
     std::int64_t shifts = 0;
-    if constexpr (kSinglePort) {
-      // DbcState::Access under one port, on the flat arrays.
-      const std::int64_t target =
-          static_cast<std::int64_t>(request.domain) - port_offset;
-      if (first_free[dbc] != 0) {
-        first_free[dbc] = 0;
-      } else {
-        shifts = std::llabs(alignment[dbc] - target);
-      }
-      alignment[dbc] = target;
+    const auto target = static_cast<std::int64_t>(request.domain);
+    if (first_free[dbc] != 0) {
+      first_free[dbc] = 0;
     } else {
-      shifts = static_cast<std::int64_t>(dbcs_[dbc].Access(request.domain));
+      shifts = std::llabs(alignment[dbc] - target);
     }
+    alignment[dbc] = target;
     const double shift_time = static_cast<double>(shifts) * shift_latency_ns;
     const std::size_t is_write =
         request.type == trace::AccessType::kWrite ? 1 : 0;
@@ -273,7 +251,7 @@ void RtmController::RunSpan(std::span<const TimedRequest> requests,
     case Fault::kDbc:
       throw std::out_of_range("RtmController: DBC index out of range");
     case Fault::kDomain:
-      throw std::out_of_range("DbcState: domain out of range");
+      throw std::out_of_range("RtmController: domain out of range");
   }
 }
 
@@ -290,7 +268,6 @@ void RtmController::Reset() {
   std::fill(alignment_.begin(), alignment_.end(), 0);
   std::fill(first_free_.begin(), first_free_.end(),
             config_.initial_alignment == InitialAlignment::kZero ? 0 : 1);
-  for (DbcState& dbc : dbcs_) dbc.Reset();
   std::fill(dbc_free_ns_.begin(), dbc_free_ns_.end(), 0.0);
   channel_free_ns_ = 0.0;
   last_arrival_ns_ = 0.0;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "rtm/config.h"
-#include "rtm/dbc_state.h"
 #include "rtm/energy_model.h"
 #include "trace/access_sequence.h"
 
@@ -142,25 +141,19 @@ class RtmController {
   /// non-null. Dispatches to one RunSpan instantiation.
   void ExecuteSpan(std::span<const TimedRequest> requests,
                    std::vector<RequestTiming>* out);
-  /// The request loop, specialised on the mode, on whether timings are
-  /// recorded and on the DBC model (single port: the flat arrays below;
-  /// several ports: DbcState).
-  template <bool kProactive, bool kRecord, bool kSinglePort>
+  /// The request loop, specialised on the mode and on whether timings
+  /// are recorded.
+  template <bool kProactive, bool kRecord>
   void RunSpan(std::span<const TimedRequest> requests,
                std::vector<RequestTiming>* out);
 
   RtmConfig config_;
   ControllerConfig controller_;
-  /// Single-port devices (the paper's model): each DBC's alignment
-  /// (domain minus port offset of the domain last at the port) and
-  /// whether its first access is still free (kFirstAccess until the DBC
-  /// is first accessed). One subtraction prices an access, so no
-  /// DbcState is kept.
+  /// Each DBC's alignment (the domain last at its port, which sits at
+  /// offset 0) and whether its first access is still free (kFirstAccess
+  /// until the DBC is first accessed). One subtraction prices an access.
   std::vector<std::int64_t> alignment_;
   std::vector<std::uint8_t> first_free_;
-  std::int64_t port_offset_ = 0;
-  /// Multi-port devices: one DbcState per DBC (empty under one port).
-  std::vector<DbcState> dbcs_;
   std::vector<double> dbc_free_ns_;
   double channel_free_ns_ = 0.0;
   double last_arrival_ns_ = 0.0;

@@ -211,8 +211,7 @@ void PlacementService::ServeTurn(Session& session, ShardEngine& engine,
   const double makespan_before = engine.DeviceStats().makespan_ns;
 
   // The whole quantum goes down as one batched span — one engine call
-  // per turn, remapped into the tenant's shard-local id space — instead
-  // of a per-access Feed loop.
+  // per turn, remapped into the tenant's shard-local id space.
   const std::span<const trace::Access> block(
       seq.accesses().data() + session.cursor, quantum);
   engine.Feed(block, session.base_id);

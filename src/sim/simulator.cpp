@@ -53,7 +53,6 @@ bool SimulatorMatchesCostModel(const trace::AccessSequence& seq,
                                const rtm::RtmConfig& config) {
   core::CostOptions options;
   options.initial_alignment = config.initial_alignment;
-  options.port_offsets = config.EffectivePortOffsets();
   options.domains_per_dbc = config.domains_per_dbc;
   const std::uint64_t analytic = core::ShiftCost(seq, placement, options);
   return Simulate(seq, placement, config).stats.shifts == analytic;

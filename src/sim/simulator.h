@@ -40,9 +40,9 @@ struct SimulationResult {
                                         const core::Placement& placement,
                                         const rtm::RtmConfig& config);
 
-/// Convenience: the analytic shift cost and the simulator agree by
-/// construction under single-port configs; this asserts it (used by
-/// integration tests and as a safety net in the harness's debug builds).
+/// Convenience: the analytic single-port shift cost and the simulator
+/// agree by construction; this asserts it (used by integration tests and
+/// as a safety net in the harness's debug builds).
 [[nodiscard]] bool SimulatorMatchesCostModel(const trace::AccessSequence& seq,
                                              const core::Placement& placement,
                                              const rtm::RtmConfig& config);

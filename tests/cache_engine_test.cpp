@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -293,15 +294,22 @@ TEST(CacheValidation, RejectsBadConfigurations) {
   cache::CacheConfig ok;
   ok.capacity_slots = 2;
   cache::CacheEngine engine(ok, device);
-  EXPECT_THROW(engine.Feed(99, trace::AccessType::kRead), std::out_of_range);
+  const std::vector<trace::Access> unregistered = {
+      {99, trace::AccessType::kRead}};
+  EXPECT_THROW(engine.Feed(unregistered), std::out_of_range);
   (void)engine.RegisterVariable("a");
   // An offset id that wraps past 2^32 must not alias variable 0.
   const std::vector<trace::Access> wraps = {
       {0xFFFFFFFFu, trace::AccessType::kRead}};
   EXPECT_THROW(engine.Feed(wraps, /*id_offset=*/1), std::out_of_range);
-  engine.Feed(0, trace::AccessType::kRead);
+  const std::vector<trace::Access> a = {{0, trace::AccessType::kRead}};
+  engine.Feed(a);
   EXPECT_EQ(engine.Finish().cache.accesses, 1u);
   EXPECT_THROW((void)engine.Finish(), std::logic_error);
+  // After Finish() every Feed throws, an empty block included.
+  EXPECT_THROW(engine.Feed(a), std::logic_error);
+  EXPECT_THROW(engine.Feed(std::span<const trace::Access>()),
+               std::logic_error);
 
   const auto benchmark = workloads::ResolveWorkload("kv-churn")->Generate({});
   EXPECT_THROW((void)sim::RunCell(benchmark, 4, "cache-no-such", {}),
@@ -326,10 +334,12 @@ TEST(CacheEvents, ClassifyHitsAndMisses) {
   ASSERT_EQ(engine.RegisterVariable("c"), 2u);  // not admitted: over capacity
   EXPECT_EQ(engine.resident(), 2u);
 
-  engine.Feed(0u, trace::AccessType::kRead);   // hit
-  engine.Feed(1u, trace::AccessType::kWrite);  // hit, dirties b's frame
-  engine.Feed(2u, trace::AccessType::kRead);   // miss, evicts a (LRU)
-  engine.Feed(0u, trace::AccessType::kRead);   // miss, evicts b (dirty)
+  const std::vector<trace::Access> accesses = {
+      {0u, trace::AccessType::kRead},   // hit
+      {1u, trace::AccessType::kWrite},  // hit, dirties b's frame
+      {2u, trace::AccessType::kRead},   // miss, evicts a (LRU)
+      {0u, trace::AccessType::kRead}};  // miss, evicts b (dirty)
+  engine.Feed(accesses);
   const cache::CacheResult result = engine.Finish();
 
   EXPECT_EQ(result.cache.accesses, 4u);
@@ -351,6 +361,38 @@ TEST(CacheEvents, ClassifyHitsAndMisses) {
 
 
 // The registry exposes the built-ins and arbitration catches collisions.
+// How a stream is cut into Feed blocks changes nothing: one access per
+// call equals the whole block, under eviction pressure.
+TEST(CacheEngine, OneAccessPerCallMatchesWholeBlock) {
+  const trace::AccessSequence seq = WorkloadSequence("kv-churn");
+  const rtm::RtmConfig config = sim::CellConfig(4, seq.num_variables());
+  for (const std::string& eviction : EvictionPolicies()) {
+    cache::CacheConfig cache_config;
+    cache_config.eviction = eviction;
+    cache_config.capacity_slots =
+        std::max<std::size_t>(seq.num_variables() / 2, 1);
+    cache_config.engine = OracleEngineConfig(config);
+    const cache::CacheResult whole =
+        cache::RunCache(seq, cache_config, config);
+    cache::CacheEngine engine(cache_config, config);
+    for (trace::VariableId v = 0; v < seq.num_variables(); ++v) {
+      (void)engine.RegisterVariable(seq.name_of(v));
+    }
+    for (const trace::Access& access : seq.accesses()) {
+      engine.Feed(std::span<const trace::Access>(&access, 1));
+    }
+    const cache::CacheResult single = engine.Finish();
+    ExpectOnlineResultsEqual(single.online, whole.online, eviction);
+    EXPECT_GT(whole.cache.misses, 0u) << eviction;
+    EXPECT_EQ(single.cache.hits, whole.cache.hits) << eviction;
+    EXPECT_EQ(single.cache.misses, whole.cache.misses) << eviction;
+    EXPECT_EQ(single.cache.fills, whole.cache.fills) << eviction;
+    EXPECT_EQ(single.cache.writebacks, whole.cache.writebacks) << eviction;
+    EXPECT_EQ(single.cache.fill_shifts, whole.cache.fill_shifts) << eviction;
+    EXPECT_EQ(single.cache.backing_ns, whole.cache.backing_ns) << eviction;
+  }
+}
+
 TEST(CacheRegistries, BuiltinsRegisteredAndValidated) {
   auto& evictions = cache::EvictionPolicyRegistry::Global();
   for (const std::string& name : EvictionPolicies()) {

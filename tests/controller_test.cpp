@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "rtm/controller.h"
-#include "rtm/dbc_state.h"
 #include "trace/access_sequence.h"
 
 namespace rtmp::rtm {
@@ -27,16 +28,18 @@ TEST(Controller, SerialModeMatchesDeviceRuntime) {
   RtmController controller(config, ControllerConfig{});
   (void)controller.Execute(requests);
 
-  // Independent oracle: raw DBC state plus per-access latencies.
-  std::vector<DbcState> dbcs;
-  for (unsigned i = 0; i < config.total_dbcs(); ++i) {
-    dbcs.emplace_back(config.domains_per_dbc, config.EffectivePortOffsets(),
-                      /*start_at_zero=*/false);
-  }
+  // Independent oracle: each DBC's last domain (its first access free)
+  // plus per-access latencies.
+  std::vector<std::optional<std::uint32_t>> last(config.total_dbcs());
   std::uint64_t shifts = 0;
   double runtime_ns = 0.0;
   for (const auto& r : requests) {
-    const std::uint64_t s = dbcs[r.dbc].Access(r.domain);
+    const std::uint64_t s =
+        last[r.dbc].has_value()
+            ? static_cast<std::uint64_t>(std::llabs(
+                  static_cast<std::int64_t>(*last[r.dbc]) - r.domain))
+            : 0;
+    last[r.dbc] = r.domain;
     shifts += s;
     runtime_ns += static_cast<double>(s) * config.params.shift_latency_ns +
                   config.params.read_latency_ns;
@@ -78,6 +81,36 @@ TEST(Controller, ZeroAlignmentConventionPaysFirstAccess) {
   config.initial_alignment = InitialAlignment::kZero;
   RtmController controller(config, ControllerConfig{});
   EXPECT_EQ(controller.Execute(BackToBack({{0, 25}}))[0].shifts, 25u);
+}
+
+/// The per-request shift counts of `requests` on `controller`.
+std::vector<std::uint64_t> ShiftsOf(
+    RtmController& controller,
+    std::initializer_list<std::pair<unsigned, std::uint32_t>> accesses) {
+  std::vector<std::uint64_t> shifts;
+  for (const RequestTiming& timing : controller.Execute(BackToBack(accesses))) {
+    shifts.push_back(timing.shifts);
+  }
+  return shifts;
+}
+
+using Shifts = std::vector<std::uint64_t>;
+
+TEST(Controller, ShiftCountIsTheDomainDistanceInEachDbc) {
+  RtmConfig config = RtmConfig::Paper(2);
+  RtmController first_free(config, ControllerConfig{});
+  EXPECT_EQ(ShiftsOf(first_free, {{0, 7}, {0, 3}, {0, 3}}),
+            (Shifts{0, 4, 0}));
+  EXPECT_EQ(ShiftsOf(first_free, {{1, 10}, {1, 25}, {1, 5}}),
+            (Shifts{0, 15, 20}));
+  EXPECT_EQ(first_free.stats().shifts, 39u);
+
+  // kZero: every track starts at domain 0, and Reset puts it back there.
+  config.initial_alignment = InitialAlignment::kZero;
+  RtmController zero(config, ControllerConfig{});
+  EXPECT_EQ(ShiftsOf(zero, {{0, 7}, {0, 2}, {1, 4}}), (Shifts{7, 5, 4}));
+  zero.Reset();
+  EXPECT_EQ(ShiftsOf(zero, {{0, 7}, {1, 0}}), (Shifts{7, 0}));
 }
 
 TEST(Controller, ProactiveAlignmentHidesShiftsBehindOtherDbcs) {
@@ -235,8 +268,12 @@ TEST(Controller, RejectsOutOfRangeCoordinates) {
   RtmController controller(RtmConfig::Paper(2), ControllerConfig{});
   EXPECT_THROW((void)controller.Execute(BackToBack({{2, 0}})),
                std::out_of_range);
-  EXPECT_THROW((void)controller.Execute(BackToBack({{0, 512}})),
-               std::out_of_range);
+  try {
+    (void)controller.Execute(BackToBack({{0, 512}}));
+    ADD_FAILURE() << "domain 512 of 512 was accepted";
+  } catch (const std::out_of_range& error) {
+    EXPECT_STREQ(error.what(), "RtmController: domain out of range");
+  }
 }
 
 TEST(Controller, EnergyUsesMakespanForLeakage) {

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/cost_model.h"
 #include "core/genetic.h"
+#include "core/inter_afd.h"
+#include "core/inter_dma.h"
 #include "core/placement.h"
 #include "core/strategy_registry.h"
+#include "offsetstone/suite.h"
 #include "rtm/config.h"
 #include "sim/simulator.h"
 #include "trace/access_sequence.h"
@@ -113,6 +118,126 @@ TEST(CostModel, MultiPortNeverWorseThanSinglePort) {
   two.port_offsets = {0, 4};
   two.domains_per_dbc = 8;
   EXPECT_LE(ShiftCost(seq, p, two), ShiftCost(seq, p, one));
+}
+
+/// Multi-port replay written from the definition: each DBC remembers
+/// which of its domains faces each port; an access costs the least
+/// distance any port has to shift to reach it (the lowest port on ties),
+/// and the first access of a DBC is free under kFirstAccess or starts
+/// from the domains at the ports' own offsets under kZero.
+std::uint64_t MinOverPortsReplay(const AccessSequence& seq,
+                                 const Placement& p,
+                                 const std::vector<std::uint32_t>& ports,
+                                 bool first_pays) {
+  // facing[d][i]: the domain under port i of DBC d, once known.
+  std::vector<std::vector<std::int64_t>> facing(p.num_dbcs());
+  if (first_pays) {
+    for (auto& at : facing) at.assign(ports.begin(), ports.end());
+  }
+  std::uint64_t total = 0;
+  for (const trace::Access& access : seq.accesses()) {
+    const Slot slot = p.SlotOf(access.variable);
+    const auto x = static_cast<std::int64_t>(slot.offset);
+    std::vector<std::int64_t>& at = facing[slot.dbc];
+    std::int64_t shift = 0;  // how far the track moves, signed
+    if (!at.empty()) {
+      std::vector<std::uint64_t> cost;
+      for (const std::int64_t domain : at) {
+        cost.push_back(static_cast<std::uint64_t>(std::llabs(x - domain)));
+      }
+      const auto port = static_cast<std::size_t>(
+          std::min_element(cost.begin(), cost.end()) - cost.begin());
+      shift = x - at[port];
+      total += cost[port];
+    } else {
+      // Port 0 takes the free first access.
+      at.assign(ports.begin(), ports.end());
+      shift = x - ports.front();
+    }
+    for (std::int64_t& domain : at) domain += shift;
+  }
+  return total;
+}
+
+TEST(CostModel, MultiPortMatchesAMinOverPortsReplay) {
+  util::Rng rng(0x9027);
+  const std::vector<std::vector<std::uint32_t>> port_sets = {
+      {0}, {0, 7}, {3, 4}, {1, 5, 9}, {11, 2}, {0, 4, 8, 12}};
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t n = 2 + rng.NextBelow(15);  // fits one 16-deep DBC
+    AccessSequence seq;
+    for (std::size_t v = 0; v < n; ++v) seq.AddVariable(std::to_string(v));
+    const std::size_t length = rng.NextBelow(120);
+    for (std::size_t i = 0; i < length; ++i) {
+      seq.Append(static_cast<VariableId>(rng.NextBelow(n)));
+    }
+    const auto q = static_cast<std::uint32_t>(1 + rng.NextBelow(4));
+    const Placement p = RandomPlacement(n, q, /*capacity=*/16, rng);
+    for (const auto& ports : port_sets) {
+      for (const bool first_pays : {false, true}) {
+        CostOptions options;
+        options.port_offsets = ports;
+        options.domains_per_dbc = 16;
+        if (first_pays) {
+          options.initial_alignment = rtm::InitialAlignment::kZero;
+        }
+        const std::uint64_t expected =
+            MinOverPortsReplay(seq, p, ports, first_pays);
+        ASSERT_EQ(ShiftCost(seq, p, options), expected)
+            << "round " << round << " ports " << ports.size();
+        std::uint64_t per_dbc = 0;
+        for (const std::uint64_t c : PerDbcShiftCost(seq, p, options)) {
+          per_dbc += c;
+        }
+        EXPECT_EQ(per_dbc, expected);
+      }
+    }
+  }
+}
+
+// ablation_dma's part D prices fixed gsm placements at 1, 2 and 4 evenly
+// spread ports: the one consumer of multi-port pricing. Pinned values.
+TEST(CostModel, AblationDmaPortCountRowsArePinned) {
+  const auto suite = offsetstone::GenerateSuite();
+  const auto gsm = std::find_if(
+      suite.begin(), suite.end(),
+      [](const offsetstone::Benchmark& b) { return b.name == "gsm"; });
+  ASSERT_NE(gsm, suite.end());
+  std::size_t longest = 0;
+  for (std::size_t i = 0; i < gsm->sequences.size(); ++i) {
+    if (gsm->sequences[i].size() > gsm->sequences[longest].size()) {
+      longest = i;
+    }
+  }
+  const AccessSequence& seq = gsm->sequences[longest];
+  constexpr std::uint32_t kDbcs = 8;
+  const Placement afd = DistributeAfd(seq, kDbcs, kUnboundedCapacity,
+                                      {IntraHeuristic::kOfu});
+  const Placement dma = DistributeDma(seq, kDbcs, kUnboundedCapacity,
+                                      {IntraHeuristic::kShiftsReduce})
+                            .placement;
+  std::uint32_t depth = 1;
+  for (const Placement* p : {&afd, &dma}) {
+    for (std::uint32_t d = 0; d < p->num_dbcs(); ++d) {
+      depth = std::max(depth, static_cast<std::uint32_t>(p->dbc(d).size()));
+    }
+  }
+  struct Row {
+    std::uint32_t ports;
+    std::uint64_t afd_ofu;
+    std::uint64_t dma_sr;
+  };
+  for (const Row row : {Row{1, 177, 54}, Row{2, 177, 54}, Row{4, 121, 54}}) {
+    CostOptions cost;
+    cost.domains_per_dbc = depth;
+    cost.port_offsets.clear();
+    for (std::uint32_t i = 0; i < row.ports; ++i) {
+      cost.port_offsets.push_back(static_cast<std::uint32_t>(
+          (2ULL * i + 1) * depth / (2ULL * row.ports)));
+    }
+    EXPECT_EQ(ShiftCost(seq, afd, cost), row.afd_ofu) << row.ports;
+    EXPECT_EQ(ShiftCost(seq, dma, cost), row.dma_sr) << row.ports;
+  }
 }
 
 TEST(CostModel, ThrowsOnUnplacedAccessedVariable) {

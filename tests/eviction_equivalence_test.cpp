@@ -314,9 +314,11 @@ void RunRandomSession(util::Rng& rng, const std::string& eviction) {
     const std::size_t variable =
         rng.NextBool(0.7) ? (base + rng.NextBelow(hot)) % registered
                           : rng.NextBelow(registered);
-    engine.Feed(static_cast<std::uint32_t>(variable),
-                rng.NextBool(0.3) ? trace::AccessType::kWrite
-                                  : trace::AccessType::kRead);
+    const trace::Access access{
+        static_cast<std::uint32_t>(variable),
+        rng.NextBool(0.3) ? trace::AccessType::kWrite
+                          : trace::AccessType::kRead};
+    engine.Feed(std::span<const trace::Access>(&access, 1));
   }
   (void)engine.Finish();
 }

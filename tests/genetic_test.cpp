@@ -324,10 +324,17 @@ TEST(RunGaFn, PinnedResultsUnchangedByEvaluatorRefactor) {
   GaOptions zero = SmallGa();
   zero.cost.initial_alignment = rtm::InitialAlignment::kZero;
   EXPECT_EQ(RunGa(seq, 4, kUnboundedCapacity, zero).best_cost, 5u);
+}
+
+TEST(RunGaFn, RejectsCostOptionsWithoutExactlyOnePort) {
+  const auto seq = MediumTrace();
   GaOptions two_ports = SmallGa();
   two_ports.cost.port_offsets = {0, 16};
   two_ports.cost.domains_per_dbc = 32;
-  EXPECT_EQ(RunGa(seq, 2, 32, two_ports).best_cost, 15u);
+  EXPECT_THROW((void)RunGa(seq, 2, 32, two_ports), std::invalid_argument);
+  GaOptions no_port = SmallGa();
+  no_port.cost.port_offsets.clear();
+  EXPECT_THROW((void)RunGa(seq, 2, 32, no_port), std::invalid_argument);
 }
 
 TEST(RunGaFn, HandlesSingleVariableTrace) {

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/intra_heuristics.h"
 #include "core/placement.h"
+#include "core/placement_workspace.h"
 #include "trace/access_sequence.h"
+#include "util/rng.h"
 
 namespace rtmp::core {
 namespace {
@@ -281,6 +287,123 @@ TEST(IntraHeuristics, ApplyIntraRangeOrdersEachDbcOfTheRange) {
   EXPECT_EQ(p.dbc(0), (std::vector<VariableId>{1, 0}));
   EXPECT_EQ(p.dbc(1), (std::vector<VariableId>{2, 4, 6, 7}));
   EXPECT_EQ(p.dbc(2), (std::vector<VariableId>{3, 5}));
+}
+
+// ---- GroupedProblems against a from-scratch oracle -------------------------
+//
+// Each group's problem is rebuilt from its definition: restrict the stream
+// to the group, number its variables by first access, count each one's
+// accesses and each unordered pair of consecutive distinct accesses.
+
+struct OracleProblem {
+  std::vector<VariableId> globals;
+  std::vector<VariableId> unused;
+  std::vector<std::uint64_t> frequency;
+  std::map<std::pair<VariableId, VariableId>, std::uint64_t> weight;
+};
+
+OracleProblem OracleOf(const AccessSequence& seq,
+                       const std::vector<VariableId>& members) {
+  OracleProblem oracle;
+  std::map<VariableId, VariableId> local;
+  std::vector<VariableId> restricted;
+  for (const trace::Access& access : seq.accesses()) {
+    if (std::find(members.begin(), members.end(), access.variable) ==
+        members.end()) {
+      continue;
+    }
+    if (local.emplace(access.variable, oracle.globals.size()).second) {
+      oracle.globals.push_back(access.variable);
+      oracle.frequency.push_back(0);
+    }
+    restricted.push_back(local.at(access.variable));
+  }
+  for (std::size_t i = 0; i < restricted.size(); ++i) {
+    ++oracle.frequency[restricted[i]];
+    if (i > 0 && restricted[i - 1] != restricted[i]) {
+      const std::pair<VariableId, VariableId> key =
+          std::minmax(restricted[i - 1], restricted[i]);
+      ++oracle.weight[key];
+    }
+  }
+  for (const VariableId v : members) {
+    if (!local.contains(v)) oracle.unused.push_back(v);
+  }
+  std::sort(oracle.unused.begin(), oracle.unused.end());
+  return oracle;
+}
+
+TEST(GroupedProblems, MatchBuiltFromScratchPerGroup) {
+  util::Rng rng(0x6E0C);
+  GroupedProblems problems;  // reused across rounds, as in a workspace
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t n = 1 + rng.NextBelow(24);
+    AccessSequence seq;
+    for (std::size_t v = 0; v < n; ++v) seq.AddVariable(std::to_string(v));
+    // A skewed stream with repeats, over a random part of the space.
+    const std::size_t hot = 1 + rng.NextBelow(n);
+    const std::size_t length = rng.NextBelow(160);
+    for (std::size_t i = 0; i < length; ++i) {
+      seq.Append(static_cast<VariableId>(rng.NextBool(0.7)
+                                             ? rng.NextBelow(hot)
+                                             : rng.NextBelow(n)));
+    }
+    // A random split into DBC groups; some variables join no group.
+    const std::size_t q = 1 + rng.NextBelow(6);
+    std::vector<std::vector<VariableId>> groups(q);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (rng.NextBool(0.15)) continue;
+      groups[rng.NextBelow(q)].push_back(static_cast<VariableId>(v));
+    }
+    for (auto& group : groups) rng.Shuffle(group);
+
+    problems.Reset(seq.accesses(), n);
+    for (const auto& group : groups) problems.AddGroup(group);
+    problems.Index();
+    // Build the groups in a random order: each Build stands alone.
+    std::vector<std::uint32_t> order(q);
+    for (std::uint32_t g = 0; g < q; ++g) order[g] = g;
+    rng.Shuffle(order);
+    for (const std::uint32_t g : order) {
+      SCOPED_TRACE(testing::Message() << "round " << round << " group " << g);
+      const OracleProblem oracle = OracleOf(seq, groups[g]);
+      const LocalProblem& built = problems.Build(g);
+      ASSERT_EQ(std::vector<VariableId>(built.globals.begin(),
+                                        built.globals.end()),
+                oracle.globals);
+      ASSERT_EQ(std::vector<VariableId>(built.unused.begin(),
+                                        built.unused.end()),
+                oracle.unused);
+      std::vector<VariableId> first_use = oracle.globals;
+      first_use.insert(first_use.end(), oracle.unused.begin(),
+                       oracle.unused.end());
+      const auto order_of_first_use = problems.FirstUseOrder(g);
+      EXPECT_EQ(std::vector<VariableId>(order_of_first_use.begin(),
+                                        order_of_first_use.end()),
+                first_use);
+      EXPECT_EQ(built.frequency, oracle.frequency);
+      std::map<std::pair<VariableId, VariableId>, std::uint64_t> weight;
+      for (std::size_t u = 0; u < built.size(); ++u) {
+        VariableId previous = 0;
+        bool first = true;
+        for (const Edge& edge : built.adjacency(u)) {
+          EXPECT_TRUE(first || previous < edge.neighbor) << "unsorted " << u;
+          previous = edge.neighbor;
+          first = false;
+          const auto v = static_cast<VariableId>(u);
+          const std::pair<VariableId, VariableId> key =
+              std::minmax(v, edge.neighbor);
+          // Both endpoints list the edge with the same weight.
+          if (v == key.first) {
+            weight[key] = edge.weight;
+          } else {
+            EXPECT_EQ(weight[key], edge.weight) << u;
+          }
+        }
+      }
+      EXPECT_EQ(weight, oracle.weight);
+    }
+  }
 }
 
 TEST(IntraHeuristics, ToStringNames) {

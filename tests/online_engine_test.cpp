@@ -277,10 +277,10 @@ TEST(OnlineOracle, ShiftsDecomposeIntoServiceAndMigrationTraffic) {
 
 // ---- batched Feed equivalence --------------------------------------------
 //
-// The batched Feed(span) path — including its direct-span window
-// serving — must be bit-identical to the per-access Feed loop on
-// everything observable: window records, migration totals, controller
-// statistics and the final placement.
+// Feeding a whole block — including its direct-span window serving — must
+// be bit-identical to feeding one access per call on everything
+// observable: window records, migration totals, controller statistics and
+// the final placement.
 
 enum class FeedMode { kPerAccess, kBatched };
 
@@ -295,7 +295,7 @@ online::OnlineResult Serve(const trace::AccessSequence& seq,
     engine.Feed(std::span<const trace::Access>(seq.accesses()));
   } else {
     for (const trace::Access& access : seq.accesses()) {
-      engine.Feed(access.variable, access.type);
+      engine.Feed(std::span<const trace::Access>(&access, 1));
     }
   }
   return engine.Finish();
@@ -361,7 +361,7 @@ TEST(OnlineEngine, BatchedFeedMatchesPerAccessFeedOnStablePlacements) {
   // Detector off, variables pre-registered: the placement settles at
   // window 0 and the batched path may serve full windows straight from
   // the span (the direct fast path). Every observable must still match
-  // the per-access loop exactly.
+  // one access per call exactly.
   for (const char* workload : {"gemm-tiled", "kv-churn", "stencil"}) {
     const trace::AccessSequence seq = WorkloadSequence(workload);
     const rtm::RtmConfig config = sim::CellConfig(4, seq.num_variables());
@@ -735,14 +735,13 @@ core::Placement ReplayGreedy(const trace::AccessSequence& window,
 }
 
 // Over seeded windows, Refine's placement after every window and its
-// total evaluation count equal the replay greedy's, for one and two ports,
-// both initial alignments and tight capacities (a few free slots).
+// total evaluation count equal the replay greedy's, for both initial
+// alignments and tight capacities (a few free slots).
 TEST(OnlineEngine, RefineMatchesAReplayGreedy) {
   util::Rng gen(0x2EF1E);
   std::size_t migrations = 0;
   for (int round = 0; round < 64; ++round) {
-    const bool dual = round % 2 == 1;
-    const bool zero = (round / 2) % 2 == 1;
+    const bool zero = round % 2 == 1;
     const auto q = static_cast<unsigned>(2 + gen.NextBelow(4));
     const auto domains = static_cast<unsigned>(4 + gen.NextBelow(6));
     static constexpr std::size_t kSlack[] = {1, 2, 3, 6};
@@ -763,11 +762,6 @@ TEST(OnlineEngine, RefineMatchesAReplayGreedy) {
     core::CostOptions& cost = config.strategy_options.cost;
     cost.initial_alignment = device.initial_alignment;
     cost.domains_per_dbc = domains;
-    if (dual) {
-      device.ports_per_track = 2;
-      device.port_offsets = {0, domains - 1};
-      cost.port_offsets = device.port_offsets;
-    }
     const std::uint64_t margin =
         online::EstimatedSingleMoveShifts(device.domains_per_dbc);
 
@@ -806,8 +800,7 @@ TEST(OnlineEngine, RefineMatchesAReplayGreedy) {
       }
       SCOPED_TRACE(testing::Message()
                    << "round " << round << " window " << w << " q=" << q
-                   << " K=" << domains << " n=" << n << " dual=" << dual
-                   << " zero=" << zero);
+                   << " K=" << domains << " n=" << n << " zero=" << zero);
       ASSERT_EQ(engine.placement(), expected);
       ASSERT_EQ(engine.Windows().back().window_cost,
                 core::ShiftCost(window, expected, cost));
@@ -827,11 +820,14 @@ TEST(OnlineEngine, GrowsThePlacementForStreamedNewVariables) {
   online_config.window_accesses = 4;
 
   online::OnlineEngine engine(online_config, config);
-  // Window 0 sees {a, b}; later windows introduce c..h.
+  // Window 0 sees {a, b}; later windows introduce c..h, each registered
+  // just before its first access.
   const char* names[] = {"a", "b", "a", "b", "c", "d", "c", "a",
                          "e", "f", "g", "h", "a", "e", "h", "b"};
   for (const char* name : names) {
-    engine.Feed(name, trace::AccessType::kRead);
+    const trace::Access access{engine.RegisterVariable(name),
+                               trace::AccessType::kRead};
+    engine.Feed(std::span<const trace::Access>(&access, 1));
   }
   const online::OnlineResult result = engine.Finish();
   EXPECT_EQ(result.final_placement.num_variables(), 8u);
@@ -860,10 +856,24 @@ TEST(OnlineEngine, RejectsBadConfigsAndDoubleFinish) {
     bad.window_accesses = 0;
     EXPECT_THROW(online::OnlineEngine(bad, config), std::invalid_argument);
   }
+  {
+    // The engine prices under the device's one port.
+    online::OnlineConfig bad = SingleWindowConfig("dma-sr", config);
+    bad.strategy_options.cost.port_offsets = {0, 2};
+    EXPECT_THROW(online::OnlineEngine(bad, config), std::invalid_argument);
+    bad.strategy_options.cost.port_offsets.clear();
+    EXPECT_THROW(online::OnlineEngine(bad, config), std::invalid_argument);
+  }
   online::OnlineEngine engine(SingleWindowConfig("dma-sr", config), config);
+  const trace::Access access{engine.RegisterVariable("a"),
+                             trace::AccessType::kRead};
   (void)engine.Finish();
   EXPECT_THROW((void)engine.Finish(), std::logic_error);
-  EXPECT_THROW(engine.Feed("a", trace::AccessType::kRead), std::logic_error);
+  EXPECT_THROW(engine.Feed(std::span<const trace::Access>(&access, 1)),
+               std::logic_error);
+  // An empty block after Finish() throws too.
+  EXPECT_THROW(engine.Feed(std::span<const trace::Access>()),
+               std::logic_error);
 }
 
 TEST(OnlineEngine, BatchedFeedRejectsOffsetIdsThatWrap) {

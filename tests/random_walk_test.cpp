@@ -119,10 +119,10 @@ std::string Describe(const GridCase& c) {
   const CostOptions& cost = c.options.cost;
   char text[160];
   std::snprintf(text, sizeof text,
-                "n=%zu q=%u capacity=%u domains=%u ports=%zu zero=%d "
+                "n=%zu q=%u capacity=%u domains=%u zero=%d "
                 "iterations=%zu",
                 c.seq.num_variables(), c.num_dbcs, c.capacity,
-                cost.domains_per_dbc, cost.port_offsets.size(),
+                cost.domains_per_dbc,
                 cost.initial_alignment == rtm::InitialAlignment::kZero ? 1 : 0,
                 c.options.iterations);
   return text;
@@ -156,7 +156,6 @@ GridCase DrawGridCase(util::Rng& rng) {
 
   CostOptions& cost = c.options.cost;
   if (rng.NextBool(0.5)) cost.initial_alignment = rtm::InitialAlignment::kZero;
-  const bool two_ports = rng.NextBool(0.3);
   const std::uint64_t domains_mode = rng.NextBelow(3);
   const std::uint64_t deepest =
       c.capacity == kUnboundedCapacity ? n : c.capacity;
@@ -166,11 +165,6 @@ GridCase DrawGridCase(util::Rng& rng) {
   } else if (domains_mode == 2) {  // violated by some or all draws
     cost.domains_per_dbc = static_cast<std::uint32_t>(
         std::max<std::uint64_t>((n + q - 1) / q, 3) - 1);
-  }
-  if (two_ports) {
-    const std::uint32_t depth =
-        cost.domains_per_dbc != 0 ? cost.domains_per_dbc : 8;
-    cost.port_offsets = {0, depth / 2};
   }
   static constexpr std::size_t kIterations[] = {1, 99, 100, 101, 250};
   c.options.iterations = kIterations[rng.NextBelow(5)];
@@ -357,13 +351,22 @@ TEST(RandomWalk, RejectsBadShapesWithoutDrawing) {
     EXPECT_THROW(RunRandomWalk(*s, 2, 0, SmallRw(10)), std::invalid_argument);
   }
   EXPECT_THROW(RunRandomWalk(seq, 2, 2, SmallRw(10)), std::invalid_argument);
-  for (const std::size_t ports : {1, 2}) {
-    RwOptions options = SmallRw(10);
-    options.cost.domains_per_dbc = 2;  // 6 variables never fit 2 x 2
-    if (ports == 2) options.cost.port_offsets = {0, 1};
-    EXPECT_THROW(RunRandomWalk(seq, 2, kUnboundedCapacity, options),
-                 std::invalid_argument);
-  }
+  RwOptions options = SmallRw(10);
+  options.cost.domains_per_dbc = 2;  // 6 variables never fit 2 x 2
+  EXPECT_THROW(RunRandomWalk(seq, 2, kUnboundedCapacity, options),
+               std::invalid_argument);
+}
+
+TEST(RandomWalk, RejectsCostOptionsWithoutExactlyOnePort) {
+  const auto seq = Trace();
+  RwOptions two_ports = SmallRw(10);
+  two_ports.cost.port_offsets = {0, 1};
+  EXPECT_THROW((void)RunRandomWalk(seq, 2, kUnboundedCapacity, two_ports),
+               std::invalid_argument);
+  RwOptions no_port = SmallRw(10);
+  no_port.cost.port_offsets.clear();
+  EXPECT_THROW((void)RunRandomWalk(seq, 2, kUnboundedCapacity, no_port),
+               std::invalid_argument);
 }
 
 TEST(RandomWalk, EmptySequenceCostsNothing) {

@@ -98,16 +98,5 @@ TEST(Simulator, AgreesWithCostModelOnGeneratedWorkloads) {
   }
 }
 
-TEST(Simulator, MultiPortDeviceMatchesMultiPortCostModel) {
-  const auto seq = AccessSequence::FromCompactString("ahahahah" "bgbg");
-  const Placement p =
-      Placement::FromLists({{0, 2, 3, 4, 5, 6, 7, 1}}, 8);
-  rtm::RtmConfig config = rtm::RtmConfig::Paper(2);
-  config.dbcs = 1;
-  config.domains_per_dbc = 8;
-  config.ports_per_track = 2;  // derived offsets: 2 and 6
-  EXPECT_TRUE(SimulatorMatchesCostModel(seq, p, config));
-}
-
 }  // namespace
 }  // namespace rtmp::sim
