@@ -66,11 +66,16 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
 }
 
 std::uint32_t CacheEngine::RegisterVariable(std::string_view name) {
-  const auto [it, inserted] = ids_.emplace(
-      std::string(name), static_cast<std::uint32_t>(names_.size()));
-  if (!inserted) return it->second;
-  const std::uint32_t id = it->second;
-  names_.emplace_back(name);
+  const auto id = static_cast<std::uint32_t>(frame_of_.size());
+  if (2 * (std::size_t{id} + 1) > id_slots_.size()) {
+    id_slots_.assign(std::max<std::size_t>(16, 2 * id_slots_.size()), 0);
+    for (std::uint32_t v = 0; v < id; ++v) SlotOf(NameOf(v)) = v + 1;
+  }
+  std::uint32_t& slot = SlotOf(name);
+  if (slot != 0) return slot - 1;
+  slot = id + 1;
+  names_ += name;
+  name_starts_.push_back(names_.size());
   frame_of_.push_back(kNoFrame);
   if (id < frames_.size()) {
     // Free admission: the initial resident set (see RegisterVariable doc).
@@ -82,6 +87,15 @@ std::uint32_t CacheEngine::RegisterVariable(std::string_view name) {
     cold_tail_ = id;
   }
   return id;
+}
+
+std::uint32_t& CacheEngine::SlotOf(std::string_view name) {
+  const std::size_t mask = id_slots_.size() - 1;
+  std::size_t i = std::hash<std::string_view>{}(name) & mask;
+  while (id_slots_[i] != 0 && NameOf(id_slots_[i] - 1) != name) {
+    i = (i + 1) & mask;
+  }
+  return id_slots_[i];
 }
 
 void CacheEngine::LinkAfter(std::uint32_t frame, std::uint32_t after) {
@@ -115,30 +129,36 @@ void CacheEngine::Feed(std::span<const trace::Access> accesses,
     throw std::logic_error("CacheEngine: Feed after Finish");
   }
   // Every shifted id is checked before anything is fed, as
-  // variable < names_.size() - id_offset: forming variable + id_offset
+  // variable < variables_seen() - id_offset: forming variable + id_offset
   // could wrap onto a small registered id.
   const std::size_t bound =
-      id_offset < names_.size() ? names_.size() - id_offset : 0;
+      id_offset < variables_seen() ? variables_seen() - id_offset : 0;
   for (const trace::Access& access : accesses) {
     if (access.variable >= bound) {
       throw std::out_of_range("CacheEngine: unregistered variable id");
     }
   }
-  for (const trace::Access& access : accesses) {
-    Append(access.variable + id_offset, access.type);
+  // A whole window is resolved where it lies in the block; one cut across
+  // calls is gathered in `window_`, closing as soon as it is full.
+  const std::size_t limit = config_.engine.window_accesses;
+  for (std::size_t i = 0, take = 0; i < accesses.size(); i += take) {
+    take = std::min(limit - window_.size(), accesses.size() - i);
+    if (window_.empty() && take == limit) {
+      ResolveWindow(accesses.subspan(i, take), id_offset);
+      continue;
+    }
+    for (const trace::Access& access : accesses.subspan(i, take)) {
+      window_.push_back({access.variable + id_offset, access.type});
+    }
+    if (window_.size() >= limit) ResolveWindow(window_, 0);
   }
-}
-
-void CacheEngine::Append(std::uint32_t variable, trace::AccessType type) {
-  window_.push_back({variable, type});
-  if (window_.size() >= config_.engine.window_accesses) ResolveWindow();
 }
 
 void CacheEngine::FlushWindow() {
   if (finished_) {
     throw std::logic_error("CacheEngine: FlushWindow after Finish");
   }
-  ResolveWindow();
+  ResolveWindow(window_, 0);
 }
 
 void CacheEngine::RegisterFramePool() {
@@ -157,7 +177,7 @@ void CacheEngine::RegisterFramePool() {
   for (std::size_t f = 0; f < frames_.size(); ++f) {
     const std::uint32_t occupant = frames_[f].occupant;
     std::string name = occupant != kNoFrame
-                           ? names_[occupant]
+                           ? std::string(NameOf(occupant))
                            : util::Concat({"f", std::to_string(f)});
     std::uint32_t id = engine_.RegisterVariable(name);
     while (id != f) {
@@ -167,28 +187,25 @@ void CacheEngine::RegisterFramePool() {
   }
 }
 
-void CacheEngine::ResolveWindow() {
-  if (window_.empty()) return;
+void CacheEngine::ResolveWindow(std::span<const trace::Access> accesses,
+                                std::uint32_t id_offset) {
+  if (accesses.empty()) return;
   RegisterFramePool();
 
-  // Between windows both upkeep arrays are all zero, so only the
-  // window's own variables and their frames are set here: O(window), not
-  // O(V + C). Every count raised below is decremented once per access of
-  // the loop that follows, so it ends at zero; and a frame's entry is
-  // last written by its final occupant's last access of the window
-  // (nothing is left of it then), or not at all when that occupant is
-  // idle this window. A throw mid-window restores the zeros.
-  if (remaining_uses_.size() < names_.size()) {
-    remaining_uses_.resize(names_.size(), 0);
+  // Between windows both upkeep arrays are all zero, so one pass over the
+  // window counts its variables' uses, each resident one's on its frame
+  // too: O(window), not O(V + C). Every count raised below is decremented
+  // once per access of the loop that follows, so it ends at zero; and a
+  // frame's entry is last written by its final occupant's last access of
+  // the window (nothing is left of it then), or not at all when that
+  // occupant is idle this window. A throw mid-window restores the zeros.
+  if (remaining_uses_.size() < variables_seen()) {
+    remaining_uses_.resize(variables_seen(), 0);
   }
-  for (const trace::Access& access : window_) {
-    ++remaining_uses_[access.variable];
-  }
-  for (const trace::Access& access : window_) {
-    const std::uint32_t frame = frame_of_[access.variable];
-    if (frame != kNoFrame) {
-      frame_pending_[frame] = remaining_uses_[access.variable];
-    }
+  for (const trace::Access& access : accesses) {
+    const std::uint32_t variable = access.variable + id_offset;
+    ++remaining_uses_[variable];
+    if (frame_of_[variable] != kNoFrame) ++frame_pending_[frame_of_[variable]];
   }
   std::fill(last_offsets_.begin(), last_offsets_.end(), -1);
   // Victim ranking peeks the placement that served the PREVIOUS window —
@@ -196,15 +213,13 @@ void CacheEngine::ResolveWindow() {
   // resolved (the wrapped engine may still re-seed or refine). That is
   // the honest information order of a real controller: eviction happens
   // before re-placement.
-  const core::Placement* placement =
-      engine_.placed() ? &engine_.placement() : nullptr;
+  const std::span<const core::Slot> slots = engine_.placement().slots();
 
-  frame_block_.clear();
   try {
-    ResolveAccesses(placement);
+    ResolveAccesses(accesses, id_offset, slots);
   } catch (...) {
-    for (const trace::Access& access : window_) {
-      remaining_uses_[access.variable] = 0;
+    for (const trace::Access& access : accesses) {
+      remaining_uses_[access.variable + id_offset] = 0;
     }
     std::fill(frame_pending_.begin(), frame_pending_.end(), 0);
     throw;
@@ -218,34 +233,44 @@ void CacheEngine::ResolveWindow() {
   engine_.FlushWindow();
 }
 
-void CacheEngine::ResolveAccesses(const core::Placement* placement) {
-  for (const trace::Access& access : window_) {
+void CacheEngine::ResolveAccesses(std::span<const trace::Access> accesses,
+                                  std::uint32_t id_offset,
+                                  std::span<const core::Slot> slots) {
+  const std::uint64_t misses_before = running_.misses;
+  // Sized once per window length: a miss queues at most a writeback and a fill.
+  frame_block_.resize(accesses.size());
+  pending_writeback_frames_.reserve(accesses.size());
+  pending_fill_frames_.reserve(accesses.size());
+  slot_scratch_.reserve(accesses.size());
+  fill_requests_.reserve(2 * accesses.size());
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    const std::uint32_t variable = accesses[i].variable + id_offset;
+    const trace::AccessType type = accesses[i].type;
     ++tick_;
-    ++running_.accesses;
-    const std::uint32_t variable = access.variable;
     std::uint32_t frame = frame_of_[variable];
     if (frame != kNoFrame) {
-      ++running_.hits;
       FrameInfo& info = frames_[frame];
       info.last_use = tick_;
       Touch(frame);
       ++info.uses;
-      if (access.type == trace::AccessType::kWrite) info.dirty = true;
+      info.dirty |= type == trace::AccessType::kWrite;
       if (config_.record_events) {
         events_.push_back({tick_, variable, frame, CacheEvent::Kind::kHit,
                            kNoFrame, false});
       }
     } else {
-      frame = ResolveMiss(variable, access.type);
+      frame = ResolveMiss(variable, type);
     }
     --remaining_uses_[variable];
     frame_pending_[frame] = remaining_uses_[variable];
-    frame_block_.push_back({frame, access.type});
-    if (placement != nullptr && placement->IsPlaced(frame)) {
-      const core::Slot slot = placement->SlotOf(frame);
-      last_offsets_[slot.dbc] = static_cast<std::int64_t>(slot.offset);
+    frame_block_[i] = {frame, type};
+    // An unplaced frame's DBC is past the last one.
+    if (frame < slots.size() && slots[frame].dbc < last_offsets_.size()) {
+      last_offsets_[slots[frame].dbc] = slots[frame].offset;
     }
   }
+  running_.accesses += accesses.size();
+  running_.hits += accesses.size() - (running_.misses - misses_before);
 }
 
 std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
@@ -352,7 +377,7 @@ CacheResult CacheEngine::Finish() {
   if (finished_) {
     throw std::logic_error("CacheEngine: Finish called twice");
   }
-  ResolveWindow();
+  ResolveWindow(window_, 0);
   // A never-fed session still registers the pool so the wrapped engine
   // places it, mirroring the static path on empty sequences.
   RegisterFramePool();

@@ -40,7 +40,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/backing_store.h"
@@ -130,8 +129,8 @@ struct CacheResult {
 
 /// One streaming cache session: register variables, feed accesses,
 /// Finish(). Mirrors online::OnlineEngine's session shape; holds the
-/// directory, one logical window, and the wrapped engine — never the
-/// whole trace.
+/// directory, the wrapped engine and at most one partial logical window
+/// — never the whole trace.
 class CacheEngine {
  public:
   /// Requires a RESOLVED capacity (config.capacity_slots > 0; see
@@ -154,8 +153,9 @@ class CacheEngine {
 
   /// Appends a block of accesses to registered ids; every full logical
   /// window the block completes is resolved (classified, evicted/filled,
-  /// handed to the wrapped engine) before the call returns. How a stream
-  /// is cut into blocks changes nothing. `id_offset` is added to every
+  /// handed to the wrapped engine) before the call returns, straight from
+  /// the block unless it was cut across calls. How a stream is cut into
+  /// blocks changes nothing. `id_offset` is added to every
   /// access's variable id — how the serve layer remaps tenant-local ids
   /// into the shard's space (mirrors online::OnlineEngine::Feed's offset
   /// parameter). A shifted id that is unregistered, or that overflows 32
@@ -191,7 +191,7 @@ class CacheEngine {
 
   /// Logical variables registered so far.
   [[nodiscard]] std::size_t variables_seen() const noexcept {
-    return names_.size();
+    return frame_of_.size();
   }
 
   /// Wrapped-engine window records (one per resolved window).
@@ -216,20 +216,26 @@ class CacheEngine {
   /// names, and matching them is what keeps the full-capacity oracle
   /// bit-identical to a bare engine.
   void RegisterFramePool();
-  /// Classifies the buffered window's accesses, resolves its misses
-  /// (victim selection, directory update, pending sweep bookkeeping) and
-  /// hands the frame-mapped block to the wrapped engine.
-  void ResolveWindow();
-  /// ResolveWindow's pass over the buffered accesses: hits, misses and
-  /// the frame-mapped block. `placement` served the previous window
-  /// (null before the first).
-  void ResolveAccesses(const core::Placement* placement);
+  /// Classifies one logical window (ids shifted by `id_offset`), resolves
+  /// its misses and hands the frame-mapped block to the wrapped engine.
+  /// Clears `window_`: empty, or `accesses` itself.
+  void ResolveWindow(std::span<const trace::Access> accesses,
+                     std::uint32_t id_offset);
+  /// ResolveWindow's pass: hits, misses and the frame-mapped block, with
+  /// `slots` from the previous window's placement (none before it).
+  void ResolveAccesses(std::span<const trace::Access> accesses,
+                       std::uint32_t id_offset,
+                       std::span<const core::Slot> slots);
   /// Handles one miss of `variable`; returns the frame it was filled
   /// into.
   std::uint32_t ResolveMiss(std::uint32_t variable, trace::AccessType type);
-  /// Appends one access to the logical window (ids already validated),
-  /// resolving the window when it fills.
-  void Append(std::uint32_t variable, trace::AccessType type);
+  /// Name of registered variable `id`, viewed in `names_`.
+  [[nodiscard]] std::string_view NameOf(std::uint32_t id) const {
+    return std::string_view(names_).substr(
+        name_starts_[id], name_starts_[id + 1] - name_starts_[id]);
+  }
+  /// `name`'s entry in `id_slots_`, or the empty entry where it belongs.
+  std::uint32_t& SlotOf(std::string_view name);
   /// Recency list upkeep: links `frame` right after `after` (at the head
   /// for kNoFrame) / unlinks it / moves a just-used frame to the tail.
   void LinkAfter(std::uint32_t frame, std::uint32_t after);
@@ -244,11 +250,13 @@ class CacheEngine {
   online::OnlineEngine engine_;
   std::unique_ptr<EvictionPolicy> policy_;
 
-  // Logical variable table. `ids_` is lookup-only (find/emplace, never
-  // iterated): hash order must not leak into anything observable;
-  // `names_` is the deterministic registration-ordered view.
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, std::uint32_t> ids_;
+  // Logical variable table, each name stored once: names back to back in
+  // registration order, found through a linearly probed table of id + 1
+  // (0 = empty), at most half full and doubled when it fills. The table
+  // is lookup-only, so hash order cannot leak into anything observable.
+  std::string names_;
+  std::vector<std::size_t> name_starts_{0};
+  std::vector<std::uint32_t> id_slots_;
   /// variable -> resident frame, kNoFrame while evicted/never admitted.
   std::vector<std::uint32_t> frame_of_;
 
@@ -269,9 +277,9 @@ class CacheEngine {
   /// eviction.h), so it never needs rebuilding.
   std::vector<std::uint32_t> all_frames_;
 
-  // Current logical window.
+  /// A logical window cut across Feed calls, ids already shifted.
   std::vector<trace::Access> window_;
-  /// Frame-mapped image of `window_`, fed to the wrapped engine.
+  /// Frame-mapped image of the window being resolved.
   std::vector<trace::Access> frame_block_;
   /// variable -> accesses of it left in the window being resolved.
   /// All zero between windows (see ResolveWindow); grown as names are

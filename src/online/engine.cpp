@@ -338,21 +338,16 @@ void OnlineEngine::ServeWindow(WindowRecord& record,
     core::ValidateAgainstDomains(placement_, cost);
     last_off_scratch_.assign(placement_.num_dbcs(), core::kNoAccess);
   }
-  std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   request_scratch_.clear();
   for (const trace::Access& access : accesses) {
     const core::Slot slot = placement_.SlotOf(access.variable + id_offset);
     request_scratch_.push_back(
         rtm::TimedRequest{0.0, slot.dbc, slot.offset, access.type});
-    if (access.type == trace::AccessType::kWrite) {
-      ++writes;
-    } else {
-      ++reads;
-    }
+    writes += access.type == trace::AccessType::kWrite;
     if (fused) window_cost += step(last_off_scratch_[slot.dbc], slot.offset);
   }
-  result_.reads += reads;
+  result_.reads += accesses.size() - writes;
   result_.writes += writes;
   record.window_cost = fused ? window_cost : *known_cost;
   result_.placement_cost += record.window_cost;

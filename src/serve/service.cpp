@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -34,32 +35,26 @@ rtm::RtmConfig ShardDeviceConfig(const rtm::RtmConfig& device,
   return shard;
 }
 
-/// Counter-wise a - b: the cache-tier delta of one arbitration turn.
-cache::CacheStats CacheStatsDelta(const cache::CacheStats& a,
-                                  const cache::CacheStats& b) {
-  cache::CacheStats d;
-  d.accesses = a.accesses - b.accesses;
-  d.hits = a.hits - b.hits;
-  d.misses = a.misses - b.misses;
-  d.fills = a.fills - b.fills;
-  d.writebacks = a.writebacks - b.writebacks;
-  d.fill_shifts = a.fill_shifts - b.fill_shifts;
-  d.fill_accesses = a.fill_accesses - b.fill_accesses;
-  d.backing_ns = a.backing_ns - b.backing_ns;
-  d.backing_pj = a.backing_pj - b.backing_pj;
-  return d;
+constexpr std::uint64_t kMaxShifts = std::numeric_limits<std::uint64_t>::max();
+
+/// a + b, pinned at kMaxShifts instead of wrapping.
+std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) noexcept {
+  return std::min(a, kMaxShifts - b) + b;
 }
 
-void AddCacheStats(cache::CacheStats& into, const cache::CacheStats& d) {
-  into.accesses += d.accesses;
-  into.hits += d.hits;
-  into.misses += d.misses;
-  into.fills += d.fills;
-  into.writebacks += d.writebacks;
-  into.fill_shifts += d.fill_shifts;
-  into.fill_accesses += d.fill_accesses;
-  into.backing_ns += d.backing_ns;
-  into.backing_pj += d.backing_pj;
+/// Counter-wise into += a - b; with `b` the counters at a turn's start,
+/// that adds the turn's cache-tier delta.
+void AddCacheStats(cache::CacheStats& into, const cache::CacheStats& a,
+                   const cache::CacheStats& b = {}) {
+  into.accesses += a.accesses - b.accesses;
+  into.hits += a.hits - b.hits;
+  into.misses += a.misses - b.misses;
+  into.fills += a.fills - b.fills;
+  into.writebacks += a.writebacks - b.writebacks;
+  into.fill_shifts += a.fill_shifts - b.fill_shifts;
+  into.fill_accesses += a.fill_accesses - b.fill_accesses;
+  into.backing_ns += a.backing_ns - b.backing_ns;
+  into.backing_pj += a.backing_pj - b.backing_pj;
 }
 
 }  // namespace
@@ -111,19 +106,20 @@ cache::CacheStats PlacementService::ShardEngine::CacheStatsNow() const {
 
 void MigrationBudget::RefillForWindow() noexcept {
   if (unlimited()) return;
-  granted_ += config_.shifts_per_window;
-  const std::uint64_t ceiling = config_.shifts_per_window * kBurstWindows;
-  balance_ = std::min(balance_ + config_.shifts_per_window, ceiling);
+  const std::uint64_t allowance = config_.shifts_per_window;
+  granted_ = SaturatingAdd(granted_, allowance);
+  const std::uint64_t ceiling = allowance > kMaxShifts / kBurstWindows
+                                    ? kMaxShifts
+                                    : allowance * kBurstWindows;
+  balance_ = std::min(SaturatingAdd(balance_, allowance), ceiling);
 }
 
 bool MigrationBudget::TryConsume(std::uint64_t shifts) noexcept {
-  if (unlimited()) {
-    spent_ += shifts;
-    return true;
+  if (!unlimited()) {
+    if (shifts > balance_) return false;
+    balance_ -= shifts;
   }
-  if (shifts > balance_) return false;
-  balance_ -= shifts;
-  spent_ += shifts;
+  spent_ = SaturatingAdd(spent_, shifts);
   return true;
 }
 
@@ -215,13 +211,12 @@ void PlacementService::ServeTurn(Session& session, ShardEngine& engine,
   const std::span<const trace::Access> block(
       seq.accesses().data() + session.cursor, quantum);
   engine.Feed(block, session.base_id);
+  std::uint64_t writes = 0;
   for (const trace::Access& access : block) {
-    if (access.type == trace::AccessType::kWrite) {
-      ++stats.writes;
-    } else {
-      ++stats.reads;
-    }
+    writes += access.type == trace::AccessType::kWrite;
   }
+  stats.writes += writes;
+  stats.reads += quantum - writes;
   session.cursor += quantum;
   // Close the turn at a window boundary: engine windows map 1:1 onto
   // (tenant, turn) batches, so the latest record is this turn's.
@@ -269,8 +264,7 @@ void PlacementService::ServeTurn(Session& session, ShardEngine& engine,
   stats.energy.read_write_pj +=
       energy_after.read_write_pj - energy_before.read_write_pj;
   stats.energy.shift_pj += energy_after.shift_pj - energy_before.shift_pj;
-  AddCacheStats(stats.cache,
-                CacheStatsDelta(engine.CacheStatsNow(), cache_before));
+  AddCacheStats(stats.cache, engine.CacheStatsNow(), cache_before);
 }
 
 ServeResult PlacementService::Run() {
@@ -343,6 +337,7 @@ ServeResult PlacementService::Run() {
   // single tenant's ids coincide with its sequence's (oracle property).
   ServeResult result;
   result.tenants.resize(sessions_.size());
+  std::string name;
   for (std::size_t s = 0; s < shards; ++s) {
     for (const std::size_t i : members[s]) {
       Session& session = sessions_[i];
@@ -350,8 +345,8 @@ ServeResult PlacementService::Run() {
       session.base_id =
           static_cast<trace::VariableId>(engines[s].variables_seen());
       for (trace::VariableId v = 0; v < seq.num_variables(); ++v) {
-        (void)engines[s].RegisterVariable(session.name + "/" +
-                                          seq.name_of(v));
+        name.assign(session.name).append("/").append(seq.name_of(v));
+        (void)engines[s].RegisterVariable(name);
       }
       result.tenants[i].name = session.name;
       result.tenants[i].shard = s;

@@ -79,7 +79,8 @@ class MigrationBudget {
     return config_.shifts_per_window == 0;
   }
 
-  /// Accrues one window's allowance (capped at the burst ceiling).
+  /// Accrues one window's allowance (capped at the burst ceiling). The
+  /// ceiling, the balance and granted() saturate at UINT64_MAX.
   void RefillForWindow() noexcept;
 
   /// Admits a migration estimated at `shifts` if covered; consumes on
@@ -87,8 +88,8 @@ class MigrationBudget {
   /// spending).
   [[nodiscard]] bool TryConsume(std::uint64_t shifts) noexcept;
 
-  /// Total allowance accrued / migration shifts admitted so far. For a
-  /// limited budget spent() <= granted() is an invariant.
+  /// Allowance accrued / migration shifts admitted so far, both
+  /// saturating. For a limited budget spent() <= granted() is an invariant.
   [[nodiscard]] std::uint64_t granted() const noexcept { return granted_; }
   [[nodiscard]] std::uint64_t spent() const noexcept { return spent_; }
   [[nodiscard]] std::uint64_t balance() const noexcept { return balance_; }

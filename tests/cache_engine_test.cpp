@@ -316,6 +316,29 @@ TEST(CacheValidation, RejectsBadConfigurations) {
                std::invalid_argument);
 }
 
+// Registration is idempotent per name across the name table's growth:
+// prefixes, the empty name and a re-registration in another order all
+// map to the ids the first registration handed out, in order.
+TEST(CacheEngine, RegisterVariableIsIdempotentPerName) {
+  cache::CacheConfig config;
+  config.capacity_slots = 4;
+  cache::CacheEngine engine(config, rtm::RtmConfig::Paper(2));
+  std::vector<std::string> names = {"", "a", "ab", "abc", "b"};
+  for (std::size_t i = 0; i < 3000; ++i) {
+    std::string name = "tenant/";
+    name += std::to_string(i * 7919 % 3001);
+    names.push_back(name);
+  }
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(engine.RegisterVariable(names[i]), i) << names[i];
+  }
+  for (std::size_t i = names.size(); i-- > 0;) {
+    EXPECT_EQ(engine.RegisterVariable(names[i]), i) << names[i];
+  }
+  EXPECT_EQ(engine.variables_seen(), names.size());
+  EXPECT_EQ(engine.RegisterVariable("tenant/"), names.size());
+}
+
 // Event recording classifies every access; the first `capacity` ids are
 // admitted for free, so a small trace over them never misses.
 TEST(CacheEvents, ClassifyHitsAndMisses) {
@@ -360,36 +383,90 @@ TEST(CacheEvents, ClassifyHitsAndMisses) {
 }
 
 
-// The registry exposes the built-ins and arbitration catches collisions.
-// How a stream is cut into Feed blocks changes nothing: one access per
-// call equals the whole block, under eviction pressure.
+void ExpectCacheStatsEqual(const cache::CacheStats& a,
+                           const cache::CacheStats& b,
+                           const std::string& label) {
+  EXPECT_EQ(a.accesses, b.accesses) << label;
+  EXPECT_EQ(a.hits, b.hits) << label;
+  EXPECT_EQ(a.misses, b.misses) << label;
+  EXPECT_EQ(a.fills, b.fills) << label;
+  EXPECT_EQ(a.writebacks, b.writebacks) << label;
+  EXPECT_EQ(a.fill_shifts, b.fill_shifts) << label;
+  EXPECT_EQ(a.fill_accesses, b.fill_accesses) << label;
+  EXPECT_EQ(a.backing_ns, b.backing_ns) << label;
+  EXPECT_EQ(a.backing_pj, b.backing_pj) << label;
+}
+
+void ExpectWindowRecordsEqual(const std::vector<online::WindowRecord>& a,
+                              const std::vector<online::WindowRecord>& b,
+                              const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    const std::string at = label + " window " + std::to_string(w);
+    EXPECT_EQ(a[w].begin, b[w].begin) << at;
+    EXPECT_EQ(a[w].accesses, b[w].accesses) << at;
+    EXPECT_EQ(a[w].phase_change, b[w].phase_change) << at;
+    EXPECT_EQ(a[w].drift, b[w].drift) << at;
+    EXPECT_EQ(a[w].replaced, b[w].replaced) << at;
+    EXPECT_EQ(a[w].migrated_vars, b[w].migrated_vars) << at;
+    EXPECT_EQ(a[w].migration_shifts, b[w].migration_shifts) << at;
+    EXPECT_EQ(a[w].service_shifts, b[w].service_shifts) << at;
+    EXPECT_EQ(a[w].window_cost, b[w].window_cost) << at;
+    EXPECT_EQ(a[w].budget_denied, b[w].budget_denied) << at;
+    EXPECT_EQ(a[w].latency_ns, b[w].latency_ns) << at;
+  }
+}
+
+// How a stream is cut into Feed blocks changes nothing, under eviction
+// pressure and with tenant-style id remapping: one access per call, and
+// blocks that start mid-window (buffered), hold exactly a window or span
+// several (whole windows resolved in place), all equal one pre-shifted
+// block fed at offset 0, event for event and window for window.
 TEST(CacheEngine, OneAccessPerCallMatchesWholeBlock) {
   const trace::AccessSequence seq = WorkloadSequence("kv-churn");
-  const rtm::RtmConfig config = sim::CellConfig(4, seq.num_variables());
+  const rtm::RtmConfig config = sim::CellConfig(4, seq.num_variables() + 5);
+  constexpr std::uint32_t kPrefix = 5;  // another tenant's variables
+  std::vector<trace::Access> shifted(seq.accesses());
+  for (trace::Access& access : shifted) access.variable += kPrefix;
   for (const std::string& eviction : EvictionPolicies()) {
     cache::CacheConfig cache_config;
     cache_config.eviction = eviction;
     cache_config.capacity_slots =
         std::max<std::size_t>(seq.num_variables() / 2, 1);
     cache_config.engine = OracleEngineConfig(config);
-    const cache::CacheResult whole =
-        cache::RunCache(seq, cache_config, config);
-    cache::CacheEngine engine(cache_config, config);
-    for (trace::VariableId v = 0; v < seq.num_variables(); ++v) {
-      (void)engine.RegisterVariable(seq.name_of(v));
-    }
-    for (const trace::Access& access : seq.accesses()) {
-      engine.Feed(std::span<const trace::Access>(&access, 1));
-    }
-    const cache::CacheResult single = engine.Finish();
-    ExpectOnlineResultsEqual(single.online, whole.online, eviction);
+    cache_config.record_events = true;
+    const std::size_t w = cache_config.engine.window_accesses;
+    const auto run = [&](std::span<const trace::Access> stream,
+                         std::uint32_t id_offset, std::size_t block) {
+      cache::CacheEngine engine(cache_config, config);
+      for (std::uint32_t v = 0; v < kPrefix; ++v) {
+        std::string name = "other/";
+        name += std::to_string(v);
+        (void)engine.RegisterVariable(name);
+      }
+      for (trace::VariableId v = 0; v < seq.num_variables(); ++v) {
+        (void)engine.RegisterVariable(seq.name_of(v));
+      }
+      for (std::size_t i = 0; i < stream.size(); i += block) {
+        engine.Feed(stream.subspan(i, std::min(block, stream.size() - i)),
+                    id_offset);
+      }
+      return engine.Finish();
+    };
+    const cache::CacheResult whole = run(shifted, 0, shifted.size());
     EXPECT_GT(whole.cache.misses, 0u) << eviction;
-    EXPECT_EQ(single.cache.hits, whole.cache.hits) << eviction;
-    EXPECT_EQ(single.cache.misses, whole.cache.misses) << eviction;
-    EXPECT_EQ(single.cache.fills, whole.cache.fills) << eviction;
-    EXPECT_EQ(single.cache.writebacks, whole.cache.writebacks) << eviction;
-    EXPECT_EQ(single.cache.fill_shifts, whole.cache.fill_shifts) << eviction;
-    EXPECT_EQ(single.cache.backing_ns, whole.cache.backing_ns) << eviction;
+    EXPECT_EQ(whole.events.size(), seq.size()) << eviction;
+    for (const std::size_t block :
+         {std::size_t{1}, std::size_t{7}, w - 1, w, w + 1, 3 * w + 5,
+          seq.size()}) {
+      const std::string label = eviction + " block " + std::to_string(block);
+      const cache::CacheResult cut = run(seq.accesses(), kPrefix, block);
+      EXPECT_TRUE(cut.events == whole.events) << label;
+      ExpectCacheStatsEqual(cut.cache, whole.cache, label);
+      ExpectOnlineResultsEqual(cut.online, whole.online, label);
+      ExpectWindowRecordsEqual(cut.online.windows, whole.online.windows,
+                               label);
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -208,6 +209,60 @@ TEST(ServeConservation, TenantTotalsSumToDeviceTotals) {
 
   EXPECT_GT(result.fairness, 0.0);
   EXPECT_LE(result.fairness, 1.0 + 1e-12);
+}
+
+TEST(ServeConservation, ReadWriteTalliesMatchTheTraces) {
+  // Write-heavy tenants draw reads and writes at random. Each tenant's
+  // split, and a static engine's, must equal its trace's exactly, with
+  // and without the cache tier (a static engine migrates nothing, so the
+  // device counters see only the traces' own accesses).
+  std::vector<trace::AccessSequence> sequences;
+  std::size_t total_vars = 0;
+  std::uint64_t total_writes = 0;
+  std::uint64_t total_accesses = 0;
+  for (const char* name : {"kv-churn", "hash-join"}) {
+    for (std::size_t index = 0; index < 2; ++index) {
+      sequences.push_back(WorkloadSequence(name, index));
+      total_vars += sequences.back().num_variables();
+      total_writes += sequences.back().CountWrites();
+      total_accesses += sequences.back().size();
+    }
+  }
+  const rtm::RtmConfig config = sim::CellConfig(8, total_vars);
+  const online::OnlineConfig static_config =
+      online::OnlinePolicyRegistry::Global()
+          .Find("online-static-dma-sr")
+          ->MakeConfig();
+  for (const trace::AccessSequence& seq : sequences) {
+    const std::uint64_t writes = seq.CountWrites();
+    ASSERT_GT(writes, seq.size() / 4);
+    ASSERT_LT(writes, seq.size());
+    const online::OnlineResult result =
+        online::RunOnline(seq, static_config, config);
+    EXPECT_EQ(result.writes, writes);
+    EXPECT_EQ(result.reads, seq.size() - writes);
+  }
+  for (const bool cache : {false, true}) {
+    serve::ServeConfig serve_config;
+    serve_config.num_shards = 2;
+    serve_config.engine = static_config;
+    serve_config.engine.window_accesses = 96;
+    serve_config.cache.enabled = cache;
+    serve_config.cache.capacity_ratio = 0.5;
+    serve::PlacementService service(serve_config, config);
+    for (std::size_t i = 0; i < sequences.size(); ++i) {
+      (void)service.OpenSession("tenant" + std::to_string(i), sequences[i]);
+    }
+    const serve::ServeResult result = service.Run();
+    for (std::size_t i = 0; i < sequences.size(); ++i) {
+      const std::uint64_t writes = sequences[i].CountWrites();
+      EXPECT_EQ(result.tenants[i].writes, writes) << i << " " << cache;
+      EXPECT_EQ(result.tenants[i].reads, sequences[i].size() - writes)
+          << i << " " << cache;
+    }
+    EXPECT_EQ(result.writes, total_writes) << cache;
+    EXPECT_EQ(result.reads, total_accesses - total_writes) << cache;
+  }
 }
 
 TEST(ServeConservation, AccesslessTenantHoldsSlotsButNoChannelTime) {
@@ -425,6 +480,34 @@ TEST(MigrationBudget, UnlimitedAdmitsEverythingAndTracksSpending) {
   EXPECT_EQ(budget.granted(), 0u);
   EXPECT_TRUE(budget.TryConsume(100000));
   EXPECT_EQ(budget.spent(), 100000u);
+}
+
+TEST(MigrationBudget, HugeAllowancesSaturateInsteadOfWrapping) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t allowance : {std::uint64_t{1} << 62, kMax}) {
+    serve::MigrationBudget budget({allowance});
+    budget.RefillForWindow();
+    EXPECT_EQ(budget.balance(), allowance) << allowance;
+    if (allowance < kMax) {
+      EXPECT_FALSE(budget.TryConsume(allowance + 1));
+    }
+    EXPECT_TRUE(budget.TryConsume(allowance)) << allowance;
+    // Four windows' allowance overflows 64 bits: the ceiling, the grant
+    // and the spending pin at the maximum, and every window still admits
+    // the allowance it adds.
+    for (int window = 0; window < 64; ++window) {
+      budget.RefillForWindow();
+      EXPECT_EQ(budget.balance(), allowance) << allowance;
+      EXPECT_TRUE(budget.TryConsume(allowance)) << allowance;
+      EXPECT_LE(budget.spent(), budget.granted()) << allowance;
+    }
+    EXPECT_EQ(budget.granted(), kMax) << allowance;
+    EXPECT_EQ(budget.spent(), kMax) << allowance;
+    for (int window = 0; window < 8; ++window) budget.RefillForWindow();
+    EXPECT_EQ(budget.balance(), kMax) << allowance;
+    EXPECT_TRUE(budget.TryConsume(kMax)) << allowance;
+    EXPECT_EQ(budget.spent(), kMax) << allowance;
+  }
 }
 
 TEST(ServeBudget, TightBudgetDeniesButNeverOverspends) {
