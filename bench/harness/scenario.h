@@ -3,8 +3,7 @@
 // report (cells, scalars, shape checks) through ScenarioContext; the
 // harness owns the shared plumbing — effort/thread/progress setup, the
 // side-by-side "paper vs measured" presentation, JSON reports and golden
-// comparison. The `rtmbench` CLI runs scenarios by name; each legacy
-// bench binary is an alias of `rtmbench run <scenario>`.
+// comparison. The `rtmbench` CLI runs scenarios by name.
 #pragma once
 
 #include <string>

@@ -13,18 +13,21 @@ namespace rtmp::benchtool::scenarios {
 
 namespace {
 
+/// Issues `seq` under `placement` as back-to-back requests (arrival 0)
+/// in one batch, so the proactive lookahead spans the whole sequence.
 rtmp::rtm::ControllerStats Replay(const rtmp::trace::AccessSequence& seq,
                                   const rtmp::core::Placement& placement,
                                   const rtmp::rtm::RtmConfig& config,
                                   const rtmp::rtm::ControllerConfig& cc) {
-  std::vector<std::pair<unsigned, std::uint32_t>> locations(
-      seq.num_variables(), {0u, 0u});
-  for (rtmp::trace::VariableId v = 0; v < seq.num_variables(); ++v) {
-    if (!placement.IsPlaced(v)) continue;
-    const auto slot = placement.SlotOf(v);
-    locations[v] = {slot.dbc, slot.offset};
+  std::vector<rtmp::rtm::TimedRequest> requests;
+  requests.reserve(seq.size());
+  for (const rtmp::trace::Access& access : seq.accesses()) {
+    const rtmp::core::Slot slot = placement.SlotOf(access.variable);
+    requests.push_back({0.0, slot.dbc, slot.offset, access.type});
   }
-  return ReplaySequence(seq, locations, config, cc);
+  rtmp::rtm::RtmController controller(config, cc);
+  controller.ExecuteBatch(requests);
+  return controller.stats();
 }
 
 void Run(ScenarioContext& ctx) {

@@ -128,7 +128,7 @@ void OnlineEngine::Feed(std::span<const trace::Access> accesses,
         DirectServeEligible()) {
       // Steady state: a whole window is already contiguous in the fed
       // block — serve it in place, skipping the buffer copy.
-      ProcessWindowFromSpan(accesses.subspan(i, limit), id_offset);
+      ProcessWindow(accesses.subspan(i, limit), id_offset);
       i += limit;
       continue;
     }
@@ -138,7 +138,7 @@ void OnlineEngine::Feed(std::span<const trace::Access> accesses,
       window_seq_.Append(access.variable + id_offset, access.type);
     }
     i += take;
-    if (window_seq_.size() >= limit) ProcessWindow();
+    if (window_seq_.size() >= limit) ProcessWindow(window_seq_.accesses(), 0);
   }
 }
 
@@ -363,28 +363,11 @@ bool OnlineEngine::DirectServeEligible() const noexcept {
          placement_.num_variables() == window_seq_.num_variables();
 }
 
-void OnlineEngine::ProcessWindowFromSpan(std::span<const trace::Access> block,
-                                         trace::VariableId id_offset) {
+void OnlineEngine::ProcessWindow(std::span<const trace::Access> window,
+                                 trace::VariableId id_offset) {
   WindowRecord record;
   record.begin = served_accesses_;
-  record.accesses = block.size();
-  const double makespan_before = controller_.stats().makespan_ns;
-  // Counter parity with the buffered path: kNone ignores the summary but
-  // still counts the window.
-  (void)detector_.Observe(TransitionSummary{});
-  if (pre_serve_hook_) pre_serve_hook_(placement_, controller_);
-  ServeWindow(record, block, id_offset);
-  record.latency_ns = controller_.stats().makespan_ns - makespan_before;
-  TraceWindow(record, makespan_before);
-  result_.windows.push_back(record);
-  served_accesses_ += block.size();
-  ++windows_processed_;
-}
-
-void OnlineEngine::ProcessWindow() {
-  WindowRecord record;
-  record.begin = served_accesses_;
-  record.accesses = window_seq_.size();
+  record.accesses = window.size();
   const double makespan_before = controller_.stats().makespan_ns;
 
   // Every window feeds the detector — window 0 seeds the drift model so
@@ -458,11 +441,11 @@ void OnlineEngine::ProcessWindow() {
   // ServeWindow prices the window (record.window_cost) fused into its
   // request-building pass, unless a refused re-seed already did, and
   // books it into result_.placement_cost.
-  ServeWindow(record, window_seq_.accesses(), 0, window_cost);
+  ServeWindow(record, window, id_offset, window_cost);
   record.latency_ns = controller_.stats().makespan_ns - makespan_before;
   TraceWindow(record, makespan_before);
   result_.windows.push_back(record);
-  served_accesses_ += window_seq_.size();
+  served_accesses_ += window.size();
   window_seq_.ClearAccesses();
   ++windows_processed_;
 }
@@ -471,7 +454,7 @@ void OnlineEngine::FlushWindow() {
   if (finished_) {
     throw std::logic_error("OnlineEngine: session already finished");
   }
-  if (!window_seq_.empty()) ProcessWindow();
+  if (!window_seq_.empty()) ProcessWindow(window_seq_.accesses(), 0);
 }
 
 OnlineResult OnlineEngine::Finish() {
@@ -480,7 +463,9 @@ OnlineResult OnlineEngine::Finish() {
   }
   // Flush the trailing partial window; a never-fed session still places
   // once so the result mirrors the static path on empty sequences.
-  if (!window_seq_.empty() || !placed_) ProcessWindow();
+  if (!window_seq_.empty() || !placed_) {
+    ProcessWindow(window_seq_.accesses(), 0);
+  }
   finished_ = true;
 
   result_.stats = controller_.stats();

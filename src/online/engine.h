@@ -255,15 +255,15 @@ class OnlineEngine {
   }
 
  private:
-  void ProcessWindow();
-  /// Serves one full window straight from a fed span — the steady-state
-  /// fast path of the batched Feed (no buffer copy, no second pass).
-  /// Only taken when it is bit-identical to the buffered path: placement
-  /// settled (no re-seed, no refinement, no unplaced variables), detector
-  /// kNone.
-  void ProcessWindowFromSpan(std::span<const trace::Access> block,
-                             trace::VariableId id_offset);
-  /// Whether ProcessWindowFromSpan may serve the next full window.
+  /// Decides and serves one window. `window` is the window buffer
+  /// (id_offset 0), or, when DirectServeEligible(), a whole window of a
+  /// fed block served in place: the re-seed, refinement and transition
+  /// summary read the buffer, and none of them runs in that case.
+  void ProcessWindow(std::span<const trace::Access> window,
+                     trace::VariableId id_offset);
+  /// Whether a whole window of a fed block may skip the buffer copy:
+  /// placement settled (no re-seed, no refinement, no unplaced
+  /// variables), detector kNone, buffer empty.
   [[nodiscard]] bool DirectServeEligible() const noexcept;
   /// Extends `placement_` over variables that appeared this window:
   /// each goes to the emptiest DBC (lowest index on ties). First
@@ -288,7 +288,7 @@ class OnlineEngine {
                    std::span<const trace::Access> accesses,
                    trace::VariableId id_offset,
                    std::optional<std::uint64_t> known_cost = std::nullopt);
-  /// Traces the window span (both window paths).
+  /// Traces the window span.
   void TraceWindow(const WindowRecord& record, double begin_ns);
   /// Books a migration the gate denied into `record` and the result, and
   /// traces it (both denial sites).

@@ -274,22 +274,4 @@ void RtmController::Reset() {
   stats_ = ControllerStats{};
 }
 
-ControllerStats ReplaySequence(
-    const trace::AccessSequence& seq,
-    const std::vector<std::pair<unsigned, std::uint32_t>>& locations,
-    const RtmConfig& config, const ControllerConfig& controller) {
-  if (locations.size() != seq.num_variables()) {
-    throw std::invalid_argument("ReplaySequence: one location per variable");
-  }
-  std::vector<TimedRequest> requests;
-  requests.reserve(seq.size());
-  for (const trace::Access& access : seq.accesses()) {
-    const auto& [dbc, domain] = locations[access.variable];
-    requests.push_back(TimedRequest{0.0, dbc, domain, access.type});
-  }
-  RtmController engine(config, controller);
-  engine.ExecuteBatch(requests);
-  return engine.stats();
-}
-
 }  // namespace rtmp::rtm

@@ -164,11 +164,4 @@ class RtmController {
   std::vector<double> lookahead_ring_;
 };
 
-/// Convenience: wraps a placement-mapped access sequence into back-to-back
-/// requests (arrival 0) and executes them.
-[[nodiscard]] ControllerStats ReplaySequence(
-    const trace::AccessSequence& seq,
-    const std::vector<std::pair<unsigned, std::uint32_t>>& locations,
-    const RtmConfig& config, const ControllerConfig& controller);
-
 }  // namespace rtmp::rtm

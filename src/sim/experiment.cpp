@@ -26,7 +26,6 @@
 #include "online/policy.h"
 #include "serve/serve_cell.h"
 #include "serve/serve_policy.h"
-#include "sim/worker_pool.h"
 #include "trace/trace_stream.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -447,14 +446,13 @@ std::vector<RunResult> RunMatrix(
     }
   };
 
-  if (threads == 1) {
+  {
+    // threads - 1 helpers plus the calling thread; the helpers join when
+    // the scope closes.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t) helpers.emplace_back(worker);
     worker();
-  } else {
-    // Parked persistent threads instead of a spawn-and-join per matrix:
-    // back-to-back grids (the bench harness, the serve layer) reuse the
-    // same workers. Determinism is unchanged — cells are still claimed
-    // through the atomic counter and written to fixed slots.
-    WorkerPool::Global().Run(threads, worker);
   }
   if (error) std::rethrow_exception(error);
 

@@ -1,6 +1,7 @@
 // Experiment engine: runs benchmark suites through strategies and RTM
 // configurations and aggregates the metrics the paper's evaluation section
-// reports. Every bench binary is a thin wrapper around this module.
+// reports. Every rtmbench scenario and perfbench's paper-matrix run
+// through this module.
 //
 // A cell is one (benchmark, dbc count, name) triple. The name belongs to
 // one of four cell registries: placement strategies, online policies,
@@ -11,13 +12,15 @@
 // cache::RunCacheSequence, serve::RunServeBenchmark) that the cells, the
 // figure scenarios and placement_explorer all share.
 //
-// RunMatrix fans the (benchmark x dbc count x strategy) grid across a
-// std::thread pool. Cells are independent and carry their own
-// deterministic seed (derived from benchmark name, sequence index and DBC
-// count), so the parallel run is bit-identical to the serial one and to
-// itself across machines; the result vector is always in grid order
-// (benchmark-major, then dbcs, then strategy) regardless of which thread
-// finished first.
+// RunMatrix fans the (benchmark x dbc count x strategy) grid across
+// num_threads workers: num_threads - 1 std::jthreads it starts and joins
+// per call, plus the calling thread. Cells are independent and carry
+// their own deterministic seed (derived from benchmark name, sequence
+// index and DBC count), so the parallel run is bit-identical to the
+// serial one and to itself across machines; the result vector is always
+// in grid order (benchmark-major, then dbcs, then strategy) regardless of
+// which thread finished first. A call shares no state with other calls,
+// so matrices may run concurrently from several threads.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +85,8 @@ void WriteJson(util::JsonWriter& writer, const RunResult& result);
 
 /// Called after each finished cell. `completed` counts finished cells so
 /// far, `total` the whole grid. Invoked under a lock, so the callback may
-/// print without further synchronization, but it runs on a worker thread —
-/// keep it cheap.
+/// print without further synchronization, but it runs on whichever worker
+/// finished the cell (the calling thread is one) — keep it cheap.
 using ProgressCallback =
     std::function<void(const RunResult&, std::size_t completed,
                        std::size_t total)>;
@@ -159,8 +162,9 @@ struct CellRun {
 /// anything but one whole integer in [1, 1024], e.g. "4x" or "1 ").
 [[nodiscard]] unsigned ThreadCountFromEnv(unsigned fallback);
 
-/// Runs the full matrix over `suite` on a thread pool (see header
-/// comment), one RunCell per grid entry. Devices follow CellConfig.
+/// Runs the full matrix over `suite` on options.num_threads workers
+/// (see header comment), one RunCell per grid entry. Devices follow
+/// CellConfig.
 [[nodiscard]] std::vector<RunResult> RunMatrix(
     const std::vector<offsetstone::Benchmark>& suite,
     const ExperimentOptions& options);

@@ -41,8 +41,8 @@ struct SimulationResult {
                                         const rtm::RtmConfig& config);
 
 /// Convenience: the analytic single-port shift cost and the simulator
-/// agree by construction; this asserts it (used by integration tests and
-/// as a safety net in the harness's debug builds).
+/// agree by construction; this checks it (the simulator and property
+/// tests call it).
 [[nodiscard]] bool SimulatorMatchesCostModel(const trace::AccessSequence& seq,
                                              const core::Placement& placement,
                                              const rtm::RtmConfig& config);

@@ -300,18 +300,5 @@ TEST(Controller, ResetRestoresCleanState) {
   EXPECT_EQ(timings[0].shifts, 0u);  // first access free again
 }
 
-TEST(Controller, ReplaySequenceWrapsPlacements) {
-  const auto seq = trace::AccessSequence::FromCompactString("abab");
-  const std::vector<std::pair<unsigned, std::uint32_t>> locations{
-      {0u, 0u}, {1u, 3u}};
-  const ControllerStats stats =
-      ReplaySequence(seq, locations, RtmConfig::Paper(2), ControllerConfig{});
-  EXPECT_EQ(stats.requests, 4u);
-  EXPECT_EQ(stats.shifts, 0u);  // both DBCs keep their ports aligned
-  EXPECT_THROW((void)ReplaySequence(seq, {{0u, 0u}}, RtmConfig::Paper(2),
-                                    ControllerConfig{}),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace rtmp::rtm

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -190,6 +192,52 @@ TEST(Experiment, ParallelMatrixIsBitIdenticalToSerial) {
                      parallel[i].metrics.runtime_ns);
     EXPECT_DOUBLE_EQ(serial[i].metrics.total_energy_pj(),
                      parallel[i].metrics.total_energy_pj());
+  }
+}
+
+TEST(Experiment, ConcurrentMatricesMatchSerial) {
+  const std::vector<offsetstone::Benchmark> suite = {
+      TinyBenchmark("one", "g" "ababab" "g" "cdcdcd" "g"),
+      TinyBenchmark("two", "aabbccaabbcc"),
+      TinyBenchmark("three", "abcdabcdabcd")};
+  ExperimentOptions options = FastOptions();
+  options.strategies = core::PaperStrategies();
+  options.search_effort = 0.02;
+
+  options.num_threads = 1;
+  const auto serial = RunMatrix(suite, options);
+
+  // Two matrices of two workers each, started together from two host
+  // threads and overlapping in time.
+  options.num_threads = 2;
+  std::vector<RunResult> concurrent[2];
+  std::latch start(2);
+  {
+    std::vector<std::jthread> callers;
+    for (std::vector<RunResult>& results : concurrent) {
+      callers.emplace_back([&suite, &options, &start, &results] {
+        start.arrive_and_wait();
+        results = RunMatrix(suite, options);
+      });
+    }
+  }
+
+  for (const auto& results : concurrent) {
+    ASSERT_EQ(results.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(results[i].benchmark, serial[i].benchmark);
+      EXPECT_EQ(results[i].dbcs, serial[i].dbcs);
+      EXPECT_EQ(results[i].strategy_name, serial[i].strategy_name);
+      EXPECT_EQ(results[i].metrics.shifts, serial[i].metrics.shifts);
+      EXPECT_EQ(results[i].metrics.accesses, serial[i].metrics.accesses);
+      EXPECT_EQ(results[i].placement_cost, serial[i].placement_cost);
+      EXPECT_EQ(results[i].search_evaluations,
+                serial[i].search_evaluations);
+      // Bit for bit, not within ULPs.
+      EXPECT_EQ(results[i].metrics.runtime_ns, serial[i].metrics.runtime_ns);
+      EXPECT_EQ(results[i].metrics.total_energy_pj(),
+                serial[i].metrics.total_energy_pj());
+    }
   }
 }
 
