@@ -9,7 +9,9 @@
 //      placement (Chen's multi-DBC heuristic assumed >= 2 ports; DMA is
 //      port-count independent).
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/genetic.h"
@@ -176,15 +178,18 @@ void Run(ScenarioContext& ctx) {
   ports.SetAlignments({util::Align::kLeft, util::Align::kRight,
                        util::Align::kRight});
   for (const unsigned port_count : {1u, 2u, 4u}) {
-    core::CostOptions cost;
-    cost.domains_per_dbc = longest_dbc;
-    cost.port_offsets.clear();
+    std::vector<std::uint32_t> port_offsets;
     for (unsigned p = 0; p < port_count; ++p) {
-      cost.port_offsets.push_back(static_cast<std::uint32_t>(
+      port_offsets.push_back(static_cast<std::uint32_t>(
           (2ULL * p + 1) * longest_dbc / (2ULL * port_count)));
     }
-    const std::uint64_t afd_shifts = core::ShiftCost(seq, afd_placement, cost);
-    const std::uint64_t dma_shifts = core::ShiftCost(seq, dma_placement, cost);
+    const auto shifts = [&](const core::Placement& placement) {
+      const std::vector<std::uint64_t> per_dbc =
+          core::MultiPortShiftCost(seq, placement, port_offsets);
+      return std::accumulate(per_dbc.begin(), per_dbc.end(), std::uint64_t{0});
+    };
+    const std::uint64_t afd_shifts = shifts(afd_placement);
+    const std::uint64_t dma_shifts = shifts(dma_placement);
     ctx.Scalar("ablation_dma/d/afd_ofu_shifts/" +
                    std::to_string(port_count) + "port",
                static_cast<double>(afd_shifts));

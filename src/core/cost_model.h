@@ -2,11 +2,10 @@
 // controller executes to serve an access sequence under a given placement.
 //
 // The cost between two consecutive same-DBC accesses u, v is the distance
-// between their offsets (single port, the device's model), or the cheapest
-// port alignment (multi-port, priced here analytically only). Accesses to
-// other DBCs in between do not disturb a DBC's alignment, so the total
-// decomposes into independent per-DBC walks — the identity the paper's
-// Fig. 3 example uses (39 = 24 + 15).
+// between their offsets: one port per track at offset 0, the device's model.
+// Accesses to other DBCs in between do not disturb a DBC's alignment, so the
+// total decomposes into independent per-DBC walks — the identity the
+// paper's Fig. 3 example uses (39 = 24 + 15).
 //
 // Every single-port price in the library is one walk: SinglePortWalk runs
 // SinglePortStep once per access and keeps each DBC's last offset. ShiftCost
@@ -14,7 +13,9 @@
 // table over the access runs (the stream with consecutive repeats dropped),
 // which is how the GA, the random walk and the online engine's refinement
 // score their candidates; the online engine's window service calls the step
-// inline while it builds its request block.
+// inline while it builds its request block. MultiPortShiftCost prices
+// several ports per track analytically, for the ablation that asks what
+// extra ports would buy; nothing else models them.
 #pragma once
 
 #include <cstdint>
@@ -32,48 +33,19 @@ struct CostOptions {
   /// Paper convention kFirstAccess: each DBC's first access is free.
   rtm::InitialAlignment initial_alignment =
       rtm::InitialAlignment::kFirstAccess;
-  /// Port offsets inside a DBC. One entry = the paper's single-port model
-  /// (shift cost |pos(u) - pos(v)| regardless of the port's own offset),
-  /// the only model the device (rtm::RtmController), the searches and the
-  /// online engine accept. Several entries are priced by ShiftCost and
-  /// PerDbcShiftCost alone: each access takes its cheapest port.
-  std::vector<std::uint32_t> port_offsets{0};
-  /// Domains per DBC. When set, placements deeper than a DBC and ports
-  /// outside it are rejected (std::invalid_argument), mirroring
-  /// sim::Simulate. 0 skips validation.
-  std::uint32_t domains_per_dbc = 0;
 };
-
-/// Throws std::invalid_argument unless `options` has exactly one port:
-/// the device, the searches and the online engine model one port per
-/// track. `who` names the caller in the message.
-void RequireSinglePort(const CostOptions& options, const char* who);
-
-/// Validates `placement` against `options`: when options.domains_per_dbc is
-/// set, every DBC must hold at most that many variables and every port
-/// offset must lie inside the DBC (throws std::invalid_argument otherwise).
-/// ShiftCost, PerDbcShiftCost and ShiftCostOfSlots apply this so the
-/// analytic paths reject exactly the placements sim::Simulate rejects; with
-/// domains_per_dbc unset (0) any placement is accepted.
-void ValidateAgainstDomains(const Placement& placement,
-                            const CostOptions& options);
 
 /// A DBC's last offset before its first access.
 inline constexpr std::int64_t kNoAccess = -1;
 
-/// The per-access step of the single-port model. The port's own offset
-/// cancels out of every inter-access distance; it only matters for a paid
-/// first access (kZero alignment), where the cost is the distance from the
-/// port to the variable.
+/// The per-access step of the single-port model. The port sits at offset
+/// 0, so a paid first access (kZero alignment) costs the variable's offset.
 struct SinglePortStep {
-  std::int64_t port = 0;
   bool first_pays = false;
 
-  /// Reads the first port offset and the initial alignment of `options`.
+  /// Reads the initial alignment of `options`.
   explicit SinglePortStep(const CostOptions& options)
-      : port(options.port_offsets.empty() ? 0 : options.port_offsets.front()),
-        first_pays(options.initial_alignment ==
-                   rtm::InitialAlignment::kZero) {}
+      : first_pays(options.initial_alignment == rtm::InitialAlignment::kZero) {}
 
   /// Shifts of one access at `offset` in a DBC whose port last faced
   /// `last` (kNoAccess before the DBC's first access); moves `last` to
@@ -83,9 +55,7 @@ struct SinglePortStep {
     const auto pos = static_cast<std::int64_t>(offset);
     std::uint64_t shifts = 0;
     if (last == kNoAccess) {
-      if (first_pays) {
-        shifts = static_cast<std::uint64_t>(std::llabs(pos - port));
-      }
+      if (first_pays) shifts = static_cast<std::uint64_t>(pos);
     } else {
       shifts = static_cast<std::uint64_t>(std::llabs(pos - last));
     }
@@ -118,25 +88,37 @@ void SinglePortWalk(const Items& items, SlotOf&& slot_of,
     const trace::AccessSequence& seq, const Placement& placement,
     const CostOptions& options = {});
 
+/// Per-DBC shift cost with several ports per track at `port_offsets`,
+/// priced analytically (the device has one port). All tracks of a DBC
+/// shift in lock-step, so one alignment a per DBC holds its state: offset
+/// x faces the port at offset o iff a == x - o. Each access takes the
+/// cheapest port, the lower port index on ties; before a DBC's first
+/// access under kFirstAccess every port is free, so port 0 is taken, and
+/// under kZero the ports face their own offsets. One port at offset 0
+/// gives PerDbcShiftCost; one port anywhere does under kFirstAccess.
+/// Throws std::invalid_argument without ports and std::logic_error for an
+/// unplaced accessed variable.
+[[nodiscard]] std::vector<std::uint64_t> MultiPortShiftCost(
+    const trace::AccessSequence& seq, const Placement& placement,
+    std::span<const std::uint32_t> port_offsets,
+    const CostOptions& options = {});
+
 /// Overwrites `runs` with the variables of `accesses`, consecutive repeats
 /// dropped. A repeat faces the offset its run start left, so it costs 0
-/// under every alignment and port count: walking the runs prices the
-/// accesses exactly. Keeps `runs`' capacity.
+/// under every alignment: walking the runs prices the accesses exactly.
+/// Keeps `runs`' capacity.
 void AccessRuns(std::span<const trace::Access> accesses,
                 std::vector<VariableId>& runs);
 
 /// Single-port shift cost of the access runs `runs` (see AccessRuns) under
-/// a placement given in flat form: `slots[v]` is variable v's (dbc,
-/// offset), as Placement::slots() holds it, and `fill[d]` the number of
-/// variables in DBC d. One walk over the runs, no Placement needed.
-/// Throws what ShiftCost throws: std::invalid_argument without ports or
-/// when options.domains_per_dbc is set and a DBC is deeper or a port lies
-/// outside it, and std::logic_error for an accessed variable whose DBC is
-/// not below fill.size() (an unplaced one). Also throws
-/// std::invalid_argument when `slots` misses an accessed variable and
-/// std::logic_error with more than one port (use ShiftCost there).
+/// a placement of `num_dbcs` DBCs given in flat form: `slots[v]` is
+/// variable v's (dbc, offset), as Placement::slots() holds it. One walk
+/// over the runs, no Placement needed. Throws what ShiftCost throws,
+/// std::logic_error for an accessed variable whose DBC is not below
+/// num_dbcs (an unplaced one), and std::invalid_argument when `slots`
+/// misses an accessed variable.
 [[nodiscard]] std::uint64_t ShiftCostOfSlots(
     std::span<const VariableId> runs, std::span<const Slot> slots,
-    std::span<const std::uint32_t> fill, const CostOptions& options);
+    std::uint32_t num_dbcs, const CostOptions& options);
 
 }  // namespace rtmp::core

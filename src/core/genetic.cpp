@@ -200,8 +200,8 @@ void Mutate(Placement& placement, const GaOptions& options, util::Rng& rng) {
 }
 
 GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
-               std::uint32_t capacity, const GaOptions& options) {
-  RequireSinglePort(options.cost, "RunGa");
+               std::uint32_t capacity, const GaOptions& options,
+               const CostOptions& cost) {
   if (options.mu == 0 || options.lambda == 0) {
     throw std::invalid_argument("RunGa: mu and lambda must be positive");
   }
@@ -219,13 +219,9 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
   // reading the individual's slot table.
   std::vector<VariableId> runs;
   AccessRuns(seq.accesses(), runs);
-  std::vector<std::uint32_t> fill(num_dbcs);
   auto evaluate = [&](const Placement& p) -> std::uint64_t {
     ++result.evaluations;
-    for (std::uint32_t d = 0; d < num_dbcs; ++d) {
-      fill[d] = static_cast<std::uint32_t>(p.dbc(d).size());
-    }
-    return ShiftCostOfSlots(runs, p.slots(), fill, options.cost);
+    return ShiftCostOfSlots(runs, p.slots(), num_dbcs, cost);
   };
 
   // -- initial population ---------------------------------------------------
@@ -238,8 +234,8 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
     for (const IntraHeuristic intra : intras) {
       if (population.size() >= options.mu) break;
       Placement afd = DistributeAfd(seq, num_dbcs, capacity, {intra});
-      const std::uint64_t cost = evaluate(afd);
-      population.push_back({std::move(afd), cost});
+      const std::uint64_t afd_cost = evaluate(afd);
+      population.push_back({std::move(afd), afd_cost});
       if (population.size() >= options.mu) break;
       Placement dma =
           DistributeDma(seq, num_dbcs, capacity, {intra}).placement;
@@ -249,8 +245,8 @@ GaResult RunGa(const trace::AccessSequence& seq, std::uint32_t num_dbcs,
   }
   while (population.size() < options.mu) {
     Placement p = RandomPlacement(n, num_dbcs, capacity, rng);
-    const std::uint64_t cost = evaluate(p);
-    population.push_back({std::move(p), cost});
+    const std::uint64_t random_cost = evaluate(p);
+    population.push_back({std::move(p), random_cost});
   }
 
   auto best_of = [](const std::vector<Individual>& pool) {

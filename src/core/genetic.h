@@ -35,7 +35,6 @@ struct GaOptions {
   double permute_weight = 3.0;
   bool seed_with_heuristics = true;
   std::uint64_t seed = 0x5EEDULL;
-  CostOptions cost{};
 };
 
 struct GaResult {
@@ -88,11 +87,12 @@ void CrossoverSwapRange(Placement& left, Placement& right,
 /// Applies one randomly chosen mutation (weights from `options`).
 void Mutate(Placement& placement, const GaOptions& options, util::Rng& rng);
 
-/// Runs the GA. Throws std::invalid_argument on zero mu/lambda,
-/// insufficient capacity or options.cost without exactly one port.
+/// Runs the GA, scoring individuals under `cost`. Throws
+/// std::invalid_argument on zero mu/lambda or insufficient capacity.
 [[nodiscard]] GaResult RunGa(const trace::AccessSequence& seq,
                              std::uint32_t num_dbcs, std::uint32_t capacity,
-                             const GaOptions& options = {});
+                             const GaOptions& options = {},
+                             const CostOptions& cost = {});
 
 /// Variables ordered by first appearance in `seq`, never-accessed variables
 /// last in id order — the variable indexing the crossover range uses.

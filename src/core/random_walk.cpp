@@ -14,8 +14,7 @@ namespace rtmp::core {
 
 RwResult RunRandomWalk(const trace::AccessSequence& seq,
                        std::uint32_t num_dbcs, std::uint32_t capacity,
-                       const RwOptions& options) {
-  RequireSinglePort(options.cost, "RunRandomWalk");
+                       const RwOptions& options, const CostOptions& cost) {
   if (options.iterations == 0) {
     throw std::invalid_argument("RunRandomWalk: need at least one iteration");
   }
@@ -35,10 +34,10 @@ RwResult RunRandomWalk(const trace::AccessSequence& seq,
   RandomDraw draw;
   auto draw_and_score = [&]() -> std::uint64_t {
     DrawRandomSlots(n, num_dbcs, capacity, rng, draw);
-    const std::uint64_t cost =
-        ShiftCostOfSlots(runs, draw.slots, draw.fill, options.cost);
-    assert(cost == ShiftCost(seq, draw.Build(), options.cost));
-    return cost;
+    const std::uint64_t shifts =
+        ShiftCostOfSlots(runs, draw.slots, num_dbcs, cost);
+    assert(shifts == ShiftCost(seq, draw.Build(), cost));
+    return shifts;
   };
 
   const std::uint64_t first_cost = draw_and_score();

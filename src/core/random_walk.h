@@ -3,14 +3,13 @@
 // The paper runs 60 000 iterations — the upper bound on individuals its GA
 // evaluates — to put the GA results in perspective.
 //
-// Under the paper's single-port cost model (the only one the walk accepts)
-// each candidate is drawn and scored in flat form (DrawRandomSlots +
-// ShiftCostOfSlots) and built into a Placement only when it becomes the
-// new best, which gives the results of building and scoring every
-// candidate. A candidate costs its RNG draws (one shuffle plus about one
-// inline NextBelow per variable) and one walk over the sequence's access
-// runs, which skips the repeats of the previous access (about 60% of the
-// OffsetStone suite's accesses).
+// Under the paper's single-port cost model each candidate is drawn and
+// scored in flat form (DrawRandomSlots + ShiftCostOfSlots) and built into
+// a Placement only when it becomes the new best, which gives the results
+// of building and scoring every candidate. A candidate costs its RNG
+// draws (one shuffle plus about one inline NextBelow per variable) and one
+// walk over the sequence's access runs, which skips the repeats of the
+// previous access (about 60% of the OffsetStone suite's accesses).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,6 @@ namespace rtmp::core {
 struct RwOptions {
   std::size_t iterations = 60000;
   std::uint64_t seed = 0x5EEDULL;
-  CostOptions cost{};
 };
 
 struct RwResult {
@@ -41,11 +39,12 @@ struct RwResult {
   std::size_t evaluations = 0;
 };
 
-/// Throws std::invalid_argument on zero iterations, insufficient capacity
-/// or options.cost without exactly one port.
+/// Scores candidates under `cost`. Throws std::invalid_argument on zero
+/// iterations or insufficient capacity.
 [[nodiscard]] RwResult RunRandomWalk(const trace::AccessSequence& seq,
                                      std::uint32_t num_dbcs,
                                      std::uint32_t capacity,
-                                     const RwOptions& options = {});
+                                     const RwOptions& options = {},
+                                     const CostOptions& cost = {});
 
 }  // namespace rtmp::core

@@ -44,17 +44,15 @@ class BuiltinStrategy final : public PlacementStrategy {
     // The search strategies evaluate their best candidate under
     // request.options.cost as part of the search.
     if (spec.inter == InterPolicy::kGa) {
-      GaOptions ga = request.options.ga;
-      ga.cost = request.options.cost;
-      GaResult ga_result = RunGa(seq, request.num_dbcs, request.capacity, ga);
+      GaResult ga_result = RunGa(seq, request.num_dbcs, request.capacity,
+                                 request.options.ga, request.options.cost);
       return {std::move(ga_result.best), ga_result.best_cost, 0.0,
               ga_result.evaluations};
     }
     if (spec.inter == InterPolicy::kRandomWalk) {
-      RwOptions rw = request.options.rw;
-      rw.cost = request.options.cost;
       RwResult rw_result =
-          RunRandomWalk(seq, request.num_dbcs, request.capacity, rw);
+          RunRandomWalk(seq, request.num_dbcs, request.capacity,
+                        request.options.rw, request.options.cost);
       return {std::move(rw_result.best), rw_result.best_cost, 0.0,
               rw_result.evaluations};
     }

@@ -53,7 +53,6 @@ OnlineEngine::OnlineEngine(OnlineConfig config, rtm::RtmConfig device)
       device_config_(std::move(device)),
       controller_(device_config_, config_.controller),
       detector_(config_.detector) {
-  core::RequireSinglePort(config_.strategy_options.cost, "OnlineEngine");
   if (config_.window_accesses == 0) {
     throw std::invalid_argument("OnlineEngine: window_accesses must be >= 1");
   }
@@ -229,16 +228,17 @@ bool OnlineEngine::Refine(WindowRecord& record) {
   std::vector<std::uint32_t>& fill = refine_fill_;
   core::AccessRuns(window_seq_.accesses(), refine_runs_);
   slots.assign(placement_.slots().begin(), placement_.slots().end());
-  fill.resize(placement_.num_dbcs());
-  for (std::uint32_t d = 0; d < placement_.num_dbcs(); ++d) {
+  const std::uint32_t num_dbcs = placement_.num_dbcs();
+  fill.resize(num_dbcs);
+  for (std::uint32_t d = 0; d < num_dbcs; ++d) {
     fill[d] = static_cast<std::uint32_t>(placement_.dbc(d).size());
   }
   std::uint64_t current =
-      core::ShiftCostOfSlots(refine_runs_, slots, fill, cost);
+      core::ShiftCostOfSlots(refine_runs_, slots, num_dbcs, cost);
   auto price_move = [&](trace::VariableId v, std::uint32_t d) {
     slots[v] = core::Slot{d, fill[d]++};
     const std::uint64_t priced =
-        core::ShiftCostOfSlots(refine_runs_, slots, fill, cost);
+        core::ShiftCostOfSlots(refine_runs_, slots, num_dbcs, cost);
     --fill[d];
     return priced;
   };
@@ -330,12 +330,10 @@ void OnlineEngine::ServeWindow(WindowRecord& record,
   // core::SinglePortStep, the step of ShiftCost's walk, instead of a
   // second replay of the window. A window whose cost the caller already
   // knows is not priced again.
-  const core::CostOptions& cost = config_.strategy_options.cost;
   const bool fused = !known_cost.has_value();
   std::uint64_t window_cost = 0;
-  const core::SinglePortStep step(cost);
+  const core::SinglePortStep step(config_.strategy_options.cost);
   if (fused) {
-    core::ValidateAgainstDomains(placement_, cost);
     last_off_scratch_.assign(placement_.num_dbcs(), core::kNoAccess);
   }
   std::uint64_t writes = 0;

@@ -165,8 +165,7 @@ struct OnlineResult {
 class OnlineEngine {
  public:
   /// Validates the configuration: the re-seed strategy must be
-  /// registered, window_accesses non-zero and the cost options must have
-  /// exactly one port, as the device does (the device configuration
+  /// registered and window_accesses non-zero (the device configuration
   /// validates itself through the controller). Throws
   /// std::invalid_argument.
   OnlineEngine(OnlineConfig config, rtm::RtmConfig device);

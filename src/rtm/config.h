@@ -4,7 +4,7 @@
 // on the DBC count and the domains per DBC, so no bank/subarray hierarchy
 // is modelled; the word width matters only to energy, which
 // destiny::DeviceQuery folds into `params`. Several ports per track are
-// priced analytically only (core::CostOptions::port_offsets).
+// priced analytically only (core::MultiPortShiftCost).
 #pragma once
 
 #include <cstdint>

@@ -167,6 +167,10 @@ PlacementService::PlacementService(ServeConfig config, rtm::RtmConfig device)
     throw std::invalid_argument(
         "PlacementService: num_shards must divide the device's DBC count");
   }
+  if (config_.engine.migration_gate) {
+    throw std::invalid_argument(
+        "PlacementService: engine.migration_gate is set by the service");
+  }
 }
 
 std::size_t PlacementService::OpenSession(
@@ -307,11 +311,9 @@ ServeResult PlacementService::Run() {
         online::WindowSeed(recipe.strategy_options.ga.seed, s);
     engine_config.strategy_options.rw.seed =
         online::WindowSeed(recipe.strategy_options.rw.seed, s);
-    engine_config.migration_gate =
-        [this, user_gate = recipe.migration_gate](std::uint64_t shifts) {
-          if (user_gate && !user_gate(shifts)) return false;
-          return budget_.TryConsume(shifts);
-        };
+    engine_config.migration_gate = [this](std::uint64_t shifts) {
+      return budget_.TryConsume(shifts);
+    };
     ShardEngine engine;
     if (cache_mode) {
       cache::CacheConfig cc;

@@ -154,12 +154,12 @@ struct ServeConfig {
   /// Equal DBC partitions of the device; must divide total_dbcs().
   unsigned num_shards = 1;
   MigrationBudgetConfig budget{};
-  /// Per-shard engine recipe. The service overrides
-  /// controller.shared_channel (all shards share one channel), composes
-  /// migration_gate with the global budget (a caller-provided gate is
-  /// consulted first), and derives per-shard search seeds with
-  /// online::WindowSeed(base, shard) — shard 0 keeps the base seeds
-  /// verbatim, preserving the single-shard oracle.
+  /// Per-shard engine recipe. The service sets
+  /// controller.shared_channel (all shards share one channel) and
+  /// migration_gate (the global budget; the recipe must leave it unset),
+  /// and derives per-shard search seeds with online::WindowSeed(base,
+  /// shard) — shard 0 keeps the base seeds verbatim, preserving the
+  /// single-shard oracle.
   online::OnlineConfig engine{};
   /// Hybrid-memory mode; disabled by default (plain shard engines).
   ServeCacheConfig cache{};
@@ -272,8 +272,9 @@ struct ServeResult {
 class PlacementService {
  public:
   /// Validates the configuration: num_shards must be >= 1 and divide the
-  /// device's DBC count (the engine recipe validates itself when the
-  /// shards are built). Throws std::invalid_argument.
+  /// device's DBC count, and engine.migration_gate must be unset (the
+  /// service owns it; the engine recipe validates itself when the shards
+  /// are built). Throws std::invalid_argument.
   PlacementService(ServeConfig config, rtm::RtmConfig device);
 
   /// Admits a tenant and assigns its shard round-robin (session i goes

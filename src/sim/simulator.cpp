@@ -5,7 +5,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "core/cost_model.h"
 #include "rtm/controller.h"
 
 namespace rtmp::sim {
@@ -46,16 +45,6 @@ SimulationResult Simulate(const trace::AccessSequence& seq,
   result.energy = controller.Energy();
   result.area_mm2 = config.params.area_mm2;
   return result;
-}
-
-bool SimulatorMatchesCostModel(const trace::AccessSequence& seq,
-                               const core::Placement& placement,
-                               const rtm::RtmConfig& config) {
-  core::CostOptions options;
-  options.initial_alignment = config.initial_alignment;
-  options.domains_per_dbc = config.domains_per_dbc;
-  const std::uint64_t analytic = core::ShiftCost(seq, placement, options);
-  return Simulate(seq, placement, config).stats.shifts == analytic;
 }
 
 }  // namespace rtmp::sim

@@ -40,11 +40,4 @@ struct SimulationResult {
                                         const core::Placement& placement,
                                         const rtm::RtmConfig& config);
 
-/// Convenience: the analytic single-port shift cost and the simulator
-/// agree by construction; this checks it (the simulator and property
-/// tests call it).
-[[nodiscard]] bool SimulatorMatchesCostModel(const trace::AccessSequence& seq,
-                                             const core::Placement& placement,
-                                             const rtm::RtmConfig& config);
-
 }  // namespace rtmp::sim

@@ -161,6 +161,35 @@ class ByteReader {
   Fnv1a fnv_;
 };
 
+/// Reads the RTMB header: magic, version, flags and the benchmark name,
+/// which it returns. Throws on a bad magic, version or flags.
+[[nodiscard]] std::string ReadBinaryHeader(ByteReader& reader) {
+  char magic[4];
+  reader.Bytes(magic, sizeof(magic));
+  if (!std::equal(magic, magic + 4, kMagic)) Fail("bad magic");
+  const std::uint32_t version = reader.U32();
+  if (version != kBinaryVersion) {
+    Fail("unsupported version " + std::to_string(version));
+  }
+  const std::uint32_t flags = reader.U32();
+  if (flags != 0) Fail("unknown flags");
+  return reader.Str();
+}
+
+/// True when `in` is seekable and starts with the RTMB magic; leaves the
+/// read position where it was. Non-seekable streams read as text.
+[[nodiscard]] bool StartsWithBinaryMagic(std::istream& in) {
+  const std::istream::pos_type start = in.tellg();
+  if (start == std::istream::pos_type(-1)) return false;
+  char magic[4] = {};
+  in.read(magic, sizeof(magic));
+  const bool binary =
+      in.gcount() == sizeof(magic) && std::equal(magic, magic + 4, kMagic);
+  in.clear();
+  in.seekg(start);
+  return binary;
+}
+
 [[nodiscard]] std::uint64_t ParseCount(std::string_view token,
                                        std::string_view what) {
   std::uint64_t value = 0;
@@ -285,18 +314,8 @@ TraceSummary StreamTextTrace(std::istream& in, const SequenceSink& sink,
 
 TraceSummary StreamBinaryTrace(std::istream& in, const SequenceSink& sink) {
   ByteReader reader(in);
-  char magic[4];
-  reader.Bytes(magic, sizeof(magic));
-  if (!std::equal(magic, magic + 4, kMagic)) Fail("bad magic");
-  const std::uint32_t version = reader.U32();
-  if (version != kBinaryVersion) {
-    Fail("unsupported version " + std::to_string(version));
-  }
-  const std::uint32_t flags = reader.U32();
-  if (flags != 0) Fail("unknown flags");
-
   TraceSummary summary;
-  summary.benchmark = reader.Str();
+  summary.benchmark = ReadBinaryHeader(reader);
   const std::uint32_t num_sequences = reader.U32();
   if (num_sequences > kMaxTraceSequences) Fail("sequence count overflow");
 
@@ -353,47 +372,16 @@ TraceSummary StreamBinaryTrace(std::istream& in, const SequenceSink& sink) {
 
 TraceSummary StreamTrace(std::istream& in, const SequenceSink& sink,
                          const TraceStreamOptions& options) {
-  // Sniff the magic. The stream must be seekable (files and string
-  // streams are); non-seekable streams fall back to the text reader.
-  const std::istream::pos_type start = in.tellg();
-  if (start != std::istream::pos_type(-1)) {
-    char magic[4] = {};
-    in.read(magic, sizeof(magic));
-    const bool binary = in.gcount() == sizeof(magic) &&
-                        std::equal(magic, magic + 4, kMagic);
-    in.clear();
-    in.seekg(start);
-    if (binary) return StreamBinaryTrace(in, sink);
-  }
+  if (StartsWithBinaryMagic(in)) return StreamBinaryTrace(in, sink);
   return StreamTextTrace(in, sink, options);
 }
 
 std::string PeekTraceBenchmark(std::istream& in) {
-  // Same sniff as StreamTrace; non-seekable streams fall back to the
-  // text grammar.
-  const std::istream::pos_type start = in.tellg();
-  if (start != std::istream::pos_type(-1)) {
-    char magic[4] = {};
-    in.read(magic, sizeof(magic));
-    const bool binary = in.gcount() == sizeof(magic) &&
-                        std::equal(magic, magic + 4, kMagic);
-    in.clear();
-    in.seekg(start);
-    if (binary) {
-      // Header only: magic, version, flags, benchmark name. The
-      // checksum covers the whole file and is not validated here — the
-      // full pass does that.
-      ByteReader reader(in);
-      char skipped[4];
-      reader.Bytes(skipped, sizeof(skipped));
-      const std::uint32_t version = reader.U32();
-      if (version != kBinaryVersion) {
-        Fail("unsupported version " + std::to_string(version));
-      }
-      const std::uint32_t flags = reader.U32();
-      if (flags != 0) Fail("unknown flags");
-      return reader.Str();
-    }
+  if (StartsWithBinaryMagic(in)) {
+    // Header only: the checksum covers the whole file and is not
+    // validated here — the full pass does that.
+    ByteReader reader(in);
+    return ReadBinaryHeader(reader);
   }
   std::string line;
   std::vector<std::string_view> tokens;  // views into `line`

@@ -69,15 +69,22 @@ TEST(CostModel, SelfAccessesAreFree) {
   EXPECT_EQ(ShiftCost(seq, p), 0u);
 }
 
+/// MultiPortShiftCost summed over the DBCs.
+std::uint64_t MultiPortTotal(const AccessSequence& seq, const Placement& p,
+                             const std::vector<std::uint32_t>& ports,
+                             const CostOptions& options = {}) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : MultiPortShiftCost(seq, p, ports, options)) {
+    total += c;
+  }
+  return total;
+}
+
 TEST(CostModel, SinglePortOffsetDoesNotChangeInterAccessCost) {
   const auto seq = AccessSequence::FromCompactString("abab");
   const auto p = Placement::FromLists({{0, 1}}, 2);
-  CostOptions at_zero;
-  at_zero.port_offsets = {0};
-  CostOptions at_five;
-  at_five.port_offsets = {5};
-  at_five.domains_per_dbc = 8;
-  EXPECT_EQ(ShiftCost(seq, p, at_zero), ShiftCost(seq, p, at_five));
+  EXPECT_EQ(MultiPortTotal(seq, p, {0}), MultiPortTotal(seq, p, {5}));
+  EXPECT_EQ(MultiPortTotal(seq, p, {5}), ShiftCost(seq, p));
 }
 
 TEST(CostModel, SinglePortOffsetMattersOnlyForPaidFirstAccess) {
@@ -85,10 +92,8 @@ TEST(CostModel, SinglePortOffsetMattersOnlyForPaidFirstAccess) {
   const auto p = Placement::FromLists({{1, 0}}, 2);  // a at offset 1
   CostOptions options;
   options.initial_alignment = rtm::InitialAlignment::kZero;
-  options.port_offsets = {3};
-  options.domains_per_dbc = 4;
   // Alignment 0, target = 1 - 3 = -2 -> 2 shifts.
-  EXPECT_EQ(ShiftCost(seq, p, options), 2u);
+  EXPECT_EQ(MultiPortTotal(seq, p, {3}, options), 2u);
 }
 
 TEST(CostModel, TwoPortsHalveLongJumps) {
@@ -96,15 +101,8 @@ TEST(CostModel, TwoPortsHalveLongJumps) {
   const auto seq = AccessSequence::FromCompactString("abababab");
   std::vector<std::vector<VariableId>> lists{{0, 2, 3, 4, 5, 6, 7, 8, 9, 1}};
   const auto p = Placement::FromLists(lists, 10);
-  CostOptions one_port;
-  one_port.domains_per_dbc = 10;
-  CostOptions two_ports;
-  two_ports.port_offsets = {0, 9};
-  two_ports.domains_per_dbc = 10;
-  const auto single = ShiftCost(seq, p, one_port);
-  const auto dual = ShiftCost(seq, p, two_ports);
-  EXPECT_EQ(single, 7u * 9u);  // every hop pays 9
-  EXPECT_EQ(dual, 0u);         // each variable has its own port
+  EXPECT_EQ(ShiftCost(seq, p), 7u * 9u);          // every hop pays 9
+  EXPECT_EQ(MultiPortTotal(seq, p, {0, 9}), 0u);  // one port per variable
 }
 
 TEST(CostModel, MultiPortNeverWorseThanSinglePort) {
@@ -112,12 +110,7 @@ TEST(CostModel, MultiPortNeverWorseThanSinglePort) {
       AccessSequence::FromCompactString("abcdefghabcdefghhgfedcba");
   const auto p =
       Placement::FromLists({{0, 1, 2, 3, 4, 5, 6, 7}}, 8);
-  CostOptions one;
-  one.domains_per_dbc = 8;
-  CostOptions two;
-  two.port_offsets = {0, 4};
-  two.domains_per_dbc = 8;
-  EXPECT_LE(ShiftCost(seq, p, two), ShiftCost(seq, p, one));
+  EXPECT_LE(MultiPortTotal(seq, p, {0, 4}), ShiftCost(seq, p));
 }
 
 /// Multi-port replay written from the definition: each DBC remembers
@@ -176,20 +169,12 @@ TEST(CostModel, MultiPortMatchesAMinOverPortsReplay) {
     for (const auto& ports : port_sets) {
       for (const bool first_pays : {false, true}) {
         CostOptions options;
-        options.port_offsets = ports;
-        options.domains_per_dbc = 16;
         if (first_pays) {
           options.initial_alignment = rtm::InitialAlignment::kZero;
         }
-        const std::uint64_t expected =
-            MinOverPortsReplay(seq, p, ports, first_pays);
-        ASSERT_EQ(ShiftCost(seq, p, options), expected)
+        EXPECT_EQ(MultiPortTotal(seq, p, ports, options),
+                  MinOverPortsReplay(seq, p, ports, first_pays))
             << "round " << round << " ports " << ports.size();
-        std::uint64_t per_dbc = 0;
-        for (const std::uint64_t c : PerDbcShiftCost(seq, p, options)) {
-          per_dbc += c;
-        }
-        EXPECT_EQ(per_dbc, expected);
       }
     }
   }
@@ -228,15 +213,47 @@ TEST(CostModel, AblationDmaPortCountRowsArePinned) {
     std::uint64_t dma_sr;
   };
   for (const Row row : {Row{1, 177, 54}, Row{2, 177, 54}, Row{4, 121, 54}}) {
-    CostOptions cost;
-    cost.domains_per_dbc = depth;
-    cost.port_offsets.clear();
+    std::vector<std::uint32_t> ports;
     for (std::uint32_t i = 0; i < row.ports; ++i) {
-      cost.port_offsets.push_back(static_cast<std::uint32_t>(
+      ports.push_back(static_cast<std::uint32_t>(
           (2ULL * i + 1) * depth / (2ULL * row.ports)));
     }
-    EXPECT_EQ(ShiftCost(seq, afd, cost), row.afd_ofu) << row.ports;
-    EXPECT_EQ(ShiftCost(seq, dma, cost), row.dma_sr) << row.ports;
+    EXPECT_EQ(MultiPortTotal(seq, afd, ports), row.afd_ofu) << row.ports;
+    EXPECT_EQ(MultiPortTotal(seq, dma, ports), row.dma_sr) << row.ports;
+  }
+}
+
+// One port prices like the single-port walk: at offset 0 under both
+// alignments, and at any offset under kFirstAccess (the first access is
+// free, and the port's offset cancels out of every later distance).
+// ablation_dma's 1-port row relies on this.
+TEST(CostModel, OnePortMultiPortPricingMatchesPerDbcShiftCost) {
+  util::Rng rng(0x1F0E7);
+  for (int round = 0; round < 80; ++round) {
+    const std::size_t n = 1 + rng.NextBelow(16);
+    AccessSequence seq;
+    for (std::size_t v = 0; v < n; ++v) seq.AddVariable(std::to_string(v));
+    const std::size_t length = rng.NextBelow(150);
+    for (std::size_t i = 0; i < length; ++i) {
+      seq.Append(static_cast<VariableId>(rng.NextBelow(n)));
+    }
+    const auto q = static_cast<std::uint32_t>(1 + rng.NextBelow(4));
+    const Placement p = RandomPlacement(n, q, /*capacity=*/16, rng);
+    for (const auto alignment : {rtm::InitialAlignment::kFirstAccess,
+                                 rtm::InitialAlignment::kZero}) {
+      CostOptions options;
+      options.initial_alignment = alignment;
+      const std::vector<std::uint64_t> expected =
+          PerDbcShiftCost(seq, p, options);
+      const std::vector<std::uint32_t> at_zero = {0};
+      ASSERT_EQ(MultiPortShiftCost(seq, p, at_zero, options), expected)
+          << "round " << round;
+      if (alignment == rtm::InitialAlignment::kZero) continue;
+      const std::vector<std::uint32_t> anywhere = {
+          static_cast<std::uint32_t>(rng.NextBelow(64))};
+      ASSERT_EQ(MultiPortShiftCost(seq, p, anywhere, options), expected)
+          << "round " << round << " port " << anywhere[0];
+    }
   }
 }
 
@@ -246,38 +263,10 @@ TEST(CostModel, ThrowsOnUnplacedAccessedVariable) {
   EXPECT_THROW((void)ShiftCost(seq, p), std::logic_error);
 }
 
-TEST(CostModel, RejectsPlacementsDeeperThanDbc) {
-  // Regression: the analytic path used to accept placements whose offsets
-  // exceed domains_per_dbc while sim::Simulate rejected the same placement.
-  const auto seq = AccessSequence::FromCompactString("abcd");
-  const auto p = Placement::FromLists({{0, 1, 2}, {3}}, 4);
-  CostOptions options;
-  options.domains_per_dbc = 2;  // DBC0 holds 3 variables: offset 2 invalid
-  EXPECT_THROW((void)ShiftCost(seq, p, options), std::invalid_argument);
-  EXPECT_THROW((void)PerDbcShiftCost(seq, p, options), std::invalid_argument);
-  options.domains_per_dbc = 3;
-  EXPECT_NO_THROW((void)ShiftCost(seq, p, options));
-  options.domains_per_dbc = 0;  // unset: no validation, as before
-  EXPECT_NO_THROW((void)ShiftCost(seq, p, options));
-}
-
-TEST(CostModel, RejectsPortsOutsideTheDbc) {
-  const auto seq = AccessSequence::FromCompactString("ab");
-  const auto p = Placement::FromLists({{0, 1}}, 2);
-  CostOptions options;
-  options.port_offsets = {4};
-  options.domains_per_dbc = 4;  // valid offsets are 0..3
-  EXPECT_THROW((void)ShiftCost(seq, p, options), std::invalid_argument);
-  options.port_offsets = {3};
-  EXPECT_NO_THROW((void)ShiftCost(seq, p, options));
-}
-
 TEST(CostModel, ThrowsOnEmptyPortList) {
   const auto seq = AccessSequence::FromCompactString("a");
   const auto p = Placement::FromLists({{0}}, 1);
-  CostOptions options;
-  options.port_offsets = {};
-  EXPECT_THROW((void)ShiftCost(seq, p, options), std::invalid_argument);
+  EXPECT_THROW((void)MultiPortShiftCost(seq, p, {}), std::invalid_argument);
 }
 
 TEST(CostModel, ZeroAlignmentWalksFromOffsetZero) {
@@ -312,29 +301,11 @@ AccessSequence RandomSequence(std::size_t num_variables, std::size_t length,
   return seq;
 }
 
-/// Both alignments x {port 0, a port mid-DBC with the depth set, two
-/// ports}.
-std::vector<CostOptions> OptionMatrix(std::uint32_t domains) {
-  std::vector<CostOptions> matrix;
-  for (const auto alignment : {rtm::InitialAlignment::kFirstAccess,
-                               rtm::InitialAlignment::kZero}) {
-    CostOptions single;
-    single.initial_alignment = alignment;
-    matrix.push_back(single);
-
-    CostOptions offset_port;
-    offset_port.initial_alignment = alignment;
-    offset_port.port_offsets = {domains / 2};
-    offset_port.domains_per_dbc = domains;
-    matrix.push_back(offset_port);
-
-    CostOptions two_ports;
-    two_ports.initial_alignment = alignment;
-    two_ports.port_offsets = {0, domains - 1};
-    two_ports.domains_per_dbc = domains;
-    matrix.push_back(two_ports);
-  }
-  return matrix;
+/// Both alignments.
+std::vector<CostOptions> OptionMatrix() {
+  CostOptions zero;
+  zero.initial_alignment = rtm::InitialAlignment::kZero;
+  return {CostOptions{}, zero};
 }
 
 std::vector<VariableId> RunsOf(const AccessSequence& seq) {
@@ -346,11 +317,7 @@ std::vector<VariableId> RunsOf(const AccessSequence& seq) {
 /// ShiftCostOfSlots of a Placement through its slots() span.
 std::uint64_t SlotCostOf(const AccessSequence& seq, const Placement& p,
                          const CostOptions& options) {
-  std::vector<std::uint32_t> fill(p.num_dbcs());
-  for (std::uint32_t d = 0; d < p.num_dbcs(); ++d) {
-    fill[d] = static_cast<std::uint32_t>(p.dbc(d).size());
-  }
-  return ShiftCostOfSlots(RunsOf(seq), p.slots(), fill, options);
+  return ShiftCostOfSlots(RunsOf(seq), p.slots(), p.num_dbcs(), options);
 }
 
 TEST(AccessRuns, DropsConsecutiveRepeatsOnly) {
@@ -370,19 +337,12 @@ TEST(ShiftCostOfSlots, MatchesShiftCostOnRandomDraws) {
     const auto seq = RandomSequence(n, rng.NextBelow(80), rng);
     const auto runs = RunsOf(seq);
     const auto q = static_cast<std::uint32_t>(1 + rng.NextBelow(4));
-    for (const CostOptions& options : OptionMatrix(/*domains=*/16)) {
+    for (const CostOptions& options : OptionMatrix()) {
       RandomDraw draw;
       DrawRandomSlots(n, q, /*capacity=*/16, rng, draw);
-      if (options.port_offsets.size() != 1) {
-        EXPECT_THROW(
-            (void)ShiftCostOfSlots(runs, draw.slots, draw.fill, options),
-            std::logic_error);
-        continue;
-      }
       const Placement built = draw.Build();
       const std::uint64_t expected = ShiftCost(seq, built, options);
-      EXPECT_EQ(ShiftCostOfSlots(runs, draw.slots, draw.fill, options),
-                expected);
+      EXPECT_EQ(ShiftCostOfSlots(runs, draw.slots, q, options), expected);
       EXPECT_EQ(SlotCostOf(seq, built, options), expected);
     }
   }
@@ -393,8 +353,7 @@ TEST(ShiftCostOfSlots, FollowsPlacementEditsThroughSlots) {
   // scored through Placement::slots().
   util::Rng rng(7);
   const auto seq = RandomSequence(10, 120, rng);
-  for (const CostOptions& options : OptionMatrix(/*domains=*/16)) {
-    if (options.port_offsets.size() != 1) continue;
+  for (const CostOptions& options : OptionMatrix()) {
     Placement p = RandomPlacement(10, 4, 16, rng);
     for (int step = 0; step < 60; ++step) {
       const auto v = static_cast<VariableId>(rng.NextBelow(10));
@@ -407,27 +366,12 @@ TEST(ShiftCostOfSlots, FollowsPlacementEditsThroughSlots) {
   }
 }
 
-TEST(ShiftCostOfSlots, ValidatesLikeShiftCost) {
+TEST(ShiftCostOfSlots, PricesFlatTablesLikeShiftCost) {
   const auto seq = AccessSequence::FromCompactString("abcab");
   const auto runs = RunsOf(seq);
-  CostOptions options;
-  options.domains_per_dbc = 2;
-  const std::vector<Slot> deep = {{0, 0}, {0, 1}, {0, 2}};
-  const std::vector<std::uint32_t> deep_fill = {3};
-  EXPECT_THROW((void)ShiftCostOfSlots(runs, deep, deep_fill, options),
-               std::invalid_argument);
-  const std::vector<Slot> fits = {{0, 0}, {0, 1}, {1, 0}};
-  const std::vector<std::uint32_t> fits_fill = {2, 1};
-  EXPECT_EQ(ShiftCostOfSlots(runs, fits, fits_fill, options),
-            ShiftCost(seq, Placement::FromLists({{0, 1}, {2}}, 3), options));
-  CostOptions outside = options;
-  outside.port_offsets = {2};  // valid offsets are 0..1
-  EXPECT_THROW((void)ShiftCostOfSlots(runs, fits, fits_fill, outside),
-               std::invalid_argument);
-  CostOptions no_ports;
-  no_ports.port_offsets = {};
-  EXPECT_THROW((void)ShiftCostOfSlots(runs, fits, fits_fill, no_ports),
-               std::invalid_argument);
+  const std::vector<Slot> slots = {{0, 0}, {0, 1}, {1, 0}};
+  EXPECT_EQ(ShiftCostOfSlots(runs, slots, /*num_dbcs=*/2, {}),
+            ShiftCost(seq, Placement::FromLists({{0, 1}, {2}}, 3)));
   // A table may cover more variables than the sequence accesses.
   const auto wide = Placement::FromLists({{0, 3, 1, 4}, {2}}, 5);
   EXPECT_EQ(SlotCostOf(seq, wide, {}), ShiftCost(seq, wide));
@@ -436,28 +380,24 @@ TEST(ShiftCostOfSlots, ValidatesLikeShiftCost) {
 TEST(ShiftCostOfSlots, RejectsShortTablesAndUnplacedVariables) {
   const auto seq = AccessSequence::FromCompactString("abcab");
   const auto runs = RunsOf(seq);
-  const std::vector<std::uint32_t> fill = {2, 1};
   // c (id 2) is accessed but has no slot.
   const std::vector<Slot> missing = {{0, 0}, {0, 1}};
-  EXPECT_THROW((void)ShiftCostOfSlots(runs, missing, fill, {}),
+  EXPECT_THROW((void)ShiftCostOfSlots(runs, missing, /*num_dbcs=*/2, {}),
                std::invalid_argument);
-  // A DBC index at or past fill.size(), Placement's unplaced marker
+  // A DBC index at or past num_dbcs, Placement's unplaced marker
   // included, throws what ShiftCost throws for an unplaced variable.
   const std::vector<Slot> past = {{0, 0}, {0, 1}, {2, 0}};
-  EXPECT_THROW((void)ShiftCostOfSlots(runs, past, fill, {}),
+  EXPECT_THROW((void)ShiftCostOfSlots(runs, past, /*num_dbcs=*/2, {}),
                std::logic_error);
   const auto partial = Placement::FromLists({{0, 1}}, 3);  // c unplaced
-  const std::vector<std::uint32_t> partial_fill = {2};
   EXPECT_THROW((void)ShiftCost(seq, partial), std::logic_error);
-  EXPECT_THROW(
-      (void)ShiftCostOfSlots(runs, partial.slots(), partial_fill, {}),
-      std::logic_error);
+  EXPECT_THROW((void)ShiftCostOfSlots(runs, partial.slots(), 1, {}),
+               std::logic_error);
   // An unplaced variable the runs never reach is fine.
   const auto ab = AccessSequence::FromCompactString("abab");
   const auto ab_partial = Placement::FromLists({{1, 0}}, 3);
-  EXPECT_EQ(
-      ShiftCostOfSlots(RunsOf(ab), ab_partial.slots(), partial_fill, {}),
-      ShiftCost(ab, ab_partial));
+  EXPECT_EQ(ShiftCostOfSlots(RunsOf(ab), ab_partial.slots(), 1, {}),
+            ShiftCost(ab, ab_partial));
 }
 
 TEST(ShiftCostOfSlots, RepeatHeavySequences) {
@@ -470,8 +410,7 @@ TEST(ShiftCostOfSlots, RepeatHeavySequences) {
     const auto runs = RunsOf(seq);
     const std::size_t n = seq.num_variables();
     util::Rng rng(0x2E9EA7);
-    for (const CostOptions& options : OptionMatrix(/*domains=*/8)) {
-      if (options.port_offsets.size() != 1) continue;
+    for (const CostOptions& options : OptionMatrix()) {
       SCOPED_TRACE(std::string(text) + " zero=" +
                    (options.initial_alignment == rtm::InitialAlignment::kZero
                         ? "1"
@@ -480,7 +419,7 @@ TEST(ShiftCostOfSlots, RepeatHeavySequences) {
         for (int sample = 0; sample < 8; ++sample) {
           RandomDraw draw;
           DrawRandomSlots(n, q, /*capacity=*/8, rng, draw);
-          EXPECT_EQ(ShiftCostOfSlots(runs, draw.slots, draw.fill, options),
+          EXPECT_EQ(ShiftCostOfSlots(runs, draw.slots, q, options),
                     ShiftCost(seq, draw.Build(), options));
         }
       }

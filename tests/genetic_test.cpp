@@ -287,9 +287,6 @@ TEST(RunGaFn, RejectsBadShapes) {
     EXPECT_THROW(RunGa(seq, 0, 16, options), std::invalid_argument);
     EXPECT_THROW(RunGa(seq, 2, 0, options), std::invalid_argument);
     EXPECT_THROW(RunGa(seq, 2, 4, options), std::invalid_argument);
-    options.cost.domains_per_dbc = 2;  // 9 variables never fit 2 x 2
-    EXPECT_THROW(RunGa(seq, 2, kUnboundedCapacity, options),
-                 std::invalid_argument);
   }
 }
 
@@ -321,20 +318,9 @@ TEST(RunGaFn, PinnedResultsUnchangedByEvaluatorRefactor) {
   EXPECT_EQ(two.best_cost, 15u);
   const GaResult capped = RunGa(seq, 4, 3, SmallGa());
   EXPECT_EQ(capped.best_cost, 6u);
-  GaOptions zero = SmallGa();
-  zero.cost.initial_alignment = rtm::InitialAlignment::kZero;
-  EXPECT_EQ(RunGa(seq, 4, kUnboundedCapacity, zero).best_cost, 5u);
-}
-
-TEST(RunGaFn, RejectsCostOptionsWithoutExactlyOnePort) {
-  const auto seq = MediumTrace();
-  GaOptions two_ports = SmallGa();
-  two_ports.cost.port_offsets = {0, 16};
-  two_ports.cost.domains_per_dbc = 32;
-  EXPECT_THROW((void)RunGa(seq, 2, 32, two_ports), std::invalid_argument);
-  GaOptions no_port = SmallGa();
-  no_port.cost.port_offsets.clear();
-  EXPECT_THROW((void)RunGa(seq, 2, 32, no_port), std::invalid_argument);
+  CostOptions zero;
+  zero.initial_alignment = rtm::InitialAlignment::kZero;
+  EXPECT_EQ(RunGa(seq, 4, kUnboundedCapacity, SmallGa(), zero).best_cost, 5u);
 }
 
 TEST(RunGaFn, HandlesSingleVariableTrace) {

@@ -761,7 +761,6 @@ TEST(OnlineEngine, RefineMatchesAReplayGreedy) {
     config.window_accesses = window_size;
     core::CostOptions& cost = config.strategy_options.cost;
     cost.initial_alignment = device.initial_alignment;
-    cost.domains_per_dbc = domains;
     const std::uint64_t margin =
         online::EstimatedSingleMoveShifts(device.domains_per_dbc);
 
@@ -854,14 +853,6 @@ TEST(OnlineEngine, RejectsBadConfigsAndDoubleFinish) {
   {
     online::OnlineConfig bad = SingleWindowConfig("dma-sr", config);
     bad.window_accesses = 0;
-    EXPECT_THROW(online::OnlineEngine(bad, config), std::invalid_argument);
-  }
-  {
-    // The engine prices under the device's one port.
-    online::OnlineConfig bad = SingleWindowConfig("dma-sr", config);
-    bad.strategy_options.cost.port_offsets = {0, 2};
-    EXPECT_THROW(online::OnlineEngine(bad, config), std::invalid_argument);
-    bad.strategy_options.cost.port_offsets.clear();
     EXPECT_THROW(online::OnlineEngine(bad, config), std::invalid_argument);
   }
   online::OnlineEngine engine(SingleWindowConfig("dma-sr", config), config);

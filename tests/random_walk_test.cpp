@@ -66,7 +66,7 @@ Placement OldRandomPlacement(std::size_t num_variables,
 
 RwResult OldRunRandomWalk(const trace::AccessSequence& seq,
                           std::uint32_t num_dbcs, std::uint32_t capacity,
-                          const RwOptions& options) {
+                          const RwOptions& options, const CostOptions& cost) {
   if (options.iterations == 0) {
     throw std::invalid_argument("RunRandomWalk: need at least one iteration");
   }
@@ -78,17 +78,17 @@ RwResult OldRunRandomWalk(const trace::AccessSequence& seq,
   util::Rng rng(options.seed);
 
   Placement best = OldRandomPlacement(n, num_dbcs, capacity, rng);
-  std::uint64_t best_cost = ShiftCost(seq, best, options.cost);
+  std::uint64_t best_cost = ShiftCost(seq, best, cost);
 
   const std::size_t stride = std::max<std::size_t>(options.iterations / 100, 1);
   RwResult result{std::move(best), best_cost, {}, 1};
   for (std::size_t i = 1; i < options.iterations; ++i) {
     Placement candidate = OldRandomPlacement(n, num_dbcs, capacity, rng);
-    const std::uint64_t cost = ShiftCost(seq, candidate, options.cost);
+    const std::uint64_t shifts = ShiftCost(seq, candidate, cost);
     ++result.evaluations;
-    if (cost < result.best_cost) {
+    if (shifts < result.best_cost) {
       result.best = std::move(candidate);
-      result.best_cost = cost;
+      result.best_cost = shifts;
     }
     if (i % stride == 0) result.history.push_back(result.best_cost);
   }
@@ -113,17 +113,16 @@ struct GridCase {
   std::uint32_t num_dbcs = 1;
   std::uint32_t capacity = kUnboundedCapacity;
   RwOptions options;
+  CostOptions cost;
 };
 
 std::string Describe(const GridCase& c) {
-  const CostOptions& cost = c.options.cost;
+  const int zero =
+      c.cost.initial_alignment == rtm::InitialAlignment::kZero ? 1 : 0;
   char text[160];
   std::snprintf(text, sizeof text,
-                "n=%zu q=%u capacity=%u domains=%u zero=%d "
-                "iterations=%zu",
-                c.seq.num_variables(), c.num_dbcs, c.capacity,
-                cost.domains_per_dbc,
-                cost.initial_alignment == rtm::InitialAlignment::kZero ? 1 : 0,
+                "n=%zu q=%u capacity=%u zero=%d iterations=%zu",
+                c.seq.num_variables(), c.num_dbcs, c.capacity, zero,
                 c.options.iterations);
   return text;
 }
@@ -154,17 +153,8 @@ GridCase DrawGridCase(util::Rng& rng) {
     c.seq.Append(static_cast<VariableId>(rng.NextBelow(n)));
   }
 
-  CostOptions& cost = c.options.cost;
-  if (rng.NextBool(0.5)) cost.initial_alignment = rtm::InitialAlignment::kZero;
-  const std::uint64_t domains_mode = rng.NextBelow(3);
-  const std::uint64_t deepest =
-      c.capacity == kUnboundedCapacity ? n : c.capacity;
-  if (domains_mode == 1) {  // satisfiable by every draw
-    cost.domains_per_dbc =
-        static_cast<std::uint32_t>(std::max<std::uint64_t>(deepest, 2));
-  } else if (domains_mode == 2) {  // violated by some or all draws
-    cost.domains_per_dbc = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>((n + q - 1) / q, 3) - 1);
+  if (rng.NextBool(0.5)) {
+    c.cost.initial_alignment = rtm::InitialAlignment::kZero;
   }
   static constexpr std::size_t kIterations[] = {1, 99, 100, 101, 250};
   c.options.iterations = kIterations[rng.NextBelow(5)];
@@ -201,10 +191,10 @@ TEST(RandomWalkOracle, RunRandomWalkMatchesOldBodyOnSeededGrid) {
     const GridCase c = DrawGridCase(grid);
     SCOPED_TRACE(Describe(c));
     const auto old_r = ResultOrInvalid([&] {
-      return OldRunRandomWalk(c.seq, c.num_dbcs, c.capacity, c.options);
+      return OldRunRandomWalk(c.seq, c.num_dbcs, c.capacity, c.options, c.cost);
     });
     const auto new_r = ResultOrInvalid([&] {
-      return RunRandomWalk(c.seq, c.num_dbcs, c.capacity, c.options);
+      return RunRandomWalk(c.seq, c.num_dbcs, c.capacity, c.options, c.cost);
     });
     ASSERT_EQ(old_r.has_value(), new_r.has_value());
     if (!old_r) continue;
@@ -247,17 +237,13 @@ TEST(RandomWalkOracle, RunRandomWalkMatchesOldBodyOnRepeatHeavySequences) {
       c.num_dbcs = static_cast<std::uint32_t>(1 + gen.NextBelow(8));
       c.options.iterations = 300;
       c.options.seed = gen();
-      c.options.cost.initial_alignment = alignment;
-      if (gen.NextBool(0.5)) {
-        c.options.cost.domains_per_dbc = static_cast<std::uint32_t>(n);
-        c.options.cost.port_offsets = {static_cast<std::uint32_t>(n / 2)};
-      }
+      c.cost.initial_alignment = alignment;
       c.seq = seq;
       SCOPED_TRACE(Describe(c));
-      const RwResult old_r =
-          OldRunRandomWalk(c.seq, c.num_dbcs, kUnboundedCapacity, c.options);
-      const RwResult new_r =
-          RunRandomWalk(c.seq, c.num_dbcs, kUnboundedCapacity, c.options);
+      const RwResult old_r = OldRunRandomWalk(
+          c.seq, c.num_dbcs, kUnboundedCapacity, c.options, c.cost);
+      const RwResult new_r = RunRandomWalk(
+          c.seq, c.num_dbcs, kUnboundedCapacity, c.options, c.cost);
       EXPECT_EQ(new_r.best, old_r.best);
       EXPECT_EQ(new_r.best_cost, old_r.best_cost);
       EXPECT_EQ(new_r.history, old_r.history);
@@ -351,22 +337,6 @@ TEST(RandomWalk, RejectsBadShapesWithoutDrawing) {
     EXPECT_THROW(RunRandomWalk(*s, 2, 0, SmallRw(10)), std::invalid_argument);
   }
   EXPECT_THROW(RunRandomWalk(seq, 2, 2, SmallRw(10)), std::invalid_argument);
-  RwOptions options = SmallRw(10);
-  options.cost.domains_per_dbc = 2;  // 6 variables never fit 2 x 2
-  EXPECT_THROW(RunRandomWalk(seq, 2, kUnboundedCapacity, options),
-               std::invalid_argument);
-}
-
-TEST(RandomWalk, RejectsCostOptionsWithoutExactlyOnePort) {
-  const auto seq = Trace();
-  RwOptions two_ports = SmallRw(10);
-  two_ports.cost.port_offsets = {0, 1};
-  EXPECT_THROW((void)RunRandomWalk(seq, 2, kUnboundedCapacity, two_ports),
-               std::invalid_argument);
-  RwOptions no_port = SmallRw(10);
-  no_port.cost.port_offsets.clear();
-  EXPECT_THROW((void)RunRandomWalk(seq, 2, kUnboundedCapacity, no_port),
-               std::invalid_argument);
 }
 
 TEST(RandomWalk, EmptySequenceCostsNothing) {

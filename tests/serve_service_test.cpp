@@ -656,6 +656,16 @@ TEST(PlacementService, RejectsBadConfigsAndSessionMisuse) {
   EXPECT_THROW((void)service.OpenSession("t1", seq), std::logic_error);
 }
 
+TEST(PlacementService, RejectsARecipeThatSetsTheMigrationGate) {
+  // The service gates every shard's migrations through its own budget.
+  const rtm::RtmConfig config = sim::CellConfig(8, 16);
+  serve::ServeConfig gated;
+  gated.engine.migration_gate = [](std::uint64_t) { return true; };
+  EXPECT_THROW(serve::PlacementService(gated, config), std::invalid_argument);
+  gated.engine.migration_gate = nullptr;
+  EXPECT_NO_THROW(serve::PlacementService(gated, config));
+}
+
 // ---- serve-policy registry -----------------------------------------------
 
 TEST(ServePolicyRegistry, BuiltinsAreRegisteredAndResolvable) {
