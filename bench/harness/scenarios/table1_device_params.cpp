@@ -49,9 +49,7 @@ void Run(ScenarioContext& ctx) {
       {"Area [mm^2]", "area_mm2", &destiny::DeviceParams::area_mm2, 4},
   };
 
-  destiny::DeviceQuery interp;
-  interp.dbcs = 6;
-  const destiny::DeviceParams six = destiny::EvaluateDevice(interp);
+  const destiny::DeviceParams six = destiny::EvaluateDevice(6);
 
   for (const Row& row : rows) {
     std::vector<std::string> cells{row.label};
@@ -59,9 +57,7 @@ void Run(ScenarioContext& ctx) {
       if (row.field == nullptr) {
         cells.push_back(std::to_string(destiny::PaperDomainsPerDbc(dbcs)));
       } else {
-        destiny::DeviceQuery query;
-        query.dbcs = dbcs;
-        const auto params = destiny::EvaluateDevice(query);
+        const auto params = destiny::EvaluateDevice(dbcs);
         ctx.Scalar("table1/" + std::string(row.tag) + "/" +
                        std::to_string(dbcs) + "dbc",
                    params.*(row.field));
@@ -84,9 +80,7 @@ void Run(ScenarioContext& ctx) {
   // Self-check against the published anchors.
   bool exact = true;
   for (const unsigned dbcs : destiny::kTableOneDbcCounts) {
-    destiny::DeviceQuery query;
-    query.dbcs = dbcs;
-    const auto model = destiny::EvaluateDevice(query);
+    const auto model = destiny::EvaluateDevice(dbcs);
     const auto& paper = destiny::PaperTableOne(dbcs);
     exact = exact && model.leakage_mw == paper.leakage_mw &&
             model.write_energy_pj == paper.write_energy_pj &&

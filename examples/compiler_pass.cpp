@@ -21,6 +21,7 @@
 #include "rtm/config.h"
 #include "sim/simulator.h"
 #include "trace/trace_io.h"
+#include "trace/trace_stream.h"
 #include "util/csv.h"
 
 namespace {
@@ -52,12 +53,12 @@ int main(int argc, char** argv) {
     std::printf("No trace given; wrote demo trace to %s\n", path.c_str());
   }
 
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
     return 1;
   }
-  const trace::TraceFile file = trace::ReadTrace(in);
+  const trace::TraceFile file = trace::ReadAnyTrace(in);
   std::printf("Benchmark '%s': %zu sequences\n\n", file.benchmark.c_str(),
               file.sequences.size());
 

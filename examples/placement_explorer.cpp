@@ -90,7 +90,7 @@ int Usage() {
       "splice of\nregistered workloads, or a trace-file path (text or "
       "binary).\n"
       "\nstrategies (from the registry):");
-  for (const auto& name : core::RegisteredStrategyNames()) {
+  for (const auto& name : core::StrategyRegistry::Global().Names()) {
     std::printf(" %s", name.c_str());
   }
   std::printf("\nworkloads (from the registry):");

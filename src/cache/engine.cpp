@@ -66,6 +66,9 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
 }
 
 std::uint32_t CacheEngine::RegisterVariable(std::string_view name) {
+  if (finished_) {
+    throw std::logic_error("CacheEngine: RegisterVariable after Finish");
+  }
   const auto id = static_cast<std::uint32_t>(frame_of_.size());
   if (2 * (std::size_t{id} + 1) > id_slots_.size()) {
     id_slots_.assign(std::max<std::size_t>(16, 2 * id_slots_.size()), 0);

@@ -148,7 +148,8 @@ class CacheEngine {
   /// Registers a logical variable (idempotent per name; returns its id).
   /// The first `capacity()` registered variables are admitted to frames
   /// immediately and for free — the initial resident set, mirroring the
-  /// uncached mode's "everything starts on-device" assumption.
+  /// uncached mode's "everything starts on-device" assumption. Throws
+  /// std::logic_error after Finish().
   std::uint32_t RegisterVariable(std::string_view name);
 
   /// Appends a block of accesses to registered ids; every full logical

@@ -34,16 +34,6 @@ std::string ToString(const StrategySpec& spec) {
   return name;
 }
 
-std::optional<StrategySpec> ParseStrategy(std::string_view name) {
-  const auto info = StrategyRegistry::Global().Describe(name);
-  if (!info) return std::nullopt;
-  return info->spec;
-}
-
-std::vector<std::string> RegisteredStrategyNames() {
-  return StrategyRegistry::Global().Names();
-}
-
 void ScaleSearchEffort(StrategyOptions& options, double factor) {
   if (!std::isfinite(factor) || factor <= 0.0) {
     throw std::invalid_argument(
@@ -60,33 +50,18 @@ void ScaleSearchEffort(StrategyOptions& options, double factor) {
   options.rw.iterations = scale(options.rw.iterations);
 }
 
-Placement RunStrategy(const StrategySpec& spec,
-                      const trace::AccessSequence& seq,
-                      std::uint32_t num_dbcs, std::uint32_t capacity,
-                      const StrategyOptions& options) {
-  const auto strategy = StrategyRegistry::Global().Find(ToString(spec));
-  if (!strategy) {
-    throw std::invalid_argument("RunStrategy: unregistered strategy '" +
-                                ToString(spec) + "'");
-  }
-  // Placement-only callers skip the analytic cost pass.
-  return strategy
-      ->Run({&seq, num_dbcs, capacity, options, /*compute_cost=*/false})
-      .placement;
-}
-
 std::vector<StrategySpec> PaperStrategies() {
   // The six solutions of §IV-A in the paper's listing order, resolved
   // through the registry so a missing registration fails loudly.
   std::vector<StrategySpec> specs;
   for (const char* name :
        {"afd-ofu", "dma-ofu", "dma-chen", "dma-sr", "ga", "rw"}) {
-    const auto spec = ParseStrategy(name);
-    if (!spec) {
+    const auto info = StrategyRegistry::Global().Describe(name);
+    if (!info || !info->spec) {
       throw std::logic_error(std::string("PaperStrategies: '") + name +
                              "' is not registered");
     }
-    specs.push_back(*spec);
+    specs.push_back(*info->spec);
   }
   return specs;
 }

@@ -1,25 +1,19 @@
-// Enum-based strategy identifiers and the legacy entry points over them.
+// Enum-based strategy identifiers.
 //
 // The six placement solutions evaluated in §IV-A (plus extensions) are
 // addressable by name ("afd-ofu", "dma-sr", "ga", "rw", ...). Dispatch
-// lives in core/strategy_registry.h: ParseStrategy, RunStrategy and
-// PaperStrategies below are thin shims over StrategyRegistry::Global(),
-// kept so existing call sites migrate incrementally. New code — and any
-// code that wants strategies beyond the built-in enum combinations —
-// should resolve strategies through the registry directly.
+// lives in core/strategy_registry.h: resolve a name through
+// StrategyRegistry::Global(). A built-in strategy's StrategyInfo::spec is
+// the StrategySpec below, and ToString(spec) gives its name back.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/cost_model.h"
 #include "core/genetic.h"
 #include "core/intra_heuristics.h"
-#include "core/placement.h"
 #include "core/random_walk.h"
-#include "trace/access_sequence.h"
 
 namespace rtmp::core {
 
@@ -36,15 +30,6 @@ struct StrategySpec {
 /// "afd-ofu", "dma-chen", "dma-sr", "dma2-sr", "ga", "rw", ...
 [[nodiscard]] std::string ToString(const StrategySpec& spec);
 
-/// Inverse of ToString; nullopt for names not in StrategyRegistry::Global()
-/// (and for registered strategies without an enum-backed spec).
-[[nodiscard]] std::optional<StrategySpec> ParseStrategy(std::string_view name);
-
-/// Every name registered in StrategyRegistry::Global(), sorted — the
-/// single source of truth for accepted strategy names (usage strings,
-/// docs, round-trip tests).
-[[nodiscard]] std::vector<std::string> RegisteredStrategyNames();
-
 /// Tuning for the search-based strategies and the cost model.
 struct StrategyOptions {
   GaOptions ga{};
@@ -57,15 +42,6 @@ struct StrategyOptions {
 /// a small factor by default so the full suite runs in minutes. Throws
 /// std::invalid_argument unless `factor` is positive and finite.
 void ScaleSearchEffort(StrategyOptions& options, double factor);
-
-/// Runs one strategy end to end and returns the placement. Shim over
-/// StrategyRegistry::Global() — resolve the strategy yourself for the full
-/// PlacementResult (cost, wall time, search effort used).
-[[nodiscard]] Placement RunStrategy(const StrategySpec& spec,
-                                    const trace::AccessSequence& seq,
-                                    std::uint32_t num_dbcs,
-                                    std::uint32_t capacity,
-                                    const StrategyOptions& options = {});
 
 /// The six solutions of §IV-A, in the paper's listing order:
 /// AFD-OFU, DMA-OFU, DMA-Chen, DMA-SR, GA, RW.

@@ -9,8 +9,8 @@
 // registry, so new strategies (ShiftsReduce variants, reconfigurable
 // layouts, ...) plug in without touching core dispatch code.
 //
-// The legacy enum-based entry points (ParseStrategy / RunStrategy /
-// PaperStrategies in core/strategy.h) are thin shims over this registry.
+// The built-in strategies also carry their enum-based StrategySpec
+// (core/strategy.h); PaperStrategies() resolves the paper's six here.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +73,8 @@ struct StrategyInfo {
   /// True when the strategy consumes the GA/RW effort knobs and a seed
   /// (ScaleSearchEffort applies; results depend on options.ga/options.rw).
   bool search_based = false;
-  /// Set for the built-in enum-backed strategies so the legacy
-  /// StrategySpec entry points can round-trip through the registry;
-  /// external strategies leave it empty.
+  /// Set for the built-in enum-backed strategies, with
+  /// ToString(*spec) == name; external strategies leave it empty.
   std::optional<StrategySpec> spec;
 };
 

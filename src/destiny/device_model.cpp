@@ -60,11 +60,11 @@ unsigned PaperDomainsPerDbc(unsigned dbcs) {
   return kTotalWords / dbcs;
 }
 
-DeviceParams EvaluateDevice(const DeviceQuery& query) {
-  if (query.dbcs == 0) {
+DeviceParams EvaluateDevice(unsigned dbcs) {
+  if (dbcs == 0) {
     throw std::invalid_argument("EvaluateDevice: DBC count must be positive");
   }
-  const double log2_dbcs = std::log2(static_cast<double>(query.dbcs));
+  const double log2_dbcs = std::log2(static_cast<double>(dbcs));
 
   DeviceParams p;
   p.leakage_mw = InterpolateLog2(log2_dbcs, Column(&DeviceParams::leakage_mw));
@@ -81,56 +81,6 @@ DeviceParams EvaluateDevice(const DeviceQuery& query) {
   p.shift_latency_ns =
       InterpolateLog2(log2_dbcs, Column(&DeviceParams::shift_latency_ns));
   p.area_mm2 = InterpolateLog2(log2_dbcs, Column(&DeviceParams::area_mm2));
-
-  // Capacity scaling (anchors are 4 KiB).
-  const double cap_ratio = query.capacity_kib / 4.0;
-  if (cap_ratio <= 0.0) {
-    throw std::invalid_argument("EvaluateDevice: capacity must be positive");
-  }
-  const double sqrt_cap = std::sqrt(cap_ratio);
-  p.leakage_mw *= cap_ratio;
-  p.area_mm2 *= cap_ratio;
-  p.write_energy_pj *= sqrt_cap;
-  p.read_energy_pj *= sqrt_cap;
-  p.shift_energy_pj *= sqrt_cap;
-  p.read_latency_ns *= sqrt_cap;
-  p.write_latency_ns *= sqrt_cap;
-  p.shift_latency_ns *= sqrt_cap;
-
-  // Technology scaling (anchors are 32 nm).
-  const double tech_ratio = query.tech_nm / 32.0;
-  if (tech_ratio <= 0.0) {
-    throw std::invalid_argument("EvaluateDevice: tech node must be positive");
-  }
-  p.area_mm2 *= tech_ratio * tech_ratio;
-  p.write_energy_pj *= tech_ratio * tech_ratio;
-  p.read_energy_pj *= tech_ratio * tech_ratio;
-  p.shift_energy_pj *= tech_ratio * tech_ratio;
-  p.leakage_mw *= tech_ratio;
-  p.read_latency_ns *= tech_ratio;
-  p.write_latency_ns *= tech_ratio;
-  p.shift_latency_ns *= tech_ratio;
-
-  // Track-width scaling: wider words move more bits per access.
-  const double track_ratio =
-      static_cast<double>(query.tracks_per_dbc) / 32.0;
-  if (track_ratio <= 0.0) {
-    throw std::invalid_argument("EvaluateDevice: tracks must be positive");
-  }
-  p.write_energy_pj *= track_ratio;
-  p.read_energy_pj *= track_ratio;
-  p.shift_energy_pj *= track_ratio;
-  p.area_mm2 *= track_ratio;
-  p.leakage_mw *= track_ratio;
-
-  // Extra access ports: the dominant area term in RTM (paper §IV-C).
-  if (query.ports_per_track == 0) {
-    throw std::invalid_argument("EvaluateDevice: need at least one port");
-  }
-  const double extra_ports = static_cast<double>(query.ports_per_track - 1);
-  p.area_mm2 *= 1.0 + 0.12 * extra_ports;
-  p.leakage_mw *= 1.0 + 0.03 * extra_ports;
-
   return p;
 }
 

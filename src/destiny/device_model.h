@@ -8,10 +8,10 @@
 //  * the four Table I configurations are reproduced EXACTLY (they are the
 //    only device points any experiment in the paper consumes);
 //  * other DBC counts interpolate piecewise-linearly in log2(#DBCs) and
-//    extrapolate the boundary slopes;
-//  * other capacities / technology nodes apply standard first-order scaling
-//    laws (documented per parameter below) so the model stays physically
-//    plausible for exploratory use.
+//    extrapolate the boundary slopes.
+//
+// Capacity, technology node, track width and port count stay at the
+// Table I values; a study of other devices sets DeviceParams directly.
 #pragma once
 
 #include <array>
@@ -43,25 +43,9 @@ inline constexpr std::array<unsigned, 4> kTableOneDbcCounts{2, 4, 8, 16};
 /// 4 KiB / 32-bit words = 1024 words spread over `dbcs` DBCs.
 [[nodiscard]] unsigned PaperDomainsPerDbc(unsigned dbcs);
 
-/// A device query: the knobs DESTINY-lite models.
-struct DeviceQuery {
-  unsigned dbcs = 4;            ///< DBCs in the array
-  double capacity_kib = 4.0;    ///< total array capacity [KiB]
-  double tech_nm = 32.0;        ///< feature size [nm]
-  unsigned tracks_per_dbc = 32; ///< word width
-  unsigned ports_per_track = 1; ///< access ports per nanotrack
-};
-
-/// Evaluates the model. Exact at Table I anchors
-/// (dbcs in {2,4,8,16}, capacity 4 KiB, 32 nm, 32 tracks, 1 port).
-///
-/// Scaling laws beyond the anchors:
-///  * leakage, area           ~ linear in capacity;
-///  * read/write/shift energy ~ sqrt of capacity (longer wires);
-///  * latencies               ~ sqrt of capacity;
-///  * area, energy            ~ (tech/32)^2 resp. (tech/32) for latency;
-///  * each extra port per track adds 12% area and 3% leakage (ports
-///    dominate RTM cell footprint, cf. paper §IV-C / Fig. 6 discussion).
-[[nodiscard]] DeviceParams EvaluateDevice(const DeviceQuery& query);
+/// Evaluates the model at `dbcs` DBCs (> 0; throws std::invalid_argument
+/// otherwise). Exact at the Table I anchors {2, 4, 8, 16}; other counts
+/// interpolate in log2(dbcs) between them and extrapolate beyond.
+[[nodiscard]] DeviceParams EvaluateDevice(unsigned dbcs);
 
 }  // namespace rtmp::destiny

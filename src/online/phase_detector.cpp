@@ -67,34 +67,6 @@ void SummarizeTransitions(std::span<const trace::Access> window,
   out.total = keys.size();
 }
 
-TransitionSummary SummarizeTransitions(
-    std::span<const trace::Access> window) {
-  TransitionSummary summary;
-  if (window.size() < 2) return summary;
-  // Rank the distinct ids (ascending, so ranks order like ids), summarize
-  // the ranked window over one bucket per rank, then map each key's ranks
-  // back to their ids.
-  std::vector<trace::VariableId> ids;
-  ids.reserve(window.size());
-  for (const trace::Access& access : window) ids.push_back(access.variable);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  std::vector<trace::Access> ranked;
-  ranked.reserve(window.size());
-  for (const trace::Access& access : window) {
-    const auto rank = static_cast<trace::VariableId>(
-        std::lower_bound(ids.begin(), ids.end(), access.variable) -
-        ids.begin());
-    ranked.push_back({rank, access.type});
-  }
-  TransitionScratch scratch;
-  SummarizeTransitions(ranked, ids.size(), scratch, summary);
-  for (auto& [key, weight] : summary.weights) {
-    key = PackPair(ids[key >> 32], ids[key & 0xFFFFFFFFULL]);
-  }
-  return summary;
-}
-
 std::string_view ToString(DetectorKind kind) {
   switch (kind) {
     case DetectorKind::kNone:
@@ -239,12 +211,6 @@ PhaseDetector::Verdict PhaseDetector::Observe(
   }
   model_.swap(updated);
   return verdict;
-}
-
-void PhaseDetector::Reset() {
-  model_.clear();
-  cusum_ = 0.0;
-  observed_ = 0;
 }
 
 }  // namespace rtmp::online

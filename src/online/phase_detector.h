@@ -75,12 +75,6 @@ void SummarizeTransitions(std::span<const trace::Access> window,
                           std::size_t num_ids, TransitionScratch& scratch,
                           TransitionSummary& out);
 
-/// The same summary for a window of arbitrary ids (up to UINT32_MAX):
-/// the window's distinct ids are ranked first, so the counting passes
-/// take buckets for those ranks only, never for the raw id values.
-[[nodiscard]] TransitionSummary SummarizeTransitions(
-    std::span<const trace::Access> window);
-
 enum class DetectorKind : std::uint8_t {
   kNone,
   kFixedWindow,
@@ -127,9 +121,6 @@ class PhaseDetector {
   /// declared at this window. The first observed window never declares a
   /// boundary (there is nothing to drift from); it seeds the model.
   Verdict Observe(const TransitionSummary& window);
-
-  /// Returns to the just-constructed state.
-  void Reset();
 
   [[nodiscard]] const PhaseDetectorConfig& config() const noexcept {
     return config_;

@@ -2,8 +2,8 @@
 // being a group of nanotracks of K domains accessed through one port at
 // domain offset 0, as in the paper's evaluation. Shift counts depend only
 // on the DBC count and the domains per DBC, so no bank/subarray hierarchy
-// is modelled; the word width matters only to energy, which
-// destiny::DeviceQuery folds into `params`. Several ports per track are
+// is modelled; the word width (32 tracks) matters only to energy, which
+// the Table I `params` already include. Several ports per track are
 // priced analytically only (core::MultiPortShiftCost).
 #pragma once
 

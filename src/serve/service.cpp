@@ -237,7 +237,6 @@ void PlacementService::ServeTurn(Session& session, ShardEngine& engine,
   ++stats.windows;
   stats.placement_cost += record.window_cost;
   stats.exposed_latency_ns += record.latency_ns;
-  stats.window_latencies.push_back(record.latency_ns);
   // Always-on latency distribution: the tenant's and the service's own
   // device-level histogram see the same rounded sample, which is what
   // makes the tenant-merge == device equality exact.

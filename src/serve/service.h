@@ -196,8 +196,6 @@ struct TenantStats {
   /// makespan its turns added, including waits behind other tenants on
   /// the shared channel.
   double exposed_latency_ns = 0.0;
-  /// Per-window exposed latencies (fairness is scored on their mean).
-  std::vector<double> window_latencies;
   /// Exposed-latency distribution (log2 buckets over rounded
   /// latency_ns). Tenant histograms Merge to ServeResult::latency_hist
   /// EXACTLY — the attribution invariant extended to distributions;
@@ -290,9 +288,6 @@ class PlacementService {
   [[nodiscard]] ServeResult Run();
 
   [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t num_sessions() const noexcept {
-    return sessions_.size();
-  }
 
  private:
   struct Session {

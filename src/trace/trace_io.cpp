@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -12,22 +11,9 @@
 
 namespace rtmp::trace {
 
-TraceFile ReadTrace(std::istream& in) {
-  // The materializing reader is a thin collector over the streaming
-  // parser (trace/trace_stream.h), so both paths share one grammar.
-  TraceFile trace;
-  const TraceSummary summary = StreamTextTrace(
-      in, [&trace](const std::string& name, AccessSequence seq) {
-        trace.sequence_names.push_back(name);
-        trace.sequences.push_back(std::move(seq));
-      });
-  trace.benchmark = summary.benchmark;
-  return trace;
-}
-
 TraceFile ReadTraceFromString(const std::string& text) {
   std::istringstream in(text);
-  return ReadTrace(in);
+  return ReadAnyTrace(in);
 }
 
 namespace {

@@ -20,9 +20,10 @@
 //
 // WriteTrace emits the `vars` table after every `sequence` line and
 // always emits the `total` footer; readers validate the footer when
-// present (and it must be the last directive). For large external traces
-// and the compact binary format, see trace/trace_stream.h — the streaming
-// layer both readers here are built on.
+// present (and it must be the last directive). The readers, for this
+// format and the compact binary one, live in trace/trace_stream.h:
+// ReadAnyTrace and LoadTraceFile sniff the format, and StreamTrace
+// streams large traces sequence by sequence.
 #pragma once
 
 #include <iosfwd>
@@ -40,14 +41,13 @@ struct TraceFile {
   std::vector<AccessSequence> sequences;
 };
 
-/// Parses a trace from a stream. Throws std::runtime_error on malformed
-/// input (unknown directive, access tokens before any `sequence`).
-[[nodiscard]] TraceFile ReadTrace(std::istream& in);
-
-/// Parses a trace from a string (convenience for tests).
+/// Parses a trace held in a string (convenience for tests). Throws
+/// std::runtime_error on malformed input (unknown directive, access
+/// tokens before any `sequence`). Streams and files are read with
+/// ReadAnyTrace / LoadTraceFile (trace/trace_stream.h).
 [[nodiscard]] TraceFile ReadTraceFromString(const std::string& text);
 
-/// Serializes a trace; ReadTrace(WriteTrace(t)) round-trips variable ids
+/// Serializes a trace; reading it back round-trips variable ids
 /// and names (zero-access variables included), access order and access
 /// types — the same TraceFile the binary format gives back.
 void WriteTrace(std::ostream& out, const TraceFile& trace);

@@ -434,31 +434,15 @@ void WriteBinaryTrace(std::ostream& out, const TraceFile& trace) {
   writer.Digest();
 }
 
-namespace {
-
-TraceFile Collect(std::istream& in, const TraceStreamOptions& options,
-                  bool binary_only) {
+TraceFile ReadAnyTrace(std::istream& in, const TraceStreamOptions& options) {
   TraceFile file;
   const SequenceSink sink = [&file](const std::string& name,
                                     AccessSequence seq) {
     file.sequence_names.push_back(name);
     file.sequences.push_back(std::move(seq));
   };
-  const TraceSummary summary = binary_only
-                                   ? StreamBinaryTrace(in, sink)
-                                   : StreamTrace(in, sink, options);
-  file.benchmark = summary.benchmark;
+  file.benchmark = StreamTrace(in, sink, options).benchmark;
   return file;
-}
-
-}  // namespace
-
-TraceFile ReadBinaryTrace(std::istream& in) {
-  return Collect(in, {}, /*binary_only=*/true);
-}
-
-TraceFile ReadAnyTrace(std::istream& in, const TraceStreamOptions& options) {
-  return Collect(in, options, /*binary_only=*/false);
 }
 
 TraceFile LoadTraceFile(const std::string& path,

@@ -81,12 +81,9 @@ TraceSummary StreamTrace(std::istream& in, const SequenceSink& sink,
 [[nodiscard]] std::string PeekTraceBenchmark(std::istream& in);
 
 /// Serializes `trace` in the binary format;
-/// ReadBinaryTrace(WriteBinaryTrace(t)) round-trips benchmark name,
+/// ReadAnyTrace(WriteBinaryTrace(t)) round-trips benchmark name,
 /// sequence names, variable names, access order and access types.
 void WriteBinaryTrace(std::ostream& out, const TraceFile& trace);
-
-/// Materializing convenience over StreamBinaryTrace.
-[[nodiscard]] TraceFile ReadBinaryTrace(std::istream& in);
 
 /// Materializing convenience over StreamTrace: reads either format.
 [[nodiscard]] TraceFile ReadAnyTrace(std::istream& in,

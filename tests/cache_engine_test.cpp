@@ -339,6 +339,21 @@ TEST(CacheEngine, RegisterVariableIsIdempotentPerName) {
   EXPECT_EQ(engine.RegisterVariable("tenant/"), names.size());
 }
 
+// A finished session's directory is closed: registering a new name or
+// re-registering a known one throws and leaves the directory unchanged.
+TEST(CacheEngine, RegisterVariableAfterFinishThrows) {
+  cache::CacheConfig config;
+  config.capacity_slots = 2;
+  cache::CacheEngine engine(config, rtm::RtmConfig::Paper(2));
+  (void)engine.RegisterVariable("a");
+  const std::vector<trace::Access> a = {{0, trace::AccessType::kRead}};
+  engine.Feed(a);
+  (void)engine.Finish();
+  EXPECT_THROW((void)engine.RegisterVariable("b"), std::logic_error);
+  EXPECT_THROW((void)engine.RegisterVariable("a"), std::logic_error);
+  EXPECT_EQ(engine.variables_seen(), 1u);
+}
+
 // Event recording classifies every access; the first `capacity` ids are
 // admitted for free, so a small trace over them never misses.
 TEST(CacheEvents, ClassifyHitsAndMisses) {

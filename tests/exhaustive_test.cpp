@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <string_view>
 #include <vector>
 
 #include "core/cost_model.h"
 #include "core/genetic.h"
 #include "core/inter_dma.h"
 #include "core/strategy.h"
+#include "core/strategy_registry.h"
 #include "trace/access_sequence.h"
 
 namespace rtmp {
@@ -22,6 +24,16 @@ namespace {
 using core::Placement;
 using trace::AccessSequence;
 using trace::VariableId;
+
+/// Runs the registered strategy `name`, placement only.
+Placement RunNamed(std::string_view name, const AccessSequence& seq,
+                   std::uint32_t dbcs, std::uint32_t capacity,
+                   const core::StrategyOptions& options) {
+  return core::StrategyRegistry::Global()
+      .Find(name)
+      ->Run({&seq, dbcs, capacity, options, /*compute_cost=*/false})
+      .placement;
+}
 
 /// Exhaustive optimum over all complete placements of `seq` into q DBCs
 /// (unbounded capacity). Cost model: paper convention.
@@ -89,9 +101,8 @@ TEST_P(TinyInstances, HeuristicsNeverBeatTheOptimum) {
   for (const char* name :
        {"afd-ofu", "afd-chen", "afd-sr", "afd-ge", "dma-ofu", "dma-chen",
         "dma-sr", "dma-ge", "dma2-sr", "rw"}) {
-    const auto spec = *core::ParseStrategy(name);
-    const Placement p = core::RunStrategy(spec, seq, param.dbcs,
-                                          core::kUnboundedCapacity, options);
+    const Placement p =
+        RunNamed(name, seq, param.dbcs, core::kUnboundedCapacity, options);
     EXPECT_GE(core::ShiftCost(seq, p), optimum)
         << name << " on " << param.trace;
   }

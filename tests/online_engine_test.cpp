@@ -465,6 +465,17 @@ TEST(OnlineEngine, RefusedReseedServesAtTheKeptPlacementsPrice) {
 
 // ---- detector behaviour --------------------------------------------------
 
+/// The transition summary of `seq`'s accesses [begin, end).
+online::TransitionSummary Summarize(const trace::AccessSequence& seq,
+                                    std::size_t begin, std::size_t end) {
+  online::TransitionScratch scratch;
+  online::TransitionSummary summary;
+  const std::span<const trace::Access> accesses = seq.accesses();
+  online::SummarizeTransitions(accesses.subspan(begin, end - begin),
+                               seq.num_variables(), scratch, summary);
+  return summary;
+}
+
 TEST(PhaseDetector, FixedWindowFiresOnItsPeriod) {
   online::PhaseDetector detector(
       {online::DetectorKind::kFixedWindow, /*period=*/3, 0.35, 0.3});
@@ -485,9 +496,8 @@ TEST(PhaseDetector, EwmaDetectsADistributionSwapAndSettles) {
   // the ids (hence transition keys) must actually differ across phases.
   const trace::AccessSequence full = trace::AccessSequence::FromCompactString(
       "abababababababab" "cdcdcdcdcdcdcdcd");
-  const std::span<const trace::Access> accesses = full.accesses();
-  const auto summary_a = online::SummarizeTransitions(accesses.subspan(0, 16));
-  const auto summary_b = online::SummarizeTransitions(accesses.subspan(16));
+  const auto summary_a = Summarize(full, 0, 16);
+  const auto summary_b = Summarize(full, 16, full.size());
 
   EXPECT_FALSE(detector.Observe(summary_a).phase_change);  // seeds
   EXPECT_FALSE(detector.Observe(summary_a).phase_change);  // stable

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "core/cost_model.h"
 #include "core/inter_dma.h"
 #include "core/strategy.h"
+#include "core/strategy_registry.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 #include "trace/liveliness.h"
@@ -21,9 +23,17 @@ namespace rtmp {
 namespace {
 
 using core::IntraHeuristic;
-using core::InterPolicy;
 using core::Placement;
-using core::StrategySpec;
+
+/// Runs the registered strategy `name`, placement only.
+Placement RunNamed(std::string_view name, const trace::AccessSequence& seq,
+                   std::uint32_t dbcs, std::uint32_t capacity,
+                   const core::StrategyOptions& options) {
+  return core::StrategyRegistry::Global()
+      .Find(name)
+      ->Run({&seq, dbcs, capacity, options, /*compute_cost=*/false})
+      .placement;
+}
 
 /// (strategy name, dbc count, workload family index)
 using GridParam = std::tuple<std::string, std::uint32_t, int>;
@@ -79,11 +89,9 @@ class StrategyGrid : public ::testing::TestWithParam<GridParam> {
 
 TEST_P(StrategyGrid, ProducesValidCompletePlacement) {
   const auto& [name, dbcs, family] = GetParam();
-  const auto spec = *core::ParseStrategy(name);
   const auto seq = MakeWorkload(family, 1000 + family);
-  const Placement p = core::RunStrategy(spec, seq, dbcs,
-                                        core::kUnboundedCapacity,
-                                        FastOptions());
+  const Placement p =
+      RunNamed(name, seq, dbcs, core::kUnboundedCapacity, FastOptions());
   EXPECT_TRUE(p.IsComplete());
   EXPECT_EQ(p.num_dbcs(), dbcs);
   p.CheckInvariants();
@@ -91,12 +99,10 @@ TEST_P(StrategyGrid, ProducesValidCompletePlacement) {
 
 TEST_P(StrategyGrid, RespectsTightCapacity) {
   const auto& [name, dbcs, family] = GetParam();
-  const auto spec = *core::ParseStrategy(name);
   const auto seq = MakeWorkload(family, 2000 + family);
   const auto capacity = static_cast<std::uint32_t>(
       (seq.num_variables() + dbcs - 1) / dbcs + 1);
-  const Placement p =
-      core::RunStrategy(spec, seq, dbcs, capacity, FastOptions());
+  const Placement p = RunNamed(name, seq, dbcs, capacity, FastOptions());
   EXPECT_TRUE(p.IsComplete());
   for (std::uint32_t d = 0; d < dbcs; ++d) {
     EXPECT_LE(p.dbc(d).size(), capacity);
@@ -105,11 +111,9 @@ TEST_P(StrategyGrid, RespectsTightCapacity) {
 
 TEST_P(StrategyGrid, CostModelAgreesWithSimulator) {
   const auto& [name, dbcs, family] = GetParam();
-  const auto spec = *core::ParseStrategy(name);
   const auto seq = MakeWorkload(family, 3000 + family);
-  const Placement p = core::RunStrategy(spec, seq, dbcs,
-                                        core::kUnboundedCapacity,
-                                        FastOptions());
+  const Placement p =
+      RunNamed(name, seq, dbcs, core::kUnboundedCapacity, FastOptions());
   rtm::RtmConfig config = rtm::RtmConfig::Paper(4);
   config.dbcs = dbcs;
   // Deep enough for the unbounded placement.
@@ -151,8 +155,7 @@ TEST_P(WorkloadFamilies, SeededGaDominatesEveryHeuristic) {
   const auto ga_result = core::RunGa(seq, dbcs, core::kUnboundedCapacity, ga);
   for (const char* name : {"afd-ofu", "dma-ofu", "dma-chen", "dma-sr"}) {
     const Placement p =
-        core::RunStrategy(*core::ParseStrategy(name), seq, dbcs,
-                          core::kUnboundedCapacity, options);
+        RunNamed(name, seq, dbcs, core::kUnboundedCapacity, options);
     EXPECT_LE(ga_result.best_cost, core::ShiftCost(seq, p)) << name;
   }
 }

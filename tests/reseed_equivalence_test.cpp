@@ -619,7 +619,7 @@ TEST(ReseedEquivalence, IntraRangeRejectsWhatTheReferenceRejects) {
 /// (everything but the searches): the ones a workspace serves.
 std::vector<std::string> ConstructiveStrategies() {
   std::vector<std::string> names;
-  for (const std::string& name : core::RegisteredStrategyNames()) {
+  for (const std::string& name : core::StrategyRegistry::Global().Names()) {
     const auto strategy = core::StrategyRegistry::Global().Find(name);
     if (!strategy->Describe().search_based) names.push_back(name);
   }

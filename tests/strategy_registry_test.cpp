@@ -155,19 +155,21 @@ TEST(StrategyRegistry, PlacementOnlyRequestsSkipTheCostPass) {
             ShiftCost(seq, searched.placement, request.options.cost));
 }
 
-TEST(StrategyRegistry, RunMatchesTheLegacyRunStrategyShim) {
+TEST(StrategyRegistry, PlacementDoesNotDependOnComputeCost) {
   const AccessSequence seq = PhasedSequence();
   auto& registry = StrategyRegistry::Global();
   StrategyOptions options;
   ScaleSearchEffort(options, 0.02);
   for (const StrategySpec& spec : PaperStrategies()) {
-    const auto direct =
-        registry.Find(ToString(spec))
-            ->Run({&seq, 4, kUnboundedCapacity, options})
+    const auto strategy = registry.Find(ToString(spec));
+    const Placement costed =
+        strategy->Run({&seq, 4, kUnboundedCapacity, options}).placement;
+    const Placement placement_only =
+        strategy
+            ->Run({&seq, 4, kUnboundedCapacity, options,
+                   /*compute_cost=*/false})
             .placement;
-    const Placement shimmed =
-        RunStrategy(spec, seq, 4, kUnboundedCapacity, options);
-    EXPECT_EQ(direct, shimmed) << ToString(spec);
+    EXPECT_EQ(costed, placement_only) << ToString(spec);
   }
 }
 
@@ -250,9 +252,8 @@ TEST(StrategyRegistry, ExternalStrategiesPlugInByName) {
   auto& registry = StrategyRegistry::Global();
   const auto strategy = registry.Find("first-use");
   ASSERT_NE(strategy, nullptr);
-  // Not enum-backed: invisible to the legacy StrategySpec shims.
+  // Not enum-backed: no StrategySpec.
   EXPECT_FALSE(strategy->Describe().spec.has_value());
-  EXPECT_FALSE(ParseStrategy("first-use").has_value());
 
   const AccessSequence seq = PhasedSequence();
   const PlacementResult result =

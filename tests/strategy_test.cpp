@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/cost_model.h"
 #include "core/strategy.h"
@@ -13,28 +15,35 @@ namespace {
 
 using trace::AccessSequence;
 
-TEST(Strategy, ParseAndToStringRoundTripForEveryRegisteredName) {
-  // The accepted-name list is derived from the registry, so this is
-  // exhaustive by construction: every enum-backed registered name must
-  // round-trip. Registered strategies without an enum spec (external
-  // StrategyRegistrar users) are intentionally outside the shim and are
-  // skipped.
+/// Runs the registered strategy `name`, placement only.
+Placement RunNamed(std::string_view name, const AccessSequence& seq,
+                   std::uint32_t dbcs, const StrategyOptions& options) {
+  return StrategyRegistry::Global()
+      .Find(name)
+      ->Run({&seq, dbcs, kUnboundedCapacity, options,
+             /*compute_cost=*/false})
+      .placement;
+}
+
+TEST(Strategy, SpecAndToStringRoundTripForEveryRegisteredName) {
+  // The registry is the single source of truth for accepted names, so
+  // this is exhaustive by construction: every enum-backed registered name
+  // must round-trip. Registered strategies without an enum spec
+  // (external StrategyRegistrar users) are skipped.
   const auto& registry = StrategyRegistry::Global();
   std::size_t enum_backed = 0;
-  for (const auto& name : RegisteredStrategyNames()) {
+  for (const auto& name : registry.Names()) {
     const auto info = registry.Describe(name);
     ASSERT_TRUE(info.has_value()) << name;
     if (!info->spec.has_value()) continue;
     ++enum_backed;
-    const auto spec = ParseStrategy(name);
-    ASSERT_TRUE(spec.has_value()) << name;
-    EXPECT_EQ(ToString(*spec), name);
+    EXPECT_EQ(ToString(*info->spec), name);
   }
   ASSERT_GE(enum_backed, 17u);  // {afd,dma,dma2} x 5 intras + ga + rw
 }
 
 TEST(Strategy, RegisteredNamesCoverTheDocumentedGrid) {
-  const auto names = RegisteredStrategyNames();
+  const auto names = StrategyRegistry::Global().Names();
   const auto has = [&](const std::string& name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
@@ -50,22 +59,20 @@ TEST(Strategy, RegisteredNamesCoverTheDocumentedGrid) {
   EXPECT_TRUE(has("rw"));
 }
 
-TEST(Strategy, ParseIsCaseInsensitive) {
-  const auto spec = ParseStrategy("DMA-SR");
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->inter, InterPolicy::kDma);
-  EXPECT_EQ(spec->intra, IntraHeuristic::kShiftsReduce);
+TEST(Strategy, LookupIsCaseInsensitive) {
+  const auto info = StrategyRegistry::Global().Describe("DMA-SR");
+  ASSERT_TRUE(info.has_value());
+  ASSERT_TRUE(info->spec.has_value());
+  EXPECT_EQ(info->spec->inter, InterPolicy::kDma);
+  EXPECT_EQ(info->spec->intra, IntraHeuristic::kShiftsReduce);
 }
 
-TEST(Strategy, ParseRejectsUnknownNames) {
-  EXPECT_FALSE(ParseStrategy("").has_value());
-  EXPECT_FALSE(ParseStrategy("dma").has_value());
-  EXPECT_FALSE(ParseStrategy("dma-").has_value());
-  EXPECT_FALSE(ParseStrategy("xyz-ofu").has_value());
-  EXPECT_FALSE(ParseStrategy("dma-xyz").has_value());
-  EXPECT_FALSE(ParseStrategy("afd-ofu-extra").has_value());
-  EXPECT_FALSE(ParseStrategy(" dma-sr").has_value());
-  EXPECT_FALSE(ParseStrategy("ga2").has_value());
+TEST(Strategy, LookupRejectsUnknownNames) {
+  const auto& registry = StrategyRegistry::Global();
+  for (const char* name : {"", "dma", "dma-", "xyz-ofu", "dma-xyz",
+                           "afd-ofu-extra", " dma-sr", "ga2"}) {
+    EXPECT_FALSE(registry.Describe(name).has_value()) << '"' << name << '"';
+  }
 }
 
 TEST(Strategy, PaperStrategiesAreTheSixOfSectionIvA) {
@@ -79,13 +86,13 @@ TEST(Strategy, PaperStrategiesAreTheSixOfSectionIvA) {
   EXPECT_EQ(ToString(specs[5]), "rw");
 }
 
-TEST(Strategy, RunStrategyProducesCompletePlacements) {
+TEST(Strategy, PaperStrategiesProduceCompletePlacements) {
   const auto seq = AccessSequence::FromCompactString(
       "g" "ababab" "g" "cdcdcd" "g" "efef" "g");
   StrategyOptions options;
   ScaleSearchEffort(options, 0.02);
   for (const auto& spec : PaperStrategies()) {
-    const Placement p = RunStrategy(spec, seq, 4, kUnboundedCapacity, options);
+    const Placement p = RunNamed(ToString(spec), seq, 4, options);
     EXPECT_TRUE(p.IsComplete()) << ToString(spec);
     p.CheckInvariants();
   }
@@ -113,16 +120,13 @@ TEST(Strategy, GaRespectsInjectedCostOptions) {
   StrategyOptions options;
   ScaleSearchEffort(options, 0.02);
   options.cost.initial_alignment = rtm::InitialAlignment::kZero;
-  const Placement p = RunStrategy({InterPolicy::kGa, IntraHeuristic::kNone},
-                                  seq, 2, kUnboundedCapacity, options);
+  const Placement p = RunNamed("ga", seq, 2, options);
   EXPECT_TRUE(p.IsComplete());
 }
 
 TEST(Strategy, DmaMultiIsAvailableViaRegistry) {
   const auto seq = AccessSequence::FromCompactString("aabb" "xyxy" "ccdd");
-  const auto spec = ParseStrategy("dma2-ofu");
-  ASSERT_TRUE(spec.has_value());
-  const Placement p = RunStrategy(*spec, seq, 4, kUnboundedCapacity, {});
+  const Placement p = RunNamed("dma2-ofu", seq, 4, {});
   EXPECT_TRUE(p.IsComplete());
   p.CheckInvariants();
 }

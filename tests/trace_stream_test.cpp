@@ -55,9 +55,18 @@ std::string ToBinary(const TraceFile& file) {
   return out.str();
 }
 
+/// Reads `blob` with the binary reader alone, so a corrupt header fails
+/// there instead of falling through to the text reader.
 TraceFile FromBinary(const std::string& blob) {
   std::istringstream in(blob, std::ios::binary);
-  return ReadBinaryTrace(in);
+  TraceFile file;
+  const SequenceSink sink = [&file](const std::string& name,
+                                    AccessSequence seq) {
+    file.sequence_names.push_back(name);
+    file.sequences.push_back(std::move(seq));
+  };
+  file.benchmark = StreamBinaryTrace(in, sink).benchmark;
+  return file;
 }
 
 TEST(TraceStream, TextRoundTripOnRandomTraces) {
